@@ -26,6 +26,11 @@ type Writer struct {
 // NewWriter returns an empty writer.
 func NewWriter() *Writer { return &Writer{} }
 
+// NewWriterOver returns an empty writer that fills buf's backing array
+// before it allocates: a caller that knows the stream's length supplies
+// the destination and reads the result there.
+func NewWriterOver(buf []uint64) *Writer { return &Writer{words: buf[:0]} }
+
 // Len returns the number of bits written so far.
 func (w *Writer) Len() int { return w.n }
 
@@ -80,9 +85,17 @@ type Reader struct {
 // 64*len(words) to read everything).
 func NewReader(words []uint64, limit int) *Reader {
 	if limit < 0 || limit > 64*len(words) {
-		panic(fmt.Sprintf("bitpack: limit %d outside stream of %d bits", limit, 64*len(words)))
+		badLimit(limit, len(words))
 	}
 	return &Reader{words: words, limit: limit}
+}
+
+// badLimit keeps the panic's formatting out of NewReader, which then
+// inlines, so a reader that stays in its caller lives on the stack.
+//
+//go:noinline
+func badLimit(limit, words int) {
+	panic(fmt.Sprintf("bitpack: limit %d outside stream of %d bits", limit, 64*words))
 }
 
 // Remaining returns how many bits are left.

@@ -79,14 +79,25 @@ func (c Codec) Encode(recs []Record) []pdm.Word {
 // Find locates key in a block and returns its satellite words (aliasing
 // the block) and whether it was present.
 func (c Codec) Find(block []pdm.Word, key pdm.Word) ([]pdm.Word, bool) {
-	n := c.Count(block)
-	for i := 0; i < n; i++ {
-		off := 1 + i*c.RecordWords()
+	sat, _, ok := c.Next(block, key, 0)
+	return sat, ok
+}
+
+// Next scans the block in place from record index i for the next record
+// holding key: it returns the record's satellite words (aliasing the
+// block), the index to resume from, and whether a record was found. A
+// key may own several records of one block (fragments sharing a bucket);
+// looping until ok is false visits them all, in block order, without
+// allocating.
+func (c Codec) Next(block []pdm.Word, key pdm.Word, i int) (sat []pdm.Word, next int, ok bool) {
+	rw := c.RecordWords()
+	for n := c.Count(block); i < n; i++ {
+		off := 1 + i*rw
 		if block[off] == key {
-			return block[off+1 : off+1+c.SatWords], true
+			return block[off+1 : off+rw], i + 1, true
 		}
 	}
-	return nil, false
+	return nil, i, false
 }
 
 // Append adds a record to the block in place, replacing an existing

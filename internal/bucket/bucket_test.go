@@ -64,6 +64,56 @@ func TestFind(t *testing.T) {
 	}
 }
 
+// Next visits every record of a key, in block order, without allocating,
+// and agrees with Decode; a clamped corrupt header bounds the scan.
+func TestNextVisitsEveryMatch(t *testing.T) {
+	c := Codec{B: 16, SatWords: 2}
+	block := make([]pdm.Word, c.B)
+	for _, r := range []Record{rec(7, 0, 70), rec(9, 0, 90), rec(7, 1, 71), rec(3, 0, 30), rec(7, 2, 72)} {
+		if !c.AppendAlways(block, r) {
+			t.Fatal("block full")
+		}
+	}
+	var want [][]pdm.Word
+	for _, r := range c.Decode(block) {
+		if r.Key == 7 {
+			want = append(want, r.Sat)
+		}
+	}
+	var got [][]pdm.Word
+	for sat, i, ok := c.Next(block, 7, 0); ok; sat, i, ok = c.Next(block, 7, i) {
+		got = append(got, sat)
+	}
+	if len(got) != 3 || len(want) != 3 {
+		t.Fatalf("Next found %d records, Decode %d, want 3", len(got), len(want))
+	}
+	for k := range got {
+		if &got[k][0] != &want[k][0] || len(got[k]) != c.SatWords {
+			t.Errorf("match %d: Next returned %v, Decode %v (must alias the same words)", k, got[k], want[k])
+		}
+	}
+	if _, _, ok := c.Next(block, 8, 0); ok {
+		t.Error("Next found an absent key")
+	}
+	if _, _, ok := c.Next(block, 7, 5); ok {
+		t.Error("Next resumed past the last record and still matched")
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		for _, i, ok := c.Next(block, 7, 0); ok; _, i, ok = c.Next(block, 7, i) {
+		}
+	}); avg != 0 {
+		t.Errorf("a full Next scan allocates %.1f objects, want 0", avg)
+	}
+	block[0] = 1 << 40 // corrupt header: the scan stays inside the block
+	n := 0
+	for _, i, ok := c.Next(block, 7, 0); ok; _, i, ok = c.Next(block, 7, i) {
+		n++
+	}
+	if n != 3 {
+		t.Errorf("scan under a corrupt header found %d records, want 3", n)
+	}
+}
+
 func TestAppendAndReplace(t *testing.T) {
 	c := Codec{B: 10, SatWords: 1}
 	block := c.Encode(nil)

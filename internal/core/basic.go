@@ -135,6 +135,7 @@ type BasicDict struct {
 	codec     bucket.Codec
 	fragWords int
 	n         int // guarded by mu
+	scratch   scratchList
 
 	// retry governs degraded-read recovery (LookupTry and friends); the
 	// zero value is the historical default. repairJob, when non-nil, is
@@ -203,7 +204,7 @@ func newBasicAt(reg region, cfg BasicConfig) (*BasicDict, error) {
 		minBuckets = d
 	}
 
-	bd := &BasicDict{reg: reg, cfg: cfg, codec: codec, fragWords: fragWords}
+	bd := &BasicDict{reg: reg, cfg: cfg, codec: codec, fragWords: fragWords, scratch: newScratchList()}
 	switch {
 	case cfg.HeadModel:
 		g := cfg.UnstripedGraph
@@ -283,17 +284,18 @@ func (bd *BasicDict) bucketAddrs(y int, dst []pdm.Addr) []pdm.Addr {
 	return dst
 }
 
-// neighbors returns x's d global bucket ids.
-func (bd *BasicDict) neighbors(x pdm.Word) []int {
-	return bd.graph.Neighbors(uint64(x), make([]int, 0, bd.graph.Degree()))
+// neighbors appends x's d global bucket ids to dst.
+func (bd *BasicDict) neighbors(x pdm.Word, dst []int) []int {
+	return bd.graph.Neighbors(uint64(x), dst)
 }
 
-// probeAddrs returns the addresses of the d buckets of Γ(x), in
+// probeAddrs appends the addresses of the d buckets of Γ(x), in
 // neighbor order. Composite dictionaries batch these together with
 // their own addresses so one parallel I/O probes every sub-structure at
 // once.
-func (bd *BasicDict) probeAddrs(x pdm.Word, dst []pdm.Addr) []pdm.Addr {
-	for _, y := range bd.neighbors(x) {
+func (bd *BasicDict) probeAddrs(sc *probeScratch, x pdm.Word, dst []pdm.Addr) []pdm.Addr {
+	sc.ns = bd.neighbors(x, sc.ns[:0])
+	for _, y := range sc.ns {
 		dst = bd.bucketAddrs(y, dst)
 	}
 	return dst
@@ -302,34 +304,22 @@ func (bd *BasicDict) probeAddrs(x pdm.Word, dst []pdm.Addr) []pdm.Addr {
 // probeLen returns how many blocks probeAddrs contributes.
 func (bd *BasicDict) probeLen() int { return bd.graph.Degree() * bd.cfg.BucketBlocks }
 
-// groupNeighborhood reshapes the flat block list returned for probeAddrs
-// into per-stripe buckets: blocks[i] holds the BucketBlocks blocks of
-// the bucket in stripe i.
-func (bd *BasicDict) groupNeighborhood(flat [][]pdm.Word) [][][]pdm.Word {
-	d := bd.graph.Degree()
-	out := make([][][]pdm.Word, d)
-	for i := 0; i < d; i++ {
-		out[i] = flat[i*bd.cfg.BucketBlocks : (i+1)*bd.cfg.BucketBlocks]
-	}
-	return out
-}
-
-// readNeighborhood fetches the d buckets of Γ(x) in one batch: one
-// parallel I/O when BucketBlocks is 1, BucketBlocks I/Os otherwise.
-// The batch is attributed to op (nil = unattributed).
-func (bd *BasicDict) readNeighborhood(op *pdm.Op, x pdm.Word) [][][]pdm.Word {
-	addrs := bd.probeAddrs(x, make([]pdm.Addr, 0, bd.probeLen()))
-	return bd.groupNeighborhood(bd.reg.m.BatchReadOp(op, addrs))
+// bucketOf returns, out of the flat block list read for probeAddrs, the
+// BucketBlocks blocks of the bucket in stripe i.
+func (bd *BasicDict) bucketOf(flat [][]pdm.Word, i int) [][]pdm.Word {
+	return flat[i*bd.cfg.BucketBlocks : (i+1)*bd.cfg.BucketBlocks]
 }
 
 // lookupInBlocks interprets a pre-fetched neighborhood (the blocks for
-// probeAddrs(x)) exactly as Lookup would, without any I/O.
-func (bd *BasicDict) lookupInBlocks(x pdm.Word, flat [][]pdm.Word) ([]pdm.Word, bool) {
-	frags, _ := bd.findFragments(x, bd.groupNeighborhood(flat))
-	if !bd.present(frags) {
+// probeAddrs(x)) exactly as Lookup would, without any I/O, and appends
+// x's satellite to dst. The blocks are only read, never retained: the
+// appended words are a copy.
+func (bd *BasicDict) lookupInBlocks(sc *probeScratch, x pdm.Word, flat [][]pdm.Word, dst []pdm.Word) ([]pdm.Word, bool) {
+	frags := sc.fragSlots(bd.cfg.K)
+	if !bd.present(bd.findFragments(x, flat, frags, nil)) {
 		return nil, false
 	}
-	return bd.assemble(frags), true
+	return bd.assemble(dst, frags), true
 }
 
 // bucketLoad counts the records across a bucket's blocks, skipping nil
@@ -381,36 +371,44 @@ func (bd *BasicDict) fragIndex(tag pdm.Word) int {
 	return int(tag)
 }
 
-// present reports whether a fragment set proves the key stored: all K
-// fragments in fragment mode, any one replica in replicate mode.
-func (bd *BasicDict) present(frags map[int][]pdm.Word) bool {
+// present reports whether found distinct fragments prove the key
+// stored: all K fragments in fragment mode, any one replica in replicate
+// mode.
+func (bd *BasicDict) present(found int) bool {
 	if bd.cfg.Replicate {
-		return len(frags) > 0
+		return found > 0
 	}
-	return len(frags) == bd.cfg.K
+	return found == bd.cfg.K
 }
 
-// findFragments collects x's fragments from a neighborhood, as
-// frag-index → data (replica rank → data in replicate mode). It also
-// reports which stripes held at least one fragment. Nil blocks (failed
-// degraded-mode reads) are skipped.
-func (bd *BasicDict) findFragments(x pdm.Word, hood [][][]pdm.Word) (map[int][]pdm.Word, map[int]bool) {
-	frags := make(map[int][]pdm.Word)
-	touched := make(map[int]bool)
-	for i, blocks := range hood {
-		for _, blk := range blocks {
-			if blk == nil {
+// findFragments scans a neighborhood (the flat blocks for probeAddrs(x))
+// in place and files x's records into frags, indexed by fragment index
+// (replica rank in replicate mode); frags must hold K empty slots, and
+// the data filed there aliases the blocks. It returns how many distinct
+// slots it filled and, when touched is non-nil (one entry per stripe),
+// marks the stripes holding at least one record of x. Nil blocks (failed
+// degraded-mode reads) are skipped; a record whose index is outside
+// [0, K) can only come from a damaged block and is ignored.
+func (bd *BasicDict) findFragments(x pdm.Word, flat [][]pdm.Word, frags [][]pdm.Word, touched []bool) (found int) {
+	for b, blk := range flat {
+		if blk == nil {
+			continue
+		}
+		for rec, i, ok := bd.codec.Next(blk, x, 0); ok; rec, i, ok = bd.codec.Next(blk, x, i) {
+			if touched != nil {
+				touched[b/bd.cfg.BucketBlocks] = true
+			}
+			j := bd.fragIndex(rec[0])
+			if j < 0 || j >= len(frags) {
 				continue
 			}
-			for _, rec := range bd.codec.Decode(blk) {
-				if rec.Key == x {
-					frags[bd.fragIndex(rec.Sat[0])] = rec.Sat[1:]
-					touched[i] = true
-				}
+			if frags[j] == nil {
+				found++
 			}
+			frags[j] = rec[1:]
 		}
 	}
-	return frags, touched
+	return found
 }
 
 // LookupBatch resolves many keys with ONE batched read: every key's d
@@ -432,34 +430,45 @@ func (bd *BasicDict) LookupBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, [
 	bd.mu.RLock()
 	defer bd.mu.RUnlock()
 	defer bd.reg.m.OpSpan(op, obs.TagLookup)()
-	uniq := make(map[pdm.Addr]int) // addr → index into fetch list
-	var addrs []pdm.Addr
-	perKey := make([][]int, len(keys)) // key → its blocks' fetch indices
-	for ki, x := range keys {
-		ka := bd.probeAddrs(x, nil)
-		idxs := make([]int, len(ka))
-		for i, a := range ka {
-			j, ok := uniq[a]
-			if !ok {
-				j = len(addrs)
-				uniq[a] = j
-				addrs = append(addrs, a)
-			}
-			idxs[i] = j
-		}
-		perKey[ki] = idxs
-	}
-	flat := bd.reg.m.BatchReadOp(op, addrs)
-	sats := make([][]pdm.Word, len(keys))
-	oks := make([]bool, len(keys))
-	blocks := make([][]pdm.Word, bd.probeLen())
-	for ki, x := range keys {
-		for i, j := range perKey[ki] {
-			blocks[i] = flat[j]
-		}
-		sats[ki], oks[ki] = bd.lookupInBlocks(x, blocks)
-	}
+	sc := bd.scratch.get()
+	defer bd.scratch.put(sc)
+	bd.mergeProbes(sc, keys)
+	flat := bd.reg.m.BatchReadInto(&sc.buf, op, nil, sc.r1.addrs)
+	sats, oks, _ := bd.resolveMerged(sc, keys, flat)
 	return sats, oks
+}
+
+// mergeProbes collects every key's probe addresses, de-duplicated, into
+// sc.r1 — the fetch list of one merged read round.
+func (bd *BasicDict) mergeProbes(sc *probeScratch, keys []pdm.Word) {
+	sc.r1.reset()
+	for _, x := range keys {
+		sc.one = bd.probeAddrs(sc, x, sc.one[:0])
+		sc.r1.add(sc.one)
+	}
+}
+
+// resolveMerged answers every key from the blocks fetched for sc.r1. It
+// also counts the keys left undecided: not found, with at least one of
+// their blocks missing (a failed degraded-mode read).
+func (bd *BasicDict) resolveMerged(sc *probeScratch, keys []pdm.Word, flat [][]pdm.Word) (sats [][]pdm.Word, oks []bool, inconclusive int) {
+	sats = make([][]pdm.Word, len(keys))
+	oks = make([]bool, len(keys))
+	view := sc.keyView(bd.probeLen())
+	for ki, x := range keys {
+		sc.r1.keyBlocks(ki, flat, view)
+		sats[ki], oks[ki] = bd.lookupInBlocks(sc, x, view, nil)
+		if oks[ki] {
+			continue
+		}
+		for _, blk := range view {
+			if blk == nil {
+				inconclusive++
+				break
+			}
+		}
+	}
+	return sats, oks, inconclusive
 }
 
 // Lookup returns a copy of x's satellite data and whether x is present.
@@ -474,12 +483,11 @@ func (bd *BasicDict) LookupOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool) {
 	bd.mu.RLock()
 	defer bd.mu.RUnlock()
 	defer bd.reg.m.OpSpan(op, obs.TagLookup)()
-	hood := bd.readNeighborhood(op, x)
-	frags, _ := bd.findFragments(x, hood)
-	if !bd.present(frags) {
-		return nil, false
-	}
-	return bd.assemble(frags), true
+	sc := bd.scratch.get()
+	defer bd.scratch.put(sc)
+	sc.one = bd.probeAddrs(sc, x, sc.one[:0])
+	flat := bd.reg.m.BatchReadInto(&sc.buf, op, nil, sc.one)
+	return bd.lookupInBlocks(sc, x, flat, nil)
 }
 
 // Contains reports whether x is present, at the same cost as Lookup.
@@ -488,21 +496,23 @@ func (bd *BasicDict) Contains(x pdm.Word) bool {
 	return ok
 }
 
-func (bd *BasicDict) assemble(frags map[int][]pdm.Word) []pdm.Word {
-	if bd.cfg.Replicate {
-		// Every replica carries the full satellite; any one will do.
-		for _, f := range frags {
-			out := make([]pdm.Word, bd.cfg.SatWords)
-			copy(out, f)
-			return out
+// assemble appends x's satellite, rebuilt from its fragment slots, to
+// dst (nil allocates exactly the satellite). Callers gate on present():
+// fragment mode then has every slot filled, and in replicate mode the
+// first live replica supplies the whole satellite.
+func (bd *BasicDict) assemble(dst []pdm.Word, frags [][]pdm.Word) []pdm.Word {
+	need := bd.cfg.SatWords
+	if dst == nil {
+		dst = make([]pdm.Word, 0, need)
+	}
+	for _, f := range frags {
+		if len(f) > need {
+			f = f[:need]
 		}
-		return nil // unreachable: callers gate on present()
+		dst = append(dst, f...)
+		need -= len(f)
 	}
-	sat := make([]pdm.Word, 0, bd.cfg.K*bd.fragWords)
-	for j := 0; j < bd.cfg.K; j++ {
-		sat = append(sat, frags[j]...)
-	}
-	return sat[:bd.cfg.SatWords]
+	return dst
 }
 
 // Insert stores (x, sat), replacing any previous satellite for x. sat
@@ -518,10 +528,13 @@ func (bd *BasicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
 	defer bd.reg.m.OpSpan(op, obs.TagInsert)()
+	sc := bd.scratch.get()
+	defer bd.scratch.put(sc)
 	endProbe := bd.reg.m.OpSpan(op, obs.TagProbe)
-	flat := bd.reg.m.BatchReadOp(op, bd.probeAddrs(x, make([]pdm.Addr, 0, bd.probeLen())))
+	sc.one = bd.probeAddrs(sc, x, sc.one[:0])
+	flat := bd.reg.m.BatchReadOp(op, sc.one)
 	endProbe()
-	writes, err := bd.insertWritesLocked(x, sat, flat)
+	writes, err := bd.insertWritesLocked(sc, x, sat, flat)
 	if len(writes) > 0 {
 		// Writes accompany even a failed insert of an existing key: its
 		// old fragments were removed and that removal must land.
@@ -535,34 +548,23 @@ func (bd *BasicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 // writes to issue; the caller batches them, possibly together with
 // writes of its own on other disks, into one parallel I/O. The count is
 // updated as if the writes were applied.
-func (bd *BasicDict) insertWritesLocked(x pdm.Word, sat []pdm.Word, flat [][]pdm.Word) ([]pdm.BlockWrite, error) {
+func (bd *BasicDict) insertWritesLocked(sc *probeScratch, x pdm.Word, sat []pdm.Word, flat [][]pdm.Word) ([]pdm.BlockWrite, error) {
 	if len(sat) != bd.cfg.SatWords {
 		return nil, fmt.Errorf("core: satellite of %d words, config says %d", len(sat), bd.cfg.SatWords)
 	}
 	if uint64(x) >= bd.cfg.Universe {
 		return nil, fmt.Errorf("core: key %d outside universe %d", x, bd.cfg.Universe)
 	}
-	hood := bd.groupNeighborhood(flat)
-	_, touched := bd.findFragments(x, hood)
-	existing := len(touched) > 0
+	existing, dirty := bd.removeKey(sc, x, flat)
 	if !existing && bd.n >= bd.cfg.Capacity {
 		return nil, ErrFull
 	}
 
-	// Remove any previous fragments of x (update semantics), then run
-	// the greedy placement of Section 3 on the loads as read.
-	dirty := make(map[int]bool)
-	for i := range touched {
-		for _, blk := range hood[i] {
-			for bd.codec.Remove(blk, x) {
-			}
-		}
-		dirty[i] = true
-	}
-
+	// Any previous fragments of x are now removed (update semantics);
+	// run the greedy placement of Section 3 on the loads as read.
 	loads := make([]int, bd.graph.Degree())
-	for i, blocks := range hood {
-		loads[i] = bd.bucketLoad(blocks)
+	for i := range loads {
+		loads[i] = bd.bucketLoad(bd.bucketOf(flat, i))
 	}
 	caps := bd.cfg.BucketBlocks * bd.codec.Capacity()
 	// Greedy least-loaded placement of Section 3. In replicate mode the
@@ -588,7 +590,7 @@ func (bd *BasicDict) insertWritesLocked(x pdm.Word, sat []pdm.Word, flat [][]pdm
 			if existing {
 				bd.n--
 				bd.noteUpdateLocked(x, nil, 0)
-				return bd.collectWrites(x, hood, dirty), ErrFull
+				return bd.collectWrites(sc, x, flat, dirty), ErrFull
 			}
 			return nil, ErrFull
 		}
@@ -610,7 +612,7 @@ func (bd *BasicDict) insertWritesLocked(x pdm.Word, sat []pdm.Word, flat [][]pdm
 			frag = bd.fragment(sat, j)
 		}
 		placed := false
-		for _, blk := range hood[best] {
+		for _, blk := range bd.bucketOf(flat, best) {
 			// AppendAlways, not Append: two fragments of x may share a
 			// bucket and must both survive.
 			if bd.codec.AppendAlways(blk, bucket.Record{Key: x, Sat: frag}) {
@@ -627,7 +629,26 @@ func (bd *BasicDict) insertWritesLocked(x pdm.Word, sat []pdm.Word, flat [][]pdm
 		bd.n++
 	}
 	bd.noteUpdateLocked(x, sat, mask)
-	return bd.collectWrites(x, hood, dirty), nil
+	return bd.collectWrites(sc, x, flat, dirty), nil
+}
+
+// removeKey deletes every record of x from a pre-read neighborhood, in
+// place, and returns whether there was one plus the per-stripe dirty
+// marks (true where a bucket changed) that collectWrites consumes.
+func (bd *BasicDict) removeKey(sc *probeScratch, x pdm.Word, flat [][]pdm.Word) (existing bool, dirty []bool) {
+	dirty = make([]bool, bd.graph.Degree())
+	bd.findFragments(x, flat, sc.fragSlots(bd.cfg.K), dirty)
+	for i, touched := range dirty {
+		if !touched {
+			continue
+		}
+		existing = true
+		for _, blk := range bd.bucketOf(flat, i) {
+			for bd.codec.Remove(blk, x) {
+			}
+		}
+	}
+	return existing, dirty
 }
 
 // fragment returns fragment j of the satellite, zero-padded to
@@ -655,18 +676,16 @@ func (bd *BasicDict) replica(sat []pdm.Word, rank int, mask uint64) []pdm.Word {
 // striped graph, distinct neighbors live on distinct disks, so issuing
 // the batch is one parallel I/O (times BucketBlocks); in the head model
 // any batch is.
-func (bd *BasicDict) collectWrites(x pdm.Word, hood [][][]pdm.Word, dirty map[int]bool) []pdm.BlockWrite {
-	ns := bd.neighbors(x)
+func (bd *BasicDict) collectWrites(sc *probeScratch, x pdm.Word, flat [][]pdm.Word, dirty []bool) []pdm.BlockWrite {
+	sc.ns = bd.neighbors(x, sc.ns[:0])
 	var writes []pdm.BlockWrite
-	// Ordered iteration: the write batch (and so the event trace) must
-	// not depend on map iteration order.
-	for i := range hood {
+	for i, y := range sc.ns {
 		if !dirty[i] {
 			continue
 		}
-		disk, row := bd.bucketPos(ns[i])
+		disk, row := bd.bucketPos(y)
 		base := row * bd.cfg.BucketBlocks
-		blocks := hood[i]
+		blocks := bd.bucketOf(flat, i)
 		if bd.cfg.Replicate {
 			// Canonical layout: a dirty bucket is always rewritten as the
 			// sorted sequential packing of its record set, so its blocks
@@ -692,8 +711,11 @@ func (bd *BasicDict) DeleteOp(op *pdm.Op, x pdm.Word) bool {
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
 	defer bd.reg.m.OpSpan(op, obs.TagDelete)()
-	flat := bd.reg.m.BatchReadOp(op, bd.probeAddrs(x, make([]pdm.Addr, 0, bd.probeLen())))
-	writes, ok := bd.deleteWritesLocked(x, flat)
+	sc := bd.scratch.get()
+	defer bd.scratch.put(sc)
+	sc.one = bd.probeAddrs(sc, x, sc.one[:0])
+	flat := bd.reg.m.BatchReadOp(op, sc.one)
+	writes, ok := bd.deleteWritesLocked(sc, x, flat)
 	if len(writes) > 0 {
 		bd.reg.m.BatchWriteOp(op, writes)
 	}
@@ -704,23 +726,14 @@ func (bd *BasicDict) DeleteOp(op *pdm.Op, x pdm.Word) bool {
 // neighborhood and returns the block writes to issue (batched by the
 // caller) plus whether the key was present. The count is updated as if
 // the writes were applied.
-func (bd *BasicDict) deleteWritesLocked(x pdm.Word, flat [][]pdm.Word) ([]pdm.BlockWrite, bool) {
-	hood := bd.groupNeighborhood(flat)
-	_, touched := bd.findFragments(x, hood)
-	if len(touched) == 0 {
+func (bd *BasicDict) deleteWritesLocked(sc *probeScratch, x pdm.Word, flat [][]pdm.Word) ([]pdm.BlockWrite, bool) {
+	existing, dirty := bd.removeKey(sc, x, flat)
+	if !existing {
 		return nil, false
-	}
-	dirty := make(map[int]bool)
-	for i := range touched {
-		for _, blk := range hood[i] {
-			for bd.codec.Remove(blk, x) {
-			}
-		}
-		dirty[i] = true
 	}
 	bd.n--
 	bd.noteUpdateLocked(x, nil, 0)
-	return bd.collectWrites(x, hood, dirty), true
+	return bd.collectWrites(sc, x, flat, dirty), true
 }
 
 // MaxLoad scans the structure (without accounting I/O; diagnostics only)

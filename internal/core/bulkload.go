@@ -71,27 +71,43 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 	app := extsort.NewAppender(m, scratchBlock0, asgWidth)
 	out := make([]pdm.Word, asgWidth)
 	nDisks := bd.reg.nDisks
+	var ns []int
+	chosen := make([]int, 0, bd.cfg.K)
 	for _, r := range recs {
-		ns := bd.neighbors(r.Key)
+		// The greedy rule of insertWritesLocked, on the in-memory loads:
+		// K least-loaded picks, which in replicate mode must be distinct
+		// stripes (= distinct disks — the fault-tolerance guarantee).
+		ns = bd.neighbors(r.Key, ns[:0])
+		chosen = chosen[:0]
+		var mask uint64
 		for j := 0; j < bd.cfg.K; j++ {
 			best := -1
-			for _, y := range ns {
-				if loads[y] >= caps {
+			for i, y := range ns {
+				if loads[y] >= caps || (bd.cfg.Replicate && mask&(1<<uint(i)) != 0) {
 					continue
 				}
-				if best == -1 || loads[y] < loads[best] {
-					best = y
+				if best == -1 || loads[y] < loads[ns[best]] {
+					best = i
 				}
 			}
 			if best == -1 {
 				return ErrFull
 			}
-			loads[best]++
-			disk, brow := bd.bucketPos(best)
+			loads[ns[best]]++
+			chosen = append(chosen, best)
+			if bd.cfg.Replicate {
+				mask |= 1 << uint(best)
+			}
+		}
+		for j, i := range chosen {
+			disk, brow := bd.bucketPos(ns[i])
 			out[0] = pdm.Word(brow*nDisks + disk)
 			out[1] = r.Key
-			frag := bd.fragment(r.Sat, j)
-			copy(out[2:], frag)
+			if bd.cfg.Replicate {
+				copy(out[2:], bd.replica(r.Sat, replicaRank(mask, i), mask))
+			} else {
+				copy(out[2:], bd.fragment(r.Sat, j))
+			}
 			app.Append(out)
 		}
 	}
@@ -116,7 +132,13 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 		var writes []pdm.BlockWrite
 		for _, disk := range disks {
 			base := curRow * bd.cfg.BucketBlocks
-			for b, blk := range blocks[disk] {
+			blks := blocks[disk]
+			if bd.cfg.Replicate {
+				// The canonical sorted layout every replicate-mode write
+				// keeps (see collectWrites), so Repair stays bit-identical.
+				blks = bd.canonicalBlocks(blks)
+			}
+			for b, blk := range blks {
 				writes = append(writes, pdm.BlockWrite{Addr: bd.reg.addr(disk, base+b), Data: blk})
 			}
 			delete(blocks, disk)

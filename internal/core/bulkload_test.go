@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"pdmdict/internal/bucket"
 	"pdmdict/internal/expander"
+	"pdmdict/internal/fault"
 	"pdmdict/internal/pdm"
 )
 
@@ -192,5 +194,70 @@ func TestFragmentSameBucketSurvives(t *testing.T) {
 		if sat, ok := bd.Lookup(y); !ok || sat[0] != y {
 			t.Fatalf("key %d damaged: %v %v", y, sat, ok)
 		}
+	}
+}
+
+// BulkLoad in replicate mode stores K tagged full replicas on distinct
+// disks in the canonical bucket layout — bit for bit what inserting the
+// same records one by one builds — so every key reads back right, with
+// all disks up and with any one of them failed. (It used to store
+// fragments: replica 1 carried a fragment tag and a zero satellite.)
+func TestBulkLoadReplicated(t *testing.T) {
+	const d, b, n = 8, 64, 600
+	recs := makeRecords(n, 3, 77)
+	build := func() (*pdm.Machine, *BasicDict) {
+		m := pdm.NewMachine(pdm.Config{D: d, B: b})
+		bd, err := NewBasic(m, BasicConfig{Capacity: n, SatWords: 3, K: 2, Replicate: true, Seed: 78})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, bd
+	}
+	mBulk, bulk := build()
+	if err := bulk.BulkLoad(recs, bulk.BlocksPerDisk(), 4); err != nil {
+		t.Fatalf("BulkLoad: %v", err)
+	}
+	mIns, ins := build()
+	for _, r := range recs {
+		if err := ins.Insert(r.Key, r.Sat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for disk := 0; disk < d; disk++ {
+		for blk := 0; blk < bulk.BlocksPerDisk(); blk++ {
+			a := pdm.Addr{Disk: disk, Block: blk}
+			got, want := mBulk.Peek(a), mIns.Peek(a)
+			for w := range got {
+				if got[w] != want[w] {
+					t.Fatalf("block %v word %d: bulk-loaded %#x, inserted %#x", a, w, got[w], want[w])
+				}
+			}
+		}
+	}
+
+	check := func(when string, lookup func(pdm.Word) ([]pdm.Word, bool, error)) {
+		t.Helper()
+		for _, r := range recs {
+			sat, ok, err := lookup(r.Key)
+			if err != nil || !ok {
+				t.Fatalf("%s: key %d: ok=%v err=%v", when, r.Key, ok, err)
+			}
+			for i := range sat {
+				if sat[i] != r.Sat[i] {
+					t.Fatalf("%s: key %d reads %v, want %v", when, r.Key, sat, r.Sat)
+				}
+			}
+		}
+	}
+	check("Lookup", func(x pdm.Word) ([]pdm.Word, bool, error) {
+		sat, ok := bulk.Lookup(x)
+		return sat, ok, nil
+	})
+	plan := fault.NewPlan(1)
+	mBulk.SetFaultInjector(plan)
+	for disk := 0; disk < d; disk++ {
+		plan.Reset()
+		plan.FailDisk(disk)
+		check(fmt.Sprintf("LookupTry with disk %d failed", disk), bulk.LookupTry)
 	}
 }

@@ -67,7 +67,8 @@ func encodeChain(fieldBits, fieldWords int, stripes []int, sat []pdm.Word) [][]p
 // chain ending early), which callers treat as absence.
 func decodeChain(fieldBits, satWords int, fields [][]pdm.Word, head int) ([]pdm.Word, bool) {
 	need := 64 * satWords
-	out := bitpack.NewWriter()
+	sat := make([]pdm.Word, satWords)
+	out := bitpack.NewWriterOver(sat) // exactly need bits: the writer fills sat
 	cur := head
 	for {
 		if cur < 0 || cur >= len(fields) {
@@ -99,8 +100,6 @@ func decodeChain(fieldBits, satWords int, fields [][]pdm.Word, head int) ([]pdm.
 		}
 		cur += diff
 	}
-	sat := make([]pdm.Word, satWords)
-	copy(sat, out.Words())
 	return sat, true
 }
 

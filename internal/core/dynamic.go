@@ -120,6 +120,7 @@ type DynamicDict struct {
 	arr            region
 	memb           *BasicDict
 	n              int // guarded by mu
+	scratch        scratchList
 }
 
 // NewDynamic creates an empty dictionary. The machine must have an even
@@ -142,7 +143,7 @@ func NewDynamic(m *pdm.Machine, cfg DynamicConfig) (*DynamicDict, error) {
 	}
 	t := ceilDiv(2*d, 3)
 
-	dd := &DynamicDict{m: m, cfg: cfg, d: d, t: t}
+	dd := &DynamicDict{m: m, cfg: cfg, d: d, t: t, scratch: newScratchList()}
 	dd.fieldBits = chainFieldBits(64*cfg.SatWords, t, d)
 	dd.fieldWords = ceilDiv(dd.fieldBits, 64)
 	if dd.fieldWords == 0 {
@@ -254,15 +255,32 @@ func (dd *DynamicDict) levelAddrs(lv *dynLevel, x pdm.Word, dst []pdm.Addr) []pd
 }
 
 // fieldsOf extracts the d per-stripe field slices of x from that
-// level's freshly read blocks.
-func (dd *DynamicDict) fieldsOf(lv *dynLevel, x pdm.Word, blocks [][]pdm.Word) [][]pdm.Word {
-	fields := make([][]pdm.Word, dd.d)
+// level's freshly read blocks, into the scratch's field table.
+func (dd *DynamicDict) fieldsOf(sc *probeScratch, lv *dynLevel, x pdm.Word, blocks [][]pdm.Word) [][]pdm.Word {
+	sc.fields = sc.fields[:0]
 	for i := 0; i < dd.d; i++ {
 		j := lv.graph.StripeNeighbor(uint64(x), i)
 		slot := (j % dd.fieldsPerBlock) * dd.fieldWords
-		fields[i] = blocks[i][slot : slot+dd.fieldWords]
+		sc.fields = append(sc.fields, blocks[i][slot:slot+dd.fieldWords])
 	}
-	return fields
+	return sc.fields
+}
+
+// probe1Locked appends x's first-round addresses: the membership buckets,
+// then A_1's d field blocks (disjoint disks — one parallel I/O).
+func (dd *DynamicDict) probe1Locked(sc *probeScratch, x pdm.Word, dst []pdm.Addr) []pdm.Addr {
+	return dd.levelAddrs(&dd.levels[0], x, dd.memb.probeAddrs(sc, x, dst))
+}
+
+// residenceLocked resolves x's membership record against the membership part
+// of a first-round read: the chain's head stripe and resident level.
+func (dd *DynamicDict) residenceLocked(sc *probeScratch, x pdm.Word, membBlocks [][]pdm.Word) (head, level int, ok bool) {
+	membSat, ok := dd.memb.lookupInBlocks(sc, x, membBlocks, sc.memb[:0])
+	if !ok {
+		return 0, 0, false
+	}
+	head, level = int(membSat[0]&0xFF), int(membSat[0]>>8)
+	return head, level, level < len(dd.levels)
 }
 
 // Lookup returns a copy of x's satellite and whether x is present.
@@ -277,29 +295,24 @@ func (dd *DynamicDict) LookupOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool) {
 	dd.mu.RLock()
 	defer dd.mu.RUnlock()
 	defer dd.m.OpSpan(op, obs.TagLookup)()
+	sc := dd.scratch.get()
+	defer dd.scratch.put(sc)
 	// First parallel I/O: membership probe + A_1 fields, disjoint disks.
-	addrs := dd.memb.probeAddrs(x, make([]pdm.Addr, 0, 2*dd.d))
-	membLen := len(addrs)
-	addrs = dd.levelAddrs(&dd.levels[0], x, addrs)
-	flat := dd.m.BatchReadOp(op, addrs)
+	sc.one = dd.probe1Locked(sc, x, sc.one[:0])
+	membLen := dd.memb.probeLen()
+	flat := dd.m.BatchReadInto(&sc.buf, op, nil, sc.one)
 
-	membSat, ok := dd.memb.lookupInBlocks(x, flat[:membLen])
+	head, level, ok := dd.residenceLocked(sc, x, flat[:membLen])
 	if !ok {
 		return nil, false // unsuccessful search: exactly 1 I/O
 	}
-	head := int(membSat[0] & 0xFF)
-	level := int(membSat[0] >> 8)
-	if level >= len(dd.levels) {
-		return nil, false
-	}
 	lv := &dd.levels[level]
-	var blocks [][]pdm.Word
-	if level == 0 {
-		blocks = flat[membLen:]
-	} else {
-		blocks = dd.m.BatchReadOp(op, dd.levelAddrs(lv, x, nil)) // second I/O
+	blocks := flat[membLen:]
+	if level > 0 {
+		sc.one = dd.levelAddrs(lv, x, sc.one[:0])
+		blocks = dd.m.BatchReadInto(&sc.buf, op, nil, sc.one) // second I/O
 	}
-	return decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(lv, x, blocks), head)
+	return decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(sc, lv, x, blocks), head)
 }
 
 // Contains reports presence at the Lookup cost (1 I/O when absent).
@@ -322,78 +335,64 @@ func (dd *DynamicDict) LookupBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word,
 	dd.mu.RLock()
 	defer dd.mu.RUnlock()
 	defer dd.m.OpSpan(op, obs.TagLookup)()
+	sc := dd.scratch.get()
+	defer dd.scratch.put(sc)
+	return dd.lookupMergedLocked(sc, op, nil, keys)
+}
+
+// deepKey is a key of a merged lookup that resides below A_1 and so
+// needs the second round.
+type deepKey struct {
+	ki    int
+	level int
+	head  int
+}
+
+// lookupMergedLocked is the two-round merged probe behind LookupBatchOp (both
+// rounds attributed to op) and LookupSharedOp (shared[i] owns keys[i]:
+// round one is attributed to every participant, round two only to the
+// deep keys' tokens, so shallow participants are charged one round).
+func (dd *DynamicDict) lookupMergedLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
 	membLen := dd.memb.probeLen()
-	width := membLen + dd.d
-	idx := make([]int32, len(keys)*width)
-	uniq := make(map[pdm.Addr]int32, len(keys)*width)
-	var addrs []pdm.Addr
-	scratch := make([]pdm.Addr, 0, width)
-	for ki, x := range keys {
-		scratch = dd.memb.probeAddrs(x, scratch[:0])
-		scratch = dd.levelAddrs(&dd.levels[0], x, scratch)
-		for i, a := range scratch {
-			j, seen := uniq[a]
-			if !seen {
-				j = int32(len(addrs))
-				uniq[a] = j
-				addrs = append(addrs, a)
-			}
-			idx[ki*width+i] = j
-		}
+	sc.r1.reset()
+	for _, x := range keys {
+		sc.one = dd.probe1Locked(sc, x, sc.one[:0])
+		sc.r1.add(sc.one)
 	}
-	flat := dd.m.BatchReadOp(op, addrs)
+	flat := dd.m.BatchReadInto(&sc.buf, op, shared, sc.r1.addrs)
 
 	sats := make([][]pdm.Word, len(keys))
 	oks := make([]bool, len(keys))
-	type deepKey struct {
-		ki    int
-		level int
-		head  int
-	}
-	var deep []deepKey
-	uniq2 := make(map[pdm.Addr]int32)
-	var addrs2 []pdm.Addr
-	var idx2 []int32
-	view := make([][]pdm.Word, width)
+	sc.deep, sc.ops = sc.deep[:0], sc.ops[:0]
+	sc.r2.reset()
+	view := sc.keyView(membLen + dd.d)
 	for ki, x := range keys {
-		for i := range view {
-			view[i] = flat[idx[ki*width+i]]
-		}
-		membSat, ok := dd.memb.lookupInBlocks(x, view[:membLen])
+		sc.r1.keyBlocks(ki, flat, view)
+		head, level, ok := dd.residenceLocked(sc, x, view[:membLen])
 		if !ok {
 			continue
 		}
-		head := int(membSat[0] & 0xFF)
-		level := int(membSat[0] >> 8)
-		if level >= len(dd.levels) {
-			continue
-		}
 		if level == 0 {
-			sats[ki], oks[ki] = decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(&dd.levels[0], x, view[membLen:]), head)
+			sats[ki], oks[ki] = decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(sc, &dd.levels[0], x, view[membLen:]), head)
 			continue
 		}
-		deep = append(deep, deepKey{ki: ki, level: level, head: head})
-		scratch = dd.levelAddrs(&dd.levels[level], x, scratch[:0])
-		for _, a := range scratch {
-			j, seen := uniq2[a]
-			if !seen {
-				j = int32(len(addrs2))
-				uniq2[a] = j
-				addrs2 = append(addrs2, a)
-			}
-			idx2 = append(idx2, j)
+		sc.deep = append(sc.deep, deepKey{ki: ki, level: level, head: head})
+		if shared != nil {
+			sc.ops = append(sc.ops, shared[ki])
 		}
+		sc.one = dd.levelAddrs(&dd.levels[level], x, sc.one[:0])
+		sc.r2.add(sc.one)
 	}
-	if len(deep) > 0 {
-		flat2 := dd.m.BatchReadOp(op, addrs2)
-		blocks := make([][]pdm.Word, dd.d)
-		for di, dk := range deep {
-			for i := range blocks {
-				blocks[i] = flat2[idx2[di*dd.d+i]]
-			}
+	if len(sc.deep) > 0 {
+		// Round one's blocks are spent, so its buffer serves round two.
+		flat = dd.m.BatchReadInto(&sc.buf, op, sc.ops, sc.r2.addrs)
+		blocks := view[:dd.d]
+		for di, dk := range sc.deep {
+			sc.r2.keyBlocks(di, flat, blocks)
 			x := keys[dk.ki]
-			sats[dk.ki], oks[dk.ki] = decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(&dd.levels[dk.level], x, blocks), dk.head)
+			sats[dk.ki], oks[dk.ki] = decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(sc, &dd.levels[dk.level], x, blocks), dk.head)
 		}
+		clear(sc.ops)
 	}
 	return sats, oks
 }
@@ -418,21 +417,22 @@ func (dd *DynamicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
 	defer dd.m.OpSpan(op, obs.TagInsert)()
+	sc := dd.scratch.get()
+	defer dd.scratch.put(sc)
 
 	// First parallel I/O: membership + A_1.
-	addrs := dd.memb.probeAddrs(x, make([]pdm.Addr, 0, 2*dd.d))
-	membLen := len(addrs)
-	addrs = dd.levelAddrs(&dd.levels[0], x, addrs)
-	flat := dd.m.BatchReadOp(op, addrs)
+	sc.one = dd.probe1Locked(sc, x, sc.one[:0])
+	membLen := dd.memb.probeLen()
+	flat := dd.m.BatchReadOp(op, sc.one)
 	membBlocks := flat[:membLen]
 
 	var writes []pdm.BlockWrite
-	if membSat, present := dd.memb.lookupInBlocks(x, membBlocks); present {
+	if membSat, present := dd.memb.lookupInBlocks(sc, x, membBlocks, sc.memb[:0]); present {
 		// Update: release the old chain first. If it lives at level 0
 		// the clears mutate the blocks already in hand and join the
 		// final write batch; a deeper chain is cleared with its own
 		// read+write (rare — a ≤ Ratio fraction of keys).
-		releaseWrites, oldLevel := dd.releaseChainLocked(op, x, membSat, flat[membLen:])
+		releaseWrites, oldLevel := dd.releaseChainLocked(sc, op, x, membSat, flat[membLen:])
 		if oldLevel == 0 {
 			writes = append(writes, releaseWrites...)
 		} else if len(releaseWrites) > 0 {
@@ -449,7 +449,7 @@ func (dd *DynamicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 		if li > 0 {
 			levelBlocks = dd.m.BatchReadOp(op, dd.levelAddrs(lv, x, nil))
 		}
-		free := dd.freeStripes(lv, x, levelBlocks)
+		free := dd.freeStripes(sc, lv, x, levelBlocks)
 		if len(free) < dd.t {
 			continue
 		}
@@ -468,7 +468,7 @@ func (dd *DynamicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 		// final write (membership disks are disjoint from the array
 		// disks, so the whole batch is one parallel I/O).
 		dd.memb.mu.Lock()
-		membWrites, err := dd.memb.insertWritesLocked(x, []pdm.Word{pdm.Word(free[0]) | pdm.Word(li)<<8}, membBlocks)
+		membWrites, err := dd.memb.insertWritesLocked(sc, x, []pdm.Word{pdm.Word(free[0]) | pdm.Word(li)<<8}, membBlocks)
 		dd.memb.mu.Unlock()
 		if err != nil {
 			if len(writes) > 0 {
@@ -486,7 +486,7 @@ func (dd *DynamicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	// the membership entry so a failed update leaves x consistently
 	// absent rather than pointing at a cleared chain.
 	dd.memb.mu.Lock()
-	membWrites, _ := dd.memb.deleteWritesLocked(x, membBlocks)
+	membWrites, _ := dd.memb.deleteWritesLocked(sc, x, membBlocks)
 	dd.memb.mu.Unlock()
 	writes = append(writes, membWrites...)
 	if len(writes) > 0 {
@@ -497,8 +497,8 @@ func (dd *DynamicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 
 // freeStripes returns the stripes whose field for x is unused at this
 // level, in stripe order.
-func (dd *DynamicDict) freeStripes(lv *dynLevel, x pdm.Word, blocks [][]pdm.Word) []int {
-	fields := dd.fieldsOf(lv, x, blocks)
+func (dd *DynamicDict) freeStripes(sc *probeScratch, lv *dynLevel, x pdm.Word, blocks [][]pdm.Word) []int {
+	fields := dd.fieldsOf(sc, lv, x, blocks)
 	free := make([]int, 0, dd.d)
 	for i, f := range fields {
 		if !fieldUsed(f) {
@@ -513,7 +513,7 @@ func (dd *DynamicDict) freeStripes(lv *dynLevel, x pdm.Word, blocks [][]pdm.Word
 // caller (already read) and are mutated in place; deeper levels cost one
 // extra read batch. Membership is NOT touched; callers either rewrite
 // the entry (update) or delete it (Delete) in their own batch.
-func (dd *DynamicDict) releaseChainLocked(op *pdm.Op, x pdm.Word, membSat []pdm.Word, level0Blocks [][]pdm.Word) ([]pdm.BlockWrite, int) {
+func (dd *DynamicDict) releaseChainLocked(sc *probeScratch, op *pdm.Op, x pdm.Word, membSat []pdm.Word, level0Blocks [][]pdm.Word) ([]pdm.BlockWrite, int) {
 	head := int(membSat[0] & 0xFF)
 	level := int(membSat[0] >> 8)
 	if level >= len(dd.levels) {
@@ -524,7 +524,7 @@ func (dd *DynamicDict) releaseChainLocked(op *pdm.Op, x pdm.Word, membSat []pdm.
 	if level > 0 {
 		blocks = dd.m.BatchReadOp(op, dd.levelAddrs(lv, x, nil))
 	}
-	fields := dd.fieldsOf(lv, x, blocks)
+	fields := dd.fieldsOf(sc, lv, x, blocks)
 	var writes []pdm.BlockWrite
 	cur := head
 	for cur >= 0 && cur < dd.d && fieldUsed(fields[cur]) {
@@ -558,17 +558,18 @@ func (dd *DynamicDict) DeleteOp(op *pdm.Op, x pdm.Word) bool {
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
 	defer dd.m.OpSpan(op, obs.TagDelete)()
-	addrs := dd.memb.probeAddrs(x, make([]pdm.Addr, 0, 2*dd.d))
-	membLen := len(addrs)
-	addrs = dd.levelAddrs(&dd.levels[0], x, addrs)
-	flat := dd.m.BatchReadOp(op, addrs)
-	membSat, ok := dd.memb.lookupInBlocks(x, flat[:membLen])
+	sc := dd.scratch.get()
+	defer dd.scratch.put(sc)
+	sc.one = dd.probe1Locked(sc, x, sc.one[:0])
+	membLen := dd.memb.probeLen()
+	flat := dd.m.BatchReadOp(op, sc.one)
+	membSat, ok := dd.memb.lookupInBlocks(sc, x, flat[:membLen], sc.memb[:0])
 	if !ok {
 		return false
 	}
-	writes, _ := dd.releaseChainLocked(op, x, membSat, flat[membLen:])
+	writes, _ := dd.releaseChainLocked(sc, op, x, membSat, flat[membLen:])
 	dd.memb.mu.Lock()
-	membWrites, _ := dd.memb.deleteWritesLocked(x, flat[:membLen])
+	membWrites, _ := dd.memb.deleteWritesLocked(sc, x, flat[:membLen])
 	dd.memb.mu.Unlock()
 	writes = append(writes, membWrites...)
 	if len(writes) > 0 {

@@ -174,7 +174,7 @@ func (j *RepairJob) collectRowLocked(op *pdm.Op, r int) error {
 		}
 		addrs = bd.bucketAddrs(t*ss+r, addrs)
 	}
-	blocks, err := tryReadPolicy(bd.reg.m, op, bd.retry, addrs)
+	blocks, err := tryReadPolicy(bd.reg.m, new(pdm.ReadBuf), op, bd.retry, addrs)
 	if err != nil {
 		return fmt.Errorf("core: repair of disk %d: surviving row %d unreadable: %w", j.disk, r, err)
 	}
@@ -184,7 +184,7 @@ func (j *RepairJob) collectRowLocked(op *pdm.Op, r int) error {
 			if mask&(1<<uint(j.disk)) == 0 {
 				continue
 			}
-			y := bd.neighbors(rec.Key)[j.disk]
+			y := bd.neighbors(rec.Key, nil)[j.disk]
 			tDisk, row := bd.bucketPos(y)
 			if tDisk != j.disk {
 				// Mask claims a replica on a stripe the graph does not map
@@ -239,7 +239,7 @@ func (bd *BasicDict) noteUpdateLocked(x pdm.Word, sat []pdm.Word, mask uint64) {
 	if j == nil || !bd.cfg.Replicate {
 		return
 	}
-	y := bd.neighbors(x)[j.disk]
+	y := bd.neighbors(x, nil)[j.disk]
 	tDisk, row := bd.bucketPos(y)
 	if tDisk != j.disk {
 		return
@@ -293,7 +293,7 @@ func (bd *BasicDict) ScrubRange(op *pdm.Op, disk, row, nRows int) (bad []pdm.Add
 	r := row
 	for ; r < ss && r < row+nRows; r++ {
 		addrs := bd.bucketAddrs(disk*ss+r, nil)
-		_, err := tryReadPolicy(bd.reg.m, op, bd.retry, addrs)
+		_, err := tryReadPolicy(bd.reg.m, new(pdm.ReadBuf), op, bd.retry, addrs)
 		if err == nil {
 			continue
 		}

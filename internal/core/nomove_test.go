@@ -116,8 +116,8 @@ func TestNoIndexNoDirectoryProperty(t *testing.T) {
 	empty, _ := mkDict(0)
 	full, _ := mkDict(300)
 	for probe := pdm.Word(0); probe < 50; probe++ {
-		a := empty.probeAddrs(probe, nil)
-		b := full.probeAddrs(probe, nil)
+		a := empty.probeAddrs(new(probeScratch), probe, nil)
+		b := full.probeAddrs(new(probeScratch), probe, nil)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("probe %d: address %d differs (%v vs %v) — a hidden directory exists", probe, i, a[i], b[i])

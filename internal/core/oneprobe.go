@@ -49,6 +49,7 @@ type OneProbeDict struct {
 	fieldBits      int
 	fieldsPerBlock int
 	n              int // guarded by mu
+	scratch        scratchList
 
 	retry pdm.RetryPolicy // guarded by mu; degraded-read recovery policy (zero = default)
 }
@@ -138,7 +139,7 @@ func NewOneProbe(m *pdm.Machine, cfg OneProbeConfig) (*OneProbeDict, error) {
 	}
 	t := ceilDiv(2*d, 3)
 
-	op := &OneProbeDict{m: m, cfg: cfg, d: d, t: t}
+	op := &OneProbeDict{m: m, cfg: cfg, d: d, t: t, scratch: newScratchList()}
 	op.fieldBits = chainFieldBits(64*cfg.SatWords, t, d)
 	op.fieldWords = ceilDiv(op.fieldBits, 64)
 	if op.fieldWords == 0 {
@@ -220,8 +221,8 @@ func (op *OneProbeDict) BlocksPerDisk() int {
 
 // probeAddrsAll appends the full 1-I/O probe address list for x: the
 // membership neighborhood first, then d field blocks per level.
-func (op *OneProbeDict) probeAddrsAllLocked(x pdm.Word, dst []pdm.Addr) []pdm.Addr {
-	dst = op.memb.probeAddrs(x, dst)
+func (op *OneProbeDict) probeAddrsAllLocked(sc *probeScratch, x pdm.Word, dst []pdm.Addr) []pdm.Addr {
+	dst = op.memb.probeAddrs(sc, x, dst)
 	for li := range op.levels {
 		lv := &op.levels[li]
 		for i := 0; i < op.d; i++ {
@@ -238,9 +239,9 @@ func (op *OneProbeDict) probeWidthLocked() int { return op.memb.probeLen() + len
 // probe reads, in ONE parallel I/O, the membership neighborhood and
 // every level's field blocks for x. The returned slices alias the batch
 // result: memb blocks first, then d blocks per level.
-func (op *OneProbeDict) probeLocked(tok *pdm.Op, x pdm.Word) (membBlocks [][]pdm.Word, levelBlocks [][][]pdm.Word) {
-	addrs := op.probeAddrsAllLocked(x, make([]pdm.Addr, 0, op.probeWidthLocked()))
-	flat := op.m.BatchReadOp(tok, addrs)
+func (op *OneProbeDict) probeLocked(sc *probeScratch, tok *pdm.Op, x pdm.Word) (membBlocks [][]pdm.Word, levelBlocks [][][]pdm.Word) {
+	sc.one = op.probeAddrsAllLocked(sc, x, sc.one[:0])
+	flat := op.m.BatchReadOp(tok, sc.one)
 	membLen := op.memb.probeLen()
 	membBlocks = flat[:membLen]
 	levelBlocks = make([][][]pdm.Word, len(op.levels))
@@ -252,9 +253,9 @@ func (op *OneProbeDict) probeLocked(tok *pdm.Op, x pdm.Word) (membBlocks [][]pdm
 
 // lookupInFlat resolves x against a pre-fetched probe (the blocks for
 // probeAddrsAll(x), in order), without any I/O.
-func (op *OneProbeDict) lookupInFlatLocked(x pdm.Word, flat [][]pdm.Word) ([]pdm.Word, bool) {
+func (op *OneProbeDict) lookupInFlatLocked(sc *probeScratch, x pdm.Word, flat [][]pdm.Word) ([]pdm.Word, bool) {
 	membLen := op.memb.probeLen()
-	membSat, ok := op.memb.lookupInBlocks(x, flat[:membLen])
+	membSat, ok := op.memb.lookupInBlocks(sc, x, flat[:membLen], sc.memb[:0])
 	if !ok {
 		return nil, false
 	}
@@ -264,7 +265,7 @@ func (op *OneProbeDict) lookupInFlatLocked(x pdm.Word, flat [][]pdm.Word) ([]pdm
 		return nil, false
 	}
 	blocks := flat[membLen+level*op.d : membLen+(level+1)*op.d]
-	return decodeChain(op.fieldBits, op.cfg.SatWords, op.fieldsOfLocked(level, x, blocks), head)
+	return decodeChain(op.fieldBits, op.cfg.SatWords, op.fieldsOfLocked(sc, level, x, blocks), head)
 }
 
 // LookupBatch resolves many keys with ONE batched read: every key's
@@ -285,46 +286,42 @@ func (op *OneProbeDict) LookupBatchOp(tok *pdm.Op, keys []pdm.Word) ([][]pdm.Wor
 	op.mu.RLock()
 	defer op.mu.RUnlock()
 	defer op.m.OpSpan(tok, obs.TagLookup)()
-	width := op.probeWidthLocked()
-	idx := make([]int32, len(keys)*width)
-	uniq := make(map[pdm.Addr]int32, len(keys)*width)
-	var addrs []pdm.Addr
-	scratch := make([]pdm.Addr, 0, width)
-	for ki, x := range keys {
-		scratch = op.probeAddrsAllLocked(x, scratch[:0])
-		for i, a := range scratch {
-			j, ok := uniq[a]
-			if !ok {
-				j = int32(len(addrs))
-				uniq[a] = j
-				addrs = append(addrs, a)
-			}
-			idx[ki*width+i] = j
-		}
+	sc := op.scratch.get()
+	defer op.scratch.put(sc)
+	return op.lookupMergedLocked(sc, tok, nil, keys)
+}
+
+// lookupMergedLocked is the one merged probe round behind LookupBatchOp
+// (attributed to tok) and LookupSharedOp (attributed to every token of
+// shared, which owns keys position by position).
+func (op *OneProbeDict) lookupMergedLocked(sc *probeScratch, tok *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	sc.r1.reset()
+	for _, x := range keys {
+		sc.one = op.probeAddrsAllLocked(sc, x, sc.one[:0])
+		sc.r1.add(sc.one)
 	}
-	flat := op.m.BatchReadOp(tok, addrs)
+	flat := op.m.BatchReadInto(&sc.buf, tok, shared, sc.r1.addrs)
 	sats := make([][]pdm.Word, len(keys))
 	oks := make([]bool, len(keys))
-	view := make([][]pdm.Word, width)
+	view := sc.keyView(op.probeWidthLocked())
 	for ki, x := range keys {
-		for i := range view {
-			view[i] = flat[idx[ki*width+i]]
-		}
-		sats[ki], oks[ki] = op.lookupInFlatLocked(x, view)
+		sc.r1.keyBlocks(ki, flat, view)
+		sats[ki], oks[ki] = op.lookupInFlatLocked(sc, x, view)
 	}
 	return sats, oks
 }
 
-// fieldsOf extracts x's per-stripe fields at a level from its blocks.
-func (op *OneProbeDict) fieldsOfLocked(li int, x pdm.Word, blocks [][]pdm.Word) [][]pdm.Word {
+// fieldsOf extracts x's per-stripe fields at a level from its blocks,
+// into the scratch's field table.
+func (op *OneProbeDict) fieldsOfLocked(sc *probeScratch, li int, x pdm.Word, blocks [][]pdm.Word) [][]pdm.Word {
 	lv := &op.levels[li]
-	fields := make([][]pdm.Word, op.d)
+	sc.fields = sc.fields[:0]
 	for i := 0; i < op.d; i++ {
 		j := lv.graph.StripeNeighbor(uint64(x), i)
 		slot := (j % op.fieldsPerBlock) * op.fieldWords
-		fields[i] = blocks[i][slot : slot+op.fieldWords]
+		sc.fields = append(sc.fields, blocks[i][slot:slot+op.fieldWords])
 	}
-	return fields
+	return sc.fields
 }
 
 // Lookup returns a copy of x's satellite and whether x is present, in
@@ -338,8 +335,10 @@ func (op *OneProbeDict) LookupOp(tok *pdm.Op, x pdm.Word) ([]pdm.Word, bool) {
 	op.mu.RLock()
 	defer op.mu.RUnlock()
 	defer op.m.OpSpan(tok, obs.TagLookup)()
-	flat := op.m.BatchReadOp(tok, op.probeAddrsAllLocked(x, make([]pdm.Addr, 0, op.probeWidthLocked())))
-	return op.lookupInFlatLocked(x, flat)
+	sc := op.scratch.get()
+	defer op.scratch.put(sc)
+	sc.one = op.probeAddrsAllLocked(sc, x, sc.one[:0])
+	return op.lookupInFlatLocked(sc, x, op.m.BatchReadInto(&sc.buf, tok, nil, sc.one))
 }
 
 // Contains reports presence at the 1-I/O Lookup cost.
@@ -365,18 +364,20 @@ func (op *OneProbeDict) InsertOp(tok *pdm.Op, x pdm.Word, sat []pdm.Word) error 
 	op.mu.Lock()
 	defer op.mu.Unlock()
 	defer op.m.OpSpan(tok, obs.TagInsert)()
-	membBlocks, levelBlocks := op.probeLocked(tok, x)
+	sc := op.scratch.get()
+	defer op.scratch.put(sc)
+	membBlocks, levelBlocks := op.probeLocked(sc, tok, x)
 
 	var writes []pdm.BlockWrite
-	if membSat, present := op.memb.lookupInBlocks(x, membBlocks); present {
+	if membSat, present := op.memb.lookupInBlocks(sc, x, membBlocks, sc.memb[:0]); present {
 		// Release the old chain in the in-hand blocks.
-		writes = append(writes, op.releaseInBlocksLocked(x, membSat, levelBlocks)...)
+		writes = append(writes, op.releaseInBlocksLocked(sc, x, membSat, levelBlocks)...)
 	} else if op.n >= op.cfg.Capacity {
 		return ErrFull
 	}
 
 	for li := range op.levels {
-		fields := op.fieldsOfLocked(li, x, levelBlocks[li])
+		fields := op.fieldsOfLocked(sc, li, x, levelBlocks[li])
 		free := make([]int, 0, op.d)
 		for i, f := range fields {
 			if !fieldUsed(f) {
@@ -399,7 +400,7 @@ func (op *OneProbeDict) InsertOp(tok *pdm.Op, x pdm.Word, sat []pdm.Word) error 
 			})
 		}
 		op.memb.mu.Lock()
-		membWrites, err := op.memb.insertWritesLocked(x, []pdm.Word{pdm.Word(free[0]) | pdm.Word(li)<<8}, membBlocks)
+		membWrites, err := op.memb.insertWritesLocked(sc, x, []pdm.Word{pdm.Word(free[0]) | pdm.Word(li)<<8}, membBlocks)
 		op.memb.mu.Unlock()
 		if err != nil {
 			if len(writes) > 0 {
@@ -416,7 +417,7 @@ func (op *OneProbeDict) InsertOp(tok *pdm.Op, x pdm.Word, sat []pdm.Word) error 
 	// The open problem's sting: no level fits. Leave the key consistently
 	// absent; a caller-level rebuild is the (non-constant) recourse.
 	op.memb.mu.Lock()
-	membWrites, _ := op.memb.deleteWritesLocked(x, membBlocks)
+	membWrites, _ := op.memb.deleteWritesLocked(sc, x, membBlocks)
 	op.memb.mu.Unlock()
 	writes = append(writes, membWrites...)
 	if len(writes) > 0 {
@@ -427,14 +428,14 @@ func (op *OneProbeDict) InsertOp(tok *pdm.Op, x pdm.Word, sat []pdm.Word) error 
 
 // releaseInBlocks clears x's chain using the pre-fetched level blocks
 // (every level is in hand, so no extra I/O regardless of depth).
-func (op *OneProbeDict) releaseInBlocksLocked(x pdm.Word, membSat []pdm.Word, levelBlocks [][][]pdm.Word) []pdm.BlockWrite {
+func (op *OneProbeDict) releaseInBlocksLocked(sc *probeScratch, x pdm.Word, membSat []pdm.Word, levelBlocks [][][]pdm.Word) []pdm.BlockWrite {
 	head := int(membSat[0] & 0xFF)
 	level := int(membSat[0] >> 8)
 	if level >= len(op.levels) {
 		return nil
 	}
 	lv := &op.levels[level]
-	fields := op.fieldsOfLocked(level, x, levelBlocks[level])
+	fields := op.fieldsOfLocked(sc, level, x, levelBlocks[level])
 	var writes []pdm.BlockWrite
 	cur := head
 	for cur >= 0 && cur < op.d && fieldUsed(fields[cur]) {
@@ -468,14 +469,16 @@ func (op *OneProbeDict) DeleteOp(tok *pdm.Op, x pdm.Word) bool {
 	op.mu.Lock()
 	defer op.mu.Unlock()
 	defer op.m.OpSpan(tok, obs.TagDelete)()
-	membBlocks, levelBlocks := op.probeLocked(tok, x)
-	membSat, ok := op.memb.lookupInBlocks(x, membBlocks)
+	sc := op.scratch.get()
+	defer op.scratch.put(sc)
+	membBlocks, levelBlocks := op.probeLocked(sc, tok, x)
+	membSat, ok := op.memb.lookupInBlocks(sc, x, membBlocks, sc.memb[:0])
 	if !ok {
 		return false
 	}
-	writes := op.releaseInBlocksLocked(x, membSat, levelBlocks)
+	writes := op.releaseInBlocksLocked(sc, x, membSat, levelBlocks)
 	op.memb.mu.Lock()
-	membWrites, _ := op.memb.deleteWritesLocked(x, membBlocks)
+	membWrites, _ := op.memb.deleteWritesLocked(sc, x, membBlocks)
 	op.memb.mu.Unlock()
 	writes = append(writes, membWrites...)
 	if len(writes) > 0 {

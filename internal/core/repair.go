@@ -22,12 +22,6 @@ import (
 // zero-value policy reproduces the historical behavior (three immediate
 // retries) exactly, batch for batch.
 
-// tryRead is tryReadPolicy with the default policy and no operation
-// token — the historical retry behavior.
-func tryRead(m *pdm.Machine, addrs []pdm.Addr) ([][]pdm.Word, error) {
-	return tryReadPolicy(m, nil, pdm.RetryPolicy{}, addrs)
-}
-
 // splitTransient partitions a batch error into retryable accesses
 // (transient) and permanent ones. idx maps positions of the failing
 // batch back to the caller's original batch (nil = identity).
@@ -55,15 +49,12 @@ func splitTransient(be *pdm.BatchError) (retryIdx []int, retryable []pdm.BlockEr
 // the lagging block itself; falling back to surviving replicas is the
 // caller's assembly step.) The returned slice has nil entries for
 // accesses that never succeeded; the error, if any, lists exactly those
-// entries with indices into the original batch.
-func tryReadPolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, addrs []pdm.Addr) ([][]pdm.Word, error) {
-	read := func(as []pdm.Addr) ([][]pdm.Word, error) {
-		if op != nil {
-			return m.TryBatchReadOp(op, as)
-		}
-		return m.TryBatchRead(as)
-	}
-	blocks, err := read(addrs)
+// entries with indices into the original batch. The first attempt reads
+// into rb, whose ownership rule the returned views inherit; the (rare)
+// retry rounds read into fresh buffers, since their blocks join views
+// that must outlive the round.
+func tryReadPolicy(m *pdm.Machine, rb *pdm.ReadBuf, op *pdm.Op, pol pdm.RetryPolicy, addrs []pdm.Addr) ([][]pdm.Word, error) {
+	blocks, err := m.TryBatchReadInto(rb, op, nil, addrs)
 	maxRetries := pol.Retries()
 	for attempt := 0; err != nil && attempt < maxRetries; attempt++ {
 		be, ok := pdm.AsBatchError(err)
@@ -96,7 +87,7 @@ func tryReadPolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, addrs []pdm.
 			m.NoteHedges(hedged)
 		}
 		m.NoteRetry()
-		got, rerr := read(retryAddrs)
+		got, rerr := m.TryBatchReadOp(op, retryAddrs)
 		for i, j := range retryIdx {
 			if blocks[j] == nil {
 				blocks[j] = got[i]
@@ -133,22 +124,11 @@ func tryReadPolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, addrs []pdm.
 	return blocks, err
 }
 
-// tryWrite is tryWritePolicy with the default policy and no token.
-func tryWrite(m *pdm.Machine, writes []pdm.BlockWrite) error {
-	return tryWritePolicy(m, nil, pdm.RetryPolicy{}, writes)
-}
-
 // tryWritePolicy is TryBatchWrite plus the same policy-driven retry and
 // backoff (writes are never hedged: issuing a write twice has no upside
 // — the second copy lands on the same block).
 func tryWritePolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, writes []pdm.BlockWrite) error {
-	write := func(ws []pdm.BlockWrite) error {
-		if op != nil {
-			return m.TryBatchWriteOp(op, ws)
-		}
-		return m.TryBatchWrite(ws)
-	}
-	err := write(writes)
+	err := m.TryBatchWriteOp(op, writes)
 	maxRetries := pol.Retries()
 	for attempt := 0; err != nil && attempt < maxRetries; attempt++ {
 		be, ok := pdm.AsBatchError(err)
@@ -169,7 +149,7 @@ func tryWritePolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, writes []pd
 			endBackoff()
 		}
 		m.NoteRetry()
-		rerr := write(retryWrites)
+		rerr := m.TryBatchWriteOp(op, retryWrites)
 		if rerr == nil {
 			if len(permanent) == 0 {
 				return nil
@@ -256,11 +236,12 @@ func (bd *BasicDict) LookupTryOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool, erro
 	bd.mu.RLock()
 	defer bd.mu.RUnlock()
 	defer bd.reg.m.OpSpan(op, obs.TagLookup)()
-	addrs := bd.probeAddrs(x, make([]pdm.Addr, 0, bd.probeLen()))
-	flat, err := tryReadPolicy(bd.reg.m, op, bd.retry, addrs)
-	frags, _ := bd.findFragments(x, bd.groupNeighborhood(flat))
-	if bd.present(frags) {
-		return bd.assemble(frags), true, nil
+	sc := bd.scratch.get()
+	defer bd.scratch.put(sc)
+	sc.one = bd.probeAddrs(sc, x, sc.one[:0])
+	flat, err := tryReadPolicy(bd.reg.m, &sc.buf, op, bd.retry, sc.one)
+	if sat, ok := bd.lookupInBlocks(sc, x, flat, nil); ok {
+		return sat, true, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("core: degraded lookup for key %d inconclusive: %w", x, err)
@@ -283,41 +264,11 @@ func (bd *BasicDict) LookupTryBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word
 	bd.mu.RLock()
 	defer bd.mu.RUnlock()
 	defer bd.reg.m.OpSpan(op, obs.TagLookup)()
-	uniq := make(map[pdm.Addr]int)
-	var addrs []pdm.Addr
-	perKey := make([][]int, len(keys))
-	for ki, x := range keys {
-		ka := bd.probeAddrs(x, nil)
-		idxs := make([]int, len(ka))
-		for i, a := range ka {
-			j, ok := uniq[a]
-			if !ok {
-				j = len(addrs)
-				uniq[a] = j
-				addrs = append(addrs, a)
-			}
-			idxs[i] = j
-		}
-		perKey[ki] = idxs
-	}
-	flat, err := tryReadPolicy(bd.reg.m, op, bd.retry, addrs)
-	sats := make([][]pdm.Word, len(keys))
-	oks := make([]bool, len(keys))
-	blocks := make([][]pdm.Word, bd.probeLen())
-	inconclusive := 0
-	for ki, x := range keys {
-		failed := false
-		for i, j := range perKey[ki] {
-			blocks[i] = flat[j]
-			if flat[j] == nil {
-				failed = true
-			}
-		}
-		sats[ki], oks[ki] = bd.lookupInBlocks(x, blocks)
-		if !oks[ki] && failed {
-			inconclusive++
-		}
-	}
+	sc := bd.scratch.get()
+	defer bd.scratch.put(sc)
+	bd.mergeProbes(sc, keys)
+	flat, err := tryReadPolicy(bd.reg.m, &sc.buf, op, bd.retry, sc.r1.addrs)
+	sats, oks, inconclusive := bd.resolveMerged(sc, keys, flat)
 	if inconclusive > 0 && err != nil {
 		return sats, oks, fmt.Errorf("core: degraded batch lookup: %d of %d keys inconclusive: %w", inconclusive, len(keys), err)
 	}
@@ -365,6 +316,7 @@ func (bd *BasicDict) Repair(disk int) error {
 	// whose stripe mask says it also lived on the repaired disk.
 	rows := make([][]bucket.Record, ss)
 	seen := make([]map[pdm.Word]bool, ss)
+	var rb pdm.ReadBuf // one row at a time; collected records are copies
 	for r := 0; r < ss; r++ {
 		var addrs []pdm.Addr
 		for t := 0; t < d; t++ {
@@ -373,7 +325,7 @@ func (bd *BasicDict) Repair(disk int) error {
 			}
 			addrs = bd.bucketAddrs(t*ss+r, addrs)
 		}
-		blocks, err := tryReadPolicy(bd.reg.m, nil, bd.retry, addrs)
+		blocks, err := tryReadPolicy(bd.reg.m, &rb, nil, bd.retry, addrs)
 		if err != nil {
 			return fmt.Errorf("core: Repair of disk %d: surviving stripe unreadable: %w", disk, err)
 		}
@@ -383,7 +335,7 @@ func (bd *BasicDict) Repair(disk int) error {
 				if mask&(1<<uint(disk)) == 0 {
 					continue
 				}
-				y := bd.neighbors(rec.Key)[disk]
+				y := bd.neighbors(rec.Key, nil)[disk]
 				tDisk, row := bd.bucketPos(y)
 				if tDisk != disk {
 					// The mask claims a replica on a stripe the graph does
@@ -434,6 +386,7 @@ func (bd *BasicDict) Scrub() []pdm.Addr {
 	d := bd.reg.nDisks
 	rows := ceilDiv(bd.buckets, d)
 	var bad []pdm.Addr
+	var rb pdm.ReadBuf
 	for r := 0; r < rows; r++ {
 		var addrs []pdm.Addr
 		for t := 0; t < d; t++ {
@@ -448,7 +401,7 @@ func (bd *BasicDict) Scrub() []pdm.Addr {
 			}
 			addrs = bd.bucketAddrs(y, addrs)
 		}
-		_, err := tryReadPolicy(bd.reg.m, nil, bd.retry, addrs)
+		_, err := tryReadPolicy(bd.reg.m, &rb, nil, bd.retry, addrs)
 		if err == nil {
 			continue
 		}
@@ -480,10 +433,12 @@ func (op *OneProbeDict) LookupTryOp(tok *pdm.Op, x pdm.Word) ([]pdm.Word, bool, 
 	op.mu.RLock()
 	defer op.mu.RUnlock()
 	defer op.m.OpSpan(tok, obs.TagLookup)()
-	addrs := op.probeAddrsAllLocked(x, make([]pdm.Addr, 0, op.probeWidthLocked()))
+	sc := op.scratch.get()
+	defer op.scratch.put(sc)
+	sc.one = op.probeAddrsAllLocked(sc, x, sc.one[:0])
 	membLen := op.memb.probeLen()
-	flat, err := tryReadPolicy(op.m, tok, op.retry, addrs)
-	membSat, ok := op.memb.lookupInBlocks(x, flat[:membLen])
+	flat, err := tryReadPolicy(op.m, &sc.buf, tok, op.retry, sc.one)
+	membSat, ok := op.memb.lookupInBlocks(sc, x, flat[:membLen], sc.memb[:0])
 	if !ok {
 		if err != nil {
 			return nil, false, fmt.Errorf("core: degraded lookup for key %d inconclusive: %w", x, err)
@@ -501,6 +456,6 @@ func (op *OneProbeDict) LookupTryOp(tok *pdm.Op, x pdm.Word) ([]pdm.Word, bool, 
 		}
 	}
 	head := int(membSat[0] & 0xFF)
-	sat, found := decodeChain(op.fieldBits, op.cfg.SatWords, op.fieldsOfLocked(level, x, blocks), head)
+	sat, found := decodeChain(op.fieldBits, op.cfg.SatWords, op.fieldsOfLocked(sc, level, x, blocks), head)
 	return sat, found, nil
 }

@@ -27,40 +27,13 @@ import (
 func (bd *BasicDict) LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
 	bd.mu.RLock()
 	defer bd.mu.RUnlock()
-	ends := make([]func(), len(ops))
-	for i, op := range ops {
-		ends[i] = bd.reg.m.OpSpan(op, obs.TagLookup)
-	}
-	uniq := make(map[pdm.Addr]int) // addr → index into fetch list
-	var addrs []pdm.Addr
-	perKey := make([][]int, len(keys)) // key → its blocks' fetch indices
-	for ki, x := range keys {
-		ka := bd.probeAddrs(x, nil)
-		idxs := make([]int, len(ka))
-		for i, a := range ka {
-			j, ok := uniq[a]
-			if !ok {
-				j = len(addrs)
-				uniq[a] = j
-				addrs = append(addrs, a)
-			}
-			idxs[i] = j
-		}
-		perKey[ki] = idxs
-	}
-	flat := bd.reg.m.BatchReadShared(ops, addrs)
-	sats := make([][]pdm.Word, len(keys))
-	oks := make([]bool, len(keys))
-	blocks := make([][]pdm.Word, bd.probeLen())
-	for ki, x := range keys {
-		for i, j := range perKey[ki] {
-			blocks[i] = flat[j]
-		}
-		sats[ki], oks[ki] = bd.lookupInBlocks(x, blocks)
-	}
-	for i := len(ends) - 1; i >= 0; i-- {
-		ends[i]()
-	}
+	sc := bd.scratch.get()
+	defer bd.scratch.put(sc)
+	sc.openSpans(bd.reg.m, obs.TagLookup, ops)
+	bd.mergeProbes(sc, keys)
+	flat := bd.reg.m.BatchReadInto(&sc.buf, nil, ops, sc.r1.addrs)
+	sats, oks, _ := bd.resolveMerged(sc, keys, flat)
+	sc.closeSpans()
 	return sats, oks
 }
 
@@ -72,88 +45,11 @@ func (bd *BasicDict) LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.Wor
 func (dd *DynamicDict) LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
 	dd.mu.RLock()
 	defer dd.mu.RUnlock()
-	ends := make([]func(), len(ops))
-	for i, op := range ops {
-		ends[i] = dd.m.OpSpan(op, obs.TagLookup)
-	}
-	membLen := dd.memb.probeLen()
-	width := membLen + dd.d
-	idx := make([]int32, len(keys)*width)
-	uniq := make(map[pdm.Addr]int32, len(keys)*width)
-	var addrs []pdm.Addr
-	scratch := make([]pdm.Addr, 0, width)
-	for ki, x := range keys {
-		scratch = dd.memb.probeAddrs(x, scratch[:0])
-		scratch = dd.levelAddrs(&dd.levels[0], x, scratch)
-		for i, a := range scratch {
-			j, seen := uniq[a]
-			if !seen {
-				j = int32(len(addrs))
-				uniq[a] = j
-				addrs = append(addrs, a)
-			}
-			idx[ki*width+i] = j
-		}
-	}
-	flat := dd.m.BatchReadShared(ops, addrs)
-
-	sats := make([][]pdm.Word, len(keys))
-	oks := make([]bool, len(keys))
-	type deepKey struct {
-		ki    int
-		level int
-		head  int
-	}
-	var deep []deepKey
-	var deepOps []*pdm.Op
-	uniq2 := make(map[pdm.Addr]int32)
-	var addrs2 []pdm.Addr
-	var idx2 []int32
-	view := make([][]pdm.Word, width)
-	for ki, x := range keys {
-		for i := range view {
-			view[i] = flat[idx[ki*width+i]]
-		}
-		membSat, ok := dd.memb.lookupInBlocks(x, view[:membLen])
-		if !ok {
-			continue
-		}
-		head := int(membSat[0] & 0xFF)
-		level := int(membSat[0] >> 8)
-		if level >= len(dd.levels) {
-			continue
-		}
-		if level == 0 {
-			sats[ki], oks[ki] = decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(&dd.levels[0], x, view[membLen:]), head)
-			continue
-		}
-		deep = append(deep, deepKey{ki: ki, level: level, head: head})
-		deepOps = append(deepOps, ops[ki])
-		scratch = dd.levelAddrs(&dd.levels[level], x, scratch[:0])
-		for _, a := range scratch {
-			j, seen := uniq2[a]
-			if !seen {
-				j = int32(len(addrs2))
-				uniq2[a] = j
-				addrs2 = append(addrs2, a)
-			}
-			idx2 = append(idx2, j)
-		}
-	}
-	if len(deep) > 0 {
-		flat2 := dd.m.BatchReadShared(deepOps, addrs2)
-		blocks := make([][]pdm.Word, dd.d)
-		for di, dk := range deep {
-			for i := range blocks {
-				blocks[i] = flat2[idx2[di*dd.d+i]]
-			}
-			x := keys[dk.ki]
-			sats[dk.ki], oks[dk.ki] = decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(&dd.levels[dk.level], x, blocks), dk.head)
-		}
-	}
-	for i := len(ends) - 1; i >= 0; i-- {
-		ends[i]()
-	}
+	sc := dd.scratch.get()
+	defer dd.scratch.put(sc)
+	sc.openSpans(dd.m, obs.TagLookup, ops)
+	sats, oks := dd.lookupMergedLocked(sc, nil, ops, keys)
+	sc.closeSpans()
 	return sats, oks
 }
 
@@ -164,40 +60,11 @@ func (dd *DynamicDict) LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.W
 func (op *OneProbeDict) LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
 	op.mu.RLock()
 	defer op.mu.RUnlock()
-	ends := make([]func(), len(ops))
-	for i, tok := range ops {
-		ends[i] = op.m.OpSpan(tok, obs.TagLookup)
-	}
-	width := op.probeWidthLocked()
-	idx := make([]int32, len(keys)*width)
-	uniq := make(map[pdm.Addr]int32, len(keys)*width)
-	var addrs []pdm.Addr
-	scratch := make([]pdm.Addr, 0, width)
-	for ki, x := range keys {
-		scratch = op.probeAddrsAllLocked(x, scratch[:0])
-		for i, a := range scratch {
-			j, ok := uniq[a]
-			if !ok {
-				j = int32(len(addrs))
-				uniq[a] = j
-				addrs = append(addrs, a)
-			}
-			idx[ki*width+i] = j
-		}
-	}
-	flat := op.m.BatchReadShared(ops, addrs)
-	sats := make([][]pdm.Word, len(keys))
-	oks := make([]bool, len(keys))
-	view := make([][]pdm.Word, width)
-	for ki, x := range keys {
-		for i := range view {
-			view[i] = flat[idx[ki*width+i]]
-		}
-		sats[ki], oks[ki] = op.lookupInFlatLocked(x, view)
-	}
-	for i := len(ends) - 1; i >= 0; i-- {
-		ends[i]()
-	}
+	sc := op.scratch.get()
+	defer op.scratch.put(sc)
+	sc.openSpans(op.m, obs.TagLookup, ops)
+	sats, oks := op.lookupMergedLocked(sc, nil, ops, keys)
+	sc.closeSpans()
 	return sats, oks
 }
 

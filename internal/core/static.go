@@ -119,7 +119,8 @@ type StaticDict struct {
 	stripeFields   int
 	arr            region
 
-	memb *BasicDict // case A only
+	memb    *BasicDict // case A only
+	scratch scratchList
 
 	// ConstructionIOs records the parallel I/O cost of BuildStatic,
 	// for comparison against the cost of sorting nd records (Theorem 6
@@ -152,7 +153,7 @@ func BuildStatic(m *pdm.Machine, cfg StaticConfig, recs []bucket.Record) (*Stati
 	n := len(recs)
 	t := ceilDiv(2*d, 3)
 
-	sd := &StaticDict{m: m, cfg: cfg, d: d, n: n, t: t}
+	sd := &StaticDict{m: m, cfg: cfg, d: d, n: n, t: t, scratch: newScratchList()}
 	if err := sd.layout(); err != nil {
 		return nil, err
 	}
@@ -272,32 +273,35 @@ func (sd *StaticDict) fieldSlot(j int) int {
 // membership buckets in the same batch, on its other d disks.
 func (sd *StaticDict) Lookup(x pdm.Word) ([]pdm.Word, bool) {
 	defer sd.m.Span(obs.TagLookup)()
+	sc := sd.scratch.get()
+	defer sd.scratch.put(sc)
 	d := sd.d
-	addrs := make([]pdm.Addr, 0, 2*d)
+	sc.one = sc.one[:0]
 	if sd.memb != nil {
-		addrs = sd.memb.probeAddrs(x, addrs)
+		sc.one = sd.memb.probeAddrs(sc, x, sc.one)
 	}
-	membLen := len(addrs)
-	js := make([]int, d)
+	membLen := len(sc.one)
+	js := sc.ns[:0] // the membership probe is done with its neighbor ids
 	for i := 0; i < d; i++ {
-		js[i] = sd.graph.StripeNeighbor(uint64(x), i)
-		addrs = append(addrs, sd.fieldAddr(i, js[i]))
+		js = append(js, sd.graph.StripeNeighbor(uint64(x), i))
+		sc.one = append(sc.one, sd.fieldAddr(i, js[i]))
 	}
-	flat := sd.m.BatchRead(addrs) // the single parallel I/O
-	fields := make([][]pdm.Word, d)
-	for i := 0; i < d; i++ {
-		slot := sd.fieldSlot(js[i])
-		fields[i] = flat[membLen+i][slot : slot+sd.fieldWords]
+	sc.ns = js
+	flat := sd.m.BatchReadInto(&sc.buf, nil, nil, sc.one) // the single parallel I/O
+	sc.fields = sc.fields[:0]
+	for i, j := range js {
+		slot := sd.fieldSlot(j)
+		sc.fields = append(sc.fields, flat[membLen+i][slot:slot+sd.fieldWords])
 	}
 	switch sd.cfg.Case {
 	case CaseB:
-		return sd.decodeMajority(fields)
+		return sd.decodeMajority(sc.fields)
 	default:
-		membSat, ok := sd.memb.lookupInBlocks(x, flat[:membLen])
+		membSat, ok := sd.memb.lookupInBlocks(sc, x, flat[:membLen], sc.memb[:0])
 		if !ok {
 			return nil, false
 		}
-		return decodeChain(sd.fieldBits, sd.cfg.SatWords, fields, int(membSat[0]))
+		return decodeChain(sd.fieldBits, sd.cfg.SatWords, sc.fields, int(membSat[0]))
 	}
 }
 

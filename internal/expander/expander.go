@@ -20,7 +20,10 @@
 // construction lives in the sibling package internal/explicit.
 package expander
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Graph is a bipartite left-d-regular graph. Left vertices are the keys
 // of a universe [0, LeftSize); right vertices are indices in
@@ -154,13 +157,15 @@ func (g *Unstriped) Degree() int { return g.d }
 
 // Neighbors appends the d distinct neighbors of x to dst.
 func (g *Unstriped) Neighbors(x uint64, dst []int) []int {
-	seen := make(map[int]bool, g.d)
-	for i := 0; len(seen) < g.d; i++ {
+	base := len(dst)
+	for i := 0; len(dst)-base < g.d; i++ {
 		h := int(mix64(g.seed^mix64(uint64(i)+1)^mix64(x)) % uint64(g.v))
-		for seen[h] { // deterministic re-map of multi-edges
+		// Deterministic re-map of multi-edges: a scan over the at most d
+		// ids drawn so far, which at these sizes beats a set and allocates
+		// nothing.
+		for slices.Contains(dst[base:], h) {
 			h = (h + 1) % g.v
 		}
-		seen[h] = true
 		dst = append(dst, h)
 	}
 	return dst

@@ -3,10 +3,12 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // BatchErr enforces that the error result of every fault-aware access
-// is consulted. TryBatchRead/TryBatchWrite return a *pdm.BatchError
+// is consulted. The machine's TryBatchRead*/TryBatchWrite* family (the
+// plain, Op, Shared and buffer-taking Into forms) returns a *pdm.BatchError
 // whose per-block entries are the only way to know which replicas
 // survived; LookupTry/ContainsTry propagate it. Discarding the error —
 // as an expression statement, in go/defer, or by assigning it to the
@@ -14,7 +16,7 @@ import (
 // wrong answers, so it is rejected everywhere, tests included.
 var BatchErr = &Analyzer{
 	Name: "batcherr",
-	Doc: "the error result of TryBatchRead/TryBatchWrite/LookupTry/ContainsTry must be consulted; " +
+	Doc: "the error result of TryBatchRead*/TryBatchWrite*/LookupTry/ContainsTry must be consulted; " +
 		"it carries the per-block failures degraded-mode correctness depends on",
 	Run: runBatchErr,
 }
@@ -54,8 +56,10 @@ func runBatchErr(pass *Pass) error {
 
 // faultAwareCall reports whether call invokes one of the fault-aware
 // accessors whose trailing error result is load-bearing, returning a
-// printable name. TryBatchRead/TryBatchWrite are matched on
-// pdm.Machine; LookupTry/ContainsTry on any receiver (several
+// printable name. Every pdm.Machine method named TryBatchRead* or
+// TryBatchWrite* is matched, so a new variant (an attributed form, a
+// buffer-taking form) is covered the day it is added;
+// LookupTry/ContainsTry are matched on any receiver (several
 // dictionaries and interfaces implement them), provided the last result
 // is an error.
 func faultAwareCall(info *types.Info, call *ast.CallExpr) (string, bool) {
@@ -63,11 +67,13 @@ func faultAwareCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if fn == nil {
 		return "", false
 	}
-	switch fn.Name() {
-	case "TryBatchRead", "TryBatchWrite":
+	if strings.HasPrefix(fn.Name(), "TryBatchRead") || strings.HasPrefix(fn.Name(), "TryBatchWrite") {
 		if isMethodOn(fn, "pdm", "Machine") {
 			return "pdm.Machine." + fn.Name(), true
 		}
+		return "", false
+	}
+	switch fn.Name() {
 	case "LookupTry", "ContainsTry":
 		sig, ok := fn.Type().(*types.Signature)
 		if !ok || sig.Recv() == nil || sig.Results().Len() == 0 {

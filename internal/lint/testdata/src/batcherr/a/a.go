@@ -22,6 +22,26 @@ func bad(m *pdm.Machine, d dict, addrs []pdm.Addr) {
 	_ = has
 
 	d.Lookup(1) // ok: the infallible path has no error to consult
+
+	// Every TryBatchRead*/TryBatchWrite* form of the machine is covered:
+	// attributed, and reading into a caller-owned buffer.
+	var rb pdm.ReadBuf
+	m.TryBatchReadInto(&rb, nil, nil, addrs)             // want `discarded`
+	views, _ := m.TryBatchReadInto(&rb, nil, nil, addrs) // want `blank identifier`
+	_ = views
+	m.TryBatchReadOp(nil, addrs)              // want `discarded`
+	_ = m.BatchReadInto(&rb, nil, nil, addrs) // ok: the fault-oblivious form returns no error
+	go m.TryBatchWriteOp(nil, nil)            // want `go/defer`
+}
+
+// notTheMachine has a method of the family's name on another type; the
+// rule binds pdm.Machine only.
+type notTheMachine struct{}
+
+func (notTheMachine) TryBatchReadInto(addrs []pdm.Addr) ([][]pdm.Word, error) { return nil, nil }
+
+func otherReceiver(n notTheMachine) {
+	n.TryBatchReadInto(nil) // ok: not a pdm.Machine method
 }
 
 func good(m *pdm.Machine, d dict, addrs []pdm.Addr) error {
@@ -32,6 +52,10 @@ func good(m *pdm.Machine, d dict, addrs []pdm.Addr) error {
 		return err
 	}
 	if _, _, err := d.LookupTry(1); err != nil {
+		return err
+	}
+	var rb pdm.ReadBuf
+	if _, err := m.TryBatchReadInto(&rb, nil, nil, addrs); err != nil {
 		return err
 	}
 	return m.TryBatchWrite(nil) // ok: the error propagates to the caller

@@ -26,6 +26,19 @@ type Hook interface{ Event(Event) }
 
 type Machine struct{}
 
+type Op struct{}
+
+type ReadBuf struct{}
+
+func (m *Machine) BatchReadInto(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr) [][]Word {
+	return nil
+}
+func (m *Machine) TryBatchReadInto(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr) ([][]Word, error) {
+	return nil, nil
+}
+func (m *Machine) TryBatchReadOp(op *Op, addrs []Addr) ([][]Word, error) { return nil, nil }
+func (m *Machine) TryBatchWriteOp(op *Op, writes []BlockWrite) error     { return nil }
+
 func (m *Machine) BatchRead(addrs []Addr) [][]Word             { return nil }
 func (m *Machine) BatchWrite(writes []BlockWrite)              {}
 func (m *Machine) TryBatchRead(addrs []Addr) ([][]Word, error) { return nil, nil }

@@ -11,7 +11,8 @@ import (
 // checks that the merged counters equal the arithmetic sum of what the
 // goroutines did individually: the sharded accounting must lose nothing
 // to concurrency. Run under -race this also exercises the per-shard
-// locking of both the inline and fanned-out batch paths.
+// locking of both the inline and fanned-out batch paths (writes fan out
+// at this size; TestReadBufWideBatch covers a fanned-out read).
 func TestConcurrentBatchStatsExact(t *testing.T) {
 	const (
 		D      = 8
@@ -53,7 +54,7 @@ func TestConcurrentBatchStatsExact(t *testing.T) {
 					}
 				}
 			}
-			// One large read through the fan-out path, depth = rows.
+			// One large read through the partitioned path, depth = rows.
 			addrs := make([]Addr, 0, D*rows)
 			for r := 0; r < rows; r++ {
 				for d := 0; d < D; d++ {

@@ -1,7 +1,6 @@
 package pdm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -158,14 +157,17 @@ func AsBatchError(err error) (*BatchError, bool) {
 }
 
 // crcBlock checksums a block's words (little-endian) with CRC-32/IEEE.
+// It walks the table byte by byte itself: handing crc32.Update a buffer
+// per word made that buffer escape, one allocation per verified block.
 func crcBlock(blk []Word) uint32 {
-	var buf [8]byte
-	sum := uint32(0)
+	crc := ^uint32(0)
 	for _, w := range blk {
-		binary.LittleEndian.PutUint64(buf[:], uint64(w))
-		sum = crc32.Update(sum, crc32.IEEETable, buf[:])
+		for i := 0; i < 8; i++ {
+			crc = crc32.IEEETable[byte(crc)^byte(w)] ^ crc>>8
+			w >>= 8
+		}
 	}
-	return sum
+	return ^crc
 }
 
 // FlipBit flips one stored bit of a block in place, leaving the stored
@@ -335,7 +337,7 @@ func (m *Machine) finishTry(kind EventKind, addrs []Addr, fs []Fault, res []erro
 // arm moved, the timeout elapsed) and count as block reads; stalls add
 // extra steps on top of the batch cost.
 func (m *Machine) TryBatchRead(addrs []Addr) ([][]Word, error) {
-	return m.tryBatchRead(nil, nil, addrs)
+	return m.TryBatchReadInto(new(ReadBuf), nil, nil, addrs)
 }
 
 // TryBatchReadOp is TryBatchRead charged and attributed to op: the op is
@@ -343,7 +345,7 @@ func (m *Machine) TryBatchRead(addrs []Addr) ([][]Word, error) {
 // and one fault per emitted fault event, so the op's counters match the
 // sum over its events exactly.
 func (m *Machine) TryBatchReadOp(op *Op, addrs []Addr) ([][]Word, error) {
-	return m.tryBatchRead(op, nil, addrs)
+	return m.TryBatchReadInto(new(ReadBuf), op, nil, addrs)
 }
 
 // TryBatchReadShared is TryBatchRead on behalf of several operations —
@@ -352,14 +354,19 @@ func (m *Machine) TryBatchReadOp(op *Op, addrs []Addr) ([][]Word, error) {
 // charged the batch's full steps (stall surcharge included), blocks, and
 // fault events, and the emitted event carries the attribution list.
 func (m *Machine) TryBatchReadShared(ops []*Op, addrs []Addr) ([][]Word, error) {
-	return m.tryBatchRead(nil, ops, addrs)
+	return m.TryBatchReadInto(new(ReadBuf), nil, ops, addrs)
 }
 
-func (m *Machine) tryBatchRead(op *Op, shared []*Op, addrs []Addr) ([][]Word, error) {
-	out := make([][]Word, len(addrs))
+// TryBatchReadInto is the one implementation behind TryBatchRead,
+// TryBatchReadOp and TryBatchReadShared, reading into the caller's
+// buffer under BatchReadInto's ownership rule; the view of a failed
+// access is nil.
+func (m *Machine) TryBatchReadInto(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr) ([][]Word, error) {
+	out := rb.reset(len(addrs), m.cfg.B)
 	if len(addrs) == 0 {
 		return out, nil
 	}
+	arena := rb.arena // captured below in rb's place, so a fresh rb stays on the stack
 	for _, a := range addrs {
 		m.checkAddr(a)
 	}
@@ -390,11 +397,8 @@ func (m *Machine) tryBatchRead(op *Op, shared []*Op, addrs []Addr) ([][]Word, er
 			res[i] = ErrChecksum
 			return
 		}
-		src := s.blockLocked(a.Block)
-		dst := make([]Word, m.cfg.B)
-		copy(dst, src)
+		s.readLocked(a.Block, arena, out, int32(i))
 		s.mu.Unlock()
-		out[i] = dst
 	}
 	steps, depth := m.tryRun(addrs, apply)
 	berrs, fevents, hevents, extra := m.finishTry(EventRead, addrs, fs, res)
@@ -491,15 +495,19 @@ func (m *Machine) tryRun(addrs []Addr, apply func(i int)) (steps, depth int) {
 		}
 		return steps, depth
 	}
-	sc := m.scratch.Get().(*batchScratch)
+	sc := m.acquire()
 	steps, depth = m.cost(len(addrs), sc.partition(addrs))
-	m.runShards(sc, len(addrs), func(d int32) {
-		for _, i := range sc.segment(d) {
-			apply(int(i))
-		}
-	})
+	sc.apply = apply
+	m.runShards(sc, len(addrs), fanoutMinBlocks, applyDisk)
 	m.release(sc)
 	return steps, depth
+}
+
+// applyDisk runs a Try batch's per-access function over disk d's share.
+func applyDisk(_ *Machine, sc *batchScratch, d int32) {
+	for _, i := range sc.segment(d) {
+		sc.apply(int(i))
+	}
 }
 
 // WipeDisk discards every block (and checksum) of one disk, simulating

@@ -294,7 +294,7 @@ func (m *Machine) endOpSpan(op *Op) {
 // the op's counters are charged the batch's steps and blocks, and the
 // emitted event carries the op's ID, client, and innermost span.
 func (m *Machine) BatchReadOp(op *Op, addrs []Addr) [][]Word {
-	return m.batchRead(op, nil, addrs)
+	return m.BatchReadInto(new(ReadBuf), op, nil, addrs)
 }
 
 // BatchWriteOp is BatchWrite charged and attributed to op.
@@ -310,5 +310,5 @@ func (m *Machine) BatchWriteOp(op *Op, writes []BlockWrite) {
 // worst-case bound must cover the batch it rode on). The emitted event
 // carries the full attribution list in Ops.
 func (m *Machine) BatchReadShared(ops []*Op, addrs []Addr) [][]Word {
-	return m.batchRead(nil, ops, addrs)
+	return m.BatchReadInto(new(ReadBuf), nil, ops, addrs)
 }

@@ -387,8 +387,8 @@ type Machine struct {
 	maxBatch    atomic.Int64
 	depthCounts [DepthBuckets]atomic.Int64
 
-	workers atomic.Int32 // worker-pool bound for batch fan-out
-	scratch sync.Pool    // *batchScratch, for partitioning large batches
+	workers atomic.Int32       // worker-pool bound for batch fan-out
+	scratch chan *batchScratch // idle partition tables for large batches; see acquire
 
 	nextOp atomic.Uint64 // operation-token ID counter; IDs start at 1
 
@@ -464,13 +464,7 @@ func NewMachine(cfg Config) *Machine {
 		m.shards[d].zeroSum = zeroSum
 	}
 	m.SetParallelism(cfg.Workers)
-	m.scratch.New = func() any {
-		return &batchScratch{
-			counts:  make([]int32, cfg.D),
-			offs:    make([]int32, cfg.D),
-			touched: make([]int32, 0, cfg.D),
-		}
-	}
+	m.scratch = make(chan *batchScratch, batchScratchCap)
 	m.endSpan = func() {
 		m.emitMu.Lock()
 		n := len(m.spans)
@@ -734,13 +728,20 @@ func (m *Machine) charge(steps, depth int) {
 // smallBatchMax bounds the batches served inline: below it, a batch is
 // executed on its issuing goroutine with one short lock per address and
 // its depth computed by allocation-free pairwise counting. Larger
-// batches go through the pooled counting-sort partition (and, past
-// fanoutMinBlocks, the worker pool).
+// batches go through the reused counting-sort partition (and, past
+// their fan-out threshold, the worker pool).
 const smallBatchMax = 32
 
 // fanoutMinBlocks is the smallest batch worth spawning workers for: the
-// copy work must amortize the goroutine handoffs.
-const fanoutMinBlocks = 128
+// per-block work must amortize the goroutine handoffs. It holds for
+// batches that checksum every block (writes, verified reads). A plain
+// read only copies its blocks into the caller's arena — about a sixth of
+// that work per block — and measured on 2 CPUs it ran slower fanned out
+// than inline below copyFanoutMinBlocks.
+const (
+	fanoutMinBlocks     = 128
+	copyFanoutMinBlocks = 8192
+)
 
 // smallDepth returns the deepest per-disk queue of a small batch by
 // pairwise counting — O(n²) in the batch length but allocation-free,
@@ -764,12 +765,21 @@ func smallDepth(addrs []Addr) int {
 
 // batchScratch is the reusable bookkeeping for partitioning one batch
 // by disk: a counting sort over the addresses. counts is all-zero
-// whenever the scratch is parked in the pool.
+// whenever the scratch is parked on the machine's free list.
 type batchScratch struct {
 	counts  []int32 // per-disk address count (length D)
 	offs    []int32 // per-disk cursor into order (length D)
 	order   []int32 // batch indices grouped by disk, batch order within a disk
 	touched []int32 // disks with at least one address, in first-touch order
+
+	// The batch being served, for runShards' per-disk functions. Keeping
+	// the operands here rather than in a closure is what lets a batch that
+	// does not fan out run without allocating. Cleared on release.
+	arena  []Word
+	views  [][]Word
+	addrs  []Addr
+	writes []BlockWrite
+	apply  func(i int)
 }
 
 // partition groups a batch's indices by disk and returns the deepest
@@ -809,13 +819,38 @@ func (sc *batchScratch) segment(d int32) []int32 {
 	return sc.order[sc.offs[d]-sc.counts[d] : sc.offs[d]]
 }
 
-// release re-zeroes counts (cheaply, via the touched list) and parks
-// the scratch back in the pool.
+// batchScratchCap bounds the idle partition tables a machine keeps: one
+// per large batch that has ever been in flight at once, up to this many.
+const batchScratchCap = 64
+
+// acquire takes an idle partition table or makes one. The free list is
+// a plain buffered channel, not a sync.Pool: a pool empties at every
+// collection and keeps items per P, which would make a run's allocation
+// count depend on the collector's and the scheduler's timing.
+func (m *Machine) acquire() *batchScratch {
+	select {
+	case sc := <-m.scratch:
+		return sc
+	default:
+		return &batchScratch{
+			counts:  make([]int32, m.cfg.D),
+			offs:    make([]int32, m.cfg.D),
+			touched: make([]int32, 0, m.cfg.D),
+		}
+	}
+}
+
+// release re-zeroes counts (cheaply, via the touched list), drops the
+// served batch, and parks the scratch for reuse.
 func (m *Machine) release(sc *batchScratch) {
 	for _, d := range sc.touched {
 		sc.counts[d] = 0
 	}
-	m.scratch.Put(sc)
+	sc.arena, sc.views, sc.addrs, sc.writes, sc.apply = nil, nil, nil, nil, nil
+	select {
+	case m.scratch <- sc:
+	default:
+	}
 }
 
 // cost returns the parallel-I/O steps and deepest per-disk queue of a
@@ -832,15 +867,17 @@ func (m *Machine) cost(n, depth int) (int, int) {
 // runShards executes perDisk for every touched disk of a partitioned
 // batch, fanning out across the worker pool when the batch is large
 // enough to pay for the handoffs. Workers pull disks from a shared
-// cursor; the issuing goroutine is always one of them.
-func (m *Machine) runShards(sc *batchScratch, nBlocks int, perDisk func(d int32)) {
+// cursor; the issuing goroutine is always one of them. perDisk is a
+// plain function reading its operands from sc, not a closure; minBlocks
+// is the fan-out threshold for its kind of work.
+func (m *Machine) runShards(sc *batchScratch, nBlocks, minBlocks int, perDisk func(m *Machine, sc *batchScratch, d int32)) {
 	workers := int(m.workers.Load())
 	if workers > len(sc.touched) {
 		workers = len(sc.touched)
 	}
-	if workers <= 1 || nBlocks < fanoutMinBlocks {
+	if workers <= 1 || nBlocks < minBlocks {
 		for _, d := range sc.touched {
-			perDisk(d)
+			perDisk(m, sc, d)
 		}
 		return
 	}
@@ -855,7 +892,7 @@ func (m *Machine) runShards(sc *batchScratch, nBlocks int, perDisk func(d int32)
 				if t >= len(sc.touched) {
 					return
 				}
-				perDisk(sc.touched[t])
+				perDisk(m, sc, sc.touched[t])
 			}
 		}()
 	}
@@ -864,7 +901,7 @@ func (m *Machine) runShards(sc *batchScratch, nBlocks int, perDisk func(d int32)
 		if t >= len(sc.touched) {
 			break
 		}
-		perDisk(sc.touched[t])
+		perDisk(m, sc, sc.touched[t])
 	}
 	wg.Wait()
 }
@@ -878,22 +915,63 @@ func (m *Machine) checkAddr(a Addr) {
 	}
 }
 
-// BatchRead performs one batched read of the given blocks and returns
-// their contents, in request order. The returned slices are copies; the
-// caller owns them. The batch is accounted under the machine's cost
-// model. BatchRead is the fault-oblivious path: it never consults the
-// fault injector and skips checksum verification — use TryBatchRead for
-// fault-aware reads. The batch carries no operation token; see
-// BatchReadOp and BatchReadShared for attributed variants.
-func (m *Machine) BatchRead(addrs []Addr) [][]Word {
-	return m.batchRead(nil, nil, addrs)
+// ReadBuf is a caller-owned destination for batch reads: one flat arena
+// the machine copies blocks into, plus the per-address views of it that
+// a read returns. The zero value is ready to use; a buffer grows to the
+// largest batch it has served and from then on serves reads without
+// allocating. The views a read returns — and everything that aliases
+// them — are valid only until the buffer's next read. A ReadBuf is not
+// safe for concurrent use.
+type ReadBuf struct {
+	arena []Word
+	views [][]Word
 }
 
-// batchRead is the shared implementation behind BatchRead, BatchReadOp,
-// and BatchReadShared: op is the owning token (nil for none), shared the
-// merged-batch attribution list (nil for an exclusive batch).
-func (m *Machine) batchRead(op *Op, shared []*Op, addrs []Addr) [][]Word {
-	out := make([][]Word, len(addrs))
+// reset sizes the buffer for n blocks of b words and returns the n
+// views, all nil (a Try read leaves the view of a failed access nil).
+func (rb *ReadBuf) reset(n, b int) [][]Word {
+	if cap(rb.arena) < n*b {
+		rb.arena = make([]Word, n*b)
+	}
+	if cap(rb.views) < n {
+		rb.views = make([][]Word, n)
+	}
+	rb.views = rb.views[:n]
+	clear(rb.views)
+	return rb.views
+}
+
+// readLocked copies block b into slot i of a read buffer (passed as its
+// arena and views, so the buffer itself need not escape), the one
+// block-copy step behind every batch read. Distinct slots never
+// overlap, so workers may fill one buffer concurrently. Callers hold
+// s.mu.
+func (s *shard) readLocked(b int, arena []Word, views [][]Word, i int32) {
+	dst := arena[int(i)*s.b : (int(i)+1)*s.b : (int(i)+1)*s.b]
+	copy(dst, s.blockLocked(b))
+	views[i] = dst
+}
+
+// BatchRead performs one batched read of the given blocks and returns
+// their contents, in request order. The returned slices are views of one
+// freshly allocated buffer that the caller owns; use BatchReadInto to
+// supply (and reuse) the buffer instead. The batch is accounted under
+// the machine's cost model. BatchRead is the fault-oblivious path: it
+// never consults the fault injector and skips checksum verification —
+// use TryBatchRead for fault-aware reads. The batch carries no operation
+// token; see BatchReadOp and BatchReadShared for attributed variants.
+func (m *Machine) BatchRead(addrs []Addr) [][]Word {
+	return m.BatchReadInto(new(ReadBuf), nil, nil, addrs)
+}
+
+// BatchReadInto is the one implementation behind BatchRead, BatchReadOp
+// and BatchReadShared, reading into the caller's buffer: the returned
+// views alias rb and are valid until rb's next read. op is the owning
+// token (nil for none), shared the merged-batch attribution list (nil
+// for an exclusive batch); accounting and events are those of the
+// matching fresh-buffer entry point.
+func (m *Machine) BatchReadInto(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr) [][]Word {
+	out := rb.reset(len(addrs), m.cfg.B)
 	if len(addrs) == 0 {
 		return out
 	}
@@ -907,30 +985,16 @@ func (m *Machine) batchRead(op *Op, shared []*Op, addrs []Addr) [][]Word {
 		for i, a := range addrs {
 			s := &m.shards[a.Disk]
 			s.mu.Lock()
-			src := s.blockLocked(a.Block)
-			dst := make([]Word, m.cfg.B)
-			copy(dst, src)
+			s.readLocked(a.Block, rb.arena, out, int32(i))
 			s.mu.Unlock()
 			s.ios.Add(1)
-			out[i] = dst
 		}
 	} else {
-		sc := m.scratch.Get().(*batchScratch)
+		sc := m.acquire()
 		steps, depth = m.cost(len(addrs), sc.partition(addrs))
 		m.charge(steps, depth)
-		m.runShards(sc, len(addrs), func(d int32) {
-			s := &m.shards[d]
-			seg := sc.segment(d)
-			s.mu.Lock()
-			for _, i := range seg {
-				src := s.blockLocked(addrs[i].Block)
-				dst := make([]Word, m.cfg.B)
-				copy(dst, src)
-				out[i] = dst
-			}
-			s.mu.Unlock()
-			s.ios.Add(int64(len(seg)))
-		})
+		sc.arena, sc.views, sc.addrs = rb.arena, out, addrs
+		m.runShards(sc, len(addrs), copyFanoutMinBlocks, readDisk)
 		m.release(sc)
 	}
 	m.blockReads.Add(int64(len(addrs)))
@@ -939,6 +1003,33 @@ func (m *Machine) batchRead(op *Op, shared []*Op, addrs []Addr) [][]Word {
 		m.emit(op, shared, Event{Kind: EventRead, Addrs: addrs, Steps: steps, Depth: depth}, nil)
 	}
 	return out
+}
+
+// readDisk serves disk d's share of the partitioned read in sc.
+func readDisk(m *Machine, sc *batchScratch, d int32) {
+	s := &m.shards[d]
+	seg := sc.segment(d)
+	s.mu.Lock()
+	for _, i := range seg {
+		s.readLocked(sc.addrs[i].Block, sc.arena, sc.views, i)
+	}
+	s.mu.Unlock()
+	s.ios.Add(int64(len(seg)))
+}
+
+// writeDisk serves disk d's share of the partitioned write in sc.
+func writeDisk(m *Machine, sc *batchScratch, d int32) {
+	s := &m.shards[d]
+	seg := sc.segment(d)
+	s.mu.Lock()
+	for _, i := range seg {
+		w := &sc.writes[i]
+		blk := s.blockLocked(w.Addr.Block)
+		copy(blk, w.Data)
+		s.sums[w.Addr.Block] = crcBlock(blk)
+	}
+	s.mu.Unlock()
+	s.ios.Add(int64(len(seg)))
 }
 
 // BlockWrite names one block write of a batch.
@@ -987,22 +1078,11 @@ func (m *Machine) batchWrite(op *Op, writes []BlockWrite) {
 			s.ios.Add(1)
 		}
 	} else {
-		sc := m.scratch.Get().(*batchScratch)
+		sc := m.acquire()
 		steps, depth = m.cost(len(addrs), sc.partition(addrs))
 		m.charge(steps, depth)
-		m.runShards(sc, len(addrs), func(d int32) {
-			s := &m.shards[d]
-			seg := sc.segment(d)
-			s.mu.Lock()
-			for _, i := range seg {
-				w := &writes[i]
-				blk := s.blockLocked(w.Addr.Block)
-				copy(blk, w.Data)
-				s.sums[w.Addr.Block] = crcBlock(blk)
-			}
-			s.mu.Unlock()
-			s.ios.Add(int64(len(seg)))
-		})
+		sc.writes = writes
+		m.runShards(sc, len(addrs), fanoutMinBlocks, writeDisk)
 		m.release(sc)
 	}
 	m.blockWrites.Add(int64(len(writes)))
