@@ -135,7 +135,7 @@ type BasicDict struct {
 	codec     bucket.Codec
 	fragWords int
 	n         int // guarded by mu
-	scratch   scratchList
+	scratch   scratchPool
 
 	// retry governs degraded-read recovery (LookupTry and friends); the
 	// zero value is the historical default. repairJob, when non-nil, is
@@ -204,7 +204,7 @@ func newBasicAt(reg region, cfg BasicConfig) (*BasicDict, error) {
 		minBuckets = d
 	}
 
-	bd := &BasicDict{reg: reg, cfg: cfg, codec: codec, fragWords: fragWords, scratch: newScratchList()}
+	bd := &BasicDict{reg: reg, cfg: cfg, codec: codec, fragWords: fragWords}
 	switch {
 	case cfg.HeadModel:
 		g := cfg.UnstripedGraph

@@ -120,7 +120,7 @@ type DynamicDict struct {
 	arr            region
 	memb           *BasicDict
 	n              int // guarded by mu
-	scratch        scratchList
+	scratch        scratchPool
 }
 
 // NewDynamic creates an empty dictionary. The machine must have an even
@@ -143,7 +143,7 @@ func NewDynamic(m *pdm.Machine, cfg DynamicConfig) (*DynamicDict, error) {
 	}
 	t := ceilDiv(2*d, 3)
 
-	dd := &DynamicDict{m: m, cfg: cfg, d: d, t: t, scratch: newScratchList()}
+	dd := &DynamicDict{m: m, cfg: cfg, d: d, t: t}
 	dd.fieldBits = chainFieldBits(64*cfg.SatWords, t, d)
 	dd.fieldWords = ceilDiv(dd.fieldBits, 64)
 	if dd.fieldWords == 0 {

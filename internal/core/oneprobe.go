@@ -49,7 +49,7 @@ type OneProbeDict struct {
 	fieldBits      int
 	fieldsPerBlock int
 	n              int // guarded by mu
-	scratch        scratchList
+	scratch        scratchPool
 
 	retry pdm.RetryPolicy // guarded by mu; degraded-read recovery policy (zero = default)
 }
@@ -139,7 +139,7 @@ func NewOneProbe(m *pdm.Machine, cfg OneProbeConfig) (*OneProbeDict, error) {
 	}
 	t := ceilDiv(2*d, 3)
 
-	op := &OneProbeDict{m: m, cfg: cfg, d: d, t: t, scratch: newScratchList()}
+	op := &OneProbeDict{m: m, cfg: cfg, d: d, t: t}
 	op.fieldBits = chainFieldBits(64*cfg.SatWords, t, d)
 	op.fieldWords = ceilDiv(op.fieldBits, 64)
 	if op.fieldWords == 0 {

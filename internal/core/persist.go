@@ -259,7 +259,7 @@ func LoadStatic(r io.Reader) (*StaticDict, *pdm.Machine, error) {
 	if h.N < 0 {
 		return nil, nil, fmt.Errorf("core: snapshot key count %d negative; corrupt snapshot", h.N)
 	}
-	sd := &StaticDict{m: m, cfg: h.Cfg, d: d, n: h.N, t: ceilDiv(2*d, 3), ConstructionIOs: h.Build, scratch: newScratchList()}
+	sd := &StaticDict{m: m, cfg: h.Cfg, d: d, n: h.N, t: ceilDiv(2*d, 3), ConstructionIOs: h.Build}
 	if err := sd.layout(); err != nil {
 		return nil, nil, err
 	}

@@ -316,7 +316,6 @@ func (bd *BasicDict) Repair(disk int) error {
 	// whose stripe mask says it also lived on the repaired disk.
 	rows := make([][]bucket.Record, ss)
 	seen := make([]map[pdm.Word]bool, ss)
-	var rb pdm.ReadBuf // one row at a time; collected records are copies
 	for r := 0; r < ss; r++ {
 		var addrs []pdm.Addr
 		for t := 0; t < d; t++ {
@@ -325,7 +324,7 @@ func (bd *BasicDict) Repair(disk int) error {
 			}
 			addrs = bd.bucketAddrs(t*ss+r, addrs)
 		}
-		blocks, err := tryReadPolicy(bd.reg.m, &rb, nil, bd.retry, addrs)
+		blocks, err := tryReadPolicy(bd.reg.m, new(pdm.ReadBuf), nil, bd.retry, addrs)
 		if err != nil {
 			return fmt.Errorf("core: Repair of disk %d: surviving stripe unreadable: %w", disk, err)
 		}
@@ -386,7 +385,6 @@ func (bd *BasicDict) Scrub() []pdm.Addr {
 	d := bd.reg.nDisks
 	rows := ceilDiv(bd.buckets, d)
 	var bad []pdm.Addr
-	var rb pdm.ReadBuf
 	for r := 0; r < rows; r++ {
 		var addrs []pdm.Addr
 		for t := 0; t < d; t++ {
@@ -401,7 +399,7 @@ func (bd *BasicDict) Scrub() []pdm.Addr {
 			}
 			addrs = bd.bucketAddrs(y, addrs)
 		}
-		_, err := tryReadPolicy(bd.reg.m, &rb, nil, bd.retry, addrs)
+		_, err := tryReadPolicy(bd.reg.m, new(pdm.ReadBuf), nil, bd.retry, addrs)
 		if err == nil {
 			continue
 		}

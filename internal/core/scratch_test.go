@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -10,18 +11,27 @@ import (
 	"pdmdict/internal/pdm"
 )
 
-// pinAllocs fails when fn allocates more than want objects per call.
+// pinAllocs fails when a warm call of fn allocates more than want
+// objects. It takes the median of single calls: sync.Pool may hand back
+// a cold scratch after a collection, and under the race detector drops a
+// quarter of its puts.
 func pinAllocs(t *testing.T, name string, want float64, fn func()) {
 	t.Helper()
-	fn() // warm the structure's scratch
-	if got := testing.AllocsPerRun(200, fn); got > want {
-		t.Errorf("%s allocates %.2f objects per call, want at most %.2f", name, got, want)
+	runs := make([]float64, 51)
+	for i := range runs {
+		runs[i] = testing.AllocsPerRun(1, fn)
+	}
+	sort.Float64s(runs)
+	if got := runs[len(runs)/2]; got > want {
+		t.Errorf("%s allocates %.0f objects per warm call, want at most %.0f", name, got, want)
 	}
 }
 
 // The read path's allocation budget: a warm lookup allocates the
 // satellite it returns and nothing else (a miss: nothing). The fault-aware
-// path adds the machine's two per-batch bookkeeping objects.
+// path adds the machine's two per-batch bookkeeping objects, and a read
+// of more than pdm's 32 inline blocks — d = 40 here — the partitioned
+// path's per-disk closure.
 func TestLookupAllocationPins(t *testing.T) {
 	const n = 512
 	recs := makeRecords(n, 2, 5)
@@ -31,8 +41,9 @@ func TestLookupAllocationPins(t *testing.T) {
 	}
 	const absent = pdm.Word(1<<48 + 1)
 
-	// Workers: 1 keeps wide batches on the calling goroutine; fanning
-	// out costs a few objects per batch, by CPU count.
+	// Workers: 1 keeps the 64-key batches (over 128 blocks) on the calling
+	// goroutine: fanned out they cost a goroutine's few objects per worker,
+	// a count that follows GOMAXPROCS.
 	machine := func(d int) *pdm.Machine { return pdm.NewMachine(pdm.Config{D: d, B: 64, Workers: 1}) }
 	basic, err := NewBasic(machine(20), BasicConfig{Capacity: n, SatWords: 2, Seed: 1})
 	if err != nil {
@@ -80,30 +91,34 @@ func TestLookupAllocationPins(t *testing.T) {
 			t.Fatal(ok, err)
 		}
 	})
-	pinAllocs(t, "Dynamic.Lookup hit", 1, func() {
+	pinAllocs(t, "Dynamic.Lookup hit", 2, func() {
 		if _, ok := dynamic.Lookup(shallow); !ok {
 			t.Fatal("stored key not found")
 		}
 	})
-	pinAllocs(t, "Dynamic.Lookup miss", 0, func() {
+	pinAllocs(t, "Dynamic.Lookup miss", 1, func() {
 		if _, ok := dynamic.Lookup(absent); ok {
 			t.Fatal("absent key found")
 		}
 	})
-	pinAllocs(t, "OneProbe.Lookup hit", 1, func() {
+	pinAllocs(t, "OneProbe.Lookup hit", 2, func() {
 		if _, ok := oneprobe.Lookup(keys[3]); !ok {
 			t.Fatal("stored key not found")
 		}
 	})
-	// A batch of 64 hits: 64 satellites plus the two result slices.
-	for name, batch := range map[string]func([]pdm.Word) ([][]pdm.Word, []bool){
-		"Basic.LookupBatch×64":    basic.LookupBatch,
-		"Dynamic.LookupBatch×64":  dynamic.LookupBatch,
-		"OneProbe.LookupBatch×64": oneprobe.LookupBatch,
+	// A batch of 64 hits: 64 satellites, the two result slices, and one
+	// closure per read round (Dynamic: up to two) — 1.05 objects per key.
+	for _, b := range []struct {
+		name   string
+		want   float64
+		lookup func([]pdm.Word) ([][]pdm.Word, []bool)
+	}{
+		{"Basic.LookupBatch×64", 67, basic.LookupBatch},
+		{"Dynamic.LookupBatch×64", 68, dynamic.LookupBatch},
+		{"OneProbe.LookupBatch×64", 67, oneprobe.LookupBatch},
 	} {
-		batch := batch
-		pinAllocs(t, name, 66, func() {
-			if _, oks := batch(keys); !oks[0] || !oks[63] {
+		pinAllocs(t, b.name, b.want, func() {
+			if _, oks := b.lookup(keys); !oks[0] || !oks[63] {
 				t.Fatal("stored keys not found")
 			}
 		})
@@ -369,10 +384,10 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 						keep(batch[i], sats[i], oks[i])
 					}
 				}
-				for _, list := range []scratchList{basic.scratch, dynamic.scratch} {
-					sc := list.get() // an idle scratch: released, so poisoned
+				for _, pool := range []*scratchPool{&basic.scratch, &dynamic.scratch} {
+					sc := pool.get() // an idle scratch: released, so poisoned
 					sc.poison(sentinel, poisonBlocks)
-					list.put(sc)
+					pool.put(sc)
 				}
 			}
 		}(c)

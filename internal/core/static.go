@@ -120,7 +120,7 @@ type StaticDict struct {
 	arr            region
 
 	memb    *BasicDict // case A only
-	scratch scratchList
+	scratch scratchPool
 
 	// ConstructionIOs records the parallel I/O cost of BuildStatic,
 	// for comparison against the cost of sorting nd records (Theorem 6
@@ -153,7 +153,7 @@ func BuildStatic(m *pdm.Machine, cfg StaticConfig, recs []bucket.Record) (*Stati
 	n := len(recs)
 	t := ceilDiv(2*d, 3)
 
-	sd := &StaticDict{m: m, cfg: cfg, d: d, n: n, t: t, scratch: newScratchList()}
+	sd := &StaticDict{m: m, cfg: cfg, d: d, n: n, t: t}
 	if err := sd.layout(); err != nil {
 		return nil, err
 	}

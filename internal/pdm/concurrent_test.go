@@ -11,8 +11,7 @@ import (
 // checks that the merged counters equal the arithmetic sum of what the
 // goroutines did individually: the sharded accounting must lose nothing
 // to concurrency. Run under -race this also exercises the per-shard
-// locking of both the inline and fanned-out batch paths (writes fan out
-// at this size; TestReadBufWideBatch covers a fanned-out read).
+// locking of both the inline and fanned-out batch paths.
 func TestConcurrentBatchStatsExact(t *testing.T) {
 	const (
 		D      = 8
@@ -54,7 +53,7 @@ func TestConcurrentBatchStatsExact(t *testing.T) {
 					}
 				}
 			}
-			// One large read through the partitioned path, depth = rows.
+			// One large read through the fan-out path, depth = rows.
 			addrs := make([]Addr, 0, D*rows)
 			for r := 0; r < rows; r++ {
 				for d := 0; d < D; d++ {

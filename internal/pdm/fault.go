@@ -495,19 +495,15 @@ func (m *Machine) tryRun(addrs []Addr, apply func(i int)) (steps, depth int) {
 		}
 		return steps, depth
 	}
-	sc := m.acquire()
+	sc := m.scratch.Get()
 	steps, depth = m.cost(len(addrs), sc.partition(addrs))
-	sc.apply = apply
-	m.runShards(sc, len(addrs), fanoutMinBlocks, applyDisk)
+	m.runShards(sc, len(addrs), func(d int32) {
+		for _, i := range sc.segment(d) {
+			apply(int(i))
+		}
+	})
 	m.release(sc)
 	return steps, depth
-}
-
-// applyDisk runs a Try batch's per-access function over disk d's share.
-func applyDisk(_ *Machine, sc *batchScratch, d int32) {
-	for _, i := range sc.segment(d) {
-		sc.apply(int(i))
-	}
 }
 
 // WipeDisk discards every block (and checksum) of one disk, simulating

@@ -34,6 +34,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"pdmdict/internal/reuse"
 )
 
 // Word is the unit of storage: one data item of the model.
@@ -387,8 +389,8 @@ type Machine struct {
 	maxBatch    atomic.Int64
 	depthCounts [DepthBuckets]atomic.Int64
 
-	workers atomic.Int32       // worker-pool bound for batch fan-out
-	scratch chan *batchScratch // idle partition tables for large batches; see acquire
+	workers atomic.Int32             // worker-pool bound for batch fan-out
+	scratch reuse.Pool[batchScratch] // for partitioning large batches
 
 	nextOp atomic.Uint64 // operation-token ID counter; IDs start at 1
 
@@ -464,7 +466,13 @@ func NewMachine(cfg Config) *Machine {
 		m.shards[d].zeroSum = zeroSum
 	}
 	m.SetParallelism(cfg.Workers)
-	m.scratch = make(chan *batchScratch, batchScratchCap)
+	m.scratch.New = func() *batchScratch {
+		return &batchScratch{
+			counts:  make([]int32, cfg.D),
+			offs:    make([]int32, cfg.D),
+			touched: make([]int32, 0, cfg.D),
+		}
+	}
 	m.endSpan = func() {
 		m.emitMu.Lock()
 		n := len(m.spans)
@@ -507,10 +515,11 @@ func (m *Machine) SetHook(h Hook) {
 }
 
 // SetParallelism bounds the worker pool that fans one batch's block
-// copies out across shards: n workers serve a batch's touched disks
-// concurrently. n <= 0 restores the default, min(D, GOMAXPROCS); n == 1
-// keeps batches on their issuing goroutine. Like Config.Workers it
-// never affects results, accounting, or traces.
+// copies out across shards: up to n workers (the issuing goroutine and
+// idle helpers) serve a batch's touched disks concurrently. n <= 0
+// restores the default, min(D, GOMAXPROCS); n == 1 keeps batches on
+// their issuing goroutine. Like Config.Workers it never affects
+// results, accounting, or traces.
 func (m *Machine) SetParallelism(n int) {
 	if n <= 0 {
 		n = m.cfg.D
@@ -728,20 +737,13 @@ func (m *Machine) charge(steps, depth int) {
 // smallBatchMax bounds the batches served inline: below it, a batch is
 // executed on its issuing goroutine with one short lock per address and
 // its depth computed by allocation-free pairwise counting. Larger
-// batches go through the reused counting-sort partition (and, past
-// their fan-out threshold, the worker pool).
+// batches go through the pooled counting-sort partition (and, past
+// fanoutMinBlocks, the worker pool).
 const smallBatchMax = 32
 
-// fanoutMinBlocks is the smallest batch worth spawning workers for: the
-// per-block work must amortize the goroutine handoffs. It holds for
-// batches that checksum every block (writes, verified reads). A plain
-// read only copies its blocks into the caller's arena — about a sixth of
-// that work per block — and measured on 2 CPUs it ran slower fanned out
-// than inline below copyFanoutMinBlocks.
-const (
-	fanoutMinBlocks     = 128
-	copyFanoutMinBlocks = 8192
-)
+// fanoutMinBlocks is the smallest batch worth handing to workers: the
+// copy work must amortize the goroutine handoffs.
+const fanoutMinBlocks = 128
 
 // smallDepth returns the deepest per-disk queue of a small batch by
 // pairwise counting — O(n²) in the batch length but allocation-free,
@@ -765,21 +767,17 @@ func smallDepth(addrs []Addr) int {
 
 // batchScratch is the reusable bookkeeping for partitioning one batch
 // by disk: a counting sort over the addresses. counts is all-zero
-// whenever the scratch is parked on the machine's free list.
+// whenever the scratch is parked in the pool.
 type batchScratch struct {
 	counts  []int32 // per-disk address count (length D)
 	offs    []int32 // per-disk cursor into order (length D)
 	order   []int32 // batch indices grouped by disk, batch order within a disk
 	touched []int32 // disks with at least one address, in first-touch order
 
-	// The batch being served, for runShards' per-disk functions. Keeping
-	// the operands here rather than in a closure is what lets a batch that
-	// does not fan out run without allocating. Cleared on release.
-	arena  []Word
-	views  [][]Word
-	addrs  []Addr
-	writes []BlockWrite
-	apply  func(i int)
+	// A fanned-out batch, as its workers share it: see runShards.
+	perDisk func(d int32)
+	cursor  atomic.Int32 // next index of touched to serve
+	pending atomic.Int32 // helpers that have not finished
 }
 
 // partition groups a batch's indices by disk and returns the deepest
@@ -819,38 +817,13 @@ func (sc *batchScratch) segment(d int32) []int32 {
 	return sc.order[sc.offs[d]-sc.counts[d] : sc.offs[d]]
 }
 
-// batchScratchCap bounds the idle partition tables a machine keeps: one
-// per large batch that has ever been in flight at once, up to this many.
-const batchScratchCap = 64
-
-// acquire takes an idle partition table or makes one. The free list is
-// a plain buffered channel, not a sync.Pool: a pool empties at every
-// collection and keeps items per P, which would make a run's allocation
-// count depend on the collector's and the scheduler's timing.
-func (m *Machine) acquire() *batchScratch {
-	select {
-	case sc := <-m.scratch:
-		return sc
-	default:
-		return &batchScratch{
-			counts:  make([]int32, m.cfg.D),
-			offs:    make([]int32, m.cfg.D),
-			touched: make([]int32, 0, m.cfg.D),
-		}
-	}
-}
-
-// release re-zeroes counts (cheaply, via the touched list), drops the
-// served batch, and parks the scratch for reuse.
+// release re-zeroes counts (cheaply, via the touched list) and parks
+// the scratch back in the pool.
 func (m *Machine) release(sc *batchScratch) {
 	for _, d := range sc.touched {
 		sc.counts[d] = 0
 	}
-	sc.arena, sc.views, sc.addrs, sc.writes, sc.apply = nil, nil, nil, nil, nil
-	select {
-	case m.scratch <- sc:
-	default:
-	}
+	m.scratch.Put(sc)
 }
 
 // cost returns the parallel-I/O steps and deepest per-disk queue of a
@@ -867,43 +840,70 @@ func (m *Machine) cost(n, depth int) (int, int) {
 // runShards executes perDisk for every touched disk of a partitioned
 // batch, fanning out across the worker pool when the batch is large
 // enough to pay for the handoffs. Workers pull disks from a shared
-// cursor; the issuing goroutine is always one of them. perDisk is a
-// plain function reading its operands from sc, not a closure; minBlocks
-// is the fan-out threshold for its kind of work.
-func (m *Machine) runShards(sc *batchScratch, nBlocks, minBlocks int, perDisk func(m *Machine, sc *batchScratch, d int32)) {
+// cursor; the issuing goroutine is always one of them, and the others
+// are borrowed from the process's helpers.
+func (m *Machine) runShards(sc *batchScratch, nBlocks int, perDisk func(d int32)) {
 	workers := int(m.workers.Load())
 	if workers > len(sc.touched) {
 		workers = len(sc.touched)
 	}
-	if workers <= 1 || nBlocks < minBlocks {
+	if workers <= 1 || nBlocks < fanoutMinBlocks {
 		for _, d := range sc.touched {
-			perDisk(m, sc, d)
+			perDisk(d)
 		}
 		return
 	}
-	var cursor atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
+	helpers.start.Do(startHelpers)
+	sc.perDisk = perDisk
+	sc.cursor.Store(0)
 	for w := 1; w < workers; w++ {
+		sc.pending.Add(1)
+		select {
+		case helpers.jobs <- sc:
+		default: // every helper is busy: this goroutine covers its share
+			sc.pending.Add(-1)
+		}
+	}
+	sc.drain()
+	// Each helper still out is on its last disk, microseconds from done:
+	// yield rather than park.
+	for sc.pending.Load() != 0 {
+		runtime.Gosched()
+	}
+	sc.perDisk = nil
+}
+
+// drain serves touched disks off the batch's cursor until none is left.
+func (sc *batchScratch) drain() {
+	for {
+		t := int(sc.cursor.Add(1)) - 1
+		if t >= len(sc.touched) {
+			return
+		}
+		sc.perDisk(sc.touched[t])
+	}
+}
+
+// helpers are the goroutines fanned-out batches borrow: one per CPU,
+// started on first use, each parked on jobs between batches. A batch
+// takes only helpers that are idle at that moment, so the set bounds the
+// process's extra goroutines however many batches are in flight, and a
+// fan-out spawns nothing.
+var helpers struct {
+	start sync.Once
+	jobs  chan *batchScratch
+}
+
+func startHelpers() {
+	helpers.jobs = make(chan *batchScratch)
+	for i := 0; i < runtime.NumCPU(); i++ {
 		go func() {
-			defer wg.Done()
-			for {
-				t := int(cursor.Add(1)) - 1
-				if t >= len(sc.touched) {
-					return
-				}
-				perDisk(m, sc, sc.touched[t])
+			for sc := range helpers.jobs {
+				sc.drain()
+				sc.pending.Add(-1)
 			}
 		}()
 	}
-	for {
-		t := int(cursor.Add(1)) - 1
-		if t >= len(sc.touched) {
-			break
-		}
-		perDisk(m, sc, sc.touched[t])
-	}
-	wg.Wait()
 }
 
 // checkAddr panics on an address outside the machine. Addresses are
@@ -990,11 +990,20 @@ func (m *Machine) BatchReadInto(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr)
 			s.ios.Add(1)
 		}
 	} else {
-		sc := m.acquire()
+		sc := m.scratch.Get()
 		steps, depth = m.cost(len(addrs), sc.partition(addrs))
 		m.charge(steps, depth)
-		sc.arena, sc.views, sc.addrs = rb.arena, out, addrs
-		m.runShards(sc, len(addrs), copyFanoutMinBlocks, readDisk)
+		arena := rb.arena // captured in rb's place, so a fresh rb stays on the stack
+		m.runShards(sc, len(addrs), func(d int32) {
+			s := &m.shards[d]
+			seg := sc.segment(d)
+			s.mu.Lock()
+			for _, i := range seg {
+				s.readLocked(addrs[i].Block, arena, out, i)
+			}
+			s.mu.Unlock()
+			s.ios.Add(int64(len(seg)))
+		})
 		m.release(sc)
 	}
 	m.blockReads.Add(int64(len(addrs)))
@@ -1003,33 +1012,6 @@ func (m *Machine) BatchReadInto(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr)
 		m.emit(op, shared, Event{Kind: EventRead, Addrs: addrs, Steps: steps, Depth: depth}, nil)
 	}
 	return out
-}
-
-// readDisk serves disk d's share of the partitioned read in sc.
-func readDisk(m *Machine, sc *batchScratch, d int32) {
-	s := &m.shards[d]
-	seg := sc.segment(d)
-	s.mu.Lock()
-	for _, i := range seg {
-		s.readLocked(sc.addrs[i].Block, sc.arena, sc.views, i)
-	}
-	s.mu.Unlock()
-	s.ios.Add(int64(len(seg)))
-}
-
-// writeDisk serves disk d's share of the partitioned write in sc.
-func writeDisk(m *Machine, sc *batchScratch, d int32) {
-	s := &m.shards[d]
-	seg := sc.segment(d)
-	s.mu.Lock()
-	for _, i := range seg {
-		w := &sc.writes[i]
-		blk := s.blockLocked(w.Addr.Block)
-		copy(blk, w.Data)
-		s.sums[w.Addr.Block] = crcBlock(blk)
-	}
-	s.mu.Unlock()
-	s.ios.Add(int64(len(seg)))
 }
 
 // BlockWrite names one block write of a batch.
@@ -1078,11 +1060,22 @@ func (m *Machine) batchWrite(op *Op, writes []BlockWrite) {
 			s.ios.Add(1)
 		}
 	} else {
-		sc := m.acquire()
+		sc := m.scratch.Get()
 		steps, depth = m.cost(len(addrs), sc.partition(addrs))
 		m.charge(steps, depth)
-		sc.writes = writes
-		m.runShards(sc, len(addrs), fanoutMinBlocks, writeDisk)
+		m.runShards(sc, len(addrs), func(d int32) {
+			s := &m.shards[d]
+			seg := sc.segment(d)
+			s.mu.Lock()
+			for _, i := range seg {
+				w := &writes[i]
+				blk := s.blockLocked(w.Addr.Block)
+				copy(blk, w.Data)
+				s.sums[w.Addr.Block] = crcBlock(blk)
+			}
+			s.mu.Unlock()
+			s.ios.Add(int64(len(seg)))
+		})
 		m.release(sc)
 	}
 	m.blockWrites.Add(int64(len(writes)))

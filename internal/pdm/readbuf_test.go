@@ -95,7 +95,7 @@ func TestReadBufWideBatch(t *testing.T) {
 	const D = 8
 	m := NewMachine(Config{D: D, B: 2, Workers: 4})
 	var addrs []Addr
-	for b := 0; len(addrs) < copyFanoutMinBlocks+D; b++ {
+	for b := 0; len(addrs) < fanoutMinBlocks+D; b++ {
 		for d := 0; d < D; d++ {
 			addrs = append(addrs, Addr{Disk: d, Block: b})
 		}
