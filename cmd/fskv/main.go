@@ -285,7 +285,9 @@ func run(ctx context.Context, cfg config, stdin io.Reader, stdout io.Writer) err
 		if cfg.sched {
 			var logW io.Writer
 			if cfg.schedlog != "" {
-				f, err := os.Create(cfg.schedlog)
+				// Append: a restart must not truncate the intents of
+				// earlier runs.
+				f, err := os.OpenFile(cfg.schedlog, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 				if err != nil {
 					return err
 				}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pdmdict/internal/obs"
+	"pdmdict/internal/sched"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer for capturing the shell's
@@ -155,5 +156,35 @@ func TestRunQuitFlushesTrace(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Error("trace is empty")
+	}
+}
+
+// TestSchedLogAppendsAcrossRuns starts the shell twice on one -schedlog
+// path: the second run must append to the intent log, not truncate it,
+// so replay sees both runs' writes in order.
+func TestSchedLogAppendsAcrossRuns(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "intents.log")
+	for _, in := range []string{"put a 1 first\nquit\n", "put b 2 second\nquit\n"} {
+		var out syncBuffer
+		if err := run(context.Background(), config{sched: true, schedlog: logPath}, strings.NewReader(in), &out); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	}
+	f, err := os.Open(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	intents, err := sched.ReplayIntents(f)
+	if err != nil {
+		t.Fatalf("ReplayIntents: %v", err)
+	}
+	if len(intents) != 2 || intents[0].Key == intents[1].Key {
+		t.Fatalf("replayed %d intents %+v, want one insert from each run", len(intents), intents)
+	}
+	for i, it := range intents {
+		if it.Del {
+			t.Errorf("intent %d is a delete, want the run's insert", i)
+		}
 	}
 }

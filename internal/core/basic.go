@@ -419,56 +419,58 @@ func (bd *BasicDict) findFragments(x pdm.Word, flat [][]pdm.Word, frags [][]pdm.
 // shared buckets are read once. Results are positionally aligned with
 // keys.
 func (bd *BasicDict) LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool) {
-	return bd.LookupBatchOp(nil, keys)
+	return bd.LookupBatchOp(nil, nil, keys)
 }
 
-// LookupBatchOp is LookupBatch attributed to the operation token op:
-// the merged read round and the lookup span carry the op's ID, and the
-// op is charged the batch's exact cost. A nil op keeps the legacy
-// shared-stack attribution.
-func (bd *BasicDict) LookupBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
-	bd.mu.RLock()
-	defer bd.mu.RUnlock()
-	defer bd.reg.m.OpSpan(op, obs.TagLookup)()
-	sc := bd.scratch.get()
-	defer bd.scratch.put(sc)
-	bd.mergeProbes(sc, keys)
-	flat := bd.reg.m.BatchReadInto(&sc.buf, op, nil, sc.r1.addrs)
-	sats, oks, _ := bd.resolveMerged(sc, keys, flat)
+// LookupBatchOp is LookupBatch attributed to operation tokens by
+// pdm.Machine.BatchReadInto's convention. Either op owns the whole batch
+// (shared empty; a nil op keeps the legacy shared-stack attribution), or
+// shared[i] owns keys[i] — the group-commit scheduler's shared round,
+// with op nil and len(shared) == len(keys). Each owner gets a root span
+// and is charged every merged round it rides, in full: splitting it
+// would void the per-op worst-case bounds. Shared tokens must be
+// non-nil, distinct, and owned by callers blocked during the call, so
+// the calling goroutine is each token's single toucher.
+func (bd *BasicDict) LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+	bd.lookup(op, shared, keys, sats, oks, false)
 	return sats, oks
 }
 
-// mergeProbes collects every key's probe addresses, de-duplicated, into
-// sc.r1 — the fetch list of one merged read round.
-func (bd *BasicDict) mergeProbes(sc *probeScratch, keys []pdm.Word) {
+// lookup is the dictionary's one lookup body: keys[i] is answered into
+// sats[i], oks[i] from one merged, de-duplicated read of every key's d
+// buckets. A single key is the batch of one, whose de-duplication is
+// the identity. With try (and no shared round) the read goes through
+// the fault layer under the retry policy; the result counts the keys
+// left inconclusive — not found, a block of theirs missing — and
+// carries the read's error.
+func (bd *BasicDict) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool, try bool) (inconclusive int, err error) {
+	bd.mu.RLock()
+	defer bd.mu.RUnlock()
+	sc := bd.scratch.get()
+	defer bd.scratch.put(sc)
+	sc.openSpans(bd.reg.m, obs.TagLookup, op, shared)
+	defer sc.closeSpans()
 	sc.r1.reset()
 	for _, x := range keys {
 		sc.one = bd.probeAddrs(sc, x, sc.one[:0])
 		sc.r1.add(sc.one)
 	}
-}
-
-// resolveMerged answers every key from the blocks fetched for sc.r1. It
-// also counts the keys left undecided: not found, with at least one of
-// their blocks missing (a failed degraded-mode read).
-func (bd *BasicDict) resolveMerged(sc *probeScratch, keys []pdm.Word, flat [][]pdm.Word) (sats [][]pdm.Word, oks []bool, inconclusive int) {
-	sats = make([][]pdm.Word, len(keys))
-	oks = make([]bool, len(keys))
+	var flat [][]pdm.Word
+	if try {
+		flat, err = tryReadPolicy(bd.reg.m, &sc.buf, op, bd.retry, sc.r1.addrs)
+	} else {
+		flat = bd.reg.m.BatchReadInto(&sc.buf, op, shared, sc.r1.addrs)
+	}
 	view := sc.keyView(bd.probeLen())
 	for ki, x := range keys {
 		sc.r1.keyBlocks(ki, flat, view)
 		sats[ki], oks[ki] = bd.lookupInBlocks(sc, x, view, nil)
-		if oks[ki] {
-			continue
-		}
-		for _, blk := range view {
-			if blk == nil {
-				inconclusive++
-				break
-			}
+		if !oks[ki] && hasNil(view) {
+			inconclusive++
 		}
 	}
-	return sats, oks, inconclusive
+	return inconclusive, err
 }
 
 // Lookup returns a copy of x's satellite data and whether x is present.
@@ -480,14 +482,10 @@ func (bd *BasicDict) Lookup(x pdm.Word) ([]pdm.Word, bool) {
 
 // LookupOp is Lookup attributed to the operation token op.
 func (bd *BasicDict) LookupOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool) {
-	bd.mu.RLock()
-	defer bd.mu.RUnlock()
-	defer bd.reg.m.OpSpan(op, obs.TagLookup)()
-	sc := bd.scratch.get()
-	defer bd.scratch.put(sc)
-	sc.one = bd.probeAddrs(sc, x, sc.one[:0])
-	flat := bd.reg.m.BatchReadInto(&sc.buf, op, nil, sc.one)
-	return bd.lookupInBlocks(sc, x, flat, nil)
+	var sat [1][]pdm.Word
+	var ok [1]bool
+	bd.lookup(op, nil, []pdm.Word{x}, sat[:], ok[:], false)
+	return sat[0], ok[0]
 }
 
 // Contains reports whether x is present, at the same cost as Lookup.

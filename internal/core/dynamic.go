@@ -292,27 +292,10 @@ func (dd *DynamicDict) Lookup(x pdm.Word) ([]pdm.Word, bool) {
 // and read batches carry the op's ID and the op is charged their exact
 // cost. A nil op keeps the legacy shared-stack attribution.
 func (dd *DynamicDict) LookupOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool) {
-	dd.mu.RLock()
-	defer dd.mu.RUnlock()
-	defer dd.m.OpSpan(op, obs.TagLookup)()
-	sc := dd.scratch.get()
-	defer dd.scratch.put(sc)
-	// First parallel I/O: membership probe + A_1 fields, disjoint disks.
-	sc.one = dd.probe1Locked(sc, x, sc.one[:0])
-	membLen := dd.memb.probeLen()
-	flat := dd.m.BatchReadInto(&sc.buf, op, nil, sc.one)
-
-	head, level, ok := dd.residenceLocked(sc, x, flat[:membLen])
-	if !ok {
-		return nil, false // unsuccessful search: exactly 1 I/O
-	}
-	lv := &dd.levels[level]
-	blocks := flat[membLen:]
-	if level > 0 {
-		sc.one = dd.levelAddrs(lv, x, sc.one[:0])
-		blocks = dd.m.BatchReadInto(&sc.buf, op, nil, sc.one) // second I/O
-	}
-	return decodeChain(dd.fieldBits, dd.cfg.SatWords, dd.fieldsOf(sc, lv, x, blocks), head)
+	var sat [1][]pdm.Word
+	var ok [1]bool
+	dd.lookup(op, nil, []pdm.Word{x}, sat[:], ok[:])
+	return sat[0], ok[0]
 }
 
 // Contains reports presence at the Lookup cost (1 I/O when absent).
@@ -327,17 +310,16 @@ func (dd *DynamicDict) Contains(x pdm.Word) bool {
 // deeper than A_1 — a ≤ Ratio fraction on average — share one second
 // batch. Results are positionally aligned with keys.
 func (dd *DynamicDict) LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool) {
-	return dd.LookupBatchOp(nil, keys)
+	return dd.LookupBatchOp(nil, nil, keys)
 }
 
-// LookupBatchOp is LookupBatch attributed to the operation token op.
-func (dd *DynamicDict) LookupBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
-	dd.mu.RLock()
-	defer dd.mu.RUnlock()
-	defer dd.m.OpSpan(op, obs.TagLookup)()
-	sc := dd.scratch.get()
-	defer dd.scratch.put(sc)
-	return dd.lookupMergedLocked(sc, op, nil, keys)
+// LookupBatchOp is LookupBatch attributed as BasicDict.LookupBatchOp
+// describes. In a shared round only the deep keys' tokens ride the
+// second read, so shallow participants are charged exactly one round.
+func (dd *DynamicDict) LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+	dd.lookup(op, shared, keys, sats, oks)
+	return sats, oks
 }
 
 // deepKey is a key of a merged lookup that resides below A_1 and so
@@ -348,11 +330,18 @@ type deepKey struct {
 	head  int
 }
 
-// lookupMergedLocked is the two-round merged probe behind LookupBatchOp (both
-// rounds attributed to op) and LookupSharedOp (shared[i] owns keys[i]:
-// round one is attributed to every participant, round two only to the
-// deep keys' tokens, so shallow participants are charged one round).
-func (dd *DynamicDict) lookupMergedLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+// lookup is the structure's one lookup body, answering keys into sats
+// and oks in at most two merged rounds: every key's membership buckets
+// and A_1 fields (an unsuccessful or shallow search ends there), then
+// the fields of the keys resident deeper. A single key is the batch of
+// one.
+func (dd *DynamicDict) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
+	dd.mu.RLock()
+	defer dd.mu.RUnlock()
+	sc := dd.scratch.get()
+	defer dd.scratch.put(sc)
+	sc.openSpans(dd.m, obs.TagLookup, op, shared)
+	defer sc.closeSpans()
 	membLen := dd.memb.probeLen()
 	sc.r1.reset()
 	for _, x := range keys {
@@ -361,8 +350,8 @@ func (dd *DynamicDict) lookupMergedLocked(sc *probeScratch, op *pdm.Op, shared [
 	}
 	flat := dd.m.BatchReadInto(&sc.buf, op, shared, sc.r1.addrs)
 
-	sats := make([][]pdm.Word, len(keys))
-	oks := make([]bool, len(keys))
+	clear(sats)
+	clear(oks)
 	sc.deep, sc.ops = sc.deep[:0], sc.ops[:0]
 	sc.r2.reset()
 	view := sc.keyView(membLen + dd.d)
@@ -377,7 +366,7 @@ func (dd *DynamicDict) lookupMergedLocked(sc *probeScratch, op *pdm.Op, shared [
 			continue
 		}
 		sc.deep = append(sc.deep, deepKey{ki: ki, level: level, head: head})
-		if shared != nil {
+		if len(shared) > 0 {
 			sc.ops = append(sc.ops, shared[ki])
 		}
 		sc.one = dd.levelAddrs(&dd.levels[level], x, sc.one[:0])
@@ -394,7 +383,6 @@ func (dd *DynamicDict) lookupMergedLocked(sc *probeScratch, op *pdm.Op, shared [
 		}
 		clear(sc.ops)
 	}
-	return sats, oks
 }
 
 // Insert stores (x, sat). Existing keys are updated in place (their old

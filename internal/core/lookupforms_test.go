@@ -1,0 +1,265 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"pdmdict/internal/pdm"
+)
+
+// lookupForms is one structure's set of read entry points, plus what a
+// single-key lookup of x must read.
+type lookupForms struct {
+	name    string
+	keys    []pdm.Word // stored keys and absent ones
+	single  func(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool)
+	batch   func(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool)
+	try     func(x pdm.Word) ([]pdm.Word, bool, error) // nil: the structure has none
+	setHook func(pdm.Hook)
+	// probes returns the address lists of the read events a single-key
+	// lookup of x issues, in order, derived without the lookup path.
+	probes func(x pdm.Word) [][]pdm.Addr
+}
+
+// dynProbes is what a DynamicDict lookup of x reads: the membership
+// buckets and A_1's fields, then — for a key resident deeper — its
+// level's fields. found reports whether x is stored.
+func dynProbes(dd *DynamicDict, x pdm.Word) (events [][]pdm.Addr, found bool) {
+	sc := new(probeScratch)
+	first := dd.probe1Locked(sc, x, nil)
+	membLen := dd.memb.probeLen()
+	blocks := make([][]pdm.Word, membLen)
+	for i, a := range first[:membLen] {
+		blocks[i] = dd.m.Peek(a)
+	}
+	events = [][]pdm.Addr{first}
+	_, level, ok := dd.residenceLocked(sc, x, blocks)
+	if ok && level > 0 {
+		events = append(events, dd.levelAddrs(&dd.levels[level], x, nil))
+	}
+	return events, ok
+}
+
+// withAbsent returns the stored keys of recs followed by absent ones.
+func withAbsent(recs []pdm.Word, absent int) []pdm.Word {
+	keys := slices.Clone(recs)
+	for i := 0; i < absent; i++ {
+		keys = append(keys, pdm.Word(1<<50+2*i+1))
+	}
+	return keys
+}
+
+func basicForms(t *testing.T, name string, cfg BasicConfig) lookupForms {
+	const n = 120
+	cfg.Capacity, cfg.SatWords, cfg.Seed = n, 3, 4
+	bd, m := newBasic(t, 8, 32, cfg)
+	recs := makeRecords(n, 3, 4)
+	stored := make([]pdm.Word, n)
+	for i, r := range recs {
+		if err := bd.Insert(r.Key, r.Sat); err != nil {
+			t.Fatal(err)
+		}
+		stored[i] = r.Key
+	}
+	return lookupForms{
+		name:    name,
+		keys:    withAbsent(stored, 40),
+		single:  bd.LookupOp,
+		batch:   bd.LookupBatchOp,
+		try:     bd.LookupTry,
+		setHook: m.SetHook,
+		probes: func(x pdm.Word) [][]pdm.Addr {
+			return [][]pdm.Addr{bd.probeAddrs(new(probeScratch), x, nil)}
+		},
+	}
+}
+
+func dynamicForms(t *testing.T) lookupForms {
+	const n = 512
+	m := pdm.NewMachine(pdm.Config{D: 40, B: 64})
+	dd, err := NewDynamic(m, DynamicConfig{Capacity: n, SatWords: 2, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := makeRecords(n, 2, 6)
+	stored := make([]pdm.Word, n)
+	for i, r := range recs {
+		if err := dd.Insert(r.Key, r.Sat); err != nil {
+			t.Fatal(err)
+		}
+		stored[i] = r.Key
+	}
+	if counts := dd.LevelCounts(); counts[0] == n {
+		t.Fatalf("level counts %v: no key below A_1, the second round goes untested", counts)
+	}
+	return lookupForms{
+		name:    "dynamic-deep",
+		keys:    withAbsent(stored, 64),
+		single:  dd.LookupOp,
+		batch:   dd.LookupBatchOp,
+		setHook: m.SetHook,
+		probes: func(x pdm.Word) [][]pdm.Addr {
+			events, _ := dynProbes(dd, x)
+			return events
+		},
+	}
+}
+
+func oneProbeForms(t *testing.T) lookupForms {
+	const n = 256
+	m := pdm.NewMachine(pdm.Config{D: 40, B: 64})
+	op, err := NewOneProbe(m, OneProbeConfig{Capacity: n, SatWords: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := makeRecords(n, 2, 7)
+	stored := make([]pdm.Word, n)
+	for i, r := range recs {
+		if err := op.Insert(r.Key, r.Sat); err != nil {
+			t.Fatal(err)
+		}
+		stored[i] = r.Key
+	}
+	return lookupForms{
+		name:    "oneprobe",
+		keys:    withAbsent(stored, 64),
+		single:  op.LookupOp,
+		batch:   op.LookupBatchOp,
+		try:     op.LookupTry,
+		setHook: m.SetHook,
+		probes: func(x pdm.Word) [][]pdm.Addr {
+			return [][]pdm.Addr{op.probeAddrsAllLocked(new(probeScratch), x, nil)}
+		},
+	}
+}
+
+// dictForms stops a Dict part-way through its first migration, so the
+// seeded keys live in both structures: the routing's miss path runs.
+func dictForms(t *testing.T) lookupForms {
+	const initial = 64
+	d := newDict(t, DictConfig{InitialCapacity: initial, SatWords: 2, MigrateBatch: 1, Seed: 8})
+	recs := makeRecords(initial+24, 2, 8)
+	stored := make([]pdm.Word, len(recs))
+	for i, r := range recs {
+		if err := d.Insert(r.Key, r.Sat); err != nil {
+			t.Fatal(err)
+		}
+		stored[i] = r.Key
+	}
+	if !d.Migrating() || d.active.Len() == 0 || d.next.Len() == 0 {
+		t.Fatalf("want a migration with keys on both sides (active %d, next %d)", d.active.Len(), d.next.Len())
+	}
+	next, active := d.next.(*DynamicDict), d.active.(*DynamicDict)
+	return lookupForms{
+		name:    "dict-migrating",
+		keys:    withAbsent(stored, 40),
+		single:  d.LookupOp,
+		batch:   d.LookupBatchOp,
+		setHook: d.SetHook,
+		probes: func(x pdm.Word) [][]pdm.Addr {
+			events, found := dynProbes(next, x)
+			if !found {
+				more, _ := dynProbes(active, x)
+				events = append(events, more...)
+			}
+			return events
+		},
+	}
+}
+
+// Every read form of every structure is one lookup body, so they must
+// agree: for each seeded key, LookupOp, LookupBatchOp of one key, a
+// shared round of one token, a shared round of eight, and LookupTry
+// without an injector return the same satellite and presence. A
+// single-key lookup's read events carry exactly its probe addresses, in
+// probe order, one parallel I/O each — the batch of one's
+// de-duplication is the identity. Run under -race -cpu=1,2,4.
+func TestLookupFormsAgree(t *testing.T) {
+	for _, build := range []func(*testing.T) lookupForms{
+		func(t *testing.T) lookupForms { return basicForms(t, "basic-k1", BasicConfig{}) },
+		func(t *testing.T) lookupForms { return basicForms(t, "basic-k4", BasicConfig{K: 4}) },
+		func(t *testing.T) lookupForms {
+			return basicForms(t, "basic-replicas2", BasicConfig{K: 2, Replicate: true})
+		},
+		dynamicForms,
+		oneProbeForms,
+		dictForms,
+	} {
+		f := build(t)
+		t.Run(f.name, func(t *testing.T) { checkLookupForms(t, f) })
+	}
+}
+
+func checkLookupForms(t *testing.T, f lookupForms) {
+	rec := &coreEventRecorder{}
+	f.setHook(rec)
+	defer f.setHook(nil)
+	var nextID uint64
+	token := func() *pdm.Op {
+		nextID++
+		return pdm.MakeOp(nextID, int(nextID%8), 1)
+	}
+
+	type answer struct {
+		sat []pdm.Word
+		ok  bool
+	}
+	want := make([]answer, len(f.keys))
+	hits := 0
+	for i, x := range f.keys {
+		rec.events = nil
+		sat, ok := f.single(token(), x)
+		want[i] = answer{sat, ok}
+		if ok {
+			hits++
+		}
+		var reads [][]pdm.Addr
+		for _, e := range rec.events {
+			if e.Kind != pdm.EventRead {
+				continue
+			}
+			if e.Steps != 1 {
+				t.Fatalf("key %d: read event of %d steps, want 1", x, e.Steps)
+			}
+			reads = append(reads, e.Addrs)
+		}
+		if wantReads := f.probes(x); fmt.Sprint(reads) != fmt.Sprint(wantReads) {
+			t.Fatalf("key %d: single-key reads\n  %v\nwant its probe addresses\n  %v", x, reads, wantReads)
+		}
+	}
+	if hits == 0 || hits == len(f.keys) {
+		t.Fatalf("%d of %d keys hit; want both hits and misses", hits, len(f.keys))
+	}
+
+	check := func(form string, i int, sat []pdm.Word, ok bool) {
+		t.Helper()
+		if ok != want[i].ok || !slices.Equal(sat, want[i].sat) {
+			t.Fatalf("key %d: %s = %v, %v; LookupOp = %v, %v", f.keys[i], form, sat, ok, want[i].sat, want[i].ok)
+		}
+	}
+	for i, x := range f.keys {
+		sats, oks := f.batch(token(), nil, []pdm.Word{x})
+		check("LookupBatchOp of one key", i, sats[0], oks[0])
+		sats, oks = f.batch(nil, []*pdm.Op{token()}, []pdm.Word{x})
+		check("shared round of 1", i, sats[0], oks[0])
+		if f.try != nil {
+			sat, ok, err := f.try(x)
+			if err != nil {
+				t.Fatalf("key %d: LookupTry without an injector: %v", x, err)
+			}
+			check("LookupTry", i, sat, ok)
+		}
+	}
+	const round = 8
+	for lo := 0; lo+round <= len(f.keys); lo += round {
+		shared := make([]*pdm.Op, round)
+		for j := range shared {
+			shared[j] = token()
+		}
+		sats, oks := f.batch(nil, shared, f.keys[lo:lo+round])
+		for j := range shared {
+			check("shared round of 8", lo+j, sats[j], oks[j])
+		}
+	}
+}

@@ -252,20 +252,27 @@ func (op *OneProbeDict) probeLocked(sc *probeScratch, tok *pdm.Op, x pdm.Word) (
 }
 
 // lookupInFlat resolves x against a pre-fetched probe (the blocks for
-// probeAddrsAll(x), in order), without any I/O.
-func (op *OneProbeDict) lookupInFlatLocked(sc *probeScratch, x pdm.Word, flat [][]pdm.Word) ([]pdm.Word, bool) {
+// probeAddrsAll(x), in order), without any I/O. inconclusive reports a
+// miss the surviving blocks cannot settle: x absent from a membership
+// neighborhood with a block missing from the probe, or x's fields
+// unreadable at its level. Fault-oblivious reads never miss a block.
+func (op *OneProbeDict) lookupInFlatLocked(sc *probeScratch, x pdm.Word, flat [][]pdm.Word) (sat []pdm.Word, ok, inconclusive bool) {
 	membLen := op.memb.probeLen()
 	membSat, ok := op.memb.lookupInBlocks(sc, x, flat[:membLen], sc.memb[:0])
 	if !ok {
-		return nil, false
+		return nil, false, hasNil(flat)
 	}
 	head := int(membSat[0] & 0xFF)
 	level := int(membSat[0] >> 8)
 	if level >= len(op.levels) {
-		return nil, false
+		return nil, false, false
 	}
 	blocks := flat[membLen+level*op.d : membLen+(level+1)*op.d]
-	return decodeChain(op.fieldBits, op.cfg.SatWords, op.fieldsOfLocked(sc, level, x, blocks), head)
+	if hasNil(blocks) {
+		return nil, false, true
+	}
+	sat, ok = decodeChain(op.fieldBits, op.cfg.SatWords, op.fieldsOfLocked(sc, level, x, blocks), head)
+	return sat, ok, false
 }
 
 // LookupBatch resolves many keys with ONE batched read: every key's
@@ -275,40 +282,47 @@ func (op *OneProbeDict) lookupInFlatLocked(sc *probeScratch, x pdm.Word, flat []
 // I/O round — instead of b sequential probes. Results are positionally
 // aligned with keys.
 func (op *OneProbeDict) LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool) {
-	return op.LookupBatchOp(nil, keys)
+	return op.LookupBatchOp(nil, nil, keys)
 }
 
-// LookupBatchOp is LookupBatch attributed to the operation token tok:
-// the probe batch and the lookup span carry the token's ID and the
-// token is charged the batch's exact cost. A nil token keeps the
-// legacy shared-stack attribution.
-func (op *OneProbeDict) LookupBatchOp(tok *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+// LookupBatchOp is LookupBatch attributed as BasicDict.LookupBatchOp
+// describes; a shared round is one parallel I/O too.
+func (op *OneProbeDict) LookupBatchOp(tok *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+	op.lookup(tok, shared, keys, sats, oks, false)
+	return sats, oks
+}
+
+// lookup is the structure's one lookup body: ONE merged probe round over
+// every key's membership and field blocks, answering into sats and oks.
+// A single key is the batch of one. try is as for BasicDict.lookup.
+func (op *OneProbeDict) lookup(tok *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool, try bool) (inconclusive int, err error) {
 	op.mu.RLock()
 	defer op.mu.RUnlock()
-	defer op.m.OpSpan(tok, obs.TagLookup)()
 	sc := op.scratch.get()
 	defer op.scratch.put(sc)
-	return op.lookupMergedLocked(sc, tok, nil, keys)
-}
-
-// lookupMergedLocked is the one merged probe round behind LookupBatchOp
-// (attributed to tok) and LookupSharedOp (attributed to every token of
-// shared, which owns keys position by position).
-func (op *OneProbeDict) lookupMergedLocked(sc *probeScratch, tok *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	sc.openSpans(op.m, obs.TagLookup, tok, shared)
+	defer sc.closeSpans()
 	sc.r1.reset()
 	for _, x := range keys {
 		sc.one = op.probeAddrsAllLocked(sc, x, sc.one[:0])
 		sc.r1.add(sc.one)
 	}
-	flat := op.m.BatchReadInto(&sc.buf, tok, shared, sc.r1.addrs)
-	sats := make([][]pdm.Word, len(keys))
-	oks := make([]bool, len(keys))
+	var flat [][]pdm.Word
+	if try {
+		flat, err = tryReadPolicy(op.m, &sc.buf, tok, op.retry, sc.r1.addrs)
+	} else {
+		flat = op.m.BatchReadInto(&sc.buf, tok, shared, sc.r1.addrs)
+	}
 	view := sc.keyView(op.probeWidthLocked())
 	for ki, x := range keys {
 		sc.r1.keyBlocks(ki, flat, view)
-		sats[ki], oks[ki] = op.lookupInFlatLocked(sc, x, view)
+		var unsettled bool
+		if sats[ki], oks[ki], unsettled = op.lookupInFlatLocked(sc, x, view); unsettled {
+			inconclusive++
+		}
 	}
-	return sats, oks
+	return inconclusive, err
 }
 
 // fieldsOf extracts x's per-stripe fields at a level from its blocks,
@@ -332,13 +346,10 @@ func (op *OneProbeDict) Lookup(x pdm.Word) ([]pdm.Word, bool) {
 
 // LookupOp is Lookup attributed to the operation token tok.
 func (op *OneProbeDict) LookupOp(tok *pdm.Op, x pdm.Word) ([]pdm.Word, bool) {
-	op.mu.RLock()
-	defer op.mu.RUnlock()
-	defer op.m.OpSpan(tok, obs.TagLookup)()
-	sc := op.scratch.get()
-	defer op.scratch.put(sc)
-	sc.one = op.probeAddrsAllLocked(sc, x, sc.one[:0])
-	return op.lookupInFlatLocked(sc, x, op.m.BatchReadInto(&sc.buf, tok, nil, sc.one))
+	var sat [1][]pdm.Word
+	var ok [1]bool
+	op.lookup(tok, nil, []pdm.Word{x}, sat[:], ok[:], false)
+	return sat[0], ok[0]
 }
 
 // Contains reports presence at the 1-I/O Lookup cost.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -90,13 +91,8 @@ type DictStats struct {
 // sub-dictionary (for the migration cursor). DynamicDict (Theorem 7)
 // and OneProbeDict (Section 6) both satisfy it.
 type rebuildable interface {
-	Lookup(x pdm.Word) ([]pdm.Word, bool)
-	LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool)
-	Insert(x pdm.Word, sat []pdm.Word) error
-	Delete(x pdm.Word) bool
 	LookupOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool)
-	LookupBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool)
-	LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool)
+	lookupInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool)
 	InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error
 	DeleteOp(op *pdm.Op, x pdm.Word) bool
 	Len() int
@@ -110,6 +106,15 @@ func (dd *DynamicDict) machine() *pdm.Machine   { return dd.m }
 func (dd *DynamicDict) membership() *BasicDict  { return dd.memb }
 func (op *OneProbeDict) machine() *pdm.Machine  { return op.m }
 func (op *OneProbeDict) membership() *BasicDict { return op.memb }
+
+// lookupInto is the structure's fault-oblivious lookup body.
+func (dd *DynamicDict) lookupInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
+	dd.lookup(op, shared, keys, sats, oks)
+}
+
+func (op *OneProbeDict) lookupInto(tok *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
+	op.lookup(tok, shared, keys, sats, oks, false)
+}
 
 // Dict is the fully dynamic dictionary of Section 4's introduction:
 // a bounded structure (Theorem 7's cascade by default, or the Section 6
@@ -152,6 +157,8 @@ type Dict struct {
 	// the machines') so IDs survive rebuild generations and stay unique
 	// across both live machines.
 	nextOp atomic.Uint64
+
+	scratch scratchPool
 }
 
 // NewDict creates an empty dictionary.
@@ -264,29 +271,45 @@ func (d *Dict) MintOp(client, keys int) *pdm.Op {
 	return pdm.MakeOp(d.nextOp.Add(1), client, keys)
 }
 
-// measureOp runs fn under op's root span (tag) and charges the ledger
-// exactly what the token was charged: max across the two machines of
-// the parallel I/O steps of the batches fn issued, attributed to op
-// through its per-machine lane counters. The attribution is exact under
-// arbitrary concurrency — each caller's token counts only its own
-// batches, never a neighbor's. The ledger gains n Ops (a batch counts
-// one per key) and WorstOp tracks the per-key ceiling ⌈cost/n⌉ for
-// every operation, batched or not.
-func (d *Dict) measureOpLocked(op *pdm.Op, tag string, n int, fn func(op *pdm.Op) error) error {
-	if op == nil {
-		op = d.MintOp(0, n)
+// measureOpLocked runs fn under the root span (tag) of op — or of each
+// token of shared, the participants of a shared round — and charges the
+// ledger exactly what each token was charged: max across the two
+// machines of the parallel I/O steps of the batches fn issued,
+// attributed through the token's per-machine lane counters. The
+// attribution is exact under arbitrary concurrency — each token counts
+// only its own batches, never a neighbor's. op (minted for client 0 if
+// nil) counts as n Ops (a batch counts one per key) and WorstOp tracks
+// the per-key ceiling ⌈cost/n⌉; each participant counts as one Op.
+func (d *Dict) measureOpLocked(op *pdm.Op, shared []*pdm.Op, tag string, n int, fn func(op *pdm.Op) error) error {
+	parts := shared
+	if len(shared) == 0 {
+		if op == nil {
+			op = d.MintOp(0, n)
+		}
+		parts = []*pdm.Op{op}
+	} else {
+		n = 1
 	}
-	before := op.MaxMachineSteps()
-	end := d.active.machine().OpSpan(op, tag)
+	var beforeBuf [8]int64
+	var endBuf [8]func()
+	befores, ends := beforeBuf[:0], endBuf[:0]
+	for _, o := range parts {
+		befores = append(befores, o.MaxMachineSteps())
+		ends = append(ends, d.active.machine().OpSpan(o, tag))
+	}
 	err := fn(op)
-	end()
-	cost := op.MaxMachineSteps() - before
+	for i := len(ends) - 1; i >= 0; i-- {
+		ends[i]()
+	}
 	d.statsMu.Lock()
-	d.stats.Ops += int64(n)
-	d.stats.ParallelIOs += cost
-	if n > 0 {
-		if per := (cost + int64(n) - 1) / int64(n); per > d.stats.WorstOp {
-			d.stats.WorstOp = per
+	for i, o := range parts {
+		cost := o.MaxMachineSteps() - befores[i]
+		d.stats.Ops += int64(n)
+		d.stats.ParallelIOs += cost
+		if n > 0 {
+			if per := (cost + int64(n) - 1) / int64(n); per > d.stats.WorstOp {
+				d.stats.WorstOp = per
+			}
 		}
 	}
 	d.statsMu.Unlock()
@@ -305,16 +328,11 @@ func (d *Dict) Lookup(x pdm.Word) (sat []pdm.Word, ok bool) {
 func (d *Dict) LookupOp(op *pdm.Op, x pdm.Word) (sat []pdm.Word, ok bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	d.measureOpLocked(op, obs.TagLookup, 1, func(op *pdm.Op) error {
-		if d.next != nil {
-			if sat, ok = d.next.LookupOp(op, x); ok {
-				return nil
-			}
-		}
-		sat, ok = d.active.LookupOp(op, x)
-		return nil
-	})
-	return sat, ok
+	sc := d.scratch.get()
+	defer d.scratch.put(sc)
+	sc.key[0] = x
+	d.lookupLocked(sc, op, nil, sc.key[:], sc.sat[:], sc.ok[:])
+	return sc.sat[0], sc.ok[0]
 }
 
 // Contains reports whether x is present.
@@ -329,36 +347,58 @@ func (d *Dict) Contains(x pdm.Word) bool {
 // keys the successor misses. The ledger gains len(keys) Ops but the
 // batch's (amortized) cost.
 func (d *Dict) LookupBatch(keys []pdm.Word) (sats [][]pdm.Word, oks []bool) {
-	return d.LookupBatchOp(nil, keys)
+	return d.LookupBatchOp(nil, nil, keys)
 }
 
-// LookupBatchOp is LookupBatch attributed to the operation token op.
-func (d *Dict) LookupBatchOp(op *pdm.Op, keys []pdm.Word) (sats [][]pdm.Word, oks []bool) {
+// LookupBatchOp is LookupBatch attributed as BasicDict.LookupBatchOp
+// describes; a nil op mints an anonymous client-0 token. A shared round
+// adds one ledger Op per participant, charged the rounds it rode.
+func (d *Dict) LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) (sats [][]pdm.Word, oks []bool) {
+	sats, oks = make([][]pdm.Word, len(keys)), make([]bool, len(keys))
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	d.measureOpLocked(op, obs.TagLookup, len(keys), func(op *pdm.Op) error {
-		if d.next != nil {
-			sats, oks = d.next.LookupBatchOp(op, keys)
-			var missKeys []pdm.Word
-			var missIdx []int
-			for i, ok := range oks {
-				if !ok {
-					missKeys = append(missKeys, keys[i])
-					missIdx = append(missIdx, i)
-				}
-			}
-			if len(missKeys) > 0 {
-				ms, mo := d.active.LookupBatchOp(op, missKeys)
-				for j, i := range missIdx {
-					sats[i], oks[i] = ms[j], mo[j]
-				}
-			}
+	sc := d.scratch.get()
+	defer d.scratch.put(sc)
+	d.lookupLocked(sc, op, shared, keys, sats, oks)
+	return sats, oks
+}
+
+// lookupLocked is the wrapper's one lookup body. The filling structure
+// (if a migration is in flight) answers first, and only the keys it
+// misses, with their tokens in a shared round, ride a lookup of the
+// draining structure.
+func (d *Dict) lookupLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
+	d.measureOpLocked(op, shared, obs.TagLookup, len(keys), func(op *pdm.Op) error {
+		if d.next == nil {
+			d.active.lookupInto(op, shared, keys, sats, oks)
 			return nil
 		}
-		sats, oks = d.active.LookupBatchOp(op, keys)
+		d.next.lookupInto(op, shared, keys, sats, oks)
+		sc.missKeys, sc.ops = sc.missKeys[:0], sc.ops[:0]
+		for i, ok := range oks {
+			if !ok {
+				sc.missKeys = append(sc.missKeys, keys[i])
+				if len(shared) > 0 {
+					sc.ops = append(sc.ops, shared[i])
+				}
+			}
+		}
+		n := len(sc.missKeys)
+		if n == 0 {
+			return nil
+		}
+		sc.missSats, sc.missOks = slices.Grow(sc.missSats[:0], n)[:n], slices.Grow(sc.missOks[:0], n)[:n]
+		d.active.lookupInto(op, sc.ops, sc.missKeys, sc.missSats, sc.missOks)
+		j := 0
+		for i := range oks {
+			if !oks[i] {
+				sats[i], oks[i] = sc.missSats[j], sc.missOks[j]
+				j++
+			}
+		}
+		clear(sc.ops)
 		return nil
 	})
-	return sats, oks
 }
 
 // Insert stores (x, sat), replacing any previous satellite for x.
@@ -370,7 +410,7 @@ func (d *Dict) Insert(x pdm.Word, sat []pdm.Word) error {
 func (d *Dict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.measureOpLocked(op, obs.TagInsert, 1, func(op *pdm.Op) error {
+	return d.measureOpLocked(op, nil, obs.TagInsert, 1, func(op *pdm.Op) error {
 		if d.next == nil && d.active.Len() >= d.active.Capacity() {
 			if err := d.startMigrationLocked(); err != nil {
 				return err
@@ -410,7 +450,7 @@ func (d *Dict) Delete(x pdm.Word) (present bool) {
 func (d *Dict) DeleteOp(op *pdm.Op, x pdm.Word) (present bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.measureOpLocked(op, obs.TagDelete, 1, func(op *pdm.Op) error {
+	d.measureOpLocked(op, nil, obs.TagDelete, 1, func(op *pdm.Op) error {
 		if d.next != nil && d.next.DeleteOp(op, x) {
 			present = true
 		} else {
@@ -497,4 +537,13 @@ func (d *Dict) migrateStepLocked(op *pdm.Op) {
 		d.stats.Rebuilds++
 		d.statsMu.Unlock()
 	}
+}
+
+// StepCount returns the active structure's machine step counter — the
+// deterministic logical clock the scheduler's step-budget admission
+// window runs on.
+func (d *Dict) StepCount() int64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.active.machine().StepCount()
 }

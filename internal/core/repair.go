@@ -233,20 +233,12 @@ func (bd *BasicDict) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
 // shows up under the operation that needed it. A nil op keeps the
 // legacy shared-stack attribution.
 func (bd *BasicDict) LookupTryOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool, error) {
-	bd.mu.RLock()
-	defer bd.mu.RUnlock()
-	defer bd.reg.m.OpSpan(op, obs.TagLookup)()
-	sc := bd.scratch.get()
-	defer bd.scratch.put(sc)
-	sc.one = bd.probeAddrs(sc, x, sc.one[:0])
-	flat, err := tryReadPolicy(bd.reg.m, &sc.buf, op, bd.retry, sc.one)
-	if sat, ok := bd.lookupInBlocks(sc, x, flat, nil); ok {
-		return sat, true, nil
-	}
-	if err != nil {
+	var sat [1][]pdm.Word
+	var ok [1]bool
+	if inconclusive, err := bd.lookup(op, nil, []pdm.Word{x}, sat[:], ok[:], true); inconclusive > 0 && err != nil {
 		return nil, false, fmt.Errorf("core: degraded lookup for key %d inconclusive: %w", x, err)
 	}
-	return nil, false, nil
+	return sat[0], ok[0], nil
 }
 
 // LookupTryBatch resolves many keys through the fault layer in one
@@ -261,15 +253,8 @@ func (bd *BasicDict) LookupTryBatch(keys []pdm.Word) ([][]pdm.Word, []bool, erro
 
 // LookupTryBatchOp is LookupTryBatch attributed to op.
 func (bd *BasicDict) LookupTryBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool, error) {
-	bd.mu.RLock()
-	defer bd.mu.RUnlock()
-	defer bd.reg.m.OpSpan(op, obs.TagLookup)()
-	sc := bd.scratch.get()
-	defer bd.scratch.put(sc)
-	bd.mergeProbes(sc, keys)
-	flat, err := tryReadPolicy(bd.reg.m, &sc.buf, op, bd.retry, sc.r1.addrs)
-	sats, oks, inconclusive := bd.resolveMerged(sc, keys, flat)
-	if inconclusive > 0 && err != nil {
+	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+	if inconclusive, err := bd.lookup(op, nil, keys, sats, oks, true); inconclusive > 0 && err != nil {
 		return sats, oks, fmt.Errorf("core: degraded batch lookup: %d of %d keys inconclusive: %w", inconclusive, len(keys), err)
 	}
 	return sats, oks, nil
@@ -428,32 +413,10 @@ func (op *OneProbeDict) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
 // LookupTryOp is LookupTry attributed to the operation token tok and
 // governed by the structure's retry policy.
 func (op *OneProbeDict) LookupTryOp(tok *pdm.Op, x pdm.Word) ([]pdm.Word, bool, error) {
-	op.mu.RLock()
-	defer op.mu.RUnlock()
-	defer op.m.OpSpan(tok, obs.TagLookup)()
-	sc := op.scratch.get()
-	defer op.scratch.put(sc)
-	sc.one = op.probeAddrsAllLocked(sc, x, sc.one[:0])
-	membLen := op.memb.probeLen()
-	flat, err := tryReadPolicy(op.m, &sc.buf, tok, op.retry, sc.one)
-	membSat, ok := op.memb.lookupInBlocks(sc, x, flat[:membLen], sc.memb[:0])
-	if !ok {
-		if err != nil {
-			return nil, false, fmt.Errorf("core: degraded lookup for key %d inconclusive: %w", x, err)
-		}
-		return nil, false, nil
+	var sat [1][]pdm.Word
+	var ok [1]bool
+	if inconclusive, err := op.lookup(tok, nil, []pdm.Word{x}, sat[:], ok[:], true); inconclusive > 0 && err != nil {
+		return nil, false, fmt.Errorf("core: degraded lookup for key %d inconclusive: %w", x, err)
 	}
-	level := int(membSat[0] >> 8)
-	if level >= len(op.levels) {
-		return nil, false, nil
-	}
-	blocks := flat[membLen+level*op.d : membLen+(level+1)*op.d]
-	for _, blk := range blocks {
-		if blk == nil {
-			return nil, false, fmt.Errorf("core: degraded lookup for key %d: level %d fields unavailable: %w", x, level, err)
-		}
-	}
-	head := int(membSat[0] & 0xFF)
-	sat, found := decodeChain(op.fieldBits, op.cfg.SatWords, op.fieldsOfLocked(sc, level, x, blocks), head)
-	return sat, found, nil
+	return sat[0], ok[0], nil
 }

@@ -1,16 +1,18 @@
 package core
 
 import (
+	"slices"
+
 	"pdmdict/internal/pdm"
 	"pdmdict/internal/reuse"
 )
 
 // probeScratch is the working set of one lookup call: neighbor ids,
 // probe addresses, the machine read buffer, the fragment slots the
-// in-place bucket scan files records into, and — for the batch forms —
-// the address de-duplication tables. Every lookup draws one from its
-// structure's scratchPool, so a warm lookup allocates nothing but the
-// satellite it returns.
+// in-place bucket scan files records into, and the address
+// de-duplication tables of the merged read rounds. Every lookup draws
+// one from its structure's scratchPool, so a warm lookup allocates
+// nothing but the satellite it returns.
 //
 // Ownership rule: everything in a scratch, and every block view read
 // into buf, is valid only until the scratch is released (or buf is read
@@ -24,11 +26,20 @@ type probeScratch struct {
 	frags  [][]pdm.Word // fragment index / replica rank → record data
 	memb   [1]pdm.Word  // a membership sub-dictionary's one-word satellite
 	fields [][]pdm.Word // one key's d chain fields
-	view   [][]pdm.Word // batch forms: one key's blocks, in probe order
-	r1, r2 dedup        // batch forms: first and second read round
-	deep   []deepKey    // DynamicDict batch forms: keys below A_1
-	ops    []*pdm.Op    // shared rounds: the deep keys' tokens
-	ends   []func()     // shared rounds: the participants' span closers
+	view   [][]pdm.Word // one key's blocks, in probe order
+	r1, r2 dedup        // first and second read round
+	deep   []deepKey    // DynamicDict: keys below A_1
+	ops    []*pdm.Op    // shared rounds: the later round's tokens
+	ends   []func()     // the root lookup spans' closers
+
+	// Dict: a single-key lookup's batch of one, and the keys the filling
+	// structure missed with the draining structure's answers.
+	key      [1]pdm.Word
+	sat      [1][]pdm.Word
+	ok       [1]bool
+	missKeys []pdm.Word
+	missSats [][]pdm.Word
+	missOks  []bool
 }
 
 // scratchPool is a structure's free list of probe scratches.
@@ -36,10 +47,13 @@ type scratchPool struct{ reuse.Pool[probeScratch] }
 
 func (l *scratchPool) get() *probeScratch { return l.Get() }
 
-// put parks sc for reuse. The fragment slots are dropped: on the update
-// paths they point into a caller-owned buffer the list must not pin.
+// put parks sc for reuse. The fragment slots and answers are dropped: on
+// the update paths the slots point into a caller-owned buffer, and the
+// answers are the caller's satellites, neither of which the list may pin.
 func (l *scratchPool) put(sc *probeScratch) {
 	clear(sc.frags[:cap(sc.frags)])
+	sc.sat[0] = nil
+	clear(sc.missSats)
 	l.Put(sc)
 }
 
@@ -53,12 +67,16 @@ func (sc *probeScratch) fragSlots(k int) [][]pdm.Word {
 	return sc.frags
 }
 
-// openSpans opens one root lookup span per participant of a shared
-// round; closeSpans ends them innermost first.
-func (sc *probeScratch) openSpans(m *pdm.Machine, tag string, ops []*pdm.Op) {
+// openSpans opens a lookup's root spans as the machine attributes its
+// reads: one for op, or one per participant of a shared round.
+// closeSpans ends them innermost first.
+func (sc *probeScratch) openSpans(m *pdm.Machine, tag string, op *pdm.Op, shared []*pdm.Op) {
+	if len(shared) == 0 {
+		shared = []*pdm.Op{op}
+	}
 	sc.ends = sc.ends[:0]
-	for _, op := range ops {
-		sc.ends = append(sc.ends, m.OpSpan(op, tag))
+	for _, o := range shared {
+		sc.ends = append(sc.ends, m.OpSpan(o, tag))
 	}
 }
 
@@ -67,6 +85,12 @@ func (sc *probeScratch) closeSpans() {
 		sc.ends[i]()
 		sc.ends[i] = nil
 	}
+}
+
+// hasNil reports whether a key's view lacks a block: a failed
+// degraded-mode read, which leaves a miss inconclusive.
+func hasNil(view [][]pdm.Word) bool {
+	return slices.ContainsFunc(view, func(b []pdm.Word) bool { return b == nil })
 }
 
 // dedup merges the probe addresses of many keys into one fetch list:

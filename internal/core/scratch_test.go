@@ -57,10 +57,15 @@ func TestLookupAllocationPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dict, err := NewDict(DictConfig{InitialCapacity: n, SatWords: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict.active.machine().SetParallelism(1)
 	for _, r := range recs {
 		for _, d := range []interface {
 			Insert(pdm.Word, []pdm.Word) error
-		}{basic, dynamic, oneprobe} {
+		}{basic, dynamic, oneprobe, dict} {
 			if err := d.Insert(r.Key, r.Sat); err != nil {
 				t.Fatal(err)
 			}
@@ -106,6 +111,26 @@ func TestLookupAllocationPins(t *testing.T) {
 			t.Fatal("stored key not found")
 		}
 	})
+	// The scheduler's shape: a shared round of 8 tokens costs the same as
+	// a batch of 8 hits — 8 satellites, the two result slices, and the
+	// round's closure — on Dynamic and through the Dict's routing alike.
+	shared := make([]*pdm.Op, 8)
+	for i := range shared {
+		shared[i] = pdm.MakeOp(uint64(i+1), i, 1)
+	}
+	for _, s := range []struct {
+		name   string
+		lookup func(*pdm.Op, []*pdm.Op, []pdm.Word) ([][]pdm.Word, []bool)
+	}{
+		{"Dynamic shared round×8", dynamic.LookupBatchOp},
+		{"Dict shared round×8", dict.LookupBatchOp},
+	} {
+		pinAllocs(t, s.name, 11, func() {
+			if _, oks := s.lookup(nil, shared, keys[:8]); !oks[0] || !oks[7] {
+				t.Fatal("stored keys not found")
+			}
+		})
+	}
 	// A batch of 64 hits: 64 satellites, the two result slices, and one
 	// closure per read round (Dynamic: up to two) — 1.05 objects per key.
 	for _, b := range []struct {
@@ -371,7 +396,7 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 					}
 					keep(k, sat, ok)
 				case 2:
-					sats, oks := basic.LookupBatchOp(bm.NewOp(c, len(batch)), batch)
+					sats, oks := basic.LookupBatchOp(bm.NewOp(c, len(batch)), nil, batch)
 					for i := range batch {
 						keep(batch[i], sats[i], oks[i])
 					}
@@ -379,7 +404,7 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 					sat, ok := dynamic.LookupOp(dm.NewOp(c, 1), k)
 					keep(k, sat, ok)
 				case 4:
-					sats, oks := dynamic.LookupBatchOp(dm.NewOp(c, len(batch)), batch)
+					sats, oks := dynamic.LookupBatchOp(dm.NewOp(c, len(batch)), nil, batch)
 					for i := range batch {
 						keep(batch[i], sats[i], oks[i])
 					}

@@ -8,7 +8,7 @@ import (
 
 // BatchErr enforces that the error result of every fault-aware access
 // is consulted. The machine's TryBatchRead*/TryBatchWrite* family (the
-// plain, Op, Shared and buffer-taking Into forms) returns a *pdm.BatchError
+// plain, Op and buffer-taking Into forms) returns a *pdm.BatchError
 // whose per-block entries are the only way to know which replicas
 // survived; LookupTry/ContainsTry propagate it. Discarding the error —
 // as an expression statement, in go/defer, or by assigning it to the

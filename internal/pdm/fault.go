@@ -348,19 +348,12 @@ func (m *Machine) TryBatchReadOp(op *Op, addrs []Addr) ([][]Word, error) {
 	return m.TryBatchReadInto(new(ReadBuf), op, nil, addrs)
 }
 
-// TryBatchReadShared is TryBatchRead on behalf of several operations —
-// the fault-aware counterpart of BatchReadShared, with the same merged-
-// batch accounting rule: the machine is charged once, every listed op is
-// charged the batch's full steps (stall surcharge included), blocks, and
-// fault events, and the emitted event carries the attribution list.
-func (m *Machine) TryBatchReadShared(ops []*Op, addrs []Addr) ([][]Word, error) {
-	return m.TryBatchReadInto(new(ReadBuf), nil, ops, addrs)
-}
-
-// TryBatchReadInto is the one implementation behind TryBatchRead,
-// TryBatchReadOp and TryBatchReadShared, reading into the caller's
-// buffer under BatchReadInto's ownership rule; the view of a failed
-// access is nil.
+// TryBatchReadInto is the one implementation behind TryBatchRead and
+// TryBatchReadOp, reading into the caller's buffer under BatchReadInto's
+// ownership rule; the view of a failed access is nil. op and shared
+// attribute the batch as for BatchReadInto: with an attribution list the
+// machine is charged once, and every listed op is charged the batch's
+// full steps (stall surcharge included), blocks, and fault events.
 func (m *Machine) TryBatchReadInto(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr) ([][]Word, error) {
 	out := rb.reset(len(addrs), m.cfg.B)
 	if len(addrs) == 0 {

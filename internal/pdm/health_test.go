@@ -285,6 +285,8 @@ func TestRetryPolicyDefaults(t *testing.T) {
 	}
 }
 
+// The merged-batch charging rule on the fault-aware read: a shared
+// attribution list charges the machine once and every listed op in full.
 func TestTryBatchReadSharedChargesEveryOp(t *testing.T) {
 	m := NewMachine(Config{D: 4, B: 2})
 	h := &recordingHook{}
@@ -292,9 +294,9 @@ func TestTryBatchReadSharedChargesEveryOp(t *testing.T) {
 	a := m.NewOp(1, 1)
 	b := m.NewOp(2, 1)
 	base := m.Stats()
-	_, err := m.TryBatchReadShared([]*Op{a, b}, []Addr{{Disk: 0, Block: 0}, {Disk: 1, Block: 0}})
+	_, err := m.TryBatchReadInto(new(ReadBuf), nil, []*Op{a, b}, []Addr{{Disk: 0, Block: 0}, {Disk: 1, Block: 0}})
 	if err != nil {
-		t.Fatalf("TryBatchReadShared: %v", err)
+		t.Fatalf("TryBatchReadInto: %v", err)
 	}
 	if d := m.Stats().Sub(base); d.ParallelIOs != 1 || d.BlockReads != 2 {
 		t.Errorf("machine charged %d steps %d reads, want 1 and 2 (once)", d.ParallelIOs, d.BlockReads)

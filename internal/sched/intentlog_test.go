@@ -14,7 +14,7 @@ type memBackend struct {
 
 func newMemBackend() *memBackend { return &memBackend{m: make(map[pdm.Word][]pdm.Word)} }
 
-func (b *memBackend) LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+func (b *memBackend) LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
 	sats := make([][]pdm.Word, len(keys))
 	oks := make([]bool, len(keys))
 	for i, k := range keys {

@@ -1,12 +1,13 @@
 // Package sched is the group-commit request scheduler: it sits between
 // the public dictionaries and the machine, coalescing concurrent
 // single-key lookups that arrive within an admission window into ONE
-// merged, de-duplicated probe round (core's LookupSharedOp over
-// pdm.BatchReadShared), and queuing mutations behind a checksummed
-// intent log that is group-committed — applied and flushed once per
-// window. One parallel-I/O round is thereby amortized across many
-// independent callers, while operation tokens keep per-op charges
-// exact: every participant of a merged round is charged the round's
+// merged, de-duplicated probe round (the dictionary's batch lookup,
+// LookupBatchOp, with an attribution list of one token per key), and
+// queuing mutations behind a checksummed intent log that is
+// group-committed — applied and flushed once per window. One
+// parallel-I/O round is thereby amortized across many independent
+// callers, while operation tokens keep per-op charges exact: every
+// participant of a merged round is charged the round's
 // full cost once, and the machine executes (and is charged) the round
 // once.
 //
@@ -52,10 +53,11 @@ import (
 // core.BasicDict, core.DynamicDict, and core.OneProbeDict all satisfy
 // it.
 type Backend interface {
-	// LookupSharedOp resolves keys[i] on behalf of ops[i] in merged,
-	// de-duplicated shared rounds; every op is charged each round it
-	// rides, in full, exactly once.
-	LookupSharedOp(ops []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool)
+	// LookupBatchOp resolves keys in merged, de-duplicated read rounds.
+	// The scheduler always passes a nil op and the attribution list
+	// shared, where shared[i] owns keys[i]: every token is charged each
+	// round it rides, in full, exactly once.
+	LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool)
 	// InsertOp stores (x, sat), attributed to op.
 	InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error
 	// DeleteOp removes x, attributed to op, reporting presence.
@@ -454,7 +456,7 @@ func (s *Scheduler) execute(w window) {
 		for i, r := range w.reads {
 			ops[i], keys[i] = r.op, r.key
 		}
-		sats, oks := s.be.LookupSharedOp(ops, keys)
+		sats, oks := s.be.LookupBatchOp(nil, ops, keys)
 		for i, r := range w.reads {
 			r.sat, r.ok = sats[i], oks[i]
 		}

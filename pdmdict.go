@@ -388,13 +388,13 @@ func (d *Dict) Len() int { return d.d.Len() }
 // underlying structure merges the keys' probes into shared read rounds,
 // and during a migration the draining structure is consulted only for
 // the keys the successor misses. Results align positionally with keys.
-func (d *Dict) LookupBatch(keys []Word) ([][]Word, []bool) { return d.d.LookupBatchOp(nil, keys) }
+func (d *Dict) LookupBatch(keys []Word) ([][]Word, []bool) { return d.d.LookupBatchOp(nil, nil, keys) }
 
 // LookupBatchCtx is LookupBatch attributed to the operation token c:
 // one token covers the whole batch, and the ledger amortizes its cost
 // over the batch's keys.
 func (d *Dict) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
-	return d.d.LookupBatchOp(c.Op, keys)
+	return d.d.LookupBatchOp(c.Op, nil, keys)
 }
 
 // IOStats returns the accumulated traffic under the wrapper's parallel
@@ -558,7 +558,7 @@ func (b *Basic) LookupBatch(keys []Word) ([][]Word, []bool) {
 // LookupBatchCtx is LookupBatch attributed to the operation token c:
 // one token covers the whole batch.
 func (b *Basic) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
-	return b.d.LookupBatchOp(c.Op, keys)
+	return b.d.LookupBatchOp(c.Op, nil, keys)
 }
 
 // LookupTry is the fault-aware Lookup: it goes through the machine's
@@ -853,7 +853,7 @@ func (d *Dynamic) LookupBatch(keys []Word) ([][]Word, []bool) {
 // LookupBatchCtx is LookupBatch attributed to the operation token c:
 // one token covers the whole batch.
 func (d *Dynamic) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
-	return d.d.LookupBatchOp(c.Op, keys)
+	return d.d.LookupBatchOp(c.Op, nil, keys)
 }
 
 // ---------------------------------------------------------------------
@@ -950,7 +950,7 @@ func (o *OneProbe) LookupBatch(keys []Word) ([][]Word, []bool) {
 // LookupBatchCtx is LookupBatch attributed to the operation token c:
 // one token covers the whole batch.
 func (o *OneProbe) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
-	return o.d.LookupBatchOp(c.Op, keys)
+	return o.d.LookupBatchOp(c.Op, nil, keys)
 }
 
 // ---------------------------------------------------------------------
