@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,6 +111,7 @@ func (*writeError) Error() string { return "synthetic write failure" }
 func FuzzChainCodec(f *testing.F) {
 	f.Add(uint8(5), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(20), uint8(14), []byte{})
+	f.Add(uint8(5), uint8(3), make([]byte, 64)) // 3-word fields; the tail's last two are never written
 	f.Fuzz(func(t *testing.T, dRaw, tRaw uint8, satRaw []byte) {
 		d := int(dRaw%30) + 3
 		tt := int(tRaw)%d + 1
@@ -143,13 +145,35 @@ func FuzzChainCodec(f *testing.F) {
 		}
 		fieldBits = 64 * fieldWords
 
-		contents := encodeChain(fieldBits, fieldWords, stripes, sat)
-		fields := make([][]pdm.Word, d)
-		for i := range fields {
-			fields[i] = make([]pdm.Word, fieldWords)
+		// The chain is encoded in place twice: over fields of one block
+		// filled with garbage, and over zeroed ones. The encoder must
+		// clear every field it writes — the two encodings agree on the
+		// chain — and leave every other field alone.
+		fieldsOver := func(fill func(i int) pdm.Word) [][]pdm.Word {
+			blk := make([]pdm.Word, d*fieldWords)
+			for i := range blk {
+				blk[i] = fill(i)
+			}
+			fields := make([][]pdm.Word, d)
+			for i := range fields {
+				fields[i] = blk[i*fieldWords : (i+1)*fieldWords : (i+1)*fieldWords]
+			}
+			encodeChain(fieldBits, stripes, sat, fields)
+			return fields
 		}
-		for p, s := range stripes {
-			copy(fields[s], contents[p])
+		garbage := func(i int) pdm.Word { return ^pdm.Word(i) }
+		fields := fieldsOver(garbage)
+		clean := fieldsOver(func(int) pdm.Word { return 0 })
+		p := 0
+		for i, f := range fields {
+			if p < len(stripes) && stripes[p] == i {
+				if !slices.Equal(f, clean[i]) {
+					t.Fatalf("stripe %d: chain field %x over garbage, %x over zeros", i, f, clean[i])
+				}
+				p++
+			} else if f[0] != garbage(i*fieldWords) {
+				t.Fatalf("stripe %d is not in the chain but its field changed", i)
+			}
 		}
 		got, ok := decodeChain(fieldBits, len(sat), fields, stripes[0])
 		if !ok {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"pdmdict/internal/bucket"
@@ -530,50 +531,49 @@ func (bd *BasicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	defer bd.scratch.put(sc)
 	endProbe := bd.reg.m.OpSpan(op, obs.TagProbe)
 	sc.one = bd.probeAddrs(sc, x, sc.one[:0])
-	flat := bd.reg.m.BatchReadOp(op, sc.one)
+	flat := bd.reg.m.BatchReadInto(&sc.buf, op, nil, sc.one)
 	endProbe()
-	writes, err := bd.insertWritesLocked(sc, x, sat, flat)
-	if len(writes) > 0 {
-		// Writes accompany even a failed insert of an existing key: its
-		// old fragments were removed and that removal must land.
-		bd.reg.m.BatchWriteOp(op, writes)
-	}
+	writes, err := bd.insertWritesLocked(sc, x, sat, flat, sc.writes[:0])
+	// Writes accompany even a failed insert of an existing key: its old
+	// fragments were removed and that removal must land.
+	sc.flush(bd.reg.m, op, writes)
 	return err
 }
 
 // insertWrites performs the insert decision against a pre-read
-// neighborhood (the blocks for probeAddrs(x)) and returns the block
-// writes to issue; the caller batches them, possibly together with
-// writes of its own on other disks, into one parallel I/O. The count is
-// updated as if the writes were applied.
-func (bd *BasicDict) insertWritesLocked(sc *probeScratch, x pdm.Word, sat []pdm.Word, flat [][]pdm.Word) ([]pdm.BlockWrite, error) {
+// neighborhood (the blocks for probeAddrs(x)), mutating those blocks in
+// place, and appends the block writes to issue to writes; the caller
+// batches them, possibly together with writes of its own on other disks,
+// into one parallel I/O. The count is updated as if the writes were
+// applied.
+func (bd *BasicDict) insertWritesLocked(sc *probeScratch, x pdm.Word, sat []pdm.Word, flat [][]pdm.Word, writes []pdm.BlockWrite) ([]pdm.BlockWrite, error) {
 	if len(sat) != bd.cfg.SatWords {
-		return nil, fmt.Errorf("core: satellite of %d words, config says %d", len(sat), bd.cfg.SatWords)
+		return writes, fmt.Errorf("core: satellite of %d words, config says %d", len(sat), bd.cfg.SatWords)
 	}
 	if uint64(x) >= bd.cfg.Universe {
-		return nil, fmt.Errorf("core: key %d outside universe %d", x, bd.cfg.Universe)
+		return writes, fmt.Errorf("core: key %d outside universe %d", x, bd.cfg.Universe)
 	}
 	existing, dirty := bd.removeKey(sc, x, flat)
 	if !existing && bd.n >= bd.cfg.Capacity {
-		return nil, ErrFull
+		return writes, ErrFull
 	}
 
 	// Any previous fragments of x are now removed (update semantics);
 	// run the greedy placement of Section 3 on the loads as read.
-	loads := make([]int, bd.graph.Degree())
-	for i := range loads {
-		loads[i] = bd.bucketLoad(bd.bucketOf(flat, i))
+	loads := sc.loads[:0]
+	for i := 0; i < bd.graph.Degree(); i++ {
+		loads = append(loads, bd.bucketLoad(bd.bucketOf(flat, i)))
 	}
+	sc.loads = loads
 	caps := bd.cfg.BucketBlocks * bd.codec.Capacity()
 	// Greedy least-loaded placement of Section 3. In replicate mode the
 	// K choices must be distinct stripes (= distinct disks — that is the
 	// fault-tolerance guarantee); in fragment mode repeats are allowed.
-	chosen := make([]int, 0, bd.cfg.K)
-	taken := make(map[int]bool, bd.cfg.K)
+	chosen := sc.chosen[:0]
 	for j := 0; j < bd.cfg.K; j++ {
 		best := -1
 		for i := range loads {
-			if loads[i] >= caps || (bd.cfg.Replicate && taken[i]) {
+			if loads[i] >= caps || (bd.cfg.Replicate && slices.Contains(chosen, i)) {
 				continue
 			}
 			if best == -1 || loads[i] < loads[best] {
@@ -585,17 +585,18 @@ func (bd *BasicDict) insertWritesLocked(sc *probeScratch, x pdm.Word, sat []pdm.
 			// untouched, but if x was present we have removed its
 			// fragments from the in-memory copies — return those removals
 			// as writes so the structure stays consistent (x is then gone).
+			sc.chosen = chosen
 			if existing {
 				bd.n--
 				bd.noteUpdateLocked(x, nil, 0)
-				return bd.collectWrites(sc, x, flat, dirty), ErrFull
+				return bd.collectWrites(sc, x, flat, dirty, writes), ErrFull
 			}
-			return nil, ErrFull
+			return writes, ErrFull
 		}
 		chosen = append(chosen, best)
-		taken[best] = true
 		loads[best]++
 	}
+	sc.chosen = chosen
 	var mask uint64
 	if bd.cfg.Replicate {
 		for _, s := range chosen {
@@ -603,17 +604,16 @@ func (bd *BasicDict) insertWritesLocked(sc *probeScratch, x pdm.Word, sat []pdm.
 		}
 	}
 	for j, best := range chosen {
-		var frag []pdm.Word
 		if bd.cfg.Replicate {
-			frag = bd.replica(sat, replicaRank(mask, best), mask)
+			sc.rec = bd.replica(sc.rec, sat, replicaRank(mask, best), mask)
 		} else {
-			frag = bd.fragment(sat, j)
+			sc.rec = bd.fragment(sc.rec, sat, j)
 		}
 		placed := false
 		for _, blk := range bd.bucketOf(flat, best) {
 			// AppendAlways, not Append: two fragments of x may share a
 			// bucket and must both survive.
-			if bd.codec.AppendAlways(blk, bucket.Record{Key: x, Sat: frag}) {
+			if bd.codec.AppendAlways(blk, bucket.Record{Key: x, Sat: sc.rec}) {
 				placed = true
 				break
 			}
@@ -627,14 +627,15 @@ func (bd *BasicDict) insertWritesLocked(sc *probeScratch, x pdm.Word, sat []pdm.
 		bd.n++
 	}
 	bd.noteUpdateLocked(x, sat, mask)
-	return bd.collectWrites(sc, x, flat, dirty), nil
+	return bd.collectWrites(sc, x, flat, dirty, writes), nil
 }
 
 // removeKey deletes every record of x from a pre-read neighborhood, in
 // place, and returns whether there was one plus the per-stripe dirty
-// marks (true where a bucket changed) that collectWrites consumes.
+// marks (true where a bucket changed, held in the scratch) that
+// collectWrites consumes.
 func (bd *BasicDict) removeKey(sc *probeScratch, x pdm.Word, flat [][]pdm.Word) (existing bool, dirty []bool) {
-	dirty = make([]bool, bd.graph.Degree())
+	dirty = sc.stripeMarks(bd.graph.Degree())
 	bd.findFragments(x, flat, sc.fragSlots(bd.cfg.K), dirty)
 	for i, touched := range dirty {
 		if !touched {
@@ -649,10 +650,18 @@ func (bd *BasicDict) removeKey(sc *probeScratch, x pdm.Word, flat [][]pdm.Word) 
 	return existing, dirty
 }
 
-// fragment returns fragment j of the satellite, zero-padded to
-// fragWords, prefixed by its index word.
-func (bd *BasicDict) fragment(sat []pdm.Word, j int) []pdm.Word {
-	frag := make([]pdm.Word, 1+bd.fragWords)
+// record returns dst's storage resized to one zeroed fragment record:
+// the index or tag word, then fragWords data words.
+func (bd *BasicDict) record(dst []pdm.Word) []pdm.Word {
+	rec := slices.Grow(dst[:0], 1+bd.fragWords)[:1+bd.fragWords]
+	clear(rec)
+	return rec
+}
+
+// fragment returns, in dst's storage, fragment j of the satellite,
+// zero-padded to fragWords, prefixed by its index word.
+func (bd *BasicDict) fragment(dst, sat []pdm.Word, j int) []pdm.Word {
+	frag := bd.record(dst)
 	frag[0] = pdm.Word(j)
 	lo := j * bd.fragWords
 	for i := 0; i < bd.fragWords && lo+i < len(sat); i++ {
@@ -661,22 +670,21 @@ func (bd *BasicDict) fragment(sat []pdm.Word, j int) []pdm.Word {
 	return frag
 }
 
-// replica returns a full copy of the satellite prefixed by its replica
-// tag (rank + stripe mask).
-func (bd *BasicDict) replica(sat []pdm.Word, rank int, mask uint64) []pdm.Word {
-	frag := make([]pdm.Word, 1+bd.fragWords)
+// replica returns, in dst's storage, a full copy of the satellite
+// prefixed by its replica tag (rank + stripe mask).
+func (bd *BasicDict) replica(dst, sat []pdm.Word, rank int, mask uint64) []pdm.Word {
+	frag := bd.record(dst)
 	frag[0] = replicaTag(rank, mask)
 	copy(frag[1:], sat)
 	return frag
 }
 
-// collectWrites turns the modified buckets into a write batch. With a
+// collectWrites appends the modified buckets to a write batch. With a
 // striped graph, distinct neighbors live on distinct disks, so issuing
 // the batch is one parallel I/O (times BucketBlocks); in the head model
-// any batch is.
-func (bd *BasicDict) collectWrites(sc *probeScratch, x pdm.Word, flat [][]pdm.Word, dirty []bool) []pdm.BlockWrite {
+// any batch is. The writes' data are the neighborhood's blocks.
+func (bd *BasicDict) collectWrites(sc *probeScratch, x pdm.Word, flat [][]pdm.Word, dirty []bool, writes []pdm.BlockWrite) []pdm.BlockWrite {
 	sc.ns = bd.neighbors(x, sc.ns[:0])
-	var writes []pdm.BlockWrite
 	for i, y := range sc.ns {
 		if !dirty[i] {
 			continue
@@ -689,7 +697,7 @@ func (bd *BasicDict) collectWrites(sc *probeScratch, x pdm.Word, flat [][]pdm.Wo
 			// sorted sequential packing of its record set, so its blocks
 			// are a pure function of the records — the property Repair's
 			// bit-identical reconstruction rests on.
-			blocks = bd.canonicalBlocks(blocks)
+			bd.canonicalize(sc, blocks)
 		}
 		for b, blk := range blocks {
 			writes = append(writes, pdm.BlockWrite{Addr: bd.reg.addr(disk, base+b), Data: blk})
@@ -712,26 +720,24 @@ func (bd *BasicDict) DeleteOp(op *pdm.Op, x pdm.Word) bool {
 	sc := bd.scratch.get()
 	defer bd.scratch.put(sc)
 	sc.one = bd.probeAddrs(sc, x, sc.one[:0])
-	flat := bd.reg.m.BatchReadOp(op, sc.one)
-	writes, ok := bd.deleteWritesLocked(sc, x, flat)
-	if len(writes) > 0 {
-		bd.reg.m.BatchWriteOp(op, writes)
-	}
+	flat := bd.reg.m.BatchReadInto(&sc.buf, op, nil, sc.one)
+	writes, ok := bd.deleteWritesLocked(sc, x, flat, sc.writes[:0])
+	sc.flush(bd.reg.m, op, writes)
 	return ok
 }
 
 // deleteWrites performs the delete decision against a pre-read
-// neighborhood and returns the block writes to issue (batched by the
-// caller) plus whether the key was present. The count is updated as if
-// the writes were applied.
-func (bd *BasicDict) deleteWritesLocked(sc *probeScratch, x pdm.Word, flat [][]pdm.Word) ([]pdm.BlockWrite, bool) {
+// neighborhood and appends the block writes to issue (batched by the
+// caller) to writes, reporting whether the key was present. The count is
+// updated as if the writes were applied.
+func (bd *BasicDict) deleteWritesLocked(sc *probeScratch, x pdm.Word, flat [][]pdm.Word, writes []pdm.BlockWrite) ([]pdm.BlockWrite, bool) {
 	existing, dirty := bd.removeKey(sc, x, flat)
 	if !existing {
-		return nil, false
+		return writes, false
 	}
 	bd.n--
 	bd.noteUpdateLocked(x, nil, 0)
-	return bd.collectWrites(sc, x, flat, dirty), true
+	return bd.collectWrites(sc, x, flat, dirty, writes), true
 }
 
 // MaxLoad scans the structure (without accounting I/O; diagnostics only)

@@ -104,9 +104,9 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 			out[0] = pdm.Word(brow*nDisks + disk)
 			out[1] = r.Key
 			if bd.cfg.Replicate {
-				copy(out[2:], bd.replica(r.Sat, replicaRank(mask, i), mask))
+				bd.replica(out[2:], r.Sat, replicaRank(mask, i), mask)
 			} else {
-				copy(out[2:], bd.fragment(r.Sat, j))
+				bd.fragment(out[2:], r.Sat, j)
 			}
 			app.Append(out)
 		}
@@ -120,6 +120,8 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 	// block row (the buckets of one row live on distinct disks).
 	curRow := -1
 	blocks := make(map[int][][]pdm.Word) // disk → the bucket's blocks
+	sc := bd.scratch.get()
+	defer bd.scratch.put(sc)
 	flush := func() {
 		if curRow < 0 {
 			return
@@ -136,7 +138,7 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 			if bd.cfg.Replicate {
 				// The canonical sorted layout every replicate-mode write
 				// keeps (see collectWrites), so Repair stays bit-identical.
-				blks = bd.canonicalBlocks(blks)
+				bd.canonicalize(sc, blks)
 			}
 			for b, blk := range blks {
 				writes = append(writes, pdm.BlockWrite{Addr: bd.reg.addr(disk, base+b), Data: blk})

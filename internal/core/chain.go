@@ -22,21 +22,20 @@ func chainFieldBits(sigmaBits, t, d int) int {
 }
 
 // encodeChain lays the satellite out over the chosen stripes (strictly
-// increasing) and returns one fieldWords-sized content slice per stripe.
-func encodeChain(fieldBits, fieldWords int, stripes []int, sat []pdm.Word) [][]pdm.Word {
-	sw := bitpack.NewWriter()
-	for _, s := range sat {
-		sw.WriteBits(s, 64)
-	}
-	satBits := bitpack.NewReader(sw.Words(), sw.Len())
-
-	out := make([][]pdm.Word, len(stripes))
-	for p := range stripes {
-		w := bitpack.NewWriter()
+// increasing), in place: fields holds the key's field for every stripe,
+// indexed by stripe, and each chosen stripe's field is cleared and
+// rewritten while the others are left alone. The fields are the block
+// slices an update writes back, so the chain costs no copy.
+func encodeChain(fieldBits int, stripes []int, sat []pdm.Word, fields [][]pdm.Word) {
+	satBits := bitpack.NewReader(sat, 64*len(sat))
+	for p, s := range stripes {
+		field := fields[s]
+		clear(field)
+		w := bitpack.NewWriterOver(field)
 		w.WriteBits(1, 1) // used flag
 		diff := 0
 		if p < len(stripes)-1 {
-			diff = stripes[p+1] - stripes[p]
+			diff = stripes[p+1] - s
 		}
 		w.WriteUnary(diff)
 		take := satBits.Remaining()
@@ -51,14 +50,10 @@ func encodeChain(fieldBits, fieldWords int, stripes []int, sat []pdm.Word) [][]p
 			w.WriteBits(satBits.ReadBits(c), c)
 			take -= c
 		}
-		content := make([]pdm.Word, fieldWords)
-		copy(content, w.Words())
-		out[p] = content
 	}
 	if satBits.Remaining() > 0 {
 		panic("core: chain capacity arithmetic failed to fit the satellite")
 	}
-	return out
 }
 
 // decodeChain reads a satellite of satWords words back out of the d
@@ -105,3 +100,14 @@ func decodeChain(fieldBits, satWords int, fields [][]pdm.Word, head int) ([]pdm.
 
 // fieldUsed reports whether a chain field's used flag is set.
 func fieldUsed(field []pdm.Word) bool { return len(field) > 0 && field[0]&1 == 1 }
+
+// freeFields appends to dst the stripes whose field is unused, in stripe
+// order.
+func freeFields(fields [][]pdm.Word, dst []int) []int {
+	for i, f := range fields {
+		if !fieldUsed(f) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}

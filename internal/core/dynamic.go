@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"pdmdict/internal/bitpack"
@@ -261,7 +262,7 @@ func (dd *DynamicDict) fieldsOf(sc *probeScratch, lv *dynLevel, x pdm.Word, bloc
 	for i := 0; i < dd.d; i++ {
 		j := lv.graph.StripeNeighbor(uint64(x), i)
 		slot := (j % dd.fieldsPerBlock) * dd.fieldWords
-		sc.fields = append(sc.fields, blocks[i][slot:slot+dd.fieldWords])
+		sc.fields = append(sc.fields, blocks[i][slot:slot+dd.fieldWords:slot+dd.fieldWords])
 	}
 	return sc.fields
 }
@@ -408,23 +409,24 @@ func (dd *DynamicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	sc := dd.scratch.get()
 	defer dd.scratch.put(sc)
 
-	// First parallel I/O: membership + A_1.
+	// First parallel I/O: membership + A_1. Its blocks are written back
+	// by the final batch, so a deeper level is read into buf2.
 	sc.one = dd.probe1Locked(sc, x, sc.one[:0])
 	membLen := dd.memb.probeLen()
-	flat := dd.m.BatchReadOp(op, sc.one)
+	flat := dd.m.BatchReadInto(&sc.buf, op, nil, sc.one)
 	membBlocks := flat[:membLen]
 
-	var writes []pdm.BlockWrite
+	writes := sc.writes[:0]
 	if membSat, present := dd.memb.lookupInBlocks(sc, x, membBlocks, sc.memb[:0]); present {
 		// Update: release the old chain first. If it lives at level 0
 		// the clears mutate the blocks already in hand and join the
 		// final write batch; a deeper chain is cleared with its own
 		// read+write (rare — a ≤ Ratio fraction of keys).
-		releaseWrites, oldLevel := dd.releaseChainLocked(sc, op, x, membSat, flat[membLen:])
-		if oldLevel == 0 {
-			writes = append(writes, releaseWrites...)
-		} else if len(releaseWrites) > 0 {
-			dd.m.BatchWriteOp(op, releaseWrites)
+		var oldLevel int
+		writes, oldLevel = dd.releaseChainLocked(sc, op, x, membSat, flat[membLen:], writes)
+		if oldLevel != 0 {
+			sc.flush(dd.m, op, writes)
+			writes = writes[:0]
 		}
 	} else if dd.n >= dd.cfg.Capacity {
 		return ErrFull
@@ -435,37 +437,39 @@ func (dd *DynamicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	for li := range dd.levels {
 		lv := &dd.levels[li]
 		if li > 0 {
-			levelBlocks = dd.m.BatchReadOp(op, dd.levelAddrs(lv, x, nil))
+			sc.one = dd.levelAddrs(lv, x, sc.one[:0])
+			levelBlocks = dd.m.BatchReadInto(&sc.buf2, op, nil, sc.one)
 		}
-		free := dd.freeStripes(sc, lv, x, levelBlocks)
-		if len(free) < dd.t {
+		fields := dd.fieldsOf(sc, lv, x, levelBlocks)
+		sc.free = freeFields(fields, sc.free[:0])
+		if len(sc.free) < dd.t {
 			continue
 		}
-		free = free[:dd.t]
-		contents := encodeChain(dd.fieldBits, dd.fieldWords, free, sat)
-		for p, stripe := range free {
+		free := sc.free[:dd.t]
+		mark := len(writes)
+		for _, stripe := range free {
 			j := lv.graph.StripeNeighbor(uint64(x), stripe)
-			blk := levelBlocks[stripe]
-			copy(blk[(j%dd.fieldsPerBlock)*dd.fieldWords:], contents[p])
 			writes = append(writes, pdm.BlockWrite{
 				Addr: dd.arr.addr(stripe, lv.block0+j/dd.fieldsPerBlock),
-				Data: blk,
+				Data: levelBlocks[stripe],
 			})
 		}
 		// Membership entry: head | level<<8, batched into the same
 		// final write (membership disks are disjoint from the array
-		// disks, so the whole batch is one parallel I/O).
+		// disks, so the whole batch is one parallel I/O). The chain is
+		// encoded only once the entry is placed: a refused entry leaves
+		// the level's fields free.
+		sc.memb[0] = pdm.Word(free[0]) | pdm.Word(li)<<8
+		var err error
 		dd.memb.mu.Lock()
-		membWrites, err := dd.memb.insertWritesLocked(sc, x, []pdm.Word{pdm.Word(free[0]) | pdm.Word(li)<<8}, membBlocks)
+		writes, err = dd.memb.insertWritesLocked(sc, x, sc.memb[:], membBlocks, writes)
 		dd.memb.mu.Unlock()
 		if err != nil {
-			if len(writes) > 0 {
-				dd.m.BatchWriteOp(op, dedupeWrites(writes))
-			}
+			sc.flush(dd.m, op, slices.Delete(writes, mark, mark+len(free)))
 			return err
 		}
-		writes = append(writes, membWrites...)
-		dd.m.BatchWriteOp(op, dedupeWrites(writes))
+		encodeChain(dd.fieldBits, free, sat, fields)
+		sc.flush(dd.m, op, writes)
 		lv.count++
 		dd.n++
 		return nil
@@ -474,52 +478,35 @@ func (dd *DynamicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	// the membership entry so a failed update leaves x consistently
 	// absent rather than pointing at a cleared chain.
 	dd.memb.mu.Lock()
-	membWrites, _ := dd.memb.deleteWritesLocked(sc, x, membBlocks)
+	writes, _ = dd.memb.deleteWritesLocked(sc, x, membBlocks, writes)
 	dd.memb.mu.Unlock()
-	writes = append(writes, membWrites...)
-	if len(writes) > 0 {
-		dd.m.BatchWriteOp(op, dedupeWrites(writes))
-	}
+	sc.flush(dd.m, op, writes)
 	return ErrFull
 }
 
-// freeStripes returns the stripes whose field for x is unused at this
-// level, in stripe order.
-func (dd *DynamicDict) freeStripes(sc *probeScratch, lv *dynLevel, x pdm.Word, blocks [][]pdm.Word) []int {
-	fields := dd.fieldsOf(sc, lv, x, blocks)
-	free := make([]int, 0, dd.d)
-	for i, f := range fields {
-		if !fieldUsed(f) {
-			free = append(free, i)
-		}
-	}
-	return free
-}
-
-// releaseChain clears x's chain fields at its resident level and returns
-// the block writes plus that level. Level-0 blocks are supplied by the
-// caller (already read) and are mutated in place; deeper levels cost one
-// extra read batch. Membership is NOT touched; callers either rewrite
-// the entry (update) or delete it (Delete) in their own batch.
-func (dd *DynamicDict) releaseChainLocked(sc *probeScratch, op *pdm.Op, x pdm.Word, membSat []pdm.Word, level0Blocks [][]pdm.Word) ([]pdm.BlockWrite, int) {
+// releaseChain clears x's chain fields at its resident level, appends
+// their block writes to writes, and returns the list plus that level.
+// Level-0 blocks are supplied by the caller (already read) and are
+// mutated in place; deeper levels cost one extra read batch, into buf2.
+// Membership is NOT touched; callers either rewrite the entry (update)
+// or delete it (Delete) in their own batch.
+func (dd *DynamicDict) releaseChainLocked(sc *probeScratch, op *pdm.Op, x pdm.Word, membSat []pdm.Word, level0Blocks [][]pdm.Word, writes []pdm.BlockWrite) ([]pdm.BlockWrite, int) {
 	head := int(membSat[0] & 0xFF)
 	level := int(membSat[0] >> 8)
 	if level >= len(dd.levels) {
-		return nil, level
+		return writes, level
 	}
 	lv := &dd.levels[level]
 	blocks := level0Blocks
 	if level > 0 {
-		blocks = dd.m.BatchReadOp(op, dd.levelAddrs(lv, x, nil))
+		sc.one = dd.levelAddrs(lv, x, sc.one[:0])
+		blocks = dd.m.BatchReadInto(&sc.buf2, op, nil, sc.one)
 	}
 	fields := dd.fieldsOf(sc, lv, x, blocks)
-	var writes []pdm.BlockWrite
 	cur := head
 	for cur >= 0 && cur < dd.d && fieldUsed(fields[cur]) {
 		diff := chainDiff(fields[cur], dd.fieldBits)
-		for i := range fields[cur] {
-			fields[cur][i] = 0
-		}
+		clear(fields[cur])
 		j := lv.graph.StripeNeighbor(uint64(x), cur)
 		writes = append(writes, pdm.BlockWrite{
 			Addr: dd.arr.addr(cur, lv.block0+j/dd.fieldsPerBlock),
@@ -532,7 +519,7 @@ func (dd *DynamicDict) releaseChainLocked(sc *probeScratch, op *pdm.Op, x pdm.Wo
 	}
 	lv.count--
 	dd.n--
-	return dedupeWrites(writes), level
+	return writes, level
 }
 
 // Delete removes x and reports whether it was present. Cost: one read
@@ -550,35 +537,15 @@ func (dd *DynamicDict) DeleteOp(op *pdm.Op, x pdm.Word) bool {
 	defer dd.scratch.put(sc)
 	sc.one = dd.probe1Locked(sc, x, sc.one[:0])
 	membLen := dd.memb.probeLen()
-	flat := dd.m.BatchReadOp(op, sc.one)
+	flat := dd.m.BatchReadInto(&sc.buf, op, nil, sc.one)
 	membSat, ok := dd.memb.lookupInBlocks(sc, x, flat[:membLen], sc.memb[:0])
 	if !ok {
 		return false
 	}
-	writes, _ := dd.releaseChainLocked(sc, op, x, membSat, flat[membLen:])
+	writes, _ := dd.releaseChainLocked(sc, op, x, membSat, flat[membLen:], sc.writes[:0])
 	dd.memb.mu.Lock()
-	membWrites, _ := dd.memb.deleteWritesLocked(sc, x, flat[:membLen])
+	writes, _ = dd.memb.deleteWritesLocked(sc, x, flat[:membLen], writes)
 	dd.memb.mu.Unlock()
-	writes = append(writes, membWrites...)
-	if len(writes) > 0 {
-		dd.m.BatchWriteOp(op, dedupeWrites(writes))
-	}
+	sc.flush(dd.m, op, writes)
 	return true
-}
-
-// dedupeWrites keeps only the last write to each address, preserving
-// order otherwise. Updates touching the same block twice (release +
-// re-place) must not resurrect stale contents.
-func dedupeWrites(writes []pdm.BlockWrite) []pdm.BlockWrite {
-	last := make(map[pdm.Addr]int, len(writes))
-	for i, w := range writes {
-		last[w.Addr] = i
-	}
-	out := writes[:0]
-	for i, w := range writes {
-		if last[w.Addr] == i {
-			out = append(out, w)
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"pdmdict/internal/expander"
@@ -236,19 +237,19 @@ func (op *OneProbeDict) probeAddrsAllLocked(sc *probeScratch, x pdm.Word, dst []
 // probeWidth is the number of blocks probeAddrsAll contributes per key.
 func (op *OneProbeDict) probeWidthLocked() int { return op.memb.probeLen() + len(op.levels)*op.d }
 
-// probe reads, in ONE parallel I/O, the membership neighborhood and
-// every level's field blocks for x. The returned slices alias the batch
-// result: memb blocks first, then d blocks per level.
-func (op *OneProbeDict) probeLocked(sc *probeScratch, tok *pdm.Op, x pdm.Word) (membBlocks [][]pdm.Word, levelBlocks [][][]pdm.Word) {
+// probeLocked reads, in ONE parallel I/O into the scratch's buffer, the
+// membership neighborhood and every level's field blocks for x: memb
+// blocks first, then d blocks per level (see levelBlocks).
+func (op *OneProbeDict) probeLocked(sc *probeScratch, tok *pdm.Op, x pdm.Word) [][]pdm.Word {
 	sc.one = op.probeAddrsAllLocked(sc, x, sc.one[:0])
-	flat := op.m.BatchReadOp(tok, sc.one)
-	membLen := op.memb.probeLen()
-	membBlocks = flat[:membLen]
-	levelBlocks = make([][][]pdm.Word, len(op.levels))
-	for li := range op.levels {
-		levelBlocks[li] = flat[membLen+li*op.d : membLen+(li+1)*op.d]
-	}
-	return membBlocks, levelBlocks
+	return op.m.BatchReadInto(&sc.buf, tok, nil, sc.one)
+}
+
+// levelBlocks returns level li's d field blocks out of a probe's flat
+// block list.
+func (op *OneProbeDict) levelBlocks(flat [][]pdm.Word, li int) [][]pdm.Word {
+	lo := op.memb.probeLen() + li*op.d
+	return flat[lo : lo+op.d]
 }
 
 // lookupInFlat resolves x against a pre-fetched probe (the blocks for
@@ -267,7 +268,7 @@ func (op *OneProbeDict) lookupInFlatLocked(sc *probeScratch, x pdm.Word, flat []
 	if level >= len(op.levels) {
 		return nil, false, false
 	}
-	blocks := flat[membLen+level*op.d : membLen+(level+1)*op.d]
+	blocks := op.levelBlocks(flat, level)
 	if hasNil(blocks) {
 		return nil, false, true
 	}
@@ -333,7 +334,7 @@ func (op *OneProbeDict) fieldsOfLocked(sc *probeScratch, li int, x pdm.Word, blo
 	for i := 0; i < op.d; i++ {
 		j := lv.graph.StripeNeighbor(uint64(x), i)
 		slot := (j % op.fieldsPerBlock) * op.fieldWords
-		sc.fields = append(sc.fields, blocks[i][slot:slot+op.fieldWords])
+		sc.fields = append(sc.fields, blocks[i][slot:slot+op.fieldWords:slot+op.fieldWords])
 	}
 	return sc.fields
 }
@@ -377,50 +378,47 @@ func (op *OneProbeDict) InsertOp(tok *pdm.Op, x pdm.Word, sat []pdm.Word) error 
 	defer op.m.OpSpan(tok, obs.TagInsert)()
 	sc := op.scratch.get()
 	defer op.scratch.put(sc)
-	membBlocks, levelBlocks := op.probeLocked(sc, tok, x)
+	flat := op.probeLocked(sc, tok, x)
+	membBlocks := flat[:op.memb.probeLen()]
 
-	var writes []pdm.BlockWrite
+	writes := sc.writes[:0]
 	if membSat, present := op.memb.lookupInBlocks(sc, x, membBlocks, sc.memb[:0]); present {
 		// Release the old chain in the in-hand blocks.
-		writes = append(writes, op.releaseInBlocksLocked(sc, x, membSat, levelBlocks)...)
+		writes = op.releaseInBlocksLocked(sc, x, membSat, flat, writes)
 	} else if op.n >= op.cfg.Capacity {
 		return ErrFull
 	}
 
 	for li := range op.levels {
-		fields := op.fieldsOfLocked(sc, li, x, levelBlocks[li])
-		free := make([]int, 0, op.d)
-		for i, f := range fields {
-			if !fieldUsed(f) {
-				free = append(free, i)
-			}
-		}
-		if len(free) < op.t {
+		blocks := op.levelBlocks(flat, li)
+		fields := op.fieldsOfLocked(sc, li, x, blocks)
+		sc.free = freeFields(fields, sc.free[:0])
+		if len(sc.free) < op.t {
 			continue
 		}
-		free = free[:op.t]
-		contents := encodeChain(op.fieldBits, op.fieldWords, free, sat)
+		free := sc.free[:op.t]
 		lv := &op.levels[li]
-		for p, stripe := range free {
+		mark := len(writes)
+		for _, stripe := range free {
 			j := lv.graph.StripeNeighbor(uint64(x), stripe)
-			blk := levelBlocks[li][stripe]
-			copy(blk[(j%op.fieldsPerBlock)*op.fieldWords:], contents[p])
 			writes = append(writes, pdm.BlockWrite{
 				Addr: lv.reg.addr(stripe, j/op.fieldsPerBlock),
-				Data: blk,
+				Data: blocks[stripe],
 			})
 		}
+		// As in DynamicDict: the chain is encoded only once the
+		// membership entry is placed.
+		sc.memb[0] = pdm.Word(free[0]) | pdm.Word(li)<<8
+		var err error
 		op.memb.mu.Lock()
-		membWrites, err := op.memb.insertWritesLocked(sc, x, []pdm.Word{pdm.Word(free[0]) | pdm.Word(li)<<8}, membBlocks)
+		writes, err = op.memb.insertWritesLocked(sc, x, sc.memb[:], membBlocks, writes)
 		op.memb.mu.Unlock()
 		if err != nil {
-			if len(writes) > 0 {
-				op.m.BatchWriteOp(tok, dedupeWrites(writes))
-			}
+			sc.flush(op.m, tok, slices.Delete(writes, mark, mark+len(free)))
 			return err
 		}
-		writes = append(writes, membWrites...)
-		op.m.BatchWriteOp(tok, dedupeWrites(writes)) // the second (and last) parallel I/O
+		encodeChain(op.fieldBits, free, sat, fields)
+		sc.flush(op.m, tok, writes) // the second (and last) parallel I/O
 		lv.count++
 		op.n++
 		return nil
@@ -428,36 +426,32 @@ func (op *OneProbeDict) InsertOp(tok *pdm.Op, x pdm.Word, sat []pdm.Word) error 
 	// The open problem's sting: no level fits. Leave the key consistently
 	// absent; a caller-level rebuild is the (non-constant) recourse.
 	op.memb.mu.Lock()
-	membWrites, _ := op.memb.deleteWritesLocked(sc, x, membBlocks)
+	writes, _ = op.memb.deleteWritesLocked(sc, x, membBlocks, writes)
 	op.memb.mu.Unlock()
-	writes = append(writes, membWrites...)
-	if len(writes) > 0 {
-		op.m.BatchWriteOp(tok, dedupeWrites(writes))
-	}
+	sc.flush(op.m, tok, writes)
 	return ErrFull
 }
 
-// releaseInBlocks clears x's chain using the pre-fetched level blocks
-// (every level is in hand, so no extra I/O regardless of depth).
-func (op *OneProbeDict) releaseInBlocksLocked(sc *probeScratch, x pdm.Word, membSat []pdm.Word, levelBlocks [][][]pdm.Word) []pdm.BlockWrite {
+// releaseInBlocks clears x's chain using the pre-fetched probe (every
+// level is in hand, so no extra I/O regardless of depth) and appends the
+// block writes to writes.
+func (op *OneProbeDict) releaseInBlocksLocked(sc *probeScratch, x pdm.Word, membSat []pdm.Word, flat [][]pdm.Word, writes []pdm.BlockWrite) []pdm.BlockWrite {
 	head := int(membSat[0] & 0xFF)
 	level := int(membSat[0] >> 8)
 	if level >= len(op.levels) {
-		return nil
+		return writes
 	}
 	lv := &op.levels[level]
-	fields := op.fieldsOfLocked(sc, level, x, levelBlocks[level])
-	var writes []pdm.BlockWrite
+	blocks := op.levelBlocks(flat, level)
+	fields := op.fieldsOfLocked(sc, level, x, blocks)
 	cur := head
 	for cur >= 0 && cur < op.d && fieldUsed(fields[cur]) {
 		diff := chainDiff(fields[cur], op.fieldBits)
-		for i := range fields[cur] {
-			fields[cur][i] = 0
-		}
+		clear(fields[cur])
 		j := lv.graph.StripeNeighbor(uint64(x), cur)
 		writes = append(writes, pdm.BlockWrite{
 			Addr: lv.reg.addr(cur, j/op.fieldsPerBlock),
-			Data: levelBlocks[level][cur],
+			Data: blocks[cur],
 		})
 		if diff == 0 {
 			break
@@ -466,7 +460,7 @@ func (op *OneProbeDict) releaseInBlocksLocked(sc *probeScratch, x pdm.Word, memb
 	}
 	lv.count--
 	op.n--
-	return dedupeWrites(writes)
+	return writes
 }
 
 // Delete removes x in exactly two parallel I/Os, reporting whether it
@@ -482,18 +476,16 @@ func (op *OneProbeDict) DeleteOp(tok *pdm.Op, x pdm.Word) bool {
 	defer op.m.OpSpan(tok, obs.TagDelete)()
 	sc := op.scratch.get()
 	defer op.scratch.put(sc)
-	membBlocks, levelBlocks := op.probeLocked(sc, tok, x)
+	flat := op.probeLocked(sc, tok, x)
+	membBlocks := flat[:op.memb.probeLen()]
 	membSat, ok := op.memb.lookupInBlocks(sc, x, membBlocks, sc.memb[:0])
 	if !ok {
 		return false
 	}
-	writes := op.releaseInBlocksLocked(sc, x, membSat, levelBlocks)
+	writes := op.releaseInBlocksLocked(sc, x, membSat, flat, sc.writes[:0])
 	op.memb.mu.Lock()
-	membWrites, _ := op.memb.deleteWritesLocked(sc, x, membBlocks)
+	writes, _ = op.memb.deleteWritesLocked(sc, x, membBlocks, writes)
 	op.memb.mu.Unlock()
-	writes = append(writes, membWrites...)
-	if len(writes) > 0 {
-		op.m.BatchWriteOp(tok, dedupeWrites(writes))
-	}
+	sc.flush(op.m, tok, writes)
 	return true
 }

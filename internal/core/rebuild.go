@@ -497,6 +497,8 @@ func (d *Dict) migrateStepLocked(op *pdm.Op) {
 	// performed the migration work, exactly as the amortization argument
 	// charges it.
 	defer d.active.machine().OpSpan(op, obs.TagRebuild)()
+	sc := d.scratch.get()
+	defer d.scratch.put(sc)
 	memb := d.active.membership()
 	moved, probes := 0, 0
 	for moved < d.cfg.MigrateBatch && probes < 4*d.cfg.MigrateBatch && d.active.Len() > 0 {
@@ -504,13 +506,12 @@ func (d *Dict) migrateStepLocked(op *pdm.Op) {
 		if d.curBucket >= memb.Buckets() {
 			break // cursor exhausted; remaining keys were deleted concurrently
 		}
-		addrs := memb.bucketAddrs(d.curBucket, nil)
-		blocks := memb.reg.m.BatchReadOp(op, addrs)
+		sc.one = memb.bucketAddrs(d.curBucket, sc.one[:0])
 		var key pdm.Word
 		found := false
-		for _, blk := range blocks {
-			if recs := memb.codec.Decode(blk); len(recs) > 0 {
-				key = recs[0].Key
+		for _, blk := range memb.reg.m.BatchReadInto(&sc.buf, op, nil, sc.one) {
+			if memb.codec.Count(blk) > 0 {
+				key = blk[1] // the first record's key follows the count word
 				found = true
 				break
 			}

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pdmdict/internal/bucket"
 	"pdmdict/internal/obs"
@@ -169,49 +170,62 @@ func tryWritePolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, writes []pd
 	return err
 }
 
-// canonicalBlocks re-encodes a bucket's blocks into the canonical
+// canonicalize rewrites a bucket's blocks, in place, into the canonical
 // layout: records sorted by (key, tag word), packed sequentially from
-// block 0. Canonical blocks are a pure function of the record set, so
-// two encodings of the same records are bit-identical — the invariant
-// replica-based repair depends on. Nil blocks contribute no records.
-func (bd *BasicDict) canonicalBlocks(blocks [][]pdm.Word) [][]pdm.Word {
-	var recs []bucket.Record
+// block 0, the rest of every block zero. Canonical blocks are a pure
+// function of the record set, so two encodings of the same records are
+// bit-identical — the invariant replica-based repair depends on. The
+// records are staged in the scratch while the blocks are rewritten.
+func (bd *BasicDict) canonicalize(sc *probeScratch, blocks [][]pdm.Word) {
+	rw := bd.codec.RecordWords()
+	recs := sc.canon[:0]
 	for _, blk := range blocks {
-		if blk == nil {
-			continue
+		recs = append(recs, blk[1:1+bd.codec.Count(blk)*rw]...)
+	}
+	sc.canon = recs
+	n := len(recs) / rw
+	order := sc.order[:0]
+	for i := 0; i < n; i++ {
+		order = append(order, int32(i*rw))
+	}
+	sc.order = order
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(recs[a], recs[b]); c != 0 {
+			return c
 		}
-		for _, r := range bd.codec.Decode(blk) {
-			recs = append(recs, bucket.Record{Key: r.Key, Sat: append([]pdm.Word(nil), r.Sat...)})
+		return cmp.Compare(recs[a+1], recs[b+1])
+	})
+	per := bd.codec.Capacity()
+	for b, blk := range blocks {
+		lo := min(b*per, n)
+		hi := min(lo+per, n)
+		clear(blk)
+		blk[0] = pdm.Word(hi - lo)
+		for i, off := range order[lo:hi] {
+			copy(blk[1+i*rw:], recs[off:int(off)+rw])
 		}
 	}
-	return bd.encodeCanonical(recs, len(blocks))
 }
 
 // encodeCanonical lays a record set out canonically over nBlocks fresh
 // blocks.
 func (bd *BasicDict) encodeCanonical(recs []bucket.Record, nBlocks int) [][]pdm.Word {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Key != recs[j].Key {
-			return recs[i].Key < recs[j].Key
-		}
-		return recs[i].Sat[0] < recs[j].Sat[0]
-	})
-	per := bd.codec.Capacity()
-	if len(recs) > nBlocks*per {
-		panic(fmt.Sprintf("core: %d records exceed bucket capacity %d", len(recs), nBlocks*per))
-	}
 	out := make([][]pdm.Word, nBlocks)
 	for b := range out {
-		lo := b * per
-		if lo > len(recs) {
-			lo = len(recs)
-		}
-		hi := lo + per
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		out[b] = bd.codec.Encode(recs[lo:hi])
+		out[b] = make([]pdm.Word, bd.codec.B)
 	}
+	b := 0
+	for _, r := range recs {
+		for b < nBlocks && !bd.codec.AppendAlways(out[b], r) {
+			b++
+		}
+		if b == nBlocks {
+			panic(fmt.Sprintf("core: %d records exceed bucket capacity %d", len(recs), nBlocks*bd.codec.Capacity()))
+		}
+	}
+	sc := bd.scratch.get()
+	defer bd.scratch.put(sc)
+	bd.canonicalize(sc, out)
 	return out
 }
 

@@ -7,22 +7,27 @@ import (
 	"pdmdict/internal/reuse"
 )
 
-// probeScratch is the working set of one lookup call: neighbor ids,
-// probe addresses, the machine read buffer, the fragment slots the
-// in-place bucket scan files records into, and the address
-// de-duplication tables of the merged read rounds. Every lookup draws
-// one from its structure's scratchPool, so a warm lookup allocates
-// nothing but the satellite it returns.
+// probeScratch is the working set of one lookup or update call: neighbor
+// ids, probe addresses, the machine read buffers, the fragment slots the
+// in-place bucket scan files records into, the address de-duplication
+// tables of the merged read rounds, and an update's placement state and
+// write list. Every call draws one from its structure's scratchPool, so a
+// warm lookup allocates nothing but the satellite it returns and a warm
+// update nothing at all.
 //
 // Ownership rule: everything in a scratch, and every block view read
-// into buf, is valid only until the scratch is released (or buf is read
-// into again). Nothing handed back to a caller may alias it — results
-// are always copies — and the addresses passed to the machine are, as
-// for any batch, only promised to hooks for the duration of the call.
+// into buf or buf2, is valid only until the scratch is released (or the
+// buffer is read into again). Nothing handed back to a caller may alias
+// it — results are always copies — and the addresses passed to the
+// machine are, as for any batch, only promised to hooks for the duration
+// of the call. An update's writes point into the read buffers: it
+// mutates the blocks it read in place and the machine copies them into
+// the shards during the write call.
 type probeScratch struct {
 	ns     []int        // neighbor ids of the key being probed
 	one    []pdm.Addr   // one key's probe addresses, in probe order
 	buf    pdm.ReadBuf  // blocks of the round in flight
+	buf2   pdm.ReadBuf  // DynamicDict updates: a level below A_1, read while round one's blocks still await the write
 	frags  [][]pdm.Word // fragment index / replica rank → record data
 	memb   [1]pdm.Word  // a membership sub-dictionary's one-word satellite
 	fields [][]pdm.Word // one key's d chain fields
@@ -31,6 +36,18 @@ type probeScratch struct {
 	deep   []deepKey    // DynamicDict: keys below A_1
 	ops    []*pdm.Op    // shared rounds: the later round's tokens
 	ends   []func()     // the root lookup spans' closers
+
+	// Updates: the one write list, BasicDict's greedy placement (loads,
+	// chosen stripes, changed buckets, one record, a canonical bucket's
+	// records and their order), and the free fields of a chain level.
+	writes []pdm.BlockWrite
+	loads  []int
+	chosen []int
+	dirty  []bool
+	rec    []pdm.Word
+	canon  []pdm.Word
+	order  []int32
+	free   []int
 
 	// Dict: a single-key lookup's batch of one, and the keys the filling
 	// structure missed with the draining structure's answers.
@@ -47,14 +64,57 @@ type scratchPool struct{ reuse.Pool[probeScratch] }
 
 func (l *scratchPool) get() *probeScratch { return l.Get() }
 
-// put parks sc for reuse. The fragment slots and answers are dropped: on
-// the update paths the slots point into a caller-owned buffer, and the
-// answers are the caller's satellites, neither of which the list may pin.
+// put parks sc for reuse. The fragment slots, answers and write list are
+// dropped: the slots may point into a caller's blocks and the answers are
+// the caller's satellites, which the list may not pin, and a parked write
+// list would only keep stale views alive.
 func (l *scratchPool) put(sc *probeScratch) {
 	clear(sc.frags[:cap(sc.frags)])
 	sc.sat[0] = nil
 	clear(sc.missSats)
+	clear(sc.writes[:cap(sc.writes)])
 	l.Put(sc)
+}
+
+// flush issues an update's write list as one batch, keeping only the
+// last write to each address, and keeps the list's storage for the next
+// update. An empty list issues nothing.
+func (sc *probeScratch) flush(m *pdm.Machine, op *pdm.Op, writes []pdm.BlockWrite) {
+	sc.writes = writes[:0]
+	if len(writes) > 0 {
+		m.BatchWriteOp(op, dedupeWrites(writes))
+	}
+}
+
+// dedupeWrites keeps only the last write to each address, preserving
+// order otherwise: an update that touches one block twice (release and
+// re-place) must not resurrect stale contents. An update writes at most
+// 2t + d blocks, so a pairwise pass beats a map.
+func dedupeWrites(writes []pdm.BlockWrite) []pdm.BlockWrite {
+	out := writes[:0]
+	for i, w := range writes {
+		last := true
+		for _, later := range writes[i+1:] {
+			if later.Addr == w.Addr {
+				last = false
+				break
+			}
+		}
+		if last {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// stripeMarks returns the scratch's d per-stripe marks, all false.
+func (sc *probeScratch) stripeMarks(d int) []bool {
+	if cap(sc.dirty) < d {
+		sc.dirty = make([]bool, d)
+	}
+	sc.dirty = sc.dirty[:d]
+	clear(sc.dirty)
+	return sc.dirty
 }
 
 // fragSlots returns k empty fragment slots.

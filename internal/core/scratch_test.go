@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"pdmdict/internal/bucket"
 	"pdmdict/internal/fault"
 	"pdmdict/internal/pdm"
 )
@@ -27,12 +28,13 @@ func pinAllocs(t *testing.T, name string, want float64, fn func()) {
 	}
 }
 
-// The read path's allocation budget: a warm lookup allocates the
-// satellite it returns and nothing else (a miss: nothing). The fault-aware
-// path adds the machine's two per-batch bookkeeping objects, and a read
-// of more than pdm's 32 inline blocks — d = 40 here — the partitioned
-// path's per-disk closure.
-func TestLookupAllocationPins(t *testing.T) {
+// The allocation budget: a warm lookup allocates the satellite it returns
+// and nothing else (a miss: nothing), and a warm update nothing at all.
+// The fault-aware path adds the machine's two per-batch bookkeeping
+// objects, a read of more than pdm's 32 inline blocks — d = 40 here — the
+// partitioned path's per-disk closure, and a Dict operation the token it
+// mints.
+func TestAllocationPins(t *testing.T) {
 	const n = 512
 	recs := makeRecords(n, 2, 5)
 	keys := make([]pdm.Word, 64)
@@ -57,7 +59,8 @@ func TestLookupAllocationPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dict, err := NewDict(DictConfig{InitialCapacity: n, SatWords: 2, Seed: 1})
+	// One slot above the preload, so no insert below starts a migration.
+	dict, err := NewDict(DictConfig{InitialCapacity: n + 1, SatWords: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +74,12 @@ func TestLookupAllocationPins(t *testing.T) {
 			}
 		}
 	}
-	shallow := keys[0] // a key resident in A_1: the one-round path
-	for _, k := range keys {
+	shallow := recs[0] // a key resident in A_1: the one-round path
+	for _, r := range recs[:len(keys)] {
 		before := dynamic.m.Stats().ParallelIOs
-		dynamic.Lookup(k)
+		dynamic.Lookup(r.Key)
 		if dynamic.m.Stats().ParallelIOs-before == 1 {
-			shallow = k
+			shallow = r
 			break
 		}
 	}
@@ -97,7 +100,7 @@ func TestLookupAllocationPins(t *testing.T) {
 		}
 	})
 	pinAllocs(t, "Dynamic.Lookup hit", 2, func() {
-		if _, ok := dynamic.Lookup(shallow); !ok {
+		if _, ok := dynamic.Lookup(shallow.Key); !ok {
 			t.Fatal("stored key not found")
 		}
 	})
@@ -147,6 +150,39 @@ func TestLookupAllocationPins(t *testing.T) {
 				t.Fatal("stored keys not found")
 			}
 		})
+	}
+
+	// Updates read into the scratch and write the blocks they read: an
+	// update of an existing key, and a delete with its re-insert, cost
+	// Basic nothing, Dynamic and OneProbe the per-disk closure of each
+	// 40-block read, and the Dict that plus each operation's token.
+	for _, u := range []struct {
+		name        string
+		update, del int
+		d           updater
+		rec         bucket.Record
+	}{
+		{"Basic", 0, 0, basic, recs[3]},
+		{"Dynamic (shallow key)", 1, 2, dynamic, shallow},
+		{"OneProbe", 1, 2, oneprobe, recs[3]},
+		{"Dict", 2, 4, dict, recs[3]},
+	} {
+		pinAllocs(t, u.name+".Insert existing", float64(u.update), func() {
+			if err := u.d.Insert(u.rec.Key, u.rec.Sat); err != nil {
+				t.Fatal(err)
+			}
+		})
+		pinAllocs(t, u.name+".Delete+Insert", float64(u.del), func() {
+			if !u.d.Delete(u.rec.Key) {
+				t.Fatal("stored key not deleted")
+			}
+			if err := u.d.Insert(u.rec.Key, u.rec.Sat); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if dict.Migrating() {
+		t.Fatal("the update rows started a migration")
 	}
 }
 
@@ -289,6 +325,7 @@ func (sc *probeScratch) poison(sentinel *pdm.Machine, blocks []pdm.Addr) {
 	}
 	sc.memb[0] = poisonWord
 	sentinel.BatchReadInto(&sc.buf, nil, nil, blocks)
+	sentinel.BatchReadInto(&sc.buf2, nil, nil, blocks)
 }
 
 // addrCopier retains a copy of every batch's addresses, as the hook
@@ -308,12 +345,14 @@ func (h *addrCopier) Event(e pdm.Event) {
 	h.mu.Unlock()
 }
 
-// Aliasing: 8 clients look up through every read-only entry point while
-// each poisons a pooled scratch after every call. Nothing a caller got
-// back, and no address list a hook copied, may change afterwards — they
-// never point into pooled memory. Run under -race -cpu=1,2,4.
+// Aliasing: 8 clients look up through every read-only entry point, and
+// update through Insert and Delete, while each poisons a pooled scratch
+// after every call. Nothing a caller got back, and no address list a hook
+// copied, may change afterwards — they never point into pooled memory —
+// and an update keeps no hold on the satellite it was handed, which the
+// client poisons on return. Run under -race -cpu=1,2,4.
 func TestReturnedDataNeverAliasesScratch(t *testing.T) {
-	const clients, n, rounds = 8, 256, 60
+	const clients, n, rounds = 8, 256, 70
 	recs := makeRecords(n, 3, 9)
 	want := make(map[pdm.Word][]pdm.Word, n)
 	for _, r := range recs {
@@ -321,12 +360,13 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 	}
 
 	bm := pdm.NewMachine(pdm.Config{D: 8, B: 32})
-	basic, err := NewBasic(bm, BasicConfig{Capacity: n, SatWords: 3, K: 2, Replicate: true, Seed: 3})
+	// Capacity for every client's private key on top of the shared ones.
+	basic, err := NewBasic(bm, BasicConfig{Capacity: n + clients, SatWords: 3, K: 2, Replicate: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dm := pdm.NewMachine(pdm.Config{D: 40, B: 32})
-	dynamic, err := NewDynamic(dm, DynamicConfig{Capacity: n, SatWords: 3, Seed: 3})
+	dynamic, err := NewDynamic(dm, DynamicConfig{Capacity: n + clients, SatWords: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +425,23 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 				for i := range batch {
 					batch[i] = recs[rng.Intn(n)].Key
 				}
-				switch r % 5 {
+				// update stores sat under x through insert, poisons the
+				// caller's copy, and checks the stored value survived.
+				update := func(insert func(*pdm.Op, pdm.Word, []pdm.Word) error, lookup func(*pdm.Op, pdm.Word) ([]pdm.Word, bool), m *pdm.Machine, x pdm.Word, sat []pdm.Word) {
+					buf := append([]pdm.Word(nil), sat...)
+					if err := insert(m.NewOp(c, 1), x, buf); err != nil {
+						t.Errorf("client %d: Insert(%d): %v", c, x, err)
+						return
+					}
+					for i := range buf {
+						buf[i] = poisonWord
+					}
+					if got, ok := lookup(m.NewOp(c, 1), x); !ok || fmt.Sprint(got) != fmt.Sprint(sat) {
+						t.Errorf("client %d: key %d reads %x, %v after its insert, want %x", c, x, got, ok, sat)
+					}
+				}
+				own := pdm.Word(1<<50 + c) // this client's private key
+				switch r % 7 {
 				case 0:
 					sat, ok := basic.LookupOp(bm.NewOp(c, 1), k)
 					keep(k, sat, ok)
@@ -407,6 +463,16 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 					sats, oks := dynamic.LookupBatchOp(dm.NewOp(c, len(batch)), nil, batch)
 					for i := range batch {
 						keep(batch[i], sats[i], oks[i])
+					}
+				case 5: // re-store a shared key's own satellite: an update
+					update(basic.InsertOp, basic.LookupOp, bm, k, want[k])
+					update(dynamic.InsertOp, dynamic.LookupOp, dm, k, want[k])
+				case 6: // insert and delete the private key
+					sat := []pdm.Word{own, pdm.Word(r), pdm.Word(c)}
+					update(basic.InsertOp, basic.LookupOp, bm, own, sat)
+					update(dynamic.InsertOp, dynamic.LookupOp, dm, own, sat)
+					if !basic.DeleteOp(bm.NewOp(c, 1), own) || !dynamic.DeleteOp(dm.NewOp(c, 1), own) {
+						t.Errorf("client %d: private key %d not deleted", c, own)
 					}
 				}
 				for _, pool := range []*scratchPool{&basic.scratch, &dynamic.scratch} {

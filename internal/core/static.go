@@ -390,6 +390,13 @@ type buildState struct {
 	scratch int // next free stripe
 	asgVecs []*extsort.Vec
 	heads   []pdm.Word // CaseA: interleaved key, headStripe pairs
+
+	// One key's assignment records, t of them back to back, the field
+	// table indexed by stripe that points into them, and the key's
+	// stripes.
+	asg     []pdm.Word
+	fields  [][]pdm.Word
+	stripes []int
 }
 
 func (bs *buildState) alloc(stripes int) int {
@@ -557,42 +564,35 @@ func (sd *StaticDict) peelRound(bs *buildState, in *extsort.Vec, zoneNext, zoneP
 // emitAssignments writes the t field records for one key. Each
 // assignment record is [sortKey, y, field content...], where sortKey
 // orders fields block-row-major so the final fill writes whole block
-// rows with one parallel I/O each.
+// rows with one parallel I/O each. The records are built in the build
+// state's buffer, each field's content encoded straight into its record.
 func (sd *StaticDict) emitAssignments(bs *buildState, asgA *extsort.Appender, rec []pdm.Word, ys []int) {
 	key, id, sat := rec[0], rec[1], rec[2:]
-	out := make([]pdm.Word, 2+sd.fieldWords)
-	stripeOf := func(y int) int { return y / sd.stripeFields }
-
-	var chain [][]pdm.Word
-	var satBits *bitpack.Reader
-	switch sd.cfg.Case {
-	case CaseA:
-		stripes := make([]int, len(ys))
-		for p, y := range ys {
-			stripes[p] = stripeOf(y)
-		}
-		chain = encodeChain(sd.fieldBits, sd.fieldWords, stripes, sat)
-		bs.heads = append(bs.heads, key, pdm.Word(stripes[0]))
-	case CaseB:
-		w := bitpack.NewWriter()
-		for _, s := range sat {
-			w.WriteBits(s, 64)
-		}
-		satBits = bitpack.NewReader(w.Words(), w.Len())
+	width := 2 + sd.fieldWords
+	if bs.fields == nil {
+		bs.asg = make([]pdm.Word, sd.t*width)
+		bs.fields = make([][]pdm.Word, sd.d)
+	}
+	bs.stripes = bs.stripes[:0]
+	for p, y := range ys {
+		stripe, j := y/sd.stripeFields, y%sd.stripeFields
+		out := bs.asg[p*width : (p+1)*width : (p+1)*width]
+		out[0] = pdm.Word(j/sd.fieldsPerBlock*sd.d + stripe)
+		out[1] = pdm.Word(y)
+		bs.fields[stripe] = out[2:]
+		bs.stripes = append(bs.stripes, stripe)
 	}
 
-	for p, y := range ys {
-		j := y % sd.stripeFields
-		blockRow := j / sd.fieldsPerBlock
-		out[0] = pdm.Word(blockRow*sd.d + stripeOf(y))
-		out[1] = pdm.Word(y)
-		content := out[2:]
-		for i := range content {
-			content[i] = 0
-		}
-		switch sd.cfg.Case {
-		case CaseB:
-			w := bitpack.NewWriter()
+	switch sd.cfg.Case {
+	case CaseA:
+		encodeChain(sd.fieldBits, bs.stripes, sat, bs.fields)
+		bs.heads = append(bs.heads, key, pdm.Word(bs.stripes[0]))
+	case CaseB:
+		satBits := bitpack.NewReader(sat, 64*len(sat))
+		for _, s := range bs.stripes {
+			content := bs.fields[s]
+			clear(content)
+			w := bitpack.NewWriterOver(content)
 			w.WriteBits(uint64(id)+1, sd.idBits)
 			take := satBits.Remaining()
 			if avail := sd.fieldBits - sd.idBits; take > avail {
@@ -606,11 +606,10 @@ func (sd *StaticDict) emitAssignments(bs *buildState, asgA *extsort.Appender, re
 				w.WriteBits(satBits.ReadBits(c), c)
 				take -= c
 			}
-			copy(content, w.Words())
-		case CaseA:
-			copy(content, chain[p])
 		}
-		asgA.Append(out)
+	}
+	for p := range ys {
+		asgA.Append(bs.asg[p*width : (p+1)*width])
 	}
 }
 

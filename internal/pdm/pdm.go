@@ -773,6 +773,7 @@ type batchScratch struct {
 	offs    []int32 // per-disk cursor into order (length D)
 	order   []int32 // batch indices grouped by disk, batch order within a disk
 	touched []int32 // disks with at least one address, in first-touch order
+	addrs   []Addr  // a write batch's addresses, for the cost and the event
 
 	// A fanned-out batch, as its workers share it: see runShards.
 	perDisk func(d int32)
@@ -1014,7 +1015,9 @@ func (m *Machine) BatchReadInto(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr)
 	return out
 }
 
-// BlockWrite names one block write of a batch.
+// BlockWrite names one block write of a batch. The machine reads Data
+// only during the write call, copying it into the shard, so the caller
+// owns it again on return and may reuse or mutate it.
 type BlockWrite struct {
 	Addr Addr
 	Data []Word // at most B words; shorter data leaves the tail unchanged
@@ -1023,29 +1026,35 @@ type BlockWrite struct {
 // BatchWrite performs one batched write. Each write stores len(Data)
 // words at the start of the addressed block (the model transfers whole
 // blocks; partial Data is a convenience that leaves the block tail as it
-// was). The batch is accounted under the machine's cost model. Like all
-// writes it maintains the per-block checksums, but it never consults the
-// fault injector — use TryBatchWrite for fault-aware writes. The batch
-// carries no operation token; see BatchWriteOp for the attributed
+// was). Data is read only during the call — the blocks are copied into
+// the shards — so the caller may reuse every Data slice once BatchWrite
+// returns. The batch is accounted under the machine's cost model. Like
+// all writes it maintains the per-block checksums, but it never consults
+// the fault injector — use TryBatchWrite for fault-aware writes. The
+// batch carries no operation token; see BatchWriteOp for the attributed
 // variant.
 func (m *Machine) BatchWrite(writes []BlockWrite) {
 	m.batchWrite(nil, writes)
 }
 
 // batchWrite is the shared implementation behind BatchWrite and
-// BatchWriteOp; op is the owning token (nil for none).
+// BatchWriteOp; op is the owning token (nil for none). The address list
+// lives in a pooled scratch: like a read's, it is only promised to hooks
+// for the duration of the call.
 func (m *Machine) batchWrite(op *Op, writes []BlockWrite) {
 	if len(writes) == 0 {
 		return
 	}
-	addrs := make([]Addr, len(writes))
-	for i, w := range writes {
+	sc := m.scratch.Get()
+	addrs := sc.addrs[:0]
+	for _, w := range writes {
 		m.checkAddr(w.Addr)
 		if len(w.Data) > m.cfg.B {
 			panic(fmt.Sprintf("pdm: write of %d words exceeds block size %d", len(w.Data), m.cfg.B))
 		}
-		addrs[i] = w.Addr
+		addrs = append(addrs, w.Addr)
 	}
+	sc.addrs = addrs
 	var steps, depth int
 	if len(writes) <= smallBatchMax {
 		steps, depth = m.cost(len(addrs), smallDepth(addrs))
@@ -1060,7 +1069,6 @@ func (m *Machine) batchWrite(op *Op, writes []BlockWrite) {
 			s.ios.Add(1)
 		}
 	} else {
-		sc := m.scratch.Get()
 		steps, depth = m.cost(len(addrs), sc.partition(addrs))
 		m.charge(steps, depth)
 		m.runShards(sc, len(addrs), func(d int32) {
@@ -1076,13 +1084,13 @@ func (m *Machine) batchWrite(op *Op, writes []BlockWrite) {
 			s.mu.Unlock()
 			s.ios.Add(int64(len(seg)))
 		})
-		m.release(sc)
 	}
 	m.blockWrites.Add(int64(len(writes)))
 	chargeOps(m, op, nil, EventWrite, steps, len(writes), 0)
 	if m.hooked.Load() {
 		m.emit(op, nil, Event{Kind: EventWrite, Addrs: addrs, Steps: steps, Depth: depth}, nil)
 	}
+	m.release(sc)
 }
 
 // ReadBlock reads a single block (one parallel I/O).
