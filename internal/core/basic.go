@@ -443,8 +443,8 @@ func (bd *BasicDict) LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word
 // buckets. A single key is the batch of one, whose de-duplication is
 // the identity. With try (and no shared round) the read goes through
 // the fault layer under the retry policy; the result counts the keys
-// left inconclusive — not found, a block of theirs missing — and
-// carries the read's error.
+// left inconclusive — not found, a block of theirs missing — and, when
+// there are any, carries a copy of the read's error.
 func (bd *BasicDict) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool, try bool) (inconclusive int, err error) {
 	bd.mu.RLock()
 	defer bd.mu.RUnlock()
@@ -459,7 +459,7 @@ func (bd *BasicDict) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats 
 	}
 	var flat [][]pdm.Word
 	if try {
-		flat, err = tryReadPolicy(bd.reg.m, &sc.buf, op, bd.retry, sc.r1.addrs)
+		flat, err = tryReadPolicy(bd.reg.m, &sc.retries, &sc.buf, op, bd.retry, sc.r1.addrs)
 	} else {
 		flat = bd.reg.m.BatchReadInto(&sc.buf, op, shared, sc.r1.addrs)
 	}
@@ -471,7 +471,7 @@ func (bd *BasicDict) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats 
 			inconclusive++
 		}
 	}
-	return inconclusive, err
+	return inconclusive, inconclusiveError(inconclusive, err)
 }
 
 // Lookup returns a copy of x's satellite data and whether x is present.

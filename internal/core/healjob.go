@@ -174,7 +174,7 @@ func (j *RepairJob) collectRowLocked(op *pdm.Op, r int) error {
 		}
 		addrs = bd.bucketAddrs(t*ss+r, addrs)
 	}
-	blocks, err := tryReadPolicy(bd.reg.m, new(pdm.ReadBuf), op, bd.retry, addrs)
+	blocks, err := tryReadPolicy(bd.reg.m, new(retryScratch), new(pdm.ReadBuf), op, bd.retry, addrs)
 	if err != nil {
 		return fmt.Errorf("core: repair of disk %d: surviving row %d unreadable: %w", j.disk, r, err)
 	}
@@ -293,7 +293,7 @@ func (bd *BasicDict) ScrubRange(op *pdm.Op, disk, row, nRows int) (bad []pdm.Add
 	r := row
 	for ; r < ss && r < row+nRows; r++ {
 		addrs := bd.bucketAddrs(disk*ss+r, nil)
-		_, err := tryReadPolicy(bd.reg.m, new(pdm.ReadBuf), op, bd.retry, addrs)
+		_, err := tryReadPolicy(bd.reg.m, new(retryScratch), new(pdm.ReadBuf), op, bd.retry, addrs)
 		if err == nil {
 			continue
 		}

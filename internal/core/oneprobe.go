@@ -311,7 +311,7 @@ func (op *OneProbeDict) lookup(tok *pdm.Op, shared []*pdm.Op, keys []pdm.Word, s
 	}
 	var flat [][]pdm.Word
 	if try {
-		flat, err = tryReadPolicy(op.m, &sc.buf, tok, op.retry, sc.r1.addrs)
+		flat, err = tryReadPolicy(op.m, &sc.retries, &sc.buf, tok, op.retry, sc.r1.addrs)
 	} else {
 		flat = op.m.BatchReadInto(&sc.buf, tok, shared, sc.r1.addrs)
 	}
@@ -323,7 +323,7 @@ func (op *OneProbeDict) lookup(tok *pdm.Op, shared []*pdm.Op, keys []pdm.Word, s
 			inconclusive++
 		}
 	}
-	return inconclusive, err
+	return inconclusive, inconclusiveError(inconclusive, err)
 }
 
 // fieldsOf extracts x's per-stripe fields at a level from its blocks,

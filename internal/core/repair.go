@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -23,19 +22,32 @@ import (
 // zero-value policy reproduces the historical behavior (three immediate
 // retries) exactly, batch for batch.
 
-// splitTransient partitions a batch error into retryable accesses
-// (transient) and permanent ones. idx maps positions of the failing
-// batch back to the caller's original batch (nil = identity).
-func splitTransient(be *pdm.BatchError) (retryIdx []int, retryable []pdm.BlockError, permanent []pdm.BlockError) {
+// splitTransient moves the transient failures out of be: their indices
+// into the failing batch are appended to idx, and be keeps the
+// permanent ones, in order, in place. A BlockError's Err is one of pdm's
+// bare sentinels, so == is exact; errors.Is would run the runtime's
+// interface switch on every permanent failure, whose cache fill
+// allocates at a random call.
+func splitTransient(be *pdm.BatchError, idx []int) []int {
+	permanent := be.Blocks[:0]
 	for _, b := range be.Blocks {
-		if errors.Is(b.Err, pdm.ErrTransient) {
-			retryIdx = append(retryIdx, b.Index)
-			retryable = append(retryable, b)
+		if b.Err == pdm.ErrTransient {
+			idx = append(idx, b.Index)
 		} else {
 			permanent = append(permanent, b)
 		}
 	}
-	return retryIdx, retryable, permanent
+	be.Blocks = permanent
+	return idx
+}
+
+// retryScratch is tryReadPolicy's working set: a retry round's slots
+// (indices into the original batch) and addresses, and one read buffer
+// per retry attempt, whose views the recovered slots alias.
+type retryScratch struct {
+	idx   []int
+	addrs []pdm.Addr
+	bufs  []pdm.ReadBuf
 }
 
 // tryReadPolicy is TryBatchRead plus policy-driven recovery, attributed
@@ -50,11 +62,14 @@ func splitTransient(be *pdm.BatchError) (retryIdx []int, retryable []pdm.BlockEr
 // the lagging block itself; falling back to surviving replicas is the
 // caller's assembly step.) The returned slice has nil entries for
 // accesses that never succeeded; the error, if any, lists exactly those
-// entries with indices into the original batch. The first attempt reads
-// into rb, whose ownership rule the returned views inherit; the (rare)
-// retry rounds read into fresh buffers, since their blocks join views
-// that must outlive the round.
-func tryReadPolicy(m *pdm.Machine, rb *pdm.ReadBuf, op *pdm.Op, pol pdm.RetryPolicy, addrs []pdm.Addr) ([][]pdm.Word, error) {
+// entries with indices into the original batch.
+//
+// The first attempt reads into rb and retry attempt r into rs.bufs[r],
+// so the returned views are valid until rb is read again or rs is
+// reused. The error is the first attempt's, rewritten in place as
+// rounds recover or fail, and aliases rb under the same rule. On warm
+// buffers the call allocates nothing, however many rounds it takes.
+func tryReadPolicy(m *pdm.Machine, rs *retryScratch, rb *pdm.ReadBuf, op *pdm.Op, pol pdm.RetryPolicy, addrs []pdm.Addr) ([][]pdm.Word, error) {
 	blocks, err := m.TryBatchReadInto(rb, op, nil, addrs)
 	maxRetries := pol.Retries()
 	for attempt := 0; err != nil && attempt < maxRetries; attempt++ {
@@ -62,13 +77,13 @@ func tryReadPolicy(m *pdm.Machine, rb *pdm.ReadBuf, op *pdm.Op, pol pdm.RetryPol
 		if !ok {
 			return blocks, err
 		}
-		retryIdx, retryable, permanent := splitTransient(be)
-		if len(retryable) == 0 {
+		rs.idx = splitTransient(be, rs.idx[:0])
+		if len(rs.idx) == 0 {
 			return blocks, err
 		}
-		retryAddrs := make([]pdm.Addr, len(retryable))
-		for i, b := range retryable {
-			retryAddrs[i] = b.Addr
+		rs.addrs = rs.addrs[:0]
+		for _, j := range rs.idx {
+			rs.addrs = append(rs.addrs, addrs[j])
 		}
 		if b := pol.Backoff(attempt + 1); b > 0 {
 			endBackoff := m.OpSpan(op, obs.TagBackoff)
@@ -77,72 +92,100 @@ func tryReadPolicy(m *pdm.Machine, rb *pdm.ReadBuf, op *pdm.Op, pol pdm.RetryPol
 		}
 		if pol.Hedge {
 			hedged := 0
-			primaries := len(retryAddrs)
+			primaries := len(rs.addrs)
 			for i := 0; i < primaries; i++ {
-				if m.SuspectOrStalling(retryAddrs[i].Disk) {
-					retryIdx = append(retryIdx, retryIdx[i])
-					retryAddrs = append(retryAddrs, retryAddrs[i])
+				if m.SuspectOrStalling(rs.addrs[i].Disk) {
+					rs.idx = append(rs.idx, rs.idx[i])
+					rs.addrs = append(rs.addrs, rs.addrs[i])
 					hedged++
 				}
 			}
 			m.NoteHedges(hedged)
 		}
 		m.NoteRetry()
-		got, rerr := m.TryBatchReadOp(op, retryAddrs)
-		for i, j := range retryIdx {
+		if len(rs.bufs) == attempt {
+			rs.bufs = append(rs.bufs, pdm.ReadBuf{})
+		}
+		got, rerr := m.TryBatchReadInto(&rs.bufs[attempt], op, nil, rs.addrs)
+		for i, j := range rs.idx {
 			if blocks[j] == nil {
 				blocks[j] = got[i]
 			}
 		}
 		if rerr == nil {
-			if len(permanent) == 0 {
+			if len(be.Blocks) == 0 {
 				return blocks, nil
 			}
-			return blocks, &pdm.BatchError{Blocks: permanent}
+			return blocks, be
 		}
 		rbe, ok := pdm.AsBatchError(rerr)
 		if !ok {
 			return blocks, rerr
 		}
-		// Merge this round's failures back onto original batch indices. A
-		// slot whose hedged twin succeeded is not a failure; a slot whose
-		// two copies both failed is reported once.
-		merged := permanent
-		reported := make(map[int]bool)
+		// Merge this round's failures back onto original batch indices,
+		// after the permanent ones. A slot whose hedged twin succeeded is
+		// not a failure; a slot whose two copies both failed is reported
+		// once.
+		permanent := len(be.Blocks)
 		for _, b := range rbe.Blocks {
-			slot := retryIdx[b.Index]
-			if blocks[slot] != nil || reported[slot] {
+			slot := rs.idx[b.Index]
+			if blocks[slot] != nil || reported(be.Blocks[permanent:], slot) {
 				continue
 			}
-			reported[slot] = true
-			merged = append(merged, pdm.BlockError{Index: slot, Addr: b.Addr, Err: b.Err})
+			be.Blocks = append(be.Blocks, pdm.BlockError{Index: slot, Addr: b.Addr, Err: b.Err})
 		}
-		if len(merged) == 0 {
+		if len(be.Blocks) == 0 {
 			return blocks, nil
 		}
-		err = &pdm.BatchError{Blocks: merged}
+		err = be
 	}
 	return blocks, err
 }
 
+// reported reports whether errs already lists slot.
+func reported(errs []pdm.BlockError, slot int) bool {
+	for _, e := range errs {
+		if e.Index == slot {
+			return true
+		}
+	}
+	return false
+}
+
+// inconclusiveError is a lookup round's error as its caller sees it:
+// nil when every key was settled, otherwise a copy, since the error the
+// read returned aliases the scratch, which goes back to the pool.
+func inconclusiveError(inconclusive int, err error) error {
+	if inconclusive == 0 {
+		return nil
+	}
+	if be, ok := pdm.AsBatchError(err); ok {
+		return &pdm.BatchError{Blocks: slices.Clone(be.Blocks)}
+	}
+	return err
+}
+
 // tryWritePolicy is TryBatchWrite plus the same policy-driven retry and
 // backoff (writes are never hedged: issuing a write twice has no upside
-// — the second copy lands on the same block).
+// — the second copy lands on the same block). The error, if any, is the
+// first attempt's, rewritten in place as for tryReadPolicy.
 func tryWritePolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, writes []pdm.BlockWrite) error {
 	err := m.TryBatchWriteOp(op, writes)
 	maxRetries := pol.Retries()
+	var retryIdx []int
+	var retryWrites []pdm.BlockWrite
 	for attempt := 0; err != nil && attempt < maxRetries; attempt++ {
 		be, ok := pdm.AsBatchError(err)
 		if !ok {
 			return err
 		}
-		retryIdx, retryable, permanent := splitTransient(be)
-		if len(retryable) == 0 {
+		retryIdx = splitTransient(be, retryIdx[:0])
+		if len(retryIdx) == 0 {
 			return err
 		}
-		retryWrites := make([]pdm.BlockWrite, len(retryable))
-		for i, idx := range retryIdx {
-			retryWrites[i] = writes[idx]
+		retryWrites = retryWrites[:0]
+		for _, j := range retryIdx {
+			retryWrites = append(retryWrites, writes[j])
 		}
 		if b := pol.Backoff(attempt + 1); b > 0 {
 			endBackoff := m.OpSpan(op, obs.TagBackoff)
@@ -152,20 +195,19 @@ func tryWritePolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, writes []pd
 		m.NoteRetry()
 		rerr := m.TryBatchWriteOp(op, retryWrites)
 		if rerr == nil {
-			if len(permanent) == 0 {
+			if len(be.Blocks) == 0 {
 				return nil
 			}
-			return &pdm.BatchError{Blocks: permanent}
+			return be
 		}
 		rbe, ok := pdm.AsBatchError(rerr)
 		if !ok {
 			return rerr
 		}
-		merged := permanent
 		for _, b := range rbe.Blocks {
-			merged = append(merged, pdm.BlockError{Index: retryIdx[b.Index], Addr: b.Addr, Err: b.Err})
+			be.Blocks = append(be.Blocks, pdm.BlockError{Index: retryIdx[b.Index], Addr: b.Addr, Err: b.Err})
 		}
-		err = &pdm.BatchError{Blocks: merged}
+		err = be
 	}
 	return err
 }
@@ -249,7 +291,7 @@ func (bd *BasicDict) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
 func (bd *BasicDict) LookupTryOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool, error) {
 	var sat [1][]pdm.Word
 	var ok [1]bool
-	if inconclusive, err := bd.lookup(op, nil, []pdm.Word{x}, sat[:], ok[:], true); inconclusive > 0 && err != nil {
+	if _, err := bd.lookup(op, nil, []pdm.Word{x}, sat[:], ok[:], true); err != nil {
 		return nil, false, fmt.Errorf("core: degraded lookup for key %d inconclusive: %w", x, err)
 	}
 	return sat[0], ok[0], nil
@@ -268,7 +310,7 @@ func (bd *BasicDict) LookupTryBatch(keys []pdm.Word) ([][]pdm.Word, []bool, erro
 // LookupTryBatchOp is LookupTryBatch attributed to op.
 func (bd *BasicDict) LookupTryBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool, error) {
 	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
-	if inconclusive, err := bd.lookup(op, nil, keys, sats, oks, true); inconclusive > 0 && err != nil {
+	if inconclusive, err := bd.lookup(op, nil, keys, sats, oks, true); err != nil {
 		return sats, oks, fmt.Errorf("core: degraded batch lookup: %d of %d keys inconclusive: %w", inconclusive, len(keys), err)
 	}
 	return sats, oks, nil
@@ -323,7 +365,7 @@ func (bd *BasicDict) Repair(disk int) error {
 			}
 			addrs = bd.bucketAddrs(t*ss+r, addrs)
 		}
-		blocks, err := tryReadPolicy(bd.reg.m, new(pdm.ReadBuf), nil, bd.retry, addrs)
+		blocks, err := tryReadPolicy(bd.reg.m, new(retryScratch), new(pdm.ReadBuf), nil, bd.retry, addrs)
 		if err != nil {
 			return fmt.Errorf("core: Repair of disk %d: surviving stripe unreadable: %w", disk, err)
 		}
@@ -398,7 +440,7 @@ func (bd *BasicDict) Scrub() []pdm.Addr {
 			}
 			addrs = bd.bucketAddrs(y, addrs)
 		}
-		_, err := tryReadPolicy(bd.reg.m, new(pdm.ReadBuf), nil, bd.retry, addrs)
+		_, err := tryReadPolicy(bd.reg.m, new(retryScratch), new(pdm.ReadBuf), nil, bd.retry, addrs)
 		if err == nil {
 			continue
 		}
@@ -429,7 +471,7 @@ func (op *OneProbeDict) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
 func (op *OneProbeDict) LookupTryOp(tok *pdm.Op, x pdm.Word) ([]pdm.Word, bool, error) {
 	var sat [1][]pdm.Word
 	var ok [1]bool
-	if inconclusive, err := op.lookup(tok, nil, []pdm.Word{x}, sat[:], ok[:], true); inconclusive > 0 && err != nil {
+	if _, err := op.lookup(tok, nil, []pdm.Word{x}, sat[:], ok[:], true); err != nil {
 		return nil, false, fmt.Errorf("core: degraded lookup for key %d inconclusive: %w", x, err)
 	}
 	return sat[0], ok[0], nil

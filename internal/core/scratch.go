@@ -15,27 +15,29 @@ import (
 // warm lookup allocates nothing but the satellite it returns and a warm
 // update nothing at all.
 //
-// Ownership rule: everything in a scratch, and every block view read
-// into buf or buf2, is valid only until the scratch is released (or the
-// buffer is read into again). Nothing handed back to a caller may alias
-// it — results are always copies — and the addresses passed to the
+// Ownership rule: everything in a scratch, and every block view or
+// *pdm.BatchError read into buf, buf2 or the retry buffers, is valid
+// only until the scratch is released (or the buffer is read into
+// again). Nothing handed back to a caller may alias it — results and
+// returned errors are always copies — and the addresses passed to the
 // machine are, as for any batch, only promised to hooks for the duration
 // of the call. An update's writes point into the read buffers: it
 // mutates the blocks it read in place and the machine copies them into
 // the shards during the write call.
 type probeScratch struct {
-	ns     []int        // neighbor ids of the key being probed
-	one    []pdm.Addr   // one key's probe addresses, in probe order
-	buf    pdm.ReadBuf  // blocks of the round in flight
-	buf2   pdm.ReadBuf  // DynamicDict updates: a level below A_1, read while round one's blocks still await the write
-	frags  [][]pdm.Word // fragment index / replica rank → record data
-	memb   [1]pdm.Word  // a membership sub-dictionary's one-word satellite
-	fields [][]pdm.Word // one key's d chain fields
-	view   [][]pdm.Word // one key's blocks, in probe order
-	r1, r2 dedup        // first and second read round
-	deep   []deepKey    // DynamicDict: keys below A_1
-	ops    []*pdm.Op    // shared rounds: the later round's tokens
-	ends   []func()     // the root lookup spans' closers
+	ns      []int        // neighbor ids of the key being probed
+	one     []pdm.Addr   // one key's probe addresses, in probe order
+	buf     pdm.ReadBuf  // blocks of the round in flight
+	buf2    pdm.ReadBuf  // DynamicDict updates: a level below A_1, read while round one's blocks still await the write
+	retries retryScratch // a fault-aware round's retries, whose blocks join buf's views
+	frags   [][]pdm.Word // fragment index / replica rank → record data
+	memb    [1]pdm.Word  // a membership sub-dictionary's one-word satellite
+	fields  [][]pdm.Word // one key's d chain fields
+	view    [][]pdm.Word // one key's blocks, in probe order
+	r1, r2  dedup        // first and second read round
+	deep    []deepKey    // DynamicDict: keys below A_1
+	ops     []*pdm.Op    // shared rounds: the later round's tokens
+	ends    []func()     // the root lookup spans' closers
 
 	// Updates: the one write list, BasicDict's greedy placement (loads,
 	// chosen stripes, changed buckets, one record, a canonical bucket's

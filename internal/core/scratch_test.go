@@ -30,10 +30,11 @@ func pinAllocs(t *testing.T, name string, want float64, fn func()) {
 
 // The allocation budget: a warm lookup allocates the satellite it returns
 // and nothing else (a miss: nothing), and a warm update nothing at all.
-// The fault-aware path adds the machine's two per-batch bookkeeping
-// objects, a read of more than pdm's 32 inline blocks — d = 40 here — the
-// partitioned path's per-disk closure, and a Dict operation the token it
-// mints.
+// The fault-aware path costs the same, with a disk down or a round
+// retried: its draws, outcomes and errors live in the machine's pooled
+// scratch and the probe scratch's buffers. A read of more than pdm's 32
+// inline blocks — d = 40 here — adds the partitioned path's per-disk
+// closure, and a Dict operation the token it mints.
 func TestAllocationPins(t *testing.T) {
 	const n = 512
 	recs := makeRecords(n, 2, 5)
@@ -94,11 +95,37 @@ func TestAllocationPins(t *testing.T) {
 			t.Fatal("absent key found")
 		}
 	})
-	pinAllocs(t, "Basic.LookupTry fault-free hit", 3, func() {
+	pinAllocs(t, "Basic.LookupTry fault-free hit", 1, func() {
 		if _, ok, err := basic.LookupTry(keys[3]); !ok || err != nil {
 			t.Fatal(ok, err)
 		}
 	})
+	replicated, err := NewBasic(machine(20), BasicConfig{Capacity: n, SatWords: 2, K: 2, Replicate: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := replicated.Insert(r.Key, r.Sat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		fi   pdm.FaultInjector
+	}{
+		{"one disk fail-stopped", failStop(4)},
+		{"a transient retried", &flakyDisk{disk: 7}},
+	} {
+		replicated.reg.m.SetFaultInjector(f.fi)
+		pinAllocs(t, "Basic.LookupTry replicated hit, "+f.name, 1, func() {
+			if _, ok, err := replicated.LookupTry(keys[3]); !ok || err != nil {
+				t.Fatal(ok, err)
+			}
+		})
+	}
+	if h := replicated.reg.m.Health(); h.Retries == 0 || h.Disks[4].State != pdm.Failed {
+		t.Fatalf("the faulted rows ran no retry or left disk 4 %v", h.Disks[4].State)
+	}
 	pinAllocs(t, "Dynamic.Lookup hit", 2, func() {
 		if _, ok := dynamic.Lookup(shallow.Key); !ok {
 			t.Fatal("stored key not found")
@@ -112,6 +139,11 @@ func TestAllocationPins(t *testing.T) {
 	pinAllocs(t, "OneProbe.Lookup hit", 2, func() {
 		if _, ok := oneprobe.Lookup(keys[3]); !ok {
 			t.Fatal("stored key not found")
+		}
+	})
+	pinAllocs(t, "OneProbe.LookupTry fault-free hit", 2, func() {
+		if _, ok, err := oneprobe.LookupTry(keys[3]); !ok || err != nil {
+			t.Fatal(ok, err)
 		}
 	})
 	// The scheduler's shape: a shared round of 8 tokens costs the same as
@@ -184,6 +216,33 @@ func TestAllocationPins(t *testing.T) {
 	if dict.Migrating() {
 		t.Fatal("the update rows started a migration")
 	}
+}
+
+// failStop fail-stops one disk.
+type failStop int
+
+func (d failStop) Access(_ pdm.EventKind, a pdm.Addr) pdm.Fault {
+	if a.Disk == int(d) {
+		return pdm.Fault{Kind: pdm.FaultFailStop}
+	}
+	return pdm.Fault{}
+}
+
+// flakyDisk fails every other access to one disk transiently: a lookup's
+// probe fails there and its one retry round succeeds.
+type flakyDisk struct {
+	disk, n int
+}
+
+func (f *flakyDisk) Access(_ pdm.EventKind, a pdm.Addr) pdm.Fault {
+	if a.Disk != f.disk {
+		return pdm.Fault{}
+	}
+	f.n++
+	if f.n%2 == 1 {
+		return pdm.Fault{Kind: pdm.FaultTransient}
+	}
+	return pdm.Fault{}
 }
 
 // refLookup is the read path as it was before the in-place scan: every
@@ -326,6 +385,9 @@ func (sc *probeScratch) poison(sentinel *pdm.Machine, blocks []pdm.Addr) {
 	sc.memb[0] = poisonWord
 	sentinel.BatchReadInto(&sc.buf, nil, nil, blocks)
 	sentinel.BatchReadInto(&sc.buf2, nil, nil, blocks)
+	for i := range sc.retries.bufs {
+		sentinel.BatchReadInto(&sc.retries.bufs[i], nil, nil, blocks)
+	}
 }
 
 // addrCopier retains a copy of every batch's addresses, as the hook
@@ -350,7 +412,10 @@ func (h *addrCopier) Event(e pdm.Event) {
 // after every call. Nothing a caller got back, and no address list a hook
 // copied, may change afterwards — they never point into pooled memory —
 // and an update keeps no hold on the satellite it was handed, which the
-// client poisons on return. Run under -race -cpu=1,2,4.
+// client poisons on return. That includes the error of an inconclusive
+// fault-aware lookup, made by taking two disks of a two-replica Basic
+// down: each client holds its errors to the end. Run under -race
+// -cpu=1,2,4.
 func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 	const clients, n, rounds = 8, 256, 70
 	recs := makeRecords(n, 3, 9)
@@ -362,6 +427,13 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 	bm := pdm.NewMachine(pdm.Config{D: 8, B: 32})
 	// Capacity for every client's private key on top of the shared ones.
 	basic, err := NewBasic(bm, BasicConfig{Capacity: n + clients, SatWords: 3, K: 2, Replicate: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two disks down: the keys with both replicas there, and every absent
+	// key, are inconclusive.
+	brokenM := pdm.NewMachine(pdm.Config{D: 8, B: 32})
+	broken, err := NewBasic(brokenM, BasicConfig{Capacity: n, SatWords: 3, K: 2, Replicate: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,10 +449,17 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 		if err := dynamic.Insert(r.Key, r.Sat); err != nil {
 			t.Fatal(err)
 		}
+		if err := broken.Insert(r.Key, r.Sat); err != nil {
+			t.Fatal(err)
+		}
 	}
 	plan := fault.NewPlan(1)
 	plan.FailDisk(2)
 	bm.SetFaultInjector(plan)
+	twoDown := fault.NewPlan(1)
+	twoDown.FailDisk(2)
+	twoDown.FailDisk(5)
+	brokenM.SetFaultInjector(twoDown)
 	bhook, dhook := new(addrCopier), new(addrCopier)
 	bm.SetHook(bhook)
 	dm.SetHook(dhook)
@@ -406,6 +485,12 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 		sat []pdm.Word
 	}
 	answers := make([][]answer, clients)
+	// An inconclusive lookup's error, and a copy of its failed blocks.
+	type heldError struct {
+		be   *pdm.BatchError
+		want []pdm.BlockError
+	}
+	held := make([][]heldError, clients)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -440,8 +525,17 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 						t.Errorf("client %d: key %d reads %x, %v after its insert, want %x", c, x, got, ok, sat)
 					}
 				}
+				// hold keeps an inconclusive lookup's error to the end.
+				hold := func(err error) {
+					be, ok := pdm.AsBatchError(err)
+					if !ok || len(be.Blocks) == 0 {
+						t.Errorf("client %d: inconclusive lookup returned %v", c, err)
+						return
+					}
+					held[c] = append(held[c], heldError{be, append([]pdm.BlockError(nil), be.Blocks...)})
+				}
 				own := pdm.Word(1<<50 + c) // this client's private key
-				switch r % 7 {
+				switch r % 9 {
 				case 0:
 					sat, ok := basic.LookupOp(bm.NewOp(c, 1), k)
 					keep(k, sat, ok)
@@ -474,8 +568,27 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 					if !basic.DeleteOp(bm.NewOp(c, 1), own) || !dynamic.DeleteOp(dm.NewOp(c, 1), own) {
 						t.Errorf("client %d: private key %d not deleted", c, own)
 					}
+				case 7:
+					if _, ok, err := broken.LookupTryOp(brokenM.NewOp(c, 1), own); ok || err == nil {
+						t.Errorf("client %d: absent key %d with two disks down: ok=%v err=%v", c, own, ok, err)
+					} else {
+						hold(err)
+					}
+				case 8:
+					batch[0] = own
+					sats, oks, err := broken.LookupTryBatchOp(brokenM.NewOp(c, len(batch)), batch)
+					if err == nil {
+						t.Errorf("client %d: a batch with an absent key and two disks down was conclusive", c)
+					} else {
+						hold(err)
+					}
+					for i := range batch {
+						if oks[i] {
+							keep(batch[i], sats[i], true)
+						}
+					}
 				}
-				for _, pool := range []*scratchPool{&basic.scratch, &dynamic.scratch} {
+				for _, pool := range []*scratchPool{&basic.scratch, &dynamic.scratch, &broken.scratch} {
 					sc := pool.get() // an idle scratch: released, so poisoned
 					sc.poison(sentinel, poisonBlocks)
 					pool.put(sc)
@@ -489,6 +602,13 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 		for _, a := range as {
 			if fmt.Sprint(a.sat) != fmt.Sprint(want[a.key]) {
 				t.Fatalf("client %d key %d: satellite now reads %x, want %x", c, a.key, a.sat, want[a.key])
+			}
+		}
+	}
+	for c, hs := range held {
+		for _, h := range hs {
+			if fmt.Sprint(h.be.Blocks) != fmt.Sprint(h.want) {
+				t.Fatalf("client %d: a held lookup error now lists %v, want %v", c, h.be.Blocks, h.want)
 			}
 		}
 	}

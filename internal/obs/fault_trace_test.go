@@ -2,6 +2,8 @@ package obs_test
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -67,6 +69,94 @@ func TestFaultTraceDeterministic(t *testing.T) {
 	}
 	if faults == 0 {
 		t.Fatal("round-tripped trace lost the fault events")
+	}
+}
+
+// The fault path's output is pinned across builds, not only across two
+// runs of one build: a seeded plan with fail-stop, transient, corrupt
+// and stall faults drives 2 000 LookupTry calls on a two-replica Basic
+// (the first half under the default retry policy, the second with
+// backoff and hedging), then a Scrub, the failed disk's Repair and a
+// second Scrub, all under a JSONL hook. The digests are FNV-64a of the
+// trace, the answers, Stats, Health and FaultCount; a change to the
+// machine's host-side bookkeeping must leave every one of them alone.
+func TestFaultTraceGolden(t *testing.T) {
+	var buf bytes.Buffer
+	w := obs.NewJSONLWriter(&buf)
+	m := pdm.NewMachine(pdm.Config{D: 8, B: 32})
+	m.SetHook(w)
+	bd, err := core.NewBasic(m, core.BasicConfig{
+		Capacity: 300, SatWords: 2, K: 2, Replicate: true, Seed: 29,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) pdm.Word { return pdm.Word(i)*131 + 7 }
+	for i := 0; i < 300; i++ {
+		if err := bd.Insert(key(i), []pdm.Word{pdm.Word(i), pdm.Word(i) << 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := fault.NewPlan(2906)
+	plan.SetTransient(0.03)
+	plan.SetTransientWrites(0.05)
+	plan.SetStall(0.02, 2)
+	plan.FailDisk(3)
+	for b := 0; b < 6; b++ {
+		plan.CorruptAt(pdm.Addr{Disk: 6, Block: 2 * b}, uint(b*37))
+	}
+	m.SetFaultInjector(plan)
+
+	answers := fnv.New64a()
+	for i := 0; i < 2000; i++ {
+		if i == 1000 {
+			bd.SetRetryPolicy(pdm.RetryPolicy{MaxRetries: 2, BackoffBase: 1, BackoffFactor: 2, Hedge: true})
+		}
+		x := key(i * 7 % 330) // one in eleven is absent
+		sat, ok, err := bd.LookupTry(x)
+		fmt.Fprintf(answers, "%d %v %v %v\n", x, sat, ok, err)
+	}
+	// Disk 3 cannot be rebuilt while disk 6's damaged buckets are read
+	// as its survivors; once disk 6 is rebuilt from disk 3's intact
+	// copies, it can.
+	plan.HealDisk(3)
+	fmt.Fprintf(answers, "scrub %v\n", bd.Scrub())
+	for _, disk := range []int{3, 6, 3} {
+		fmt.Fprintf(answers, "repair %d %v\n", disk, bd.Repair(disk))
+	}
+	fmt.Fprintf(answers, "scrub %v\n", bd.Scrub())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	digest := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	got := map[string]uint64{
+		"trace":   digest(buf.Bytes()),
+		"answers": answers.Sum64(),
+		"stats":   digest(fmt.Appendf(nil, "%+v", m.Stats())),
+		"health":  digest(fmt.Appendf(nil, "%+v", m.Health())),
+		"faults":  uint64(m.FaultCount()),
+	}
+	want := map[string]uint64{
+		"trace":   0xd15567cfedbd4736,
+		"answers": 0x500ac762957ce2c4,
+		"stats":   0x589dd75bd2bd1829,
+		"health":  0x74deb3782aec9e89,
+		"faults":  3091,
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s digest = %#x, want %#x", k, got[k], v)
+		}
+	}
+	for _, tag := range []string{"fault.failstop", "fault.transient", "fault.corrupt", "fault.stall", "fault.checksum"} {
+		if !strings.Contains(buf.String(), `"tag":"`+tag+`"`) {
+			t.Errorf("trace has no %s event", tag)
+		}
 	}
 }
 

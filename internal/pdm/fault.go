@@ -1,6 +1,7 @@
 package pdm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -147,8 +148,13 @@ func (e *BatchError) Unwrap() []error {
 	return errs
 }
 
-// AsBatchError extracts a *BatchError from err, if it is one.
+// AsBatchError extracts a *BatchError from err, if it is one. The bare
+// *BatchError a Try batch returns is recognized by a type assertion
+// before errors.As is tried, whose target would cost an allocation.
 func AsBatchError(err error) (*BatchError, bool) {
+	if be, ok := err.(*BatchError); ok {
+		return be, true
+	}
 	var be *BatchError
 	if errors.As(err, &be) {
 		return be, true
@@ -156,18 +162,19 @@ func AsBatchError(err error) (*BatchError, bool) {
 	return nil, false
 }
 
-// crcBlock checksums a block's words (little-endian) with CRC-32/IEEE.
-// It walks the table byte by byte itself: handing crc32.Update a buffer
-// per word made that buffer escape, one allocation per verified block.
-func crcBlock(blk []Word) uint32 {
-	crc := ^uint32(0)
-	for _, w := range blk {
-		for i := 0; i < 8; i++ {
-			crc = crc32.IEEETable[byte(crc)^byte(w)] ^ crc>>8
-			w >>= 8
-		}
+// crcBlock returns the CRC-32/IEEE of a block's words in little-endian
+// byte order, the value the shards store and snapshots recompute. It
+// encodes the words into buf, which must hold 8·len(blk) bytes — a shard
+// passes the buffer its mutex guards — and checksums the bytes with
+// crc32.ChecksumIEEE, which uses the CPU's carry-less multiply where
+// there is one. Encoding word by word keeps the value independent of the
+// host's byte order.
+func crcBlock(buf []byte, blk []Word) uint32 {
+	buf = buf[:8*len(blk)]
+	for i, w := range blk {
+		binary.LittleEndian.PutUint64(buf[8*i:], w)
 	}
-	return ^crc
+	return crc32.ChecksumIEEE(buf)
 }
 
 // FlipBit flips one stored bit of a block in place, leaving the stored
@@ -241,68 +248,108 @@ func (m *Machine) FaultCount() int64 {
 	return m.faults.Load()
 }
 
-// faultEvent builds the hook event for one injected or detected fault.
-// Only stalls carry cost: their extra steps are charged to the
-// fault.stall tag rather than the issuing batch's tag, so per-tag sums
-// still partition the machine's total.
-func faultEvent(kind EventKind, a Addr, fk string, stall int) Event {
-	return Event{Kind: kind, Tag: FaultTagPrefix + fk, Addrs: []Addr{a}, Steps: stall, Depth: stall}
+// faultTags are the fault event tags by kind, FaultTagPrefix plus the
+// kind's name, and checksumTag the tag of a detected checksum mismatch:
+// constants, so building a fault event concatenates nothing.
+var faultTags = [...]string{
+	FaultFailStop:  FaultTagPrefix + "failstop",
+	FaultTransient: FaultTagPrefix + "transient",
+	FaultCorrupt:   FaultTagPrefix + "corrupt",
+	FaultStall:     FaultTagPrefix + "stall",
 }
+
+const checksumTag = FaultTagPrefix + "checksum"
 
 // drawFaults consults the injector once per address, in batch order,
 // under faultMu so each batch's decision sequence stays contiguous
-// under concurrency. Returns nil when no injector is installed.
-func (m *Machine) drawFaults(kind EventKind, addrs []Addr) []Fault {
+// under concurrency, and keeps the draws in sc. Returns nil when no
+// injector is installed.
+func (m *Machine) drawFaults(sc *batchScratch, kind EventKind, addrs []Addr) []Fault {
 	m.faultMu.Lock()
 	defer m.faultMu.Unlock()
 	if m.injector == nil {
 		return nil
 	}
-	fs := make([]Fault, len(addrs))
-	for i, a := range addrs {
-		fs[i] = m.injector.Access(kind, a)
+	fs := sc.faults[:0]
+	for _, a := range addrs {
+		fs = append(fs, m.injector.Access(kind, a))
 	}
+	sc.faults = fs
 	return fs
 }
 
-// finishTry turns per-access outcomes into the batch's fault events,
-// block errors, stall surcharge, and degraded/fault bookkeeping —
-// sequentially, in batch order, so the emitted event sequence does not
-// depend on how the accesses were scheduled across shards. hevents are
-// the EventHealth annotations for transitions the batch's outcomes
-// caused; the caller emits them after the fault events but keeps them
-// out of fault accounting (they are annotations, not faults).
-func (m *Machine) finishTry(kind EventKind, addrs []Addr, fs []Fault, res []error) (berrs []BlockError, fevents, hevents []Event, extra int) {
+// faultAt returns access i's draw; without draws (no injector) every
+// access goes through untouched.
+func faultAt(fs []Fault, i int) Fault {
+	if fs == nil {
+		return Fault{}
+	}
+	return fs[i]
+}
+
+// denied returns the error of an access that fault f turns away before
+// it reaches the disk, or nil.
+func denied(f Fault) error {
+	switch f.Kind {
+	case FaultFailStop:
+		return ErrDiskFailed
+	case FaultTransient:
+		return ErrTransient
+	}
+	return nil
+}
+
+// outcomes returns the scratch's n per-access outcome slots. Every Try
+// access writes its own slot, so they need no clearing.
+func (sc *batchScratch) outcomes(n int) []error {
+	if cap(sc.res) < n {
+		sc.res = make([]error, n)
+	}
+	return sc.res[:n]
+}
+
+// finishTry turns per-access outcomes into the batch's block errors
+// (appended to berrs, empty on entry), stall surcharge, fault count, and degraded and
+// health bookkeeping — sequentially, in batch order, so none of it
+// depends on how the accesses were scheduled across shards. With a hook
+// installed it also builds the batch's fault events into sc.fevents,
+// followed by the EventHealth annotations for transitions the outcomes
+// caused (annotations, not faults: they are not counted). Without one,
+// fault events are only counted.
+func (m *Machine) finishTry(sc *batchScratch, hooked bool, kind EventKind, addrs []Addr, fs []Fault, res []error, berrs []BlockError) (_ []BlockError, nfaults, extra int) {
+	sc.fevents = sc.fevents[:0]
+	// A fault event's Addrs is a one-element slice of the batch's own
+	// list, valid, like any Event.Addrs, only during the hook call. Only
+	// stalls carry cost: their extra steps are charged to the fault.stall
+	// tag rather than the issuing batch's tag, so per-tag sums still
+	// partition the machine's total.
+	fault := func(i int, tag string, stall int) {
+		nfaults++
+		if hooked {
+			sc.fevents = append(sc.fevents, Event{Kind: kind, Tag: tag, Addrs: addrs[i : i+1 : i+1], Steps: stall, Depth: stall})
+		}
+	}
 	degrading := false
 	for i, a := range addrs {
-		var f Fault
-		if fs != nil {
-			f = fs[i]
-		}
+		f := faultAt(fs, i)
 		switch f.Kind {
-		case FaultFailStop:
-			fevents = append(fevents, faultEvent(kind, a, "failstop", 0))
-			degrading = true
-		case FaultTransient:
-			fevents = append(fevents, faultEvent(kind, a, "transient", 0))
-			degrading = true
-		case FaultCorrupt:
-			fevents = append(fevents, faultEvent(kind, a, "corrupt", 0))
+		case FaultFailStop, FaultTransient, FaultCorrupt:
+			fault(i, faultTags[f.Kind], 0)
 			degrading = true
 		case FaultStall:
 			extra += f.Stall
-			fevents = append(fevents, faultEvent(kind, a, "stall", f.Stall))
+			fault(i, faultTags[f.Kind], f.Stall)
 		}
 		if res[i] == nil {
 			continue
 		}
 		berrs = append(berrs, BlockError{Index: i, Addr: a, Err: res[i]})
 		if res[i] == ErrChecksum {
-			fevents = append(fevents, faultEvent(kind, a, "checksum", 0))
+			fault(i, checksumTag, 0)
 			degrading = true
 		}
 	}
-	m.faults.Add(int64(len(fevents)))
+	m.faults.Add(int64(nfaults))
 	if degrading {
 		m.degraded.Store(true)
 	}
@@ -311,22 +358,12 @@ func (m *Machine) finishTry(kind EventKind, addrs []Addr, fs []Fault, res []erro
 	// otherwise one observation per access is folded in batch order, so
 	// health transitions land at deterministic points of the trace.
 	if fs != nil || len(berrs) > 0 || m.unhealthy.Load() != 0 {
-		obs := make([]healthObs, len(addrs))
-		for i, a := range addrs {
-			var f Fault
-			if fs != nil {
-				f = fs[i]
-			}
-			obs[i] = healthObs{
-				disk:     a.Disk,
-				kind:     f.Kind,
-				checksum: res[i] == ErrChecksum,
-				ok:       res[i] == nil && f.Kind == FaultNone,
-			}
+		hevents := m.observeHealth(addrs, fs, res, m.pios.Load())
+		if hooked {
+			sc.fevents = append(sc.fevents, hevents...)
 		}
-		hevents = m.observeHealth(obs, m.pios.Load())
 	}
-	return berrs, fevents, hevents, extra
+	return berrs, nfaults, extra
 }
 
 // TryBatchRead is BatchRead with fault injection and checksum
@@ -335,7 +372,8 @@ func (m *Machine) finishTry(kind EventKind, addrs []Addr, fs []Fault, res []erro
 // are nil, and the error is a *BatchError listing them. The batch is
 // accounted like BatchRead — failed accesses still cost their I/O (the
 // arm moved, the timeout elapsed) and count as block reads; stalls add
-// extra steps on top of the batch cost.
+// extra steps on top of the batch cost. The blocks and the error are
+// the caller's alone.
 func (m *Machine) TryBatchRead(addrs []Addr) ([][]Word, error) {
 	return m.TryBatchReadInto(new(ReadBuf), nil, nil, addrs)
 }
@@ -349,62 +387,77 @@ func (m *Machine) TryBatchReadOp(op *Op, addrs []Addr) ([][]Word, error) {
 }
 
 // TryBatchReadInto is the one implementation behind TryBatchRead and
-// TryBatchReadOp, reading into the caller's buffer under BatchReadInto's
-// ownership rule; the view of a failed access is nil. op and shared
-// attribute the batch as for BatchReadInto: with an attribution list the
-// machine is charged once, and every listed op is charged the batch's
-// full steps (stall surcharge included), blocks, and fault events.
+// TryBatchReadOp, reading into the caller's buffer; the view of a failed
+// access is nil. op and shared attribute the batch as for BatchReadInto:
+// with an attribution list the machine is charged once, and every listed
+// op is charged the batch's full steps (stall surcharge included),
+// blocks, and fault events.
+//
+// The views and the *BatchError both alias rb and are valid until rb's
+// next read: a caller that keeps the error longer must copy its Blocks.
+// On a warm buffer the read allocates nothing, faults or not.
 func (m *Machine) TryBatchReadInto(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr) ([][]Word, error) {
 	out := rb.reset(len(addrs), m.cfg.B)
 	if len(addrs) == 0 {
 		return out, nil
 	}
-	arena := rb.arena // captured below in rb's place, so a fresh rb stays on the stack
 	for _, a := range addrs {
 		m.checkAddr(a)
 	}
-	fs := m.drawFaults(EventRead, addrs)
-	res := make([]error, len(addrs))
-	apply := func(i int) {
-		a := addrs[i]
-		s := &m.shards[a.Disk]
-		s.ios.Add(1)
-		var f Fault
-		if fs != nil {
-			f = fs[i]
+	sc := m.scratch.Get()
+	fs := m.drawFaults(sc, EventRead, addrs)
+	res := sc.outcomes(len(addrs))
+	var steps, depth int
+	if len(addrs) <= smallBatchMax {
+		steps, depth = m.cost(len(addrs), smallDepth(addrs))
+		for i, a := range addrs {
+			res[i] = m.tryRead(a, faultAt(fs, i), rb.arena, out, int32(i))
 		}
-		switch f.Kind {
-		case FaultFailStop:
-			res[i] = ErrDiskFailed
-			return
-		case FaultTransient:
-			res[i] = ErrTransient
-			return
-		}
-		s.mu.Lock()
-		if f.Kind == FaultCorrupt {
-			s.corruptLocked(a.Block, f.Bit)
-		}
-		if !s.verifyLocked(a.Block) {
-			s.mu.Unlock()
-			res[i] = ErrChecksum
-			return
-		}
-		s.readLocked(a.Block, arena, out, int32(i))
-		s.mu.Unlock()
+	} else {
+		steps, depth = m.cost(len(addrs), sc.partition(addrs))
+		arena := rb.arena
+		m.runShards(sc, len(addrs), func(d int32) {
+			for _, i := range sc.segment(d) {
+				res[i] = m.tryRead(addrs[i], faultAt(fs, int(i)), arena, out, i)
+			}
+		})
 	}
-	steps, depth := m.tryRun(addrs, apply)
-	berrs, fevents, hevents, extra := m.finishTry(EventRead, addrs, fs, res)
+	hooked := m.hooked.Load()
+	berrs, nfaults, extra := m.finishTry(sc, hooked, EventRead, addrs, fs, res, rb.err.Blocks)
+	rb.err.Blocks = berrs
 	m.charge(steps+extra, depth)
 	m.blockReads.Add(int64(len(addrs)))
-	chargeOps(m, op, shared, EventRead, steps+extra, len(addrs), len(fevents))
-	if m.hooked.Load() {
-		m.emit(op, shared, Event{Kind: EventRead, Addrs: addrs, Steps: steps, Depth: depth}, append(fevents, hevents...))
+	chargeOps(m, op, shared, EventRead, steps+extra, len(addrs), nfaults)
+	if hooked {
+		m.emit(op, shared, Event{Kind: EventRead, Addrs: addrs, Steps: steps, Depth: depth}, sc.fevents)
 	}
+	m.release(sc)
 	if len(berrs) > 0 {
-		return out, &BatchError{Blocks: berrs}
+		return out, &rb.err
 	}
 	return out, nil
+}
+
+// tryRead serves one access of a Try read: it applies the access's
+// fault, verifies the block against its checksum, and copies it into
+// slot i of the read buffer (passed as for readLocked).
+func (m *Machine) tryRead(a Addr, f Fault, arena []Word, views [][]Word, i int32) error {
+	s := &m.shards[a.Disk]
+	s.ios.Add(1)
+	if err := denied(f); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	if f.Kind == FaultCorrupt {
+		s.corruptLocked(a.Block, f.Bit)
+	}
+	if !s.verifyLocked(a.Block) {
+		s.mu.Unlock()
+		return ErrChecksum
+	}
+	s.readLocked(a.Block, arena, views, i)
+	s.mu.Unlock()
+	return nil
 }
 
 // TryBatchWrite is BatchWrite with fault injection: writes hitting a
@@ -422,81 +475,73 @@ func (m *Machine) TryBatchWriteOp(op *Op, writes []BlockWrite) error {
 	return m.tryBatchWrite(op, writes)
 }
 
+// tryBatchWrite is the one implementation behind TryBatchWrite and
+// TryBatchWriteOp. Like batchWrite it keeps its bookkeeping in a pooled
+// scratch, so a write that succeeds allocates nothing; a failed write
+// has no caller buffer to hold its error and allocates it.
 func (m *Machine) tryBatchWrite(op *Op, writes []BlockWrite) error {
 	if len(writes) == 0 {
 		return nil
 	}
-	addrs := make([]Addr, len(writes))
-	for i, w := range writes {
+	sc := m.scratch.Get()
+	addrs := sc.addrs[:0]
+	for _, w := range writes {
 		m.checkAddr(w.Addr)
 		if len(w.Data) > m.cfg.B {
 			panic(fmt.Sprintf("pdm: write of %d words exceeds block size %d", len(w.Data), m.cfg.B))
 		}
-		addrs[i] = w.Addr
+		addrs = append(addrs, w.Addr)
 	}
-	fs := m.drawFaults(EventWrite, addrs)
-	res := make([]error, len(writes))
-	apply := func(i int) {
-		w := &writes[i]
-		s := &m.shards[w.Addr.Disk]
-		s.ios.Add(1)
-		var f Fault
-		if fs != nil {
-			f = fs[i]
+	sc.addrs = addrs
+	fs := m.drawFaults(sc, EventWrite, addrs)
+	res := sc.outcomes(len(writes))
+	var steps, depth int
+	if len(writes) <= smallBatchMax {
+		steps, depth = m.cost(len(addrs), smallDepth(addrs))
+		for i := range writes {
+			res[i] = m.tryWrite(&writes[i], faultAt(fs, i))
 		}
-		switch f.Kind {
-		case FaultFailStop:
-			res[i] = ErrDiskFailed
-			return
-		case FaultTransient:
-			res[i] = ErrTransient
-			return
-		}
-		s.mu.Lock()
-		blk := s.blockLocked(w.Addr.Block)
-		copy(blk, w.Data)
-		s.sums[w.Addr.Block] = crcBlock(blk)
-		if f.Kind == FaultCorrupt {
-			s.corruptLocked(w.Addr.Block, f.Bit)
-		}
-		s.mu.Unlock()
+	} else {
+		steps, depth = m.cost(len(addrs), sc.partition(addrs))
+		m.runShards(sc, len(addrs), func(d int32) {
+			for _, i := range sc.segment(d) {
+				res[i] = m.tryWrite(&writes[i], faultAt(fs, int(i)))
+			}
+		})
 	}
-	steps, depth := m.tryRun(addrs, apply)
-	berrs, fevents, hevents, extra := m.finishTry(EventWrite, addrs, fs, res)
+	hooked := m.hooked.Load()
+	berrs, nfaults, extra := m.finishTry(sc, hooked, EventWrite, addrs, fs, res, nil)
 	m.charge(steps+extra, depth)
 	m.blockWrites.Add(int64(len(writes)))
-	chargeOps(m, op, nil, EventWrite, steps+extra, len(writes), len(fevents))
-	if m.hooked.Load() {
-		m.emit(op, nil, Event{Kind: EventWrite, Addrs: addrs, Steps: steps, Depth: depth}, append(fevents, hevents...))
+	chargeOps(m, op, nil, EventWrite, steps+extra, len(writes), nfaults)
+	if hooked {
+		m.emit(op, nil, Event{Kind: EventWrite, Addrs: addrs, Steps: steps, Depth: depth}, sc.fevents)
 	}
+	m.release(sc)
 	if len(berrs) > 0 {
 		return &BatchError{Blocks: berrs}
 	}
 	return nil
 }
 
-// tryRun executes apply for every access of a Try batch — inline and in
-// batch order for small batches, grouped by shard (batch order within
-// each disk, which is all the fault semantics depend on: accesses to
-// one block always share a disk) and fanned out for large ones — and
-// returns the batch's base cost.
-func (m *Machine) tryRun(addrs []Addr, apply func(i int)) (steps, depth int) {
-	if len(addrs) <= smallBatchMax {
-		steps, depth = m.cost(len(addrs), smallDepth(addrs))
-		for i := range addrs {
-			apply(i)
-		}
-		return steps, depth
+// tryWrite serves one access of a Try write: unless the access's fault
+// turns it away, it stores the data and the block's new checksum, then
+// applies a corruption fault on top.
+func (m *Machine) tryWrite(w *BlockWrite, f Fault) error {
+	s := &m.shards[w.Addr.Disk]
+	s.ios.Add(1)
+	if err := denied(f); err != nil {
+		return err
 	}
-	sc := m.scratch.Get()
-	steps, depth = m.cost(len(addrs), sc.partition(addrs))
-	m.runShards(sc, len(addrs), func(d int32) {
-		for _, i := range sc.segment(d) {
-			apply(int(i))
-		}
-	})
-	m.release(sc)
-	return steps, depth
+	s.mu.Lock()
+	blk := s.blockLocked(w.Addr.Block)
+	copy(blk, w.Data)
+	s.sums[w.Addr.Block] = s.sumLocked(blk)
+	if f.Kind == FaultCorrupt {
+		s.corruptLocked(w.Addr.Block, f.Bit)
+	}
+	s.mu.Unlock()
+	return nil
 }
 
 // WipeDisk discards every block (and checksum) of one disk, simulating
@@ -524,7 +569,7 @@ func (m *Machine) VerifyChecksums() []Addr {
 			if blk == nil {
 				continue
 			}
-			if crcBlock(blk) != s.sums[b] {
+			if s.sumLocked(blk) != s.sums[b] {
 				bad = append(bad, Addr{Disk: d, Block: b})
 			}
 		}

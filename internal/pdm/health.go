@@ -299,28 +299,22 @@ func (m *Machine) MarkHealthy(disk int) {
 	m.emitAnnotations(evs)
 }
 
-// healthObs is one per-access health observation extracted by finishTry.
-type healthObs struct {
-	disk     int
-	kind     FaultKind // FaultNone for a checksum mismatch or a clean access
-	checksum bool
-	ok       bool // access succeeded (no fault, no error)
-}
-
-// observeHealth folds one Try batch's outcomes into the per-disk state
-// machines and fires the health notification when anything actionable
-// happened. step is the machine's step counter at observation time;
+// observeHealth folds one Try batch's outcomes — each access's address,
+// fault draw (fs nil: none) and error — into the per-disk state machines
+// and fires the health notification when anything actionable happened.
+// step is the machine's step counter at observation time;
 // single-threaded runs observe the same values on every run, which is
 // what keeps health transitions trace-deterministic. It returns the
 // EventHealth annotations for any transitions, which the calling Try
 // batch appends to its emission (after the batch's fault events).
-func (m *Machine) observeHealth(obs []healthObs, step int64) []Event {
+func (m *Machine) observeHealth(addrs []Addr, fs []Fault, res []error, step int64) []Event {
 	var notify func()
 	actionable := false
 	m.healthMu.Lock()
-	for _, o := range obs {
-		h := &m.health[o.disk]
-		if o.ok {
+	for i, a := range addrs {
+		kind := faultAt(fs, i).Kind
+		h := &m.health[a.Disk]
+		if res[i] == nil && kind == FaultNone {
 			// A successful access to a Failed disk means the drive is
 			// answering again: leave the state to the supervisor, but
 			// record reachability and wake it.
@@ -333,13 +327,13 @@ func (m *Machine) observeHealth(obs []healthObs, step int64) []Event {
 		h.faults++
 		h.lastFault = step
 		switch {
-		case o.kind == FaultFailStop:
+		case kind == FaultFailStop:
 			h.reachable = false
 			if h.state != Failed {
-				m.transitionLocked(o.disk, Failed)
+				m.transitionLocked(a.Disk, Failed)
 				actionable = true
 			}
-		case o.kind == FaultCorrupt || o.checksum:
+		case kind == FaultCorrupt || res[i] == ErrChecksum:
 			// The disk answered, but with damage: Failed and immediately
 			// reachable, so repair can start without waiting for traffic.
 			// A disk already claimed as Repairing stays claimed — the bad
@@ -348,10 +342,10 @@ func (m *Machine) observeHealth(obs []healthObs, step int64) []Event {
 			// under traffic. (Fail-stop still demotes: the drive vanished.)
 			h.reachable = true
 			if h.state != Failed && h.state != Repairing {
-				m.transitionLocked(o.disk, Failed)
+				m.transitionLocked(a.Disk, Failed)
 				actionable = true
 			}
-		case o.kind == FaultTransient:
+		case kind == FaultTransient:
 			h.transients++
 			h.window = append(h.window, step)
 			lo := 0
@@ -362,10 +356,10 @@ func (m *Machine) observeHealth(obs []healthObs, step int64) []Event {
 				h.window = append(h.window[:0], h.window[lo:]...)
 			}
 			if h.state == Healthy && len(h.window) >= m.suspectN {
-				m.transitionLocked(o.disk, Suspect)
+				m.transitionLocked(a.Disk, Suspect)
 				actionable = true
 			}
-		case o.kind == FaultStall:
+		case kind == FaultStall:
 			h.lastStall = step
 			// A stalled access still got through — that counts as
 			// reachability evidence for a Failed disk.

@@ -1,6 +1,7 @@
 package pdm
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -214,10 +215,9 @@ func TestBatchWithNilHookAddsNoAllocations(t *testing.T) {
 	}
 	m.BatchRead(addrs) // materialize the blocks up front
 	// A fresh-buffer read costs 2 allocations whatever the batch size —
-	// the arena and its views — and a read into a warm
-	// caller-owned buffer costs none (a Try read: 2, its per-access
-	// outcome table and the closure it hands the shard runner). The
-	// nil-hook tracing path must not add to any of them.
+	// the arena and its views — and a read into a warm caller-owned
+	// buffer costs none, a Try read included, faults or not. The nil-hook
+	// tracing path must not add to any of them.
 	if avg := testing.AllocsPerRun(1000, func() {
 		end := m.Span("lookup")
 		m.BatchRead(addrs)
@@ -240,9 +240,38 @@ func TestBatchWithNilHookAddsNoAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		end()
-	}); avg != 2 {
-		t.Errorf("nil-hook traced fault-free Try read into a warm buffer allocates %.1f objects, want 2", avg)
+	}); avg != 0 {
+		t.Errorf("nil-hook traced fault-free Try read into a warm buffer allocates %.1f objects, want 0", avg)
 	}
+	// Disk 0 fail-stopped and disk 1 failing transiently: the draws, the
+	// outcomes, the counted fault events, the health folding and the
+	// returned *BatchError all live in pooled or caller-owned memory.
+	m.SetFaultInjector(failAndFlake{})
+	var err error
+	if avg := testing.AllocsPerRun(1000, func() {
+		end := m.OpSpan(op, "lookup")
+		_, err = m.TryBatchReadInto(&rb, op, nil, addrs)
+		end()
+	}); avg != 0 {
+		t.Errorf("nil-hook traced faulted Try read into a warm buffer allocates %.1f objects, want 0", avg)
+	}
+	if !errors.Is(err, ErrDiskFailed) || !errors.Is(err, ErrTransient) {
+		t.Errorf("faulted Try read returned %v, want a fail-stop and a transient", err)
+	}
+}
+
+// failAndFlake fail-stops disk 0 and fails every access to disk 1
+// transiently.
+type failAndFlake struct{}
+
+func (failAndFlake) Access(_ EventKind, a Addr) Fault {
+	switch a.Disk {
+	case 0:
+		return Fault{Kind: FaultFailStop}
+	case 1:
+		return Fault{Kind: FaultTransient}
+	}
+	return Fault{}
 }
 
 func TestSetHookNilStopsEvents(t *testing.T) {

@@ -311,7 +311,21 @@ type shard struct {
 	b       int    // block capacity in words (copied from Config.B)
 	zeroSum uint32 // CRC32 of an all-zero block (what block materializes)
 
-	_ [40]byte // pad shards apart so their locks don't false-share
+	// Last, so ios sits 64 bytes before the next shard's lock rather
+	// than on its cache line.
+	crc []byte // guarded by mu; 8·B bytes a block is encoded into to be checksummed, nil until the first
+
+	_ [16]byte // pad shards apart so their locks don't false-share
+}
+
+// sumLocked returns a block's checksum, encoding it into the shard's
+// buffer, which it allocates on the shard's first checksum. Callers hold
+// s.mu.
+func (s *shard) sumLocked(blk []Word) uint32 {
+	if s.crc == nil {
+		s.crc = make([]byte, 8*s.b)
+	}
+	return crcBlock(s.crc, blk)
 }
 
 // grow extends the block and checksum arrays to n slots in one step,
@@ -364,7 +378,7 @@ func (s *shard) verifyLocked(b int) bool {
 	if b >= len(s.blocks) || s.blocks[b] == nil {
 		return true
 	}
-	return crcBlock(s.blocks[b]) == s.sums[b]
+	return s.sumLocked(s.blocks[b]) == s.sums[b]
 }
 
 // corrupt flips one stored bit of a block without touching its
@@ -460,7 +474,7 @@ func NewMachine(cfg Config) *Machine {
 	for d := range m.health {
 		m.health[d].lastStall = -1
 	}
-	zeroSum := crcBlock(make([]Word, cfg.B))
+	zeroSum := crcBlock(make([]byte, 8*cfg.B), make([]Word, cfg.B))
 	for d := range m.shards {
 		m.shards[d].b = cfg.B
 		m.shards[d].zeroSum = zeroSum
@@ -779,6 +793,14 @@ type batchScratch struct {
 	perDisk func(d int32)
 	cursor  atomic.Int32 // next index of touched to serve
 	pending atomic.Int32 // helpers that have not finished
+
+	// A Try batch's transient state: its fault draws and per-access
+	// outcomes, and under a hook its fault and health events. Last, so
+	// that cursor, which every worker bumps, keeps its own cache line
+	// apart from perDisk and touched, which every worker reads.
+	faults  []Fault
+	res     []error
+	fevents []Event
 }
 
 // partition groups a batch's indices by disk and returns the deepest
@@ -818,12 +840,15 @@ func (sc *batchScratch) segment(d int32) []int32 {
 	return sc.order[sc.offs[d]-sc.counts[d] : sc.offs[d]]
 }
 
-// release re-zeroes counts (cheaply, via the touched list) and parks
-// the scratch back in the pool.
+// release re-zeroes counts (cheaply, via the touched list), drops the
+// events that point into the caller's batch, and parks the scratch back
+// in the pool.
 func (m *Machine) release(sc *batchScratch) {
 	for _, d := range sc.touched {
 		sc.counts[d] = 0
 	}
+	clear(sc.fevents)
+	sc.fevents = sc.fevents[:0]
 	m.scratch.Put(sc)
 }
 
@@ -917,20 +942,24 @@ func (m *Machine) checkAddr(a Addr) {
 }
 
 // ReadBuf is a caller-owned destination for batch reads: one flat arena
-// the machine copies blocks into, plus the per-address views of it that
-// a read returns. The zero value is ready to use; a buffer grows to the
-// largest batch it has served and from then on serves reads without
-// allocating. The views a read returns — and everything that aliases
-// them — are valid only until the buffer's next read. A ReadBuf is not
-// safe for concurrent use.
+// the machine copies blocks into, the per-address views of it that a
+// read returns, and the *BatchError a failed Try read returns. The zero
+// value is ready to use; a buffer grows to the largest batch it has
+// served and from then on serves reads without allocating. The views
+// and the error a read returns — and everything that aliases them — are
+// valid only until the buffer's next read. A ReadBuf is not safe for
+// concurrent use.
 type ReadBuf struct {
 	arena []Word
 	views [][]Word
+	err   BatchError
 }
 
 // reset sizes the buffer for n blocks of b words and returns the n
-// views, all nil (a Try read leaves the view of a failed access nil).
+// views, all nil (a Try read leaves the view of a failed access nil). It
+// also empties the previous read's error.
 func (rb *ReadBuf) reset(n, b int) [][]Word {
+	rb.err.Blocks = rb.err.Blocks[:0]
 	if cap(rb.arena) < n*b {
 		rb.arena = make([]Word, n*b)
 	}
@@ -1064,7 +1093,7 @@ func (m *Machine) batchWrite(op *Op, writes []BlockWrite) {
 			s.mu.Lock()
 			blk := s.blockLocked(w.Addr.Block)
 			copy(blk, w.Data)
-			s.sums[w.Addr.Block] = crcBlock(blk)
+			s.sums[w.Addr.Block] = s.sumLocked(blk)
 			s.mu.Unlock()
 			s.ios.Add(1)
 		}
@@ -1079,7 +1108,7 @@ func (m *Machine) batchWrite(op *Op, writes []BlockWrite) {
 				w := &writes[i]
 				blk := s.blockLocked(w.Addr.Block)
 				copy(blk, w.Data)
-				s.sums[w.Addr.Block] = crcBlock(blk)
+				s.sums[w.Addr.Block] = s.sumLocked(blk)
 			}
 			s.mu.Unlock()
 			s.ios.Add(int64(len(seg)))

@@ -80,6 +80,51 @@ func TestReadBufTryClearsFailedViews(t *testing.T) {
 	}
 }
 
+// A Try read's *BatchError follows its views' rule: it lives in the
+// buffer and holds until the buffer's next read, whichever kind, while
+// the error a fresh-buffer wrapper returns is the caller's for good.
+func TestReadBufTryErrorOwnership(t *testing.T) {
+	m := NewMachine(Config{D: 3, B: 4})
+	addrs := []Addr{{0, 0}, {1, 0}, {2, 0}}
+	fillBlocks(m, addrs)
+	failedIndex := func(err error) int {
+		t.Helper()
+		be, ok := AsBatchError(err)
+		if !ok || len(be.Blocks) != 1 {
+			t.Fatalf("err = %v, want one failed block", err)
+		}
+		return be.Blocks[0].Index
+	}
+
+	var rb ReadBuf
+	m.SetFaultInjector(failDisk(1))
+	_, held := m.TryBatchReadInto(&rb, nil, nil, addrs)
+	_, owned := m.TryBatchRead(addrs)
+	var other ReadBuf
+	m.SetFaultInjector(failDisk(0))
+	if _, err := m.TryBatchReadInto(&other, nil, nil, addrs); failedIndex(err) != 0 {
+		t.Fatalf("other buffer's read failed at %d, want 0", failedIndex(err))
+	}
+	if got := failedIndex(held); got != 1 {
+		t.Fatalf("a read into another buffer changed the held error to index %d", got)
+	}
+
+	// rb's next read reuses the error: a Try read refills it, a plain
+	// read empties it. The fresh wrapper's error never changes.
+	m.SetFaultInjector(failDisk(2))
+	_, again := m.TryBatchReadInto(&rb, nil, nil, addrs)
+	if again != held || failedIndex(held) != 2 {
+		t.Errorf("rb's next Try read returned %p (held %p), held now fails at %d, want the same error failing at 2", again, held, failedIndex(held))
+	}
+	m.BatchReadInto(&rb, nil, nil, addrs)
+	if be, _ := AsBatchError(held); len(be.Blocks) != 0 {
+		t.Errorf("after a plain read of rb the held error still lists %v", be.Blocks)
+	}
+	if got := failedIndex(owned); got != 1 || !errors.Is(owned, ErrDiskFailed) {
+		t.Errorf("fresh wrapper's error now fails at %d (%v), want 1, ErrDiskFailed", got, owned)
+	}
+}
+
 type failDisk int
 
 func (d failDisk) Access(_ EventKind, a Addr) Fault {
@@ -120,10 +165,35 @@ func TestCrcBlockIsIEEE(t *testing.T) {
 	for _, w := range blk {
 		bytes = binary.LittleEndian.AppendUint64(bytes, w)
 	}
-	if got, want := crcBlock(blk), crc32.ChecksumIEEE(bytes); got != want {
-		t.Errorf("crcBlock = %#x, want %#x", got, want)
+	buf := make([]byte, 8*len(blk))
+	if got, want := crcBlock(buf, blk), crc32.ChecksumIEEE(bytes); got != want || got != 0x0aedaecb {
+		t.Errorf("crcBlock = %#x, want %#x (and 0x0aedaecb)", got, want)
 	}
-	if avg := testing.AllocsPerRun(100, func() { crcBlock(blk) }); avg != 0 {
+	if avg := testing.AllocsPerRun(100, func() { crcBlock(buf, blk) }); avg != 0 {
 		t.Errorf("crcBlock allocates %.1f objects", avg)
 	}
+}
+
+// crcBlock agrees with crc32.ChecksumIEEE of the little-endian encoding
+// for every block length from 0 to B, whatever the words and whatever
+// the buffer held before.
+func FuzzCrcBlock(f *testing.F) {
+	const B = 64
+	f.Add([]byte{}, byte(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, byte(0xff))
+	f.Add(make([]byte, 8*B+3), byte(0x5a))
+	f.Fuzz(func(t *testing.T, data []byte, stale byte) {
+		blk := make([]Word, min(len(data)/8, B))
+		for i := range blk {
+			blk[i] = binary.LittleEndian.Uint64(data[8*i:])
+		}
+		buf := make([]byte, 8*B)
+		for i := range buf {
+			buf[i] = stale
+		}
+		want := crc32.ChecksumIEEE(data[:8*len(blk)])
+		if got := crcBlock(buf, blk); got != want {
+			t.Fatalf("crcBlock of %d words = %#x, want %#x", len(blk), got, want)
+		}
+	})
 }

@@ -134,6 +134,7 @@ func ReadSnapshot(r io.Reader) (*Machine, error) {
 		}
 	}
 	zeroSum := m.shards[0].zeroSum
+	crc := make([]byte, 8*cfg.B)
 	for d := 0; d < cfg.D; d++ {
 		var nBlocks uint64
 		if err := binary.Read(br, binary.LittleEndian, &nBlocks); err != nil {
@@ -163,7 +164,7 @@ func ReadSnapshot(r io.Reader) (*Machine, error) {
 			// snapshot always yields a machine whose blocks verify (any
 			// latent corruption present at save time is thereby blessed —
 			// scrub before saving if that matters).
-			sums = append(sums, crcBlock(blk))
+			sums = append(sums, crcBlock(crc, blk))
 		}
 		m.shards[d].blocks = disk //lint:pdm-allow guardedby: machine is not yet published; no other goroutine can reach it
 		m.shards[d].sums = sums   //lint:pdm-allow guardedby: machine is not yet published; no other goroutine can reach it
