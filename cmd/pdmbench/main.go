@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	pdmbench [-run regexp | -faults | -parallel ladder [-sched]] [-md | -csv | -json]
+//	pdmbench [-run regexp | -faults | -parallel ladder | -chaos] [-md | -csv | -json]
 //	         [-list] [-out file] [-serve addr]
 //
 // -json emits the run as one JSON document — {"schema_version": N,
@@ -23,24 +23,17 @@
 //	pdmbench -run fig1 -json -out bench.json   # machine-readable report
 //	pdmbench -out results.txt                  # full suite into a file
 //	pdmbench -serve :8080                      # watch the run live
-//	pdmbench -parallel 8                       # multi-client throughput, 1 vs 8 clients
-//	pdmbench -parallel 1,8,64                  # explicit client ladder
-//	pdmbench -parallel 8 -json -out BENCH_PR5.json
-//	pdmbench -parallel 1,8,64 -sched -json -out BENCH_PR10.json
+//	pdmbench -parallel 8                       # scheduler comparison, 1 vs 8 clients
+//	pdmbench -parallel 1,8,64 -json -out BENCH_PR10.json
 //
-// -parallel runs the multi-client throughput mode instead of the
-// experiment suite: concurrent query streams over one shared
-// dictionary, each paced by the modeled device latency, reported as
-// wall and modeled ops/sec next to a single-client baseline. It takes
-// either a single count N (shorthand for the ladder 1,N) or an
+// -parallel runs the group-commit scheduler comparison instead of the
+// experiment suite: at each client count the same uniform lookup
+// workload runs direct (one parallel-I/O round per lookup) and through
+// the deterministic-mode scheduler (concurrent lookups coalesced into
+// one deduplicated shared round), reporting modeled steps per operation
+// for both, the coalescing factor, and exact per-op accounting. It
+// takes either a single count N (shorthand for the ladder 1,N) or an
 // explicit comma-separated ladder like 1,8,64.
-//
-// -sched (with -parallel) runs the group-commit scheduler comparison
-// instead: at each client count the same uniform lookup workload runs
-// direct (one parallel-I/O round per lookup) and through the
-// deterministic-mode scheduler (concurrent lookups coalesced into one
-// deduplicated shared round), reporting modeled steps per operation
-// for both, the coalescing factor, and exact per-op accounting.
 //
 // -chaos runs the chaos soak instead of the experiment suite: a
 // seed-generated schedule of fail/heal/corrupt rounds plays against a
@@ -108,10 +101,8 @@ func main() {
 		faults   = flag.Bool("faults", false, "run the fault-tolerance scenario (shorthand for -run E14-faults)")
 		outPath  = flag.String("out", "", "write output to this file instead of stdout")
 		serve    = flag.String("serve", "", "serve live /metrics, /healthz, and /debug/pprof on this address while running")
-		parallel = flag.String("parallel", "", "run the multi-client throughput mode: a client count N (shorthand for 1,N) or an explicit ladder like 1,8,64")
-		schedCmp = flag.Bool("sched", false, "with -parallel: run the group-commit scheduler comparison (direct vs coalesced modeled steps/op) over the client ladder")
-		ops      = flag.Int("ops", 0, "throughput mode: total operations per run (default 8000)")
-		seed     = flag.Uint64("seed", 1, "throughput/chaos mode: workload seed")
+		parallel = flag.String("parallel", "", "run the group-commit scheduler comparison (direct vs coalesced modeled steps/op) over a client ladder: a count N (shorthand for 1,N) or an explicit ladder like 1,8,64")
+		seed     = flag.Uint64("seed", 1, "parallel/chaos mode: workload seed")
 		chaos    = flag.Bool("chaos", false, "run the chaos soak: scheduled fail/heal/corrupt rounds under concurrent traffic with background self-healing; exits non-zero if any soak invariant breaks")
 		clients  = flag.Int("clients", 0, "chaos mode: concurrent lookup clients (default 8)")
 		rounds   = flag.Int("rounds", 0, "chaos mode: damage rounds in the generated schedule (default 6)")
@@ -184,20 +175,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pdmbench:", err)
 			os.Exit(1)
 		}
-		if *schedCmp {
-			table, results, err := bench.SchedTable(bench.SchedBenchConfig{Seed: *seed}, ladder)
-			if err == nil {
-				err = bench.WriteSched(out, []bench.Table{table}, results, format)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pdmbench:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		table, results, err := bench.ThroughputTable(bench.ThroughputConfig{TotalOps: *ops, Seed: *seed}, ladder)
+		table, results, err := bench.SchedTable(bench.SchedBenchConfig{Seed: *seed}, ladder)
 		if err == nil {
-			err = bench.WriteThroughput(out, []bench.Table{table}, results, format)
+			err = bench.WriteReport(out, bench.Report{Tables: []bench.Table{table}, Sched: results}, format)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pdmbench:", err)
@@ -205,18 +185,14 @@ func main() {
 		}
 		return
 	}
-	if *schedCmp {
-		fmt.Fprintln(os.Stderr, "pdmbench: -sched requires -parallel (the client ladder to compare over)")
-		os.Exit(1)
-	}
 
 	if *chaos {
-		if *pattern != "" || *parallel != "" {
+		if *pattern != "" {
 			fmt.Fprintln(os.Stderr, "pdmbench: -chaos is mutually exclusive with -run and -parallel")
 			os.Exit(1)
 		}
 		res, err := bench.RunChaos(bench.ChaosConfig{Seed: *seed, Clients: *clients, Rounds: *rounds})
-		werr := bench.WriteChaos(out, []bench.Table{*bench.ChaosTable(res)}, []bench.ChaosResult{res}, format)
+		werr := bench.WriteReport(out, bench.Report{Tables: []bench.Table{*bench.ChaosTable(res)}, Chaos: []bench.ChaosResult{res}}, format)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pdmbench: chaos soak FAILED:", err)
 			os.Exit(1)

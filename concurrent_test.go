@@ -207,8 +207,16 @@ func TestConcurrentLookupBatchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		syncd := Synchronized(dict)
-		_ = syncd // SyncDict is covered via the interface below.
+		syncDict, err := New(Options{Capacity: 100, SatWords: 1, Universe: 1 << 21, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A HashTable has no batch path, so SyncDict answers its batches
+		// with the per-key loop.
+		hash, err := NewHashTable(Options{Capacity: 500, SatWords: 1, Universe: 1 << 21, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return []struct {
 			name string
 			d    interface {
@@ -217,6 +225,7 @@ func TestConcurrentLookupBatchEquivalence(t *testing.T) {
 			}
 		}{
 			{"Basic", basic}, {"OneProbe", oneProbe}, {"Dynamic", dynamic}, {"Dict", dict},
+			{"SyncDict", Synchronized(syncDict)}, {"SyncHashTable", Synchronized(hash)},
 		}
 	}
 	for _, tc := range mk() {

@@ -148,23 +148,21 @@ func (t *Table) CSV() string {
 // 3 added p999 to histogram digests and per-operation SLO quantiles to
 // the parallel-throughput tables; version 4 added the chaos-soak
 // results (pdmbench -chaos); version 5 added the group-commit
-// scheduler comparison (pdmbench -parallel -sched). Bump this whenever
-// Report or Table changes shape.
-const ReportSchemaVersion = 5
+// scheduler comparison (pdmbench -parallel); version 6 dropped the
+// paced multi-client throughput results. Bump this whenever Report or
+// Table changes shape.
+const ReportSchemaVersion = 6
 
 // Report is the top-level JSON document of a -json run.
 type Report struct {
 	SchemaVersion int     `json:"schema_version"`
 	Tables        []Table `json:"tables"`
-	// Throughput carries the raw multi-client results — per-client SLO
-	// digests included — when the run was pdmbench -parallel.
-	Throughput []ThroughputResult `json:"throughput,omitempty"`
 	// Chaos carries the chaos-soak results — schedule, health counters,
 	// and exact cost attribution — when the run was pdmbench -chaos.
 	Chaos []ChaosResult `json:"chaos,omitempty"`
 	// Sched carries the group-commit scheduler comparison — direct vs
 	// coalesced modeled steps per operation, per client count — when
-	// the run was pdmbench -parallel -sched.
+	// the run was pdmbench -parallel.
 	Sched []SchedResult `json:"sched,omitempty"`
 }
 
@@ -200,51 +198,42 @@ func RunFormat(pattern string, w io.Writer, format Format) ([]Table, error) {
 		}
 		tables := e.Run()
 		all = append(all, tables...)
-		for _, t := range tables {
-			switch format {
-			case FormatMarkdown:
-				fmt.Fprintln(w, t.Markdown())
-			case FormatCSV:
-				fmt.Fprintln(w, t.CSV())
-			case FormatJSON:
-				// Emitted as one document after the loop.
-			default:
-				fmt.Fprintln(w, t.Render())
-			}
+		if format != FormatJSON {
+			// Text formats stream each experiment's tables as it finishes;
+			// JSON is one document after the loop.
+			writeTables(w, tables, format)
 		}
 	}
 	if matched == 0 {
 		return nil, fmt.Errorf("bench: no experiment matches %q", pattern)
 	}
 	if format == FormatJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(Report{SchemaVersion: ReportSchemaVersion, Tables: all}); err != nil {
-			return nil, fmt.Errorf("bench: encoding JSON: %w", err)
+		if err := WriteReport(w, Report{Tables: all}, format); err != nil {
+			return nil, err
 		}
 	}
 	return all, nil
 }
 
-// WriteTables renders tables to w in the given format — the same
-// rendering RunFormat applies, for callers (like pdmbench -parallel)
-// that produce tables outside the experiment registry.
-func WriteTables(w io.Writer, tables []Table, format Format) error {
-	return WriteThroughput(w, tables, nil, format)
-}
-
-// WriteThroughput is WriteTables plus the raw throughput results, which
-// only the JSON format carries (the text formats render the tables and
-// the results ride behind them in the Report document).
-func WriteThroughput(w io.Writer, tables []Table, results []ThroughputResult, format Format) error {
-	if format == FormatJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(Report{SchemaVersion: ReportSchemaVersion, Tables: tables, Throughput: results}); err != nil {
-			return fmt.Errorf("bench: encoding JSON: %w", err)
-		}
+// WriteReport renders r to w in the given format. JSON emits the whole
+// Report, stamped with ReportSchemaVersion, including the raw chaos and
+// scheduler results; the text formats render only its tables.
+func WriteReport(w io.Writer, r Report, format Format) error {
+	if format != FormatJSON {
+		writeTables(w, r.Tables, format)
 		return nil
 	}
+	r.SchemaVersion = ReportSchemaVersion
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(r); err != nil {
+		return fmt.Errorf("bench: encoding JSON: %w", err)
+	}
+	return nil
+}
+
+// writeTables renders each table in one of the text formats.
+func writeTables(w io.Writer, tables []Table, format Format) {
 	for _, t := range tables {
 		switch format {
 		case FormatMarkdown:
@@ -255,55 +244,6 @@ func WriteThroughput(w io.Writer, tables []Table, results []ThroughputResult, fo
 			fmt.Fprintln(w, t.Render())
 		}
 	}
-	return nil
-}
-
-// WriteSched renders the scheduler-comparison tables plus, for JSON,
-// the raw per-client-count rows.
-func WriteSched(w io.Writer, tables []Table, results []SchedResult, format Format) error {
-	if format == FormatJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(Report{SchemaVersion: ReportSchemaVersion, Tables: tables, Sched: results}); err != nil {
-			return fmt.Errorf("bench: encoding JSON: %w", err)
-		}
-		return nil
-	}
-	for _, t := range tables {
-		switch format {
-		case FormatMarkdown:
-			fmt.Fprintln(w, t.Markdown())
-		case FormatCSV:
-			fmt.Fprintln(w, t.CSV())
-		default:
-			fmt.Fprintln(w, t.Render())
-		}
-	}
-	return nil
-}
-
-// WriteChaos renders chaos tables plus, for JSON, the raw soak results
-// with their schedules and attribution breakdowns.
-func WriteChaos(w io.Writer, tables []Table, results []ChaosResult, format Format) error {
-	if format == FormatJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(Report{SchemaVersion: ReportSchemaVersion, Tables: tables, Chaos: results}); err != nil {
-			return fmt.Errorf("bench: encoding JSON: %w", err)
-		}
-		return nil
-	}
-	for _, t := range tables {
-		switch format {
-		case FormatMarkdown:
-			fmt.Fprintln(w, t.Markdown())
-		case FormatCSV:
-			fmt.Fprintln(w, t.CSV())
-		default:
-			fmt.Fprintln(w, t.Render())
-		}
-	}
-	return nil
 }
 
 // Experiment is one entry of the suite.

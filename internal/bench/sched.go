@@ -12,7 +12,7 @@ import (
 	"pdmdict/internal/sched"
 )
 
-// Scheduled-lookup mode (`pdmbench -parallel ... -sched`): the same
+// Scheduled-lookup mode (`pdmbench -parallel LADDER`): the same
 // uniform multi-client lookup workload run twice over identical §4.1
 // dictionaries — once with every client probing the machine directly
 // (each lookup is its own parallel-I/O round), once through the

@@ -116,9 +116,6 @@ func (t *Tree) Len() int { return t.n }
 // lookup cost in parallel I/Os.
 func (t *Tree) Height() int { return t.height }
 
-// Nodes returns the number of allocated nodes (space accounting).
-func (t *Tree) Nodes() int { return t.nNodes }
-
 // Fanout returns the maximum internal fanout.
 func (t *Tree) Fanout() int { return t.maxInt + 1 }
 

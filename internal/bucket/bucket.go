@@ -1,9 +1,9 @@
 // Package bucket implements the block-resident bucket structures the
 // dictionaries store on disk: a record codec laying (key, satellite)
-// records into fixed-size blocks, and a deterministic constant-time
-// in-memory index that stands in for the atomic heaps of Fredman–Willard
-// that Section 4.1 of the paper invokes when the block size B is too
-// small to permit trivial in-block storage.
+// records into fixed-size blocks. Section 4.1 of the paper puts an
+// atomic heap of Fredman–Willard in each bucket when B is small; here a
+// lookup scans the block in place with Codec.Next, since in-memory work
+// is free in the parallel disk model and only the I/Os are counted.
 package bucket
 
 import (

@@ -219,53 +219,6 @@ func TestRemoveLastClearsTail(t *testing.T) {
 	}
 }
 
-func TestNibbleTrieBasics(t *testing.T) {
-	var tr NibbleTrie
-	if _, ok := tr.Get(1); ok {
-		t.Error("empty trie Get succeeded")
-	}
-	tr.Put(1, 100)
-	tr.Put(0xdeadbeefcafef00d, 200)
-	tr.Put(1, 111) // update
-	if tr.Len() != 2 {
-		t.Errorf("Len = %d, want 2", tr.Len())
-	}
-	if v, ok := tr.Get(1); !ok || v != 111 {
-		t.Errorf("Get(1) = %d, %v", v, ok)
-	}
-	if v, ok := tr.Get(0xdeadbeefcafef00d); !ok || v != 200 {
-		t.Errorf("Get(big) = %d, %v", v, ok)
-	}
-	if !tr.Delete(1) {
-		t.Error("Delete(1) failed")
-	}
-	if tr.Delete(1) {
-		t.Error("double delete succeeded")
-	}
-	if _, ok := tr.Get(1); ok {
-		t.Error("deleted key still present")
-	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d after delete, want 1", tr.Len())
-	}
-}
-
-func TestNibbleTrieDistinguishesClosePrefixes(t *testing.T) {
-	var tr NibbleTrie
-	// Keys differing only in the lowest nibble share 15 trie levels.
-	tr.Put(0xABC0, 1)
-	tr.Put(0xABC1, 2)
-	if v, _ := tr.Get(0xABC0); v != 1 {
-		t.Errorf("Get(0xABC0) = %d", v)
-	}
-	if v, _ := tr.Get(0xABC1); v != 2 {
-		t.Errorf("Get(0xABC1) = %d", v)
-	}
-	if _, ok := tr.Get(0xABC2); ok {
-		t.Error("sibling key reported present")
-	}
-}
-
 // Property: the codec behaves exactly like a map from key to satellite
 // under any sequence of appends and removes that fits one block.
 func TestPropertyCodecMatchesMap(t *testing.T) {
@@ -293,37 +246,6 @@ func TestPropertyCodecMatchesMap(t *testing.T) {
 		for k, v := range oracle {
 			sat, ok := c.Find(block, k)
 			if !ok || sat[0] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: NibbleTrie agrees with a map under random workloads.
-func TestPropertyTrieMatchesMap(t *testing.T) {
-	f := func(keys []uint64, dels []uint64) bool {
-		var tr NibbleTrie
-		oracle := map[uint64]int{}
-		for i, k := range keys {
-			tr.Put(k, i)
-			oracle[k] = i
-		}
-		for _, k := range dels {
-			if tr.Delete(k) != (func() bool { _, ok := oracle[k]; return ok })() {
-				return false
-			}
-			delete(oracle, k)
-		}
-		if tr.Len() != len(oracle) {
-			return false
-		}
-		for k, v := range oracle {
-			got, ok := tr.Get(k)
-			if !ok || got != v {
 				return false
 			}
 		}

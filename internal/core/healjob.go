@@ -48,29 +48,38 @@ type RepairJob struct {
 // one job may be registered at a time. Updates must go through the
 // locking API (InsertOp, DeleteOp, …) while a job is registered.
 func (bd *BasicDict) StartRepair(disk int) (*RepairJob, error) {
-	if !bd.cfg.Replicate {
-		return nil, fmt.Errorf("core: StartRepair requires Replicate mode")
-	}
-	if bd.cfg.K < 2 {
-		return nil, fmt.Errorf("core: StartRepair needs K ≥ 2 replicas, have %d", bd.cfg.K)
-	}
-	if disk < 0 || disk >= bd.reg.nDisks {
-		return nil, fmt.Errorf("core: StartRepair disk %d out of [0,%d)", disk, bd.reg.nDisks)
+	j, err := bd.newRepairJob(disk)
+	if err != nil {
+		return nil, err
 	}
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
 	if bd.repairJob != nil {
 		return nil, fmt.Errorf("core: a repair of disk %d is already in progress", bd.repairJob.disk)
 	}
+	bd.repairJob = j
+	return j, nil
+}
+
+// newRepairJob checks that disk can be rebuilt from replicas and returns
+// an unregistered job for it, in its collect phase.
+func (bd *BasicDict) newRepairJob(disk int) (*RepairJob, error) {
+	if !bd.cfg.Replicate {
+		return nil, fmt.Errorf("core: repair requires Replicate mode")
+	}
+	if bd.cfg.K < 2 {
+		return nil, fmt.Errorf("core: repair needs K ≥ 2 replicas, have %d", bd.cfg.K)
+	}
+	if disk < 0 || disk >= bd.reg.nDisks {
+		return nil, fmt.Errorf("core: repair disk %d out of [0,%d)", disk, bd.reg.nDisks)
+	}
 	ss := bd.striped.StripeSize()
-	j := &RepairJob{
+	return &RepairJob{
 		bd:   bd,
 		disk: disk,
 		rows: make([][]bucket.Record, ss),
 		seen: make([]map[pdm.Word]bool, ss),
-	}
-	bd.repairJob = j
-	return j, nil
+	}, nil
 }
 
 // Disk returns the disk under repair.
@@ -81,21 +90,6 @@ func (j *RepairJob) Done() bool {
 	j.bd.mu.RLock()
 	defer j.bd.mu.RUnlock()
 	return j.done
-}
-
-// Progress returns the job's position: the current phase name and how
-// many of the stripe's rows that phase has completed.
-func (j *RepairJob) Progress() (phase string, row, rows int) {
-	j.bd.mu.RLock()
-	defer j.bd.mu.RUnlock()
-	phase = "collect"
-	if j.writing {
-		phase = "write"
-	}
-	if j.done {
-		phase = "done"
-	}
-	return phase, j.cursor, len(j.rows)
 }
 
 // Close abandons the job and unregisters it. Safe to call after
@@ -176,7 +170,7 @@ func (j *RepairJob) collectRowLocked(op *pdm.Op, r int) error {
 	}
 	blocks, err := tryReadPolicy(bd.reg.m, new(retryScratch), new(pdm.ReadBuf), op, bd.retry, addrs)
 	if err != nil {
-		return fmt.Errorf("core: repair of disk %d: surviving row %d unreadable: %w", j.disk, r, err)
+		return fmt.Errorf("core: Repair of disk %d: surviving stripe unreadable: %w", j.disk, err)
 	}
 	for _, blk := range blocks {
 		for _, rec := range bd.codec.Decode(blk) {
@@ -220,7 +214,7 @@ func (j *RepairJob) writeRowLocked(op *pdm.Op, r int) error {
 		writes[i] = pdm.BlockWrite{Addr: a, Data: blocks[i]}
 	}
 	if err := tryWritePolicy(bd.reg.m, op, bd.retry, writes); err != nil {
-		return fmt.Errorf("core: repair of disk %d: rewriting row %d: %w", j.disk, r, err)
+		return fmt.Errorf("core: Repair of disk %d: rewriting bucket %d: %w", j.disk, j.disk*ss+r, err)
 	}
 	return nil
 }

@@ -336,79 +336,25 @@ func (bd *BasicDict) ContainsTry(x pdm.Word) (bool, error) {
 //
 // Repair requires Replicate mode with K ≥ 2 (otherwise there are no
 // surviving copies to rebuild from) and fails if a surviving replica
-// cannot be read even after retries.
+// cannot be read even after retries. It is a RepairJob run start to
+// finish under one hold of the write lock: the job is never registered,
+// since no update can interleave with it.
 func (bd *BasicDict) Repair(disk int) error {
-	if !bd.cfg.Replicate {
-		return fmt.Errorf("core: Repair requires Replicate mode")
-	}
-	if bd.cfg.K < 2 {
-		return fmt.Errorf("core: Repair needs K ≥ 2 replicas, have %d", bd.cfg.K)
-	}
-	if disk < 0 || disk >= bd.reg.nDisks {
-		return fmt.Errorf("core: Repair disk %d out of [0,%d)", disk, bd.reg.nDisks)
+	j, err := bd.newRepairJob(disk)
+	if err != nil {
+		return err
 	}
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
 	defer bd.reg.m.Span(obs.TagRepair)()
-	d := bd.reg.nDisks
-	ss := bd.striped.StripeSize()
-
-	// Sweep the surviving stripes row by row, collecting every record
-	// whose stripe mask says it also lived on the repaired disk.
-	rows := make([][]bucket.Record, ss)
-	seen := make([]map[pdm.Word]bool, ss)
-	for r := 0; r < ss; r++ {
-		var addrs []pdm.Addr
-		for t := 0; t < d; t++ {
-			if t == disk {
-				continue
-			}
-			addrs = bd.bucketAddrs(t*ss+r, addrs)
-		}
-		blocks, err := tryReadPolicy(bd.reg.m, new(retryScratch), new(pdm.ReadBuf), nil, bd.retry, addrs)
-		if err != nil {
-			return fmt.Errorf("core: Repair of disk %d: surviving stripe unreadable: %w", disk, err)
-		}
-		for _, blk := range blocks {
-			for _, rec := range bd.codec.Decode(blk) {
-				mask := uint64(rec.Sat[0]) >> 8
-				if mask&(1<<uint(disk)) == 0 {
-					continue
-				}
-				y := bd.neighbors(rec.Key, nil)[disk]
-				tDisk, row := bd.bucketPos(y)
-				if tDisk != disk {
-					// The mask claims a replica on a stripe the graph does
-					// not map this key to — a damaged record slipped past
-					// the checksum. Skip it rather than corrupt the stripe.
-					continue
-				}
-				if seen[row] == nil {
-					seen[row] = make(map[pdm.Word]bool)
-				}
-				if seen[row][rec.Key] {
-					continue // another survivor already contributed this key
-				}
-				seen[row][rec.Key] = true
-				sat := make([]pdm.Word, 1+bd.fragWords)
-				sat[0] = replicaTag(replicaRank(mask, disk), mask)
-				copy(sat[1:], rec.Sat[1:])
-				rows[row] = append(rows[row], bucket.Record{Key: rec.Key, Sat: sat})
-			}
+	for r := range j.rows {
+		if err := j.collectRowLocked(nil, r); err != nil {
+			return err
 		}
 	}
-
-	// Rewrite the whole stripe — reconstructed buckets and empty ones
-	// alike, so stale blocks from before the failure cannot survive.
-	for r := 0; r < ss; r++ {
-		blocks := bd.encodeCanonical(rows[r], bd.cfg.BucketBlocks)
-		addrs := bd.bucketAddrs(disk*ss+r, nil)
-		writes := make([]pdm.BlockWrite, len(addrs))
-		for i, a := range addrs {
-			writes[i] = pdm.BlockWrite{Addr: a, Data: blocks[i]}
-		}
-		if err := tryWritePolicy(bd.reg.m, nil, bd.retry, writes); err != nil {
-			return fmt.Errorf("core: Repair of disk %d: rewriting bucket %d: %w", disk, disk*ss+r, err)
+	for r := range j.rows {
+		if err := j.writeRowLocked(nil, r); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -95,16 +95,6 @@ func All() []*Analyzer {
 	return []*Analyzer{IOCharge, BatchErr, DetRand, HookTag, OpCtxRule, LockOrder, GuardedBy, HealthTrans}
 }
 
-// ByName returns the analyzer with the given rule name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // Pass carries one package through one analyzer.
 type Pass struct {
 	Analyzer *Analyzer

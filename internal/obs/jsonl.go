@@ -20,10 +20,13 @@ import (
 // Version 4 added operation tokens: span and batch lines carry the
 // owning op's ID and client, root span lines its key count, and merged
 // batches their attribution list. Version 3 added a header line and
-// first-class span events. Older traces (versions 1–4, including
-// headerless 1/2 traces) still load; fields their version lacks simply
-// read back as zero.
+// first-class span events. Versions 3 and 4 still load; fields their
+// version lacks simply read back as zero.
 const TraceVersion = 5
+
+// minTraceVersion is the oldest format ReadEvents accepts: the first
+// with a header line.
+const minTraceVersion = 3
 
 // jsonlEvent is the on-disk shape of one trace line. Addresses are
 // [disk, block] pairs to keep traces compact. Span lines reuse the
@@ -133,15 +136,16 @@ func (e *ParseError) Error() string { return fmt.Sprintf("line %d: %v", e.Line, 
 // Unwrap exposes the underlying cause.
 func (e *ParseError) Unwrap() error { return e.Err }
 
-// ReadEvents parses a JSONL trace back into events. It accepts the
-// current versioned format and headerless version 1/2 traces, and
-// rejects unknown event kinds and future versions. Errors are
-// *ParseError carrying the offending line number.
+// ReadEvents parses a JSONL trace back into events. The first line
+// must be the version header, of a version from 3 to TraceVersion;
+// unknown event kinds are rejected. Errors are *ParseError carrying the
+// offending line number.
 func ReadEvents(r io.Reader) ([]pdm.Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	var out []pdm.Event
 	lineno := 0
+	header := false
 	for sc.Scan() {
 		lineno++
 		raw := bytes.TrimSpace(sc.Bytes())
@@ -166,21 +170,25 @@ func ReadEvents(r io.Reader) ([]pdm.Event, error) {
 			Op:     line.Op,
 			Client: line.Client,
 			Keys:   line.Keys,
-			Ops:    line.Ops,
 			Rule:   line.Rule,
 			From:   line.From,
 			To:     line.To,
 			Value:  line.Value,
 		}
-		switch line.Kind {
-		case "trace":
+		if line.Kind == "trace" {
 			if lineno != 1 {
 				return out, &ParseError{Line: lineno, Err: fmt.Errorf("trace header not on first line")}
 			}
-			if line.Version > TraceVersion {
-				return out, &ParseError{Line: lineno, Err: fmt.Errorf("trace version %d not supported (max %d)", line.Version, TraceVersion)}
+			if line.Version < minTraceVersion || line.Version > TraceVersion {
+				return out, &ParseError{Line: lineno, Err: fmt.Errorf("trace version %d not supported (want %d to %d)", line.Version, minTraceVersion, TraceVersion)}
 			}
+			header = true
 			continue
+		}
+		if !header {
+			return out, &ParseError{Line: lineno, Err: fmt.Errorf("trace header missing from first line")}
+		}
+		switch line.Kind {
 		case "read":
 			e.Kind = pdm.EventRead
 		case "write":
@@ -196,6 +204,9 @@ func ReadEvents(r io.Reader) ([]pdm.Event, error) {
 		default:
 			return out, &ParseError{Line: lineno, Err: fmt.Errorf("unknown event kind %q", line.Kind)}
 		}
+		if len(line.Ops) > 0 {
+			e.Ops = line.Ops
+		}
 		if len(line.Addrs) > 0 {
 			e.Addrs = make([]pdm.Addr, len(line.Addrs))
 			for i, a := range line.Addrs {
@@ -207,31 +218,24 @@ func ReadEvents(r io.Reader) ([]pdm.Event, error) {
 	if err := sc.Err(); err != nil {
 		return out, &ParseError{Line: lineno + 1, Err: err}
 	}
+	if !header {
+		return out, &ParseError{Line: 1, Err: fmt.Errorf("trace header missing from first line")}
+	}
 	return out, nil
 }
 
 // Replay re-issues a recorded trace against m, batch for batch,
 // reproducing the trace's I/O cost profile (block contents are not
-// recorded, so writes store zero blocks). Version 3+ traces carry span
-// events, and Replay re-opens the recorded spans on m — nesting
-// included — so a replayed machine emits the same span structure the
-// original did; spans left open by a truncated trace are closed at the
-// end. Version 4 traces carry operation tokens, which Replay re-mints
-// with their recorded IDs, clients, and key counts, re-issuing
-// token-carrying spans and batches (including merged batches and their
-// attribution lists) through the op-aware machine entry points, so a
-// replayed single-threaded trace serializes back byte-identically.
-// Headerless traces without span events fall back to wrapping each
-// tagged batch in its own span, as earlier versions did. It returns the
-// stats delta the replay produced.
+// recorded, so writes store zero blocks). Replay re-opens the recorded
+// spans on m — nesting included — so a replayed machine emits the same
+// span structure the original did; spans left open by a truncated trace
+// are closed at the end. Version 4+ traces carry operation tokens, which
+// Replay re-mints with their recorded IDs, clients, and key counts,
+// re-issuing token-carrying spans and batches (including merged batches
+// and their attribution lists) through the op-aware machine entry
+// points, so a replayed single-threaded trace serializes back
+// byte-identically. It returns the stats delta the replay produced.
 func Replay(m *pdm.Machine, events []pdm.Event) pdm.Stats {
-	hasSpans := false
-	for _, e := range events {
-		if e.Kind.IsSpan() {
-			hasSpans = true
-			break
-		}
-	}
 	before := m.Stats()
 	ops := map[uint64]*pdm.Op{}
 	op := func(id uint64, client, keys int) *pdm.Op {
@@ -272,10 +276,6 @@ func Replay(m *pdm.Machine, events []pdm.Event) pdm.Stats {
 			// on the fault-oblivious replay path), so re-issuing them
 			// would double-count nothing but would confuse sinks.
 		default:
-			end := func() {}
-			if !hasSpans && e.Tag != "" {
-				end = m.Span(e.Tag) //lint:pdm-allow hooktag: replays tags recorded in the trace being reproduced
-			}
 			switch {
 			case e.Kind == pdm.EventWrite:
 				writes := make([]pdm.BlockWrite, len(e.Addrs))
@@ -297,7 +297,6 @@ func Replay(m *pdm.Machine, events []pdm.Event) pdm.Stats {
 			default:
 				m.BatchReadOp(op(e.Op, e.Client, 0), e.Addrs)
 			}
-			end()
 		}
 	}
 	for i := len(stack) - 1; i >= 0; i-- {

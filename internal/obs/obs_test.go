@@ -150,50 +150,22 @@ func TestJSONLRoundTripAndReplay(t *testing.T) {
 	}
 }
 
-func TestJSONLReadsHeaderlessV2Traces(t *testing.T) {
-	// Traces written before the version header (formats 1 and 2) are
-	// plain batch lines; they must still load.
-	trace := `{"k":"write","tag":"insert","steps":2,"depth":2,"addrs":[[0,0],[0,1]]}
-{"k":"read","steps":1,"depth":1,"addrs":[[1,0]]}
-`
-	events, err := ReadEvents(strings.NewReader(trace))
-	if err != nil {
-		t.Fatalf("ReadEvents: %v", err)
-	}
-	if len(events) != 2 || events[0].Kind != pdm.EventWrite || events[0].Span != 0 ||
-		events[1].Kind != pdm.EventRead {
-		t.Fatalf("events = %+v", events)
-	}
-	// Headerless traces have no span events, so Replay wraps each tagged
-	// batch in its own span (the old behavior).
-	fresh := pdm.NewMachine(pdm.Config{D: 4, B: 2})
-	var rec eventRecorder
-	fresh.SetHook(&rec)
-	Replay(fresh, events)
-	kinds := rec.kinds()
-	want := []pdm.EventKind{pdm.EventSpanBegin, pdm.EventWrite, pdm.EventSpanEnd, pdm.EventRead}
-	if len(kinds) != len(want) {
-		t.Fatalf("replay emitted %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("replay emitted %v, want %v", kinds, want)
-		}
-	}
-}
-
 func TestJSONLParseErrorsCarryLineNumbers(t *testing.T) {
+	const hdr = "{\"k\":\"trace\",\"v\":5}\n"
 	cases := []struct {
 		name  string
 		trace string
 		line  int
 		want  string
 	}{
-		{"truncated json", "{\"k\":\"read\",\"steps\":1}\n{\"k\":\"wri", 2, "line 2"},
-		{"unknown kind", "{\"k\":\"read\"}\n{\"k\":\"read\"}\n{\"k\":\"frobnicate\"}\n", 3, "unknown event kind"},
+		{"truncated json", hdr + "{\"k\":\"read\",\"steps\":1}\n{\"k\":\"wri", 3, "line 3"},
+		{"unknown kind", hdr + "{\"k\":\"read\"}\n{\"k\":\"read\"}\n{\"k\":\"frobnicate\"}\n", 4, "unknown event kind"},
 		{"future version", "{\"k\":\"trace\",\"v\":99}\n", 1, "version 99"},
-		{"misplaced header", "{\"k\":\"read\"}\n{\"k\":\"trace\",\"v\":3}\n", 2, "first line"},
-		{"trailing garbage", "{\"k\":\"read\"} {\"k\":\"read\"}\n", 1, "trailing data"},
+		{"misplaced header", hdr + "{\"k\":\"read\"}\n{\"k\":\"trace\",\"v\":3}\n", 3, "first line"},
+		{"trailing garbage", hdr + "{\"k\":\"read\"} {\"k\":\"read\"}\n", 2, "trailing data"},
+		{"headerless", "{\"k\":\"write\",\"tag\":\"insert\",\"steps\":2,\"addrs\":[[0,0],[0,1]]}\n", 1, "header missing"},
+		{"pre-header version", "{\"k\":\"trace\",\"v\":2}\n", 1, "version 2"},
+		{"empty", "", 1, "header missing"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -69,14 +69,6 @@ func (o *Op) ID() uint64 {
 	return o.id
 }
 
-// ClientID returns the issuing client's ID (0 for a nil op).
-func (o *Op) ClientID() int {
-	if o == nil {
-		return 0
-	}
-	return o.client
-}
-
 // Keys returns how many keys the operation covers (0 for a nil op).
 func (o *Op) Keys() int {
 	if o == nil {

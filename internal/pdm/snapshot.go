@@ -14,16 +14,13 @@ import (
 // them exactly: all durable state lives in the blocks.
 //
 // Version 2 added the observability counters (per-disk transfer tallies
-// and the per-batch depth histogram); version-1 snapshots are still
-// readable and restore with those counters zeroed. Config.Workers is
-// deliberately not persisted: it only tunes wall-clock parallelism, and
-// a restored machine should use the restoring host's defaults.
+// and the per-batch depth histogram); it is the only version read.
+// Config.Workers is deliberately not persisted: it only tunes
+// wall-clock parallelism, and a restored machine should use the
+// restoring host's defaults.
 
 // snapshotMagic identifies the format; the trailing digit is a version.
-var (
-	snapshotMagicV1 = [4]byte{'P', 'D', 'M', '1'}
-	snapshotMagic   = [4]byte{'P', 'D', 'M', '2'}
-)
+var snapshotMagic = [4]byte{'P', 'D', 'M', '2'}
 
 // WriteSnapshot serializes the machine to w. It locks every shard for
 // the duration, so the blocks it writes are a consistent cross-disk
@@ -86,14 +83,14 @@ func (m *Machine) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot restores a machine from a snapshot produced by
-// WriteSnapshot (current or version-1 format).
+// WriteSnapshot.
 func ReadSnapshot(r io.Reader) (*Machine, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("pdm: reading snapshot magic: %w", err)
 	}
-	if magic != snapshotMagic && magic != snapshotMagicV1 {
+	if magic != snapshotMagic {
 		return nil, fmt.Errorf("pdm: not a machine snapshot (magic %q)", magic)
 	}
 	head := make([]uint64, 7)
@@ -117,21 +114,19 @@ func ReadSnapshot(r io.Reader) (*Machine, error) {
 	m.blockReads.Store(int64(head[4]))
 	m.blockWrites.Store(int64(head[5]))
 	m.maxBatch.Store(int64(head[6]))
-	if magic == snapshotMagic {
-		var depths [DepthBuckets]int64
-		if err := binary.Read(br, binary.LittleEndian, depths[:]); err != nil {
-			return nil, fmt.Errorf("pdm: reading depth counts: %w", err)
-		}
-		for i, v := range depths {
-			m.depthCounts[i].Store(v)
-		}
-		perDisk := make([]int64, cfg.D)
-		if err := binary.Read(br, binary.LittleEndian, perDisk); err != nil {
-			return nil, fmt.Errorf("pdm: reading per-disk tallies: %w", err)
-		}
-		for d, v := range perDisk {
-			m.shards[d].ios.Store(v)
-		}
+	var depths [DepthBuckets]int64
+	if err := binary.Read(br, binary.LittleEndian, depths[:]); err != nil {
+		return nil, fmt.Errorf("pdm: reading depth counts: %w", err)
+	}
+	for i, v := range depths {
+		m.depthCounts[i].Store(v)
+	}
+	perDisk := make([]int64, cfg.D)
+	if err := binary.Read(br, binary.LittleEndian, perDisk); err != nil {
+		return nil, fmt.Errorf("pdm: reading per-disk tallies: %w", err)
+	}
+	for d, v := range perDisk {
+		m.shards[d].ios.Store(v)
 	}
 	zeroSum := m.shards[0].zeroSum
 	crc := make([]byte, 8*cfg.B)

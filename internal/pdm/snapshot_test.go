@@ -74,43 +74,6 @@ func TestSnapshotRoundTripsObservabilityCounters(t *testing.T) {
 	}
 }
 
-// Version-1 snapshots (before the depth histogram and per-disk tallies
-// were persisted) must still load, with the new counters zeroed.
-func TestSnapshotReadsVersion1(t *testing.T) {
-	m := NewMachine(Config{D: 2, B: 2})
-	m.WriteBlock(Addr{Disk: 1, Block: 3}, []Word{42})
-	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	// Rewrite as v1: swap the magic and splice out the v2-only section
-	// (DepthBuckets depth counters + D per-disk tallies, 8 bytes each).
-	data := append([]byte(nil), buf.Bytes()...)
-	copy(data, snapshotMagicV1[:])
-	headEnd := 4 + 7*8
-	v2Extra := (DepthBuckets + m.D()) * 8
-	v1 := append(data[:headEnd:headEnd], data[headEnd+v2Extra:]...)
-
-	r, err := ReadSnapshot(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("ReadSnapshot(v1): %v", err)
-	}
-	if got := r.Peek(Addr{Disk: 1, Block: 3}); got[0] != 42 {
-		t.Errorf("v1 block content = %v", got)
-	}
-	if r.Stats().BlockWrites != m.Stats().BlockWrites {
-		t.Errorf("v1 header counters lost: %+v", r.Stats())
-	}
-	if dc := r.Stats().DepthCounts; dc != ([DepthBuckets]int64{}) {
-		t.Errorf("v1 snapshot should restore zeroed depth counts, got %v", dc[:4])
-	}
-	for _, v := range r.PerDiskIOs() {
-		if v != 0 {
-			t.Errorf("v1 snapshot should restore zeroed per-disk tallies, got %v", r.PerDiskIOs())
-		}
-	}
-}
-
 func TestSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := ReadSnapshot(strings.NewReader("garbage")); err == nil {
 		t.Error("garbage accepted")

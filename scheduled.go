@@ -164,16 +164,12 @@ func (s *Scheduled) Contains(key Word) bool {
 // dictionary — a caller who already holds b keys has already done the
 // coalescing, so the batch bypasses the admission window (it would only
 // add latency) and rides the dictionary's own merged-round path under
-// one batch token.
+// one batch token. Every type NewScheduled accepts has that path.
 func (s *Scheduled) LookupBatch(keys []Word) ([][]Word, []bool) {
-	type batchCtx interface {
+	bl := s.d.(interface {
 		LookupBatchCtx(OpCtx, []Word) ([][]Word, []bool)
-	}
-	if bl, ok := s.d.(batchCtx); ok {
-		return bl.LookupBatchCtx(s.MintOp(0, len(keys), obs.TagLookup), keys)
-	}
-	bl := s.d.(BatchLookuper)
-	return bl.LookupBatch(keys)
+	})
+	return bl.LookupBatchCtx(s.MintOp(0, len(keys), obs.TagLookup), keys)
 }
 
 // Insert queues the mutation and blocks until its group commits: the

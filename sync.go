@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"pdmdict/internal/obs"
-	"pdmdict/internal/pdm"
 )
 
 // SyncDict wraps any Dictionary for concurrent use: lookups run
@@ -65,11 +64,10 @@ type opMinter interface {
 }
 
 // LookupBatch resolves many keys at once. When the wrapped dictionary
-// is a BatchLookuper the probes are merged into shared read rounds;
-// otherwise the keys are looked up one by one under the same read lock,
-// threaded through ONE batch-scoped operation token (when the inner
-// dictionary can mint one), so the ledger counts the loop as a single
-// operation rather than len(keys) unattributed lookups.
+// is a BatchLookuper the probes are merged into shared read rounds under
+// ONE batch-scoped operation token (when the inner dictionary can mint
+// one), so the ledger counts the batch as a single operation; otherwise
+// the keys are looked up one by one under the same read lock.
 func (s *SyncDict) LookupBatch(keys []Word) ([][]Word, []bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -89,9 +87,10 @@ func (s *SyncDict) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
 }
 
 // lookupBatchLocked runs the batch under s.mu: the inner dictionary's
-// own batch path when it has one, else the per-key fallback loop under
-// a single root span of the batch token — one operation in the
-// accountant's eyes, each key's probes charged to the same token.
+// own batch path when it has one (under the batch token when there is
+// one), else the per-key loop. Every dictionary with a token-taking
+// single-key lookup also has a batch path, so the loop only serves the
+// baselines, which mint no tokens.
 func (s *SyncDict) lookupBatchLocked(c OpCtx, keys []Word) ([][]Word, []bool) {
 	type batchCtxLookuper interface {
 		LookupBatchCtx(OpCtx, []Word) ([][]Word, []bool)
@@ -104,21 +103,6 @@ func (s *SyncDict) lookupBatchLocked(c OpCtx, keys []Word) ([][]Word, []bool) {
 	}
 	sats := make([][]Word, len(keys))
 	oks := make([]bool, len(keys))
-	type ctxLookuper interface {
-		LookupCtx(OpCtx, Word) ([]Word, bool)
-	}
-	cl, haveCtx := s.d.(ctxLookuper)
-	if haveCtx && c.Op != nil {
-		if mp, ok := s.d.(interface{ Machine() *pdm.Machine }); ok {
-			// One root span around the whole loop: the per-key spans
-			// nest under it, so the accountant completes one operation.
-			defer mp.Machine().OpSpan(c.Op, c.Tag)()
-		}
-		for i, k := range keys {
-			sats[i], oks[i] = cl.LookupCtx(c, k)
-		}
-		return sats, oks
-	}
 	for i, k := range keys {
 		sats[i], oks[i] = s.d.Lookup(k)
 	}
