@@ -42,11 +42,15 @@ type FlightRecord struct {
 	OverBudget bool `json:"over_budget,omitempty"`
 }
 
-// liveOp is one in-flight operation being accumulated.
+// liveOp is one operation being accumulated, then retained in the
+// flight recorder. It owns its events slice and the arenas the retained
+// events' Addrs and Ops sub-slice, and is recycled through the
+// accountant's free list once its op is dropped or its recorder slot
+// overwritten.
 type liveOp struct {
-	rec     OpRecord
-	events  []pdm.Event
-	dropped int
+	rec   FlightRecord
+	addrs []pdm.Addr
+	ops   []uint64
 }
 
 // OpAccountant folds the event stream into exact per-operation records,
@@ -94,9 +98,10 @@ type OpAccountant struct {
 	worst                      int64 // max per-key amortized steps over completed ops
 	budgetExceeded             int64
 
-	ring     []FlightRecord
+	ring     []*liveOp
 	ringNext int
-	recorded int64 // lifetime records pushed into the ring
+	recorded int64     // lifetime records pushed into the ring
+	free     []*liveOp // recycled liveOps, buffers kept
 }
 
 // NewOpAccountant returns an accountant with default sampling (every
@@ -121,14 +126,16 @@ func (a *OpAccountant) Event(e pdm.Event) {
 			if a.inflight == nil {
 				a.inflight = make(map[uint64]*liveOp)
 			}
-			a.inflight[e.Op] = &liveOp{rec: OpRecord{
+			lo := a.take()
+			lo.rec.OpRecord = OpRecord{
 				ID:        e.Span,
 				Op:        e.Op,
 				Client:    e.Client,
 				Keys:      e.Keys,
 				Tag:       e.Tag,
 				BeginStep: e.Step,
-			}}
+			}
+			a.inflight[e.Op] = lo
 		}
 		a.retain(e)
 	case pdm.EventSpanEnd:
@@ -184,24 +191,57 @@ func (a *OpAccountant) retain(e pdm.Event) {
 }
 
 // retainFor appends a copy of e to an op's retained events, up to the
-// per-op cap.
+// per-op cap. The copy's Addrs and Ops live in the op's arenas.
 func (a *OpAccountant) retainFor(lo *liveOp, e pdm.Event) {
 	max := a.MaxEvents
 	if max == 0 {
 		max = 64
 	}
-	if len(lo.events) >= max {
-		lo.dropped++
+	if len(lo.rec.Events) >= max {
+		lo.rec.Dropped++
 		return
 	}
-	e.Addrs = append([]pdm.Addr(nil), e.Addrs...)
-	e.Ops = append([]uint64(nil), e.Ops...)
-	lo.events = append(lo.events, e)
+	e.Addrs = own(&lo.addrs, e.Addrs)
+	e.Ops = own(&lo.ops, e.Ops)
+	lo.rec.Events = append(lo.rec.Events, e)
+}
+
+// own appends s to the arena and returns the copy, capped so appends to
+// it cannot reach later entries; an empty s yields nil. An arena that
+// grows leaves earlier copies on the old array, which stays intact.
+func own[T any](arena *[]T, s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	start := len(*arena)
+	*arena = append(*arena, s...)
+	return (*arena)[start:len(*arena):len(*arena)]
+}
+
+// pop removes and returns the last entry of a free list, or the zero
+// value when the list is empty.
+func pop[T any](free *[]T) (v T) {
+	if n := len(*free); n > 0 {
+		v = (*free)[n-1]
+		*free = (*free)[:n-1]
+	}
+	return v
+}
+
+// take returns a reset liveOp from the free list, or a new one.
+func (a *OpAccountant) take() *liveOp {
+	lo := pop(&a.free)
+	if lo == nil {
+		return new(liveOp)
+	}
+	lo.rec = FlightRecord{Events: lo.rec.Events[:0]}
+	lo.addrs, lo.ops = lo.addrs[:0], lo.ops[:0]
+	return lo
 }
 
 // complete finalizes an op on its root span end.
 func (a *OpAccountant) complete(lo *liveOp, end pdm.Event) {
-	rec := &lo.rec
+	rec := &lo.rec.OpRecord
 	rec.EndStep = end.Step
 	rec.WallNanos = end.WallNanos
 	rec.Latency = a.Cost.Latency(rec.Steps, rec.Blocks)
@@ -237,20 +277,22 @@ func (a *OpAccountant) complete(lo *liveOp, end pdm.Event) {
 		a.budgetExceeded++
 	}
 	if rec.Op%every != 0 && !over {
+		a.free = append(a.free, lo)
 		return
 	}
-	fr := FlightRecord{OpRecord: *rec, Events: lo.events, Dropped: lo.dropped, OverBudget: over}
+	lo.rec.OverBudget = over
 	size := a.RecorderSize
 	if size == 0 {
 		size = 128
 	}
 	if a.ring == nil {
-		a.ring = make([]FlightRecord, 0, size)
+		a.ring = make([]*liveOp, 0, size)
 	}
 	if len(a.ring) < cap(a.ring) {
-		a.ring = append(a.ring, fr)
+		a.ring = append(a.ring, lo)
 	} else {
-		a.ring[a.ringNext] = fr
+		a.free = append(a.free, a.ring[a.ringNext])
+		a.ring[a.ringNext] = lo
 	}
 	a.ringNext = (a.ringNext + 1) % cap(a.ring)
 	a.recorded++
@@ -329,7 +371,7 @@ func (a *OpAccountant) InFlight(k int) []OpRecord {
 	a.mu.Lock()
 	out := make([]OpRecord, 0, len(a.inflight))
 	for _, lo := range a.inflight {
-		out = append(out, lo.rec)
+		out = append(out, lo.rec.OpRecord)
 	}
 	a.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -344,20 +386,33 @@ func (a *OpAccountant) InFlight(k int) []OpRecord {
 	return out
 }
 
-// Recorded returns the flight recorder's retained records, oldest
-// first, and the lifetime count of records pushed (including ones the
-// ring has since overwritten).
+// Recorded returns deep copies of the flight recorder's retained
+// records, oldest first, and the lifetime count of records pushed
+// (including ones the ring has since overwritten).
 func (a *OpAccountant) Recorded() ([]FlightRecord, int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]FlightRecord, 0, len(a.ring))
-	if len(a.ring) == cap(a.ring) && cap(a.ring) > 0 {
-		out = append(out, a.ring[a.ringNext:]...)
-		out = append(out, a.ring[:a.ringNext]...)
-	} else {
-		out = append(out, a.ring...)
+	for i := range a.ring {
+		// Oldest first: from ringNext to the end (empty until the ring
+		// wraps), then the start.
+		fr := a.ring[(a.ringNext+i)%len(a.ring)].rec
+		events := fr.Events
+		fr.Events = nil
+		for _, e := range events {
+			fr.Events = append(fr.Events, cloneEvent(e))
+		}
+		out = append(out, fr)
 	}
 	return out, a.recorded
+}
+
+// recordedTotal returns the lifetime count of records pushed into the
+// flight recorder, without copying them.
+func (a *OpAccountant) recordedTotal() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.recorded
 }
 
 // Clients returns the per-client SLO aggregates; the map is fresh but

@@ -135,10 +135,19 @@ func (c *Collector) Event(e pdm.Event) {
 	if c.steps-c.cur.StartStep >= c.WindowSteps {
 		c.cur.EndStep = c.steps
 		c.windows = append(c.windows, c.cur)
-		if len(c.windows) > c.MaxWindows {
-			c.windows = c.windows[len(c.windows)-c.MaxWindows:]
+		// The evicted window's tallies become the new window's, so a
+		// full history rolls without allocating.
+		var perDisk []int64
+		if over := len(c.windows) - c.MaxWindows; over > 0 {
+			perDisk = c.windows[0].PerDisk
+			c.windows = c.windows[:copy(c.windows, c.windows[over:])]
 		}
-		c.cur = Window{StartStep: c.steps, PerDisk: make([]int64, len(c.perDisk))}
+		if cap(perDisk) < len(c.perDisk) {
+			perDisk = make([]int64, len(c.perDisk))
+		}
+		perDisk = perDisk[:len(c.perDisk)]
+		clear(perDisk)
+		c.cur = Window{StartStep: c.steps, PerDisk: perDisk}
 	}
 	c.mu.Unlock()
 }

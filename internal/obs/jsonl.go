@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -60,10 +61,10 @@ type jsonlEvent struct {
 // version header line. It buffers internally; call Close (or Flush)
 // before reading the output. Safe for concurrent use.
 type JSONLWriter struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
+	mu   sync.Mutex
+	bw   *bufio.Writer
+	line []byte // encoding scratch, reused line to line
+	err  error
 }
 
 // NewJSONLWriter wraps w in a trace writer and writes the trace
@@ -71,42 +72,101 @@ type JSONLWriter struct {
 // event errors.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
 	bw := bufio.NewWriter(w)
-	jw := &JSONLWriter{bw: bw, enc: json.NewEncoder(bw)}
-	jw.err = jw.enc.Encode(jsonlEvent{Kind: "trace", Version: TraceVersion})
-	return jw
+	return &JSONLWriter{bw: bw, err: json.NewEncoder(bw).Encode(jsonlEvent{Kind: "trace", Version: TraceVersion})}
 }
 
 // Event implements pdm.Hook. Encoding errors are sticky and reported
 // by Close.
 func (w *JSONLWriter) Event(e pdm.Event) {
-	line := jsonlEvent{
-		Kind:   e.Kind.String(),
-		Tag:    e.Tag,
-		Steps:  e.Steps,
-		Depth:  e.Depth,
-		Span:   e.Span,
-		Parent: e.Parent,
-		Step:   e.Step,
-		Op:     e.Op,
-		Client: e.Client,
-		Keys:   e.Keys,
-		Ops:    e.Ops,
-		Rule:   e.Rule,
-		From:   e.From,
-		To:     e.To,
-		Value:  e.Value,
-	}
-	if len(e.Addrs) > 0 {
-		line.Addrs = make([][2]int, len(e.Addrs))
-		for i, a := range e.Addrs {
-			line.Addrs[i] = [2]int{a.Disk, a.Block}
-		}
-	}
 	w.mu.Lock()
 	if w.err == nil {
-		w.err = w.enc.Encode(line)
+		w.line = appendEvent(w.line[:0], &e)
+		_, w.err = w.bw.Write(w.line)
 	}
 	w.mu.Unlock()
+}
+
+// appendEvent appends e's trace line to b without reflection: byte for
+// byte what encoding/json's Encoder writes for the jsonlEvent e maps
+// to, in jsonlEvent's field order with its omitempty rules.
+func appendEvent(b []byte, e *pdm.Event) []byte {
+	b = appendString(append(b, `{"k":`...), e.Kind.String())
+	b = appendStringField(b, `,"tag":`, e.Tag)
+	b = appendIntField(b, `,"steps":`, int64(e.Steps))
+	b = appendIntField(b, `,"depth":`, int64(e.Depth))
+	b = appendUintField(b, `,"span":`, e.Span)
+	b = appendUintField(b, `,"parent":`, e.Parent)
+	b = appendIntField(b, `,"step":`, e.Step)
+	b = appendUintField(b, `,"op":`, e.Op)
+	b = appendIntField(b, `,"client":`, int64(e.Client))
+	b = appendIntField(b, `,"keys":`, int64(e.Keys))
+	if len(e.Ops) > 0 {
+		b = append(b, `,"ops":[`...)
+		for i, id := range e.Ops {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(b, id, 10)
+		}
+		b = append(b, ']')
+	}
+	if len(e.Addrs) > 0 {
+		b = append(b, `,"addrs":[`...)
+		for i, a := range e.Addrs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(append(b, '['), int64(a.Disk), 10)
+			b = strconv.AppendInt(append(b, ','), int64(a.Block), 10)
+			b = append(b, ']')
+		}
+		b = append(b, ']')
+	}
+	b = appendStringField(b, `,"rule":`, e.Rule)
+	b = appendStringField(b, `,"from":`, e.From)
+	b = appendStringField(b, `,"to":`, e.To)
+	b = appendIntField(b, `,"value":`, e.Value)
+	return append(b, "}\n"...)
+}
+
+// appendIntField, appendUintField and appendStringField append key and
+// v, or nothing for a zero v: the omitempty rule.
+func appendIntField(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+func appendUintField(b []byte, key string, v uint64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendUint(append(b, key...), v, 10)
+}
+
+func appendStringField(b []byte, key, s string) []byte {
+	if s == "" {
+		return b
+	}
+	return appendString(append(b, key...), s)
+}
+
+// appendString appends s as a JSON string. A string holding any byte
+// encoding/json escapes — quote, backslash, HTML-significant <, > and &,
+// control bytes, and every non-ASCII byte (for invalid UTF-8 and
+// U+2028/U+2029) — is handed to json.Marshal, so the output matches it
+// exactly; trace strings are registered ASCII tags and state names.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Flush forces buffered lines out to the underlying writer.

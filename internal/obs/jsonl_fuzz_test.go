@@ -2,6 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -58,6 +61,95 @@ func FuzzReadEvents(f *testing.F) {
 		}
 		if !reflect.DeepEqual(events, again) {
 			t.Fatalf("round trip changed the events:\nfirst  %+v\nsecond %+v", events, again)
+		}
+	})
+}
+
+// toJSONL maps an event to its trace line the reflective way: the
+// reference FuzzJSONLWriter holds the writer's encoder to.
+func toJSONL(e pdm.Event) jsonlEvent {
+	line := jsonlEvent{
+		Kind:   e.Kind.String(),
+		Tag:    e.Tag,
+		Steps:  e.Steps,
+		Depth:  e.Depth,
+		Span:   e.Span,
+		Parent: e.Parent,
+		Step:   e.Step,
+		Op:     e.Op,
+		Client: e.Client,
+		Keys:   e.Keys,
+		Ops:    e.Ops,
+		Rule:   e.Rule,
+		From:   e.From,
+		To:     e.To,
+		Value:  e.Value,
+	}
+	if len(e.Addrs) > 0 {
+		line.Addrs = make([][2]int, len(e.Addrs))
+		for i, a := range e.Addrs {
+			line.Addrs[i] = [2]int{a.Disk, a.Block}
+		}
+	}
+	return line
+}
+
+// FuzzJSONLWriter checks the writer's reflection-free encoder against
+// encoding/json: every event must encode to exactly the bytes
+// json.Encoder writes for the same jsonlEvent. ops holds 8 bytes per op
+// ID and addrs 16 per address; empty turns a nil Ops or Addrs into an
+// empty, non-nil slice.
+//
+//	go test -run '^$' -fuzz FuzzJSONLWriter -fuzztime 10s ./internal/obs/
+func FuzzJSONLWriter(f *testing.F) {
+	ids := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 7), math.MaxUint64)
+	addrs := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 3), 1<<63)
+	for kind := range uint8(pdm.EventAlert) + 2 {
+		f.Add(kind, TagLookup, "", "", "", 1, 1, uint64(3), uint64(0), int64(9), uint64(4), 2, 1, int64(0), ids, addrs, false)
+	}
+	f.Add(uint8(pdm.EventRead), "", "", "", "", 0, 0, uint64(0), uint64(0), int64(0), uint64(0), 0, 0, int64(0), []byte{}, []byte{}, true)
+	f.Add(uint8(pdm.EventRead), "", "", "", "", 0, 0, uint64(0), uint64(0), int64(0), uint64(0), 0, 0, int64(0), []byte(nil), []byte(nil), false)
+	f.Add(uint8(pdm.EventAlert), TagAlertFiring, "slo_burn[client=1]", "pending", "firing", 0, 0, uint64(0), uint64(0), int64(math.MinInt64), uint64(0), -3, -1, int64(-1500000), ids, addrs, false)
+	f.Add(uint8(pdm.EventHealth), `q"b\\s<a>&`, "\x00\x1f\n\t\r", "\xff\xfe", "\u2028\u2029", -1, -2, uint64(math.MaxUint64), uint64(1), int64(-9), uint64(5), 7, 8, int64(math.MaxInt64), ids, addrs, true)
+	f.Add(uint8(pdm.EventWrite), "é€😀", "\x7f", "a\xc3", "\u00e9", 3, 2, uint64(1), uint64(2), int64(3), uint64(4), 5, 6, int64(7), ids[:8], addrs, false)
+
+	f.Fuzz(func(t *testing.T, kind uint8, tag, rule, from, to string, steps, depth int, span, parent uint64,
+		step int64, op uint64, client, keys int, value int64, ops, addrs []byte, empty bool) {
+		e := pdm.Event{
+			Kind: pdm.EventKind(kind), Tag: tag, Rule: rule, From: from, To: to,
+			Steps: steps, Depth: depth, Span: span, Parent: parent, Step: step,
+			Op: op, Client: client, Keys: keys, Value: value,
+		}
+		for ; len(ops) >= 8; ops = ops[8:] {
+			e.Ops = append(e.Ops, binary.LittleEndian.Uint64(ops))
+		}
+		for ; len(addrs) >= 16; addrs = addrs[16:] {
+			e.Addrs = append(e.Addrs, pdm.Addr{
+				Disk:  int(binary.LittleEndian.Uint64(addrs)),
+				Block: int(binary.LittleEndian.Uint64(addrs[8:])),
+			})
+		}
+		if empty && e.Ops == nil {
+			e.Ops = []uint64{}
+		}
+		if empty && e.Addrs == nil {
+			e.Addrs = []pdm.Addr{}
+		}
+		var got, want bytes.Buffer
+		w := NewJSONLWriter(&got)
+		w.Event(e)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		enc := json.NewEncoder(&want)
+		if err := enc.Encode(jsonlEvent{Kind: "trace", Version: TraceVersion}); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(toJSONL(e)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("encoder and encoding/json disagree on %+v:\ngot  %s\nwant %s", e, got.Bytes(), want.Bytes())
 		}
 	})
 }

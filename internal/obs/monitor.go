@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -127,8 +128,9 @@ type ruleSample struct {
 // detector is the per-rule streaming state. observe folds one event at
 // the given monitor clock; sample reports every instance the detector
 // has ever seen (so firing instances keep being evaluated and can
-// resolve). Detectors are driven under the Monitor's lock and need no
-// locking of their own.
+// resolve), in a slice the detector owns and reuses at its next sample.
+// Detectors are driven under the Monitor's lock and need no locking of
+// their own.
 type detector interface {
 	observe(e pdm.Event, now int64)
 	sample(now int64) []ruleSample
@@ -245,7 +247,7 @@ func (m *Monitor) Event(e pdm.Event) {
 // the transition sequence is deterministic. Callers hold m.mu.
 func (m *Monitor) evalLocked(rs *ruleState, now int64, fired *[]AlertTransition) {
 	samples := rs.det.sample(now)
-	sort.Slice(samples, func(i, j int) bool { return samples[i].Label < samples[j].Label })
+	slices.SortFunc(samples, func(a, b ruleSample) int { return strings.Compare(a.Label, b.Label) })
 	for _, s := range samples {
 		inst := rs.instances[s.Label]
 		if inst == nil {
@@ -486,6 +488,7 @@ type balanceDetector struct {
 	counts     []int64 // per-disk transfers in the open window; length = disks seen
 	lastValue  int64
 	lastBreach bool
+	out        [1]ruleSample
 }
 
 // roll finalizes the open window once the clock has moved WindowSteps
@@ -530,7 +533,8 @@ func (d *balanceDetector) observe(e pdm.Event, now int64) {
 
 func (d *balanceDetector) sample(now int64) []ruleSample {
 	d.roll(now)
-	return []ruleSample{{Value: d.lastValue, Breach: d.lastBreach}}
+	d.out[0] = ruleSample{Value: d.lastValue, Breach: d.lastBreach}
+	return d.out[:]
 }
 
 // BurnConfig shapes the SLO burn-rate rule: per-client (or per-tag)
@@ -596,7 +600,8 @@ func BurnRateRule(cfg BurnConfig) Rule {
 		Name:      "slo_burn",
 		EvalEvery: 64,
 		newDetector: func() detector {
-			return &burnDetector{cfg: cfg, open: map[uint64]*burnOp{}, series: map[string][]burnFinish{}}
+			return &burnDetector{cfg: cfg, open: map[uint64]burnOp{}, series: map[string][]burnFinish{},
+				clients: map[int]string{}, tags: map[string]string{}}
 		},
 	}
 }
@@ -613,9 +618,39 @@ type burnFinish struct {
 }
 
 type burnDetector struct {
-	cfg    BurnConfig
-	open   map[uint64]*burnOp      // in-flight root ops by token ID
-	series map[string][]burnFinish // completed ops per label, pruned to the slow window
+	cfg     BurnConfig
+	open    map[uint64]burnOp       // in-flight root ops by token ID
+	series  map[string][]burnFinish // completed ops per label, pruned to the slow window
+	clients map[int]string          // cached instance label per client
+	tags    map[string]string       // cached instance label per tag (ByTag)
+	sorted  []string                // sample scratch: the series labels, sorted
+	out     []ruleSample            // sample scratch
+}
+
+// label returns the cached instance label of a root span begin.
+func (d *burnDetector) label(e pdm.Event) string {
+	if d.cfg.ByTag {
+		l, ok := d.tags[e.Tag]
+		if !ok {
+			l = "tag=" + e.Tag
+			d.tags[e.Tag] = l
+		}
+		return l
+	}
+	l, ok := d.clients[e.Client]
+	if !ok {
+		l = "client=" + fmt.Sprint(e.Client)
+		d.clients[e.Client] = l
+	}
+	return l
+}
+
+// charge adds a batch's blocks to op, if op is an in-flight root op.
+func (d *burnDetector) charge(op uint64, blocks int64) {
+	if bo, ok := d.open[op]; ok {
+		bo.blocks += blocks
+		d.open[op] = bo
+	}
 }
 
 func (d *burnDetector) observe(e pdm.Event, now int64) {
@@ -624,17 +659,13 @@ func (d *burnDetector) observe(e pdm.Event, now int64) {
 		if e.Parent != 0 || e.Op == 0 {
 			return
 		}
-		label := "client=" + fmt.Sprint(e.Client)
-		if d.cfg.ByTag {
-			label = "tag=" + e.Tag
-		}
-		d.open[e.Op] = &burnOp{label: label, beginStep: e.Step}
+		d.open[e.Op] = burnOp{label: d.label(e), beginStep: e.Step}
 	case pdm.EventSpanEnd:
 		if e.Parent != 0 || e.Op == 0 {
 			return
 		}
-		bo := d.open[e.Op]
-		if bo == nil {
+		bo, ok := d.open[e.Op]
+		if !ok {
 			return // end without begin (monitor attached mid-operation)
 		}
 		delete(d.open, e.Op)
@@ -644,24 +675,21 @@ func (d *burnDetector) observe(e pdm.Event, now int64) {
 		if e.Kind.IsAnnotation() || strings.HasPrefix(e.Tag, pdm.FaultTagPrefix) {
 			return // stall steps reach the op through the step counter
 		}
-		if bo := d.open[e.Op]; bo != nil {
-			bo.blocks += int64(len(e.Addrs))
-		}
+		d.charge(e.Op, int64(len(e.Addrs)))
 		for _, id := range e.Ops {
-			if bo := d.open[id]; bo != nil {
-				bo.blocks += int64(len(e.Addrs))
-			}
+			d.charge(id, int64(len(e.Addrs)))
 		}
 	}
 }
 
 func (d *burnDetector) sample(now int64) []ruleSample {
-	labels := make([]string, 0, len(d.series))
+	labels := d.sorted[:0]
 	for l := range d.series {
 		labels = append(labels, l)
 	}
-	sort.Strings(labels)
-	out := make([]ruleSample, 0, len(labels))
+	slices.Sort(labels)
+	d.sorted = labels
+	out := d.out[:0]
 	for _, l := range labels {
 		fin := d.series[l]
 		lo := 0
@@ -699,6 +727,7 @@ func (d *burnDetector) sample(now int64) []ruleSample {
 			Breach: fastTot >= d.cfg.MinOps && slowTot >= d.cfg.MinOps && fastFrac > threshold && slowFrac > threshold,
 		})
 	}
+	d.out = out
 	return out
 }
 
@@ -730,14 +759,17 @@ func HealthFlapRule(cfg FlapConfig) Rule {
 		Name:      "health_flap",
 		EvalEvery: 64,
 		newDetector: func() detector {
-			return &flapDetector{cfg: cfg, disks: map[int][]int64{}}
+			return &flapDetector{cfg: cfg, disks: map[int][]int64{}, labels: map[int]string{}}
 		},
 	}
 }
 
 type flapDetector struct {
-	cfg   FlapConfig
-	disks map[int][]int64 // disk → transition steps, pruned to the window
+	cfg    FlapConfig
+	disks  map[int][]int64 // disk → transition steps, pruned to the window
+	labels map[int]string  // disk → cached instance label
+	sorted []int           // sample scratch: the disks seen, sorted
+	out    []ruleSample    // sample scratch
 }
 
 func (d *flapDetector) observe(e pdm.Event, now int64) {
@@ -748,12 +780,13 @@ func (d *flapDetector) observe(e pdm.Event, now int64) {
 }
 
 func (d *flapDetector) sample(now int64) []ruleSample {
-	disks := make([]int, 0, len(d.disks))
+	disks := d.sorted[:0]
 	for disk := range d.disks {
 		disks = append(disks, disk)
 	}
-	sort.Ints(disks)
-	out := make([]ruleSample, 0, len(disks))
+	slices.Sort(disks)
+	d.sorted = disks
+	out := d.out[:0]
 	for _, disk := range disks {
 		w := d.disks[disk]
 		lo := 0
@@ -764,12 +797,18 @@ func (d *flapDetector) sample(now int64) []ruleSample {
 			w = append(w[:0], w[lo:]...)
 		}
 		d.disks[disk] = w
+		label, ok := d.labels[disk]
+		if !ok {
+			label = fmt.Sprintf("disk=%d", disk)
+			d.labels[disk] = label
+		}
 		out = append(out, ruleSample{
-			Label:  fmt.Sprintf("disk=%d", disk),
+			Label:  label,
 			Value:  int64(len(w)) * 1_000_000,
 			Breach: len(w) >= d.cfg.Flips,
 		})
 	}
+	d.out = out
 	return out
 }
 
@@ -806,6 +845,7 @@ func DegradedCapacityRule(cfg DegradedConfig) Rule {
 type degradedDetector struct {
 	cfg    DegradedConfig
 	states map[int]string // disk → current health-state name
+	out    [1]ruleSample
 }
 
 func (d *degradedDetector) observe(e pdm.Event, now int64) {
@@ -822,10 +862,11 @@ func (d *degradedDetector) sample(now int64) []ruleSample {
 			down++
 		}
 	}
-	return []ruleSample{{
+	d.out[0] = ruleSample{
 		Value:  int64(down) * 1_000_000,
 		Breach: down >= d.cfg.MinDown,
-	}}
+	}
+	return d.out[:]
 }
 
 // DefaultRules returns the four built-in detectors with their default

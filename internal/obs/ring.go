@@ -7,9 +7,11 @@ import (
 )
 
 // Ring is a fixed-capacity event buffer that keeps the most recent
-// events, overwriting the oldest once full. It copies each event's
-// address slice (the machine only guarantees it during the hook call),
-// so retained events stay valid. Safe for concurrent use.
+// events, overwriting the oldest once full. Each slot owns the backing
+// arrays of its event's Addrs and Ops, and Event copies the caller's
+// slices into them (the machine only guarantees them during the hook
+// call), so a full ring retains events without allocating. Safe for
+// concurrent use.
 type Ring struct {
 	mu    sync.Mutex
 	buf   []pdm.Event
@@ -27,30 +29,38 @@ func NewRing(n int) *Ring {
 
 // Event implements pdm.Hook.
 func (r *Ring) Event(e pdm.Event) {
-	e.Addrs = append([]pdm.Addr(nil), e.Addrs...)
 	r.mu.Lock()
 	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
+		r.buf = append(r.buf, pdm.Event{})
 	}
+	slot := &r.buf[r.next]
+	addrs, ops := append(slot.Addrs[:0], e.Addrs...), append(slot.Ops[:0], e.Ops...)
+	*slot = e
+	slot.Addrs, slot.Ops = addrs, ops
 	r.next = (r.next + 1) % cap(r.buf)
 	r.total++
 	r.mu.Unlock()
 }
 
-// Events returns the retained events, oldest first.
+// Events returns deep copies of the retained events, oldest first.
 func (r *Ring) Events() []pdm.Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]pdm.Event, 0, len(r.buf))
-	if len(r.buf) == cap(r.buf) {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
+	out = append(out, r.buf[r.next:]...) // empty until the ring wraps
+	out = append(out, r.buf[:r.next]...)
+	for i := range out {
+		out[i] = cloneEvent(out[i])
 	}
 	return out
+}
+
+// cloneEvent returns e with fresh copies of its Addrs and Ops (nil when
+// empty), so the result shares no memory with a consumer's storage.
+func cloneEvent(e pdm.Event) pdm.Event {
+	e.Addrs = append([]pdm.Addr(nil), e.Addrs...)
+	e.Ops = append([]uint64(nil), e.Ops...)
+	return e
 }
 
 // Total returns how many events have passed through, including those

@@ -452,9 +452,8 @@ func (s *Server) writeOpMetrics(w io.Writer) {
 	sample(w, "pdm_ops_inflight", "", float64(a.InFlightCount()))
 	header(w, "pdm_op_budget_exceeded_total", "counter", "Completed ops whose exact steps exceeded the accountant's step budget.")
 	sample(w, "pdm_op_budget_exceeded_total", "", float64(a.BudgetExceeded()))
-	_, recorded := a.Recorded()
 	header(w, "pdm_flight_records_total", "counter", "Operations retained by the flight recorder over its lifetime.")
-	sample(w, "pdm_flight_records_total", "", float64(recorded))
+	sample(w, "pdm_flight_records_total", "", float64(a.recordedTotal()))
 
 	quantiles := []struct {
 		q string

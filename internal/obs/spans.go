@@ -116,11 +116,23 @@ type SpanFolder struct {
 	// concurrency and survives an op whose spans straddle two machines
 	// (where parent IDs cross counter domains).
 	byOp map[uint64][]uint64
+
+	// Closed records and emptied span lists are recycled through these
+	// free lists, so a steady stream folds without allocating. last is
+	// the record Fold returned, recycled at the next Fold.
+	freeRecs  []*OpRecord
+	freeSpans [][]uint64
+	last      *OpRecord
 }
 
 // Fold consumes one event. It returns the completed record when e
-// closes a span, and nil otherwise.
+// closes a span, and nil otherwise. The record is the folder's own and
+// valid until the next call to Fold; copy it to keep it.
 func (f *SpanFolder) Fold(e pdm.Event) *OpRecord {
+	if f.last != nil {
+		f.freeRecs = append(f.freeRecs, f.last)
+		f.last = nil
+	}
 	if e.Kind.IsAnnotation() {
 		return nil // health/alert transitions carry no span work
 	}
@@ -129,7 +141,11 @@ func (f *SpanFolder) Fold(e pdm.Event) *OpRecord {
 		if f.open == nil {
 			f.open = make(map[uint64]*OpRecord)
 		}
-		f.open[e.Span] = &OpRecord{
+		rec := pop(&f.freeRecs)
+		if rec == nil {
+			rec = new(OpRecord)
+		}
+		*rec = OpRecord{
 			ID:        e.Span,
 			Parent:    e.Parent,
 			Op:        e.Op,
@@ -138,11 +154,16 @@ func (f *SpanFolder) Fold(e pdm.Event) *OpRecord {
 			Tag:       e.Tag,
 			BeginStep: e.Step,
 		}
+		f.open[e.Span] = rec
 		if e.Op != 0 {
 			if f.byOp == nil {
 				f.byOp = make(map[uint64][]uint64)
 			}
-			f.byOp[e.Op] = append(f.byOp[e.Op], e.Span)
+			spans, ok := f.byOp[e.Op]
+			if !ok {
+				spans = pop(&f.freeSpans)
+			}
+			f.byOp[e.Op] = append(spans, e.Span)
 		}
 		return nil
 	case pdm.EventSpanEnd:
@@ -153,6 +174,7 @@ func (f *SpanFolder) Fold(e pdm.Event) *OpRecord {
 		delete(f.open, e.Span)
 		f.forgetOpSpan(rec.Op, e.Span)
 		f.close(rec, e.Step, e.WallNanos)
+		f.last = rec
 		return rec
 	default:
 		// A batch or fault event: attribute it to every span of its
@@ -226,6 +248,7 @@ func (f *SpanFolder) forgetOpSpan(op, span uint64) {
 	}
 	if len(spans) == 0 {
 		delete(f.byOp, op)
+		f.freeSpans = append(f.freeSpans, spans)
 		return
 	}
 	f.byOp[op] = spans
