@@ -135,19 +135,12 @@ func main() {
 		defer f.Close()
 		traceWriter = obs.NewJSONLWriter(f)
 	}
-	if collector != nil || traceWriter != nil {
-		hooked, ok := dict.(pdmdict.Hooked)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "pdmtrace: structure %q does not support hooks\n", *structName)
-			os.Exit(1)
-		}
-		if collector != nil && traceWriter != nil {
-			hooked.SetHook(obs.Tee(collector, traceWriter))
-		} else if collector != nil {
-			hooked.SetHook(collector)
-		} else {
-			hooked.SetHook(traceWriter)
-		}
+	if collector != nil && traceWriter != nil {
+		dict.SetHook(obs.Tee(collector, traceWriter))
+	} else if collector != nil {
+		dict.SetHook(collector)
+	} else if traceWriter != nil {
+		dict.SetHook(traceWriter)
 	}
 
 	sat := make([]pdmdict.Word, *satWords)

@@ -148,7 +148,7 @@ type BasicDict struct {
 }
 
 // SetRetryPolicy installs the policy the fault-aware paths (LookupTry,
-// LookupTryBatch, Repair, Scrub) use for transient-error recovery. The
+// LookupTryBatchOp, Repair, Scrub) use for transient-error recovery. The
 // zero value restores the default: three immediate retries, no backoff,
 // no hedging — the historical hardcoded behavior.
 func (bd *BasicDict) SetRetryPolicy(p pdm.RetryPolicy) {

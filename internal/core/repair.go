@@ -297,29 +297,18 @@ func (bd *BasicDict) LookupTryOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool, erro
 	return sat[0], ok[0], nil
 }
 
-// LookupTryBatch resolves many keys through the fault layer in one
+// LookupTryBatchOp resolves many keys through the fault layer in one
 // merged, de-duplicated read round governed by the retry policy — the
-// fault-aware LookupBatch. Results align with keys; a key answers true
+// fault-aware LookupBatchOp. Results align with keys; a key answers true
 // whenever any surviving replica proves it present. The error is
 // non-nil only when at least one key is inconclusive (its ok entry is
 // then false and its sats entry nil — "unavailable", not "absent").
-func (bd *BasicDict) LookupTryBatch(keys []pdm.Word) ([][]pdm.Word, []bool, error) {
-	return bd.LookupTryBatchOp(nil, keys)
-}
-
-// LookupTryBatchOp is LookupTryBatch attributed to op.
 func (bd *BasicDict) LookupTryBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool, error) {
 	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
 	if inconclusive, err := bd.lookup(op, nil, keys, sats, oks, true); err != nil {
 		return sats, oks, fmt.Errorf("core: degraded batch lookup: %d of %d keys inconclusive: %w", inconclusive, len(keys), err)
 	}
 	return sats, oks, nil
-}
-
-// ContainsTry reports presence through the fault layer; see LookupTry.
-func (bd *BasicDict) ContainsTry(x pdm.Word) (bool, error) {
-	_, ok, err := bd.LookupTry(x)
-	return ok, err
 }
 
 // Repair rebuilds every bucket of one stripe (= one disk of the

@@ -11,9 +11,6 @@
 //     seed yields byte-identical traces.
 //   - hooktag: every span tag is a constant from the internal/obs tag
 //     registry, so per-tag I/O sums partition the machine's total.
-//   - opctx: every public Lookup/Insert/Delete entry point mints or
-//     propagates an operation token, so per-op accounting has no blind
-//     spots.
 //   - lockorder: lock acquisitions respect the partial order declared
 //     in locktable.go, and every mutex struct field is registered
 //     there, so the concurrent query/repair paths cannot deadlock.
@@ -92,7 +89,7 @@ type Analyzer struct {
 
 // All returns the full pdmlint suite.
 func All() []*Analyzer {
-	return []*Analyzer{IOCharge, BatchErr, DetRand, HookTag, OpCtxRule, LockOrder, GuardedBy, HealthTrans}
+	return []*Analyzer{IOCharge, BatchErr, DetRand, HookTag, LockOrder, GuardedBy, HealthTrans}
 }
 
 // Pass carries one package through one analyzer.

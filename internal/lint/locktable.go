@@ -184,13 +184,14 @@ var lockEffects = []methodEffect{
 	// The public Dictionary interfaces dispatch into core.Dict (or a
 	// structure — possibly through a Scheduled, which takes the
 	// scheduler's admission and intent-log locks first): callers must
-	// hold nothing at rank ≥ 14.
+	// hold nothing at rank ≥ 14. A front's opCore is a structure.
 	{Pkg: "pdmdict", Type: "Dictionary", Method: "*",
 		Classes: []lockClassKey{{"sched", "Scheduler", "mu"}, {"sched", "IntentLog", "mu"}, {"core", "Dict", "mu"}}},
-	{Pkg: "pdmdict", Type: "BatchLookuper", Method: "*",
+	{Pkg: "pdmdict", Type: "tokenBatcher", Method: "*",
 		Classes: []lockClassKey{{"sched", "Scheduler", "mu"}, {"sched", "IntentLog", "mu"}, {"core", "Dict", "mu"}}},
-	{Pkg: "pdmdict", Type: "Hooked", Method: "*",
-		Classes: []lockClassKey{{"sched", "Scheduler", "mu"}, {"sched", "IntentLog", "mu"}, {"core", "Dict", "mu"}}},
+	{Pkg: "pdmdict", Type: "opCore", Method: "*",
+		Classes: []lockClassKey{{"core", "Dict", "mu"}, {"core", "Dict", "statsMu"},
+			{"core", "OneProbeDict", "mu"}, {"core", "DynamicDict", "mu"}, {"core", "BasicDict", "mu"}}},
 
 	// The scheduler's Backend interface dispatches into the dictionary
 	// structures; the dispatcher holds no scheduler lock at these call

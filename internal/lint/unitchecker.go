@@ -106,8 +106,8 @@ func usage(progname string, w io.Writer) {
 	fmt.Fprintf(w, `usage: %[1]s [-json] <packages>
 
 %[1]s enforces the repo's I/O-accounting, determinism, and concurrency
-invariants (analyzers: iocharge, batcherr, detrand, hooktag, opctx,
-lockorder, guardedby, healthtrans; plus unusedwaiver, reported by the
+invariants (analyzers: iocharge, batcherr, detrand, hooktag, lockorder,
+guardedby, healthtrans; plus unusedwaiver, reported by the
 runner for stale escape hatches). Given package patterns it runs itself
 through the toolchain:
 

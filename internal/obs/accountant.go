@@ -22,12 +22,6 @@ type OpCtx struct {
 	Tag string
 }
 
-// MintOp mints a token on m for one operation issued by client over
-// keys keys, carrying the given registered tag.
-func MintOp(m *pdm.Machine, client, keys int, tag string) OpCtx {
-	return OpCtx{Op: m.NewOp(client, keys), Tag: tag}
-}
-
 // FlightRecord is one completed operation retained by the accountant's
 // flight recorder: the exact per-op record plus (a bounded prefix of)
 // the events that produced it.

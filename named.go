@@ -82,8 +82,6 @@ func (nd *NamedDict) decodeName(raw []Word) string {
 // Insert stores (name, sat), replacing any existing satellite for the
 // same name. It returns ErrNameCollision if a different live name owns
 // the same hash.
-//
-//lint:pdm-allow opctx: delegates to an inner Dictionary whose own entry points mint tokens
 func (nd *NamedDict) Insert(name string, sat []Word) error {
 	if len(name) > maxNameBytes {
 		return fmt.Errorf("pdmdict: name of %d bytes exceeds %d", len(name), maxNameBytes)
@@ -101,8 +99,6 @@ func (nd *NamedDict) Insert(name string, sat []Word) error {
 // Lookup returns a copy of name's satellite and whether it is present.
 // The stored name is verified, so collisions read as absent, never as
 // wrong data.
-//
-//lint:pdm-allow opctx: delegates to an inner Dictionary whose own entry points mint tokens
 func (nd *NamedDict) Lookup(name string) ([]Word, bool) {
 	raw, ok := nd.d.Lookup(hashName(name))
 	if !ok || nd.decodeName(raw) != name {
@@ -124,8 +120,6 @@ type TryLookuper interface {
 // with failed disks), otherwise this falls back to the plain Lookup. A
 // non-nil error means the result is inconclusive, never a definitive
 // absence.
-//
-//lint:pdm-allow opctx: fault-aware Try path stays on the legacy span path
 func (nd *NamedDict) LookupTry(name string) ([]Word, bool, error) {
 	tl, ok := nd.d.(TryLookuper)
 	if !ok {
@@ -152,8 +146,6 @@ func (nd *NamedDict) Contains(name string) bool {
 
 // Delete removes name, reporting whether it was present. Only the exact
 // name is removed — a colliding other name is left alone.
-//
-//lint:pdm-allow opctx: delegates to an inner Dictionary whose own entry points mint tokens
 func (nd *NamedDict) Delete(name string) bool {
 	key := hashName(name)
 	raw, ok := nd.d.Lookup(key)
@@ -166,13 +158,8 @@ func (nd *NamedDict) Delete(name string) bool {
 // Len returns the number of stored names.
 func (nd *NamedDict) Len() int { return nd.d.Len() }
 
-// SetHook attaches an observability hook to the underlying dictionary,
-// if it supports one (all structures in this package do).
-func (nd *NamedDict) SetHook(h IOHook) {
-	if hooked, ok := nd.d.(Hooked); ok {
-		hooked.SetHook(h)
-	}
-}
+// SetHook attaches an observability hook to the underlying dictionary.
+func (nd *NamedDict) SetHook(h IOHook) { nd.d.SetHook(h) }
 
 // IOStats returns the underlying dictionary's traffic.
 func (nd *NamedDict) IOStats() IOStats { return nd.d.IOStats() }

@@ -78,6 +78,10 @@ type Dictionary interface {
 	Len() int
 	// IOStats returns the accumulated disk traffic.
 	IOStats() IOStats
+	// SetHook attaches an observability hook to the structure's
+	// machine(s); a nil hook detaches. Sinks and metrics collectors live
+	// in internal/obs.
+	SetHook(IOHook)
 }
 
 // Options configures a dictionary.
@@ -164,14 +168,6 @@ func (s machineStats) DiskState(disk int) HealthState { return s.m.DiskState(dis
 // included.
 func (s machineStats) FaultCount() int64 { return s.m.FaultCount() }
 
-// MintOp mints an operation token for one logical operation issued by
-// client over keys keys, carrying the given registered root tag (see
-// OpCtx). IDs come from a per-machine counter, so equal workloads mint
-// equal IDs and traces stay deterministic.
-func (s machineStats) MintOp(client, keys int, tag string) OpCtx {
-	return obs.MintOp(s.m, client, keys, tag)
-}
-
 // Addr names one block: a disk index and a block index on that disk.
 type Addr = pdm.Addr
 
@@ -193,8 +189,9 @@ type IOHook = pdm.Hook
 // parallel I/O cost to it — per-operation accounting that stays exact
 // under arbitrary concurrency, where the legacy span-stack attribution
 // is only approximate. The plain entry points mint an anonymous token
-// (client 0) internally, so every public operation is accounted either
-// way.
+// (client 0) internally, so every operation on Dict, Basic, Dynamic,
+// OneProbe and the wrappers over them is accounted either way. Direct,
+// Static, the baselines and Basic.LookupTry mint no tokens.
 //
 // Mint one token per logical operation with MintOp and do not reuse it;
 // the token's counters (Op.Steps and friends) can be read at any time,
@@ -202,11 +199,11 @@ type IOHook = pdm.Hook
 type OpCtx = obs.OpCtx
 
 // BatchLookuper is satisfied by the structures that can answer many
-// lookups in merged read rounds (Dict, Basic, Dynamic, OneProbe, and
-// SyncDict over any of them): the keys' probe addresses are
-// de-duplicated and fetched in one BatchRead per round, so b concurrent
-// queries cost the deepest per-disk queue instead of b sequential
-// probes. Use a type assertion when holding a Dictionary:
+// lookups in merged read rounds (Dict, Basic, Dynamic, OneProbe,
+// Scheduled, and SyncDict): the keys' probe addresses are de-duplicated
+// and fetched in one BatchRead per round, so b concurrent queries cost
+// the deepest per-disk queue instead of b sequential probes. Use a type
+// assertion when holding a Dictionary:
 //
 //	if bl, ok := dict.(BatchLookuper); ok { sats, oks := bl.LookupBatch(keys) }
 type BatchLookuper interface {
@@ -215,14 +212,90 @@ type BatchLookuper interface {
 	LookupBatch(keys []Word) ([][]Word, []bool)
 }
 
-// Hooked is satisfied by every structure in this package; it attaches
-// an observability hook to the structure's machine(s). Use a type
-// assertion when holding a Dictionary:
-//
-//	if h, ok := dict.(Hooked); ok { h.SetHook(collector) }
-type Hooked interface {
-	SetHook(IOHook)
+// ---------------------------------------------------------------------
+// The token-carrying surface.
+
+// opCore is the core structure behind a front: its operation bodies,
+// each charged to the token it is handed.
+type opCore interface {
+	LookupOp(op *pdm.Op, key Word) ([]Word, bool)
+	LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []Word) ([][]Word, []bool)
+	InsertOp(op *pdm.Op, key Word, sat []Word) error
+	DeleteOp(op *pdm.Op, key Word) bool
+	Len() int
 }
+
+// front holds the public entry points Dict, Basic, Dynamic and OneProbe
+// share. It is the package's one minting site: each plain entry point
+// mints one client-0 token and calls its Ctx form, and each Ctx form
+// hands the token to the core, so every public operation is charged
+// exactly its own batches. Each structure's type doc states the costs.
+type front struct {
+	core  opCore
+	mint  func(client, keys int) *pdm.Op // the structure's token counter
+	steps func() int64                   // its step clock, for NewScheduled
+}
+
+// machineFront is the front of a structure on the single machine m,
+// which mints its tokens and keeps its step clock.
+func machineFront(c opCore, m *pdm.Machine) front { return front{c, m.NewOp, m.StepCount} }
+
+// asFront hands the wrappers the front a structure embeds.
+func (f *front) asFront() *front { return f }
+
+// MintOp mints an operation token (see OpCtx) for one logical operation
+// issued by client over keys keys, carrying the given registered root
+// tag. IDs come from the structure's own counter, so equal workloads
+// mint equal IDs and traces stay deterministic.
+func (f *front) MintOp(client, keys int, tag string) OpCtx {
+	return OpCtx{Op: f.mint(client, keys), Tag: tag}
+}
+
+// Lookup returns a copy of key's satellite data and whether it is present.
+func (f *front) Lookup(key Word) ([]Word, bool) {
+	return f.LookupCtx(f.MintOp(0, 1, obs.TagLookup), key)
+}
+
+// LookupCtx is Lookup attributed to the operation token c (see OpCtx).
+func (f *front) LookupCtx(c OpCtx, key Word) ([]Word, bool) { return f.core.LookupOp(c.Op, key) }
+
+// Contains reports whether key is present.
+func (f *front) Contains(key Word) bool {
+	_, ok := f.Lookup(key)
+	return ok
+}
+
+// Insert stores (key, sat), replacing any existing satellite.
+func (f *front) Insert(key Word, sat []Word) error {
+	return f.InsertCtx(f.MintOp(0, 1, obs.TagInsert), key, sat)
+}
+
+// InsertCtx is Insert attributed to the operation token c.
+func (f *front) InsertCtx(c OpCtx, key Word, sat []Word) error {
+	return f.core.InsertOp(c.Op, key, sat)
+}
+
+// Delete removes key, reporting whether it was present.
+func (f *front) Delete(key Word) bool { return f.DeleteCtx(f.MintOp(0, 1, obs.TagDelete), key) }
+
+// DeleteCtx is Delete attributed to the operation token c.
+func (f *front) DeleteCtx(c OpCtx, key Word) bool { return f.core.DeleteOp(c.Op, key) }
+
+// LookupBatch resolves many keys as one operation whose probes share
+// merged, de-duplicated read rounds. Results align positionally with
+// keys.
+func (f *front) LookupBatch(keys []Word) ([][]Word, []bool) {
+	return f.LookupBatchCtx(f.MintOp(0, len(keys), obs.TagLookup), keys)
+}
+
+// LookupBatchCtx is LookupBatch attributed to the operation token c:
+// one token covers the whole batch.
+func (f *front) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
+	return f.core.LookupBatchOp(c.Op, nil, keys)
+}
+
+// Len returns the number of stored keys.
+func (f *front) Len() int { return f.core.Len() }
 
 // ---------------------------------------------------------------------
 // Fault injection.
@@ -308,8 +381,14 @@ func DefaultRetryPolicy() RetryPolicy { return pdm.DefaultRetryPolicy() }
 // Dict is the fully dynamic deterministic dictionary: Theorem 7
 // structures under worst-case global rebuilding. Operations cost a
 // constant number of parallel I/Os in the worst case; capacity grows
-// without bound; deletions are supported.
+// without bound; deletions are supported. LookupBatch lets each
+// underlying structure merge the keys' probes into shared read rounds,
+// and during a migration consults the draining structure only for the
+// keys the successor misses; the ledger amortizes a batch's cost over
+// its keys. The Dict owns its token counter, so tokens stay unique
+// across rebuild generations and both live machines.
 type Dict struct {
+	front
 	d *core.Dict
 }
 
@@ -327,8 +406,11 @@ func New(opts Options) (*Dict, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dict{d: d}, nil
+	return newDict(d), nil
 }
+
+// newDict wraps d; the Dict mints its tokens and keeps its step clock.
+func newDict(d *core.Dict) *Dict { return &Dict{front{d, d.MintOp, d.StepCount}, d} }
 
 // NewOneProbeUnbounded creates a fully dynamic dictionary whose bounded
 // building block is the Section 6 one-probe structure instead of the
@@ -349,52 +431,7 @@ func NewOneProbeUnbounded(opts Options) (*Dict, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dict{d: d}, nil
-}
-
-// MintOp mints an operation token (see OpCtx) for one logical operation
-// issued by client over keys keys, carrying the given registered root
-// tag. The Dict owns its own ID counter so tokens stay unique across
-// rebuild generations and both live machines.
-func (d *Dict) MintOp(client, keys int, tag string) OpCtx {
-	return OpCtx{Op: d.d.MintOp(client, keys), Tag: tag}
-}
-
-// Lookup returns a copy of key's satellite data and whether it is present.
-func (d *Dict) Lookup(key Word) ([]Word, bool) { return d.d.LookupOp(nil, key) }
-
-// LookupCtx is Lookup attributed to the operation token c (see OpCtx).
-func (d *Dict) LookupCtx(c OpCtx, key Word) ([]Word, bool) { return d.d.LookupOp(c.Op, key) }
-
-// Contains reports whether key is present.
-func (d *Dict) Contains(key Word) bool { return d.d.Contains(key) }
-
-// Insert stores (key, sat), replacing any existing satellite.
-func (d *Dict) Insert(key Word, sat []Word) error { return d.d.InsertOp(nil, key, sat) }
-
-// InsertCtx is Insert attributed to the operation token c.
-func (d *Dict) InsertCtx(c OpCtx, key Word, sat []Word) error { return d.d.InsertOp(c.Op, key, sat) }
-
-// Delete removes key, reporting whether it was present.
-func (d *Dict) Delete(key Word) bool { return d.d.DeleteOp(nil, key) }
-
-// DeleteCtx is Delete attributed to the operation token c.
-func (d *Dict) DeleteCtx(c OpCtx, key Word) bool { return d.d.DeleteOp(c.Op, key) }
-
-// Len returns the number of stored keys.
-func (d *Dict) Len() int { return d.d.Len() }
-
-// LookupBatch resolves many keys as one batched operation — each
-// underlying structure merges the keys' probes into shared read rounds,
-// and during a migration the draining structure is consulted only for
-// the keys the successor misses. Results align positionally with keys.
-func (d *Dict) LookupBatch(keys []Word) ([][]Word, []bool) { return d.d.LookupBatchOp(nil, nil, keys) }
-
-// LookupBatchCtx is LookupBatch attributed to the operation token c:
-// one token covers the whole batch, and the ledger amortizes its cost
-// over the batch's keys.
-func (d *Dict) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
-	return d.d.LookupBatchOp(c.Op, nil, keys)
+	return newDict(d), nil
 }
 
 // IOStats returns the accumulated traffic under the wrapper's parallel
@@ -437,9 +474,14 @@ func (d *Dict) Rebuilds() int64 { return d.d.Stats().Rebuilds }
 // Section 4.1 basic dictionary.
 
 // Basic is the Section 4.1 load-balancing dictionary: fixed capacity,
-// one-probe lookups, two-probe updates.
+// one-probe lookups (Lookup and Contains cost one parallel I/O) and
+// two-probe updates (an Insert is a read and a write). LookupBatch
+// resolves many keys in one batched read that de-duplicates shared
+// blocks, so a burst of hot-key lookups (the paper's webmail workload)
+// costs far fewer parallel I/Os than issuing them singly.
 type Basic struct {
 	machineStats
+	front
 	d *core.BasicDict
 }
 
@@ -494,42 +536,8 @@ func NewBasic(opts BasicOptions) (*Basic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Basic{machineStats{m}, d}, nil
+	return &Basic{machineStats{m}, machineFront(d, m), d}, nil
 }
-
-// Lookup returns a copy of key's satellite data and whether it is
-// present; it costs one parallel I/O.
-func (b *Basic) Lookup(key Word) ([]Word, bool) {
-	return b.LookupCtx(b.MintOp(0, 1, obs.TagLookup), key)
-}
-
-// LookupCtx is Lookup attributed to the operation token c (see OpCtx).
-func (b *Basic) LookupCtx(c OpCtx, key Word) ([]Word, bool) { return b.d.LookupOp(c.Op, key) }
-
-// Contains reports whether key is present (one parallel I/O).
-func (b *Basic) Contains(key Word) bool {
-	_, ok := b.Lookup(key)
-	return ok
-}
-
-// Insert stores (key, sat) in two parallel I/Os (read + write).
-func (b *Basic) Insert(key Word, sat []Word) error {
-	return b.InsertCtx(b.MintOp(0, 1, obs.TagInsert), key, sat)
-}
-
-// InsertCtx is Insert attributed to the operation token c.
-func (b *Basic) InsertCtx(c OpCtx, key Word, sat []Word) error { return b.d.InsertOp(c.Op, key, sat) }
-
-// Delete removes key, reporting whether it was present.
-func (b *Basic) Delete(key Word) bool {
-	return b.DeleteCtx(b.MintOp(0, 1, obs.TagDelete), key)
-}
-
-// DeleteCtx is Delete attributed to the operation token c.
-func (b *Basic) DeleteCtx(c OpCtx, key Word) bool { return b.d.DeleteOp(c.Op, key) }
-
-// Len returns the number of stored keys.
-func (b *Basic) Len() int { return b.d.Len() }
 
 // MaxLoad returns the maximum bucket load (diagnostics; Lemma 3 bounds
 // it).
@@ -547,57 +555,16 @@ func (b *Basic) BulkLoad(recs []Record) error {
 	return b.d.BulkLoad(in, b.d.BlocksPerDisk(), 8)
 }
 
-// LookupBatch resolves many keys in one batched read, de-duplicating
-// shared blocks: a burst of hot-key lookups (the paper's webmail
-// workload) costs far fewer parallel I/Os than issuing them singly.
-// Results align positionally with keys.
-func (b *Basic) LookupBatch(keys []Word) ([][]Word, []bool) {
-	return b.LookupBatchCtx(b.MintOp(0, len(keys), obs.TagLookup), keys)
-}
-
-// LookupBatchCtx is LookupBatch attributed to the operation token c:
-// one token covers the whole batch.
-func (b *Basic) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
-	return b.d.LookupBatchOp(c.Op, nil, keys)
-}
-
 // LookupTry is the fault-aware Lookup: it goes through the machine's
 // checked read path, retries transient errors, and with Replicas ≥ 2
 // answers from any surviving copy. A non-nil error means the lookup was
 // inconclusive — the key was not found but some candidate bucket was
-// unreadable — never that the key is absent.
-//
-//lint:pdm-allow opctx: fault-aware Try path stays on the legacy span path
+// unreadable — never that the key is absent. It mints no operation
+// token: that would cost a degraded read an allocation.
 func (b *Basic) LookupTry(key Word) ([]Word, bool, error) { return b.d.LookupTry(key) }
 
-// LookupTryCtx is LookupTry attributed to the operation token c: the
-// probe, every retry batch, and any modeled backoff are charged to the
-// token, so recovery I/O is accounted to the operation that needed it.
-func (b *Basic) LookupTryCtx(c OpCtx, key Word) ([]Word, bool, error) {
-	return b.d.LookupTryOp(c.Op, key)
-}
-
-// LookupTryBatch is the fault-aware LookupBatch: one merged,
-// de-duplicated read round through the checked path, governed by the
-// retry policy. A non-nil error means at least one key was inconclusive
-// (its ok entry is then false) — never that a key is wrongly absent.
-//
-//lint:pdm-allow opctx: fault-aware Try path stays on the legacy span path
-func (b *Basic) LookupTryBatch(keys []Word) ([][]Word, []bool, error) {
-	return b.d.LookupTryBatch(keys)
-}
-
-// LookupTryBatchCtx is LookupTryBatch attributed to the operation token
-// c; one token covers the whole batch.
-func (b *Basic) LookupTryBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool, error) {
-	return b.d.LookupTryBatchOp(c.Op, keys)
-}
-
-// ContainsTry is the fault-aware Contains; see LookupTry.
-func (b *Basic) ContainsTry(key Word) (bool, error) { return b.d.ContainsTry(key) }
-
 // SetRetryPolicy installs the transient-error recovery policy used by
-// LookupTry, LookupTryBatch, Repair, and Scrub. The zero value (and
+// LookupTry, Repair, and Scrub. The zero value (and
 // DefaultRetryPolicy()) reproduce the historical behavior exactly —
 // same batches, same trace bytes.
 func (b *Basic) SetRetryPolicy(p RetryPolicy) { b.d.SetRetryPolicy(p) }
@@ -688,21 +655,15 @@ func NewDirect(opts Options) (*Direct, error) {
 
 // Lookup returns a copy of key's satellite data and whether it is
 // present (one parallel I/O).
-//
-//lint:pdm-allow opctx: direct addressing special case; stays on the legacy span path
 func (d *Direct) Lookup(key Word) ([]Word, bool) { return d.d.Lookup(key) }
 
 // Contains reports whether key is present.
 func (d *Direct) Contains(key Word) bool { return d.d.Contains(key) }
 
 // Insert stores (key, sat) in two parallel I/Os.
-//
-//lint:pdm-allow opctx: direct addressing special case; stays on the legacy span path
 func (d *Direct) Insert(key Word, sat []Word) error { return d.d.Insert(key, sat) }
 
 // Delete removes key, reporting whether it was present.
-//
-//lint:pdm-allow opctx: direct addressing special case; stays on the legacy span path
 func (d *Direct) Delete(key Word) bool { return d.d.Delete(key) }
 
 // Len returns the number of stored keys.
@@ -753,21 +714,15 @@ func BuildStatic(opts StaticOptions, recs []Record) (*Static, error) {
 
 // Lookup returns a copy of key's satellite data and whether it is
 // present, in exactly one parallel I/O.
-//
-//lint:pdm-allow opctx: static structure; stays on the legacy span path
 func (s *Static) Lookup(key Word) ([]Word, bool) { return s.d.Lookup(key) }
 
 // Contains reports whether key is present (one parallel I/O).
 func (s *Static) Contains(key Word) bool { return s.d.Contains(key) }
 
 // Insert is unsupported: the structure is static (use Dynamic or Dict).
-//
-//lint:pdm-allow opctx: static structure; stays on the legacy span path
 func (s *Static) Insert(Word, []Word) error { return core.ErrFull }
 
 // Delete is unsupported: the structure is static.
-//
-//lint:pdm-allow opctx: static structure; stays on the legacy span path
 func (s *Static) Delete(Word) bool { return false }
 
 // Len returns the number of stored keys.
@@ -780,8 +735,14 @@ func (s *Static) ConstructionIOs() int64 { return s.d.ConstructionIOs.ParallelIO
 // Theorem 7 dynamic dictionary.
 
 // Dynamic is the bounded-capacity dynamic dictionary of Theorem 7.
+// Unsuccessful searches cost exactly one parallel I/O, successful ones
+// at most 1+ɛ on average, and updates 2+ɛ on average. LookupBatch takes
+// at most two batched reads: one for every key's membership buckets and
+// first-array fields, one shared by the (rare) keys resident in deeper
+// arrays.
 type Dynamic struct {
 	machineStats
+	front
 	d *core.DynamicDict
 }
 
@@ -799,62 +760,11 @@ func NewDynamic(opts Options) (*Dynamic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dynamic{machineStats{m}, d}, nil
+	return &Dynamic{machineStats{m}, machineFront(d, m), d}, nil
 }
-
-// Lookup returns a copy of key's satellite data and whether it is
-// present. Unsuccessful searches cost exactly one parallel I/O;
-// successful ones average at most 1+ɛ.
-func (d *Dynamic) Lookup(key Word) ([]Word, bool) {
-	return d.LookupCtx(d.MintOp(0, 1, obs.TagLookup), key)
-}
-
-// LookupCtx is Lookup attributed to the operation token c (see OpCtx).
-func (d *Dynamic) LookupCtx(c OpCtx, key Word) ([]Word, bool) { return d.d.LookupOp(c.Op, key) }
-
-// Contains reports whether key is present.
-func (d *Dynamic) Contains(key Word) bool {
-	_, ok := d.Lookup(key)
-	return ok
-}
-
-// Insert stores (key, sat) in 2+ɛ parallel I/Os on average.
-func (d *Dynamic) Insert(key Word, sat []Word) error {
-	return d.InsertCtx(d.MintOp(0, 1, obs.TagInsert), key, sat)
-}
-
-// InsertCtx is Insert attributed to the operation token c.
-func (d *Dynamic) InsertCtx(c OpCtx, key Word, sat []Word) error {
-	return d.d.InsertOp(c.Op, key, sat)
-}
-
-// Delete removes key, reporting whether it was present.
-func (d *Dynamic) Delete(key Word) bool {
-	return d.DeleteCtx(d.MintOp(0, 1, obs.TagDelete), key)
-}
-
-// DeleteCtx is Delete attributed to the operation token c.
-func (d *Dynamic) DeleteCtx(c OpCtx, key Word) bool { return d.d.DeleteOp(c.Op, key) }
-
-// Len returns the number of stored keys.
-func (d *Dynamic) Len() int { return d.d.Len() }
 
 // LevelCounts returns the per-level occupancy of the retrieval cascade.
 func (d *Dynamic) LevelCounts() []int { return d.d.LevelCounts() }
-
-// LookupBatch resolves many keys in at most two batched reads: one for
-// every key's membership buckets and first-array fields, one shared by
-// the (rare) keys resident in deeper arrays. Results align positionally
-// with keys.
-func (d *Dynamic) LookupBatch(keys []Word) ([][]Word, []bool) {
-	return d.LookupBatchCtx(d.MintOp(0, len(keys), obs.TagLookup), keys)
-}
-
-// LookupBatchCtx is LookupBatch attributed to the operation token c:
-// one token covers the whole batch.
-func (d *Dynamic) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
-	return d.d.LookupBatchOp(c.Op, nil, keys)
-}
 
 // ---------------------------------------------------------------------
 // Section 6 (Open Problems) exploration.
@@ -867,8 +777,12 @@ func (d *Dynamic) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
 // is the failure path: when no level can host a chain the structure
 // must be rebuilt (Insert returns an error), the caveat the paper's
 // "this makes the time for updates non-constant" remark anticipates.
+// Lookup and Contains cost exactly one parallel I/O, Insert and Delete
+// exactly two, and LookupBatch one batched read: every key's membership
+// and field blocks are merged into the same parallel I/O.
 type OneProbe struct {
 	machineStats
+	front
 	d *core.OneProbeDict
 }
 
@@ -897,61 +811,11 @@ func NewOneProbe(opts OneProbeOptions) (*OneProbe, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &OneProbe{machineStats{m}, d}, nil
+	return &OneProbe{machineStats{m}, machineFront(d, m), d}, nil
 }
-
-// Lookup returns a copy of key's satellite data and whether it is
-// present — always exactly one parallel I/O.
-func (o *OneProbe) Lookup(key Word) ([]Word, bool) {
-	return o.LookupCtx(o.MintOp(0, 1, obs.TagLookup), key)
-}
-
-// LookupCtx is Lookup attributed to the operation token c (see OpCtx).
-func (o *OneProbe) LookupCtx(c OpCtx, key Word) ([]Word, bool) { return o.d.LookupOp(c.Op, key) }
-
-// Contains reports whether key is present (one parallel I/O).
-func (o *OneProbe) Contains(key Word) bool {
-	_, ok := o.Lookup(key)
-	return ok
-}
-
-// Insert stores (key, sat) in exactly two parallel I/Os.
-func (o *OneProbe) Insert(key Word, sat []Word) error {
-	return o.InsertCtx(o.MintOp(0, 1, obs.TagInsert), key, sat)
-}
-
-// InsertCtx is Insert attributed to the operation token c.
-func (o *OneProbe) InsertCtx(c OpCtx, key Word, sat []Word) error {
-	return o.d.InsertOp(c.Op, key, sat)
-}
-
-// Delete removes key in exactly two parallel I/Os.
-func (o *OneProbe) Delete(key Word) bool {
-	return o.DeleteCtx(o.MintOp(0, 1, obs.TagDelete), key)
-}
-
-// DeleteCtx is Delete attributed to the operation token c.
-func (o *OneProbe) DeleteCtx(c OpCtx, key Word) bool { return o.d.DeleteOp(c.Op, key) }
-
-// Len returns the number of stored keys.
-func (o *OneProbe) Len() int { return o.d.Len() }
 
 // LevelCounts returns the per-level occupancy.
 func (o *OneProbe) LevelCounts() []int { return o.d.LevelCounts() }
-
-// LookupBatch resolves many keys in ONE batched read — the single-probe
-// guarantee extends to whole batches, since every key's membership and
-// field blocks are merged into the same parallel I/O. Results align
-// positionally with keys.
-func (o *OneProbe) LookupBatch(keys []Word) ([][]Word, []bool) {
-	return o.LookupBatchCtx(o.MintOp(0, len(keys), obs.TagLookup), keys)
-}
-
-// LookupBatchCtx is LookupBatch attributed to the operation token c:
-// one token covers the whole batch.
-func (o *OneProbe) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
-	return o.d.LookupBatchOp(c.Op, nil, keys)
-}
 
 // ---------------------------------------------------------------------
 // Baselines (Figure 1 comparators).
@@ -978,21 +842,15 @@ func NewHashTable(opts Options) (*HashTable, error) {
 }
 
 // Lookup returns a copy of key's satellite data and whether it is present.
-//
-//lint:pdm-allow opctx: baseline comparator; stays on the legacy span path by design
 func (h *HashTable) Lookup(key Word) ([]Word, bool) { return h.d.Lookup(key) }
 
 // Contains reports whether key is present.
 func (h *HashTable) Contains(key Word) bool { return h.d.Contains(key) }
 
 // Insert stores (key, sat).
-//
-//lint:pdm-allow opctx: baseline comparator; stays on the legacy span path by design
 func (h *HashTable) Insert(key Word, sat []Word) error { return h.d.Insert(key, sat) }
 
 // Delete removes key, reporting whether it was present.
-//
-//lint:pdm-allow opctx: baseline comparator; stays on the legacy span path by design
 func (h *HashTable) Delete(key Word) bool { return h.d.Delete(key) }
 
 // Len returns the number of stored keys.
@@ -1020,21 +878,15 @@ func NewCuckoo(opts Options) (*Cuckoo, error) {
 
 // Lookup returns a copy of key's satellite data and whether it is
 // present, in exactly one parallel I/O.
-//
-//lint:pdm-allow opctx: baseline comparator; stays on the legacy span path by design
 func (c *Cuckoo) Lookup(key Word) ([]Word, bool) { return c.d.Lookup(key) }
 
 // Contains reports whether key is present.
 func (c *Cuckoo) Contains(key Word) bool { return c.d.Contains(key) }
 
 // Insert stores (key, sat); amortized expected constant I/Os.
-//
-//lint:pdm-allow opctx: baseline comparator; stays on the legacy span path by design
 func (c *Cuckoo) Insert(key Word, sat []Word) error { return c.d.Insert(key, sat) }
 
 // Delete removes key, reporting whether it was present.
-//
-//lint:pdm-allow opctx: baseline comparator; stays on the legacy span path by design
 func (c *Cuckoo) Delete(key Word) bool { return c.d.Delete(key) }
 
 // Len returns the number of stored keys.
@@ -1062,21 +914,15 @@ func NewTwoLevel(opts Options) (*TwoLevel, error) {
 }
 
 // Lookup returns a copy of key's satellite data and whether it is present.
-//
-//lint:pdm-allow opctx: baseline comparator; stays on the legacy span path by design
 func (t *TwoLevel) Lookup(key Word) ([]Word, bool) { return t.d.Lookup(key) }
 
 // Contains reports whether key is present.
 func (t *TwoLevel) Contains(key Word) bool { return t.d.Contains(key) }
 
 // Insert stores (key, sat).
-//
-//lint:pdm-allow opctx: baseline comparator; stays on the legacy span path by design
 func (t *TwoLevel) Insert(key Word, sat []Word) error { return t.d.Insert(key, sat) }
 
 // Delete removes key, reporting whether it was present.
-//
-//lint:pdm-allow opctx: baseline comparator; stays on the legacy span path by design
 func (t *TwoLevel) Delete(key Word) bool { return t.d.Delete(key) }
 
 // Len returns the number of stored keys.
@@ -1108,21 +954,15 @@ func NewBTree(opts BTreeOptions) (*BTree, error) {
 
 // Lookup returns a copy of key's satellite data and whether it is
 // present, in Height parallel I/Os.
-//
-//lint:pdm-allow opctx: baseline comparator; stays on the legacy span path by design
 func (b *BTree) Lookup(key Word) ([]Word, bool) { return b.d.Lookup(key) }
 
 // Contains reports whether key is present.
 func (b *BTree) Contains(key Word) bool { return b.d.Contains(key) }
 
 // Insert stores (key, sat).
-//
-//lint:pdm-allow opctx: baseline comparator; stays on the legacy span path by design
 func (b *BTree) Insert(key Word, sat []Word) error { return b.d.Insert(key, sat) }
 
 // Delete removes key, reporting whether it was present.
-//
-//lint:pdm-allow opctx: baseline comparator; stays on the legacy span path by design
 func (b *BTree) Delete(key Word) bool { return b.d.Delete(key) }
 
 // Len returns the number of stored keys.

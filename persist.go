@@ -20,7 +20,7 @@ func OpenBasic(r io.Reader) (*Basic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Basic{machineStats{m}, d}, nil
+	return &Basic{machineStats{m}, machineFront(d, m), d}, nil
 }
 
 // Save writes a snapshot of the dictionary.
@@ -32,7 +32,7 @@ func OpenDynamic(r io.Reader) (*Dynamic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dynamic{machineStats{m}, dd}, nil
+	return &Dynamic{machineStats{m}, machineFront(dd, m), dd}, nil
 }
 
 // Save writes a snapshot of the dictionary.
@@ -58,5 +58,5 @@ func OpenDict(r io.Reader) (*Dict, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dict{d: dd}, nil
+	return newDict(dd), nil
 }

@@ -38,14 +38,11 @@ import (
 // also use the wrapped dictionary directly while writes are in flight.
 type Scheduled struct {
 	d Dictionary
+	f *front // d's entry points, for hand-assembled batches
 	s *sched.Scheduler
 }
 
-var (
-	_ Dictionary    = (*Scheduled)(nil)
-	_ BatchLookuper = (*Scheduled)(nil)
-	_ Hooked        = (*Scheduled)(nil)
-)
+var _ Dictionary = (*Scheduled)(nil)
 
 // SchedSnapshot is a point-in-time view of a Scheduled's scheduler; see
 // obs.SchedSnapshot for field semantics.
@@ -90,24 +87,15 @@ type SchedOptions struct {
 // NewScheduled wraps d — a *Dict, *Basic, *Dynamic, or *OneProbe — in a
 // group-commit scheduler.
 func NewScheduled(d Dictionary, opts SchedOptions) (*Scheduled, error) {
-	var be sched.Backend
-	var steps func() int64
-	switch v := d.(type) {
-	case *Dict:
-		be, steps = v.d, v.d.StepCount
-	case *Basic:
-		be, steps = v.d, v.m.StepCount
-	case *Dynamic:
-		be, steps = v.d, v.m.StepCount
-	case *OneProbe:
-		be, steps = v.d, v.m.StepCount
-	default:
+	fd, ok := d.(interface{ asFront() *front })
+	if !ok {
 		return nil, errors.New("pdmdict: NewScheduled: unsupported dictionary type")
 	}
+	f := fd.asFront()
 	cfg := sched.Config{
 		MaxBatch:   opts.MaxBatch,
 		StepBudget: opts.StepBudget,
-		Steps:      steps,
+		Steps:      f.steps,
 		QueueDepth: opts.QueueDepth,
 		Block:      opts.Block,
 	}
@@ -121,7 +109,7 @@ func NewScheduled(d Dictionary, opts SchedOptions) (*Scheduled, error) {
 			return func() { t.Stop() }
 		}
 	}
-	return &Scheduled{d: d, s: sched.New(be, cfg)}, nil
+	return &Scheduled{d: d, f: f, s: sched.New(f.core, cfg)}, nil
 }
 
 // MintOp mints a scheduler-scoped operation token for client over keys
@@ -164,12 +152,14 @@ func (s *Scheduled) Contains(key Word) bool {
 // dictionary — a caller who already holds b keys has already done the
 // coalescing, so the batch bypasses the admission window (it would only
 // add latency) and rides the dictionary's own merged-round path under
-// one batch token. Every type NewScheduled accepts has that path.
+// one batch token.
 func (s *Scheduled) LookupBatch(keys []Word) ([][]Word, []bool) {
-	bl := s.d.(interface {
-		LookupBatchCtx(OpCtx, []Word) ([][]Word, []bool)
-	})
-	return bl.LookupBatchCtx(s.MintOp(0, len(keys), obs.TagLookup), keys)
+	return s.LookupBatchCtx(s.MintOp(0, len(keys), obs.TagLookup), keys)
+}
+
+// LookupBatchCtx is LookupBatch under an operation token.
+func (s *Scheduled) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
+	return s.f.LookupBatchCtx(c, keys)
 }
 
 // Insert queues the mutation and blocks until its group commits: the
@@ -186,8 +176,8 @@ func (s *Scheduled) InsertCtx(c OpCtx, key Word, sat []Word) error {
 
 // Delete queues the removal and blocks until its group commits,
 // reporting whether the key was present. A false return under
-// backpressure means the delete was NOT applied — use DeleteCtx via
-// TryDelete semantics when that distinction matters.
+// backpressure means the delete was NOT applied — use DeleteCtx, which
+// surfaces the backpressure error, when that distinction matters.
 func (s *Scheduled) Delete(key Word) bool {
 	present, _ := s.DeleteCtx(s.MintOp(0, 1, obs.TagDelete), key)
 	return present
@@ -208,12 +198,8 @@ func (s *Scheduled) Len() int { return s.d.Len() }
 func (s *Scheduled) IOStats() IOStats { return s.d.IOStats() }
 
 // SetHook attaches an observability hook to the wrapped dictionary's
-// machine, if it supports hooks.
-func (s *Scheduled) SetHook(h IOHook) {
-	if hk, ok := s.d.(Hooked); ok {
-		hk.SetHook(h)
-	}
-}
+// machine.
+func (s *Scheduled) SetHook(h IOHook) { s.d.SetHook(h) }
 
 // Flush closes and dispatches the current admission window and returns
 // once nothing is pending — the deterministic-mode escape hatch for
