@@ -97,35 +97,35 @@ func (c *ChaosConfig) normalize() {
 // invariant — machine totals equal client + patrol + repair charges,
 // nothing unattributed.
 type ChaosResult struct {
-	Config        ChaosConfig          `json:"config"`
-	EventsApplied int                  `json:"events_applied"`
-	Schedule      []fault.ChaosEvent   `json:"schedule"`
-	Lookups       int64                `json:"lookups"`
-	WallNanos     int64                `json:"wall_ns"`
-	ParallelIOs   int64                `json:"parallel_ios"`
-	BlockReads    int64                `json:"block_reads"`
-	BlockWrites   int64                `json:"block_writes"`
-	ClientSteps   int64                `json:"client_steps"`
-	PatrolSteps   int64                `json:"patrol_steps"`
-	RepairSteps   int64                `json:"repair_steps"`
-	RepairEpisodes int                 `json:"repair_episodes"`
-	Exact         bool                 `json:"exact_attribution"`
-	Retries       int64                `json:"retry_batches"`
-	Hedges        int64                `json:"hedged_reads"`
-	BackoffSteps  int64                `json:"backoff_steps"`
-	RepairChunks  int64                `json:"repair_chunks"`
-	RepairRows    int64                `json:"repair_rows"`
-	ScrubClean    bool                 `json:"scrub_clean"`
+	Config         ChaosConfig        `json:"config"`
+	EventsApplied  int                `json:"events_applied"`
+	Schedule       []fault.ChaosEvent `json:"schedule"`
+	Lookups        int64              `json:"lookups"`
+	WallNanos      int64              `json:"wall_ns"`
+	ParallelIOs    int64              `json:"parallel_ios"`
+	BlockReads     int64              `json:"block_reads"`
+	BlockWrites    int64              `json:"block_writes"`
+	ClientSteps    int64              `json:"client_steps"`
+	PatrolSteps    int64              `json:"patrol_steps"`
+	RepairSteps    int64              `json:"repair_steps"`
+	RepairEpisodes int                `json:"repair_episodes"`
+	Exact          bool               `json:"exact_attribution"`
+	Retries        int64              `json:"retry_batches"`
+	Hedges         int64              `json:"hedged_reads"`
+	BackoffSteps   int64              `json:"backoff_steps"`
+	RepairChunks   int64              `json:"repair_chunks"`
+	RepairRows     int64              `json:"repair_rows"`
+	ScrubClean     bool               `json:"scrub_clean"`
 	// AlertTransitions and AlertCycles report the watchdog that rode the
 	// soak: total alert state-machine transitions, and complete
 	// fire → resolve cycles per rule. The soak requires at least one
 	// cycle each from the balance auditor and the degraded-capacity rule
 	// — the watchdog must both catch every scripted outage and stand down
 	// once healing converges.
-	AlertTransitions int64            `json:"alert_transitions"`
-	AlertCycles      map[string]int64 `json:"alert_cycles"`
-	Clients       map[string]*obs.OpAgg `json:"per_client,omitempty"`
-	Tags          map[string]*obs.OpAgg `json:"per_tag,omitempty"`
+	AlertTransitions int64                 `json:"alert_transitions"`
+	AlertCycles      map[string]int64      `json:"alert_cycles"`
+	Clients          map[string]*obs.OpAgg `json:"per_client,omitempty"`
+	Tags             map[string]*obs.OpAgg `json:"per_tag,omitempty"`
 }
 
 // clientLabel names an op-accounting client row for the JSON report.

@@ -7,7 +7,6 @@ import (
 
 	"pdmdict/internal/bucket"
 	"pdmdict/internal/expander"
-	"pdmdict/internal/obs"
 	"pdmdict/internal/pdm"
 )
 
@@ -450,7 +449,7 @@ func (bd *BasicDict) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats 
 	defer bd.mu.RUnlock()
 	sc := bd.scratch.get()
 	defer bd.scratch.put(sc)
-	sc.openSpans(bd.reg.m, obs.TagLookup, op, shared)
+	sc.openSpans(bd.reg.m, pdm.TagLookup, op, shared)
 	defer sc.closeSpans()
 	sc.r1.reset()
 	for _, x := range keys {
@@ -526,10 +525,10 @@ func (bd *BasicDict) Insert(x pdm.Word, sat []pdm.Word) error {
 func (bd *BasicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
-	defer bd.reg.m.OpSpan(op, obs.TagInsert)()
+	defer bd.reg.m.OpSpan(op, pdm.TagInsert)()
 	sc := bd.scratch.get()
 	defer bd.scratch.put(sc)
-	endProbe := bd.reg.m.OpSpan(op, obs.TagProbe)
+	endProbe := bd.reg.m.OpSpan(op, pdm.TagProbe)
 	sc.one = bd.probeAddrs(sc, x, sc.one[:0])
 	flat := bd.reg.m.BatchReadInto(&sc.buf, op, nil, sc.one)
 	endProbe()
@@ -716,7 +715,7 @@ func (bd *BasicDict) Delete(x pdm.Word) bool {
 func (bd *BasicDict) DeleteOp(op *pdm.Op, x pdm.Word) bool {
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
-	defer bd.reg.m.OpSpan(op, obs.TagDelete)()
+	defer bd.reg.m.OpSpan(op, pdm.TagDelete)()
 	sc := bd.scratch.get()
 	defer bd.scratch.put(sc)
 	sc.one = bd.probeAddrs(sc, x, sc.one[:0])
@@ -769,7 +768,7 @@ func (bd *BasicDict) MaxLoad() int {
 func (bd *BasicDict) Scan(fn func(key pdm.Word, fragIdx int, frag []pdm.Word)) {
 	bd.mu.RLock()
 	defer bd.mu.RUnlock()
-	defer bd.reg.m.Span(obs.TagScan)()
+	defer bd.reg.m.Span(pdm.TagScan)()
 	for y := 0; y < bd.buckets; y++ {
 		addrs := bd.bucketAddrs(y, nil)
 		for _, blk := range bd.reg.m.BatchRead(addrs) {

@@ -6,7 +6,6 @@ import (
 
 	"pdmdict/internal/bucket"
 	"pdmdict/internal/extsort"
-	"pdmdict/internal/obs"
 	"pdmdict/internal/pdm"
 )
 
@@ -54,7 +53,7 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 	if len(recs) == 0 {
 		return nil
 	}
-	defer bd.reg.m.Span(obs.TagBulkload)()
+	defer bd.reg.m.Span(pdm.TagBulkload)()
 
 	// The dictionary's own region may span only a subset of the
 	// machine's disks; scratch stripes span them all, which is fine —

@@ -8,7 +8,6 @@ import (
 
 	"pdmdict/internal/bitpack"
 	"pdmdict/internal/expander"
-	"pdmdict/internal/obs"
 	"pdmdict/internal/pdm"
 )
 
@@ -341,7 +340,7 @@ func (dd *DynamicDict) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sat
 	defer dd.mu.RUnlock()
 	sc := dd.scratch.get()
 	defer dd.scratch.put(sc)
-	sc.openSpans(dd.m, obs.TagLookup, op, shared)
+	sc.openSpans(dd.m, pdm.TagLookup, op, shared)
 	defer sc.closeSpans()
 	membLen := dd.memb.probeLen()
 	sc.r1.reset()
@@ -405,7 +404,7 @@ func (dd *DynamicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	}
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
-	defer dd.m.OpSpan(op, obs.TagInsert)()
+	defer dd.m.OpSpan(op, pdm.TagInsert)()
 	sc := dd.scratch.get()
 	defer dd.scratch.put(sc)
 
@@ -532,7 +531,7 @@ func (dd *DynamicDict) Delete(x pdm.Word) bool {
 func (dd *DynamicDict) DeleteOp(op *pdm.Op, x pdm.Word) bool {
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
-	defer dd.m.OpSpan(op, obs.TagDelete)()
+	defer dd.m.OpSpan(op, pdm.TagDelete)()
 	sc := dd.scratch.get()
 	defer dd.scratch.put(sc)
 	sc.one = dd.probe1Locked(sc, x, sc.one[:0])

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"pdmdict/internal/expander"
-	"pdmdict/internal/obs"
 	"pdmdict/internal/pdm"
 )
 
@@ -302,7 +301,7 @@ func (op *OneProbeDict) lookup(tok *pdm.Op, shared []*pdm.Op, keys []pdm.Word, s
 	defer op.mu.RUnlock()
 	sc := op.scratch.get()
 	defer op.scratch.put(sc)
-	sc.openSpans(op.m, obs.TagLookup, tok, shared)
+	sc.openSpans(op.m, pdm.TagLookup, tok, shared)
 	defer sc.closeSpans()
 	sc.r1.reset()
 	for _, x := range keys {
@@ -375,7 +374,7 @@ func (op *OneProbeDict) InsertOp(tok *pdm.Op, x pdm.Word, sat []pdm.Word) error 
 	}
 	op.mu.Lock()
 	defer op.mu.Unlock()
-	defer op.m.OpSpan(tok, obs.TagInsert)()
+	defer op.m.OpSpan(tok, pdm.TagInsert)()
 	sc := op.scratch.get()
 	defer op.scratch.put(sc)
 	flat := op.probeLocked(sc, tok, x)
@@ -473,7 +472,7 @@ func (op *OneProbeDict) Delete(x pdm.Word) bool {
 func (op *OneProbeDict) DeleteOp(tok *pdm.Op, x pdm.Word) bool {
 	op.mu.Lock()
 	defer op.mu.Unlock()
-	defer op.m.OpSpan(tok, obs.TagDelete)()
+	defer op.m.OpSpan(tok, pdm.TagDelete)()
 	sc := op.scratch.get()
 	defer op.scratch.put(sc)
 	flat := op.probeLocked(sc, tok, x)

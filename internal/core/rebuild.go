@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pdmdict/internal/obs"
 	"pdmdict/internal/pdm"
 )
 
@@ -280,7 +279,7 @@ func (d *Dict) MintOp(client, keys int) *pdm.Op {
 // only its own batches, never a neighbor's. op (minted for client 0 if
 // nil) counts as n Ops (a batch counts one per key) and WorstOp tracks
 // the per-key ceiling ⌈cost/n⌉; each participant counts as one Op.
-func (d *Dict) measureOpLocked(op *pdm.Op, shared []*pdm.Op, tag string, n int, fn func(op *pdm.Op) error) error {
+func (d *Dict) measureOpLocked(op *pdm.Op, shared []*pdm.Op, tag pdm.Tag, n int, fn func(op *pdm.Op) error) error {
 	parts := shared
 	if len(shared) == 0 {
 		if op == nil {
@@ -368,7 +367,7 @@ func (d *Dict) LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) (sat
 // misses, with their tokens in a shared round, ride a lookup of the
 // draining structure.
 func (d *Dict) lookupLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
-	d.measureOpLocked(op, shared, obs.TagLookup, len(keys), func(op *pdm.Op) error {
+	d.measureOpLocked(op, shared, pdm.TagLookup, len(keys), func(op *pdm.Op) error {
 		if d.next == nil {
 			d.active.lookupInto(op, shared, keys, sats, oks)
 			return nil
@@ -410,7 +409,7 @@ func (d *Dict) Insert(x pdm.Word, sat []pdm.Word) error {
 func (d *Dict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.measureOpLocked(op, nil, obs.TagInsert, 1, func(op *pdm.Op) error {
+	return d.measureOpLocked(op, nil, pdm.TagInsert, 1, func(op *pdm.Op) error {
 		if d.next == nil && d.active.Len() >= d.active.Capacity() {
 			if err := d.startMigrationLocked(); err != nil {
 				return err
@@ -450,7 +449,7 @@ func (d *Dict) Delete(x pdm.Word) (present bool) {
 func (d *Dict) DeleteOp(op *pdm.Op, x pdm.Word) (present bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.measureOpLocked(op, nil, obs.TagDelete, 1, func(op *pdm.Op) error {
+	d.measureOpLocked(op, nil, pdm.TagDelete, 1, func(op *pdm.Op) error {
 		if d.next != nil && d.next.DeleteOp(op, x) {
 			present = true
 		} else {
@@ -496,7 +495,7 @@ func (d *Dict) migrateStepLocked(op *pdm.Op) {
 	// foreground operation, and the charge lands on the operation that
 	// performed the migration work, exactly as the amortization argument
 	// charges it.
-	defer d.active.machine().OpSpan(op, obs.TagRebuild)()
+	defer d.active.machine().OpSpan(op, pdm.TagRebuild)()
 	sc := d.scratch.get()
 	defer d.scratch.put(sc)
 	memb := d.active.membership()

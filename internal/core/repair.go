@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"pdmdict/internal/bucket"
-	"pdmdict/internal/obs"
 	"pdmdict/internal/pdm"
 )
 
@@ -86,7 +85,7 @@ func tryReadPolicy(m *pdm.Machine, rs *retryScratch, rb *pdm.ReadBuf, op *pdm.Op
 			rs.addrs = append(rs.addrs, addrs[j])
 		}
 		if b := pol.Backoff(attempt + 1); b > 0 {
-			endBackoff := m.OpSpan(op, obs.TagBackoff)
+			endBackoff := m.OpSpan(op, pdm.TagBackoff)
 			m.ChargeSteps(op, b)
 			endBackoff()
 		}
@@ -188,7 +187,7 @@ func tryWritePolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, writes []pd
 			retryWrites = append(retryWrites, writes[j])
 		}
 		if b := pol.Backoff(attempt + 1); b > 0 {
-			endBackoff := m.OpSpan(op, obs.TagBackoff)
+			endBackoff := m.OpSpan(op, pdm.TagBackoff)
 			m.ChargeSteps(op, b)
 			endBackoff()
 		}
@@ -335,7 +334,7 @@ func (bd *BasicDict) Repair(disk int) error {
 	}
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
-	defer bd.reg.m.Span(obs.TagRepair)()
+	defer bd.reg.m.Span(pdm.TagRepair)()
 	for r := range j.rows {
 		if err := j.collectRowLocked(nil, r); err != nil {
 			return err
@@ -357,7 +356,7 @@ func (bd *BasicDict) Repair(disk int) error {
 func (bd *BasicDict) Scrub() []pdm.Addr {
 	bd.mu.RLock()
 	defer bd.mu.RUnlock()
-	defer bd.reg.m.Span(obs.TagScrub)()
+	defer bd.reg.m.Span(pdm.TagScrub)()
 	d := bd.reg.nDisks
 	rows := ceilDiv(bd.buckets, d)
 	var bad []pdm.Addr

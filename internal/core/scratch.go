@@ -132,7 +132,7 @@ func (sc *probeScratch) fragSlots(k int) [][]pdm.Word {
 // openSpans opens a lookup's root spans as the machine attributes its
 // reads: one for op, or one per participant of a shared round.
 // closeSpans ends them innermost first.
-func (sc *probeScratch) openSpans(m *pdm.Machine, tag string, op *pdm.Op, shared []*pdm.Op) {
+func (sc *probeScratch) openSpans(m *pdm.Machine, tag pdm.Tag, op *pdm.Op, shared []*pdm.Op) {
 	if len(shared) == 0 {
 		shared = []*pdm.Op{op}
 	}

@@ -9,7 +9,6 @@ import (
 	"pdmdict/internal/bucket"
 	"pdmdict/internal/expander"
 	"pdmdict/internal/extsort"
-	"pdmdict/internal/obs"
 	"pdmdict/internal/pdm"
 )
 
@@ -157,7 +156,7 @@ func BuildStatic(m *pdm.Machine, cfg StaticConfig, recs []bucket.Record) (*Stati
 	if err := sd.layout(); err != nil {
 		return nil, err
 	}
-	defer m.Span(obs.TagBuild)()
+	defer m.Span(pdm.TagBuild)()
 	start := m.Stats()
 	if err := sd.construct(recs); err != nil {
 		return nil, err
@@ -272,7 +271,7 @@ func (sd *StaticDict) fieldSlot(j int) int {
 // blocks holding Γ(x)'s fields; CaseA additionally reads the d
 // membership buckets in the same batch, on its other d disks.
 func (sd *StaticDict) Lookup(x pdm.Word) ([]pdm.Word, bool) {
-	defer sd.m.Span(obs.TagLookup)()
+	defer sd.m.Span(pdm.TagLookup)()
 	sc := sd.scratch.get()
 	defer sd.scratch.put(sc)
 	d := sd.d

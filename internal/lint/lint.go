@@ -9,8 +9,6 @@
 //   - detrand: no unseeded randomness, wall clock, or order-unstable
 //     map iteration reaches a measured or serialized path, so the same
 //     seed yields byte-identical traces.
-//   - hooktag: every span tag is a constant from the internal/obs tag
-//     registry, so per-tag I/O sums partition the machine's total.
 //   - lockorder: lock acquisitions respect the partial order declared
 //     in locktable.go, and every mutex struct field is registered
 //     there, so the concurrent query/repair paths cannot deadlock.
@@ -52,8 +50,8 @@
 //
 // The reason is not parsed but, by convention, mandatory. A waiver that
 // suppresses nothing is itself reported (rule "unusedwaiver") whenever
-// every rule it names was part of the run, so stale escape hatches
-// cannot accumulate.
+// every rule it names was part of the run, and so is a waiver naming a
+// rule that does not exist, so stale escape hatches cannot accumulate.
 package lint
 
 import (
@@ -89,7 +87,7 @@ type Analyzer struct {
 
 // All returns the full pdmlint suite.
 func All() []*Analyzer {
-	return []*Analyzer{IOCharge, BatchErr, DetRand, HookTag, LockOrder, GuardedBy, HealthTrans}
+	return []*Analyzer{IOCharge, BatchErr, DetRand, LockOrder, GuardedBy, HealthTrans}
 }
 
 // Pass carries one package through one analyzer.
@@ -226,18 +224,31 @@ func filterAllowed(waivers []*waiverComment, diags []Diagnostic) []Diagnostic {
 	return kept
 }
 
-// staleWaivers reports the waivers that suppressed nothing, provided
-// every rule they name was part of the run (a waiver for an analyzer
-// outside the suite may be load-bearing in a fuller run, so it is left
-// alone). Waivers naming unusedwaiver itself are exempt: they exist to
-// quiet this very check.
+// staleWaivers reports every waiver rule name that is no analyzer of
+// All() (a typo, or a deleted rule), and the waivers that suppressed
+// nothing, provided every rule they name was part of the run (a waiver
+// for an analyzer outside the suite may be load-bearing in a fuller run,
+// so it is left alone). Waivers naming unusedwaiver itself are exempt
+// from the second check: they exist to quiet it.
 func staleWaivers(waivers []*waiverComment, analyzers []*Analyzer) []Diagnostic {
-	suite := map[string]bool{}
+	suite, known := map[string]bool{}, map[string]bool{"unusedwaiver": true}
 	for _, a := range analyzers {
 		suite[a.Name] = true
 	}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	var out []Diagnostic
 	for _, w := range waivers {
+		for _, r := range w.rules {
+			if !known[r] {
+				out = append(out, Diagnostic{
+					Pos:     w.pos,
+					Rule:    "unusedwaiver",
+					Message: fmt.Sprintf("//lint:pdm-allow names %q, which is no pdmlint rule; correct or remove it", r),
+				})
+			}
+		}
 		if w.used || w.set["unusedwaiver"] {
 			continue
 		}

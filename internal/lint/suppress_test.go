@@ -17,7 +17,7 @@ func TestParseAllow(t *testing.T) {
 	}{
 		{"//lint:pdm-allow iocharge: reason", []string{"iocharge"}},
 		{"//lint:pdm-allow batcherr,iocharge: two rules", []string{"batcherr", "iocharge"}},
-		{"//lint:pdm-allow detrand, hooktag: spaced list", []string{"detrand", "hooktag"}},
+		{"//lint:pdm-allow detrand, lockorder: spaced list", []string{"detrand", "lockorder"}},
 		{"//lint:pdm-allow: no rule named", nil},
 		{"// plain comment", nil},
 		{"//lint:ignore SA1000 staticcheck syntax", nil},

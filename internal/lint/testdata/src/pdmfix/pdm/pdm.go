@@ -45,5 +45,4 @@ func (m *Machine) TryBatchRead(addrs []Addr) ([][]Word, error) { return nil, nil
 func (m *Machine) TryBatchWrite(writes []BlockWrite) error     { return nil }
 func (m *Machine) Peek(a Addr) []Word                          { return nil }
 func (m *Machine) VerifyChecksums() []Addr                     { return nil }
-func (m *Machine) Span(tag string) func()                      { return func() {} }
 func (m *Machine) SetWallClock(now any)                        {}

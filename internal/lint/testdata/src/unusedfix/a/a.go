@@ -1,6 +1,6 @@
 // Fixture for unused-waiver detection. The test runs only the
 // lockorder analyzer, so waivers naming other rules are out of scope
-// and must be left alone.
+// and must be left alone, unless the rule they name does not exist.
 package unusedfix
 
 import "sync"
@@ -38,5 +38,12 @@ func foreign(a *Pad) {
 // quieted: naming unusedwaiver itself opts out of staleness checking.
 func quieted(a *Pad) {
 	a.mu.Lock() //lint:pdm-allow lockorder, unusedwaiver: intentionally broad for the fixture
+	a.mu.Unlock()
+}
+
+// misnamed: nosuchrule is no pdmlint rule at all (a typo, or a deleted
+// analyzer), so no run can make the waiver load-bearing.
+func misnamed(a *Pad) {
+	a.mu.Lock() //lint:pdm-allow nosuchrule: names a rule that does not exist // want `"nosuchrule", which is no pdmlint rule`
 	a.mu.Unlock()
 }

@@ -9,7 +9,8 @@ import (
 // TestUnusedWaiver covers stale-waiver detection: a waiver that
 // suppresses a finding is kept, one that suppresses nothing is
 // reported, one naming a rule outside the running suite is left alone,
-// and one naming unusedwaiver itself opts out.
+// one naming a rule that does not exist is reported, and one naming
+// unusedwaiver itself opts out.
 func TestUnusedWaiver(t *testing.T) {
 	runFixtureSuite(t, []*Analyzer{LockOrder}, "unusedfix/a")
 }

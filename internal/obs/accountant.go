@@ -9,7 +9,7 @@ import (
 
 // OpCtx is the operation token the public API threads through the
 // dictionaries into pdm.Machine: the machine-unique op (carrying its ID,
-// issuing client, and key count) plus the operation's registered root
+// issuing client, and key count) plus the name of the operation's root
 // tag. Public entry points mint one OpCtx per logical operation; every
 // batch, fault, and span event the operation causes is stamped with the
 // token, which is what makes per-operation accounting exact under
@@ -17,8 +17,8 @@ import (
 type OpCtx struct {
 	// Op is the token itself; nil falls back to unattributed operation.
 	Op *pdm.Op
-	// Tag is the operation's registered root span tag (TagLookup,
-	// TagInsert, ...).
+	// Tag names the operation's root span tag (TagLookup, TagInsert,
+	// ...).
 	Tag string
 }
 

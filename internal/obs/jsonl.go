@@ -198,8 +198,9 @@ func (e *ParseError) Unwrap() error { return e.Err }
 
 // ReadEvents parses a JSONL trace back into events. The first line
 // must be the version header, of a version from 3 to TraceVersion;
-// unknown event kinds are rejected. Errors are *ParseError carrying the
-// offending line number.
+// unknown event kinds, and span events whose path has a component that
+// is not a declared pdm.Tag, are rejected. Errors are *ParseError
+// carrying the offending line number.
 func ReadEvents(r io.Reader) ([]pdm.Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
@@ -264,6 +265,9 @@ func ReadEvents(r io.Reader) ([]pdm.Event, error) {
 		default:
 			return out, &ParseError{Line: lineno, Err: fmt.Errorf("unknown event kind %q", line.Kind)}
 		}
+		if e.Kind.IsSpan() && !declaredPath(line.Tag) {
+			return out, &ParseError{Line: lineno, Err: fmt.Errorf("span tag %q is not a path of declared tags", line.Tag)}
+		}
 		if len(line.Ops) > 0 {
 			e.Ops = line.Ops
 		}
@@ -284,17 +288,33 @@ func ReadEvents(r io.Reader) ([]pdm.Event, error) {
 	return out, nil
 }
 
+// declaredPath reports whether every component of the dot-joined span
+// path is a declared pdm.Tag.
+func declaredPath(path string) bool {
+	for {
+		head, rest, more := strings.Cut(path, ".")
+		if _, ok := pdm.ParseTag(head); !ok {
+			return false
+		}
+		if !more {
+			return true
+		}
+		path = rest
+	}
+}
+
 // Replay re-issues a recorded trace against m, batch for batch,
 // reproducing the trace's I/O cost profile (block contents are not
 // recorded, so writes store zero blocks). Replay re-opens the recorded
 // spans on m — nesting included — so a replayed machine emits the same
 // span structure the original did; spans left open by a truncated trace
-// are closed at the end. Version 4+ traces carry operation tokens, which
-// Replay re-mints with their recorded IDs, clients, and key counts,
-// re-issuing token-carrying spans and batches (including merged batches
-// and their attribution lists) through the op-aware machine entry
-// points, so a replayed single-threaded trace serializes back
-// byte-identically. It returns the stats delta the replay produced.
+// are closed at the end, and a span whose leaf is not a declared tag (in
+// an event slice built by hand) opens nothing. Version 4+ traces carry
+// operation tokens, which Replay re-mints with their recorded IDs,
+// clients, and key counts, re-issuing token-carrying spans and batches
+// (including merged batches and their attribution lists) through the
+// op-aware machine entry points, so a replayed single-threaded trace
+// serializes back byte-identically. It returns the stats delta the replay produced.
 func Replay(m *pdm.Machine, events []pdm.Event) pdm.Stats {
 	before := m.Stats()
 	ops := map[uint64]*pdm.Op{}
@@ -316,14 +336,14 @@ func Replay(m *pdm.Machine, events []pdm.Event) pdm.Stats {
 			// The recorded tag is the span's full dot-joined path; the
 			// machine re-joins nested spans itself, so re-open with the
 			// leaf component only.
-			leaf := e.Tag
-			if i := strings.LastIndexByte(leaf, '.'); i >= 0 {
-				leaf = leaf[i+1:]
-			}
-			if e.Op != 0 {
+			leaf, ok := pdm.ParseTag(e.Tag[strings.LastIndexByte(e.Tag, '.')+1:])
+			switch {
+			case !ok:
+				stack = append(stack, func() {}) // keeps the stack balanced for the span_end
+			case e.Op != 0:
 				stack = append(stack, m.OpSpan(op(e.Op, e.Client, e.Keys), leaf))
-			} else {
-				stack = append(stack, m.Span(leaf)) //lint:pdm-allow hooktag: replays tags recorded in the trace being reproduced
+			default:
+				stack = append(stack, m.Span(leaf))
 			}
 		case pdm.EventSpanEnd:
 			if n := len(stack); n > 0 {

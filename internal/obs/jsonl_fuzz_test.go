@@ -23,16 +23,18 @@ func FuzzReadEvents(f *testing.F) {
 	m := pdm.NewMachine(pdm.Config{D: 4, B: 2})
 	m.SetHook(w)
 	op := m.NewOp(3, 2)
-	end := m.OpSpan(op, TagLookup)
+	end := m.OpSpan(op, pdm.TagLookup)
 	m.BatchReadOp(op, []pdm.Addr{{Disk: 0, Block: 0}, {Disk: 1, Block: 2}})
 	m.BatchReadShared([]*pdm.Op{op, m.NewOp(4, 1)}, []pdm.Addr{{Disk: 2, Block: 1}})
 	end()
-	inner := m.Span(TagInsert)
+	inner := m.Span(pdm.TagInsert)
+	probe := m.Span(pdm.TagProbe)
 	m.BatchWrite([]pdm.BlockWrite{{Addr: pdm.Addr{Disk: 3, Block: 1}, Data: []pdm.Word{7}}})
+	probe()
 	m.ChargeSteps(nil, 2)
 	inner()
-	w.Event(pdm.Event{Kind: pdm.EventHealth, Tag: TagHealthFailed, Addrs: []pdm.Addr{{Disk: 1}}, From: "healthy", To: "failed", Step: 4})
-	w.Event(pdm.Event{Kind: pdm.EventAlert, Tag: TagAlertFiring, Rule: "balance", From: "pending", To: "firing", Value: 12})
+	w.Event(pdm.Event{Kind: pdm.EventHealth, Tag: "health.failed", Addrs: []pdm.Addr{{Disk: 1}}, From: "healthy", To: "failed", Step: 4})
+	w.Event(pdm.Event{Kind: pdm.EventAlert, Tag: "alert.firing", Rule: "balance", From: "pending", To: "firing", Value: 12})
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -105,11 +107,11 @@ func FuzzJSONLWriter(f *testing.F) {
 	ids := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 7), math.MaxUint64)
 	addrs := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 3), 1<<63)
 	for kind := range uint8(pdm.EventAlert) + 2 {
-		f.Add(kind, TagLookup, "", "", "", 1, 1, uint64(3), uint64(0), int64(9), uint64(4), 2, 1, int64(0), ids, addrs, false)
+		f.Add(kind, pdm.TagLookup.String(), "", "", "", 1, 1, uint64(3), uint64(0), int64(9), uint64(4), 2, 1, int64(0), ids, addrs, false)
 	}
 	f.Add(uint8(pdm.EventRead), "", "", "", "", 0, 0, uint64(0), uint64(0), int64(0), uint64(0), 0, 0, int64(0), []byte{}, []byte{}, true)
 	f.Add(uint8(pdm.EventRead), "", "", "", "", 0, 0, uint64(0), uint64(0), int64(0), uint64(0), 0, 0, int64(0), []byte(nil), []byte(nil), false)
-	f.Add(uint8(pdm.EventAlert), TagAlertFiring, "slo_burn[client=1]", "pending", "firing", 0, 0, uint64(0), uint64(0), int64(math.MinInt64), uint64(0), -3, -1, int64(-1500000), ids, addrs, false)
+	f.Add(uint8(pdm.EventAlert), "alert.firing", "slo_burn[client=1]", "pending", "firing", 0, 0, uint64(0), uint64(0), int64(math.MinInt64), uint64(0), -3, -1, int64(-1500000), ids, addrs, false)
 	f.Add(uint8(pdm.EventHealth), `q"b\\s<a>&`, "\x00\x1f\n\t\r", "\xff\xfe", "\u2028\u2029", -1, -2, uint64(math.MaxUint64), uint64(1), int64(-9), uint64(5), 7, 8, int64(math.MaxInt64), ids, addrs, true)
 	f.Add(uint8(pdm.EventWrite), "é€😀", "\x7f", "a\xc3", "\u00e9", 3, 2, uint64(1), uint64(2), int64(3), uint64(4), 5, 6, int64(7), ids[:8], addrs, false)
 

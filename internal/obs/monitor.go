@@ -44,11 +44,11 @@ type Monitor struct {
 	next pdm.Hook // downstream sink; receives every event plus synthesized alerts
 
 	mu       sync.Mutex
-	now      int64            // guarded by mu; cumulative steps observed (the deterministic clock)
-	rules    []*ruleState     // guarded by mu
-	listener AlertListener    // guarded by mu
+	now      int64             // guarded by mu; cumulative steps observed (the deterministic clock)
+	rules    []*ruleState      // guarded by mu
+	listener AlertListener     // guarded by mu
 	timeline []AlertTransition // guarded by mu; most recent maxTimeline transitions
-	total    int64            // guarded by mu; lifetime transition count (timeline may be truncated)
+	total    int64             // guarded by mu; lifetime transition count (timeline may be truncated)
 }
 
 // maxTimeline bounds the retained transition history. Truncation keeps
@@ -93,18 +93,21 @@ func (s AlertState) String() string {
 // MarshalText makes alert states render as their names in JSON.
 func (s AlertState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
-// alertTag maps a destination state to its registered trace tag.
+// alertTags spells each state's trace tag, "alert." + its name, once,
+// so emitting a transition builds no string.
+var alertTags = [...]string{
+	AlertInactive: "alert.inactive",
+	AlertPending:  "alert.pending",
+	AlertFiring:   "alert.firing",
+	AlertResolved: "alert.resolved",
+}
+
+// alertTag maps a destination state to its trace tag.
 func alertTag(s AlertState) string {
-	switch s {
-	case AlertPending:
-		return TagAlertPending
-	case AlertFiring:
-		return TagAlertFiring
-	case AlertResolved:
-		return TagAlertResolved
-	default:
-		return TagAlertInactive
+	if int(s) < len(alertTags) {
+		return alertTags[s]
 	}
+	return alertTags[AlertInactive]
 }
 
 // AlertTransition is one edge of the alert state machine.

@@ -27,6 +27,14 @@ import (
 	"pdmdict/internal/pdm"
 )
 
+// Operation tag names for string-typed tag arguments (pdmdict's MintOp),
+// spelled once, by pdm.Tag.
+var (
+	TagLookup = pdm.TagLookup.String()
+	TagInsert = pdm.TagInsert.String()
+	TagDelete = pdm.TagDelete.String()
+)
+
 // HookFunc adapts a function to the pdm.Hook interface.
 type HookFunc func(pdm.Event)
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -102,7 +103,7 @@ func TestJSONLRoundTripAndReplay(t *testing.T) {
 	w := NewJSONLWriter(&buf)
 	m.SetHook(w)
 
-	end := m.Span("insert")
+	end := m.Span(pdm.TagInsert)
 	m.BatchWrite([]pdm.BlockWrite{
 		{Addr: pdm.Addr{Disk: 0, Block: 0}, Data: []pdm.Word{1}},
 		{Addr: pdm.Addr{Disk: 0, Block: 1}, Data: []pdm.Word{2}},
@@ -166,6 +167,8 @@ func TestJSONLParseErrorsCarryLineNumbers(t *testing.T) {
 		{"headerless", "{\"k\":\"write\",\"tag\":\"insert\",\"steps\":2,\"addrs\":[[0,0],[0,1]]}\n", 1, "header missing"},
 		{"pre-header version", "{\"k\":\"trace\",\"v\":2}\n", 1, "version 2"},
 		{"empty", "", 1, "header missing"},
+		{"undeclared span tag", hdr + "{\"k\":\"read\"}\n{\"k\":\"span_begin\",\"tag\":\"lokup\",\"span\":1}\n", 3, "span tag \"lokup\""},
+		{"undeclared path component", hdr + "{\"k\":\"span_end\",\"tag\":\"insert.probing\",\"span\":1}\n", 2, "\"insert.probing\""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -195,8 +198,8 @@ func TestReplayReproducesSpanStructure(t *testing.T) {
 	}
 	m := pdm.NewMachine(pdm.Config{D: 2, B: 2})
 	orig := run(m, func() {
-		end := m.Span("insert")
-		inner := m.Span("probe")
+		end := m.Span(pdm.TagInsert)
+		inner := m.Span(pdm.TagProbe)
 		m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}})
 		inner()
 		m.BatchWrite([]pdm.BlockWrite{{Addr: pdm.Addr{Disk: 1, Block: 0}}})
@@ -224,6 +227,34 @@ func TestReplayReproducesSpanStructure(t *testing.T) {
 			replayed[i].Span != orig[i].Span || replayed[i].Parent != orig[i].Parent ||
 			replayed[i].Step != orig[i].Step {
 			t.Errorf("event %d = %+v, want %+v", i, replayed[i], orig[i])
+		}
+	}
+}
+
+// A hand-built event slice may carry a span leaf that is no declared
+// tag: Replay opens no span for it, and its span end closes nothing, so
+// the enclosing span still covers the batches that follow.
+func TestReplaySkipsUndeclaredLeaf(t *testing.T) {
+	read := pdm.Event{Kind: pdm.EventRead, Steps: 1, Addrs: []pdm.Addr{{Disk: 0, Block: 0}}}
+	events := []pdm.Event{
+		{Kind: pdm.EventSpanBegin, Tag: "insert", Span: 1},
+		{Kind: pdm.EventSpanBegin, Tag: "insert.bogus", Span: 2, Parent: 1},
+		read,
+		{Kind: pdm.EventSpanEnd, Tag: "insert.bogus", Span: 2, Parent: 1},
+		read,
+		{Kind: pdm.EventSpanEnd, Tag: "insert", Span: 1},
+	}
+	m := pdm.NewMachine(pdm.Config{D: 2, B: 2})
+	var rec eventRecorder
+	m.SetHook(&rec)
+	Replay(m, events)
+	want := []pdm.EventKind{pdm.EventSpanBegin, pdm.EventRead, pdm.EventRead, pdm.EventSpanEnd}
+	if got := rec.kinds(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay emitted %v, want %v", got, want)
+	}
+	for _, e := range rec.events {
+		if e.Tag != "insert" {
+			t.Errorf("%v event tagged %q, want insert", e.Kind, e.Tag)
 		}
 	}
 }
@@ -314,13 +345,13 @@ func TestCollectorAggregates(t *testing.T) {
 	m := pdm.NewMachine(pdm.Config{D: 2, B: 2})
 	m.SetHook(c)
 
-	end := m.Span("insert")
+	end := m.Span(pdm.TagInsert)
 	m.BatchWrite([]pdm.BlockWrite{
 		{Addr: pdm.Addr{Disk: 0, Block: 0}, Data: []pdm.Word{1}},
 		{Addr: pdm.Addr{Disk: 1, Block: 0}, Data: []pdm.Word{2}},
 	})
 	end()
-	end = m.Span("lookup")
+	end = m.Span(pdm.TagLookup)
 	m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}})
 	m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}})
 	end()
@@ -397,7 +428,7 @@ func TestCollectorConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				end := m.Span("op")
+				end := m.Span(pdm.TagLookup)
 				m.BatchRead([]pdm.Addr{{Disk: g % 4, Block: i % 8}})
 				end()
 			}

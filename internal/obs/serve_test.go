@@ -135,11 +135,11 @@ func serveTestState(t *testing.T) (*Server, *pdm.Machine) {
 	mon := NewMonitor(Tee(c, ring), DefaultRules()...)
 	m.SetHook(mon)
 	for i := 0; i < 4; i++ {
-		end := m.Span("insert")
+		end := m.Span(pdm.TagInsert)
 		m.BatchWrite([]pdm.BlockWrite{{Addr: pdm.Addr{Disk: i % 4, Block: i}}})
 		end()
 	}
-	end := m.Span("lookup")
+	end := m.Span(pdm.TagLookup)
 	m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}, {Disk: 1, Block: 1}})
 	end()
 	return &Server{
@@ -223,7 +223,7 @@ func TestMetricsExpositionIsWellFormed(t *testing.T) {
 func TestMetricsCountsFaults(t *testing.T) {
 	s, m := serveTestState(t)
 	m.SetFaultInjector(stallInjector{})
-	end := m.Span("lookup")
+	end := m.Span(pdm.TagLookup)
 	if _, err := m.TryBatchRead([]pdm.Addr{{Disk: 0, Block: 0}}); err != nil {
 		t.Fatalf("stalled read should still succeed: %v", err)
 	}

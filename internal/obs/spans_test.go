@@ -28,8 +28,8 @@ func TestSpanFolderReconstructsNestedOps(t *testing.T) {
 	var rec eventRecorder
 	m.SetHook(&rec)
 
-	end := m.Span("insert")
-	probe := m.Span("probe")
+	end := m.Span(pdm.TagInsert)
+	probe := m.Span(pdm.TagProbe)
 	m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}, {Disk: 1, Block: 0}}) // 1 step, 2 blocks
 	probe()
 	m.BatchWrite([]pdm.BlockWrite{{Addr: pdm.Addr{Disk: 0, Block: 1}}}) // 1 step, 1 block
@@ -110,8 +110,8 @@ func TestCollectorFoldsOpsFromSpans(t *testing.T) {
 	m.SetHook(c)
 
 	for i := 0; i < 3; i++ {
-		end := m.Span("lookup")
-		inner := m.Span("probe")
+		end := m.Span(pdm.TagLookup)
+		inner := m.Span(pdm.TagProbe)
 		m.BatchRead([]pdm.Addr{{Disk: 0, Block: i}})
 		inner()
 		end()
@@ -154,10 +154,10 @@ func TestCollectorCustomCostModel(t *testing.T) {
 	c.Cost = CostModel{StepCost: time.Second, BlockCost: 0}
 	m := pdm.NewMachine(pdm.Config{D: 1, B: 1})
 	m.SetHook(c)
-	end := m.Span("op")
+	end := m.Span(pdm.TagLookup)
 	m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}})
 	end()
-	agg := c.Ops()["op"]
+	agg := c.Ops()["lookup"]
 	if agg == nil || agg.LatencySumNanos != int64(time.Second) {
 		t.Fatalf("agg = %+v, want 1s modeled latency", agg)
 	}

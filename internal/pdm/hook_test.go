@@ -73,9 +73,9 @@ func TestSpanTagsJoin(t *testing.T) {
 	h := &recordingHook{}
 	m.SetHook(h)
 
-	end := m.Span("insert")
+	end := m.Span(TagInsert)
 	m.BatchRead([]Addr{{0, 0}})
-	endProbe := m.Span("probe")
+	endProbe := m.Span(TagProbe)
 	m.BatchRead([]Addr{{0, 0}})
 	endProbe()
 	m.BatchWrite([]BlockWrite{{Addr: Addr{1, 0}, Data: []Word{1}}})
@@ -108,14 +108,34 @@ func TestSpanTagsJoin(t *testing.T) {
 	}
 }
 
+func TestParseTag(t *testing.T) {
+	declared := []Tag{TagLookup, TagInsert, TagDelete, TagProbe, TagScan, TagBuild,
+		TagBulkload, TagRehash, TagRebuild, TagRepair, TagScrub, TagBackoff}
+	seen := map[string]bool{}
+	for _, tag := range declared {
+		if tag.String() == "" || seen[tag.String()] {
+			t.Errorf("tag %q is empty or declared twice", tag)
+		}
+		seen[tag.String()] = true
+		if got, ok := ParseTag(tag.String()); !ok || got != tag {
+			t.Errorf("ParseTag(%q) = %v, %v; want %v, true", tag, got, ok, tag)
+		}
+	}
+	for _, name := range []string{"", "lokup", "insert.probe", "fault.stall", "hedge"} {
+		if got, ok := ParseTag(name); ok {
+			t.Errorf("ParseTag(%q) = %v, true; want a rejection", name, got)
+		}
+	}
+}
+
 func TestSpanEventsCarryIDsAndSteps(t *testing.T) {
 	m := NewMachine(Config{D: 2, B: 2})
 	h := &recordingHook{}
 	m.SetHook(h)
 
-	end := m.Span("insert")
+	end := m.Span(TagInsert)
 	m.BatchRead([]Addr{{0, 0}}) // 1 step
-	endProbe := m.Span("probe")
+	endProbe := m.Span(TagProbe)
 	m.BatchRead([]Addr{{0, 0}, {1, 0}}) // 1 step
 	endProbe()
 	end()
@@ -154,7 +174,7 @@ func TestSpanWallClockInjection(t *testing.T) {
 	var tick int64
 	m.SetWallClock(func() int64 { tick += 5; return tick })
 
-	end := m.Span("lookup")
+	end := m.Span(TagLookup)
 	m.BatchRead([]Addr{{0, 0}})
 	end()
 
@@ -176,9 +196,9 @@ func TestSpanIDsDeterministic(t *testing.T) {
 		h := &recordingHook{}
 		m.SetHook(h)
 		for i := 0; i < 3; i++ {
-			end := m.Span("insert")
+			end := m.Span(TagInsert)
 			m.BatchWrite([]BlockWrite{{Addr: Addr{i % 2, i}, Data: []Word{Word(i)}}})
-			inner := m.Span("probe")
+			inner := m.Span(TagProbe)
 			m.BatchRead([]Addr{{i % 2, i}})
 			inner()
 			end()
@@ -199,7 +219,7 @@ func TestSpanIDsDeterministic(t *testing.T) {
 func TestSpanWithNilHookAllocatesNothing(t *testing.T) {
 	m := NewMachine(Config{D: 2, B: 2})
 	if avg := testing.AllocsPerRun(1000, func() {
-		end := m.Span("lookup")
+		end := m.Span(TagLookup)
 		end()
 	}); avg != 0 {
 		t.Errorf("nil-hook Span allocates %.1f objects per call, want 0", avg)
@@ -219,7 +239,7 @@ func TestBatchWithNilHookAddsNoAllocations(t *testing.T) {
 	// buffer costs none, a Try read included, faults or not. The nil-hook
 	// tracing path must not add to any of them.
 	if avg := testing.AllocsPerRun(1000, func() {
-		end := m.Span("lookup")
+		end := m.Span(TagLookup)
 		m.BatchRead(addrs)
 		end()
 	}); avg != 2 {
@@ -228,14 +248,14 @@ func TestBatchWithNilHookAddsNoAllocations(t *testing.T) {
 	var rb ReadBuf
 	op := m.NewOp(1, 1)
 	if avg := testing.AllocsPerRun(1000, func() {
-		end := m.OpSpan(op, "lookup")
+		end := m.OpSpan(op, TagLookup)
 		m.BatchReadInto(&rb, op, nil, addrs)
 		end()
 	}); avg != 0 {
 		t.Errorf("nil-hook traced read into a warm buffer allocates %.1f objects, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		end := m.OpSpan(op, "lookup")
+		end := m.OpSpan(op, TagLookup)
 		if _, err := m.TryBatchReadInto(&rb, op, nil, addrs); err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +269,7 @@ func TestBatchWithNilHookAddsNoAllocations(t *testing.T) {
 	m.SetFaultInjector(failAndFlake{})
 	var err error
 	if avg := testing.AllocsPerRun(1000, func() {
-		end := m.OpSpan(op, "lookup")
+		end := m.OpSpan(op, TagLookup)
 		_, err = m.TryBatchReadInto(&rb, op, nil, addrs)
 		end()
 	}); avg != 0 {
@@ -355,7 +375,7 @@ func TestHookAndSpansConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				end := m.Span("op")
+				end := m.Span(TagLookup)
 				a := Addr{Disk: g % 4, Block: i % 8}
 				m.BatchWrite([]BlockWrite{{Addr: a, Data: []Word{Word(g)}}})
 				m.BatchRead([]Addr{a})

@@ -205,7 +205,7 @@ func chargeOps(m *Machine, op *Op, shared []*Op, kind EventKind, steps, blocks, 
 // Spans of one op may be opened on different machines (a dictionary
 // migrating between two machines opens phases on both); the op's stack
 // spans them seamlessly, though span IDs are only unique per machine.
-func (m *Machine) OpSpan(op *Op, tag string) func() {
+func (m *Machine) OpSpan(op *Op, tag Tag) func() {
 	if op == nil {
 		return m.Span(tag)
 	}
@@ -217,11 +217,11 @@ func (m *Machine) OpSpan(op *Op, tag string) func() {
 		m.emitMu.Unlock()
 		return noopEndSpan
 	}
-	f := spanFrame{path: tag}
+	f := spanFrame{path: tag.name}
 	if n := len(op.frames); n > 0 {
 		top := op.frames[n-1]
 		f.parent = top.id
-		f.path = top.path + "." + tag
+		f.path = top.path + "." + tag.name
 	}
 	m.nextSpan++
 	f.id = m.nextSpan

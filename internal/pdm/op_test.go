@@ -20,10 +20,10 @@ func TestOpSpanPrivateStacks(t *testing.T) {
 	opA := m.NewOp(1, 1)
 	opB := m.NewOp(2, 1)
 
-	endA := m.OpSpan(opA, "lookup")   // A root
-	endB := m.OpSpan(opB, "insert")   // B root — interleaved
-	endA2 := m.OpSpan(opA, "probe")   // must parent onto A's root, not B's
-	endB2 := m.OpSpan(opB, "rebuild") // must parent onto B's root, not A's probe
+	endA := m.OpSpan(opA, TagLookup)   // A root
+	endB := m.OpSpan(opB, TagInsert)   // B root — interleaved
+	endA2 := m.OpSpan(opA, TagProbe)   // must parent onto A's root, not B's
+	endB2 := m.OpSpan(opB, TagRebuild) // must parent onto B's root, not A's probe
 	endA2()
 	endB2()
 	endA()
@@ -110,8 +110,8 @@ func TestOpSpanConcurrentClients(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				op := m.NewOp(c+1, 1)
 				ops[c] = append(ops[c], op)
-				end := m.OpSpan(op, "lookup")
-				endProbe := m.OpSpan(op, "probe")
+				end := m.OpSpan(op, TagLookup)
+				endProbe := m.OpSpan(op, TagProbe)
 				m.BatchReadOp(op, []Addr{{Disk: c, Block: 0}})
 				endProbe()
 				end()

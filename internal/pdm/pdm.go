@@ -563,6 +563,44 @@ func (m *Machine) SetWallClock(now func() int64) {
 	m.emitMu.Unlock()
 }
 
+// Tag names a span: one phase of an operation whose batches reports sum
+// into one cost bucket. Only this package builds a Tag, so the set
+// declared below is closed: a misspelled or ad hoc span tag does not
+// compile, and per-tag sums partition the machine's total parallel I/Os.
+type Tag struct{ name string }
+
+// String returns the tag as spans and traces spell it.
+func (t Tag) String() string { return t.name }
+
+// The span tags: dictionary operations and the phases inside them.
+var (
+	TagLookup   = Tag{"lookup"}
+	TagInsert   = Tag{"insert"}
+	TagDelete   = Tag{"delete"}
+	TagProbe    = Tag{"probe"}
+	TagScan     = Tag{"scan"}
+	TagBuild    = Tag{"build"}
+	TagBulkload = Tag{"bulkload"}
+	TagRehash   = Tag{"rehash"}
+	TagRebuild  = Tag{"rebuild"}
+	TagRepair   = Tag{"repair"}
+	TagScrub    = Tag{"scrub"}
+	TagBackoff  = Tag{"backoff"}
+)
+
+// ParseTag returns the declared tag spelled name. It rejects every other
+// string, including dot-joined span paths ("insert.probe") and the
+// fault.*, health.* and alert.* event tags, which are never span tags.
+func ParseTag(name string) (Tag, bool) {
+	for _, t := range [...]Tag{TagLookup, TagInsert, TagDelete, TagProbe, TagScan, TagBuild,
+		TagBulkload, TagRehash, TagRebuild, TagRepair, TagScrub, TagBackoff} {
+		if t.name == name {
+			return t, true
+		}
+	}
+	return Tag{}, false
+}
+
 // Span opens a span: it pushes tag onto the machine's span stack,
 // fires an EventSpanBegin carrying a fresh span ID, the parent's ID,
 // the dot-joined path, and the current step counter, and returns the
@@ -570,7 +608,7 @@ func (m *Machine) SetWallClock(now func() int64) {
 // typically via defer; closing fires the matching EventSpanEnd).
 // Batches fired while the span is open carry the dot-joined path of
 // open tags and the innermost span's ID — e.g. a batch inside
-// Span("probe") inside Span("insert") is tagged "insert.probe".
+// Span(TagProbe) inside Span(TagInsert) is tagged "insert.probe".
 //
 // With no hook installed, Span is a single branch returning a shared
 // no-op. The stack is shared across goroutines, so Span alone cannot
@@ -578,7 +616,7 @@ func (m *Machine) SetWallClock(now func() int64) {
 // innermost open span, not necessarily the one this call opened);
 // concurrent operations should carry an Op token and use OpSpan, which
 // nests on the op's private stack and is exact.
-func (m *Machine) Span(tag string) func() {
+func (m *Machine) Span(tag Tag) func() {
 	if !m.hooked.Load() {
 		return noopEndSpan
 	}
@@ -587,11 +625,11 @@ func (m *Machine) Span(tag string) func() {
 		m.emitMu.Unlock()
 		return noopEndSpan
 	}
-	f := spanFrame{path: tag}
+	f := spanFrame{path: tag.name}
 	if n := len(m.spans); n > 0 {
 		top := m.spans[n-1]
 		f.parent = top.id
-		f.path = top.path + "." + tag
+		f.path = top.path + "." + tag.name
 	}
 	m.nextSpan++
 	f.id = m.nextSpan

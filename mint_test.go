@@ -99,7 +99,7 @@ func TestPublicEntryPointsMintTokens(t *testing.T) {
 					if batch {
 						n = len(keys)
 					}
-					tag := map[byte]string{'C': obs.TagLookup, 'L': obs.TagLookup, 'I': obs.TagInsert, 'D': obs.TagDelete}[name[0]]
+					tag := map[byte]string{'C': pdm.TagLookup.String(), 'L': pdm.TagLookup.String(), 'I': pdm.TagInsert.String(), 'D': pdm.TagDelete.String()}[name[0]]
 					c = m.MintOp(0, n, tag)
 					args[j] = reflect.ValueOf(c)
 				case p.Kind() == reflect.Uint64:
@@ -153,18 +153,18 @@ func TestSynchronizedScheduledKeepsTokens(t *testing.T) {
 	direct, wrapped := newSched(), newSched()
 	synced := Synchronized(wrapped)
 
-	c := wrapped.MintOp(0, len(keys), obs.TagLookup)
+	c := wrapped.MintOp(0, len(keys), pdm.TagLookup.String())
 	synced.LookupBatchCtx(c, keys)
 	if c.Op.Steps() == 0 {
 		t.Errorf("Synchronized(Scheduled).LookupBatchCtx did not charge the caller's token")
 	}
-	direct.MintOp(0, len(keys), obs.TagLookup)
+	direct.MintOp(0, len(keys), pdm.TagLookup.String())
 	for i := 0; i < 3; i++ {
 		direct.LookupBatch(keys)
 		synced.LookupBatch(keys)
 	}
-	want := direct.MintOp(0, 1, obs.TagLookup).Op.ID()
-	if got := wrapped.MintOp(0, 1, obs.TagLookup).Op.ID(); got != want {
+	want := direct.MintOp(0, 1, pdm.TagLookup.String()).Op.ID()
+	if got := wrapped.MintOp(0, 1, pdm.TagLookup.String()).Op.ID(); got != want {
 		t.Errorf("next scheduler token after the same calls: %#x through Synchronized, %#x direct", got, want)
 	}
 }

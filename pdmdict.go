@@ -182,7 +182,7 @@ type IOEvent = pdm.Event
 type IOHook = pdm.Hook
 
 // OpCtx is an explicit operation token: a machine-unique operation ID,
-// the issuing client's ID, and the operation's registered root tag.
+// the issuing client's ID, and the name of the operation's root tag.
 // Threading a token through the *Ctx entry points (LookupCtx,
 // InsertCtx, ...) stamps every batch, fault, and span event the
 // operation causes with the token and charges the operation's exact
@@ -244,8 +244,8 @@ func machineFront(c opCore, m *pdm.Machine) front { return front{c, m.NewOp, m.S
 func (f *front) asFront() *front { return f }
 
 // MintOp mints an operation token (see OpCtx) for one logical operation
-// issued by client over keys keys, carrying the given registered root
-// tag. IDs come from the structure's own counter, so equal workloads
+// issued by client over keys keys, carrying the given root tag name
+// (pdm.TagLookup.String(), ...). IDs come from the structure's own counter, so equal workloads
 // mint equal IDs and traces stay deterministic.
 func (f *front) MintOp(client, keys int, tag string) OpCtx {
 	return OpCtx{Op: f.mint(client, keys), Tag: tag}
@@ -253,7 +253,7 @@ func (f *front) MintOp(client, keys int, tag string) OpCtx {
 
 // Lookup returns a copy of key's satellite data and whether it is present.
 func (f *front) Lookup(key Word) ([]Word, bool) {
-	return f.LookupCtx(f.MintOp(0, 1, obs.TagLookup), key)
+	return f.LookupCtx(f.MintOp(0, 1, pdm.TagLookup.String()), key)
 }
 
 // LookupCtx is Lookup attributed to the operation token c (see OpCtx).
@@ -267,7 +267,7 @@ func (f *front) Contains(key Word) bool {
 
 // Insert stores (key, sat), replacing any existing satellite.
 func (f *front) Insert(key Word, sat []Word) error {
-	return f.InsertCtx(f.MintOp(0, 1, obs.TagInsert), key, sat)
+	return f.InsertCtx(f.MintOp(0, 1, pdm.TagInsert.String()), key, sat)
 }
 
 // InsertCtx is Insert attributed to the operation token c.
@@ -276,7 +276,9 @@ func (f *front) InsertCtx(c OpCtx, key Word, sat []Word) error {
 }
 
 // Delete removes key, reporting whether it was present.
-func (f *front) Delete(key Word) bool { return f.DeleteCtx(f.MintOp(0, 1, obs.TagDelete), key) }
+func (f *front) Delete(key Word) bool {
+	return f.DeleteCtx(f.MintOp(0, 1, pdm.TagDelete.String()), key)
+}
 
 // DeleteCtx is Delete attributed to the operation token c.
 func (f *front) DeleteCtx(c OpCtx, key Word) bool { return f.core.DeleteOp(c.Op, key) }
@@ -285,7 +287,7 @@ func (f *front) DeleteCtx(c OpCtx, key Word) bool { return f.core.DeleteOp(c.Op,
 // merged, de-duplicated read rounds. Results align positionally with
 // keys.
 func (f *front) LookupBatch(keys []Word) ([][]Word, []bool) {
-	return f.LookupBatchCtx(f.MintOp(0, len(keys), obs.TagLookup), keys)
+	return f.LookupBatchCtx(f.MintOp(0, len(keys), pdm.TagLookup.String()), keys)
 }
 
 // LookupBatchCtx is LookupBatch attributed to the operation token c:

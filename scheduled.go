@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pdmdict/internal/obs"
+	"pdmdict/internal/pdm"
 	"pdmdict/internal/sched"
 )
 
@@ -124,13 +125,13 @@ func (s *Scheduled) MintOp(client, keys int, tag string) OpCtx {
 // Lookup joins the current admission window and blocks until its merged
 // shared round resolves the key.
 func (s *Scheduled) Lookup(key Word) ([]Word, bool) {
-	return s.LookupCtx(s.MintOp(0, 1, obs.TagLookup), key)
+	return s.LookupCtx(s.MintOp(0, 1, pdm.TagLookup.String()), key)
 }
 
 // LookupClient is Lookup attributed to the given client — distinct
 // clients mint independent deterministic token sequences.
 func (s *Scheduled) LookupClient(client int, key Word) ([]Word, bool) {
-	return s.LookupCtx(s.MintOp(client, 1, obs.TagLookup), key)
+	return s.LookupCtx(s.MintOp(client, 1, pdm.TagLookup.String()), key)
 }
 
 // LookupCtx is Lookup under an operation token.
@@ -154,7 +155,7 @@ func (s *Scheduled) Contains(key Word) bool {
 // add latency) and rides the dictionary's own merged-round path under
 // one batch token.
 func (s *Scheduled) LookupBatch(keys []Word) ([][]Word, []bool) {
-	return s.LookupBatchCtx(s.MintOp(0, len(keys), obs.TagLookup), keys)
+	return s.LookupBatchCtx(s.MintOp(0, len(keys), pdm.TagLookup.String()), keys)
 }
 
 // LookupBatchCtx is LookupBatch under an operation token.
@@ -166,7 +167,7 @@ func (s *Scheduled) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
 // write is applied and the intent log (if any) flushed. Returns
 // ErrOverloaded under backpressure when SchedOptions.Block is false.
 func (s *Scheduled) Insert(key Word, sat []Word) error {
-	return s.InsertCtx(s.MintOp(0, 1, obs.TagInsert), key, sat)
+	return s.InsertCtx(s.MintOp(0, 1, pdm.TagInsert.String()), key, sat)
 }
 
 // InsertCtx is Insert under an operation token.
@@ -179,7 +180,7 @@ func (s *Scheduled) InsertCtx(c OpCtx, key Word, sat []Word) error {
 // backpressure means the delete was NOT applied — use DeleteCtx, which
 // surfaces the backpressure error, when that distinction matters.
 func (s *Scheduled) Delete(key Word) bool {
-	present, _ := s.DeleteCtx(s.MintOp(0, 1, obs.TagDelete), key)
+	present, _ := s.DeleteCtx(s.MintOp(0, 1, pdm.TagDelete.String()), key)
 	return present
 }
 

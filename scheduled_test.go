@@ -238,7 +238,7 @@ func TestScheduledTraceByteIdentity(t *testing.T) {
 				keys := schedWorkload(11, c, rounds)
 				for r, k := range keys {
 					if r%5 == 4 {
-						sd.InsertCtx(sd.MintOp(c, 1, obs.TagInsert), k, []Word{k, Word(c)})
+						sd.InsertCtx(sd.MintOp(c, 1, pdm.TagInsert.String()), k, []Word{k, Word(c)})
 					} else {
 						sd.LookupClient(c, k)
 					}
