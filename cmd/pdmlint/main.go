@@ -1,8 +1,8 @@
-// Command pdmlint is the repo's vet tool: six analyzers (iocharge,
-// batcherr, detrand, lockorder, guardedby, healthtrans) that enforce the
-// I/O-accounting, determinism, and concurrency-contract invariants the
-// paper's measured claims depend on. Stale or misnamed //lint:pdm-allow
-// waivers are reported as a seventh rule, unusedwaiver. See DESIGN.md, "Enforced invariants".
+// Command pdmlint is the repo's vet tool: four analyzers (iocharge,
+// detrand, lockorder, guardedby) that enforce the I/O-accounting,
+// determinism, and concurrency-contract invariants the paper's measured
+// claims depend on. Stale or misnamed //lint:pdm-allow waivers are
+// reported as a fifth rule, unusedwaiver. See DESIGN.md, "Enforced invariants".
 //
 // Usage:
 //

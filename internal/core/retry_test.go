@@ -89,7 +89,7 @@ func TestRetryPolicyBackoffCharged(t *testing.T) {
 	m.SetFaultInjector(&diskTransientInjector{disk: 1, fails: -1})
 
 	before := m.Stats().ParallelIOs
-	//lint:pdm-allow batcherr: disk 1 never answers; the surviving replica settles the query
+	//lint:pdm-allow iocharge: disk 1 never answers; the surviving replica settles the query
 	if _, ok, _ := bd.LookupTry(key); !ok {
 		t.Fatal("lookup failed despite a surviving replica")
 	}
@@ -156,7 +156,7 @@ func TestRetryPolicyNegativeDisablesRetries(t *testing.T) {
 	}
 	bd.SetRetryPolicy(pdm.RetryPolicy{MaxRetries: -1})
 	m.SetFaultInjector(&diskTransientInjector{disk: 2, fails: -1})
-	//lint:pdm-allow batcherr: the surviving replica settles the query
+	//lint:pdm-allow iocharge: the surviving replica settles the query
 	if _, ok, _ := bd.LookupTry(key); !ok {
 		t.Fatal("lookup failed despite a surviving replica")
 	}

@@ -94,7 +94,7 @@ func TestTickWaitsForReachability(t *testing.T) {
 	// Traffic observes the fail-stop: Failed, unreachable.
 	for i := 0; i < n && m.DiskState(disk) != pdm.Failed; i++ {
 		key := pdm.Word(i)*2654435761 + 1
-		//lint:pdm-allow batcherr: error path is the point
+		//lint:pdm-allow iocharge: error path is the point
 		bd.LookupTry(key)
 	}
 	if m.DiskState(disk) != pdm.Failed {
@@ -108,7 +108,7 @@ func TestTickWaitsForReachability(t *testing.T) {
 	plan.HealDisk(disk)
 	for i := 0; i < n; i++ {
 		key := pdm.Word(i)*2654435761 + 1
-		//lint:pdm-allow batcherr: recovery probe
+		//lint:pdm-allow iocharge: recovery probe
 		bd.LookupTry(key)
 	}
 	rep := m.Health()
@@ -221,7 +221,7 @@ func TestSuspectVerifiedByScrub(t *testing.T) {
 	plan := fault.NewPlan(9)
 	m.SetFaultInjector(plan)
 	plan.SetTransient(1)
-	//lint:pdm-allow batcherr: transient burst is the point
+	//lint:pdm-allow iocharge: transient burst is the point
 	bd.LookupTry(pdm.Word(1)*2654435761 + 1)
 	plan.SetTransient(0)
 	suspects := 0

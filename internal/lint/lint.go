@@ -2,10 +2,12 @@
 // suite that guards the invariants the paper's bounds rest on but the
 // compiler cannot see:
 //
-//   - iocharge: all block access outside internal/pdm flows through the
-//     accounted batch methods, so parallel-I/O counts stay exact.
-//   - batcherr: the error result of every fault-aware access is
-//     consulted, so degraded-mode correctness cannot silently rot.
+//   - iocharge: pdm.Machine calls keep the cost model exact. All block
+//     access outside internal/pdm flows through the accounted batch
+//     methods, so parallel-I/O counts stay exact; no hook retains an
+//     Event.Addrs alias; and the error result of every fault-aware
+//     access is consulted, so degraded-mode correctness cannot silently
+//     rot.
 //   - detrand: no unseeded randomness, wall clock, or order-unstable
 //     map iteration reaches a measured or serialized path, so the same
 //     seed yields byte-identical traces.
@@ -16,17 +18,18 @@
 //     declared mutex held (see the grammar below), *Locked helpers are
 //     only called with their locks held, and no field mixes atomic and
 //     plain access.
-//   - healthtrans: disk health states are written only through the
-//     canonical transition function, and switches over state enums are
-//     exhaustive.
+//
+// Where the compiler can hold an invariant, a type does instead of an
+// analyzer: span tags are a closed pdm.Tag, and a disk's health state
+// is an unexported field only package health's tracker writes.
 //
 // # Guarded-field grammar
 //
 // A struct field is declared guarded with a doc or trailing line
 // comment of exactly this shape:
 //
-//	n     int        // guarded by mu
-//	state HealthState // guarded by Machine.healthMu; prose may follow a semicolon
+//	n     int   // guarded by mu
+//	state State // guarded by Tracker.mu; prose may follow a semicolon
 //
 // The guard is either a sibling mutex field (`mu`) or a
 // `<Type>.<field>` mutex of another type in the same package, and must
@@ -87,7 +90,7 @@ type Analyzer struct {
 
 // All returns the full pdmlint suite.
 func All() []*Analyzer {
-	return []*Analyzer{IOCharge, BatchErr, DetRand, LockOrder, GuardedBy, HealthTrans}
+	return []*Analyzer{IOCharge, DetRand, LockOrder, GuardedBy}
 }
 
 // Pass carries one package through one analyzer.

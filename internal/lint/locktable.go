@@ -3,12 +3,11 @@ package lint
 // This file is the single machine-readable declaration of the repo's
 // concurrency contracts: the lock acquisition order (consumed by the
 // lockorder analyzer), the effect summaries for calls that cross
-// package boundaries, the lock-free exemptions, and the health-enum
-// registry (consumed by healthtrans). A new lock-bearing type — a
-// cluster node, a resharding planner — must register its position here
-// before the tree vets clean: lockorder reports any sync.Mutex or
-// sync.RWMutex struct field whose (package, type, field) triple is not
-// declared below.
+// package boundaries, and the lock-free exemptions. A new lock-bearing
+// type — a cluster node, a resharding planner — must register its
+// position here before the tree vets clean: lockorder reports any
+// sync.Mutex or sync.RWMutex struct field whose (package, type, field)
+// triple is not declared below.
 //
 // The declared order is a linear extension of the partial order the
 // code relies on:
@@ -65,12 +64,13 @@ var lockOrder = []lockClass{
 	// work); a fault injector consulted under it may take its own locks
 	// and reach back only for the shard-level oracles (FlipBit,
 	// BlockClean), so the injector classes sit between faultMu and the
-	// shards. healthMu and emitMu are leaves taken after all shard work.
+	// shards. The health tracker's lock and emitMu are leaves taken after
+	// all shard work.
 	{Pkg: "pdm", Type: "Machine", Field: "faultMu", Rank: 40},
 	{Pkg: "fault", Type: "Schedule", Field: "mu", Rank: 44},
 	{Pkg: "fault", Type: "Plan", Field: "mu", Rank: 48},
 	{Pkg: "pdm", Type: "shard", Field: "mu", Rank: 50},
-	{Pkg: "pdm", Type: "Machine", Field: "healthMu", Rank: 54},
+	{Pkg: "health", Type: "Tracker", Field: "mu", Rank: 54},
 	{Pkg: "pdm", Type: "Machine", Field: "emitMu", Rank: 58},
 
 	// Hook sinks: run inside the machine's emission lock, so their locks
@@ -164,10 +164,13 @@ var lockEffects = []methodEffect{
 		Classes: []lockClassKey{{"pdm", "shard", "mu"}}},
 	{Pkg: "pdm", Type: "Machine", Method: "BlockClean",
 		Classes: []lockClassKey{{"pdm", "shard", "mu"}}},
-	// Everything else on the machine: assume the full set (default rule
-	// would apply anyway; declared for visibility).
-	{Pkg: "pdm", Type: "Machine", Method: "*", Classes: append(
-		classesOf("pdm", "Machine"), lockClassKey{"pdm", "shard", "mu"})},
+	// Everything else on the machine: its own locks, the shards', and
+	// the health tracker's.
+	{Pkg: "pdm", Type: "Machine", Method: "*", Classes: append(classesOf("pdm", "Machine"),
+		lockClassKey{"pdm", "shard", "mu"}, lockClassKey{"health", "Tracker", "mu"})},
+	// The tracker's unhealthy-disk count is one atomic load, which is
+	// what keeps Machine.AllDisksHealthy lock-free.
+	{Pkg: "health", Type: "Tracker", Method: "AllHealthy", Classes: nil},
 
 	// A hook sink runs under emitMu and may take its own sink lock.
 	{Pkg: "pdm", Type: "Hook", Method: "Event",
@@ -242,34 +245,4 @@ func effectFor(pkg, typ, method string) []lockClassKey {
 		return star.Classes
 	}
 	return classesOf(pkg, typ)
-}
-
-// healthEnum registers one state enum for the healthtrans analyzer:
-// every switch over the enum must cover all of its constants, and the
-// authoritative state field may only be written inside the canonical
-// transition function.
-type healthEnum struct {
-	Pkg       string   // package name declaring the enum
-	Enum      string   // enum type name
-	Constants []string // the complete constant set, in declaration order
-	// StateStruct.StateField is the authoritative tracker field; writes
-	// to it anywhere but Canonical are reported. Report/copy structs
-	// carrying the enum (DiskHealth.State) are unconstrained.
-	StateStruct string
-	StateField  string
-	Canonical   []string // function names allowed to write the state field
-}
-
-// healthEnums is the registry. The disk health state machine is the
-// only state enum with a canonical-transition contract today; cluster
-// membership states would register here.
-var healthEnums = []healthEnum{
-	{
-		Pkg:         "pdm",
-		Enum:        "HealthState",
-		Constants:   []string{"Healthy", "Suspect", "Failed", "Repairing"},
-		StateStruct: "diskHealth",
-		StateField:  "state",
-		Canonical:   []string{"transitionLocked"},
-	},
 }

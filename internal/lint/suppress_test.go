@@ -16,7 +16,7 @@ func TestParseAllow(t *testing.T) {
 		rules []string
 	}{
 		{"//lint:pdm-allow iocharge: reason", []string{"iocharge"}},
-		{"//lint:pdm-allow batcherr,iocharge: two rules", []string{"batcherr", "iocharge"}},
+		{"//lint:pdm-allow guardedby,iocharge: two rules", []string{"guardedby", "iocharge"}},
 		{"//lint:pdm-allow detrand, lockorder: spaced list", []string{"detrand", "lockorder"}},
 		{"//lint:pdm-allow: no rule named", nil},
 		{"// plain comment", nil},

@@ -7,6 +7,6 @@ func waived(m *pdm.Machine, a pdm.Addr) {
 	//lint:pdm-allow iocharge: waives the next line
 	m.Peek(a)
 	m.Peek(a)           //lint:pdm-allow detrand: wrong rule name // want `without charging parallel I/Os` `suppresses no diagnostic`
-	m.TryBatchRead(nil) //lint:pdm-allow batcherr: deliberate fire-and-forget
 	m.Peek(a)           // want `without charging parallel I/Os`
+	m.TryBatchRead(nil) //lint:pdm-allow iocharge: deliberate fire-and-forget
 }

@@ -80,18 +80,3 @@ func isNamed(t types.Type, pkgName, typeName string) bool {
 	obj := named.Obj()
 	return obj.Name() == typeName && obj.Pkg() != nil && obj.Pkg().Name() == pkgName
 }
-
-// enclosingFuncDecl returns the innermost FuncDecl on the stack, or nil.
-// A FuncLit between n and the FuncDecl returns nil: a closure is not the
-// declared function itself.
-func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch f := stack[i].(type) {
-		case *ast.FuncLit:
-			return nil
-		case *ast.FuncDecl:
-			return f
-		}
-	}
-	return nil
-}

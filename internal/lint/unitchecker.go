@@ -106,9 +106,9 @@ func usage(progname string, w io.Writer) {
 	fmt.Fprintf(w, `usage: %[1]s [-json] <packages>
 
 %[1]s enforces the repo's I/O-accounting, determinism, and concurrency
-invariants (analyzers: iocharge, batcherr, detrand, lockorder, guardedby,
-healthtrans; plus unusedwaiver, reported by the runner for stale or
-misnamed escape hatches). Given package patterns it runs itself
+invariants (analyzers: iocharge, detrand, lockorder, guardedby; plus
+unusedwaiver, reported by the runner for stale or misnamed escape
+hatches). Given package patterns it runs itself
 through the toolchain:
 
     go vet -vettool=$(which %[1]s) ./...

@@ -185,7 +185,7 @@ func TestReplayReproducesBackoffCharges(t *testing.T) {
 	plan.SetTransient(0.3)
 	m.SetFaultInjector(plan)
 	for i := 0; i < 100; i++ {
-		//lint:pdm-allow batcherr: replicas settle every query; errors only mean retries ran
+		//lint:pdm-allow iocharge: replicas settle every query; errors only mean retries ran
 		bd.LookupTry(pdm.Word(i)*97 + 1)
 	}
 	if err := w.Close(); err != nil {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"strings"
+
+	"pdmdict/internal/pdm/health"
 )
 
 // Fault layer. The simulated machine can be wired to a FaultInjector
@@ -222,7 +224,7 @@ func (m *Machine) SetFaultInjector(fi FaultInjector) {
 // state machine (see Health for the per-disk report); dictionaries
 // surface it as their degraded-mode flag.
 func (m *Machine) Degraded() bool {
-	return m.degraded.Load() || m.unhealthy.Load() != 0
+	return m.degraded.Load() || !m.tracker.AllHealthy()
 }
 
 // ClearDegraded resets the degraded flag AND returns every disk to the
@@ -231,15 +233,7 @@ func (m *Machine) Degraded() bool {
 // disks at once. To clear a single repaired disk, use MarkHealthy.
 func (m *Machine) ClearDegraded() {
 	m.degraded.Store(false)
-	m.healthMu.Lock()
-	for d := range m.health {
-		m.transitionLocked(d, Healthy)
-		m.health[d].reachable = false
-		m.health[d].window = m.health[d].window[:0]
-	}
-	evs := m.drainHealthEventsLocked()
-	m.healthMu.Unlock()
-	m.emitAnnotations(evs)
+	m.emitTransitions(m.tracker.Reset(m.pios.Load()))
 }
 
 // FaultCount returns the number of fault events observed (injected
@@ -355,15 +349,41 @@ func (m *Machine) finishTry(sc *batchScratch, hooked bool, kind EventKind, addrs
 	}
 	// Feed the per-disk health state machines. The fast path — no
 	// injector, no errors, every disk Healthy — skips the pass entirely;
-	// otherwise one observation per access is folded in batch order, so
-	// health transitions land at deterministic points of the trace.
-	if fs != nil || len(berrs) > 0 || m.unhealthy.Load() != 0 {
-		hevents := m.observeHealth(addrs, fs, res, m.pios.Load())
+	// otherwise every access is classified and the list folded in batch
+	// order, so health transitions land at deterministic points of the
+	// trace. Both lists live in the scratch: observing allocates nothing.
+	if fs != nil || len(berrs) > 0 || !m.tracker.AllHealthy() {
+		acc := sc.accesses[:0]
+		for i, a := range addrs {
+			o := health.OK
+			if k := faultAt(fs, i).Kind; int(k) < len(healthOutcomes) {
+				o = healthOutcomes[k]
+			}
+			if res[i] == ErrChecksum {
+				o = health.Damaged
+			}
+			acc = append(acc, health.Access{Disk: a.Disk, Outcome: o})
+		}
+		sc.accesses = acc
+		sc.trans = m.tracker.Observe(sc.trans[:0], acc, m.pios.Load())
 		if hooked {
-			sc.fevents = append(sc.fevents, hevents...)
+			for _, tr := range sc.trans {
+				sc.fevents = append(sc.fevents, healthEvent(tr))
+			}
 		}
 	}
 	return berrs, nfaults, extra
+}
+
+// healthOutcomes classifies a Try access by its fault draw for the
+// health tracker; a checksum mismatch overrides the draw with Damaged,
+// and a kind past the table counts as OK, as tryRead lets it through.
+var healthOutcomes = [...]health.Outcome{
+	FaultNone:      health.OK,
+	FaultFailStop:  health.FailStop,
+	FaultTransient: health.Transient,
+	FaultCorrupt:   health.Damaged,
+	FaultStall:     health.Stall,
 }
 
 // TryBatchRead is BatchRead with fault injection and checksum

@@ -209,77 +209,10 @@ func (m *Machine) OpSpan(op *Op, tag Tag) func() {
 	if op == nil {
 		return m.Span(tag)
 	}
-	if !m.hooked.Load() {
+	if !m.openSpan(op, tag) {
 		return noopEndSpan
 	}
-	m.emitMu.Lock()
-	if m.hook == nil {
-		m.emitMu.Unlock()
-		return noopEndSpan
-	}
-	f := spanFrame{path: tag.name}
-	if n := len(op.frames); n > 0 {
-		top := op.frames[n-1]
-		f.parent = top.id
-		f.path = top.path + "." + tag.name
-	}
-	m.nextSpan++
-	f.id = m.nextSpan
-	if m.wall != nil {
-		f.beginWall = m.wall()
-	}
-	op.frames = append(op.frames, f)
-	ev := Event{
-		Kind:   EventSpanBegin,
-		Tag:    f.path,
-		Span:   f.id,
-		Parent: f.parent,
-		Step:   m.pios.Load(),
-		Op:     op.id,
-		Client: op.client,
-	}
-	if f.parent == 0 {
-		ev.Keys = op.keys
-	}
-	m.seq++
-	ev.Seq = m.seq
-	m.hook.Event(ev)
-	m.emitMu.Unlock()
-	return func() { m.endOpSpan(op) }
-}
-
-// endOpSpan closes op's innermost open span. Per-op spans are strictly
-// nested on the owning goroutine, so the innermost frame is the one the
-// matching OpSpan call pushed.
-func (m *Machine) endOpSpan(op *Op) {
-	m.emitMu.Lock()
-	n := len(op.frames)
-	if n == 0 {
-		m.emitMu.Unlock()
-		return
-	}
-	f := op.frames[n-1]
-	op.frames = op.frames[:n-1]
-	if m.hook == nil {
-		m.emitMu.Unlock()
-		return
-	}
-	m.seq++
-	ev := Event{
-		Kind:   EventSpanEnd,
-		Tag:    f.path,
-		Span:   f.id,
-		Parent: f.parent,
-		Step:   m.pios.Load(),
-		Seq:    m.seq,
-		Op:     op.id,
-		Client: op.client,
-	}
-	if m.wall != nil {
-		ev.WallNanos = m.wall() - f.beginWall
-	}
-	m.hook.Event(ev)
-	m.emitMu.Unlock()
+	return func() { m.closeSpan(op) }
 }
 
 // BatchReadOp is BatchRead with the batch charged and attributed to op:

@@ -35,6 +35,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pdmdict/internal/pdm/health"
 	"pdmdict/internal/reuse"
 )
 
@@ -429,17 +430,7 @@ type Machine struct {
 	degraded atomic.Bool  // any data-threatening fault since last ClearDegraded
 	faults   atomic.Int64 // lifetime fault event count
 
-	// Per-disk health state machine (health.go). healthMu guards the
-	// trackers, the thresholds, and the notification callback; the
-	// unhealthy counter mirrors how many disks are not Healthy so
-	// AllDisksHealthy is a single lock-free load.
-	healthMu     sync.Mutex
-	health       []diskHealth // guarded by healthMu
-	healthNotify func()       // guarded by healthMu
-	healthEvents []Event      // guarded by healthMu; transitions awaiting emission
-	suspectN     int          // guarded by healthMu
-	suspectW     int64        // guarded by healthMu
-	unhealthy    atomic.Int64
+	tracker *health.Tracker // per-disk health state machine (health.go)
 
 	// Recovery instrumentation (reported by Health).
 	retries      atomic.Int64 // retry batches issued by retry policies
@@ -465,14 +456,9 @@ func NewMachine(cfg Config) *Machine {
 		panic(err)
 	}
 	m := &Machine{
-		cfg:      cfg,
-		shards:   make([]shard, cfg.D),
-		health:   make([]diskHealth, cfg.D),
-		suspectN: DefaultSuspectThreshold,
-		suspectW: DefaultSuspectWindow,
-	}
-	for d := range m.health {
-		m.health[d].lastStall = -1
+		cfg:     cfg,
+		shards:  make([]shard, cfg.D),
+		tracker: health.New(cfg.D),
 	}
 	zeroSum := crcBlock(make([]byte, 8*cfg.B), make([]Word, cfg.B))
 	for d := range m.shards {
@@ -487,34 +473,7 @@ func NewMachine(cfg Config) *Machine {
 			touched: make([]int32, 0, cfg.D),
 		}
 	}
-	m.endSpan = func() {
-		m.emitMu.Lock()
-		n := len(m.spans)
-		if n == 0 {
-			m.emitMu.Unlock()
-			return
-		}
-		f := m.spans[n-1]
-		m.spans = m.spans[:n-1]
-		if m.hook == nil {
-			m.emitMu.Unlock()
-			return
-		}
-		m.seq++
-		ev := Event{
-			Kind:   EventSpanEnd,
-			Tag:    f.path,
-			Span:   f.id,
-			Parent: f.parent,
-			Step:   m.pios.Load(),
-			Seq:    m.seq,
-		}
-		if m.wall != nil {
-			ev.WallNanos = m.wall() - f.beginWall
-		}
-		m.hook.Event(ev)
-		m.emitMu.Unlock()
-	}
+	m.endSpan = func() { m.closeSpan(nil) }
 	return m
 }
 
@@ -617,17 +576,33 @@ func ParseTag(name string) (Tag, bool) {
 // concurrent operations should carry an Op token and use OpSpan, which
 // nests on the op's private stack and is exact.
 func (m *Machine) Span(tag Tag) func() {
-	if !m.hooked.Load() {
+	if !m.openSpan(nil, tag) {
 		return noopEndSpan
+	}
+	return m.endSpan
+}
+
+// openSpan is Span and OpSpan: it pushes tag onto op's private span
+// stack, or onto the machine's shared one when op is nil, and fires the
+// EventSpanBegin. A token-carrying span is stamped with the op's ID and
+// client, and a root one with its key count. Without a hook it does
+// nothing and reports false.
+func (m *Machine) openSpan(op *Op, tag Tag) bool {
+	if !m.hooked.Load() {
+		return false
 	}
 	m.emitMu.Lock()
 	if m.hook == nil {
 		m.emitMu.Unlock()
-		return noopEndSpan
+		return false
+	}
+	stack := &m.spans
+	if op != nil {
+		stack = &op.frames
 	}
 	f := spanFrame{path: tag.name}
-	if n := len(m.spans); n > 0 {
-		top := m.spans[n-1]
+	if n := len(*stack); n > 0 {
+		top := (*stack)[n-1]
 		f.parent = top.id
 		f.path = top.path + "." + tag.name
 	}
@@ -636,18 +611,52 @@ func (m *Machine) Span(tag Tag) func() {
 	if m.wall != nil {
 		f.beginWall = m.wall()
 	}
-	m.spans = append(m.spans, f)
+	*stack = append(*stack, f)
+	ev := Event{Kind: EventSpanBegin, Tag: f.path, Span: f.id, Parent: f.parent, Step: m.pios.Load()}
+	if op != nil {
+		ev.Op, ev.Client = op.id, op.client
+		if f.parent == 0 {
+			ev.Keys = op.keys
+		}
+	}
 	m.seq++
-	m.hook.Event(Event{
-		Kind:   EventSpanBegin,
-		Tag:    f.path,
-		Span:   f.id,
-		Parent: f.parent,
-		Step:   m.pios.Load(),
-		Seq:    m.seq,
-	})
+	ev.Seq = m.seq
+	m.hook.Event(ev)
 	m.emitMu.Unlock()
-	return m.endSpan
+	return true
+}
+
+// closeSpan pops the innermost frame of the stack openSpan pushes onto
+// for op and fires the matching EventSpanEnd. Spans on an op's stack are
+// strictly nested on the owning goroutine, so that frame is the one the
+// matching OpSpan call pushed.
+func (m *Machine) closeSpan(op *Op) {
+	m.emitMu.Lock()
+	stack := &m.spans
+	if op != nil {
+		stack = &op.frames
+	}
+	n := len(*stack)
+	if n == 0 {
+		m.emitMu.Unlock()
+		return
+	}
+	f := (*stack)[n-1]
+	*stack = (*stack)[:n-1]
+	if m.hook == nil {
+		m.emitMu.Unlock()
+		return
+	}
+	m.seq++
+	ev := Event{Kind: EventSpanEnd, Tag: f.path, Span: f.id, Parent: f.parent, Step: m.pios.Load(), Seq: m.seq}
+	if op != nil {
+		ev.Op, ev.Client = op.id, op.client
+	}
+	if m.wall != nil {
+		ev.WallNanos = m.wall() - f.beginWall
+	}
+	m.hook.Event(ev)
+	m.emitMu.Unlock()
 }
 
 // emit fires a batch event, followed by its fault events if any, under
@@ -689,29 +698,6 @@ func (m *Machine) emit(op *Op, shared []*Op, ev Event, fevents []Event) {
 		m.seq++
 		fevents[i].Seq = m.seq
 		m.hook.Event(fevents[i])
-	}
-	m.emitMu.Unlock()
-}
-
-// emitAnnotations fires annotation events (health transitions drained
-// outside a Try batch, e.g. from MarkRepairing) under the emission
-// lock, stamping each with a sequence number. Unlike emit it attaches
-// no op attribution and no span: the transitions were driven by an
-// explicit state-machine call, not by a batch. Callers must not hold
-// healthMu or emitMu.
-func (m *Machine) emitAnnotations(evs []Event) {
-	if len(evs) == 0 || !m.hooked.Load() {
-		return
-	}
-	m.emitMu.Lock()
-	if m.hook == nil {
-		m.emitMu.Unlock()
-		return
-	}
-	for i := range evs {
-		m.seq++
-		evs[i].Seq = m.seq
-		m.hook.Event(evs[i])
 	}
 	m.emitMu.Unlock()
 }
@@ -832,13 +818,16 @@ type batchScratch struct {
 	cursor  atomic.Int32 // next index of touched to serve
 	pending atomic.Int32 // helpers that have not finished
 
-	// A Try batch's transient state: its fault draws and per-access
-	// outcomes, and under a hook its fault and health events. Last, so
+	// A Try batch's transient state: its fault draws, per-access
+	// outcomes, their health classification and the transitions it
+	// caused, and under a hook its fault and health events. Last, so
 	// that cursor, which every worker bumps, keeps its own cache line
 	// apart from perDisk and touched, which every worker reads.
-	faults  []Fault
-	res     []error
-	fevents []Event
+	faults   []Fault
+	res      []error
+	accesses []health.Access
+	trans    []health.Transition
+	fevents  []Event
 }
 
 // partition groups a batch's indices by disk and returns the deepest
