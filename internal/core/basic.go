@@ -419,22 +419,24 @@ func (bd *BasicDict) findFragments(x pdm.Word, flat [][]pdm.Word, frags [][]pdm.
 // shared buckets are read once. Results are positionally aligned with
 // keys.
 func (bd *BasicDict) LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool) {
-	return bd.LookupBatchOp(nil, nil, keys)
+	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+	bd.LookupBatchInto(nil, nil, keys, sats, oks)
+	return sats, oks
 }
 
-// LookupBatchOp is LookupBatch attributed to operation tokens by
-// pdm.Machine.BatchReadInto's convention. Either op owns the whole batch
-// (shared empty; a nil op keeps the legacy shared-stack attribution), or
-// shared[i] owns keys[i] — the group-commit scheduler's shared round,
-// with op nil and len(shared) == len(keys). Each owner gets a root span
-// and is charged every merged round it rides, in full: splitting it
-// would void the per-op worst-case bounds. Shared tokens must be
-// non-nil, distinct, and owned by callers blocked during the call, so
-// the calling goroutine is each token's single toucher.
-func (bd *BasicDict) LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
-	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+// LookupBatchInto is LookupBatch answering keys[i] into sats[i] and
+// oks[i], which the caller owns (both at least len(keys) long), and
+// attributed to operation tokens by pdm.Machine.BatchReadInto's
+// convention. Either op owns the whole batch (shared empty; a nil op
+// keeps the legacy shared-stack attribution), or shared[i] owns
+// keys[i] — the group-commit scheduler's shared round, with op nil and
+// len(shared) == len(keys). Each owner gets a root span and is charged
+// every merged round it rides, in full: splitting it would void the
+// per-op worst-case bounds. Shared tokens must be non-nil, distinct,
+// and owned by callers blocked during the call, so the calling
+// goroutine is each token's single toucher.
+func (bd *BasicDict) LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
 	bd.lookup(op, shared, keys, sats, oks, false)
-	return sats, oks
 }
 
 // lookup is the dictionary's one lookup body: keys[i] is answered into

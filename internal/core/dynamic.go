@@ -310,16 +310,17 @@ func (dd *DynamicDict) Contains(x pdm.Word) bool {
 // deeper than A_1 — a ≤ Ratio fraction on average — share one second
 // batch. Results are positionally aligned with keys.
 func (dd *DynamicDict) LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool) {
-	return dd.LookupBatchOp(nil, nil, keys)
+	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+	dd.LookupBatchInto(nil, nil, keys, sats, oks)
+	return sats, oks
 }
 
-// LookupBatchOp is LookupBatch attributed as BasicDict.LookupBatchOp
-// describes. In a shared round only the deep keys' tokens ride the
-// second read, so shallow participants are charged exactly one round.
-func (dd *DynamicDict) LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
-	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+// LookupBatchInto is LookupBatch into caller-owned results, attributed
+// as BasicDict.LookupBatchInto describes. In a shared round only the
+// deep keys' tokens ride the second read, so shallow participants are
+// charged exactly one round.
+func (dd *DynamicDict) LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
 	dd.lookup(op, shared, keys, sats, oks)
-	return sats, oks
 }
 
 // deepKey is a key of a merged lookup that resides below A_1 and so

@@ -14,12 +14,26 @@ type lookupForms struct {
 	name    string
 	keys    []pdm.Word // stored keys and absent ones
 	single  func(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool)
-	batch   func(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool)
+	batch   batchInto
 	try     func(x pdm.Word) ([]pdm.Word, bool, error) // nil: the structure has none
 	setHook func(pdm.Hook)
 	// probes returns the address lists of the read events a single-key
 	// lookup of x issues, in order, derived without the lookup path.
 	probes func(x pdm.Word) [][]pdm.Addr
+}
+
+// batchInto is a structure's LookupBatchInto.
+type batchInto func(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool)
+
+// results runs into over keys with result slices whose entries hold a
+// stale answer first, so an entry the body forgets to write shows.
+func (into batchInto) results(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
+	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+	for i := range keys {
+		sats[i], oks[i] = []pdm.Word{0xdead}, true
+	}
+	into(op, shared, keys, sats, oks)
+	return sats, oks
 }
 
 // dynProbes is what a DynamicDict lookup of x reads: the membership
@@ -66,7 +80,7 @@ func basicForms(t *testing.T, name string, cfg BasicConfig) lookupForms {
 		name:    name,
 		keys:    withAbsent(stored, 40),
 		single:  bd.LookupOp,
-		batch:   bd.LookupBatchOp,
+		batch:   bd.LookupBatchInto,
 		try:     bd.LookupTry,
 		setHook: m.SetHook,
 		probes: func(x pdm.Word) [][]pdm.Addr {
@@ -97,7 +111,7 @@ func dynamicForms(t *testing.T) lookupForms {
 		name:    "dynamic-deep",
 		keys:    withAbsent(stored, 64),
 		single:  dd.LookupOp,
-		batch:   dd.LookupBatchOp,
+		batch:   dd.LookupBatchInto,
 		setHook: m.SetHook,
 		probes: func(x pdm.Word) [][]pdm.Addr {
 			events, _ := dynProbes(dd, x)
@@ -125,7 +139,7 @@ func oneProbeForms(t *testing.T) lookupForms {
 		name:    "oneprobe",
 		keys:    withAbsent(stored, 64),
 		single:  op.LookupOp,
-		batch:   op.LookupBatchOp,
+		batch:   op.LookupBatchInto,
 		try:     op.LookupTry,
 		setHook: m.SetHook,
 		probes: func(x pdm.Word) [][]pdm.Addr {
@@ -155,7 +169,7 @@ func dictForms(t *testing.T) lookupForms {
 		name:    "dict-migrating",
 		keys:    withAbsent(stored, 40),
 		single:  d.LookupOp,
-		batch:   d.LookupBatchOp,
+		batch:   d.LookupBatchInto,
 		setHook: d.SetHook,
 		probes: func(x pdm.Word) [][]pdm.Addr {
 			events, found := dynProbes(next, x)
@@ -169,7 +183,7 @@ func dictForms(t *testing.T) lookupForms {
 }
 
 // Every read form of every structure is one lookup body, so they must
-// agree: for each seeded key, LookupOp, LookupBatchOp of one key, a
+// agree: for each seeded key, LookupOp, LookupBatchInto of one key, a
 // shared round of one token, a shared round of eight, and LookupTry
 // without an injector return the same satellite and presence. A
 // single-key lookup's read events carry exactly its probe addresses, in
@@ -239,9 +253,9 @@ func checkLookupForms(t *testing.T, f lookupForms) {
 		}
 	}
 	for i, x := range f.keys {
-		sats, oks := f.batch(token(), nil, []pdm.Word{x})
-		check("LookupBatchOp of one key", i, sats[0], oks[0])
-		sats, oks = f.batch(nil, []*pdm.Op{token()}, []pdm.Word{x})
+		sats, oks := f.batch.results(token(), nil, []pdm.Word{x})
+		check("LookupBatchInto of one key", i, sats[0], oks[0])
+		sats, oks = f.batch.results(nil, []*pdm.Op{token()}, []pdm.Word{x})
 		check("shared round of 1", i, sats[0], oks[0])
 		if f.try != nil {
 			sat, ok, err := f.try(x)
@@ -257,7 +271,7 @@ func checkLookupForms(t *testing.T, f lookupForms) {
 		for j := range shared {
 			shared[j] = token()
 		}
-		sats, oks := f.batch(nil, shared, f.keys[lo:lo+round])
+		sats, oks := f.batch.results(nil, shared, f.keys[lo:lo+round])
 		for j := range shared {
 			check("shared round of 8", lo+j, sats[j], oks[j])
 		}

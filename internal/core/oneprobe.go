@@ -282,15 +282,16 @@ func (op *OneProbeDict) lookupInFlatLocked(sc *probeScratch, x pdm.Word, flat []
 // I/O round — instead of b sequential probes. Results are positionally
 // aligned with keys.
 func (op *OneProbeDict) LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool) {
-	return op.LookupBatchOp(nil, nil, keys)
+	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+	op.LookupBatchInto(nil, nil, keys, sats, oks)
+	return sats, oks
 }
 
-// LookupBatchOp is LookupBatch attributed as BasicDict.LookupBatchOp
-// describes; a shared round is one parallel I/O too.
-func (op *OneProbeDict) LookupBatchOp(tok *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
-	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+// LookupBatchInto is LookupBatch into caller-owned results, attributed
+// as BasicDict.LookupBatchInto describes; a shared round is one
+// parallel I/O too.
+func (op *OneProbeDict) LookupBatchInto(tok *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
 	op.lookup(tok, shared, keys, sats, oks, false)
-	return sats, oks
 }
 
 // lookup is the structure's one lookup body: ONE merged probe round over

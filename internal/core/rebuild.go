@@ -91,7 +91,7 @@ type DictStats struct {
 // and OneProbeDict (Section 6) both satisfy it.
 type rebuildable interface {
 	LookupOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool)
-	lookupInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool)
+	LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool)
 	InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error
 	DeleteOp(op *pdm.Op, x pdm.Word) bool
 	Len() int
@@ -105,15 +105,6 @@ func (dd *DynamicDict) machine() *pdm.Machine   { return dd.m }
 func (dd *DynamicDict) membership() *BasicDict  { return dd.memb }
 func (op *OneProbeDict) machine() *pdm.Machine  { return op.m }
 func (op *OneProbeDict) membership() *BasicDict { return op.memb }
-
-// lookupInto is the structure's fault-oblivious lookup body.
-func (dd *DynamicDict) lookupInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
-	dd.lookup(op, shared, keys, sats, oks)
-}
-
-func (op *OneProbeDict) lookupInto(tok *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
-	op.lookup(tok, shared, keys, sats, oks, false)
-}
 
 // Dict is the fully dynamic dictionary of Section 4's introduction:
 // a bounded structure (Theorem 7's cascade by default, or the Section 6
@@ -346,20 +337,21 @@ func (d *Dict) Contains(x pdm.Word) bool {
 // keys the successor misses. The ledger gains len(keys) Ops but the
 // batch's (amortized) cost.
 func (d *Dict) LookupBatch(keys []pdm.Word) (sats [][]pdm.Word, oks []bool) {
-	return d.LookupBatchOp(nil, nil, keys)
+	sats, oks = make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+	d.LookupBatchInto(nil, nil, keys, sats, oks)
+	return sats, oks
 }
 
-// LookupBatchOp is LookupBatch attributed as BasicDict.LookupBatchOp
-// describes; a nil op mints an anonymous client-0 token. A shared round
-// adds one ledger Op per participant, charged the rounds it rode.
-func (d *Dict) LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) (sats [][]pdm.Word, oks []bool) {
-	sats, oks = make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+// LookupBatchInto is LookupBatch into caller-owned results, attributed
+// as BasicDict.LookupBatchInto describes; a nil op mints an anonymous
+// client-0 token. A shared round adds one ledger Op per participant,
+// charged the rounds it rode.
+func (d *Dict) LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	sc := d.scratch.get()
 	defer d.scratch.put(sc)
 	d.lookupLocked(sc, op, shared, keys, sats, oks)
-	return sats, oks
 }
 
 // lookupLocked is the wrapper's one lookup body. The filling structure
@@ -369,10 +361,10 @@ func (d *Dict) LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) (sat
 func (d *Dict) lookupLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
 	d.measureOpLocked(op, shared, pdm.TagLookup, len(keys), func(op *pdm.Op) error {
 		if d.next == nil {
-			d.active.lookupInto(op, shared, keys, sats, oks)
+			d.active.LookupBatchInto(op, shared, keys, sats, oks)
 			return nil
 		}
-		d.next.lookupInto(op, shared, keys, sats, oks)
+		d.next.LookupBatchInto(op, shared, keys, sats, oks)
 		sc.missKeys, sc.ops = sc.missKeys[:0], sc.ops[:0]
 		for i, ok := range oks {
 			if !ok {
@@ -387,7 +379,7 @@ func (d *Dict) lookupLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, keys
 			return nil
 		}
 		sc.missSats, sc.missOks = slices.Grow(sc.missSats[:0], n)[:n], slices.Grow(sc.missOks[:0], n)[:n]
-		d.active.lookupInto(op, sc.ops, sc.missKeys, sc.missSats, sc.missOks)
+		d.active.LookupBatchInto(op, sc.ops, sc.missKeys, sc.missSats, sc.missOks)
 		j := 0
 		for i := range oks {
 			if !oks[i] {

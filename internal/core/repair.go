@@ -298,7 +298,7 @@ func (bd *BasicDict) LookupTryOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool, erro
 
 // LookupTryBatchOp resolves many keys through the fault layer in one
 // merged, de-duplicated read round governed by the retry policy — the
-// fault-aware LookupBatchOp. Results align with keys; a key answers true
+// fault-aware LookupBatch. Results align with keys; a key answers true
 // whenever any surviving replica proves it present. The error is
 // non-nil only when at least one key is inconclusive (its ok entry is
 // then false and its sats entry nil — "unavailable", not "absent").

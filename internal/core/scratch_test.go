@@ -146,22 +146,23 @@ func TestAllocationPins(t *testing.T) {
 			t.Fatal(ok, err)
 		}
 	})
-	// The scheduler's shape: a shared round of 8 tokens costs the same as
-	// a batch of 8 hits — 8 satellites, the two result slices, and the
-	// round's closure — on Dynamic and through the Dict's routing alike.
+	// The scheduler's shape: a shared round of 8 tokens into results the
+	// caller owns costs 8 satellites and the round's closure, on Dynamic
+	// and through the Dict's routing alike.
 	shared := make([]*pdm.Op, 8)
 	for i := range shared {
 		shared[i] = pdm.MakeOp(uint64(i+1), i, 1)
 	}
+	sats, oks := make([][]pdm.Word, 8), make([]bool, 8)
 	for _, s := range []struct {
 		name   string
-		lookup func(*pdm.Op, []*pdm.Op, []pdm.Word) ([][]pdm.Word, []bool)
+		lookup batchInto
 	}{
-		{"Dynamic shared round×8", dynamic.LookupBatchOp},
-		{"Dict shared round×8", dict.LookupBatchOp},
+		{"Dynamic shared round×8", dynamic.LookupBatchInto},
+		{"Dict shared round×8", dict.LookupBatchInto},
 	} {
-		pinAllocs(t, s.name, 11, func() {
-			if _, oks := s.lookup(nil, shared, keys[:8]); !oks[0] || !oks[7] {
+		pinAllocs(t, s.name, 9, func() {
+			if s.lookup(nil, shared, keys[:8], sats, oks); !oks[0] || !oks[7] {
 				t.Fatal("stored keys not found")
 			}
 		})
@@ -546,7 +547,7 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 					}
 					keep(k, sat, ok)
 				case 2:
-					sats, oks := basic.LookupBatchOp(bm.NewOp(c, len(batch)), nil, batch)
+					sats, oks := batchInto(basic.LookupBatchInto).results(bm.NewOp(c, len(batch)), nil, batch)
 					for i := range batch {
 						keep(batch[i], sats[i], oks[i])
 					}
@@ -554,7 +555,7 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 					sat, ok := dynamic.LookupOp(dm.NewOp(c, 1), k)
 					keep(k, sat, ok)
 				case 4:
-					sats, oks := dynamic.LookupBatchOp(dm.NewOp(c, len(batch)), nil, batch)
+					sats, oks := batchInto(dynamic.LookupBatchInto).results(dm.NewOp(c, len(batch)), nil, batch)
 					for i := range batch {
 						keep(batch[i], sats[i], oks[i])
 					}

@@ -53,8 +53,9 @@ type Intent struct {
 // Append buffers; Commit writes a commit marker and flushes the buffer
 // — the group-commit point. Safe for concurrent use.
 type IntentLog struct {
-	mu sync.Mutex
-	bw *bufio.Writer // guarded by mu
+	mu  sync.Mutex
+	bw  *bufio.Writer // guarded by mu
+	buf []byte        // guarded by mu; the record being encoded
 	// err latches the first write failure; once set, every subsequent
 	// Append/Commit returns it (the log is poisoned, not silently short).
 	err error // guarded by mu
@@ -77,7 +78,8 @@ func (l *IntentLog) Append(in Intent) error {
 	if in.Del {
 		kind = intentDelete
 	}
-	l.err = writeIntentRecord(l.bw, kind, in.Key, in.Sat)
+	l.buf = appendIntentRecord(l.buf[:0], kind, in.Key, in.Sat)
+	_, l.err = l.bw.Write(l.buf)
 	return l.err
 }
 
@@ -89,26 +91,23 @@ func (l *IntentLog) Commit() error {
 	if l.err != nil {
 		return l.err
 	}
-	if err := writeIntentRecord(l.bw, intentCommit, 0, nil); err != nil {
-		l.err = err
-		return err
+	l.buf = appendIntentRecord(l.buf[:0], intentCommit, 0, nil)
+	if _, l.err = l.bw.Write(l.buf); l.err == nil {
+		l.err = l.bw.Flush()
 	}
-	l.err = l.bw.Flush()
 	return l.err
 }
 
-// writeIntentRecord encodes one record onto w.
-func writeIntentRecord(w io.Writer, kind byte, key pdm.Word, sat []pdm.Word) error {
-	buf := make([]byte, 0, 1+8+4+8*len(sat)+4)
+// appendIntentRecord appends the encoding of one record to buf.
+func appendIntentRecord(buf []byte, kind byte, key pdm.Word, sat []pdm.Word) []byte {
+	start := len(buf)
 	buf = append(buf, kind)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(key))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sat)))
 	for _, w := range sat {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	_, err := w.Write(buf)
-	return err
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
 // ReplayIntents decodes every complete, checksum-clean intent record
@@ -116,12 +115,14 @@ func writeIntentRecord(w io.Writer, kind byte, key pdm.Word, sat []pdm.Word) err
 // a checksum mismatch — the crash-recovery contract: everything before
 // the tear replays, the tear truncates. Commit markers delimit flush
 // groups and decode to no Intent. The returned error reports only
-// genuine read failures, never a torn tail.
+// genuine read failures, never a torn tail. Every record is read into
+// the same two buffers; each returned satellite is a fresh slice.
 func ReplayIntents(r io.Reader) ([]Intent, error) {
 	br := bufio.NewReader(r)
 	var out []Intent
+	head := make([]byte, 1+8+4)
+	var body []byte
 	for {
-		head := make([]byte, 1+8+4)
 		if _, err := io.ReadFull(br, head); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return out, nil // clean end or torn header
@@ -134,7 +135,10 @@ func ReplayIntents(r io.Reader) ([]Intent, error) {
 		if kind < intentInsert || kind > intentCommit || nsat > maxIntentSat {
 			return out, nil // corrupt record: treat as torn tail
 		}
-		body := make([]byte, 8*int(nsat)+4)
+		if n := 8*int(nsat) + 4; cap(body) < n {
+			body = make([]byte, n)
+		}
+		body = body[:8*int(nsat)+4]
 		if _, err := io.ReadFull(br, body); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return out, nil // torn body

@@ -2,6 +2,9 @@ package sched
 
 import (
 	"bytes"
+	"encoding/hex"
+	"runtime"
+	"slices"
 	"testing"
 
 	"pdmdict/internal/pdm"
@@ -14,17 +17,14 @@ type memBackend struct {
 
 func newMemBackend() *memBackend { return &memBackend{m: make(map[pdm.Word][]pdm.Word)} }
 
-func (b *memBackend) LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool) {
-	sats := make([][]pdm.Word, len(keys))
-	oks := make([]bool, len(keys))
+func (b *memBackend) LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
 	for i, k := range keys {
 		s, ok := b.m[k]
+		sats[i], oks[i] = nil, ok
 		if ok {
 			sats[i] = append([]pdm.Word(nil), s...)
 		}
-		oks[i] = ok
 	}
-	return sats, oks
 }
 
 func (b *memBackend) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
@@ -194,4 +194,79 @@ func TestIntentLogCrashReplayRestoresBackend(t *testing.T) {
 	if _, ok := fresh.m[7]; ok {
 		t.Fatalf("delete of key 7 not replayed")
 	}
+}
+
+// TestIntentLogGoldenBytes pins the on-disk format: a fixed sequence of
+// inserts, a delete and two commits encodes to exactly these bytes.
+func TestIntentLogGoldenBytes(t *testing.T) {
+	const want = "010700000000000000020000000100000000000000ffffffffffffffff39089a4c" +
+		"0208070605040302010000000060399cc2" +
+		"030000000000000000000000004c2abeb2" +
+		"0109000000000000000000000096a54b4f" +
+		"030000000000000000000000004c2abeb2"
+	var buf bytes.Buffer
+	l := NewIntentLog(&buf)
+	for _, step := range []func() error{
+		func() error { return l.Append(Intent{Key: 7, Sat: []pdm.Word{1, 0xFFFFFFFFFFFFFFFF}}) },
+		func() error { return l.Append(Intent{Del: true, Key: 0x0102030405060708}) },
+		l.Commit,
+		func() error { return l.Append(Intent{Key: 9}) },
+		l.Commit,
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != want {
+		t.Fatalf("log bytes\n  %s\nwant\n  %s", got, want)
+	}
+}
+
+// FuzzReplayIntents: on arbitrary bytes, replay never panics and never
+// allocates past its maxIntentSat bound, and what it returns encodes
+// through IntentLog to a log that replays to the same intents.
+func FuzzReplayIntents(f *testing.F) {
+	var buf bytes.Buffer
+	l := NewIntentLog(&buf)
+	for _, in := range testIntents() {
+		l.Append(in)
+	}
+	l.Commit()
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()-5])
+	f.Add([]byte{intentInsert, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0x0f, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := ReplayIntents(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("replay of in-memory bytes failed: %v", err)
+		}
+		// The record scratch is at most one maximal body; the reader's
+		// buffer and what is returned are linear in the input.
+		if n, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*maxIntentSat+64<<10+32*len(data)); n > bound {
+			t.Fatalf("replay of %d bytes allocated %d bytes, bound %d", len(data), n, bound)
+		}
+		var again bytes.Buffer
+		l := NewIntentLog(&again)
+		for _, in := range got {
+			if err := l.Append(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReplayIntents(bytes.NewReader(again.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got, back, func(a, b Intent) bool {
+			return a.Del == b.Del && a.Key == b.Key && slices.Equal(a.Sat, b.Sat)
+		}) {
+			t.Fatalf("replayed %v, re-encoded and replayed %v", got, back)
+		}
+	})
 }

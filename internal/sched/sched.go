@@ -2,7 +2,7 @@
 // the public dictionaries and the machine, coalescing concurrent
 // single-key lookups that arrive within an admission window into ONE
 // merged, de-duplicated probe round (the dictionary's batch lookup,
-// LookupBatchOp, with an attribution list of one token per key), and
+// LookupBatchInto, with an attribution list of one token per key), and
 // queuing mutations behind a checksummed intent log that is
 // group-committed — applied and flushed once per window. One
 // parallel-I/O round is thereby amortized across many independent
@@ -36,28 +36,33 @@
 //
 // The scheduler runs no goroutines of its own: whichever caller closes
 // a window dispatches it, and callers that merely join a window park on
-// their request's done channel. The scheduler's mutex is never held
-// across a dictionary call.
+// their request's done channel until the dispatcher sends on it.
+// Requests, queues and the round's buffers are all recycled, so a
+// scheduled operation costs the host what the direct call does. The
+// scheduler's mutex is never held across a dictionary call.
 package sched
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 
 	"pdmdict/internal/obs"
 	"pdmdict/internal/pdm"
+	"pdmdict/internal/reuse"
 )
 
 // Backend is the dictionary surface the scheduler drives. core.Dict,
 // core.BasicDict, core.DynamicDict, and core.OneProbeDict all satisfy
 // it.
 type Backend interface {
-	// LookupBatchOp resolves keys in merged, de-duplicated read rounds.
-	// The scheduler always passes a nil op and the attribution list
-	// shared, where shared[i] owns keys[i]: every token is charged each
-	// round it rides, in full, exactly once.
-	LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool)
+	// LookupBatchInto resolves keys in merged, de-duplicated read
+	// rounds, answering keys[i] into sats[i] and oks[i]. The scheduler
+	// always passes a nil op and the attribution list shared, where
+	// shared[i] owns keys[i]: every token is charged each round it
+	// rides, in full, exactly once.
+	LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool)
 	// InsertOp stores (x, sat), attributed to op.
 	InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error
 	// DeleteOp removes x, attributed to op, reporting presence.
@@ -110,22 +115,27 @@ type Config struct {
 }
 
 // readReq is one admitted lookup waiting for its window's shared round.
+// Requests are recycled: done (capacity 1) is made once, the dispatcher
+// signals it with a send and never touches the request again, and the
+// waiter copies the result out and returns the request to its pool.
 type readReq struct {
 	op   *pdm.Op
 	key  pdm.Word
-	sat  []pdm.Word // written by the dispatcher before done is closed
-	ok   bool       // written by the dispatcher before done is closed
+	sat  []pdm.Word // written by the dispatcher before it signals done
+	ok   bool       // written by the dispatcher before it signals done
 	done chan struct{}
 }
 
-// writeReq is one admitted mutation waiting for its group commit.
+// writeReq is one admitted mutation waiting for its group commit,
+// recycled as readReq is. sat is the request's own copy of the caller's
+// satellite.
 type writeReq struct {
 	op      *pdm.Op
 	del     bool
 	key     pdm.Word
 	sat     []pdm.Word
-	err     error // written by the dispatcher before done is closed
-	present bool  // written by the dispatcher before done is closed
+	err     error // written by the dispatcher before it signals done
+	present bool  // written by the dispatcher before it signals done
 	done    chan struct{}
 }
 
@@ -149,6 +159,8 @@ type Scheduler struct {
 
 	reads       []*readReq     // guarded by mu
 	writes      []*writeReq    // guarded by mu
+	spareReads  []*readReq     // guarded by mu; the last window's queue, emptied for the next
+	spareWrites []*writeReq    // guarded by mu; likewise
 	seqs        map[int]uint64 // guarded by mu; per-client token sequences
 	windowGen   uint64         // guarded by mu; increments per window open
 	windowStep  int64          // guarded by mu; Steps() at window open
@@ -169,12 +181,25 @@ type Scheduler struct {
 
 	occ      obs.Hist // per-round read occupancy (atomic counters)
 	winSteps obs.Hist // admission-window length in machine steps
+
+	readReqs  reuse.Pool[readReq]
+	writeReqs reuse.Pool[writeReq]
+
+	// The read round's buffers belong to the dispatcher: the
+	// dispatching flag lets only one execute run at a time, and mu
+	// orders each dispatcher after the one before it.
+	ops  []*pdm.Op
+	keys []pdm.Word
+	sats [][]pdm.Word
+	oks  []bool
 }
 
 // New returns a scheduler over be.
 func New(be Backend, cfg Config) *Scheduler {
 	s := &Scheduler{cfg: cfg, be: be, seqs: make(map[int]uint64)}
 	s.notFull = sync.NewCond(&s.mu)
+	s.readReqs.New = func() *readReq { return &readReq{done: make(chan struct{}, 1)} }
+	s.writeReqs.New = func() *writeReq { return &writeReq{done: make(chan struct{}, 1)} }
 	return s
 }
 
@@ -213,10 +238,12 @@ func (s *Scheduler) LookupOp(op *pdm.Op, key pdm.Word) ([]pdm.Word, bool, error)
 	if op == nil {
 		op = s.MintOp(0, 1)
 	}
-	r := &readReq{op: op, key: key, done: make(chan struct{})}
+	r := s.readReqs.Get()
+	r.op, r.key = op, key
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		s.readReqs.Put(r)
 		return nil, false, ErrClosed
 	}
 	s.openWindowLocked()
@@ -228,7 +255,10 @@ func (s *Scheduler) LookupOp(op *pdm.Op, key pdm.Word) ([]pdm.Word, bool, error)
 		s.runWindows(w)
 	}
 	<-r.done
-	return r.sat, r.ok, nil
+	sat, ok := r.sat, r.ok
+	*r = readReq{done: r.done}
+	s.readReqs.Put(r)
+	return sat, ok, nil
 }
 
 // InsertOp submits one insert attributed to op (nil mints a client-0
@@ -239,12 +269,10 @@ func (s *Scheduler) InsertOp(op *pdm.Op, key pdm.Word, sat []pdm.Word) error {
 	if op == nil {
 		op = s.MintOp(0, 1)
 	}
-	w := &writeReq{op: op, key: key, sat: append([]pdm.Word(nil), sat...), done: make(chan struct{})}
-	if err := s.admitWrite(w); err != nil {
-		return err
-	}
-	<-w.done
-	return w.err
+	w := s.writeReqs.Get()
+	w.op, w.key, w.sat = op, key, append(w.sat[:0], sat...)
+	_, err := s.submitWrite(w)
+	return err
 }
 
 // DeleteOp submits one delete attributed to op (nil mints a client-0
@@ -254,12 +282,21 @@ func (s *Scheduler) DeleteOp(op *pdm.Op, key pdm.Word) (bool, error) {
 	if op == nil {
 		op = s.MintOp(0, 1)
 	}
-	w := &writeReq{op: op, del: true, key: key, done: make(chan struct{})}
-	if err := s.admitWrite(w); err != nil {
-		return false, err
+	w := s.writeReqs.Get()
+	w.op, w.del, w.key = op, true, key
+	return s.submitWrite(w)
+}
+
+// submitWrite admits w and waits for its group commit, then copies the
+// result out and recycles w, on the error paths too.
+func (s *Scheduler) submitWrite(w *writeReq) (present bool, err error) {
+	if err = s.admitWrite(w); err == nil {
+		<-w.done
+		present, err = w.present, w.err
 	}
-	<-w.done
-	return w.present, w.err
+	*w = writeReq{sat: w.sat[:0], done: w.done}
+	s.writeReqs.Put(w)
+	return present, err
 }
 
 // admitWrite enqueues w, enforcing the queue bound: the queue never
@@ -376,7 +413,8 @@ func (s *Scheduler) takeIfClosableLocked() (window, bool) {
 	if s.cfg.Steps != nil {
 		w.steps = s.cfg.Steps() - s.windowStep
 	}
-	s.reads, s.writes = nil, nil
+	s.reads, s.writes = s.spareReads, s.spareWrites
+	s.spareReads, s.spareWrites = nil, nil
 	s.force = false
 	if s.stopTimer != nil {
 		s.stopTimer()
@@ -392,7 +430,10 @@ func (s *Scheduler) takeIfClosableLocked() (window, bool) {
 func (s *Scheduler) runWindows(w window) {
 	for {
 		s.execute(w)
+		clear(w.reads)
+		clear(w.writes)
 		s.mu.Lock()
+		s.spareReads, s.spareWrites = w.reads[:0], w.writes[:0]
 		s.dispatching = false
 		s.notFull.Broadcast()
 		next, run := s.takeIfClosableLocked()
@@ -414,7 +455,7 @@ func (s *Scheduler) execute(w window) {
 		// Canonical order: token IDs, which for scheduler-minted tokens
 		// encode (client, per-client sequence) — deterministic under
 		// cross-client races.
-		sort.Slice(w.writes, func(i, j int) bool { return w.writes[i].op.ID() < w.writes[j].op.ID() })
+		slices.SortFunc(w.writes, func(a, b *writeReq) int { return cmp.Compare(a.op.ID(), b.op.ID()) })
 		var logErr error
 		if s.cfg.Log != nil {
 			for _, wr := range w.writes {
@@ -446,23 +487,24 @@ func (s *Scheduler) execute(w window) {
 			}
 		}
 		for _, wr := range w.writes {
-			close(wr.done)
+			wr.done <- struct{}{}
 		}
 	}
-	if len(w.reads) > 0 {
-		sort.Slice(w.reads, func(i, j int) bool { return w.reads[i].op.ID() < w.reads[j].op.ID() })
-		ops := make([]*pdm.Op, len(w.reads))
-		keys := make([]pdm.Word, len(w.reads))
-		for i, r := range w.reads {
-			ops[i], keys[i] = r.op, r.key
-		}
-		sats, oks := s.be.LookupBatchOp(nil, ops, keys)
-		for i, r := range w.reads {
-			r.sat, r.ok = sats[i], oks[i]
-		}
+	if n := len(w.reads); n > 0 {
+		slices.SortFunc(w.reads, func(a, b *readReq) int { return cmp.Compare(a.op.ID(), b.op.ID()) })
+		s.ops, s.keys = s.ops[:0], s.keys[:0]
 		for _, r := range w.reads {
-			close(r.done)
+			s.ops, s.keys = append(s.ops, r.op), append(s.keys, r.key)
 		}
+		s.sats, s.oks = slices.Grow(s.sats[:0], n)[:n], slices.Grow(s.oks[:0], n)[:n]
+		s.be.LookupBatchInto(nil, s.ops, s.keys, s.sats, s.oks)
+		for i, r := range w.reads {
+			r.sat, r.ok = s.sats[i], s.oks[i]
+			r.done <- struct{}{}
+		}
+		// No token or satellite outlives its round.
+		clear(s.ops)
+		clear(s.sats)
 	}
 	s.mu.Lock()
 	if n := int64(len(w.reads)); n > 0 {

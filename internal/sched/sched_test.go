@@ -2,7 +2,10 @@ package sched
 
 import (
 	"errors"
+	"io"
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -306,5 +309,139 @@ func TestClosedScheduler(t *testing.T) {
 	}
 	if err := s.InsertOp(nil, 1, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("insert after close: %v, want ErrClosed", err)
+	}
+}
+
+// fixedBackend answers every lookup with one stored satellite and
+// applies writes to nothing: it allocates nothing, so whatever a round
+// trip allocates is the scheduler's own.
+type fixedBackend struct{ sat []pdm.Word }
+
+func (b *fixedBackend) LookupBatchInto(_ *pdm.Op, _ []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
+	for i := range keys {
+		sats[i], oks[i] = b.sat, true
+	}
+}
+
+func (b *fixedBackend) InsertOp(*pdm.Op, pdm.Word, []pdm.Word) error { return nil }
+func (b *fixedBackend) DeleteOp(*pdm.Op, pdm.Word) bool              { return true }
+
+// TestRoundTripAllocatesNothing: requests, queues and the round's
+// buffers are recycled, so a warm scheduled operation with a pre-minted
+// token and a logged group commit allocates nothing of its own.
+func TestRoundTripAllocatesNothing(t *testing.T) {
+	s := New(&fixedBackend{sat: []pdm.Word{1, 2}}, Config{MaxBatch: 1, Log: NewIntentLog(io.Discard)})
+	defer s.Close()
+	op := s.MintOp(3, 1)
+	sat := []pdm.Word{4, 5}
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"LookupOp", func() {
+			if got, ok, err := s.LookupOp(op, 7); !ok || err != nil || !slices.Equal(got, []pdm.Word{1, 2}) {
+				t.Fatal(got, ok, err)
+			}
+		}},
+		{"InsertOp", func() {
+			if err := s.InsertOp(op, 7, sat); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"DeleteOp", func() {
+			if present, err := s.DeleteOp(op, 7); !present || err != nil {
+				t.Fatal(present, err)
+			}
+		}},
+	} {
+		c.run() // warm the pools, the queues and the round's buffers
+		if n := testing.AllocsPerRun(200, c.run); n != 0 {
+			t.Errorf("%s: %v allocs per warm round trip, want 0", c.name, n)
+		}
+	}
+}
+
+// TestRecycledRequestsNeverCrossTalk: clients interleave lookups,
+// inserts and deletes of keys only they own, while a flusher closes
+// partial windows and a Close races the tail. Every answer must match
+// the client's own oracle, so a recycled request that carried another
+// client's result, or was signalled twice, shows; every submission
+// after Close must get ErrClosed. Run under -race -count=20.
+func TestRecycledRequestsNeverCrossTalk(t *testing.T) {
+	const clients, opsEach = 8, 400
+	s := New(newMemBackend(), Config{MaxBatch: 3, QueueDepth: 4, Block: true, Log: NewIntentLog(io.Discard)})
+	var done atomic.Int64
+	var closed atomic.Bool
+	tail := make(chan struct{})
+	var tailOnce sync.Once
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(c), 37))
+			oracle := make(map[pdm.Word][]pdm.Word)
+			for i := 0; i < opsEach; i++ {
+				if done.Add(1) == clients*opsEach*3/4 {
+					tailOnce.Do(func() { close(tail) })
+				}
+				k := pdm.Word(c)<<32 | pdm.Word(rng.IntN(6))
+				after := closed.Load()
+				var err error
+				switch rng.IntN(3) {
+				case 0:
+					var sat []pdm.Word
+					var ok bool
+					sat, ok, err = s.LookupOp(s.MintOp(c, 1), k)
+					if want, stored := oracle[k]; err == nil && (ok != stored || !slices.Equal(sat, want)) {
+						t.Errorf("client %d: lookup %x = %v, %v; want %v, %v", c, k, sat, ok, want, stored)
+					}
+				case 1:
+					sat := []pdm.Word{k, pdm.Word(i), pdm.Word(c)}
+					if err = s.InsertOp(s.MintOp(c, 1), k, sat); err == nil {
+						oracle[k] = sat
+					}
+				case 2:
+					var present bool
+					if present, err = s.DeleteOp(s.MintOp(c, 1), k); err == nil {
+						if _, stored := oracle[k]; present != stored {
+							t.Errorf("client %d: delete %x present=%v, want %v", c, k, present, stored)
+						}
+						delete(oracle, k)
+					}
+				}
+				if err != nil && !errors.Is(err, ErrClosed) {
+					t.Errorf("client %d: %v", c, err)
+				}
+				if after && !errors.Is(err, ErrClosed) {
+					t.Errorf("client %d: submission after Close returned %v, want ErrClosed", c, err)
+				}
+			}
+		}(c)
+	}
+	stop := make(chan struct{})
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Flush()
+				runtime.Gosched()
+			}
+		}
+	}()
+	<-tail
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	wg.Wait()
+	close(stop)
+	<-flushed
+	if snap := s.Snapshot(); snap.QueueDepth != 0 || snap.PendingReads != 0 {
+		t.Fatalf("closed scheduler still holds %d writes and %d reads", snap.QueueDepth, snap.PendingReads)
 	}
 }

@@ -219,7 +219,7 @@ type BatchLookuper interface {
 // each charged to the token it is handed.
 type opCore interface {
 	LookupOp(op *pdm.Op, key Word) ([]Word, bool)
-	LookupBatchOp(op *pdm.Op, shared []*pdm.Op, keys []Word) ([][]Word, []bool)
+	LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []Word, sats [][]Word, oks []bool)
 	InsertOp(op *pdm.Op, key Word, sat []Word) error
 	DeleteOp(op *pdm.Op, key Word) bool
 	Len() int
@@ -293,7 +293,9 @@ func (f *front) LookupBatch(keys []Word) ([][]Word, []bool) {
 // LookupBatchCtx is LookupBatch attributed to the operation token c:
 // one token covers the whole batch.
 func (f *front) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
-	return f.core.LookupBatchOp(c.Op, nil, keys)
+	sats, oks := make([][]Word, len(keys)), make([]bool, len(keys))
+	f.core.LookupBatchInto(c.Op, nil, keys, sats, oks)
+	return sats, oks
 }
 
 // Len returns the number of stored keys.

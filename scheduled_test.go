@@ -2,6 +2,7 @@ package pdmdict
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -308,5 +309,72 @@ func TestScheduledWritePath(t *testing.T) {
 	}
 	if snap.Flushes == 0 || snap.Flushes > 100 {
 		t.Fatalf("flushes %d out of range", snap.Flushes)
+	}
+}
+
+// TestScheduledAddsNoAllocations: at MaxBatch 1 with a pre-minted token
+// and an intent log, a scheduled operation allocates exactly what the
+// wrapped structure's own Ctx call does — the scheduler's round trip
+// adds nothing.
+func TestScheduledAddsNoAllocations(t *testing.T) {
+	for _, kind := range []string{"dynamic", "dict"} {
+		d := newSchedTestDict(t, kind, 5, 200)
+		direct := d.(interface{ asFront() *front }).asFront()
+		sd, err := NewScheduled(d, SchedOptions{MaxBatch: 1, IntentLog: io.Discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit := Word(rand.New(rand.NewSource(5)).Uint64()%100_000 + 1) // the loader's first key
+		const miss = Word(1 << 40)
+		sat := []Word{hit * 3, hit ^ 7}
+		dc, sc := direct.MintOp(0, 1, pdm.TagLookup.String()), sd.MintOp(0, 1, pdm.TagLookup.String())
+		lookup := func(name string, look func(OpCtx, Word) ([]Word, bool), c OpCtx, k Word, want bool) func() {
+			return func() {
+				if got, ok := look(c, k); ok != want || ok && !wordsEqual(got, sat) {
+					t.Fatalf("%s %s(%d) = %v, %v", kind, name, k, got, ok)
+				}
+			}
+		}
+		insert := func(ins func(OpCtx, Word, []Word) error, c OpCtx) func() {
+			return func() {
+				if err := ins(c, hit, sat); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		schedDelete := func(c OpCtx, k Word) bool {
+			present, err := sd.DeleteCtx(c, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return present
+		}
+		delInsert := func(del func(OpCtx, Word) bool, ins func(OpCtx, Word, []Word) error, c OpCtx) func() {
+			return func() {
+				if !del(c, hit) {
+					t.Fatalf("%s: stored key not deleted", kind)
+				}
+				insert(ins, c)()
+			}
+		}
+		for _, tc := range []struct {
+			name          string
+			direct, sched func()
+		}{
+			{"LookupCtx hit", lookup("LookupCtx", direct.LookupCtx, dc, hit, true), lookup("LookupCtx", sd.LookupCtx, sc, hit, true)},
+			{"LookupCtx miss", lookup("LookupCtx", direct.LookupCtx, dc, miss, false), lookup("LookupCtx", sd.LookupCtx, sc, miss, false)},
+			{"InsertCtx", insert(direct.InsertCtx, dc), insert(sd.InsertCtx, sc)},
+			{"DeleteCtx+InsertCtx", delInsert(direct.DeleteCtx, direct.InsertCtx, dc), delInsert(schedDelete, sd.InsertCtx, sc)},
+		} {
+			tc.direct()
+			tc.sched()
+			want := testing.AllocsPerRun(100, tc.direct)
+			if got := testing.AllocsPerRun(100, tc.sched); got != want {
+				t.Errorf("%s %s: scheduled %v allocs, direct %v", kind, tc.name, got, want)
+			}
+		}
+		if err := sd.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
