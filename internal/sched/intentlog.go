@@ -135,10 +135,11 @@ func ReplayIntents(r io.Reader) ([]Intent, error) {
 		if kind < intentInsert || kind > intentCommit || nsat > maxIntentSat {
 			return out, nil // corrupt record: treat as torn tail
 		}
-		if n := 8*int(nsat) + 4; cap(body) < n {
+		n := 8*int(nsat) + 4
+		if cap(body) < n {
 			body = make([]byte, n)
 		}
-		body = body[:8*int(nsat)+4]
+		body = body[:n]
 		if _, err := io.ReadFull(br, body); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return out, nil // torn body
