@@ -56,7 +56,13 @@ func savedCorpus(tb testing.TB) [][]byte {
 	}
 	fill(dd.Insert)
 
-	return [][]byte{snap(b.Save), snap(dy.Save), snap(st.Save), snap(dd.Save)}
+	op, err := NewOneProbeUnbounded(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fill(op.Insert)
+
+	return [][]byte{snap(b.Save), snap(dy.Save), snap(st.Save), snap(dd.Save), snap(op.Save)}
 }
 
 // FuzzSnapshot feeds arbitrary bytes — seeded with valid snapshots,

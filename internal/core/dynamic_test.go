@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"pdmdict/internal/pdm"
 )
@@ -257,43 +256,5 @@ func TestDynamicZeroSatellite(t *testing.T) {
 	}
 	if sat, ok := dd.Lookup(3); !ok || len(sat) != 0 {
 		t.Errorf("zero-satellite lookup = %v, %v", sat, ok)
-	}
-}
-
-// Property: DynamicDict agrees with a map oracle under random workloads.
-func TestPropertyDynamicMatchesMap(t *testing.T) {
-	f := func(ops []uint32) bool {
-		m := pdm.NewMachine(pdm.Config{D: 40, B: 64})
-		dd, err := NewDynamic(m, DynamicConfig{Capacity: 200, SatWords: 1, Seed: 16})
-		if err != nil {
-			return false
-		}
-		oracle := map[pdm.Word]pdm.Word{}
-		for _, op := range ops {
-			k := pdm.Word(op % 131)
-			switch op % 3 {
-			case 0:
-				v := pdm.Word(op)
-				if dd.Insert(k, []pdm.Word{v}) == nil {
-					oracle[k] = v
-				}
-			case 1:
-				_, okOracle := oracle[k]
-				if dd.Delete(k) != okOracle {
-					return false
-				}
-				delete(oracle, k)
-			case 2:
-				sat, ok := dd.Lookup(k)
-				v, okOracle := oracle[k]
-				if ok != okOracle || (ok && sat[0] != v) {
-					return false
-				}
-			}
-		}
-		return dd.Len() == len(oracle)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
 	}
 }

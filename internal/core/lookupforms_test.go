@@ -41,14 +41,14 @@ func (into batchInto) results(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word) ([]
 // level's fields. found reports whether x is stored.
 func dynProbes(dd *DynamicDict, x pdm.Word) (events [][]pdm.Addr, found bool) {
 	sc := new(probeScratch)
-	first := dd.probe1Locked(sc, x, nil)
+	first := dd.probeLocked(sc, x, nil)
 	membLen := dd.memb.probeLen()
 	blocks := make([][]pdm.Word, membLen)
 	for i, a := range first[:membLen] {
 		blocks[i] = dd.m.Peek(a)
 	}
 	events = [][]pdm.Addr{first}
-	_, level, ok := dd.residenceLocked(sc, x, blocks)
+	_, level, _, ok := dd.residenceLocked(sc, x, blocks)
 	if ok && level > 0 {
 		events = append(events, dd.levelAddrs(&dd.levels[level], x, nil))
 	}
@@ -112,6 +112,7 @@ func dynamicForms(t *testing.T) lookupForms {
 		keys:    withAbsent(stored, 64),
 		single:  dd.LookupOp,
 		batch:   dd.LookupBatchInto,
+		try:     dd.LookupTry,
 		setHook: m.SetHook,
 		probes: func(x pdm.Word) [][]pdm.Addr {
 			events, _ := dynProbes(dd, x)
@@ -143,7 +144,7 @@ func oneProbeForms(t *testing.T) lookupForms {
 		try:     op.LookupTry,
 		setHook: m.SetHook,
 		probes: func(x pdm.Word) [][]pdm.Addr {
-			return [][]pdm.Addr{op.probeAddrsAllLocked(new(probeScratch), x, nil)}
+			return [][]pdm.Addr{op.probeLocked(new(probeScratch), x, nil)}
 		},
 	}
 }

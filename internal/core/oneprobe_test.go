@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"pdmdict/internal/pdm"
 )
@@ -192,43 +191,5 @@ func TestOneProbeCapacityAndReuse(t *testing.T) {
 		if op.Len() != 0 {
 			t.Fatalf("round %d: Len = %d", round, op.Len())
 		}
-	}
-}
-
-// Property: OneProbeDict agrees with a map oracle.
-func TestPropertyOneProbeMatchesMap(t *testing.T) {
-	f := func(ops []uint32) bool {
-		m := pdm.NewMachine(pdm.Config{D: 32, B: 64}) // levels=3, d=8
-		op, err := NewOneProbe(m, OneProbeConfig{Capacity: 150, SatWords: 1, Seed: 8})
-		if err != nil {
-			return false
-		}
-		oracle := map[pdm.Word]pdm.Word{}
-		for _, o := range ops {
-			k := pdm.Word(o % 173)
-			switch o % 3 {
-			case 0:
-				v := pdm.Word(o)
-				if op.Insert(k, []pdm.Word{v}) == nil {
-					oracle[k] = v
-				}
-			case 1:
-				_, okOracle := oracle[k]
-				if op.Delete(k) != okOracle {
-					return false
-				}
-				delete(oracle, k)
-			case 2:
-				sat, ok := op.Lookup(k)
-				v, okOracle := oracle[k]
-				if ok != okOracle || (ok && sat[0] != v) {
-					return false
-				}
-			}
-		}
-		return op.Len() == len(oracle)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
 	}
 }

@@ -151,7 +151,8 @@ func LoadBasic(r io.Reader) (*BasicDict, *pdm.Machine, error) {
 	return bd, m, nil
 }
 
-// dynamicHeader is the durable metadata of a DynamicDict.
+// dynamicHeader is the durable metadata of a DynamicDict. gob writes
+// the type's name into the stream, so it and oneProbeHeader keep theirs.
 type dynamicHeader struct {
 	Cfg         DynamicConfig
 	N           int
@@ -161,22 +162,9 @@ type dynamicHeader struct {
 
 // Snapshot writes the dictionary and its machine to w.
 func (dd *DynamicDict) Snapshot(w io.Writer) error {
-	dd.mu.RLock()
-	defer dd.mu.RUnlock()
-	// Counts are gathered inline rather than via LevelCounts(): RLock is
-	// held and RWMutex read locks must not nest.
-	counts := make([]int, len(dd.levels))
-	for i := range dd.levels {
-		counts[i] = dd.levels[i].count
-	}
-	dd.memb.mu.RLock()
-	membN := dd.memb.n
-	dd.memb.mu.RUnlock()
-	h := dynamicHeader{Cfg: dd.cfg, N: dd.n, MembN: membN, LevelCounts: counts}
-	if err := encodeHeader(w, h); err != nil {
-		return fmt.Errorf("core: encoding DynamicDict header: %w", err)
-	}
-	return writeMachine(w, dd.m)
+	return dd.snapshot(w, "DynamicDict", func(n, membN int, counts []int) any {
+		return dynamicHeader{Cfg: dd.cfg, N: n, MembN: membN, LevelCounts: counts}
+	})
 }
 
 // LoadDynamic restores a DynamicDict (and its machine) from a Snapshot
@@ -194,29 +182,8 @@ func LoadDynamic(r io.Reader) (*DynamicDict, *pdm.Machine, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// The dictionary is not yet published, but it came from a
-	// constructor call; take its locks so the restore writes below
-	// satisfy the guarded-by contract checked by pdmlint.
-	dd.mu.Lock()
-	defer dd.mu.Unlock()
-	dd.memb.mu.Lock()
-	defer dd.memb.mu.Unlock()
-	if len(h.LevelCounts) != len(dd.levels) {
-		return nil, nil, fmt.Errorf("core: snapshot has %d levels, layout has %d", len(h.LevelCounts), len(dd.levels))
-	}
-	if err := checkCount("key count", h.N, dd.cfg.Capacity); err != nil {
+	if err := dd.restore(h.N, h.MembN, h.LevelCounts); err != nil {
 		return nil, nil, err
-	}
-	if err := checkCount("membership count", h.MembN, dd.memb.cfg.Capacity); err != nil {
-		return nil, nil, err
-	}
-	dd.n = h.N
-	dd.memb.n = h.MembN
-	for i := range dd.levels {
-		if err := checkCount("level count", h.LevelCounts[i], dd.cfg.Capacity); err != nil {
-			return nil, nil, err
-		}
-		dd.levels[i].count = h.LevelCounts[i]
 	}
 	return dd, m, nil
 }
@@ -279,20 +246,9 @@ type oneProbeHeader struct {
 
 // Snapshot writes the dictionary and its machine to w.
 func (op *OneProbeDict) Snapshot(w io.Writer) error {
-	op.mu.RLock()
-	defer op.mu.RUnlock()
-	counts := make([]int, len(op.levels))
-	for i := range op.levels {
-		counts[i] = op.levels[i].count
-	}
-	op.memb.mu.RLock()
-	membN := op.memb.n
-	op.memb.mu.RUnlock()
-	h := oneProbeHeader{Cfg: op.cfg, N: op.n, MembN: membN, LevelCounts: counts}
-	if err := encodeHeader(w, h); err != nil {
-		return fmt.Errorf("core: encoding OneProbeDict header: %w", err)
-	}
-	return writeMachine(w, op.m)
+	return op.snapshot(w, "OneProbeDict", func(n, membN int, counts []int) any {
+		return oneProbeHeader{Cfg: op.cfg, N: n, MembN: membN, LevelCounts: counts}
+	})
 }
 
 // LoadOneProbe restores a OneProbeDict (and its machine) from a
@@ -310,28 +266,8 @@ func LoadOneProbe(r io.Reader) (*OneProbeDict, *pdm.Machine, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Unpublished but constructor-built: lock for the restore writes
-	// (see LoadDynamic).
-	op.mu.Lock()
-	defer op.mu.Unlock()
-	op.memb.mu.Lock()
-	defer op.memb.mu.Unlock()
-	if len(h.LevelCounts) != len(op.levels) {
-		return nil, nil, fmt.Errorf("core: snapshot has %d levels, layout has %d", len(h.LevelCounts), len(op.levels))
-	}
-	if err := checkCount("key count", h.N, op.cfg.Capacity); err != nil {
+	if err := op.restore(h.N, h.MembN, h.LevelCounts); err != nil {
 		return nil, nil, err
-	}
-	if err := checkCount("membership count", h.MembN, op.memb.cfg.Capacity); err != nil {
-		return nil, nil, err
-	}
-	op.n = h.N
-	op.memb.n = h.MembN
-	for i := range op.levels {
-		if err := checkCount("level count", h.LevelCounts[i], op.cfg.Capacity); err != nil {
-			return nil, nil, err
-		}
-		op.levels[i].count = h.LevelCounts[i]
 	}
 	return op, m, nil
 }

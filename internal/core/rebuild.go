@@ -88,7 +88,7 @@ type DictStats struct {
 // a bounded-capacity structure: the dictionary operations plus access
 // to its machine (for cost accounting) and its membership
 // sub-dictionary (for the migration cursor). DynamicDict (Theorem 7)
-// and OneProbeDict (Section 6) both satisfy it.
+// and OneProbeDict (Section 6) both satisfy it through their cascade.
 type rebuildable interface {
 	LookupOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool)
 	LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool)
@@ -100,11 +100,6 @@ type rebuildable interface {
 	machine() *pdm.Machine
 	membership() *BasicDict
 }
-
-func (dd *DynamicDict) machine() *pdm.Machine   { return dd.m }
-func (dd *DynamicDict) membership() *BasicDict  { return dd.memb }
-func (op *OneProbeDict) machine() *pdm.Machine  { return op.m }
-func (op *OneProbeDict) membership() *BasicDict { return op.memb }
 
 // Dict is the fully dynamic dictionary of Section 4's introduction:
 // a bounded structure (Theorem 7's cascade by default, or the Section 6

@@ -9,6 +9,8 @@
 //   - DynamicDict — Section 4.3 / Theorem 7: the geometric cascade of
 //     retrieval arrays with first-fit insertion; unsuccessful searches
 //     take 1 I/O, successful searches 1+ɛ I/Os on average, updates 2+ɛ.
+//   - OneProbeDict — Section 6's open problem explored: the same cascade
+//     body with each level on its own disk group, so lookups take 1 I/O.
 //   - Dict — the fully dynamic wrapper of Section 4's introduction:
 //     worst-case global rebuilding (Overmars–van Leeuwen) plus deletions,
 //     running two structures side by side.

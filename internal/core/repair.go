@@ -389,24 +389,3 @@ func (bd *BasicDict) Scrub() []pdm.Addr {
 	}
 	return bad
 }
-
-// LookupTry is the one-probe structure's degraded lookup: the single
-// probe batch goes through the fault layer with transient retries.
-// Membership (K = 1) and retrieval fields are not replicated, so a
-// fail-stopped disk in the group a key needs makes that key unavailable
-// (reported as an error, never as a wrong answer); transient faults and
-// stalls are absorbed.
-func (op *OneProbeDict) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
-	return op.LookupTryOp(nil, x)
-}
-
-// LookupTryOp is LookupTry attributed to the operation token tok and
-// governed by the structure's retry policy.
-func (op *OneProbeDict) LookupTryOp(tok *pdm.Op, x pdm.Word) ([]pdm.Word, bool, error) {
-	var sat [1][]pdm.Word
-	var ok [1]bool
-	if _, err := op.lookup(tok, nil, []pdm.Word{x}, sat[:], ok[:], true); err != nil {
-		return nil, false, fmt.Errorf("core: degraded lookup for key %d inconclusive: %w", x, err)
-	}
-	return sat[0], ok[0], nil
-}

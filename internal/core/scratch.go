@@ -28,14 +28,14 @@ type probeScratch struct {
 	ns      []int        // neighbor ids of the key being probed
 	one     []pdm.Addr   // one key's probe addresses, in probe order
 	buf     pdm.ReadBuf  // blocks of the round in flight
-	buf2    pdm.ReadBuf  // DynamicDict updates: a level below A_1, read while round one's blocks still await the write
+	buf2    pdm.ReadBuf  // cascade updates: a level beyond the first probe, read while round one's blocks still await the write
 	retries retryScratch // a fault-aware round's retries, whose blocks join buf's views
 	frags   [][]pdm.Word // fragment index / replica rank → record data
 	memb    [1]pdm.Word  // a membership sub-dictionary's one-word satellite
 	fields  [][]pdm.Word // one key's d chain fields
 	view    [][]pdm.Word // one key's blocks, in probe order
 	r1, r2  dedup        // first and second read round
-	deep    []deepKey    // DynamicDict: keys below A_1
+	deep    []deepKey    // cascade lookups: keys beyond the first probe
 	ops     []*pdm.Op    // shared rounds: the later round's tokens
 	ends    []func()     // the root lookup spans' closers
 

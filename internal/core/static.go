@@ -102,7 +102,8 @@ func (c *StaticConfig) normalize() error {
 // cost exactly one parallel I/O — for present keys the satellite is
 // returned from that single probe; for absent keys the probe itself
 // proves absence. The structure is immutable after construction; the
-// dynamic cascade of Section 4.3 (DynamicDict) is its mutable sibling.
+// chained-level cascade of Section 4.3 (cascade.go, behind DynamicDict
+// and OneProbeDict) is its mutable sibling.
 type StaticDict struct {
 	m     *pdm.Machine
 	cfg   StaticConfig

@@ -208,38 +208,30 @@ func TestMembershipFullLeavesNoChain(t *testing.T) {
 	const x = pdm.Word(4242)
 	sat := []pdm.Word{7, 8}
 
-	t.Run("dynamic", func(t *testing.T) {
-		m := pdm.NewMachine(pdm.Config{D: 40, B: 64})
-		dd, err := NewDynamic(m, DynamicConfig{Capacity: 64, SatWords: 2, Seed: 21})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillMembership(t, dd.memb, x)
-		if err := dd.Insert(x, sat); err != ErrFull {
-			t.Fatalf("Insert = %v, want ErrFull", err)
-		}
-		lv := &dd.levels[0]
-		blocks := peekAll(m, dd.levelAddrs(lv, x, nil))
-		if used := usedFields(dd.fieldsOf(new(probeScratch), lv, x, blocks)); used != 0 || lv.count != 0 || dd.Len() != 0 {
-			t.Fatalf("after a refused insert: %d of x's level-0 fields used, level count %d, Len %d; want all 0", used, lv.count, dd.Len())
-		}
-	})
-
-	t.Run("oneprobe", func(t *testing.T) {
-		m := pdm.NewMachine(pdm.Config{D: 40, B: 64})
-		op, err := NewOneProbe(m, OneProbeConfig{Capacity: 64, SatWords: 2, Seed: 22})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillMembership(t, op.memb, x)
-		if err := op.Insert(x, sat); err != ErrFull {
-			t.Fatalf("Insert = %v, want ErrFull", err)
-		}
-		membLen := op.memb.probeLen()
-		blocks := peekAll(m, op.probeAddrsAllLocked(new(probeScratch), x, nil))
-		fields := op.fieldsOfLocked(new(probeScratch), 0, x, blocks[membLen:membLen+op.d])
-		if used := usedFields(fields); used != 0 || op.levels[0].count != 0 || op.Len() != 0 {
-			t.Fatalf("after a refused insert: %d of x's level-0 fields used, level count %d, Len %d; want all 0", used, op.levels[0].count, op.Len())
-		}
-	})
+	for _, c := range []struct {
+		name  string
+		build func(t *testing.T) (*cascade, *pdm.Machine)
+	}{
+		{"dynamic", func(t *testing.T) (*cascade, *pdm.Machine) {
+			dd, m := newDynamic(t, 20, 64, DynamicConfig{Capacity: 64, SatWords: 2, Seed: 21})
+			return &dd.cascade, m
+		}},
+		{"oneprobe", func(t *testing.T) (*cascade, *pdm.Machine) {
+			op, m := newOneProbe(t, 10, 64, OneProbeConfig{Capacity: 64, SatWords: 2, Seed: 22})
+			return &op.cascade, m
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cs, m := c.build(t)
+			fillMembership(t, cs.memb, x)
+			if err := cs.Insert(x, sat); err != ErrFull {
+				t.Fatalf("Insert = %v, want ErrFull", err)
+			}
+			lv := &cs.levels[0]
+			blocks := peekAll(m, cs.levelAddrs(lv, x, nil))
+			if used := usedFields(cs.fieldsOf(new(probeScratch), lv, x, blocks)); used != 0 || lv.count != 0 || cs.Len() != 0 {
+				t.Fatalf("after a refused insert: %d of x's level-0 fields used, level count %d, Len %d; want all 0", used, lv.count, cs.Len())
+			}
+		})
+	}
 }

@@ -53,11 +53,10 @@ var lockOrder = []lockClass{
 	{Pkg: "core", Type: "Dict", Field: "mu", Rank: 20},
 	{Pkg: "core", Type: "Dict", Field: "statsMu", Rank: 24},
 
-	// Dictionary structures. The composite structures (one-probe,
-	// cascade) may call into their membership BasicDict while holding
-	// their own lock, so BasicDict ranks after them.
-	{Pkg: "core", Type: "OneProbeDict", Field: "mu", Rank: 30},
-	{Pkg: "core", Type: "DynamicDict", Field: "mu", Rank: 30},
+	// Dictionary structures. The chained-level cascade behind
+	// DynamicDict and OneProbeDict may call into its membership
+	// BasicDict while holding its own lock, so BasicDict ranks after it.
+	{Pkg: "core", Type: "cascade", Field: "mu", Rank: 30},
 	{Pkg: "core", Type: "BasicDict", Field: "mu", Rank: 34},
 
 	// The machine. faultMu is taken first (drawFaults precedes shard
@@ -194,25 +193,25 @@ var lockEffects = []methodEffect{
 		Classes: []lockClassKey{{"sched", "Scheduler", "mu"}, {"sched", "IntentLog", "mu"}, {"core", "Dict", "mu"}}},
 	{Pkg: "pdmdict", Type: "opCore", Method: "*",
 		Classes: []lockClassKey{{"core", "Dict", "mu"}, {"core", "Dict", "statsMu"},
-			{"core", "OneProbeDict", "mu"}, {"core", "DynamicDict", "mu"}, {"core", "BasicDict", "mu"}}},
+			{"core", "cascade", "mu"}, {"core", "BasicDict", "mu"}}},
 
 	// The scheduler's Backend interface dispatches into the dictionary
 	// structures; the dispatcher holds no scheduler lock at these call
 	// sites (ranks 20+ > 16 would flag a violation if it did).
 	{Pkg: "sched", Type: "Backend", Method: "*",
 		Classes: []lockClassKey{{"core", "Dict", "mu"}, {"core", "Dict", "statsMu"},
-			{"core", "OneProbeDict", "mu"}, {"core", "DynamicDict", "mu"}, {"core", "BasicDict", "mu"}}},
+			{"core", "cascade", "mu"}, {"core", "BasicDict", "mu"}}},
 	// Scheduler entry points take the admission lock, then — with it
 	// released — the intent log's lock and the Backend's locks.
 	{Pkg: "sched", Type: "Scheduler", Method: "*",
 		Classes: []lockClassKey{{"sched", "Scheduler", "mu"}, {"sched", "IntentLog", "mu"},
 			{"core", "Dict", "mu"}, {"core", "Dict", "statsMu"},
-			{"core", "OneProbeDict", "mu"}, {"core", "DynamicDict", "mu"}, {"core", "BasicDict", "mu"}}},
+			{"core", "cascade", "mu"}, {"core", "BasicDict", "mu"}}},
 
 	// The rebuild wrapper's structures: any rebuildable method may take
 	// its structure lock (and, through it, the membership BasicDict's).
 	{Pkg: "core", Type: "rebuildable", Method: "*",
-		Classes: []lockClassKey{{"core", "OneProbeDict", "mu"}, {"core", "BasicDict", "mu"}}},
+		Classes: []lockClassKey{{"core", "cascade", "mu"}, {"core", "BasicDict", "mu"}}},
 
 	// The repair supervisor's target dictionary: repairs and scrubs
 	// lock the structure they rebuild.

@@ -54,8 +54,9 @@ import (
 )
 
 // Backend is the dictionary surface the scheduler drives. core.Dict,
-// core.BasicDict, core.DynamicDict, and core.OneProbeDict all satisfy
-// it.
+// core.BasicDict, and the two chained-level structures,
+// core.DynamicDict and core.OneProbeDict, satisfy it; the latter two
+// through the one cascade they embed.
 type Backend interface {
 	// LookupBatchInto resolves keys in merged, de-duplicated read
 	// rounds, answering keys[i] into sats[i] and oks[i]. The scheduler
