@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
 	"pdmdict/internal/bucket"
 	"pdmdict/internal/expander"
+	"pdmdict/internal/loadbalance"
 	"pdmdict/internal/pdm"
 )
 
@@ -351,15 +353,7 @@ func replicaTag(rank int, mask uint64) pdm.Word {
 // replicaRank is the rank encoded by replicaTag for stripe s: the
 // number of mask bits below s.
 func replicaRank(mask uint64, s int) int {
-	return popcount(mask & (1<<uint(s) - 1))
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
+	return bits.OnesCount64(mask & (1<<uint(s) - 1))
 }
 
 // fragIndex extracts a record's fragment index (fragment mode) or
@@ -566,50 +560,23 @@ func (bd *BasicDict) insertWritesLocked(sc *probeScratch, x pdm.Word, sat []pdm.
 		loads = append(loads, bd.bucketLoad(bd.bucketOf(flat, i)))
 	}
 	sc.loads = loads
-	caps := bd.cfg.BucketBlocks * bd.codec.Capacity()
-	// Greedy least-loaded placement of Section 3. In replicate mode the
-	// K choices must be distinct stripes (= distinct disks — that is the
-	// fault-tolerance guarantee); in fragment mode repeats are allowed.
-	chosen := sc.chosen[:0]
-	for j := 0; j < bd.cfg.K; j++ {
-		best := -1
-		for i := range loads {
-			if loads[i] >= caps || (bd.cfg.Replicate && slices.Contains(chosen, i)) {
-				continue
-			}
-			if best == -1 || loads[i] < loads[best] {
-				best = i
-			}
-		}
-		if best == -1 {
-			// No eligible neighbor has room. The on-disk buckets are
-			// untouched, but if x was present we have removed its
-			// fragments from the in-memory copies — return those removals
-			// as writes so the structure stays consistent (x is then gone).
-			sc.chosen = chosen
-			if existing {
-				bd.n--
-				bd.noteUpdateLocked(x, nil, 0)
-				return bd.collectWrites(sc, x, flat, dirty, writes), ErrFull
-			}
-			return writes, ErrFull
-		}
-		chosen = append(chosen, best)
-		loads[best]++
-	}
+	chosen, ok := bd.choose(sc.chosen[:0], loads)
 	sc.chosen = chosen
-	var mask uint64
-	if bd.cfg.Replicate {
-		for _, s := range chosen {
-			mask |= 1 << uint(s)
+	if !ok {
+		// No eligible neighbor has room. The on-disk buckets are
+		// untouched, but if x was present we have removed its fragments
+		// from the in-memory copies — return those removals as writes so
+		// the structure stays consistent (x is then gone).
+		if existing {
+			bd.n--
+			bd.noteUpdateLocked(x, nil, 0)
+			return bd.collectWrites(sc, x, flat, dirty, writes), ErrFull
 		}
+		return writes, ErrFull
 	}
+	mask := bd.replicaMask(chosen)
 	for j, best := range chosen {
-		if bd.cfg.Replicate {
-			sc.rec = bd.replica(sc.rec, sat, replicaRank(mask, best), mask)
-		} else {
-			sc.rec = bd.fragment(sc.rec, sat, j)
-		}
+		sc.rec = bd.choiceRecord(sc.rec, sat, j, best, mask)
 		placed := false
 		for _, blk := range bd.bucketOf(flat, best) {
 			// AppendAlways, not Append: two fragments of x may share a
@@ -651,33 +618,43 @@ func (bd *BasicDict) removeKey(sc *probeScratch, x pdm.Word, flat [][]pdm.Word) 
 	return existing, dirty
 }
 
-// record returns dst's storage resized to one zeroed fragment record:
-// the index or tag word, then fragWords data words.
-func (bd *BasicDict) record(dst []pdm.Word) []pdm.Word {
+// choose runs the greedy rule of Section 3 for one key over its
+// neighbors' loads, by position: K picks, none into a full bucket. In
+// replicate mode the picks must be distinct stripes (= distinct disks —
+// that is the fault-tolerance guarantee); in fragment mode repeats are
+// allowed.
+func (bd *BasicDict) choose(dst, loads []int) ([]int, bool) {
+	return loadbalance.Choose(dst, loads, bd.cfg.K, bd.cfg.BucketBlocks*bd.codec.Capacity(), bd.cfg.Replicate)
+}
+
+// replicaMask is the stripe mask of a replicate-mode placement, one bit
+// per chosen neighbor position; 0 in fragment mode.
+func (bd *BasicDict) replicaMask(chosen []int) uint64 {
+	var mask uint64
+	if bd.cfg.Replicate {
+		for _, i := range chosen {
+			mask |= 1 << uint(i)
+		}
+	}
+	return mask
+}
+
+// choiceRecord returns, in dst's storage, the record stored for pick j,
+// at neighbor position i: fragment j of the satellite, zero-padded to
+// fragWords and prefixed by its index word, or in replicate mode a full
+// copy of the satellite prefixed by its replica tag (rank + stripe
+// mask).
+func (bd *BasicDict) choiceRecord(dst, sat []pdm.Word, j, i int, mask uint64) []pdm.Word {
 	rec := slices.Grow(dst[:0], 1+bd.fragWords)[:1+bd.fragWords]
 	clear(rec)
-	return rec
-}
-
-// fragment returns, in dst's storage, fragment j of the satellite,
-// zero-padded to fragWords, prefixed by its index word.
-func (bd *BasicDict) fragment(dst, sat []pdm.Word, j int) []pdm.Word {
-	frag := bd.record(dst)
-	frag[0] = pdm.Word(j)
-	lo := j * bd.fragWords
-	for i := 0; i < bd.fragWords && lo+i < len(sat); i++ {
-		frag[1+i] = sat[lo+i]
+	if bd.cfg.Replicate {
+		rec[0] = replicaTag(replicaRank(mask, i), mask)
+		copy(rec[1:], sat)
+		return rec
 	}
-	return frag
-}
-
-// replica returns, in dst's storage, a full copy of the satellite
-// prefixed by its replica tag (rank + stripe mask).
-func (bd *BasicDict) replica(dst, sat []pdm.Word, rank int, mask uint64) []pdm.Word {
-	frag := bd.record(dst)
-	frag[0] = replicaTag(rank, mask)
-	copy(frag[1:], sat)
-	return frag
+	rec[0] = pdm.Word(j)
+	copy(rec[1:], sat[min(j*bd.fragWords, len(sat)):])
+	return rec
 }
 
 // collectWrites appends the modified buckets to a write batch. With a

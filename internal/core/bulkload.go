@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"pdmdict/internal/bucket"
 	"pdmdict/internal/extsort"
@@ -59,7 +58,6 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 	// machine's disks; scratch stripes span them all, which is fine —
 	// scratch is scratch.
 	m := bd.reg.m
-	caps := bd.cfg.BucketBlocks * bd.codec.Capacity()
 	loads := make([]int, bd.buckets)
 
 	// Pass 1: greedy placement, streaming assignment records
@@ -70,43 +68,25 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 	app := extsort.NewAppender(m, scratchBlock0, asgWidth)
 	out := make([]pdm.Word, asgWidth)
 	nDisks := bd.reg.nDisks
-	var ns []int
-	chosen := make([]int, 0, bd.cfg.K)
+	var ns, view, chosen []int
 	for _, r := range recs {
-		// The greedy rule of insertWritesLocked, on the in-memory loads:
-		// K least-loaded picks, which in replicate mode must be distinct
-		// stripes (= distinct disks — the fault-tolerance guarantee).
+		// The greedy rule of insertWritesLocked, on the in-memory loads.
 		ns = bd.neighbors(r.Key, ns[:0])
-		chosen = chosen[:0]
-		var mask uint64
-		for j := 0; j < bd.cfg.K; j++ {
-			best := -1
-			for i, y := range ns {
-				if loads[y] >= caps || (bd.cfg.Replicate && mask&(1<<uint(i)) != 0) {
-					continue
-				}
-				if best == -1 || loads[y] < loads[ns[best]] {
-					best = i
-				}
-			}
-			if best == -1 {
-				return ErrFull
-			}
-			loads[ns[best]]++
-			chosen = append(chosen, best)
-			if bd.cfg.Replicate {
-				mask |= 1 << uint(best)
-			}
+		view = view[:0]
+		for _, y := range ns {
+			view = append(view, loads[y])
 		}
+		var ok bool
+		if chosen, ok = bd.choose(chosen[:0], view); !ok {
+			return ErrFull
+		}
+		mask := bd.replicaMask(chosen)
 		for j, i := range chosen {
+			loads[ns[i]]++
 			disk, brow := bd.bucketPos(ns[i])
 			out[0] = pdm.Word(brow*nDisks + disk)
 			out[1] = r.Key
-			if bd.cfg.Replicate {
-				bd.replica(out[2:], r.Sat, replicaRank(mask, i), mask)
-			} else {
-				bd.fragment(out[2:], r.Sat, j)
-			}
+			bd.choiceRecord(out[2:], r.Sat, j, i, mask)
 			app.Append(out)
 		}
 	}
@@ -118,22 +98,16 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 	// Pass 3: pack and write each bucket once, one parallel I/O per
 	// block row (the buckets of one row live on distinct disks).
 	curRow := -1
-	blocks := make(map[int][][]pdm.Word) // disk → the bucket's blocks
+	blocks := make([][][]pdm.Word, nDisks) // disk → the bucket's blocks
 	sc := bd.scratch.get()
 	defer bd.scratch.put(sc)
 	flush := func() {
-		if curRow < 0 {
-			return
-		}
-		disks := make([]int, 0, len(blocks))
-		for disk := range blocks {
-			disks = append(disks, disk)
-		}
-		sort.Ints(disks) // fix batch order: map order would leak into the trace
 		var writes []pdm.BlockWrite
-		for _, disk := range disks {
+		for disk, blks := range blocks {
+			if blks == nil {
+				continue
+			}
 			base := curRow * bd.cfg.BucketBlocks
-			blks := blocks[disk]
 			if bd.cfg.Replicate {
 				// The canonical sorted layout every replicate-mode write
 				// keeps (see collectWrites), so Repair stays bit-identical.
@@ -142,7 +116,7 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 			for b, blk := range blks {
 				writes = append(writes, pdm.BlockWrite{Addr: bd.reg.addr(disk, base+b), Data: blk})
 			}
-			delete(blocks, disk)
+			blocks[disk] = nil
 		}
 		if len(writes) > 0 {
 			m.BatchWrite(writes)

@@ -3,55 +3,127 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"pdmdict/internal/bucket"
 	"pdmdict/internal/expander"
 	"pdmdict/internal/fault"
+	"pdmdict/internal/loadbalance"
 	"pdmdict/internal/pdm"
 )
 
-func TestBulkLoadMatchesInserts(t *testing.T) {
-	recs := makeRecords(1000, 2, 31)
-	// Structure A: bulk loaded. Structure B: inserted one by one with
-	// the same seed — contents must agree for every key.
-	mA := pdm.NewMachine(pdm.Config{D: 16, B: 64})
-	a, err := NewBasic(mA, BasicConfig{Capacity: 1000, SatWords: 2, Seed: 32})
-	if err != nil {
-		t.Fatal(err)
+// Balancer.PlaceAll, Insert one key at a time and BulkLoad all call
+// loadbalance.Choose, so on the same graph and keys they leave the same
+// load in every bucket while none is full: the Balancer that experiments
+// E2-lemma3 and E12 measure places exactly as the dictionary does.
+// Replicate mode's distinct picks have no Balancer counterpart; there
+// Insert and BulkLoad are compared. Both dictionaries must also hold
+// every key.
+func TestPlacementAgrees(t *testing.T) {
+	const n = 200
+	graphs := []struct {
+		name string
+		g    func(seed uint64) expander.Striped
+	}{
+		{"family-d8", func(seed uint64) expander.Striped { return expander.NewFamily(1<<48, 8, 32, seed) }},
+		{"family-d16", func(seed uint64) expander.Striped { return expander.NewFamily(1<<48, 16, 16, seed) }},
+		{"telescope", func(uint64) expander.Striped { return buildTelescopeGraph(t, 64) }},
 	}
-	if err := a.BulkLoad(recs, a.BlocksPerDisk(), 4); err != nil {
-		t.Fatalf("BulkLoad: %v", err)
-	}
-	mB := pdm.NewMachine(pdm.Config{D: 16, B: 64})
-	b, err := NewBasic(mB, BasicConfig{Capacity: 1000, SatWords: 2, Seed: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := b.Insert(r.Key, r.Sat); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.Len() != b.Len() {
-		t.Fatalf("Len %d vs %d", a.Len(), b.Len())
-	}
-	for _, r := range recs {
-		sa, okA := a.Lookup(r.Key)
-		sb, okB := b.Lookup(r.Key)
-		if !okA || !okB {
-			t.Fatalf("key %d: bulk=%v insert=%v", r.Key, okA, okB)
-		}
-		for i := range sa {
-			if sa[i] != sb[i] || sa[i] != r.Sat[i] {
-				t.Fatalf("key %d satellite diverges: %v vs %v", r.Key, sa, sb)
+	for _, gr := range graphs {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g := gr.g(seed)
+			for _, k := range []int{1, g.Degree() / 2} {
+				t.Run(fmt.Sprintf("%s/seed=%d/k=%d", gr.name, seed, k), func(t *testing.T) {
+					checkPlacement(t, BasicConfig{Capacity: n, SatWords: g.Degree() / 2, K: k, Graph: g}, int64(seed))
+				})
 			}
 		}
 	}
-	if a.MaxLoad() != b.MaxLoad() {
-		t.Errorf("max load diverges: bulk %d vs insert %d (same greedy decisions expected)",
-			a.MaxLoad(), b.MaxLoad())
+	t.Run("replicate/k=2", func(t *testing.T) {
+		g := expander.NewFamily(1<<48, 8, 32, 4)
+		checkPlacement(t, BasicConfig{Capacity: n, SatWords: 3, K: 2, Replicate: true, Graph: g}, 4)
+	})
+}
+
+// checkPlacement fills one dictionary by Insert and one by BulkLoad
+// with cfg.Capacity seeded keys and compares their bucket loads with
+// each other and, in fragment mode, with a Balancer's.
+func checkPlacement(t *testing.T, cfg BasicConfig, seed int64) {
+	g := cfg.Graph
+	keys := expander.SampleSet(g.LeftSize(), cfg.Capacity, rand.New(rand.NewSource(seed)))
+	recs := make([]bucket.Record, len(keys))
+	for i, x := range keys {
+		sat := make([]pdm.Word, cfg.SatWords)
+		for w := range sat {
+			sat[w] = pdm.Word(x)*1000 + pdm.Word(w)
+		}
+		recs[i] = bucket.Record{Key: pdm.Word(x), Sat: sat}
 	}
+	build := func() *BasicDict {
+		bd, err := NewBasic(pdm.NewMachine(pdm.Config{D: g.Degree(), B: 64}), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bd
+	}
+	ins, bulk := build(), build()
+	for _, r := range recs {
+		if err := ins.Insert(r.Key, r.Sat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bulk.BulkLoad(recs, bulk.BlocksPerDisk(), 4); err != nil {
+		t.Fatalf("BulkLoad: %v", err)
+	}
+
+	insLoads, bulkLoads := neighborLoads(ins, keys), neighborLoads(bulk, keys)
+	if !maps.Equal(insLoads, bulkLoads) {
+		t.Errorf("bucket loads diverge between Insert and BulkLoad")
+	}
+	if !cfg.Replicate {
+		bal := loadbalance.New(g, cfg.K)
+		if max, caps := bal.PlaceAll(keys), ins.cfg.BucketBlocks*ins.codec.Capacity(); max >= caps {
+			t.Fatalf("Balancer max load %d reaches bucket capacity %d; the comparison needs room", max, caps)
+		}
+		for y, l := range insLoads {
+			if bal.Loads()[y] != l {
+				t.Fatalf("bucket %d: Insert left load %d, Balancer %d", y, l, bal.Loads()[y])
+			}
+		}
+	}
+
+	if ins.Len() != len(recs) || bulk.Len() != len(recs) {
+		t.Fatalf("Len: insert %d, bulk %d, want %d", ins.Len(), bulk.Len(), len(recs))
+	}
+	for _, r := range recs {
+		for name, bd := range map[string]*BasicDict{"insert": ins, "bulk": bulk} {
+			if sat, ok := bd.Lookup(r.Key); !ok || !slices.Equal(sat, r.Sat) {
+				t.Fatalf("%s: key %d reads %v, %v; want %v", name, r.Key, sat, ok, r.Sat)
+			}
+		}
+	}
+}
+
+// neighborLoads returns bd's record count in every bucket that is a
+// neighbor of some key in keys (every bucket a placement of them can
+// touch), by global bucket id, read without accounting I/O.
+func neighborLoads(bd *BasicDict, keys []uint64) map[int]int {
+	loads := map[int]int{}
+	for _, x := range keys {
+		for _, y := range bd.neighbors(pdm.Word(x), nil) {
+			if _, seen := loads[y]; seen {
+				continue
+			}
+			loads[y] = 0
+			for _, a := range bd.bucketAddrs(y, nil) {
+				loads[y] += bd.codec.Count(bd.reg.m.Peek(a))
+			}
+		}
+	}
+	return loads
 }
 
 func TestBulkLoadCheaperThanInserts(t *testing.T) {

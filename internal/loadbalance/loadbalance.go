@@ -7,7 +7,10 @@
 // on-line to one of the vertex's d neighboring buckets. The strategy is
 // greedy: assign the k items one by one, each to a neighboring bucket
 // that currently has the fewest items, breaking ties deterministically
-// (lowest bucket index). Multiple items of one vertex may share a bucket.
+// (lowest neighbor position). Multiple items of one vertex may share a
+// bucket. Choose is that rule, written once: Balancer calls it on
+// in-memory loads, and the dictionaries in internal/core call it on the
+// loads of the buckets they read.
 //
 // Lemma 3 bounds the maximum load when the graph is a (d, ε, δ)-expander
 // and d > k:
@@ -24,19 +27,52 @@ package loadbalance
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pdmdict/internal/expander"
 )
 
-// Balancer runs the greedy d-choice scheme over a fixed graph. It is the
-// in-memory reference implementation; the dictionaries in internal/core
-// re-enact the same decision rule on disk-resident buckets.
+// Choose is the greedy rule of Section 3 for one left vertex. loads[i]
+// is the current load of the vertex's i-th neighbor. Choose makes k
+// picks, each a least-loaded eligible position, bumps loads[i] at every
+// pick of i, and appends the picks to dst. A position is eligible while
+// its load is below capacity and, when distinct is set, while no earlier
+// pick of this call took it. Ties go to the lowest position. ok is false
+// when a pick finds no eligible position; dst then ends with the picks
+// made so far.
+func Choose(dst, loads []int, k, capacity int, distinct bool) (_ []int, ok bool) {
+	base := len(dst)
+	for j := 0; j < k; j++ {
+		best := -1
+		for i, l := range loads {
+			if l >= capacity || (distinct && slices.Contains(dst[base:], i)) {
+				continue
+			}
+			if best == -1 || l < loads[best] {
+				best = i
+			}
+		}
+		if best == -1 {
+			return dst, false
+		}
+		loads[best]++
+		dst = append(dst, best)
+	}
+	return dst, true
+}
+
+// Balancer runs the greedy d-choice scheme over a fixed graph, calling
+// Choose on in-memory per-bucket loads with no capacity. It is the
+// reference the experiments measure; the dictionaries in internal/core
+// call Choose on disk-resident buckets.
 type Balancer struct {
 	g     expander.Graph
 	k     int
 	load  []int
 	balls int
-	buf   []int
+	buf   []int // the placed vertex's neighbors, sorted and distinct
+	view  []int // their loads, by position
+	picks []int // Place's result
 }
 
 // New returns a balancer placing k items per left vertex on graph g.
@@ -57,25 +93,26 @@ func (b *Balancer) K() int { return b.k }
 func (b *Balancer) Graph() expander.Graph { return b.g }
 
 // Place assigns the k items of left vertex x and returns the chosen
-// bucket indices (length k, possibly with repeats). The choice is the
-// paper's greedy rule: each item goes to a currently least-loaded
-// neighbor; ties break to the lowest bucket index, which keeps the whole
-// process deterministic.
+// bucket indices (length k, possibly with repeats). The result is
+// Place's own buffer, valid until the next Place. The choice is
+// Choose's greedy rule over x's neighbors sorted by bucket index, with
+// repeats dropped, so ties break to the lowest bucket index and the
+// whole process is deterministic.
 func (b *Balancer) Place(x uint64) []int {
 	b.buf = b.g.Neighbors(x, b.buf[:0])
-	choices := make([]int, b.k)
-	for j := 0; j < b.k; j++ {
-		best := b.buf[0]
-		for _, y := range b.buf[1:] {
-			if b.load[y] < b.load[best] || (b.load[y] == b.load[best] && y < best) {
-				best = y
-			}
-		}
-		b.load[best]++
-		choices[j] = best
+	slices.Sort(b.buf)
+	b.buf = slices.Compact(b.buf)
+	b.view = b.view[:0]
+	for _, y := range b.buf {
+		b.view = append(b.view, b.load[y])
+	}
+	b.picks, _ = Choose(b.picks[:0], b.view, b.k, math.MaxInt, false)
+	for j, i := range b.picks {
+		b.picks[j] = b.buf[i]
+		b.load[b.buf[i]]++
 	}
 	b.balls++
-	return choices
+	return b.picks
 }
 
 // PlaceAll places every vertex of s in order and returns the final

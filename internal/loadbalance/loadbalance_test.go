@@ -3,6 +3,7 @@ package loadbalance
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -40,6 +41,57 @@ func TestPlaceKItems(t *testing.T) {
 	}
 	if b.MaxLoad() != 1 {
 		t.Errorf("MaxLoad = %d, want 1 (items spread)", b.MaxLoad())
+	}
+}
+
+func TestChooseRule(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		loads    []int
+		k, cap   int
+		distinct bool
+		want     []int
+		ok       bool
+	}{
+		{"ties go to the lowest position", []int{1, 0, 0, 1}, 1, 9, false, []int{1}, true},
+		{"repeats allowed", []int{0, 3, 3}, 3, 9, false, []int{0, 0, 0}, true},
+		{"distinct positions", []int{0, 3, 3}, 3, 9, true, []int{0, 1, 2}, true},
+		{"full buckets are skipped", []int{2, 0, 1}, 3, 2, false, []int{1, 1, 2}, true},
+		{"no eligible position left", []int{1, 2, 0}, 4, 2, false, []int{2, 0, 2}, false},
+		{"distinct runs out", []int{0, 9}, 3, 10, true, []int{0, 1}, false},
+	} {
+		loads := slices.Clone(tc.loads)
+		got, ok := Choose([]int{-1}, loads, tc.k, tc.cap, tc.distinct)
+		if want := append([]int{-1}, tc.want...); ok != tc.ok || !slices.Equal(got, want) {
+			t.Errorf("%s: Choose = %v, %v; want %v, %v", tc.name, got, ok, want, tc.ok)
+		}
+		for _, i := range tc.want {
+			loads[i]--
+		}
+		if !slices.Equal(loads, tc.loads) {
+			t.Errorf("%s: loads after the picks are undone = %v, want %v", tc.name, loads, tc.loads)
+		}
+	}
+}
+
+// The placement rule runs once per inserted key, so neither it nor a
+// warm Balancer allocates.
+func TestPlacementAllocatesNothing(t *testing.T) {
+	loads := make([]int, 16)
+	dst := make([]int, 0, 8)
+	if n := testing.AllocsPerRun(100, func() {
+		dst, _ = Choose(dst[:0], loads, 8, math.MaxInt, true)
+	}); n != 0 {
+		t.Errorf("Choose: %v allocs/op, want 0", n)
+	}
+	b := New(expander.NewFamily(1<<30, 16, 64, 1), 8)
+	b.Place(0)
+	x := uint64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		x++
+		b.Place(x)
+	}); n != 0 {
+		t.Errorf("warm Balancer.Place: %v allocs/op, want 0", n)
 	}
 }
 
