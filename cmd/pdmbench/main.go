@@ -37,12 +37,13 @@
 //
 // -chaos runs the chaos soak instead of the experiment suite: a
 // seed-generated schedule of fail/heal/corrupt rounds plays against a
-// replicated dictionary while concurrent clients keep querying, a
-// patrol scrub sweeps for silent damage, and the background repair
-// supervisor heals every outage unaided. The run exits non-zero if any
-// soak invariant breaks (a key unavailable mid-soak, unattributed
-// recovery I/O, damage surviving the soak, or no convergence), so CI
-// can gate on the exit code:
+// replicated dictionary while one seeded driver steps the clients'
+// lookups, a patrol scrub that sweeps for silent damage, and the repair
+// supervisor that heals every outage unaided, so the report is a
+// function of -seed. The run exits non-zero if any soak invariant
+// breaks (a key unavailable mid-soak, unattributed recovery I/O, damage
+// surviving the soak, or no convergence), so CI can gate on the exit
+// code:
 //
 //	pdmbench -chaos -seed 2 -json -out chaos.json
 package main
@@ -103,8 +104,8 @@ func main() {
 		serve    = flag.String("serve", "", "serve live /metrics, /healthz, and /debug/pprof on this address while running")
 		parallel = flag.String("parallel", "", "run the group-commit scheduler comparison (direct vs coalesced modeled steps/op) over a client ladder: a count N (shorthand for 1,N) or an explicit ladder like 1,8,64")
 		seed     = flag.Uint64("seed", 1, "parallel/chaos mode: workload seed")
-		chaos    = flag.Bool("chaos", false, "run the chaos soak: scheduled fail/heal/corrupt rounds under concurrent traffic with background self-healing; exits non-zero if any soak invariant breaks")
-		clients  = flag.Int("clients", 0, "chaos mode: concurrent lookup clients (default 8)")
+		chaos    = flag.Bool("chaos", false, "run the chaos soak: scheduled fail/heal/corrupt rounds under stepped traffic and self-healing; exits non-zero if any soak invariant breaks")
+		clients  = flag.Int("clients", 0, "chaos mode: lookup clients stepped each round (default 8)")
 		rounds   = flag.Int("rounds", 0, "chaos mode: damage rounds in the generated schedule (default 6)")
 	)
 	flag.StringVar(outPath, "o", "", "alias for -out")

@@ -149,9 +149,10 @@ func (t *Table) CSV() string {
 // the parallel-throughput tables; version 4 added the chaos-soak
 // results (pdmbench -chaos); version 5 added the group-commit
 // scheduler comparison (pdmbench -parallel); version 6 dropped the
-// paced multi-client throughput results. Bump this whenever Report or
-// Table changes shape.
-const ReportSchemaVersion = 6
+// paced multi-client throughput results; version 7 dropped the chaos
+// soak's wall_ns and the config keys of its now-fixed shape. Bump this
+// whenever Report or Table changes shape.
+const ReportSchemaVersion = 7
 
 // Report is the top-level JSON document of a -json run.
 type Report struct {

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"pdmdict/internal/core"
 	"pdmdict/internal/fault"
@@ -19,76 +17,47 @@ import (
 // detection cost and repair cost stay separable in the op accounting.
 const PatrolClient = -2
 
+// The soak's fixed shape: an 8-disk, 64-word-block machine holding 512
+// keys at replication degree 2 (the minimum: the soak deliberately
+// destroys disks), a damage round every 400 steps with every third round
+// a bit flip, and a baseline drizzle of 5 % transient reads and 2 %
+// 2-step stalls on top of the scheduled outages.
+const (
+	chaosDisks         = 8
+	chaosBlockWords    = 64
+	chaosReplicas      = 2
+	chaosKeys          = 512
+	chaosGap           = 400
+	chaosCorruptEvery  = 3
+	chaosTransientProb = 0.05
+	chaosStallProb     = 0.02
+	chaosStallSteps    = 2
+	// chaosMaxRounds only guards against a wedged run of the driver loop.
+	chaosMaxRounds = 100000
+)
+
 // ChaosConfig shapes one chaos soak run (pdmbench -chaos).
 type ChaosConfig struct {
-	// Disks and BlockWords shape the machine (defaults 8 and 64).
-	Disks      int `json:"disks"`
-	BlockWords int `json:"block_words"`
-	// Replicas is the replication degree K (default 2, minimum 2: the
-	// soak deliberately destroys disks).
-	Replicas int `json:"replicas"`
-	// Keys is how many keys are preloaded and then hammered (default 512).
-	Keys int `json:"keys"`
-	// Clients is the number of concurrent lookup goroutines (default 8).
-	Clients int `json:"clients"`
-	// Rounds, Gap, and CorruptEvery shape the generated damage rotation
-	// (fault.GenerateSchedule); defaults 6 rounds, gap 400, every 3rd
-	// round a bit flip.
-	Rounds       int   `json:"rounds"`
-	Gap          int64 `json:"gap"`
-	CorruptEvery int   `json:"corrupt_every"`
-	// Seed drives the fault plan and the schedule generator (default 1).
+	// Seed drives the fault plan, the schedule generator and the order
+	// the driver steps its actors in (default 1).
 	Seed uint64 `json:"seed"`
-	// TransientProb and StallProb/StallSteps set the baseline drizzle on
-	// top of the scheduled outages (defaults 0.05 and 0.02/2).
-	TransientProb float64 `json:"transient_prob"`
-	StallProb     float64 `json:"stall_prob"`
-	StallSteps    int     `json:"stall_steps"`
-	// Timeout bounds the wall-clock wait for the schedule to drain and
-	// the supervisor to converge (default 60s). Wall time, not modeled
-	// time: it only guards against a wedged run.
-	Timeout time.Duration `json:"-"`
+	// Clients is the number of lookup clients stepped each round
+	// (default 8).
+	Clients int `json:"clients"`
+	// Rounds is the number of damage rounds in the generated schedule
+	// (fault.GenerateSchedule; default 6).
+	Rounds int `json:"rounds"`
 }
 
 func (c *ChaosConfig) normalize() {
-	if c.Disks <= 0 {
-		c.Disks = 8
-	}
-	if c.BlockWords <= 0 {
-		c.BlockWords = 64
-	}
-	if c.Replicas < 2 {
-		c.Replicas = 2
-	}
-	if c.Keys <= 0 {
-		c.Keys = 512
+	if c.Seed == 0 {
+		c.Seed = 1
 	}
 	if c.Clients <= 0 {
 		c.Clients = 8
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 6
-	}
-	if c.Gap <= 0 {
-		c.Gap = 400
-	}
-	if c.CorruptEvery == 0 {
-		c.CorruptEvery = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.TransientProb == 0 {
-		c.TransientProb = 0.05
-	}
-	if c.StallProb == 0 {
-		c.StallProb = 0.02
-	}
-	if c.StallSteps <= 0 {
-		c.StallSteps = 2
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 60 * time.Second
 	}
 }
 
@@ -101,7 +70,6 @@ type ChaosResult struct {
 	EventsApplied  int                `json:"events_applied"`
 	Schedule       []fault.ChaosEvent `json:"schedule"`
 	Lookups        int64              `json:"lookups"`
-	WallNanos      int64              `json:"wall_ns"`
 	ParallelIOs    int64              `json:"parallel_ios"`
 	BlockReads     int64              `json:"block_reads"`
 	BlockWrites    int64              `json:"block_writes"`
@@ -141,19 +109,23 @@ func clientLabel(id int) string {
 }
 
 // RunChaos builds a replicated dictionary on a fresh machine, binds a
-// generated chaos schedule to the machine's step clock, and soaks it:
-// concurrent clients hammer degraded lookups, a patrol scrub sweeps for
-// silent damage, and the heal.Supervisor repairs in the background —
-// unaided. It returns a non-nil error if any soak invariant breaks:
-// a key unavailable or wrong mid-soak, the schedule or supervisor
-// failing to converge before cfg.Timeout, machine totals not exactly
-// attributed to client/patrol/repair tokens, or the post-soak scrub
-// finding damage. CI runs it per seed and checks the exit code.
+// generated chaos schedule to the machine's step clock, and soaks it
+// with one stepped driver: each round, in an order drawn from a
+// cfg.Seed-seeded generator, every client does one degraded lookup, a
+// patrol scrub sweeps one chunk for silent damage, and the
+// heal.Supervisor runs until it has no work left — unaided. Everything
+// runs on the calling goroutine, so the result (and any trace the suite
+// hook records) is a function of cfg alone. It returns a non-nil error
+// if any soak invariant breaks: a key unavailable or wrong mid-soak, the
+// schedule or supervisor failing to converge within chaosMaxRounds,
+// machine totals not exactly attributed to client/patrol/repair tokens,
+// or the post-soak scrub finding damage. CI runs it per seed and checks
+// the exit code.
 func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	cfg.normalize()
 	res := ChaosResult{Config: cfg}
 
-	m := newMachine(pdm.Config{D: cfg.Disks, B: cfg.BlockWords})
+	m := newMachine(pdm.Config{D: chaosDisks, B: chaosBlockWords})
 	// The baseline drizzle must not churn disks through Suspect, or the
 	// schedule's AwaitHealthy gates would never open; promotion needs a
 	// burst no drizzle can produce. Hedging still triggers off stalls.
@@ -170,9 +142,9 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	m.SetHook(mon)
 
 	bd, err := core.NewBasic(m, core.BasicConfig{
-		Capacity:  cfg.Keys,
+		Capacity:  chaosKeys,
 		SatWords:  3,
-		K:         cfg.Replicas,
+		K:         chaosReplicas,
 		Replicate: true,
 		Seed:      cfg.Seed,
 	})
@@ -180,7 +152,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		return res, fmt.Errorf("chaos: build dictionary: %w", err)
 	}
 	key := func(i int) pdm.Word { return pdm.Word(i)*2654435761 + 1 }
-	for i := 0; i < cfg.Keys; i++ {
+	for i := 0; i < chaosKeys; i++ {
 		if err := bd.Insert(key(i), []pdm.Word{pdm.Word(i), key(i), key(i) ^ 0xabc}); err != nil {
 			return res, fmt.Errorf("chaos: preload key %d: %w", i, err)
 		}
@@ -188,14 +160,14 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	bd.SetRetryPolicy(pdm.RetryPolicy{MaxRetries: 6, BackoffBase: 2, BackoffFactor: 2, Hedge: true})
 
 	plan := fault.NewPlan(cfg.Seed)
-	plan.SetTransient(cfg.TransientProb)
-	plan.SetStall(cfg.StallProb, cfg.StallSteps)
+	plan.SetTransient(chaosTransientProb)
+	plan.SetStall(chaosStallProb, chaosStallSteps)
 	schedule := fault.NewSchedule(plan, fault.GenerateSchedule(cfg.Seed, fault.ChaosProfile{
-		Disks:        cfg.Disks,
+		Disks:        chaosDisks,
 		Blocks:       bd.BlocksPerDisk(),
 		Rounds:       cfg.Rounds,
-		Gap:          cfg.Gap,
-		CorruptEvery: cfg.CorruptEvery,
+		Gap:          chaosGap,
+		CorruptEvery: chaosCorruptEvery,
 	}))
 	schedule.BindMachine(m)
 	res.Schedule = schedule.Events()
@@ -204,81 +176,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	m.SetFaultInjector(schedule)
 
 	sup := heal.New(m, bd, heal.Config{ChunkRows: 4, MaxAttempts: 8})
-	// A firing degraded-capacity alert nudges the supervisor directly —
-	// the alert edge and the health notification race benignly (Wake is a
-	// non-blocking send on the same channel).
-	mon.SetListener(func(ts []obs.AlertTransition) {
-		for _, t := range ts {
-			if t.Rule == "degraded_capacity" && t.To == obs.AlertFiring {
-				sup.Wake()
-			}
-		}
-	})
-	sup.Start()
-
-	start := time.Now()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var lookups atomic.Int64
-	var failures atomic.Int64
-	var firstFail atomic.Value // string
-
-	// Patrol scrub: the detector for scripted corruption on blocks the
-	// key workload never reads, charged to its own client ID.
-	var patrolOps []*pdm.Op
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		row := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			op := m.NewOp(PatrolClient, 1)
-			patrolOps = append(patrolOps, op)
-			wrapped := false
-			for disk := 0; disk < cfg.Disks; disk++ {
-				if m.DiskState(disk) != pdm.Healthy {
-					continue // outages are the supervisor's problem
-				}
-				if _, _, done := bd.ScrubRange(op, disk, row, 2); done {
-					wrapped = true
-				}
-			}
-			row += 2
-			if wrapped || row > 1<<16 {
-				row = 0
-			}
-		}
-	}()
-
-	clientOps := make([][]*pdm.Op, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			i := c
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				op := m.NewOp(c, 1)
-				clientOps[c] = append(clientOps[c], op)
-				sat, ok, err := bd.LookupTryOp(op, key(i%cfg.Keys))
-				lookups.Add(1)
-				if err != nil || !ok || sat[1] != key(i%cfg.Keys) {
-					failures.Add(1)
-					firstFail.CompareAndSwap(nil, fmt.Sprintf("client %d key %d: ok=%v err=%v", c, i%cfg.Keys, ok, err))
-					return
-				}
-				i += 5
-			}
-		}(c)
-	}
 
 	// Drained means every event fired, every disk back to Healthy, the
 	// supervisor idle, every scripted flip verifiably rewritten (a
@@ -302,22 +199,58 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		}
 		return true
 	}
+
+	// Actors 0..Clients-1 are the lookup clients; the last two are the
+	// patrol scrub and the supervisor.
+	patrol, supervisor := cfg.Clients, cfg.Clients+1
+	order := rand.New(rand.NewSource(int64(cfg.Seed)))
+	clientOps := make([][]*pdm.Op, cfg.Clients)
+	var patrolOps []*pdm.Op
+	row := 0
+	var fail string
 	var timedOut bool
-	for !drained() {
-		if failures.Load() > 0 {
-			break
-		}
-		if time.Since(start) > cfg.Timeout {
+soak:
+	for round := 0; !drained(); round++ {
+		if round == chaosMaxRounds {
 			timedOut = true
 			break
 		}
-		time.Sleep(time.Millisecond)
+		for _, actor := range order.Perm(cfg.Clients + 2) {
+			switch actor {
+			case patrol:
+				// The detector for scripted corruption on blocks the key
+				// workload never reads, charged to its own client ID.
+				op := m.NewOp(PatrolClient, 1)
+				patrolOps = append(patrolOps, op)
+				wrapped := false
+				for disk := 0; disk < chaosDisks; disk++ {
+					if m.DiskState(disk) != pdm.Healthy {
+						continue // outages are the supervisor's problem
+					}
+					if _, _, done := bd.ScrubRange(op, disk, row, 2); done {
+						wrapped = true
+					}
+				}
+				row += 2
+				if wrapped || row > 1<<16 {
+					row = 0
+				}
+			case supervisor:
+				for sup.Tick() {
+				}
+			default:
+				c := actor
+				i := (c + 5*len(clientOps[c])) % chaosKeys
+				op := m.NewOp(c, 1)
+				clientOps[c] = append(clientOps[c], op)
+				res.Lookups++
+				if sat, ok, err := bd.LookupTryOp(op, key(i)); err != nil || !ok || sat[1] != key(i) {
+					fail = fmt.Sprintf("client %d key %d: ok=%v err=%v", c, i, ok, err)
+					break soak
+				}
+			}
+		}
 	}
-	close(stop)
-	wg.Wait()
-	sup.Stop()
-	res.WallNanos = time.Since(start).Nanoseconds()
-	res.Lookups = lookups.Load()
 	res.EventsApplied = schedule.Applied()
 
 	// The attribution window closes here, before any unattributed
@@ -362,12 +295,12 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	m.SetFaultInjector(nil)
 	res.ScrubClean = len(bd.Scrub()) == 0
 
-	if msg, _ := firstFail.Load().(string); msg != "" {
-		return res, fmt.Errorf("chaos: %d lookup failures mid-soak, first: %s", failures.Load(), msg)
+	if fail != "" {
+		return res, fmt.Errorf("chaos: lookup failed mid-soak: %s", fail)
 	}
 	if timedOut {
-		return res, fmt.Errorf("chaos: did not converge within %v: applied %d/%d events, health %+v, supervisor idle=%v",
-			cfg.Timeout, res.EventsApplied, len(res.Schedule), m.Health().Unhealthy(), sup.Idle())
+		return res, fmt.Errorf("chaos: did not converge within %d rounds: applied %d/%d events, health %+v, supervisor idle=%v",
+			chaosMaxRounds, res.EventsApplied, len(res.Schedule), m.Health().Unhealthy(), sup.Idle())
 	}
 	if !res.Exact {
 		return res, fmt.Errorf("chaos: unattributed I/O: clients %d + patrol %d + repair %d != machine %d",
@@ -384,7 +317,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		return res, fmt.Errorf("chaos: watchdog missed the soak: fire→resolve cycles balance=%d degraded_capacity=%d (want ≥1 each)",
 			res.AlertCycles["balance"], res.AlertCycles["degraded_capacity"])
 	}
-	for i := 0; i < cfg.Keys; i++ {
+	for i := 0; i < chaosKeys; i++ {
 		sat, ok, err := bd.LookupTry(key(i))
 		if err != nil || !ok || sat[1] != key(i) {
 			return res, fmt.Errorf("chaos: key %d wrong after soak: ok=%v err=%v", i, ok, err)
@@ -398,7 +331,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 func ChaosTable(res ChaosResult) *Table {
 	tb := &Table{
 		ID:    "chaos",
-		Title: fmt.Sprintf("Chaos soak (seed %d): %d events over %d disks, %d clients", res.Config.Seed, len(res.Schedule), res.Config.Disks, res.Config.Clients),
+		Title: fmt.Sprintf("Chaos soak (seed %d): %d events over %d disks, %d clients", res.Config.Seed, len(res.Schedule), chaosDisks, res.Config.Clients),
 		Columns: []string{
 			"lookups", "events", "repair episodes", "repair chunks",
 			"retries", "hedges", "backoff steps", "client steps", "patrol steps", "repair steps", "machine steps", "exact", "scrub clean", "alert cycles",

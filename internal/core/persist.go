@@ -3,22 +3,24 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"io"
 
 	"pdmdict/internal/pdm"
 )
 
-// Persistence: each dictionary saves a small gob header (its
+// Persistence: each dictionary saves a small JSON header (its
 // configuration plus the counters that are not derivable from disk
 // contents) followed by its machine's snapshot. Loading re-runs the
 // deterministic layout code on the restored configuration, so the
 // reconstructed structure addresses the restored blocks identically.
+// JSON keeps no process-wide state, so the bytes of a Save depend only
+// on the structure saved, not on what the process encoded before.
 //
-// Every part is framed with a length prefix: both gob decoders and the
-// snapshot reader buffer ahead, so consecutive unframed sections on one
-// stream would corrupt each other.
+// Every part is framed with a length prefix: both the JSON decoder and
+// the snapshot reader buffer ahead, so consecutive unframed sections on
+// one stream would corrupt each other.
 
 // writeSection frames whatever fill produces with a little-endian
 // uint64 length.
@@ -54,20 +56,20 @@ func readSection(r io.Reader) (*bytes.Reader, error) {
 	return bytes.NewReader(buf.Bytes()), nil
 }
 
-// encodeHeader gob-encodes v into one framed section.
+// encodeHeader JSON-encodes v into one framed section.
 func encodeHeader(w io.Writer, v interface{}) error {
 	return writeSection(w, func(sw io.Writer) error {
-		return gob.NewEncoder(sw).Encode(v)
+		return json.NewEncoder(sw).Encode(v)
 	})
 }
 
-// decodeHeader reads one framed section and gob-decodes it into v.
+// decodeHeader reads one framed section and JSON-decodes it into v.
 func decodeHeader(r io.Reader, v interface{}) error {
 	sec, err := readSection(r)
 	if err != nil {
 		return err
 	}
-	return gob.NewDecoder(sec).Decode(v)
+	return json.NewDecoder(sec).Decode(v)
 }
 
 // writeMachine frames a machine snapshot.
@@ -151,8 +153,9 @@ func LoadBasic(r io.Reader) (*BasicDict, *pdm.Machine, error) {
 	return bd, m, nil
 }
 
-// dynamicHeader is the durable metadata of a DynamicDict. gob writes
-// the type's name into the stream, so it and oneProbeHeader keep theirs.
+// dynamicHeader is the durable metadata of a DynamicDict. JSON writes
+// each field's name into the stream, so its fields and oneProbeHeader's
+// keep their names.
 type dynamicHeader struct {
 	Cfg         DynamicConfig
 	N           int

@@ -9,14 +9,14 @@ import (
 
 // DetRand enforces the determinism contract of the measured packages:
 // same seed, same workload → byte-identical traces and bit-identical
-// repair. In internal/{core,pdm,fault,expander,loadbalance,obs,heal}
-// non-test code it rejects (1) the process-global math/rand functions
-// (only seeded *rand.Rand generators are allowed — the constructors
-// rand.New/NewSource/NewZipf/NewPCG/NewChaCha8 pass), (2) crypto/rand,
-// (3) the wall clock (time.Now/Since/Until) — whether called directly
-// or passed as a function value (e.g. handing time.Now to the
-// machine's SetWallClock from inside a measured package; wall clocks
-// are injected from cmd/ and test code only), including the timer
+// repair. In internal/{core,pdm,fault,expander,loadbalance,obs,heal,
+// sched,bench} non-test code it rejects (1) the process-global
+// math/rand functions (only seeded *rand.Rand generators are allowed —
+// the constructors rand.New/NewSource/NewZipf/NewPCG/NewChaCha8 pass),
+// (2) crypto/rand, (3) the wall clock (time.Now/Since/Until) — whether
+// called directly or passed as a function value (e.g. handing time.Now
+// to the machine's SetWallClock from inside a measured package; wall
+// clocks are injected from cmd/ and test code only), including the timer
 // functions (time.Sleep/After/Tick/NewTimer/NewTicker/AfterFunc) —
 // retry backoff and repair pacing must be modeled parallel-I/O steps or
 // notification-driven, never wall-time waits — and (4) iteration over a
@@ -35,7 +35,7 @@ var DetRand = &Analyzer{
 
 // detRandScope matches the import paths of the packages whose
 // determinism the paper's claims depend on.
-var detRandScope = regexp.MustCompile(`(^|/)internal/(core|pdm|fault|expander|loadbalance|obs|heal|sched)(/|$)`)
+var detRandScope = regexp.MustCompile(`(^|/)internal/(core|pdm|fault|expander|loadbalance|obs|heal|sched|bench)(/|$)`)
 
 // randConstructors are the math/rand functions that build seeded
 // generators rather than drawing from global state.
