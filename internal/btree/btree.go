@@ -43,17 +43,17 @@ type Storage interface {
 // spanner is implemented by storages that can tag batches with span
 // labels (pdm.Machine, and cache.Cache delegating to its machine).
 type spanner interface {
-	Span(tag pdm.Tag) func()
+	Span(tag pdm.Tag) pdm.SpanEnd
 }
 
-var noopEnd = func() {}
-
-func noSpan(pdm.Tag) func() { return noopEnd }
+// noSpan is the span opener of a storage that tags nothing: the zero
+// SpanEnd closes nothing.
+func noSpan(pdm.Tag) pdm.SpanEnd { return pdm.SpanEnd{} }
 
 // Tree is a B-tree over (key, satellite) records.
 type Tree struct {
 	m    Storage
-	span func(pdm.Tag) func()
+	span func(pdm.Tag) pdm.SpanEnd
 	cfg  Config
 
 	nodeWords int
@@ -156,7 +156,7 @@ func (t *Tree) intChild(node []pdm.Word, i int) int {
 // Lookup returns a copy of key's satellite and whether it is present.
 // Cost: Height() parallel I/Os.
 func (t *Tree) Lookup(key pdm.Word) ([]pdm.Word, bool) {
-	defer t.span(pdm.TagLookup)()
+	defer t.span(pdm.TagLookup).End()
 	node := t.readNode(t.root)
 	for node[0] == nodeInternal {
 		count := int(node[1])
@@ -190,7 +190,7 @@ func (t *Tree) Insert(key pdm.Word, sat []pdm.Word) error {
 	if len(sat) != t.cfg.SatWords {
 		return fmt.Errorf("btree: satellite of %d words, config says %d", len(sat), t.cfg.SatWords)
 	}
-	defer t.span(pdm.TagInsert)()
+	defer t.span(pdm.TagInsert).End()
 	rootNode := t.readNode(t.root)
 	if t.isFull(rootNode) {
 		// Grow: new root above the split halves.
@@ -398,7 +398,7 @@ func (t *Tree) rangeNode(id int, lo, hi pdm.Word, fn func(pdm.Word, []pdm.Word) 
 // deleted records is reclaimed on later inserts into the same leaf —
 // sufficient for a baseline whose role is read-path comparison.
 func (t *Tree) Delete(key pdm.Word) bool {
-	defer t.span(pdm.TagDelete)()
+	defer t.span(pdm.TagDelete).End()
 	id := t.root
 	node := t.readNode(id)
 	for node[0] == nodeInternal {

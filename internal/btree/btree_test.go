@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pdmdict/internal/cache"
 	"pdmdict/internal/pdm"
 )
 
@@ -308,5 +309,42 @@ func TestRandomChurn(t *testing.T) {
 		if !ok || sat[0] != v {
 			t.Fatalf("key %d = %v %v, want %d", k, sat, ok, v)
 		}
+	}
+}
+
+// New finds a storage's span opener by a run-time type assertion, so a
+// change to pdm's span API that *pdm.Machine or *cache.Cache no longer
+// matches would leave every tree batch untagged without failing a
+// build. These assertions make it fail one.
+var (
+	_ spanner = (*pdm.Machine)(nil)
+	_ spanner = (*cache.Cache)(nil)
+)
+
+// tagCounter counts a machine's batches by span path.
+type tagCounter map[string]int
+
+func (c tagCounter) Event(e pdm.Event) {
+	if !e.Kind.IsSpan() && !e.Kind.IsAnnotation() {
+		c[e.Tag]++
+	}
+}
+
+func TestHookedTreeTagsItsBatches(t *testing.T) {
+	tr, m := newTree(t, 4, 16, Config{SatWords: 1})
+	tags := tagCounter{}
+	m.SetHook(tags)
+	for k := pdm.Word(1); k <= 200; k++ {
+		if err := tr.Insert(k, []pdm.Word{k}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := pdm.Word(1); k <= 200; k++ {
+		if _, ok := tr.Lookup(k); !ok {
+			t.Fatalf("key %d not found", k)
+		}
+	}
+	if tags["insert"] == 0 || tags["lookup"] == 0 || tags[""] != 0 {
+		t.Errorf("hooked tree's batches by tag: %v, want insert and lookup and nothing untagged", tags)
 	}
 }

@@ -59,7 +59,7 @@ type entry struct {
 
 // Span delegates to the machine's span API, so structures running over
 // a cache still tag the I/O their misses force.
-func (c *Cache) Span(tag pdm.Tag) func() { return c.m.Span(tag) }
+func (c *Cache) Span(tag pdm.Tag) pdm.SpanEnd { return c.m.Span(tag) }
 
 // New wraps m with a cache of capacityBlocks blocks — the internal
 // memory budget, in blocks of B words.

@@ -521,13 +521,13 @@ func (bd *BasicDict) Insert(x pdm.Word, sat []pdm.Word) error {
 func (bd *BasicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
-	defer bd.reg.m.OpSpan(op, pdm.TagInsert)()
+	defer bd.reg.m.OpSpan(op, pdm.TagInsert).End()
 	sc := bd.scratch.get()
 	defer bd.scratch.put(sc)
 	endProbe := bd.reg.m.OpSpan(op, pdm.TagProbe)
 	sc.one = bd.probeAddrs(sc, x, sc.one[:0])
 	flat := bd.reg.m.BatchReadInto(&sc.buf, op, nil, sc.one)
-	endProbe()
+	endProbe.End()
 	writes, err := bd.insertWritesLocked(sc, x, sat, flat, sc.writes[:0])
 	// Writes accompany even a failed insert of an existing key: its old
 	// fragments were removed and that removal must land.
@@ -694,7 +694,7 @@ func (bd *BasicDict) Delete(x pdm.Word) bool {
 func (bd *BasicDict) DeleteOp(op *pdm.Op, x pdm.Word) bool {
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
-	defer bd.reg.m.OpSpan(op, pdm.TagDelete)()
+	defer bd.reg.m.OpSpan(op, pdm.TagDelete).End()
 	sc := bd.scratch.get()
 	defer bd.scratch.put(sc)
 	sc.one = bd.probeAddrs(sc, x, sc.one[:0])
@@ -747,7 +747,7 @@ func (bd *BasicDict) MaxLoad() int {
 func (bd *BasicDict) Scan(fn func(key pdm.Word, fragIdx int, frag []pdm.Word)) {
 	bd.mu.RLock()
 	defer bd.mu.RUnlock()
-	defer bd.reg.m.Span(pdm.TagScan)()
+	defer bd.reg.m.Span(pdm.TagScan).End()
 	for y := 0; y < bd.buckets; y++ {
 		addrs := bd.bucketAddrs(y, nil)
 		for _, blk := range bd.reg.m.BatchRead(addrs) {

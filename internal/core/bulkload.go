@@ -52,7 +52,7 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 	if len(recs) == 0 {
 		return nil
 	}
-	defer bd.reg.m.Span(pdm.TagBulkload)()
+	defer bd.reg.m.Span(pdm.TagBulkload).End()
 
 	// The dictionary's own region may span only a subset of the
 	// machine's disks; scratch stripes span them all, which is fine —

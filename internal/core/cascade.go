@@ -440,7 +440,7 @@ func (c *cascade) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.m.OpSpan(op, pdm.TagInsert)()
+	defer c.m.OpSpan(op, pdm.TagInsert).End()
 	sc := c.scratch.get()
 	defer c.scratch.put(sc)
 
@@ -559,7 +559,7 @@ func (c *cascade) Delete(x pdm.Word) bool {
 func (c *cascade) DeleteOp(op *pdm.Op, x pdm.Word) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.m.OpSpan(op, pdm.TagDelete)()
+	defer c.m.OpSpan(op, pdm.TagDelete).End()
 	sc := c.scratch.get()
 	defer c.scratch.put(sc)
 	sc.one = c.probeLocked(sc, x, sc.one[:0])

@@ -117,7 +117,7 @@ func (j *RepairJob) Step(op *pdm.Op, nRows int) (bool, error) {
 	if j.done {
 		return true, nil
 	}
-	defer bd.reg.m.OpSpan(op, pdm.TagRepair)()
+	defer bd.reg.m.OpSpan(op, pdm.TagRepair).End()
 	ss := bd.striped.StripeSize()
 	processed := 0
 	defer func() { bd.reg.m.NoteRepairChunk(processed) }()
@@ -278,7 +278,7 @@ func (bd *BasicDict) ScrubRange(op *pdm.Op, disk, row, nRows int) (bad []pdm.Add
 	if bd.striped == nil {
 		return nil, row, true // head-model layout has no per-disk stripes
 	}
-	defer bd.reg.m.OpSpan(op, pdm.TagScrub)()
+	defer bd.reg.m.OpSpan(op, pdm.TagScrub).End()
 	ss := bd.striped.StripeSize()
 	if nRows <= 0 {
 		nRows = 1

@@ -276,7 +276,7 @@ func (d *Dict) measureOpLocked(op *pdm.Op, shared []*pdm.Op, tag pdm.Tag, n int,
 		n = 1
 	}
 	var beforeBuf [8]int64
-	var endBuf [8]func()
+	var endBuf [8]pdm.SpanEnd
 	befores, ends := beforeBuf[:0], endBuf[:0]
 	for _, o := range parts {
 		befores = append(befores, o.MaxMachineSteps())
@@ -284,7 +284,7 @@ func (d *Dict) measureOpLocked(op *pdm.Op, shared []*pdm.Op, tag pdm.Tag, n int,
 	}
 	err := fn(op)
 	for i := len(ends) - 1; i >= 0; i-- {
-		ends[i]()
+		ends[i].End()
 	}
 	d.statsMu.Lock()
 	for i, o := range parts {
@@ -482,7 +482,7 @@ func (d *Dict) migrateStepLocked(op *pdm.Op) {
 	// foreground operation, and the charge lands on the operation that
 	// performed the migration work, exactly as the amortization argument
 	// charges it.
-	defer d.active.machine().OpSpan(op, pdm.TagRebuild)()
+	defer d.active.machine().OpSpan(op, pdm.TagRebuild).End()
 	sc := d.scratch.get()
 	defer d.scratch.put(sc)
 	memb := d.active.membership()

@@ -258,3 +258,49 @@ func TestPropertyDictMatchesMap(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDictOpStraddlingMigration follows hooked Dict operations through a
+// migration's last steps, each touching the draining and the filling
+// machine: every op hands its borrowed span stack back, and its
+// per-machine cost is what the two machines charged — the same with the
+// hook as without.
+func TestDictOpStraddlingMigration(t *testing.T) {
+	cfg := DictConfig{InitialCapacity: 32, SatWords: 0, MigrateBatch: 2, Seed: 7}
+	hooked, plain := newDict(t, cfg), newDict(t, cfg)
+	hooked.SetHook(nopHook{})
+	for _, d := range []*Dict{hooked, plain} {
+		for i := 0; i < 33; i++ {
+			if err := d.Insert(pdm.Word(i+1), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	finished := false
+	for i := 0; i < 100 && hooked.Migrating(); i++ {
+		a, b := hooked.active.machine(), hooked.next.machine()
+		stepsA, stepsB := a.StepCount(), b.StepCount()
+		idle := a.IdleSpanStacks() + b.IdleSpanStacks()
+		if idle == 0 {
+			t.Fatalf("op %d: the earlier hooked ops left no idle span stack", i)
+		}
+		op, twin := pdm.MakeOp(uint64(i+1), 0, 1), pdm.MakeOp(uint64(i+1), 0, 1)
+		hooked.DeleteOp(op, 1<<40)
+		plain.DeleteOp(twin, 1<<40)
+		if got := a.IdleSpanStacks() + b.IdleSpanStacks(); got != idle {
+			t.Fatalf("op %d: the machines hold %d idle span stacks after it, %d before", i, got, idle)
+		}
+		da, db := a.StepCount()-stepsA, b.StepCount()-stepsB
+		if op.Steps() != da+db || op.MaxMachineSteps() != max(da, db) {
+			t.Fatalf("op %d: Steps %d, MaxMachineSteps %d; the machines charged %d and %d",
+				i, op.Steps(), op.MaxMachineSteps(), da, db)
+		}
+		if op.MaxMachineSteps() != twin.MaxMachineSteps() || op.Steps() != twin.Steps() {
+			t.Fatalf("op %d: hooked cost %d/%d, unhooked %d/%d", i,
+				op.MaxMachineSteps(), op.Steps(), twin.MaxMachineSteps(), twin.Steps())
+		}
+		finished = !hooked.Migrating()
+	}
+	if !finished || plain.Migrating() {
+		t.Fatal("the migration did not finish inside an operation on both dictionaries")
+	}
+}

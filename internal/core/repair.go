@@ -87,7 +87,7 @@ func tryReadPolicy(m *pdm.Machine, rs *retryScratch, rb *pdm.ReadBuf, op *pdm.Op
 		if b := pol.Backoff(attempt + 1); b > 0 {
 			endBackoff := m.OpSpan(op, pdm.TagBackoff)
 			m.ChargeSteps(op, b)
-			endBackoff()
+			endBackoff.End()
 		}
 		if pol.Hedge {
 			hedged := 0
@@ -189,7 +189,7 @@ func tryWritePolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, writes []pd
 		if b := pol.Backoff(attempt + 1); b > 0 {
 			endBackoff := m.OpSpan(op, pdm.TagBackoff)
 			m.ChargeSteps(op, b)
-			endBackoff()
+			endBackoff.End()
 		}
 		m.NoteRetry()
 		rerr := m.TryBatchWriteOp(op, retryWrites)
@@ -334,7 +334,7 @@ func (bd *BasicDict) Repair(disk int) error {
 	}
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
-	defer bd.reg.m.Span(pdm.TagRepair)()
+	defer bd.reg.m.Span(pdm.TagRepair).End()
 	for r := range j.rows {
 		if err := j.collectRowLocked(nil, r); err != nil {
 			return err
@@ -356,7 +356,7 @@ func (bd *BasicDict) Repair(disk int) error {
 func (bd *BasicDict) Scrub() []pdm.Addr {
 	bd.mu.RLock()
 	defer bd.mu.RUnlock()
-	defer bd.reg.m.Span(pdm.TagScrub)()
+	defer bd.reg.m.Span(pdm.TagScrub).End()
 	d := bd.reg.nDisks
 	rows := ceilDiv(bd.buckets, d)
 	var bad []pdm.Addr

@@ -25,19 +25,19 @@ import (
 // mutates the blocks it read in place and the machine copies them into
 // the shards during the write call.
 type probeScratch struct {
-	ns      []int        // neighbor ids of the key being probed
-	one     []pdm.Addr   // one key's probe addresses, in probe order
-	buf     pdm.ReadBuf  // blocks of the round in flight
-	buf2    pdm.ReadBuf  // cascade updates: a level beyond the first probe, read while round one's blocks still await the write
-	retries retryScratch // a fault-aware round's retries, whose blocks join buf's views
-	frags   [][]pdm.Word // fragment index / replica rank → record data
-	memb    [1]pdm.Word  // a membership sub-dictionary's one-word satellite
-	fields  [][]pdm.Word // one key's d chain fields
-	view    [][]pdm.Word // one key's blocks, in probe order
-	r1, r2  dedup        // first and second read round
-	deep    []deepKey    // cascade lookups: keys beyond the first probe
-	ops     []*pdm.Op    // shared rounds: the later round's tokens
-	ends    []func()     // the root lookup spans' closers
+	ns      []int         // neighbor ids of the key being probed
+	one     []pdm.Addr    // one key's probe addresses, in probe order
+	buf     pdm.ReadBuf   // blocks of the round in flight
+	buf2    pdm.ReadBuf   // cascade updates: a level beyond the first probe, read while round one's blocks still await the write
+	retries retryScratch  // a fault-aware round's retries, whose blocks join buf's views
+	frags   [][]pdm.Word  // fragment index / replica rank → record data
+	memb    [1]pdm.Word   // a membership sub-dictionary's one-word satellite
+	fields  [][]pdm.Word  // one key's d chain fields
+	view    [][]pdm.Word  // one key's blocks, in probe order
+	r1, r2  dedup         // first and second read round
+	deep    []deepKey     // cascade lookups: keys beyond the first probe
+	ops     []*pdm.Op     // shared rounds: the later round's tokens
+	ends    []pdm.SpanEnd // the root lookup spans' ends
 
 	// Updates: the one write list, BasicDict's greedy placement (loads,
 	// chosen stripes, changed buckets, one record, a canonical bucket's
@@ -144,9 +144,9 @@ func (sc *probeScratch) openSpans(m *pdm.Machine, tag pdm.Tag, op *pdm.Op, share
 
 func (sc *probeScratch) closeSpans() {
 	for i := len(sc.ends) - 1; i >= 0; i-- {
-		sc.ends[i]()
-		sc.ends[i] = nil
+		sc.ends[i].End()
 	}
+	clear(sc.ends)
 }
 
 // hasNil reports whether a key's view lacks a block: a failed

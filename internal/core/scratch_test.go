@@ -34,7 +34,9 @@ func pinAllocs(t *testing.T, name string, want float64, fn func()) {
 // retried: its draws, outcomes and errors live in the machine's pooled
 // scratch and the probe scratch's buffers. A read of more than pdm's 32
 // inline blocks — d = 40 here — adds the partitioned path's per-disk
-// closure, and a Dict operation the token it mints.
+// closure, and a Dict operation the token it mints. A hook adds nothing:
+// the hooked rows cost what they do unhooked, so pdm's span machinery is
+// free once warm and a hook's cost is its consumers' alone.
 func TestAllocationPins(t *testing.T) {
 	const n = 512
 	recs := makeRecords(n, 2, 5)
@@ -214,10 +216,50 @@ func TestAllocationPins(t *testing.T) {
 			}
 		})
 	}
+
+	// With a no-op hook installed, every row below costs exactly what it
+	// does unhooked: a span's end is a value, a token's span stack is
+	// borrowed from the machine and handed back, and nested span paths
+	// ("insert.probe") are interned. A row with a fresh token adds the
+	// token; the Dict mints one per operation.
+	hooked := []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"Basic.Lookup hit", 1, func() { basic.Lookup(keys[3]) }},
+		{"Basic.LookupOp hit, fresh token", 2, func() { basic.LookupOp(pdm.MakeOp(1, 0, 1), keys[3]) }},
+		{"Basic.Insert existing", 0, func() { basic.Insert(recs[3].Key, recs[3].Sat) }},
+		{"Basic.InsertOp existing, fresh token", 1, func() { basic.InsertOp(pdm.MakeOp(1, 0, 1), recs[3].Key, recs[3].Sat) }},
+		{"Dynamic.Lookup hit", 2, func() { dynamic.Lookup(shallow.Key) }},
+		{"Dynamic.LookupOp hit, fresh token", 3, func() { dynamic.LookupOp(pdm.MakeOp(1, 0, 1), shallow.Key) }},
+		{"Dynamic.Insert existing", 1, func() { dynamic.Insert(shallow.Key, shallow.Sat) }},
+		{"Dynamic.InsertOp existing, fresh token", 2, func() { dynamic.InsertOp(pdm.MakeOp(1, 0, 1), shallow.Key, shallow.Sat) }},
+		{"Dict.Lookup hit", 3, func() { dict.Lookup(keys[3]) }},
+		{"Dict.Insert existing", 2, func() { dict.Insert(recs[3].Key, recs[3].Sat) }},
+	}
+	for _, h := range []pdm.Hook{nil, nopHook{}} {
+		basic.reg.m.SetHook(h)
+		dynamic.m.SetHook(h)
+		dict.SetHook(h)
+		for _, r := range hooked {
+			name := r.name
+			if h != nil {
+				name += " hooked"
+			}
+			pinAllocs(t, name, r.want, r.fn)
+		}
+	}
 	if dict.Migrating() {
 		t.Fatal("the update rows started a migration")
 	}
 }
+
+// nopHook observes nothing, so a hooked operation's cost is the span
+// machinery's own.
+type nopHook struct{}
+
+func (nopHook) Event(pdm.Event) {}
 
 // failStop fail-stops one disk.
 type failStop int

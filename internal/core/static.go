@@ -157,7 +157,7 @@ func BuildStatic(m *pdm.Machine, cfg StaticConfig, recs []bucket.Record) (*Stati
 	if err := sd.layout(); err != nil {
 		return nil, err
 	}
-	defer m.Span(pdm.TagBuild)()
+	defer m.Span(pdm.TagBuild).End()
 	start := m.Stats()
 	if err := sd.construct(recs); err != nil {
 		return nil, err
@@ -272,7 +272,7 @@ func (sd *StaticDict) fieldSlot(j int) int {
 // blocks holding Γ(x)'s fields; CaseA additionally reads the d
 // membership buckets in the same batch, on its other d disks.
 func (sd *StaticDict) Lookup(x pdm.Word) ([]pdm.Word, bool) {
-	defer sd.m.Span(pdm.TagLookup)()
+	defer sd.m.Span(pdm.TagLookup).End()
 	sc := sd.scratch.get()
 	defer sd.scratch.put(sc)
 	d := sd.d

@@ -135,7 +135,7 @@ func (c *Cuckoo) writeCell(table, cell int, data []pdm.Word) {
 // Lookup returns a copy of x's satellite and whether x is present.
 // Cost: exactly one parallel I/O.
 func (c *Cuckoo) Lookup(x pdm.Word) ([]pdm.Word, bool) {
-	defer c.m.Span(pdm.TagLookup)()
+	defer c.m.Span(pdm.TagLookup).End()
 	cells := c.readBoth(x)
 	for _, cell := range cells {
 		if cell[0] == 1 && cell[1] == x {
@@ -159,7 +159,7 @@ func (c *Cuckoo) Insert(x pdm.Word, sat []pdm.Word) error {
 	if len(sat) != c.cfg.SatWords {
 		return fmt.Errorf("hashing: satellite of %d words, config says %d", len(sat), c.cfg.SatWords)
 	}
-	defer c.m.Span(pdm.TagInsert)()
+	defer c.m.Span(pdm.TagInsert).End()
 	cells := c.readBoth(x)
 	// Update in place.
 	for t, cell := range cells {
@@ -240,7 +240,7 @@ func (errFull) Error() string { return "hashing: cuckoo table full" }
 // rehash collects every record, draws fresh hash functions, and
 // reinserts — the amortized-expected-constant tail of [13].
 func (c *Cuckoo) rehash(pendingKey pdm.Word, pendingSat []pdm.Word) error {
-	defer c.m.Span(pdm.TagRehash)()
+	defer c.m.Span(pdm.TagRehash).End()
 	c.Rehashes++
 	if c.Rehashes > 64 {
 		return ErrCuckooFull
@@ -294,7 +294,7 @@ func (c *Cuckoo) insertNoCount(x pdm.Word, sat []pdm.Word) error {
 
 // Delete removes x and reports whether it was present.
 func (c *Cuckoo) Delete(x pdm.Word) bool {
-	defer c.m.Span(pdm.TagDelete)()
+	defer c.m.Span(pdm.TagDelete).End()
 	cells := c.readBoth(x)
 	for t, cell := range cells {
 		if cell[0] == 1 && cell[1] == x {

@@ -147,7 +147,7 @@ func (t *Table) findInChain(key pdm.Word, visit func(stripe int, data []pdm.Word
 // one parallel I/O per stripe in x's bucket chain (exactly one in the
 // no-overflow regime).
 func (t *Table) Lookup(x pdm.Word) ([]pdm.Word, bool) {
-	defer t.m.Span(pdm.TagLookup)()
+	defer t.m.Span(pdm.TagLookup).End()
 	sat, ok := t.findInChain(x, nil)
 	if !ok {
 		return nil, false
@@ -171,7 +171,7 @@ func (t *Table) Insert(x pdm.Word, sat []pdm.Word) error {
 	if len(sat) != t.cfg.SatWords {
 		return fmt.Errorf("hashing: satellite of %d words, config says %d", len(sat), t.cfg.SatWords)
 	}
-	defer t.m.Span(pdm.TagInsert)()
+	defer t.m.Span(pdm.TagInsert).End()
 	type seen struct {
 		stripe int
 		data   []pdm.Word
@@ -217,7 +217,7 @@ func (t *Table) Insert(x pdm.Word, sat []pdm.Word) error {
 
 // Delete removes x and reports whether it was present.
 func (t *Table) Delete(x pdm.Word) bool {
-	defer t.m.Span(pdm.TagDelete)()
+	defer t.m.Span(pdm.TagDelete).End()
 	var lastStripe int
 	var lastData []pdm.Word
 	sat, ok := t.findInChain(x, func(stripe int, data []pdm.Word) {

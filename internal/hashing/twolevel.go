@@ -110,7 +110,7 @@ func (tl *TwoLevel) cellOf(x pdm.Word) (stripe, off int) {
 // Cost: one parallel I/O for the primary cell; one more only when the
 // cell carries a collision marker.
 func (tl *TwoLevel) Lookup(x pdm.Word) ([]pdm.Word, bool) {
-	defer tl.m.Span(pdm.TagLookup)()
+	defer tl.m.Span(pdm.TagLookup).End()
 	stripe, off := tl.cellOf(x)
 	data := tl.m.ReadStripe(stripe)
 	cell := data[off : off+2+tl.cfg.SatWords]
@@ -141,7 +141,7 @@ func (tl *TwoLevel) Insert(x pdm.Word, sat []pdm.Word) error {
 	if len(sat) != tl.cfg.SatWords {
 		return fmt.Errorf("hashing: satellite of %d words, config says %d", len(sat), tl.cfg.SatWords)
 	}
-	defer tl.m.Span(pdm.TagInsert)()
+	defer tl.m.Span(pdm.TagInsert).End()
 	stripe, off := tl.cellOf(x)
 	data := tl.m.ReadStripe(stripe)
 	cell := data[off : off+2+tl.cfg.SatWords]
@@ -190,7 +190,7 @@ func (tl *TwoLevel) Insert(x pdm.Word, sat []pdm.Word) error {
 // are left in place (the cell stays routed to the secondary), matching
 // the structure's no-unmarking description in the paper.
 func (tl *TwoLevel) Delete(x pdm.Word) bool {
-	defer tl.m.Span(pdm.TagDelete)()
+	defer tl.m.Span(pdm.TagDelete).End()
 	stripe, off := tl.cellOf(x)
 	data := tl.m.ReadStripe(stripe)
 	cell := data[off : off+2+tl.cfg.SatWords]

@@ -329,7 +329,7 @@ func Replay(m *pdm.Machine, events []pdm.Event) pdm.Stats {
 		}
 		return o
 	}
-	var stack []func()
+	var stack []pdm.SpanEnd
 	for _, e := range events {
 		switch e.Kind {
 		case pdm.EventSpanBegin:
@@ -339,7 +339,7 @@ func Replay(m *pdm.Machine, events []pdm.Event) pdm.Stats {
 			leaf, ok := pdm.ParseTag(e.Tag[strings.LastIndexByte(e.Tag, '.')+1:])
 			switch {
 			case !ok:
-				stack = append(stack, func() {}) // keeps the stack balanced for the span_end
+				stack = append(stack, pdm.SpanEnd{}) // keeps the stack balanced for the span_end
 			case e.Op != 0:
 				stack = append(stack, m.OpSpan(op(e.Op, e.Client, e.Keys), leaf))
 			default:
@@ -347,7 +347,7 @@ func Replay(m *pdm.Machine, events []pdm.Event) pdm.Stats {
 			}
 		case pdm.EventSpanEnd:
 			if n := len(stack); n > 0 {
-				stack[n-1]()
+				stack[n-1].End()
 				stack = stack[:n-1]
 			}
 		case pdm.EventHealth, pdm.EventAlert:
@@ -380,7 +380,7 @@ func Replay(m *pdm.Machine, events []pdm.Event) pdm.Stats {
 		}
 	}
 	for i := len(stack) - 1; i >= 0; i-- {
-		stack[i]()
+		stack[i].End()
 	}
 	return m.Stats().Sub(before)
 }

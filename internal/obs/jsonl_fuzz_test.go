@@ -26,13 +26,13 @@ func FuzzReadEvents(f *testing.F) {
 	end := m.OpSpan(op, pdm.TagLookup)
 	m.BatchReadOp(op, []pdm.Addr{{Disk: 0, Block: 0}, {Disk: 1, Block: 2}})
 	m.BatchReadShared([]*pdm.Op{op, m.NewOp(4, 1)}, []pdm.Addr{{Disk: 2, Block: 1}})
-	end()
+	end.End()
 	inner := m.Span(pdm.TagInsert)
 	probe := m.Span(pdm.TagProbe)
 	m.BatchWrite([]pdm.BlockWrite{{Addr: pdm.Addr{Disk: 3, Block: 1}, Data: []pdm.Word{7}}})
-	probe()
+	probe.End()
 	m.ChargeSteps(nil, 2)
-	inner()
+	inner.End()
 	w.Event(pdm.Event{Kind: pdm.EventHealth, Tag: "health.failed", Addrs: []pdm.Addr{{Disk: 1}}, From: "healthy", To: "failed", Step: 4})
 	w.Event(pdm.Event{Kind: pdm.EventAlert, Tag: "alert.firing", Rule: "balance", From: "pending", To: "firing", Value: 12})
 	if err := w.Close(); err != nil {

@@ -108,7 +108,7 @@ func TestJSONLRoundTripAndReplay(t *testing.T) {
 		{Addr: pdm.Addr{Disk: 0, Block: 0}, Data: []pdm.Word{1}},
 		{Addr: pdm.Addr{Disk: 0, Block: 1}, Data: []pdm.Word{2}},
 	})
-	end()
+	end.End()
 	m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}, {Disk: 1, Block: 0}})
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -201,9 +201,9 @@ func TestReplayReproducesSpanStructure(t *testing.T) {
 		end := m.Span(pdm.TagInsert)
 		inner := m.Span(pdm.TagProbe)
 		m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}})
-		inner()
+		inner.End()
 		m.BatchWrite([]pdm.BlockWrite{{Addr: pdm.Addr{Disk: 1, Block: 0}}})
-		end()
+		end.End()
 	})
 	var buf bytes.Buffer
 	w := NewJSONLWriter(&buf)
@@ -350,11 +350,11 @@ func TestCollectorAggregates(t *testing.T) {
 		{Addr: pdm.Addr{Disk: 0, Block: 0}, Data: []pdm.Word{1}},
 		{Addr: pdm.Addr{Disk: 1, Block: 0}, Data: []pdm.Word{2}},
 	})
-	end()
+	end.End()
 	end = m.Span(pdm.TagLookup)
 	m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}})
 	m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}})
-	end()
+	end.End()
 
 	events, reads, writes, steps, blocks := c.Totals()
 	if events != 3 || reads != 2 || writes != 1 || steps != 3 || blocks != 4 {
@@ -430,7 +430,7 @@ func TestCollectorConcurrent(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				end := m.Span(pdm.TagLookup)
 				m.BatchRead([]pdm.Addr{{Disk: g % 4, Block: i % 8}})
-				end()
+				end.End()
 			}
 		}(g)
 	}

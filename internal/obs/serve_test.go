@@ -137,11 +137,11 @@ func serveTestState(t *testing.T) (*Server, *pdm.Machine) {
 	for i := 0; i < 4; i++ {
 		end := m.Span(pdm.TagInsert)
 		m.BatchWrite([]pdm.BlockWrite{{Addr: pdm.Addr{Disk: i % 4, Block: i}}})
-		end()
+		end.End()
 	}
 	end := m.Span(pdm.TagLookup)
 	m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}, {Disk: 1, Block: 1}})
-	end()
+	end.End()
 	return &Server{
 		Collector:   c,
 		Ring:        ring,
@@ -227,7 +227,7 @@ func TestMetricsCountsFaults(t *testing.T) {
 	if _, err := m.TryBatchRead([]pdm.Addr{{Disk: 0, Block: 0}}); err != nil {
 		t.Fatalf("stalled read should still succeed: %v", err)
 	}
-	end()
+	end.End()
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	fams := parseProm(t, rec.Body)

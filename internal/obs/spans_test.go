@@ -31,9 +31,9 @@ func TestSpanFolderReconstructsNestedOps(t *testing.T) {
 	end := m.Span(pdm.TagInsert)
 	probe := m.Span(pdm.TagProbe)
 	m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}, {Disk: 1, Block: 0}}) // 1 step, 2 blocks
-	probe()
+	probe.End()
 	m.BatchWrite([]pdm.BlockWrite{{Addr: pdm.Addr{Disk: 0, Block: 1}}}) // 1 step, 1 block
-	end()
+	end.End()
 
 	recs := FoldSpans(rec.events, CostModel{})
 	if len(recs) != 2 {
@@ -113,8 +113,8 @@ func TestCollectorFoldsOpsFromSpans(t *testing.T) {
 		end := m.Span(pdm.TagLookup)
 		inner := m.Span(pdm.TagProbe)
 		m.BatchRead([]pdm.Addr{{Disk: 0, Block: i}})
-		inner()
-		end()
+		inner.End()
+		end.End()
 	}
 
 	ops := c.Ops()
@@ -156,7 +156,7 @@ func TestCollectorCustomCostModel(t *testing.T) {
 	m.SetHook(c)
 	end := m.Span(pdm.TagLookup)
 	m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}})
-	end()
+	end.End()
 	agg := c.Ops()["lookup"]
 	if agg == nil || agg.LatencySumNanos != int64(time.Second) {
 		t.Fatalf("agg = %+v, want 1s modeled latency", agg)

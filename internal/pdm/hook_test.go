@@ -77,9 +77,9 @@ func TestSpanTagsJoin(t *testing.T) {
 	m.BatchRead([]Addr{{0, 0}})
 	endProbe := m.Span(TagProbe)
 	m.BatchRead([]Addr{{0, 0}})
-	endProbe()
+	endProbe.End()
 	m.BatchWrite([]BlockWrite{{Addr: Addr{1, 0}, Data: []Word{1}}})
-	end()
+	end.End()
 	m.BatchRead([]Addr{{0, 0}}) // outside any span
 
 	type want struct {
@@ -137,8 +137,8 @@ func TestSpanEventsCarryIDsAndSteps(t *testing.T) {
 	m.BatchRead([]Addr{{0, 0}}) // 1 step
 	endProbe := m.Span(TagProbe)
 	m.BatchRead([]Addr{{0, 0}, {1, 0}}) // 1 step
-	endProbe()
-	end()
+	endProbe.End()
+	end.End()
 
 	evs := h.all()
 	// [span_begin insert][read][span_begin probe][read][span_end probe][span_end insert]
@@ -176,7 +176,7 @@ func TestSpanWallClockInjection(t *testing.T) {
 
 	end := m.Span(TagLookup)
 	m.BatchRead([]Addr{{0, 0}})
-	end()
+	end.End()
 
 	evs := h.all()
 	if len(evs) != 3 {
@@ -200,8 +200,8 @@ func TestSpanIDsDeterministic(t *testing.T) {
 			m.BatchWrite([]BlockWrite{{Addr: Addr{i % 2, i}, Data: []Word{Word(i)}}})
 			inner := m.Span(TagProbe)
 			m.BatchRead([]Addr{{i % 2, i}})
-			inner()
-			end()
+			inner.End()
+			end.End()
 		}
 		return h.all()
 	}
@@ -220,7 +220,7 @@ func TestSpanWithNilHookAllocatesNothing(t *testing.T) {
 	m := NewMachine(Config{D: 2, B: 2})
 	if avg := testing.AllocsPerRun(1000, func() {
 		end := m.Span(TagLookup)
-		end()
+		end.End()
 	}); avg != 0 {
 		t.Errorf("nil-hook Span allocates %.1f objects per call, want 0", avg)
 	}
@@ -241,7 +241,7 @@ func TestBatchWithNilHookAddsNoAllocations(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() {
 		end := m.Span(TagLookup)
 		m.BatchRead(addrs)
-		end()
+		end.End()
 	}); avg != 2 {
 		t.Errorf("nil-hook traced fresh-buffer read of %d blocks allocates %.1f objects, want 2 (arena, views)", d, avg)
 	}
@@ -250,7 +250,7 @@ func TestBatchWithNilHookAddsNoAllocations(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() {
 		end := m.OpSpan(op, TagLookup)
 		m.BatchReadInto(&rb, op, nil, addrs)
-		end()
+		end.End()
 	}); avg != 0 {
 		t.Errorf("nil-hook traced read into a warm buffer allocates %.1f objects, want 0", avg)
 	}
@@ -259,7 +259,7 @@ func TestBatchWithNilHookAddsNoAllocations(t *testing.T) {
 		if _, err := m.TryBatchReadInto(&rb, op, nil, addrs); err != nil {
 			t.Fatal(err)
 		}
-		end()
+		end.End()
 	}); avg != 0 {
 		t.Errorf("nil-hook traced fault-free Try read into a warm buffer allocates %.1f objects, want 0", avg)
 	}
@@ -271,7 +271,7 @@ func TestBatchWithNilHookAddsNoAllocations(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() {
 		end := m.OpSpan(op, TagLookup)
 		_, err = m.TryBatchReadInto(&rb, op, nil, addrs)
-		end()
+		end.End()
 	}); avg != 0 {
 		t.Errorf("nil-hook traced faulted Try read into a warm buffer allocates %.1f objects, want 0", avg)
 	}
@@ -379,7 +379,7 @@ func TestHookAndSpansConcurrent(t *testing.T) {
 				a := Addr{Disk: g % 4, Block: i % 8}
 				m.BatchWrite([]BlockWrite{{Addr: a, Data: []Word{Word(g)}}})
 				m.BatchRead([]Addr{a})
-				end()
+				end.End()
 			}
 		}(g)
 	}

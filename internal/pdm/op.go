@@ -23,7 +23,6 @@ type Op struct {
 	keys   int
 
 	steps  atomic.Int64
-	blocks atomic.Int64
 	reads  atomic.Int64
 	writes atomic.Int64
 	faults atomic.Int64
@@ -32,16 +31,21 @@ type Op struct {
 	// (two structures on disjoint disks during a rebuild) costs an
 	// operation the MAXIMUM of its per-machine steps — the machines work
 	// in parallel — while Steps() keeps the plain total. Lanes are
-	// assigned on first charge; a token is meant to cover one logical
-	// operation, which touches at most a few machines.
+	// assigned on first charge; a token covers one logical operation,
+	// which touches at most two machines: a Dict operation reaches the
+	// draining and the filling structure, and a migration that finishes
+	// inside an operation never starts another before it ends.
 	lanes     [opLanes]atomic.Pointer[Machine]
 	laneSteps [opLanes]atomic.Int64
 
-	// frames is the op's private span stack. It replaces the machine's
-	// shared stack for token-carrying operations: a nested span parents
-	// onto this op's innermost open span, never another goroutine's.
-	// Only the owning goroutine touches it.
-	frames []spanFrame
+	// stack is the op's private span stack, nil while no span of the op
+	// is open. It replaces the machine's shared stack for token-carrying
+	// operations: a nested span parents onto this op's innermost open
+	// span, never another goroutine's. The stack is borrowed from the
+	// machine that opens the op's root span and handed back when the
+	// root span closes (see openSpan). Only the owning goroutine touches
+	// it.
+	stack *spanStack
 }
 
 // MakeOp constructs a token with an explicitly chosen ID. It exists for
@@ -86,12 +90,10 @@ func (o *Op) Steps() int64 {
 	return o.steps.Load()
 }
 
-// Blocks returns the block transfers charged to the op so far.
+// Blocks returns the block transfers charged to the op so far: its
+// reads plus its writes.
 func (o *Op) Blocks() int64 {
-	if o == nil {
-		return 0
-	}
-	return o.blocks.Load()
+	return o.Reads() + o.Writes()
 }
 
 // Reads returns the block reads charged to the op so far.
@@ -122,7 +124,7 @@ func (o *Op) Faults() int64 {
 // covers one logical operation, which touches at most two machines
 // (draining + filling structure); extra machines beyond the bound still
 // charge the total but are not broken out per machine.
-const opLanes = 4
+const opLanes = 2
 
 // MaxMachineSteps returns the largest per-machine step total charged to
 // the op: its cost under the parallel-disk convention that machines on
@@ -166,7 +168,6 @@ func (o *Op) charge(m *Machine, kind EventKind, steps, blocks, faults int) {
 	if lane := o.laneFor(m); lane != nil {
 		lane.Add(int64(steps))
 	}
-	o.blocks.Add(int64(blocks))
 	if kind == EventWrite {
 		o.writes.Add(int64(blocks))
 	} else {
@@ -193,10 +194,10 @@ func chargeOps(m *Machine, op *Op, shared []*Op, kind EventKind, steps, blocks, 
 }
 
 // OpSpan opens a span owned by op. It behaves like Span — fires an
-// EventSpanBegin, returns the closer that fires the matching
+// EventSpanBegin, returns the SpanEnd that fires the matching
 // EventSpanEnd — but the span parents onto op's innermost open span
 // (its private stack), not the machine's shared stack, so concurrent
-// operations nest correctly: the returned closure ends exactly the span
+// operations nest correctly: the returned SpanEnd ends exactly the span
 // this call opened. Span and batch events of a token-carrying operation
 // are stamped with the op's ID and client; the root span additionally
 // carries the op's key count. A nil op falls back to Span(tag)
@@ -205,14 +206,14 @@ func chargeOps(m *Machine, op *Op, shared []*Op, kind EventKind, steps, blocks, 
 // Spans of one op may be opened on different machines (a dictionary
 // migrating between two machines opens phases on both); the op's stack
 // spans them seamlessly, though span IDs are only unique per machine.
-func (m *Machine) OpSpan(op *Op, tag Tag) func() {
+func (m *Machine) OpSpan(op *Op, tag Tag) SpanEnd {
 	if op == nil {
 		return m.Span(tag)
 	}
 	if !m.openSpan(op, tag) {
-		return noopEndSpan
+		return SpanEnd{}
 	}
-	return func() { m.closeSpan(op) }
+	return SpanEnd{m, op}
 }
 
 // BatchReadOp is BatchRead with the batch charged and attributed to op:

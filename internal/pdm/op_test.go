@@ -24,10 +24,10 @@ func TestOpSpanPrivateStacks(t *testing.T) {
 	endB := m.OpSpan(opB, TagInsert)   // B root — interleaved
 	endA2 := m.OpSpan(opA, TagProbe)   // must parent onto A's root, not B's
 	endB2 := m.OpSpan(opB, TagRebuild) // must parent onto B's root, not A's probe
-	endA2()
-	endB2()
-	endA()
-	endB()
+	endA2.End()
+	endB2.End()
+	endA.End()
+	endB.End()
 
 	evs := h.all()
 	begins := map[string]Event{} // tag path -> begin event
@@ -113,8 +113,8 @@ func TestOpSpanConcurrentClients(t *testing.T) {
 				end := m.OpSpan(op, TagLookup)
 				endProbe := m.OpSpan(op, TagProbe)
 				m.BatchReadOp(op, []Addr{{Disk: c, Block: 0}})
-				endProbe()
-				end()
+				endProbe.End()
+				end.End()
 			}
 		}(c)
 	}

@@ -409,17 +409,18 @@ type Machine struct {
 
 	nextOp atomic.Uint64 // operation-token ID counter; IDs start at 1
 
-	// emitMu serializes event emission: the span stack, the sequence
+	// emitMu serializes event emission: the span stacks, the sequence
 	// counter, and every hook call. hooked mirrors hook != nil so the
 	// untraced fast path is one lock-free load.
 	emitMu   sync.Mutex
 	hooked   atomic.Bool
-	hook     Hook         // guarded by emitMu
-	seq      uint64       // guarded by emitMu
-	spans    []spanFrame  // guarded by emitMu
-	nextSpan uint64       // guarded by emitMu; span ID counter, IDs start at 1
-	wall     func() int64 // guarded by emitMu; injected wall clock in nanoseconds, nil = no wall timing
-	endSpan  func()       // shared pop closure, allocated once at construction
+	hook     Hook                // guarded by emitMu
+	seq      uint64              // guarded by emitMu
+	spans    []spanFrame         // guarded by emitMu; the shared stack of token-less spans
+	stacks   []*spanStack        // guarded by emitMu; idle op span stacks, lent by openSpan
+	paths    map[spanPath]string // guarded by emitMu; interned nested span paths
+	nextSpan uint64              // guarded by emitMu; span ID counter, IDs start at 1
+	wall     func() int64        // guarded by emitMu; injected wall clock in nanoseconds, nil = no wall timing
 
 	// faultMu serializes fault-injector consultation so each Try batch
 	// draws its per-access decisions contiguously, in batch order —
@@ -440,13 +441,26 @@ type Machine struct {
 	repairRows   atomic.Int64 // bucket rows covered by those chunks
 }
 
-// spanFrame is one open span on the machine's stack.
+// spanFrame is one open span on a span stack.
 type spanFrame struct {
 	id        uint64
 	parent    uint64
 	path      string // dot-joined tag path, e.g. "insert.probe"
 	beginWall int64  // injected-clock nanoseconds at open; 0 without a clock
 }
+
+// spanStack is an op's private span stack. Machines keep idle ones for
+// reuse, so a hooked operation's spans allocate nothing once warm.
+type spanStack struct{ frames []spanFrame }
+
+// spanPath keys an interned nested span path: the parent's path and
+// the child's tag.
+type spanPath struct{ parent, tag string }
+
+// maxSpanPaths bounds the interned paths per machine. Dictionaries nest
+// a handful of declared tags, so the bound only binds on a replay of an
+// adversarial trace, whose deeper paths are then joined afresh.
+const maxSpanPaths = 1024
 
 // NewMachine returns a machine with the given configuration. It panics if
 // the configuration is invalid; configurations are programmer input, not
@@ -473,7 +487,6 @@ func NewMachine(cfg Config) *Machine {
 			touched: make([]int32, 0, cfg.D),
 		}
 	}
-	m.endSpan = func() { m.closeSpan(nil) }
 	return m
 }
 
@@ -505,10 +518,6 @@ func (m *Machine) SetParallelism(n int) {
 	}
 	m.workers.Store(int32(n))
 }
-
-// noopEndSpan is what Span hands back when no hook is installed, so the
-// untraced path allocates nothing.
-var noopEndSpan = func() {}
 
 // SetWallClock installs (or, with nil, removes) a wall-clock source, a
 // function returning nanoseconds from an arbitrary epoch. When set,
@@ -560,33 +569,52 @@ func ParseTag(name string) (Tag, bool) {
 	return Tag{}, false
 }
 
+// SpanEnd closes the span that Span or OpSpan opened; call End when
+// the spanned phase ends, typically as defer m.Span(tag).End(). It is a
+// value, so opening and closing a span allocates nothing. The zero
+// SpanEnd, which both return when no hook is installed, closes nothing.
+type SpanEnd struct {
+	m  *Machine
+	op *Op
+}
+
+// End closes the span, firing its EventSpanEnd.
+func (s SpanEnd) End() {
+	if s.m != nil {
+		s.m.closeSpan(s.op)
+	}
+}
+
 // Span opens a span: it pushes tag onto the machine's span stack,
 // fires an EventSpanBegin carrying a fresh span ID, the parent's ID,
 // the dot-joined path, and the current step counter, and returns the
-// function that closes the span (call it when the spanned phase ends,
-// typically via defer; closing fires the matching EventSpanEnd).
-// Batches fired while the span is open carry the dot-joined path of
-// open tags and the innermost span's ID — e.g. a batch inside
-// Span(TagProbe) inside Span(TagInsert) is tagged "insert.probe".
+// SpanEnd that closes the span (closing fires the matching
+// EventSpanEnd). Batches fired while the span is open carry the
+// dot-joined path of open tags and the innermost span's ID — e.g. a
+// batch inside Span(TagProbe) inside Span(TagInsert) is tagged
+// "insert.probe".
 //
-// With no hook installed, Span is a single branch returning a shared
-// no-op. The stack is shared across goroutines, so Span alone cannot
-// attribute exactly under concurrency (the returned closure ends the
+// With no hook installed, Span is a single branch returning the zero
+// SpanEnd. The stack is shared across goroutines, so Span alone cannot
+// attribute exactly under concurrency (the returned SpanEnd ends the
 // innermost open span, not necessarily the one this call opened);
 // concurrent operations should carry an Op token and use OpSpan, which
 // nests on the op's private stack and is exact.
-func (m *Machine) Span(tag Tag) func() {
+func (m *Machine) Span(tag Tag) SpanEnd {
 	if !m.openSpan(nil, tag) {
-		return noopEndSpan
+		return SpanEnd{}
 	}
-	return m.endSpan
+	return SpanEnd{m: m}
 }
 
 // openSpan is Span and OpSpan: it pushes tag onto op's private span
 // stack, or onto the machine's shared one when op is nil, and fires the
-// EventSpanBegin. A token-carrying span is stamped with the op's ID and
-// client, and a root one with its key count. Without a hook it does
-// nothing and reports false.
+// EventSpanBegin. An op without an open span borrows an idle stack from
+// the machine (closeSpan hands it back), so the machine holds at most
+// as many stacks as hooked operations were ever open at once. A
+// token-carrying span is stamped with the op's ID and client, and a
+// root one with its key count. Without a hook it does nothing and
+// reports false.
 func (m *Machine) openSpan(op *Op, tag Tag) bool {
 	if !m.hooked.Load() {
 		return false
@@ -598,13 +626,16 @@ func (m *Machine) openSpan(op *Op, tag Tag) bool {
 	}
 	stack := &m.spans
 	if op != nil {
-		stack = &op.frames
+		if op.stack == nil {
+			op.stack = m.borrowStackLocked()
+		}
+		stack = &op.stack.frames
 	}
 	f := spanFrame{path: tag.name}
 	if n := len(*stack); n > 0 {
 		top := (*stack)[n-1]
 		f.parent = top.id
-		f.path = top.path + "." + tag.name
+		f.path = m.joinPathLocked(top.path, tag.name)
 	}
 	m.nextSpan++
 	f.id = m.nextSpan
@@ -629,12 +660,18 @@ func (m *Machine) openSpan(op *Op, tag Tag) bool {
 // closeSpan pops the innermost frame of the stack openSpan pushes onto
 // for op and fires the matching EventSpanEnd. Spans on an op's stack are
 // strictly nested on the owning goroutine, so that frame is the one the
-// matching OpSpan call pushed.
+// matching OpSpan call pushed. Popping an op's root span hands its
+// stack to this machine's idle list — the machine that lent it, unless
+// the op's spans straddle two machines.
 func (m *Machine) closeSpan(op *Op) {
 	m.emitMu.Lock()
 	stack := &m.spans
 	if op != nil {
-		stack = &op.frames
+		if op.stack == nil {
+			m.emitMu.Unlock()
+			return
+		}
+		stack = &op.stack.frames
 	}
 	n := len(*stack)
 	if n == 0 {
@@ -643,6 +680,10 @@ func (m *Machine) closeSpan(op *Op) {
 	}
 	f := (*stack)[n-1]
 	*stack = (*stack)[:n-1]
+	if op != nil && n == 1 {
+		m.stacks = append(m.stacks, op.stack)
+		op.stack = nil
+	}
 	if m.hook == nil {
 		m.emitMu.Unlock()
 		return
@@ -659,6 +700,46 @@ func (m *Machine) closeSpan(op *Op) {
 	m.emitMu.Unlock()
 }
 
+// borrowStackLocked hands out an idle span stack, or a fresh one when none
+// is idle. The caller holds emitMu.
+func (m *Machine) borrowStackLocked() *spanStack {
+	n := len(m.stacks)
+	if n == 0 {
+		return new(spanStack)
+	}
+	s := m.stacks[n-1]
+	m.stacks[n-1] = nil
+	m.stacks = m.stacks[:n-1]
+	return s
+}
+
+// IdleSpanStacks returns how many op span stacks the machine keeps for
+// reuse: at most the number of hooked operations it has seen open at
+// once (see openSpan).
+func (m *Machine) IdleSpanStacks() int {
+	m.emitMu.Lock()
+	defer m.emitMu.Unlock()
+	return len(m.stacks)
+}
+
+// joinPathLocked returns parent + "." + tag, interned so a nested span costs
+// no string allocation once its path has been seen. The caller holds
+// emitMu.
+func (m *Machine) joinPathLocked(parent, tag string) string {
+	k := spanPath{parent, tag}
+	if p, ok := m.paths[k]; ok {
+		return p
+	}
+	p := parent + "." + tag
+	if m.paths == nil {
+		m.paths = make(map[spanPath]string)
+	}
+	if len(m.paths) < maxSpanPaths {
+		m.paths[k] = p
+	}
+	return p
+}
+
 // emit fires a batch event, followed by its fault events if any, under
 // the emission lock: the events are stamped with consecutive sequence
 // numbers and the innermost open span, and reach the hook as one
@@ -673,8 +754,8 @@ func (m *Machine) emit(op *Op, shared []*Op, ev Event, fevents []Event) {
 		m.emitMu.Unlock()
 		return
 	}
-	if op != nil && len(op.frames) > 0 {
-		top := op.frames[len(op.frames)-1]
+	if op != nil && op.stack != nil {
+		top := op.stack.frames[len(op.stack.frames)-1]
 		ev.Tag, ev.Span = top.path, top.id
 	} else if n := len(m.spans); n > 0 {
 		top := m.spans[n-1]
