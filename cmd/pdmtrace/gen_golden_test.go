@@ -15,7 +15,8 @@ import (
 // the JSONL event trace it streams must hash to the recorded SHA-256.
 // Everything is seeded, so a refactor that keeps the model's I/O
 // behavior keeps both byte-identical; a change to either is a change to
-// the traces, not noise.
+// the traces, not noise. The table covers every structure -struct
+// accepts, so a structure added without goldens fails here.
 func TestGenTracesGolden(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -26,7 +27,7 @@ func TestGenTracesGolden(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building pdmtrace: %v\n%s", err, out)
 	}
-	for _, g := range []struct {
+	goldens := []struct {
 		structure, mix string
 		report, events string // SHA-256 of stdout and of the JSONL trace
 	}{
@@ -38,7 +39,25 @@ func TestGenTracesGolden(t *testing.T) {
 		{"oneprobe", "write", "c6587abd7d44bc640cb1062143ebb939650cbfd37e289db0c06765f8ebb0264d", "44a505d4e90fd7a3217ad67d5e747b8b38ea207535869a9ed75f1a0e020d82b4"},
 		{"dict", "read", "3c18ab2e6de1c3e7e0440ecbbbd1b68173d1a93d513ef5dd8eba1122ee7cc0ac", "ca7a8552afccd83ea54a6029dfe3847fdc995eecddfbc0aeda7f8d1dc7f372f8"},
 		{"dict", "write", "81cb9bfeefe89034bbace7cb4857747b5951eb91b6400085a0e55d8f9e662878", "84b5e473bd6c4080d40a614ea1c0e3dd6b946bb199b1a08290ba253b3f35b064"},
-	} {
+		{"hash", "read", "8fdae897b2c969e71e589b7519670122654b9b3158b5ce68af3878ed660afd53", "9043f7ed3c8c7ea218dbed655fde573f96f9facd2213a62c0027e3a4e5b3988f"},
+		{"hash", "write", "7112031fa9cce1e3087ef1d6a6cc6be3cefdcb5f589f99f2eaf36529bdce8e87", "7c18b5e33d9b208d13baff163f2ed357a63a132f352a398df4e75796f427a06b"},
+		{"cuckoo", "read", "156a2f220cedc39e16fcd13a4f7ab6fe157d01e4e7f3be603fe2b48093ceb585", "8941cefd220ffec0d349d6c5ba644da09cace566ee3428f7daf3de45f2016d88"},
+		{"cuckoo", "write", "28efd5aea44c74323722ecdf97439de886c6e665e8d310da78065b5ff5b8e638", "c0f4276b9278399d3957ab163030d477c7840d77d17403dfa72681a452fd041c"},
+		{"twolevel", "read", "3f6a63d0b1109978f0781c7081ca84dfc9d77a985a93cdad9b846906ee0b72e0", "732b2bad7c9eaef946ef8ab4d2760ebb4a7eaee1d47fa3c303c03d58ea9f55c9"},
+		{"twolevel", "write", "b0c380f825f225b93419b9d1a7291c605a9bd2e7f548e5e14fec03279f1e8986", "52ab2c98aeb49dbfa6f0f6ab8b89b9c5a06efab54b4dda8dc6137fe7a7bb4e6f"},
+		{"btree", "read", "e9e051eef03c2a7fbabeb062c783332ef9bd92387a83a93d8ff8ca87fe03fe3f", "813299e02b0114d26a322bd94f99f8c10d111e6c75f9fe8bf1bcf9748ccc83f2"},
+		{"btree", "write", "561e1ebb7c0ff88d076ea980631ae9966b3b9b4c2654caf346830343ca71eb6a", "b03eae80db4f5e9d1cd553289e594b31f682e6d9c79896cc82a7f6ced06fda7f"},
+	}
+	covered := map[string]int{}
+	for _, g := range goldens {
+		covered[g.structure]++
+	}
+	for name := range builders {
+		if covered[name] != 2 {
+			t.Errorf("structure %q has %d golden rows, want a read and a write row", name, covered[name])
+		}
+	}
+	for _, g := range goldens {
 		t.Run(g.structure+"-"+g.mix, func(t *testing.T) {
 			dir := t.TempDir()
 			run := exec.Command(bin, "-struct", g.structure, "-gen", "3000", "-mix", g.mix, "-hist", "-trace", "ev.jsonl")

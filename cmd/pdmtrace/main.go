@@ -226,27 +226,30 @@ func loadOps(inPath string, gen int, mix string, capacity int) ([]workload.Op, e
 	return workload.Ops(keys, gen, m, 0.05, 2), nil
 }
 
+// builders are the structures -struct accepts, by name.
+var builders = map[string]func(pdmdict.Options) (pdmdict.Dictionary, error){
+	"dict": func(o pdmdict.Options) (pdmdict.Dictionary, error) { return pdmdict.New(o) },
+	"basic": func(o pdmdict.Options) (pdmdict.Dictionary, error) {
+		return pdmdict.NewBasic(pdmdict.BasicOptions{Options: o})
+	},
+	"dynamic": func(o pdmdict.Options) (pdmdict.Dictionary, error) { return pdmdict.NewDynamic(o) },
+	"oneprobe": func(o pdmdict.Options) (pdmdict.Dictionary, error) {
+		return pdmdict.NewOneProbe(pdmdict.OneProbeOptions{Options: o})
+	},
+	"hash":     func(o pdmdict.Options) (pdmdict.Dictionary, error) { return pdmdict.NewHashTable(o) },
+	"cuckoo":   func(o pdmdict.Options) (pdmdict.Dictionary, error) { return pdmdict.NewCuckoo(o) },
+	"twolevel": func(o pdmdict.Options) (pdmdict.Dictionary, error) { return pdmdict.NewTwoLevel(o) },
+	"btree": func(o pdmdict.Options) (pdmdict.Dictionary, error) {
+		return pdmdict.NewBTree(pdmdict.BTreeOptions{Options: o})
+	},
+}
+
 func build(name string, opts pdmdict.Options) (pdmdict.Dictionary, error) {
-	switch name {
-	case "dict":
-		return pdmdict.New(opts)
-	case "basic":
-		return pdmdict.NewBasic(pdmdict.BasicOptions{Options: opts})
-	case "dynamic":
-		return pdmdict.NewDynamic(opts)
-	case "oneprobe":
-		return pdmdict.NewOneProbe(pdmdict.OneProbeOptions{Options: opts})
-	case "hash":
-		return pdmdict.NewHashTable(opts)
-	case "cuckoo":
-		return pdmdict.NewCuckoo(opts)
-	case "twolevel":
-		return pdmdict.NewTwoLevel(opts)
-	case "btree":
-		return pdmdict.NewBTree(pdmdict.BTreeOptions{Options: opts})
-	default:
+	b, ok := builders[name]
+	if !ok {
 		return nil, fmt.Errorf("unknown structure %q", name)
 	}
+	return b(opts)
 }
 
 func kindName(k workload.OpKind) string {

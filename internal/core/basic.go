@@ -149,7 +149,7 @@ type BasicDict struct {
 }
 
 // SetRetryPolicy installs the policy the fault-aware paths (LookupTry,
-// LookupTryBatchOp, Repair, Scrub) use for transient-error recovery. The
+// LookupTryOp, Repair, Scrub) use for transient-error recovery. The
 // zero value restores the default: three immediate retries, no backoff,
 // no hedging — the historical hardcoded behavior.
 func (bd *BasicDict) SetRetryPolicy(p pdm.RetryPolicy) {

@@ -164,7 +164,7 @@ func inconclusiveError(inconclusive int, err error) error {
 	return err
 }
 
-// tryWritePolicy is TryBatchWrite plus the same policy-driven retry and
+// tryWritePolicy is TryBatchWriteOp plus the same policy-driven retry and
 // backoff (writes are never hedged: issuing a write twice has no upside
 // — the second copy lands on the same block). The error, if any, is the
 // first attempt's, rewritten in place as for tryReadPolicy.
@@ -294,20 +294,6 @@ func (bd *BasicDict) LookupTryOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool, erro
 		return nil, false, fmt.Errorf("core: degraded lookup for key %d inconclusive: %w", x, err)
 	}
 	return sat[0], ok[0], nil
-}
-
-// LookupTryBatchOp resolves many keys through the fault layer in one
-// merged, de-duplicated read round governed by the retry policy — the
-// fault-aware LookupBatch. Results align with keys; a key answers true
-// whenever any surviving replica proves it present. The error is
-// non-nil only when at least one key is inconclusive (its ok entry is
-// then false and its sats entry nil — "unavailable", not "absent").
-func (bd *BasicDict) LookupTryBatchOp(op *pdm.Op, keys []pdm.Word) ([][]pdm.Word, []bool, error) {
-	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
-	if inconclusive, err := bd.lookup(op, nil, keys, sats, oks, true); err != nil {
-		return sats, oks, fmt.Errorf("core: degraded batch lookup: %d of %d keys inconclusive: %w", inconclusive, len(keys), err)
-	}
-	return sats, oks, nil
 }
 
 // Repair rebuilds every bucket of one stripe (= one disk of the

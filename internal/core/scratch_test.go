@@ -619,8 +619,8 @@ func TestReturnedDataNeverAliasesScratch(t *testing.T) {
 					}
 				case 8:
 					batch[0] = own
-					sats, oks, err := broken.LookupTryBatchOp(brokenM.NewOp(c, len(batch)), batch)
-					if err == nil {
+					sats, oks := make([][]pdm.Word, len(batch)), make([]bool, len(batch))
+					if _, err := broken.lookup(brokenM.NewOp(c, len(batch)), nil, batch, sats, oks, true); err == nil {
 						t.Errorf("client %d: a batch with an absent key and two disks down was conclusive", c)
 					} else {
 						hold(err)

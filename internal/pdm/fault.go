@@ -13,8 +13,10 @@ import (
 // Fault layer. The simulated machine can be wired to a FaultInjector
 // that decides, per block access, whether the access succeeds, fails, or
 // is corrupted. Faults surface only through the error-returning batch
-// methods (TryBatchRead / TryBatchWrite); the classic infallible
-// BatchRead / BatchWrite bypass injection entirely, so structures that
+// methods (the TryBatchRead and TryBatchWriteOp forms); the infallible
+// BatchRead / BatchWrite forms run the same batch bodies (batchRead,
+// batchWrite) with the fault layer off — no injection, no checksum
+// verification, no fault or health bookkeeping — so structures that
 // have not been taught degraded-mode operation keep seeing a perfect
 // machine. Every block additionally carries a CRC32 checksum, updated on
 // every write and verified on every Try read, so latent corruption (bit
@@ -256,26 +258,25 @@ const checksumTag = FaultTagPrefix + "checksum"
 
 // drawFaults consults the injector once per address, in batch order,
 // under faultMu so each batch's decision sequence stays contiguous
-// under concurrency, and keeps the draws in sc. Returns nil when no
-// injector is installed.
+// under concurrency, and keeps the draws in sc.faults. The draws are
+// empty when no injector is installed.
 func (m *Machine) drawFaults(sc *batchScratch, kind EventKind, addrs []Addr) []Fault {
 	m.faultMu.Lock()
 	defer m.faultMu.Unlock()
-	if m.injector == nil {
-		return nil
-	}
 	fs := sc.faults[:0]
-	for _, a := range addrs {
-		fs = append(fs, m.injector.Access(kind, a))
+	if m.injector != nil {
+		for _, a := range addrs {
+			fs = append(fs, m.injector.Access(kind, a))
+		}
 	}
 	sc.faults = fs
 	return fs
 }
 
-// faultAt returns access i's draw; without draws (no injector) every
-// access goes through untouched.
+// faultAt returns access i's draw; without draws (an oblivious batch, or
+// no injector) every access goes through untouched.
 func faultAt(fs []Fault, i int) Fault {
-	if fs == nil {
+	if len(fs) == 0 {
 		return Fault{}
 	}
 	return fs[i]
@@ -293,12 +294,13 @@ func denied(f Fault) error {
 	return nil
 }
 
-// outcomes returns the scratch's n per-access outcome slots. Every Try
-// access writes its own slot, so they need no clearing.
+// outcomes returns the scratch's n per-access outcome slots, all nil: a
+// fault-aware access writes its slot only when it fails.
 func (sc *batchScratch) outcomes(n int) []error {
 	if cap(sc.res) < n {
 		sc.res = make([]error, n)
 	}
+	clear(sc.res[:n])
 	return sc.res[:n]
 }
 
@@ -352,7 +354,7 @@ func (m *Machine) finishTry(sc *batchScratch, hooked bool, kind EventKind, addrs
 	// otherwise every access is classified and the list folded in batch
 	// order, so health transitions land at deterministic points of the
 	// trace. Both lists live in the scratch: observing allocates nothing.
-	if fs != nil || len(berrs) > 0 || !m.tracker.AllHealthy() {
+	if len(fs) > 0 || len(berrs) > 0 || !m.tracker.AllHealthy() {
 		acc := sc.accesses[:0]
 		for i, a := range addrs {
 			o := health.OK
@@ -377,7 +379,8 @@ func (m *Machine) finishTry(sc *batchScratch, hooked bool, kind EventKind, addrs
 
 // healthOutcomes classifies a Try access by its fault draw for the
 // health tracker; a checksum mismatch overrides the draw with Damaged,
-// and a kind past the table counts as OK, as tryRead lets it through.
+// and a kind past the table counts as OK, as readLocked and writeLocked
+// let it through.
 var healthOutcomes = [...]health.Outcome{
 	FaultNone:      health.OK,
 	FaultFailStop:  health.FailStop,
@@ -406,162 +409,29 @@ func (m *Machine) TryBatchReadOp(op *Op, addrs []Addr) ([][]Word, error) {
 	return m.TryBatchReadInto(new(ReadBuf), op, nil, addrs)
 }
 
-// TryBatchReadInto is the one implementation behind TryBatchRead and
-// TryBatchReadOp, reading into the caller's buffer; the view of a failed
-// access is nil. op and shared attribute the batch as for BatchReadInto:
-// with an attribution list the machine is charged once, and every listed
-// op is charged the batch's full steps (stall surcharge included),
-// blocks, and fault events.
+// TryBatchReadInto is TryBatchRead and TryBatchReadOp reading into the
+// caller's buffer — batchRead in its fault-aware mode; the view of a
+// failed access is nil. op and shared attribute the batch as for
+// BatchReadInto: with an attribution list the machine is charged once,
+// and every listed op is charged the batch's full steps (stall surcharge
+// included), blocks, and fault events.
 //
 // The views and the *BatchError both alias rb and are valid until rb's
 // next read: a caller that keeps the error longer must copy its Blocks.
 // On a warm buffer the read allocates nothing, faults or not.
 func (m *Machine) TryBatchReadInto(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr) ([][]Word, error) {
-	out := rb.reset(len(addrs), m.cfg.B)
-	if len(addrs) == 0 {
-		return out, nil
-	}
-	for _, a := range addrs {
-		m.checkAddr(a)
-	}
-	sc := m.scratch.Get()
-	fs := m.drawFaults(sc, EventRead, addrs)
-	res := sc.outcomes(len(addrs))
-	var steps, depth int
-	if len(addrs) <= smallBatchMax {
-		steps, depth = m.cost(len(addrs), smallDepth(addrs))
-		for i, a := range addrs {
-			res[i] = m.tryRead(a, faultAt(fs, i), rb.arena, out, int32(i))
-		}
-	} else {
-		steps, depth = m.cost(len(addrs), sc.partition(addrs))
-		arena := rb.arena
-		m.runShards(sc, len(addrs), func(d int32) {
-			for _, i := range sc.segment(d) {
-				res[i] = m.tryRead(addrs[i], faultAt(fs, int(i)), arena, out, i)
-			}
-		})
-	}
-	hooked := m.hooked.Load()
-	berrs, nfaults, extra := m.finishTry(sc, hooked, EventRead, addrs, fs, res, rb.err.Blocks)
-	rb.err.Blocks = berrs
-	m.charge(steps+extra, depth)
-	m.blockReads.Add(int64(len(addrs)))
-	chargeOps(m, op, shared, EventRead, steps+extra, len(addrs), nfaults)
-	if hooked {
-		m.emit(op, shared, Event{Kind: EventRead, Addrs: addrs, Steps: steps, Depth: depth}, sc.fevents)
-	}
-	m.release(sc)
-	if len(berrs) > 0 {
-		return out, &rb.err
-	}
-	return out, nil
+	return m.batchRead(rb, op, shared, addrs, true)
 }
 
-// tryRead serves one access of a Try read: it applies the access's
-// fault, verifies the block against its checksum, and copies it into
-// slot i of the read buffer (passed as for readLocked).
-func (m *Machine) tryRead(a Addr, f Fault, arena []Word, views [][]Word, i int32) error {
-	s := &m.shards[a.Disk]
-	s.ios.Add(1)
-	if err := denied(f); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if f.Kind == FaultCorrupt {
-		s.corruptLocked(a.Block, f.Bit)
-	}
-	if !s.verifyLocked(a.Block) {
-		s.mu.Unlock()
-		return ErrChecksum
-	}
-	s.readLocked(a.Block, arena, views, i)
-	s.mu.Unlock()
-	return nil
-}
-
-// TryBatchWrite is BatchWrite with fault injection: writes hitting a
-// fail-stopped disk or a transient fault are NOT applied and are
-// reported in the returned *BatchError; a corruption fault flips a
-// stored bit after the write lands (leaving the checksum stale); stalls
-// charge extra steps. Applied writes update their block's checksum.
-func (m *Machine) TryBatchWrite(writes []BlockWrite) error {
-	return m.tryBatchWrite(nil, writes)
-}
-
-// TryBatchWriteOp is TryBatchWrite charged and attributed to op, with
-// the same accounting rule as TryBatchReadOp.
+// TryBatchWriteOp is BatchWriteOp with fault injection — batchWrite in
+// its fault-aware mode: writes hitting a fail-stopped disk or a
+// transient fault are NOT applied and are reported in the returned
+// *BatchError; a corruption fault flips a stored bit after the write
+// lands (leaving the checksum stale); stalls charge extra steps. Applied
+// writes update their block's checksum. op (nil for none) is charged
+// with the same accounting rule as TryBatchReadOp.
 func (m *Machine) TryBatchWriteOp(op *Op, writes []BlockWrite) error {
-	return m.tryBatchWrite(op, writes)
-}
-
-// tryBatchWrite is the one implementation behind TryBatchWrite and
-// TryBatchWriteOp. Like batchWrite it keeps its bookkeeping in a pooled
-// scratch, so a write that succeeds allocates nothing; a failed write
-// has no caller buffer to hold its error and allocates it.
-func (m *Machine) tryBatchWrite(op *Op, writes []BlockWrite) error {
-	if len(writes) == 0 {
-		return nil
-	}
-	sc := m.scratch.Get()
-	addrs := sc.addrs[:0]
-	for _, w := range writes {
-		m.checkAddr(w.Addr)
-		if len(w.Data) > m.cfg.B {
-			panic(fmt.Sprintf("pdm: write of %d words exceeds block size %d", len(w.Data), m.cfg.B))
-		}
-		addrs = append(addrs, w.Addr)
-	}
-	sc.addrs = addrs
-	fs := m.drawFaults(sc, EventWrite, addrs)
-	res := sc.outcomes(len(writes))
-	var steps, depth int
-	if len(writes) <= smallBatchMax {
-		steps, depth = m.cost(len(addrs), smallDepth(addrs))
-		for i := range writes {
-			res[i] = m.tryWrite(&writes[i], faultAt(fs, i))
-		}
-	} else {
-		steps, depth = m.cost(len(addrs), sc.partition(addrs))
-		m.runShards(sc, len(addrs), func(d int32) {
-			for _, i := range sc.segment(d) {
-				res[i] = m.tryWrite(&writes[i], faultAt(fs, int(i)))
-			}
-		})
-	}
-	hooked := m.hooked.Load()
-	berrs, nfaults, extra := m.finishTry(sc, hooked, EventWrite, addrs, fs, res, nil)
-	m.charge(steps+extra, depth)
-	m.blockWrites.Add(int64(len(writes)))
-	chargeOps(m, op, nil, EventWrite, steps+extra, len(writes), nfaults)
-	if hooked {
-		m.emit(op, nil, Event{Kind: EventWrite, Addrs: addrs, Steps: steps, Depth: depth}, sc.fevents)
-	}
-	m.release(sc)
-	if len(berrs) > 0 {
-		return &BatchError{Blocks: berrs}
-	}
-	return nil
-}
-
-// tryWrite serves one access of a Try write: unless the access's fault
-// turns it away, it stores the data and the block's new checksum, then
-// applies a corruption fault on top.
-func (m *Machine) tryWrite(w *BlockWrite, f Fault) error {
-	s := &m.shards[w.Addr.Disk]
-	s.ios.Add(1)
-	if err := denied(f); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	blk := s.blockLocked(w.Addr.Block)
-	copy(blk, w.Data)
-	s.sums[w.Addr.Block] = s.sumLocked(blk)
-	if f.Kind == FaultCorrupt {
-		s.corruptLocked(w.Addr.Block, f.Bit)
-	}
-	s.mu.Unlock()
-	return nil
+	return m.batchWrite(op, writes, true)
 }
 
 // WipeDisk discards every block (and checksum) of one disk, simulating

@@ -102,7 +102,7 @@ func TestTryBatchWriteSkipsFailedDisk(t *testing.T) {
 	m := NewMachine(Config{D: 3, B: 4})
 	a0, a1 := Addr{Disk: 0, Block: 0}, Addr{Disk: 1, Block: 0}
 	m.SetFaultInjector(&scriptInjector{faults: map[Addr]Fault{a1: {Kind: FaultFailStop}}})
-	err := m.TryBatchWrite([]BlockWrite{
+	err := m.TryBatchWriteOp(nil, []BlockWrite{
 		{Addr: a0, Data: []Word{11}},
 		{Addr: a1, Data: []Word{22}},
 	})
@@ -205,7 +205,7 @@ func TestEventStepsPartitionTotal(t *testing.T) {
 		if _, err := m.TryBatchRead([]Addr{{Disk: 0, Block: 0}, {Disk: 1, Block: 0}, {Disk: 2, Block: 0}}); err == nil {
 			t.Fatal("expected fail-stop fault to surface as a batch error")
 		}
-		if err := m.TryBatchWrite([]BlockWrite{{Addr: Addr{Disk: 0, Block: 1}, Data: []Word{1}}}); err != nil {
+		if err := m.TryBatchWriteOp(nil, []BlockWrite{{Addr: Addr{Disk: 0, Block: 1}, Data: []Word{1}}}); err != nil {
 			t.Fatalf("unfaulted write failed: %v", err)
 		}
 	}

@@ -225,7 +225,7 @@ func (m *Machine) BatchReadOp(op *Op, addrs []Addr) [][]Word {
 
 // BatchWriteOp is BatchWrite charged and attributed to op.
 func (m *Machine) BatchWriteOp(op *Op, writes []BlockWrite) {
-	m.batchWrite(op, writes)
+	m.batchWrite(op, writes, false)
 }
 
 // BatchReadShared performs one merged batch read on behalf of several

@@ -899,11 +899,14 @@ type batchScratch struct {
 	cursor  atomic.Int32 // next index of touched to serve
 	pending atomic.Int32 // helpers that have not finished
 
-	// A Try batch's transient state: its fault draws, per-access
-	// outcomes, their health classification and the transitions it
-	// caused, and under a hook its fault and health events. Last, so
-	// that cursor, which every worker bumps, keeps its own cache line
-	// apart from perDisk and touched, which every worker reads.
+	// A batch's fault state: whether it is fault-aware (verify), its
+	// fault draws (empty unless a fault-aware batch met an injector),
+	// per-access outcomes, their health classification and the
+	// transitions it caused, and under a hook its fault and health
+	// events. Last, so that cursor, which every worker bumps, keeps its
+	// own cache line apart from perDisk and touched, which every worker
+	// reads.
+	verify   bool
 	faults   []Fault
 	res      []error
 	accesses []health.Access
@@ -948,13 +951,14 @@ func (sc *batchScratch) segment(d int32) []int32 {
 	return sc.order[sc.offs[d]-sc.counts[d] : sc.offs[d]]
 }
 
-// release re-zeroes counts (cheaply, via the touched list), drops the
-// events that point into the caller's batch, and parks the scratch back
-// in the pool.
+// release re-zeroes counts (cheaply, via the touched list), empties the
+// fault draws, drops the events that point into the caller's batch, and
+// parks the scratch back in the pool.
 func (m *Machine) release(sc *batchScratch) {
 	for _, d := range sc.touched {
 		sc.counts[d] = 0
 	}
+	sc.faults = sc.faults[:0]
 	clear(sc.fevents)
 	sc.fevents = sc.fevents[:0]
 	m.scratch.Put(sc)
@@ -1079,22 +1083,34 @@ func (rb *ReadBuf) reset(n, b int) [][]Word {
 	return rb.views
 }
 
-// readLocked copies block b into slot i of a read buffer (passed as its
-// arena and views, so the buffer itself need not escape), the one
-// block-copy step behind every batch read. Distinct slots never
-// overlap, so workers may fill one buffer concurrently. Callers hold
-// s.mu.
-func (s *shard) readLocked(b int, arena []Word, views [][]Word, i int32) {
+// readLocked serves one access of a batch read: unless fault f turns
+// it away, it applies a corruption fault, verifies the block against its
+// checksum when verify is set, and copies the block into slot i of a
+// read buffer (passed as its arena and views, so the buffer itself need
+// not escape). It is the one block-copy step behind every batch read.
+// Distinct slots never overlap, so workers may fill one buffer
+// concurrently. Callers hold s.mu.
+func (s *shard) readLocked(b int, f Fault, verify bool, arena []Word, views [][]Word, i int32) error {
+	if err := denied(f); err != nil {
+		return err
+	}
+	if f.Kind == FaultCorrupt {
+		s.corruptLocked(b, f.Bit)
+	}
+	if verify && !s.verifyLocked(b) {
+		return ErrChecksum
+	}
 	dst := arena[int(i)*s.b : (int(i)+1)*s.b : (int(i)+1)*s.b]
 	copy(dst, s.blockLocked(b))
 	views[i] = dst
+	return nil
 }
 
 // BatchRead performs one batched read of the given blocks and returns
 // their contents, in request order. The returned slices are views of one
 // freshly allocated buffer that the caller owns; use BatchReadInto to
 // supply (and reuse) the buffer instead. The batch is accounted under
-// the machine's cost model. BatchRead is the fault-oblivious path: it
+// the machine's cost model. BatchRead is the fault-oblivious contract: it
 // never consults the fault injector and skips checksum verification —
 // use TryBatchRead for fault-aware reads. The batch carries no operation
 // token; see BatchReadOp and BatchReadShared for attributed variants.
@@ -1102,54 +1118,94 @@ func (m *Machine) BatchRead(addrs []Addr) [][]Word {
 	return m.BatchReadInto(new(ReadBuf), nil, nil, addrs)
 }
 
-// BatchReadInto is the one implementation behind BatchRead, BatchReadOp
-// and BatchReadShared, reading into the caller's buffer: the returned
-// views alias rb and are valid until rb's next read. op is the owning
-// token (nil for none), shared the merged-batch attribution list (nil
-// for an exclusive batch); accounting and events are those of the
-// matching fresh-buffer entry point.
+// BatchReadInto is BatchRead, BatchReadOp and BatchReadShared reading
+// into the caller's buffer: the returned views alias rb and are valid
+// until rb's next read. op is the owning token (nil for none), shared
+// the merged-batch attribution list (nil for an exclusive batch);
+// accounting and events are those of the matching fresh-buffer entry
+// point. It is batchRead in its fault-oblivious mode.
 func (m *Machine) BatchReadInto(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr) [][]Word {
+	out, _ := m.batchRead(rb, op, shared, addrs, false)
+	return out
+}
+
+// batchRead is the one batch read body, fault-aware when try is set
+// (TryBatchReadInto) and fault-oblivious otherwise (BatchReadInto). A
+// fault-aware read draws a fault per access, verifies checksums, and
+// feeds finishTry's fault, degraded and health bookkeeping; an oblivious
+// read does none of that, so it cannot fail, and a small one takes no
+// pooled scratch. Both account and emit the batch the same way.
+func (m *Machine) batchRead(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr, try bool) ([][]Word, error) {
 	out := rb.reset(len(addrs), m.cfg.B)
 	if len(addrs) == 0 {
-		return out
+		return out, nil
 	}
 	for _, a := range addrs {
 		m.checkAddr(a)
 	}
+	var sc *batchScratch
+	if try || len(addrs) > smallBatchMax {
+		sc = m.scratch.Get()
+		sc.verify = try
+	}
+	var fs []Fault
+	var res []error // per-access outcomes; nil when oblivious, as no access can fail
+	if try {
+		fs = m.drawFaults(sc, EventRead, addrs)
+		res = sc.outcomes(len(addrs))
+	}
 	var steps, depth int
 	if len(addrs) <= smallBatchMax {
 		steps, depth = m.cost(len(addrs), smallDepth(addrs))
-		m.charge(steps, depth)
 		for i, a := range addrs {
 			s := &m.shards[a.Disk]
 			s.mu.Lock()
-			s.readLocked(a.Block, rb.arena, out, int32(i))
+			err := s.readLocked(a.Block, faultAt(fs, i), try, rb.arena, out, int32(i))
 			s.mu.Unlock()
 			s.ios.Add(1)
+			if err != nil {
+				res[i] = err
+			}
 		}
 	} else {
-		sc := m.scratch.Get()
 		steps, depth = m.cost(len(addrs), sc.partition(addrs))
-		m.charge(steps, depth)
 		arena := rb.arena // captured in rb's place, so a fresh rb stays on the stack
+		// The fan-out closure is allocated per wide batch. It reads the
+		// fault state from sc rather than capturing fs, res and try,
+		// which would grow it two size classes; so does batchWrite's.
 		m.runShards(sc, len(addrs), func(d int32) {
 			s := &m.shards[d]
 			seg := sc.segment(d)
 			s.mu.Lock()
 			for _, i := range seg {
-				s.readLocked(addrs[i].Block, arena, out, i)
+				if err := s.readLocked(addrs[i].Block, faultAt(sc.faults, int(i)), sc.verify, arena, out, i); err != nil {
+					sc.res[i] = err
+				}
 			}
 			s.mu.Unlock()
 			s.ios.Add(int64(len(seg)))
 		})
+	}
+	hooked := m.hooked.Load()
+	var nfaults, extra int
+	var fevents []Event
+	if try {
+		rb.err.Blocks, nfaults, extra = m.finishTry(sc, hooked, EventRead, addrs, fs, res, rb.err.Blocks)
+		fevents = sc.fevents
+	}
+	m.charge(steps+extra, depth)
+	m.blockReads.Add(int64(len(addrs)))
+	chargeOps(m, op, shared, EventRead, steps+extra, len(addrs), nfaults)
+	if hooked {
+		m.emit(op, shared, Event{Kind: EventRead, Addrs: addrs, Steps: steps, Depth: depth}, fevents)
+	}
+	if sc != nil {
 		m.release(sc)
 	}
-	m.blockReads.Add(int64(len(addrs)))
-	chargeOps(m, op, shared, EventRead, steps, len(addrs), 0)
-	if m.hooked.Load() {
-		m.emit(op, shared, Event{Kind: EventRead, Addrs: addrs, Steps: steps, Depth: depth}, nil)
+	if len(rb.err.Blocks) > 0 {
+		return out, &rb.err
 	}
-	return out
+	return out, nil
 }
 
 // BlockWrite names one block write of a batch. The machine reads Data
@@ -1160,6 +1216,23 @@ type BlockWrite struct {
 	Data []Word // at most B words; shorter data leaves the tail unchanged
 }
 
+// writeLocked serves one access of a batch write: unless fault f turns
+// it away, it stores w's data and the block's new checksum, then applies
+// a corruption fault on top. It is the one step that stores write data
+// into a shard. Callers hold s.mu.
+func (s *shard) writeLocked(w *BlockWrite, f Fault) error {
+	if err := denied(f); err != nil {
+		return err
+	}
+	blk := s.blockLocked(w.Addr.Block)
+	copy(blk, w.Data)
+	s.sums[w.Addr.Block] = s.sumLocked(blk)
+	if f.Kind == FaultCorrupt {
+		s.corruptLocked(w.Addr.Block, f.Bit)
+	}
+	return nil
+}
+
 // BatchWrite performs one batched write. Each write stores len(Data)
 // words at the start of the addressed block (the model transfers whole
 // blocks; partial Data is a convenience that leaves the block tail as it
@@ -1167,20 +1240,23 @@ type BlockWrite struct {
 // the shards — so the caller may reuse every Data slice once BatchWrite
 // returns. The batch is accounted under the machine's cost model. Like
 // all writes it maintains the per-block checksums, but it never consults
-// the fault injector — use TryBatchWrite for fault-aware writes. The
+// the fault injector — use TryBatchWriteOp for fault-aware writes. The
 // batch carries no operation token; see BatchWriteOp for the attributed
 // variant.
 func (m *Machine) BatchWrite(writes []BlockWrite) {
-	m.batchWrite(nil, writes)
+	m.batchWrite(nil, writes, false)
 }
 
-// batchWrite is the shared implementation behind BatchWrite and
-// BatchWriteOp; op is the owning token (nil for none). The address list
-// lives in a pooled scratch: like a read's, it is only promised to hooks
-// for the duration of the call.
-func (m *Machine) batchWrite(op *Op, writes []BlockWrite) {
+// batchWrite is the one batch write body, fault-aware when try is set
+// (TryBatchWriteOp) and fault-oblivious otherwise (BatchWrite,
+// BatchWriteOp), with batchRead's split between the two modes; op is the
+// owning token (nil for none). The address list lives in a pooled
+// scratch: like a read's, it is only promised to hooks for the duration
+// of the call. A write that succeeds allocates nothing; a failed one has
+// no caller buffer to hold its error and allocates it.
+func (m *Machine) batchWrite(op *Op, writes []BlockWrite, try bool) error {
 	if len(writes) == 0 {
-		return
+		return nil
 	}
 	sc := m.scratch.Get()
 	addrs := sc.addrs[:0]
@@ -1192,42 +1268,59 @@ func (m *Machine) batchWrite(op *Op, writes []BlockWrite) {
 		addrs = append(addrs, w.Addr)
 	}
 	sc.addrs = addrs
+	var fs []Fault
+	var res []error // as in batchRead
+	if try {
+		fs = m.drawFaults(sc, EventWrite, addrs)
+		res = sc.outcomes(len(writes))
+	}
 	var steps, depth int
 	if len(writes) <= smallBatchMax {
 		steps, depth = m.cost(len(addrs), smallDepth(addrs))
-		m.charge(steps, depth)
-		for _, w := range writes {
-			s := &m.shards[w.Addr.Disk]
+		for i := range writes {
+			s := &m.shards[writes[i].Addr.Disk]
 			s.mu.Lock()
-			blk := s.blockLocked(w.Addr.Block)
-			copy(blk, w.Data)
-			s.sums[w.Addr.Block] = s.sumLocked(blk)
+			err := s.writeLocked(&writes[i], faultAt(fs, i))
 			s.mu.Unlock()
 			s.ios.Add(1)
+			if err != nil {
+				res[i] = err
+			}
 		}
 	} else {
 		steps, depth = m.cost(len(addrs), sc.partition(addrs))
-		m.charge(steps, depth)
 		m.runShards(sc, len(addrs), func(d int32) {
 			s := &m.shards[d]
 			seg := sc.segment(d)
 			s.mu.Lock()
 			for _, i := range seg {
-				w := &writes[i]
-				blk := s.blockLocked(w.Addr.Block)
-				copy(blk, w.Data)
-				s.sums[w.Addr.Block] = s.sumLocked(blk)
+				if err := s.writeLocked(&writes[i], faultAt(sc.faults, int(i))); err != nil {
+					sc.res[i] = err
+				}
 			}
 			s.mu.Unlock()
 			s.ios.Add(int64(len(seg)))
 		})
 	}
+	hooked := m.hooked.Load()
+	var berrs []BlockError
+	var nfaults, extra int
+	var fevents []Event
+	if try {
+		berrs, nfaults, extra = m.finishTry(sc, hooked, EventWrite, addrs, fs, res, nil)
+		fevents = sc.fevents
+	}
+	m.charge(steps+extra, depth)
 	m.blockWrites.Add(int64(len(writes)))
-	chargeOps(m, op, nil, EventWrite, steps, len(writes), 0)
-	if m.hooked.Load() {
-		m.emit(op, nil, Event{Kind: EventWrite, Addrs: addrs, Steps: steps, Depth: depth}, nil)
+	chargeOps(m, op, nil, EventWrite, steps+extra, len(writes), nfaults)
+	if hooked {
+		m.emit(op, nil, Event{Kind: EventWrite, Addrs: addrs, Steps: steps, Depth: depth}, fevents)
 	}
 	m.release(sc)
+	if len(berrs) > 0 {
+		return &BatchError{Blocks: berrs}
+	}
+	return nil
 }
 
 // ReadBlock reads a single block (one parallel I/O).
@@ -1241,15 +1334,18 @@ func (m *Machine) WriteBlock(a Addr, data []Word) {
 }
 
 // Peek returns a copy of a block's contents without performing (or
-// accounting) any I/O. It exists for tests and invariant checks only.
+// accounting) any I/O. It exists for tests and invariant checks only. A
+// never-written block reads as zeros and stays unmaterialized, so a Peek
+// changes neither the stats nor BlocksAllocated.
 func (m *Machine) Peek(a Addr) []Word {
 	m.checkAddr(a)
 	s := &m.shards[a.Disk]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	src := s.blockLocked(a.Block)
 	dst := make([]Word, m.cfg.B)
-	copy(dst, src)
+	s.mu.Lock()
+	if a.Block < len(s.blocks) {
+		copy(dst, s.blocks[a.Block])
+	}
+	s.mu.Unlock()
 	return dst
 }
 

@@ -248,6 +248,20 @@ func TestPeekDoesNotAccount(t *testing.T) {
 	if m.Stats() != before {
 		t.Error("Peek changed the stats")
 	}
+	// Peeking a block past the high-water mark reads zeros without
+	// materializing it: storage, and so space accounting, is unchanged.
+	alloc := m.TotalBlocks()
+	for _, w := range m.Peek(Addr{0, 9}) {
+		if w != 0 {
+			t.Errorf("Peek of a never-written block = %v, want zeros", w)
+		}
+	}
+	if got := m.TotalBlocks(); got != alloc {
+		t.Errorf("Peek past the high-water mark: TotalBlocks %d -> %d", alloc, got)
+	}
+	if m.Stats() != before {
+		t.Error("Peek changed the stats")
+	}
 }
 
 func TestPerDiskIOs(t *testing.T) {

@@ -305,9 +305,9 @@ func (f *front) Len() int { return f.core.Len() }
 // Fault injection.
 
 // FaultInjector decides, per block access, whether a fault fires. It is
-// consulted by the fault-aware batch paths (TryBatchRead/TryBatchWrite,
-// which back LookupTry, Repair, and Scrub); the plain Lookup/Insert
-// paths are fault-oblivious. Implementations must not call back into
+// consulted by the fault-aware machine batches (the TryBatchRead and
+// TryBatchWriteOp forms, which back LookupTry, Repair, and Scrub); the
+// plain Lookup/Insert paths run the same batches fault-oblivious. Implementations must not call back into
 // the machine. A deterministic, seedable implementation lives in
 // internal/fault and is used by the fskv and pdmbench commands; any
 // type returning Fault values works here.
