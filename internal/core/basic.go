@@ -437,9 +437,11 @@ func (bd *BasicDict) LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Wo
 // sats[i], oks[i] from one merged, de-duplicated read of every key's d
 // buckets. A single key is the batch of one, whose de-duplication is
 // the identity. With try (and no shared round) the read goes through
-// the fault layer under the retry policy; the result counts the keys
-// left inconclusive — not found, a block of theirs missing — and, when
-// there are any, carries a copy of the read's error.
+// the fault layer under the retry policy, and a retry round re-issues
+// only the failed blocks of keys the read has not yet settled; the
+// result counts the keys left inconclusive — not found, a block of
+// theirs missing — and, when there are any, carries a copy of the
+// read's error.
 func (bd *BasicDict) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool, try bool) (inconclusive int, err error) {
 	bd.mu.RLock()
 	defer bd.mu.RUnlock()
@@ -454,7 +456,14 @@ func (bd *BasicDict) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats 
 	}
 	var flat [][]pdm.Word
 	if try {
-		flat, err = tryReadPolicy(bd.reg.m, &sc.retries, &sc.buf, op, bd.retry, sc.r1.addrs)
+		m := bd.reg.m
+		flat, err = m.TryBatchReadInto(&sc.buf, op, nil, sc.r1.addrs)
+		for attempt, retried := 0, true; retried && err != nil && attempt < bd.retry.Retries(); attempt++ {
+			if !bd.markUnsettledLocked(sc, keys, flat) {
+				break
+			}
+			retried, err = sc.retries.retry(m, op, bd.retry, attempt, sc.r1.addrs, flat, err, sc.retries.need)
+		}
 	} else {
 		flat = bd.reg.m.BatchReadInto(&sc.buf, op, shared, sc.r1.addrs)
 	}
@@ -467,6 +476,26 @@ func (bd *BasicDict) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats 
 		}
 	}
 	return inconclusive, inconclusiveError(inconclusive, err)
+}
+
+// markUnsettledLocked marks, in the retry scratch's need list (one mark
+// per slot of the merged read flat), the missing blocks of every key of
+// keys that flat has not settled, and reports whether it marked any.
+// A key's verified blocks settle it as a hit once they prove it present
+// (one live replica, or all K fragments), and as a miss only once every
+// one of its probe blocks arrived.
+func (bd *BasicDict) markUnsettledLocked(sc *probeScratch, keys []pdm.Word, flat [][]pdm.Word) bool {
+	need := sc.retries.marks(len(flat))
+	view := sc.keyView(bd.probeLen())
+	marked := false
+	for ki, x := range keys {
+		sc.r1.keyBlocks(ki, flat, view)
+		if !hasNil(view) || bd.present(bd.findFragments(x, view, sc.fragSlots(bd.cfg.K), nil)) {
+			continue
+		}
+		marked = sc.r1.markMissing(ki, view, 0, len(view), need) || marked
+	}
+	return marked
 }
 
 // Lookup returns a copy of x's satellite data and whether x is present.

@@ -273,14 +273,43 @@ func (c *cascade) answerLocked(sc *probeScratch, x pdm.Word, li, head int, block
 	return true
 }
 
-// readLocked issues one lookup round into the scratch's buffer: plainly,
-// attributed to op and shared, or under try through the fault layer with
-// the retry policy.
+// readLocked issues round two of a lookup into the scratch's buffer:
+// plainly, attributed to op and shared, or under try through the fault
+// layer with the retry policy. Every block of it is a deep key's field,
+// which its chain needs, so a retry re-issues every transient failure.
 func (c *cascade) readLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, addrs []pdm.Addr, try bool) ([][]pdm.Word, error) {
 	if try {
 		return tryReadPolicy(c.m, &sc.retries, &sc.buf, op, c.retry, addrs)
 	}
 	return c.m.BatchReadInto(&sc.buf, op, shared, addrs), nil
+}
+
+// markUnsettledLocked is BasicDict.markUnsettledLocked for the lookup's
+// round one: a key whose membership record the read has not resolved
+// needs its missing membership blocks, and one resident on a probed
+// level its missing fields there. A key resident deeper is settled as
+// far as round one goes — round two reads its level — and so is one
+// the membership blocks prove absent.
+func (c *cascade) markUnsettledLocked(sc *probeScratch, keys []pdm.Word, flat [][]pdm.Word) bool {
+	need := sc.retries.marks(len(flat))
+	membLen := c.memb.probeLen()
+	view := sc.keyView(membLen + c.pre*c.d)
+	marked := false
+	for ki, x := range keys {
+		sc.r1.keyBlocks(ki, flat, view)
+		if !hasNil(view) {
+			continue
+		}
+		_, level, found, ok := c.residenceLocked(sc, x, view[:membLen])
+		switch {
+		case !found:
+			marked = sc.r1.markMissing(ki, view, 0, membLen, need) || marked
+		case ok && level < c.pre:
+			lo := membLen + level*c.d
+			marked = sc.r1.markMissing(ki, view, lo, lo+c.d, need) || marked
+		}
+	}
+	return marked
 }
 
 // Lookup returns a copy of x's satellite and whether x is present: one
@@ -308,10 +337,14 @@ func (c *cascade) Contains(x pdm.Word) bool {
 
 // LookupTry is the degraded lookup: each read round goes through the
 // fault layer with transient retries under the structure's retry policy.
-// Membership (K = 1) and retrieval fields are not replicated, so a
-// fail-stopped disk among the blocks a key needs makes that key
-// unavailable (reported as an error, never as a wrong answer); transient
-// faults and stalls are absorbed.
+// Round one retries only what the key still needs — its membership
+// blocks until they resolve it, then its fields if it lives on a probed
+// level — so an absent key, or one found with a deeper level, pays no
+// retry for the probed levels' failures; round two retries every block
+// of the key's level. Membership (K = 1) and retrieval fields are not
+// replicated, so a fail-stopped disk among the blocks a key needs makes
+// that key unavailable (reported as an error, never as a wrong answer);
+// transient faults and stalls are absorbed.
 func (c *cascade) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
 	var sat [1][]pdm.Word
 	var ok [1]bool
@@ -368,7 +401,18 @@ func (c *cascade) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][
 		sc.one = c.probeLocked(sc, x, sc.one[:0])
 		sc.r1.add(sc.one)
 	}
-	flat, err := c.readLocked(sc, op, shared, sc.r1.addrs, try)
+	var flat [][]pdm.Word
+	if try {
+		flat, err = c.m.TryBatchReadInto(&sc.buf, op, nil, sc.r1.addrs)
+		for attempt, retried := 0, true; retried && err != nil && attempt < c.retry.Retries(); attempt++ {
+			if !c.markUnsettledLocked(sc, keys, flat) {
+				break
+			}
+			retried, err = sc.retries.retry(c.m, op, c.retry, attempt, sc.r1.addrs, flat, err, sc.retries.need)
+		}
+	} else {
+		flat = c.m.BatchReadInto(&sc.buf, op, shared, sc.r1.addrs)
+	}
 
 	clear(sats)
 	clear(oks)

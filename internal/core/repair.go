@@ -14,54 +14,64 @@ import (
 // distinct disks, so it tolerates up to K−1 disk failures: LookupTry
 // answers from any surviving replica, Repair rebuilds a lost disk's
 // stripe from the survivors, and Scrub sweeps the whole structure with
-// verified reads. Transient errors are absorbed by re-issuing just the
-// failed addresses as their own accounted batches, governed by the
-// structure's pdm.RetryPolicy (SetRetryPolicy): retry count, modeled
-// backoff charged as parallel-I/O steps, and optional hedging. The
-// zero-value policy reproduces the historical behavior (three immediate
-// retries) exactly, batch for batch.
+// verified reads. Transient errors are absorbed by re-issuing failed
+// addresses as their own accounted batches, governed by the structure's
+// pdm.RetryPolicy (SetRetryPolicy): retry count, modeled backoff
+// charged as parallel-I/O steps, and optional hedging. Scrub, Repair
+// and the heal jobs re-issue every transiently failed address, since
+// every block is theirs to check; a lookup re-issues only the blocks
+// some key it has not yet settled still needs, so a key a surviving
+// replica already answered costs no retry round. The zero-value policy
+// is three immediate retries.
 
-// splitTransient moves the transient failures out of be: their indices
-// into the failing batch are appended to idx, and be keeps the
-// permanent ones, in order, in place. A BlockError's Err is one of pdm's
-// bare sentinels, so == is exact; errors.Is would run the runtime's
-// interface switch on every permanent failure, whose cache fill
-// allocates at a random call.
-func splitTransient(be *pdm.BatchError, idx []int) []int {
-	permanent := be.Blocks[:0]
+// splitTransient moves the transient failures whose slot need marks
+// (every one, when need is nil) out of be: their indices into the
+// failing batch are appended to idx, and be keeps the rest, in order,
+// in place. A BlockError's Err is one of pdm's bare sentinels, so == is
+// exact; errors.Is would run the runtime's interface switch on every
+// permanent failure, whose cache fill allocates at a random call.
+func splitTransient(be *pdm.BatchError, idx []int, need []bool) []int {
+	kept := be.Blocks[:0]
 	for _, b := range be.Blocks {
-		if b.Err == pdm.ErrTransient {
+		if b.Err == pdm.ErrTransient && (need == nil || need[b.Index]) {
 			idx = append(idx, b.Index)
 		} else {
-			permanent = append(permanent, b)
+			kept = append(kept, b)
 		}
 	}
-	be.Blocks = permanent
+	be.Blocks = kept
 	return idx
 }
 
-// retryScratch is tryReadPolicy's working set: a retry round's slots
-// (indices into the original batch) and addresses, and one read buffer
-// per retry attempt, whose views the recovered slots alias.
+// retryScratch is the working set of a fault-aware read's recovery: a
+// retry round's slots (indices into the original batch) and addresses,
+// one read buffer per retry attempt, whose views the recovered slots
+// alias, and a lookup's marks of the slots it still needs.
 type retryScratch struct {
 	idx   []int
 	addrs []pdm.Addr
 	bufs  []pdm.ReadBuf
+	need  []bool
 }
 
-// tryReadPolicy is TryBatchRead plus policy-driven recovery, attributed
-// to op (nil = unattributed): addresses that failed transiently are
-// re-issued as their own accounted batches, up to pol.Retries() times,
-// after charging the policy's modeled backoff (an addr-less charge
-// under the "backoff" span). With pol.Hedge, a retried address whose
-// disk the machine considers Suspect or recently stalling is issued
-// TWICE in the retry batch and either copy fills the slot — the hedged
-// second request. (Replica blocks are not bit-identical in this layout
-// and a probe batch already spans all replicas, so the hedge re-requests
-// the lagging block itself; falling back to surviving replicas is the
-// caller's assembly step.) The returned slice has nil entries for
-// accesses that never succeeded; the error, if any, lists exactly those
-// entries with indices into the original batch.
+// marks returns n cleared need marks, one per slot of the batch.
+func (rs *retryScratch) marks(n int) []bool {
+	if cap(rs.need) < n {
+		rs.need = make([]bool, n)
+	}
+	rs.need = rs.need[:n]
+	clear(rs.need)
+	return rs.need
+}
+
+// tryReadPolicy is TryBatchRead plus policy-driven recovery of every
+// block, attributed to op (nil = unattributed): addresses that failed
+// transiently are re-issued by retry rounds, up to pol.Retries() of
+// them. It is the read of Scrub, Repair and the heal jobs, which check
+// every block; a lookup drives the same rounds itself, restricted to
+// the blocks its answer still needs. The returned slice has nil entries
+// for accesses that never succeeded; the error, if any, lists exactly
+// those entries with indices into the original batch.
 //
 // The first attempt reads into rb and retry attempt r into rs.bufs[r],
 // so the returned views are valid until rb is read again or rs is
@@ -70,75 +80,89 @@ type retryScratch struct {
 // buffers the call allocates nothing, however many rounds it takes.
 func tryReadPolicy(m *pdm.Machine, rs *retryScratch, rb *pdm.ReadBuf, op *pdm.Op, pol pdm.RetryPolicy, addrs []pdm.Addr) ([][]pdm.Word, error) {
 	blocks, err := m.TryBatchReadInto(rb, op, nil, addrs)
-	maxRetries := pol.Retries()
-	for attempt := 0; err != nil && attempt < maxRetries; attempt++ {
-		be, ok := pdm.AsBatchError(err)
-		if !ok {
-			return blocks, err
-		}
-		rs.idx = splitTransient(be, rs.idx[:0])
-		if len(rs.idx) == 0 {
-			return blocks, err
-		}
-		rs.addrs = rs.addrs[:0]
-		for _, j := range rs.idx {
-			rs.addrs = append(rs.addrs, addrs[j])
-		}
-		if b := pol.Backoff(attempt + 1); b > 0 {
-			endBackoff := m.OpSpan(op, pdm.TagBackoff)
-			m.ChargeSteps(op, b)
-			endBackoff.End()
-		}
-		if pol.Hedge {
-			hedged := 0
-			primaries := len(rs.addrs)
-			for i := 0; i < primaries; i++ {
-				if m.SuspectOrStalling(rs.addrs[i].Disk) {
-					rs.idx = append(rs.idx, rs.idx[i])
-					rs.addrs = append(rs.addrs, rs.addrs[i])
-					hedged++
-				}
+	for attempt, retried := 0, true; retried && err != nil && attempt < pol.Retries(); attempt++ {
+		retried, err = rs.retry(m, op, pol, attempt, addrs, blocks, err, nil)
+	}
+	return blocks, err
+}
+
+// retry is recovery round attempt (from 0) of a fault-aware read of
+// addrs that left blocks and err: the transient failures err lists in
+// slots need marks (all of them, for a nil need) are re-issued as their
+// own accounted batch, after charging the policy's modeled backoff (an
+// addr-less charge under the "backoff" span). With pol.Hedge, a retried
+// address whose disk the machine considers Suspect or recently stalling
+// is issued TWICE in the retry batch and either copy fills the slot —
+// the hedged second request. (Replica blocks are not bit-identical in
+// this layout and a probe batch already spans all replicas, so the
+// hedge re-requests the lagging block itself; falling back to surviving
+// replicas is the caller's assembly step.) Recovered blocks fill their
+// nil slots of blocks, and the error is rewritten in place and
+// returned. retried is false, and nothing issued, when err is not a
+// batch error or lists no transient failure in a marked slot; the
+// caller bounds attempt by pol.Retries().
+func (rs *retryScratch) retry(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, attempt int, addrs []pdm.Addr, blocks [][]pdm.Word, err error, need []bool) (retried bool, _ error) {
+	be, ok := pdm.AsBatchError(err)
+	if !ok {
+		return false, err
+	}
+	rs.idx = splitTransient(be, rs.idx[:0], need)
+	if len(rs.idx) == 0 {
+		return false, err
+	}
+	rs.addrs = rs.addrs[:0]
+	for _, j := range rs.idx {
+		rs.addrs = append(rs.addrs, addrs[j])
+	}
+	if b := pol.Backoff(attempt + 1); b > 0 {
+		endBackoff := m.OpSpan(op, pdm.TagBackoff)
+		m.ChargeSteps(op, b)
+		endBackoff.End()
+	}
+	if pol.Hedge {
+		hedged := 0
+		primaries := len(rs.addrs)
+		for i := 0; i < primaries; i++ {
+			if m.SuspectOrStalling(rs.addrs[i].Disk) {
+				rs.idx = append(rs.idx, rs.idx[i])
+				rs.addrs = append(rs.addrs, rs.addrs[i])
+				hedged++
 			}
-			m.NoteHedges(hedged)
 		}
-		m.NoteRetry()
-		if len(rs.bufs) == attempt {
-			rs.bufs = append(rs.bufs, pdm.ReadBuf{})
+		m.NoteHedges(hedged)
+	}
+	m.NoteRetry()
+	if len(rs.bufs) == attempt {
+		rs.bufs = append(rs.bufs, pdm.ReadBuf{})
+	}
+	got, rerr := m.TryBatchReadInto(&rs.bufs[attempt], op, nil, rs.addrs)
+	for i, j := range rs.idx {
+		if blocks[j] == nil {
+			blocks[j] = got[i]
 		}
-		got, rerr := m.TryBatchReadInto(&rs.bufs[attempt], op, nil, rs.addrs)
-		for i, j := range rs.idx {
-			if blocks[j] == nil {
-				blocks[j] = got[i]
-			}
-		}
-		if rerr == nil {
-			if len(be.Blocks) == 0 {
-				return blocks, nil
-			}
-			return blocks, be
-		}
+	}
+	if rerr != nil {
 		rbe, ok := pdm.AsBatchError(rerr)
 		if !ok {
-			return blocks, rerr
+			return true, rerr
 		}
 		// Merge this round's failures back onto original batch indices,
-		// after the permanent ones. A slot whose hedged twin succeeded is
-		// not a failure; a slot whose two copies both failed is reported
-		// once.
-		permanent := len(be.Blocks)
+		// after the ones it did not retry. A slot whose hedged twin
+		// succeeded is not a failure; a slot whose two copies both
+		// failed is reported once.
+		kept := len(be.Blocks)
 		for _, b := range rbe.Blocks {
 			slot := rs.idx[b.Index]
-			if blocks[slot] != nil || reported(be.Blocks[permanent:], slot) {
+			if blocks[slot] != nil || reported(be.Blocks[kept:], slot) {
 				continue
 			}
 			be.Blocks = append(be.Blocks, pdm.BlockError{Index: slot, Addr: b.Addr, Err: b.Err})
 		}
-		if len(be.Blocks) == 0 {
-			return blocks, nil
-		}
-		err = be
 	}
-	return blocks, err
+	if len(be.Blocks) == 0 {
+		return true, nil
+	}
+	return true, be
 }
 
 // reported reports whether errs already lists slot.
@@ -178,7 +202,7 @@ func tryWritePolicy(m *pdm.Machine, op *pdm.Op, pol pdm.RetryPolicy, writes []pd
 		if !ok {
 			return err
 		}
-		retryIdx = splitTransient(be, retryIdx[:0])
+		retryIdx = splitTransient(be, retryIdx[:0], nil)
 		if len(retryIdx) == 0 {
 			return err
 		}
@@ -271,11 +295,14 @@ func (bd *BasicDict) encodeCanonical(recs []bucket.Record, nBlocks int) [][]pdm.
 }
 
 // LookupTry is Lookup through the fault layer: the d buckets of Γ(x)
-// are read with verified reads (transient failures retried), and the
-// answer is assembled from whatever survives. In replicate mode any one
-// live replica suffices, so the answer stays correct under up to K−1
-// failed disks; in fragment mode all K fragments are still required.
-// The error is non-nil only when the surviving data cannot settle the
+// are read with verified reads, and the answer is assembled from
+// whatever survives. In replicate mode any one live replica suffices,
+// so the answer stays correct under up to K−1 failed disks; in fragment
+// mode all K fragments are still required. A transiently failed bucket
+// is retried only while x is unsettled — no verified replica (or not
+// all K fragments) yet, or, for a miss, some bucket still missing — so
+// a hit a surviving replica answers costs exactly the one probe. The
+// error is non-nil only when the surviving data cannot settle the
 // query — the caller knows the answer is unavailable rather than
 // "absent".
 func (bd *BasicDict) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
@@ -285,8 +312,9 @@ func (bd *BasicDict) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
 // LookupTryOp is LookupTry attributed to the operation token op and
 // governed by the structure's retry policy: the probe, every retry
 // batch, and any modeled backoff are charged to op, so recovery I/O
-// shows up under the operation that needed it. A nil op keeps the
-// legacy shared-stack attribution.
+// shows up under the operation that needed it — at most pol.Retries()
+// rounds beyond the probe. A nil op keeps the legacy shared-stack
+// attribution.
 func (bd *BasicDict) LookupTryOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool, error) {
 	var sat [1][]pdm.Word
 	var ok [1]bool

@@ -224,6 +224,20 @@ func (dd *dedup) keyBlocks(k int, flat, view [][]pdm.Word) {
 	}
 }
 
+// markMissing marks in need the fetched-list places of the k-th key's
+// missing (nil) blocks at view positions [lo, hi), view holding that
+// key's blocks, and reports whether it marked any.
+func (dd *dedup) markMissing(k int, view [][]pdm.Word, lo, hi int, need []bool) bool {
+	marked := false
+	for i := lo; i < hi; i++ {
+		if view[i] == nil {
+			need[dd.idx[k*len(view)+i]] = true
+			marked = true
+		}
+	}
+	return marked
+}
+
 // keyView returns the scratch's per-key block view, width entries long.
 func (sc *probeScratch) keyView(width int) [][]pdm.Word {
 	if cap(sc.view) < width {

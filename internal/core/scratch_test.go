@@ -111,12 +111,24 @@ func TestAllocationPins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A lookup retries only blocks its answer still needs, so the retried
+	// transient is on the disk of keys[3]'s only live copy: the other
+	// replica's disk is down.
+	var copies []int
+	for _, a := range replicated.probeAddrs(new(probeScratch), keys[3], nil) {
+		if _, _, ok := replicated.codec.Next(replicated.reg.m.Peek(a), keys[3], 0); ok {
+			copies = append(copies, a.Disk)
+		}
+	}
+	if len(copies) != 2 {
+		t.Fatalf("keys[3] has copies on disks %v, want two", copies)
+	}
 	for _, f := range []struct {
 		name string
 		fi   pdm.FaultInjector
 	}{
 		{"one disk fail-stopped", failStop(4)},
-		{"a transient retried", &flakyDisk{disk: 7}},
+		{"a transient retried", &downAndFlaky{failStop(copies[0]), flakyDisk{disk: copies[1]}}},
 	} {
 		replicated.reg.m.SetFaultInjector(f.fi)
 		pinAllocs(t, "Basic.LookupTry replicated hit, "+f.name, 1, func() {
@@ -286,6 +298,20 @@ func (f *flakyDisk) Access(_ pdm.EventKind, a pdm.Addr) pdm.Fault {
 		return pdm.Fault{Kind: pdm.FaultTransient}
 	}
 	return pdm.Fault{}
+}
+
+// downAndFlaky fail-stops one disk and fails every other access to
+// another transiently.
+type downAndFlaky struct {
+	down  failStop
+	flaky flakyDisk
+}
+
+func (f *downAndFlaky) Access(kind pdm.EventKind, a pdm.Addr) pdm.Fault {
+	if a.Disk == int(f.down) {
+		return f.down.Access(kind, a)
+	}
+	return f.flaky.Access(kind, a)
 }
 
 // refLookup is the read path as it was before the in-place scan: every

@@ -142,11 +142,11 @@ func TestFaultTraceGolden(t *testing.T) {
 		"faults":  uint64(m.FaultCount()),
 	}
 	want := map[string]uint64{
-		"trace":   0xd15567cfedbd4736,
+		"trace":   0x508a463736406dc1,
 		"answers": 0x500ac762957ce2c4,
-		"stats":   0x589dd75bd2bd1829,
-		"health":  0x74deb3782aec9e89,
-		"faults":  3091,
+		"stats":   0x9dfd318d3a2dfbb4,
+		"health":  0x6b4c9a8355ce2abd,
+		"faults":  3041,
 	}
 	for k, v := range want {
 		if got[k] != v {

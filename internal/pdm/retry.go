@@ -1,17 +1,20 @@
 package pdm
 
 // RetryPolicy governs how a structure's fault-aware read/write paths
-// re-issue transiently failed accesses. Policies are pure data: every
-// decision they drive is a function of the access outcome and the
-// machine's step counter — never wall time and never an unseeded RNG —
-// so a policy cannot break trace determinism. Backoff is modeled
-// waiting: it is charged to the machine (and the owning op) as
+// re-issue transiently failed accesses. The policy bounds and prices
+// the retry rounds; which accesses a round re-issues is the caller's
+// choice: a scrub or a repair re-issues every transient failure, since
+// every block is its to check, while a lookup re-issues only the blocks
+// its answer still needs and stops once every key is settled. Policies
+// are pure data: every decision they drive is a function of the access
+// outcome and the machine's step counter — never wall time and never an
+// unseeded RNG — so a policy cannot break trace determinism. Backoff is
+// modeled waiting: it is charged to the machine (and the owning op) as
 // parallel-I/O steps through Machine.ChargeSteps, which makes "how long
 // recovery waited" part of the cost ledger instead of invisible time.
 //
-// The zero value is the default policy and reproduces the historical
-// hardcoded behavior exactly: up to DefaultRetries immediate re-issues,
-// no backoff, no hedging.
+// The zero value is the default policy: up to DefaultRetries immediate
+// retry rounds, no backoff, no hedging.
 
 // DefaultRetries is how many times a transiently failed access is
 // re-issued before the failure is treated as permanent — the historical
@@ -24,7 +27,8 @@ const maxBackoffSteps = 1 << 20
 
 // RetryPolicy configures retries, modeled backoff, and hedged reads.
 type RetryPolicy struct {
-	// MaxRetries is how many times a transiently failed access is
+	// MaxRetries bounds the retry rounds of one fault-aware read: how
+	// many times a transiently failed access that is still needed is
 	// re-issued. 0 means DefaultRetries (so the zero value is the
 	// default policy); negative means no retries at all.
 	MaxRetries int

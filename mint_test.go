@@ -40,7 +40,7 @@ func TestPublicEntryPointsMintTokens(t *testing.T) {
 	// LookupTry mints no token so that a degraded read allocates none.
 	unattributed := map[string]bool{
 		"HashTable": true, "Cuckoo": true, "TwoLevel": true, "BTree": true,
-		"Direct": true, "Static": true, "Basic.LookupTry": true,
+		"Direct": true, "Static": true, "Basic.LookupTry": true, "Dynamic.LookupTry": true,
 	}
 	build := func(d Dictionary, err error) Dictionary {
 		t.Helper()

@@ -110,7 +110,8 @@ func (nd *NamedDict) Lookup(name string) ([]Word, bool) {
 }
 
 // TryLookuper is satisfied by structures that offer a fault-aware
-// lookup path (currently Basic with Replicas ≥ 2).
+// lookup path (currently Basic, which with Replicas ≥ 2 answers from
+// any surviving copy, and Dynamic).
 type TryLookuper interface {
 	LookupTry(key Word) ([]Word, bool, error)
 }

@@ -191,7 +191,8 @@ type IOHook = pdm.Hook
 // is only approximate. The plain entry points mint an anonymous token
 // (client 0) internally, so every operation on Dict, Basic, Dynamic,
 // OneProbe and the wrappers over them is accounted either way. Direct,
-// Static, the baselines and Basic.LookupTry mint no tokens.
+// Static, the baselines, Basic.LookupTry and Dynamic.LookupTry mint no
+// tokens.
 //
 // Mint one token per logical operation with MintOp and do not reuse it;
 // the token's counters (Op.Steps and friends) can be read at any time,
@@ -371,8 +372,11 @@ type DiskHealth = pdm.DiskHealth
 // issue, how much modeled backoff (charged as parallel-I/O steps, so it
 // shows up in the cost accounting — never wall time) to insert between
 // them, and whether to hedge retried reads against Suspect or stalling
-// disks with a duplicate request. The zero value is the historical
-// default: three immediate retries, no backoff, no hedging.
+// disks with a duplicate request. Repair and Scrub retry every
+// transiently failed block; LookupTry retries only the blocks its
+// answer still needs, so a key a surviving replica already answered
+// costs no retry, backoff or hedge. The zero value is the default:
+// three immediate retries, no backoff, no hedging.
 type RetryPolicy = pdm.RetryPolicy
 
 // DefaultRetryPolicy returns the explicit form of the zero-value
@@ -560,17 +564,19 @@ func (b *Basic) BulkLoad(recs []Record) error {
 }
 
 // LookupTry is the fault-aware Lookup: it goes through the machine's
-// checked read path, retries transient errors, and with Replicas ≥ 2
-// answers from any surviving copy. A non-nil error means the lookup was
+// checked read path and with Replicas ≥ 2 answers from any surviving
+// copy. A transiently failed bucket is retried only while the answer
+// still needs it: once a verified replica (or, with fragments, all K)
+// answers the key, the other buckets' failures cost nothing, while a
+// miss needs every bucket. A non-nil error means the lookup was
 // inconclusive — the key was not found but some candidate bucket was
 // unreadable — never that the key is absent. It mints no operation
 // token: that would cost a degraded read an allocation.
 func (b *Basic) LookupTry(key Word) ([]Word, bool, error) { return b.d.LookupTry(key) }
 
 // SetRetryPolicy installs the transient-error recovery policy used by
-// LookupTry, Repair, and Scrub. The zero value (and
-// DefaultRetryPolicy()) reproduce the historical behavior exactly —
-// same batches, same trace bytes.
+// LookupTry, Repair, and Scrub. The zero value and DefaultRetryPolicy()
+// behave identically — same batches, same trace bytes.
 func (b *Basic) SetRetryPolicy(p RetryPolicy) { b.d.SetRetryPolicy(p) }
 
 // RetryPolicy returns the installed recovery policy.
@@ -769,6 +775,16 @@ func NewDynamic(opts Options) (*Dynamic, error) {
 
 // LevelCounts returns the per-level occupancy of the retrieval cascade.
 func (d *Dynamic) LevelCounts() []int { return d.d.LevelCounts() }
+
+// LookupTry is the fault-aware Lookup: both read rounds go through the
+// machine's checked read path, and a transiently failed block is
+// re-issued, up to three times, only while the key's answer still needs
+// it — the membership blocks until they settle the key, then the fields
+// of its resident level. Membership records and fields have one copy
+// each, so a fail-stopped disk among the blocks a key needs makes its
+// lookup inconclusive: a non-nil error, never a wrong answer or a false
+// absence. Like Basic.LookupTry it mints no operation token.
+func (d *Dynamic) LookupTry(key Word) ([]Word, bool, error) { return d.d.LookupTry(key) }
 
 // ---------------------------------------------------------------------
 // Section 6 (Open Problems) exploration.

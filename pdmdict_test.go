@@ -3,6 +3,8 @@ package pdmdict
 import (
 	"math/rand"
 	"testing"
+
+	"pdmdict/internal/pdm"
 )
 
 // All public constructors must satisfy Dictionary.
@@ -286,5 +288,77 @@ func TestResetIOStats(t *testing.T) {
 	}
 	if !b.Contains(1) {
 		t.Error("reset destroyed data")
+	}
+}
+
+// flakyOnce fails the first read of every block on disks [lo, hi)
+// transiently; the block's next read gets through.
+type flakyOnce struct {
+	lo, hi int
+	seen   map[Addr]bool
+}
+
+func (f *flakyOnce) Access(kind pdm.EventKind, a Addr) Fault {
+	if kind != pdm.EventRead || a.Disk < f.lo || a.Disk >= f.hi || f.seen[a] {
+		return Fault{}
+	}
+	f.seen[a] = true
+	return Fault{Kind: FaultTransient}
+}
+
+// Dynamic.LookupTry re-issues only blocks the key's answer needs. The
+// first round reads the membership buckets (disks [0, d)) and the first
+// retrieval level's fields (disks [d, 2d)). With every level block
+// failing once, an absent key is settled by its membership blocks
+// alone, so it costs one parallel I/O and no retry; a key stored on the
+// first level needs its fields there, so it pays one retry round.
+func TestDynamicLookupTryRetriesOnlyNeededBlocks(t *testing.T) {
+	const degree, n = 20, 200
+	dyn, err := NewDynamic(Options{Capacity: n, SatWords: 1, Degree: degree, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	keys := make([]Word, n/2)
+	for i := range keys {
+		keys[i] = Word(rng.Uint64() >> 2) // below 2^62: absent is never stored
+		if err := dyn.Insert(keys[i], []Word{keys[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	absent := Word(1 << 62)
+	shallow := keys[0] // a key whose fault-free lookup is one round
+	for _, k := range keys {
+		before := dyn.IOStats().ParallelIOs
+		dyn.Lookup(k)
+		if dyn.IOStats().ParallelIOs-before == 1 {
+			shallow = k
+			break
+		}
+	}
+
+	for _, c := range []struct {
+		name    string
+		key     Word
+		ok      bool
+		retries int64
+		ios     int64
+	}{
+		{"absent key, level fields unneeded", absent, false, 0, 1},
+		{"first-level key, its fields needed", shallow, true, 1, 2},
+	} {
+		dyn.SetFaultInjector(&flakyOnce{lo: degree, hi: 2 * degree, seen: map[Addr]bool{}})
+		retries := dyn.Health().Retries
+		before := dyn.IOStats().ParallelIOs
+		sat, ok, err := dyn.LookupTry(c.key)
+		if err != nil || ok != c.ok || (ok && sat[0] != c.key) {
+			t.Fatalf("%s: LookupTry = %v, %v, %v", c.name, sat, ok, err)
+		}
+		if got := dyn.Health().Retries - retries; got != c.retries {
+			t.Errorf("%s: %d retry batches, want %d", c.name, got, c.retries)
+		}
+		if got := dyn.IOStats().ParallelIOs - before; got != c.ios {
+			t.Errorf("%s: %d parallel I/Os, want %d", c.name, got, c.ios)
+		}
 	}
 }
