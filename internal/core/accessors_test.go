@@ -175,8 +175,8 @@ func FuzzChainCodec(f *testing.F) {
 				t.Fatalf("stripe %d is not in the chain but its field changed", i)
 			}
 		}
-		got, ok := decodeChain(fieldBits, len(sat), fields, stripes[0])
-		if !ok {
+		got := make([]pdm.Word, len(sat))
+		if gap, ok := decodeChain(fieldBits, fields, stripes[0], got); gap >= 0 || !ok {
 			t.Fatalf("decode failed: d=%d t=%d sat=%d", d, tt, len(sat))
 		}
 		for i := range sat {

@@ -20,14 +20,18 @@ import (
 // A_1 ⊃ A_2 ⊃ … of decreasing size, each indexed by its own expander.
 // Insertion is first-fit: a key goes to the first level offering
 // t = ⌈2d/3⌉ currently-free fields among its neighbors, where its
-// satellite is chained exactly as in the static CaseA layout.
+// satellite is chained as in Theorem 6(a).
 //
-// DynamicDict and OneProbeDict are this one body and differ only in
-// where their levels live. The layout decides how many levels the first
-// probe reads (pre): the prefix of levels on pairwise-disjoint disk
-// groups, whose fields all arrive in the same parallel I/O as the
-// membership buckets. A key resident at a level beyond pre costs a
-// second read round, shared by every such key of a merged lookup.
+// DynamicDict, OneProbeDict and StaticDict all look up through this one
+// body. Dynamic and OneProbe differ only in where their levels live.
+// The layout decides how many levels the first probe reads (pre): the
+// prefix of levels on pairwise-disjoint disk groups, whose fields all
+// arrive in the same parallel I/O as the membership buckets. A key
+// resident at a level beyond pre costs a second read round, shared by
+// every such key of a merged lookup. Static is one level built by
+// peeling, with pre = 1: Theorem 6(a) with its membership table, and
+// 6(b) with none and identifier fields (idBits > 0), which decode by
+// majority rather than as chains. Static calls no update body.
 //
 // The membership satellite packs the head pointer ("a small integer of
 // lg d bits") and the resident level into one word: head | level<<8.
@@ -46,6 +50,7 @@ type cascade struct {
 	fieldWords     int
 	fieldBits      int
 	fieldsPerBlock int
+	idBits         int // Theorem 6(b)'s identifier width; 0: chained fields
 	n              int // guarded by mu
 	scratch        scratchPool
 
@@ -81,8 +86,8 @@ type cascadeSizing struct {
 // returns its region and whether it is the last. Only constructors call
 // it, on a structure no other goroutine can see yet.
 func (c *cascade) initLocked(m *pdm.Machine, d int, s cascadeSizing, place func(li, blocks int) (reg region, last bool)) error {
-	if d > 255 {
-		return fmt.Errorf("core: degree %d exceeds the packed head-pointer range (255)", d)
+	if err := checkHeadRange(d); err != nil {
+		return err
 	}
 	c.m, c.d, c.t = m, d, ceilDiv(2*d, 3)
 	c.capacity, c.satWords, c.universe = s.Capacity, s.SatWords, s.Universe
@@ -116,6 +121,15 @@ func (c *cascade) initLocked(m *pdm.Machine, d int, s cascadeSizing, place func(
 		return err
 	}
 	c.memb = memb
+	return nil
+}
+
+// checkHeadRange rejects a degree whose chain heads overflow the low
+// byte of the membership record, head | level<<8.
+func checkHeadRange(d int) error {
+	if d > 255 {
+		return fmt.Errorf("core: degree %d exceeds the packed head-pointer range (255)", d)
+	}
 	return nil
 }
 
@@ -179,7 +193,10 @@ func (c *cascade) countsLocked() []int {
 func (c *cascade) BlocksPerDisk() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	b := c.memb.BlocksPerDisk()
+	b := 0
+	if c.memb != nil {
+		b = c.memb.BlocksPerDisk()
+	}
 	for _, lv := range c.levels {
 		b = max(b, lv.reg.block0+lv.blocks)
 	}
@@ -209,22 +226,37 @@ func (c *cascade) levelAddrs(lv *level, x pdm.Word, dst []pdm.Addr) []pdm.Addr {
 }
 
 // fieldsOf extracts the d per-stripe field slices of x from that
-// level's blocks, into the scratch's field table.
+// level's blocks, into the scratch's field table. A missing block's
+// field is nil.
 func (c *cascade) fieldsOf(sc *probeScratch, lv *level, x pdm.Word, blocks [][]pdm.Word) [][]pdm.Word {
 	sc.fields = sc.fields[:0]
 	for i := 0; i < c.d; i++ {
-		j := lv.graph.StripeNeighbor(uint64(x), i)
-		slot := (j % c.fieldsPerBlock) * c.fieldWords
-		sc.fields = append(sc.fields, blocks[i][slot:slot+c.fieldWords:slot+c.fieldWords])
+		var f []pdm.Word
+		if blocks[i] != nil {
+			slot := (lv.graph.StripeNeighbor(uint64(x), i) % c.fieldsPerBlock) * c.fieldWords
+			f = blocks[i][slot : slot+c.fieldWords : slot+c.fieldWords]
+		}
+		sc.fields = append(sc.fields, f)
 	}
 	return sc.fields
+}
+
+// membLen is the membership part of a first-round probe: none without a
+// membership table.
+func (c *cascade) membLen() int {
+	if c.memb == nil {
+		return 0
+	}
+	return c.memb.probeLen()
 }
 
 // probeLocked appends x's first-round addresses: the membership buckets,
 // then d field blocks for each of levels [0, pre) — disjoint disks, one
 // parallel I/O.
 func (c *cascade) probeLocked(sc *probeScratch, x pdm.Word, dst []pdm.Addr) []pdm.Addr {
-	dst = c.memb.probeAddrs(sc, x, dst)
+	if c.memb != nil {
+		dst = c.memb.probeAddrs(sc, x, dst)
+	}
 	for li := range c.pre {
 		dst = c.levelAddrs(&c.levels[li], x, dst)
 	}
@@ -234,7 +266,7 @@ func (c *cascade) probeLocked(sc *probeScratch, x pdm.Word, dst []pdm.Addr) []pd
 // inProbe returns level li's d field blocks out of a first-round read
 // (li < pre).
 func (c *cascade) inProbe(flat [][]pdm.Word, li int) [][]pdm.Word {
-	lo := c.memb.probeLen() + li*c.d
+	lo := c.membLen() + li*c.d
 	return flat[lo : lo+c.d]
 }
 
@@ -252,8 +284,12 @@ func (c *cascade) levelBlocksLocked(sc *probeScratch, op *pdm.Op, x pdm.Word, fl
 
 // residenceLocked resolves x's membership record against the membership
 // part of a first-round read: the chain's head stripe and resident
-// level. found reports a record; ok, that its level exists.
+// level. found reports a record; ok, that its level exists. Without a
+// membership table every key is looked for on the one level.
 func (c *cascade) residenceLocked(sc *probeScratch, x pdm.Word, membBlocks [][]pdm.Word) (head, level int, found, ok bool) {
+	if c.memb == nil {
+		return 0, 0, true, true
+	}
 	membSat, found := c.memb.lookupInBlocks(sc, x, membBlocks, sc.memb[:0])
 	if !found {
 		return 0, 0, false, false
@@ -262,51 +298,100 @@ func (c *cascade) residenceLocked(sc *probeScratch, x pdm.Word, membBlocks [][]p
 	return head, level, true, level < len(c.levels)
 }
 
-// answerLocked decodes x's chain out of its resident level's blocks into
-// sat and ok. It reports false, leaving them unset, when a degraded read
-// could not fetch one of the blocks.
+// decodeLocked reads x's satellite out of level li's d field blocks
+// into the scratch's words: by majority identifier, or by walking x's
+// chain from head. found reports x there. [lo, hi) is empty once the
+// answer is settled; otherwise it spans the stripes whose missing
+// blocks the answer may still need. A chain needs only the fields it
+// walks, and the walk stops at the first missing one; since stripes
+// increase along a chain, the rest of it lies above, and retrying every
+// missing block from there on costs one round, not one per gap.
+func (c *cascade) decodeLocked(sc *probeScratch, x pdm.Word, li, head int, blocks [][]pdm.Word) (found bool, lo, hi int) {
+	fields := c.fieldsOf(sc, &c.levels[li], x, blocks)
+	sat := sc.decoded(c.satWords)
+	if c.idBits > 0 {
+		found, open := decodeMajority(c.fieldBits, c.idBits, fields, sat)
+		if open {
+			return false, 0, c.d
+		}
+		return found, 0, 0
+	}
+	gap, found := decodeChain(c.fieldBits, fields, head, sat)
+	if gap >= 0 {
+		return false, gap, c.d
+	}
+	return found, 0, 0
+}
+
+// answerLocked decodes x's satellite at level li into sat and ok, which
+// get a copy of it. It reports false, leaving them unset, when a
+// degraded read missed a block the answer needs.
 func (c *cascade) answerLocked(sc *probeScratch, x pdm.Word, li, head int, blocks [][]pdm.Word, sat *[]pdm.Word, ok *bool) bool {
-	if hasNil(blocks) {
-		return false
+	found, lo, hi := c.decodeLocked(sc, x, li, head, blocks)
+	if found {
+		*sat, *ok = make([]pdm.Word, c.satWords), true
+		copy(*sat, sc.words)
 	}
-	*sat, *ok = decodeChain(c.fieldBits, c.satWords, c.fieldsOf(sc, &c.levels[li], x, blocks), head)
-	return true
+	return lo == hi
 }
 
-// readLocked issues round two of a lookup into the scratch's buffer:
-// plainly, attributed to op and shared, or under try through the fault
-// layer with the retry policy. Every block of it is a deep key's field,
-// which its chain needs, so a retry re-issues every transient failure.
-func (c *cascade) readLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, addrs []pdm.Addr, try bool) ([][]pdm.Word, error) {
-	if try {
-		return tryReadPolicy(c.m, &sc.retries, &sc.buf, op, c.retry, addrs)
+// readLocked issues one read round of a lookup into the scratch's
+// buffer, round one's merged probe or, with round2, the deep keys'
+// fields: plainly, attributed to op and shared, or under try through
+// the fault layer. A fault-aware round's retries, within the policy,
+// re-issue only failed blocks some key's answer still needs.
+func (c *cascade) readLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, round2, try bool) ([][]pdm.Word, error) {
+	dd := &sc.r1
+	if round2 {
+		dd = &sc.r2
 	}
-	return c.m.BatchReadInto(&sc.buf, op, shared, addrs), nil
+	if !try {
+		return c.m.BatchReadInto(&sc.buf, op, shared, dd.addrs), nil
+	}
+	flat, err := c.m.TryBatchReadInto(&sc.buf, op, nil, dd.addrs)
+	for attempt, retried := 0, true; retried && err != nil && attempt < c.retry.Retries(); attempt++ {
+		if !c.markUnsettledLocked(sc, keys, flat, round2) {
+			break
+		}
+		retried, err = sc.retries.retry(c.m, op, c.retry, attempt, dd.addrs, flat, err, sc.retries.need)
+	}
+	return flat, err
 }
 
-// markUnsettledLocked is BasicDict.markUnsettledLocked for the lookup's
-// round one: a key whose membership record the read has not resolved
-// needs its missing membership blocks, and one resident on a probed
-// level its missing fields there. A key resident deeper is settled as
-// far as round one goes — round two reads its level — and so is one
-// the membership blocks prove absent.
-func (c *cascade) markUnsettledLocked(sc *probeScratch, keys []pdm.Word, flat [][]pdm.Word) bool {
+// markUnsettledLocked is BasicDict.markUnsettledLocked for a lookup
+// round. In round one, a key whose membership record the read has not
+// resolved needs its missing membership blocks, and one resident on a
+// probed level the missing fields its answer needs there (decodeLocked).
+// A key resident deeper is settled as far as round one goes — round two
+// reads its level — and so is one the membership blocks prove absent.
+// In round two, a deep key needs the missing fields its answer needs.
+func (c *cascade) markUnsettledLocked(sc *probeScratch, keys []pdm.Word, flat [][]pdm.Word, round2 bool) bool {
 	need := sc.retries.marks(len(flat))
-	membLen := c.memb.probeLen()
-	view := sc.keyView(membLen + c.pre*c.d)
 	marked := false
+	if round2 {
+		blocks := sc.keyView(c.d)
+		for di, dk := range sc.deep {
+			sc.r2.keyBlocks(di, flat, blocks)
+			_, lo, hi := c.decodeLocked(sc, keys[dk.ki], dk.level, dk.head, blocks)
+			marked = sc.r2.markMissing(di, blocks, lo, hi, need) || marked
+		}
+		return marked
+	}
+	membLen := c.membLen()
+	view := sc.keyView(membLen + c.pre*c.d)
 	for ki, x := range keys {
 		sc.r1.keyBlocks(ki, flat, view)
 		if !hasNil(view) {
 			continue
 		}
-		_, level, found, ok := c.residenceLocked(sc, x, view[:membLen])
+		head, level, found, ok := c.residenceLocked(sc, x, view[:membLen])
 		switch {
 		case !found:
 			marked = sc.r1.markMissing(ki, view, 0, membLen, need) || marked
 		case ok && level < c.pre:
-			lo := membLen + level*c.d
-			marked = sc.r1.markMissing(ki, view, lo, lo+c.d, need) || marked
+			base := membLen + level*c.d
+			_, lo, hi := c.decodeLocked(sc, x, level, head, view[base:base+c.d])
+			marked = sc.r1.markMissing(ki, view, base+lo, base+hi, need) || marked
 		}
 	}
 	return marked
@@ -337,14 +422,15 @@ func (c *cascade) Contains(x pdm.Word) bool {
 
 // LookupTry is the degraded lookup: each read round goes through the
 // fault layer with transient retries under the structure's retry policy.
-// Round one retries only what the key still needs — its membership
-// blocks until they resolve it, then its fields if it lives on a probed
+// Each round retries only what the key still needs — its membership
+// blocks until they resolve it, then the fields its chain walks on its
 // level — so an absent key, or one found with a deeper level, pays no
-// retry for the probed levels' failures; round two retries every block
-// of the key's level. Membership (K = 1) and retrieval fields are not
-// replicated, so a fail-stopped disk among the blocks a key needs makes
-// that key unavailable (reported as an error, never as a wrong answer);
-// transient faults and stalls are absorbed.
+// retry for the probed levels' failures, and no key for a field off its
+// chain. Membership (K = 1) and retrieval fields are not replicated, so
+// a fail-stopped disk among the blocks a key needs makes that key
+// unavailable (reported as an error, never as a wrong answer); a failed
+// field off the key's chain does not, and transient faults and stalls
+// are absorbed.
 func (c *cascade) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
 	var sat [1][]pdm.Word
 	var ok [1]bool
@@ -385,9 +471,9 @@ type deepKey struct {
 // and oks in at most two merged rounds: every key's membership buckets
 // and the fields of levels [0, pre) (an unsuccessful or shallow search
 // ends there), then the fields of the keys resident deeper. A single
-// key is the batch of one. try is as for BasicDict.lookup; a miss is
-// inconclusive only when a membership block is missing, since the
-// membership record alone settles absence.
+// key is the batch of one. try is as for BasicDict.lookup; with a
+// membership table a miss is inconclusive only when a membership block
+// is missing, since the membership record alone settles absence.
 func (c *cascade) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool, try bool) (inconclusive int, err error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -395,24 +481,13 @@ func (c *cascade) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][
 	defer c.scratch.put(sc)
 	sc.openSpans(c.m, pdm.TagLookup, op, shared)
 	defer sc.closeSpans()
-	membLen := c.memb.probeLen()
+	membLen := c.membLen()
 	sc.r1.reset()
 	for _, x := range keys {
 		sc.one = c.probeLocked(sc, x, sc.one[:0])
 		sc.r1.add(sc.one)
 	}
-	var flat [][]pdm.Word
-	if try {
-		flat, err = c.m.TryBatchReadInto(&sc.buf, op, nil, sc.r1.addrs)
-		for attempt, retried := 0, true; retried && err != nil && attempt < c.retry.Retries(); attempt++ {
-			if !c.markUnsettledLocked(sc, keys, flat) {
-				break
-			}
-			retried, err = sc.retries.retry(c.m, op, c.retry, attempt, sc.r1.addrs, flat, err, sc.retries.need)
-		}
-	} else {
-		flat = c.m.BatchReadInto(&sc.buf, op, shared, sc.r1.addrs)
-	}
+	flat, err := c.readLocked(sc, op, shared, keys, false, try)
 
 	clear(sats)
 	clear(oks)
@@ -448,7 +523,7 @@ func (c *cascade) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][
 	// error aliases that buffer too: copy it first if a key needs it.
 	shallow := inconclusive
 	first := inconclusiveError(shallow, err)
-	flat, err = c.readLocked(sc, op, sc.ops, sc.r2.addrs, try)
+	flat, err = c.readLocked(sc, op, sc.ops, keys, true, try)
 	blocks := view[:c.d]
 	for di, dk := range sc.deep {
 		sc.r2.keyBlocks(di, flat, blocks)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pdmdict/internal/bitpack"
 	"pdmdict/internal/fault"
 	"pdmdict/internal/pdm"
 )
@@ -83,17 +84,45 @@ func failedAddrs(err error) []pdm.Addr {
 	return out
 }
 
+// storedChain reads x's membership record and chain off the disks,
+// fault-free: its resident level, whether it is stored, and the
+// addresses of the field blocks its answer needs there — the fields a
+// decode walks from the head until the satellite is complete, in chain
+// order. It is the reference the lookup's chain rule is checked
+// against, so it walks the stored bits itself.
+func storedChain(c *cascade, x pdm.Word) (level int, found bool, chain []pdm.Addr) {
+	sc := new(probeScratch)
+	head, level, found, ok := c.residenceLocked(sc, x, peekAll(c.m, c.memb.probeAddrs(sc, x, nil)))
+	if !ok {
+		return level, found, nil
+	}
+	addrs := c.levelAddrs(&c.levels[level], x, nil)
+	fields := c.fieldsOf(sc, &c.levels[level], x, peekAll(c.m, addrs))
+	need := 64 * c.satWords
+	for cur := head; cur >= 0 && cur < c.d && fieldUsed(fields[cur]); {
+		chain = append(chain, addrs[cur])
+		r := bitpack.NewReader(fields[cur], c.fieldBits)
+		r.ReadBits(1)
+		diff := r.ReadUnary()
+		if need -= c.fieldBits - r.Pos(); need <= 0 || diff == 0 {
+			break
+		}
+		cur += diff
+	}
+	return level, true, chain
+}
+
 // LookupTry on the stacked layout, with one fail-stopped disk among a
 // DynamicDict's arrays: no call answers wrongly. A key is unavailable —
 // an error wrapping ErrDiskFailed — exactly when a block it needs lies
-// on that disk: its membership buckets, and for a stored key its
-// resident level's d field blocks, one on every array disk. So every
-// stored key, shallow or deep, is unavailable, and every absent key is
-// settled by its membership buckets alone.
+// on that disk: its membership buckets, and for a stored key the field
+// blocks its chain walks at its resident level. Every absent key is
+// settled by its membership buckets alone, and stored keys, shallow or
+// deep, fall on both sides.
 func TestDynamicLookupTryFailedArrayDisk(t *testing.T) {
 	const n, d = 512, 20
-	dd, m := newDynamic(t, d, 64, DynamicConfig{Capacity: n, SatWords: 2, Seed: 6})
-	recs := makeRecords(n, 2, 6)
+	dd, m := newDynamic(t, d, 64, DynamicConfig{Capacity: n, SatWords: 8, Seed: 6})
+	recs := makeRecords(n, 8, 6)
 	oracle := map[pdm.Word][]pdm.Word{}
 	stored := make([]pdm.Word, n)
 	for i, r := range recs {
@@ -103,28 +132,19 @@ func TestDynamicLookupTryFailedArrayDisk(t *testing.T) {
 		oracle[r.Key] = r.Sat
 		stored[i] = r.Key
 	}
-	// residence reads x's membership record off the disks directly.
-	residence := func(x pdm.Word) (level int, ok bool) {
-		sc := new(probeScratch)
-		addrs := dd.memb.probeAddrs(sc, x, nil)
-		_, level, _, ok = dd.residenceLocked(sc, x, peekAll(m, addrs))
-		return level, ok
-	}
-
 	const failed = d + 5
 	plan := fault.NewPlan(1)
 	plan.FailDisk(failed)
 	m.SetFaultInjector(plan)
 
-	var shallow, deep, absent int
+	var shallow, deep, answered, absent int
 	var shallowKey, deepKey pdm.Word
+	var shallowLost, deepLost pdm.Addr
 	for _, x := range withAbsent(stored, 64) {
-		needs := dd.memb.probeAddrs(new(probeScratch), x, nil)
-		level, found := residence(x)
-		if found {
-			needs = dd.levelAddrs(&dd.levels[level], x, needs)
-		}
-		touches := slices.ContainsFunc(needs, func(a pdm.Addr) bool { return a.Disk == failed })
+		level, found, chain := storedChain(&dd.cascade, x)
+		needs := append(dd.memb.probeAddrs(new(probeScratch), x, nil), chain...)
+		i := slices.IndexFunc(needs, func(a pdm.Addr) bool { return a.Disk == failed })
+		touches := i >= 0
 		sat, ok, err := dd.LookupTry(x)
 		switch {
 		case touches:
@@ -139,16 +159,18 @@ func TestDynamicLookupTryFailedArrayDisk(t *testing.T) {
 		switch {
 		case !found:
 			absent++
+		case !touches:
+			answered++
 		case level == 0:
 			shallow++
-			shallowKey = x
+			shallowKey, shallowLost = x, needs[i]
 		default:
 			deep++
-			deepKey = x
+			deepKey, deepLost = x, needs[i]
 		}
 	}
-	if shallow == 0 || deep == 0 || absent == 0 {
-		t.Fatalf("%d level-0, %d deep, %d absent keys; want each kind", shallow, deep, absent)
+	if shallow == 0 || deep == 0 || absent == 0 || answered == 0 {
+		t.Fatalf("%d level-0 and %d deep keys unavailable, %d answered, %d absent; want each kind", shallow, deep, answered, absent)
 	}
 
 	// Both rounds fail: in one merged lookup the level-0 key is left
@@ -161,14 +183,128 @@ func TestDynamicLookupTryFailedArrayDisk(t *testing.T) {
 	if inconclusive != 2 || oks[0] || oks[1] {
 		t.Fatalf("merged lookup: %d inconclusive, oks %v; want both unsettled", inconclusive, oks)
 	}
-	deepLevel, _ := residence(deepKey)
 	lost := failedAddrs(err)
-	for _, want := range []pdm.Addr{
-		dd.levelAddrs(&dd.levels[0], shallowKey, nil)[failed-d],
-		dd.levelAddrs(&dd.levels[deepLevel], deepKey, nil)[failed-d],
-	} {
+	for _, want := range []pdm.Addr{shallowLost, deepLost} {
 		if !slices.Contains(lost, want) {
 			t.Errorf("merged lookup error %v does not name failed block %v", err, want)
 		}
+	}
+}
+
+// A chain level settles a key from the fields on its chain alone. With
+// level disk 25 of a 40-disk DynamicDict fail-stopped, every stored key
+// whose chain avoids that disk answers correctly — 26 of 400 at this
+// seed, whose chains start low and walk most of their t = 14 stripes —
+// and every other stored key is inconclusive, singly and in one merged
+// lookup. Absent keys are settled by the membership buckets. No answer
+// is wrong.
+func TestCascadeChainSettlesOffChainFailure(t *testing.T) {
+	const n, failed = 400, 25
+	dd, m := newDynamic(t, 20, 64, DynamicConfig{Capacity: n, SatWords: 8, Seed: 1})
+	recs := makeRecords(n, 8, 1)
+	for _, r := range recs {
+		if err := dd.Insert(r.Key, r.Sat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avoids, stored := make([]bool, n), make([]pdm.Word, n)
+	for i, r := range recs {
+		stored[i] = r.Key
+		_, _, chain := storedChain(&dd.cascade, r.Key)
+		avoids[i] = !slices.ContainsFunc(chain, func(a pdm.Addr) bool { return a.Disk == failed })
+	}
+	m.SetFaultInjector(failStop(failed))
+
+	answered := 0
+	for i, r := range recs {
+		sat, ok, err := dd.LookupTry(r.Key)
+		switch {
+		case !avoids[i]:
+			if err == nil || !errors.Is(err, pdm.ErrDiskFailed) || ok || sat != nil {
+				t.Fatalf("key %d: LookupTry = %v, %v, %v; its chain crosses disk %d, want inconclusive", r.Key, sat, ok, err, failed)
+			}
+		case err != nil || !ok || !slices.Equal(sat, r.Sat):
+			t.Fatalf("key %d: LookupTry = %v, %v, %v; its chain avoids disk %d, want %v", r.Key, sat, ok, err, failed, r.Sat)
+		default:
+			answered++
+		}
+	}
+	if answered != 26 {
+		t.Errorf("%d of %d stored keys answered, want 26", answered, n)
+	}
+	keys := withAbsent(stored, n)
+	for _, x := range keys[n:] {
+		if sat, ok, err := dd.LookupTry(x); err != nil || ok {
+			t.Fatalf("absent key %d: LookupTry = %v, %v, %v", x, sat, ok, err)
+		}
+	}
+
+	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+	inconclusive, err := dd.lookup(nil, nil, keys, sats, oks, true)
+	if inconclusive != n-answered || !errors.Is(err, pdm.ErrDiskFailed) {
+		t.Fatalf("merged lookup: %d inconclusive, error %v; want %d", inconclusive, err, n-answered)
+	}
+	for i, x := range keys {
+		want := i < n && avoids[i]
+		if oks[i] != want || want && !slices.Equal(sats[i], recs[i].Sat) {
+			t.Fatalf("key %d: merged LookupTry = %v, %v; want present %v", x, sats[i], oks[i], want)
+		}
+	}
+}
+
+// failOnce fails each listed address transiently on its first read.
+type failOnce map[pdm.Addr]bool
+
+func (f failOnce) Access(kind pdm.EventKind, a pdm.Addr) pdm.Fault {
+	if kind == pdm.EventRead && f[a] {
+		delete(f, a)
+		return pdm.Fault{Kind: pdm.FaultTransient}
+	}
+	return pdm.Fault{}
+}
+
+// Round two retries by the same chain rule as round one: a deep key
+// whose level read loses one field off its chain answers in two
+// parallel I/Os with no retry, and one that loses the head of its chain
+// pays exactly one retry round.
+func TestCascadeRoundTwoRetriesOnlyChainFields(t *testing.T) {
+	dd, m := newDynamic(t, 20, 64, DynamicConfig{Capacity: 400, SatWords: 2, Slack: 2, Seed: 3})
+	recs := makeRecords(400, 2, 3)
+	for _, r := range recs {
+		if err := dd.Insert(r.Key, r.Sat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deep := 0
+	for _, r := range recs {
+		level, _, chain := storedChain(&dd.cascade, r.Key)
+		if level == 0 {
+			continue
+		}
+		deep++
+		all := dd.levelAddrs(&dd.levels[level], r.Key, nil)
+		off := all[slices.IndexFunc(all, func(a pdm.Addr) bool { return !slices.Contains(chain, a) })]
+		for _, c := range []struct {
+			lost         pdm.Addr
+			ios, retries int64
+		}{
+			{off, 2, 0},
+			{chain[0], 3, 1},
+		} {
+			m.SetFaultInjector(failOnce{c.lost: true})
+			ios, retries := m.Stats().ParallelIOs, m.Health().Retries
+			sat, ok, err := dd.LookupTry(r.Key)
+			if err != nil || !ok || !slices.Equal(sat, r.Sat) {
+				t.Fatalf("key %d, level %d, %v lost once: LookupTry = %v, %v, %v", r.Key, level, c.lost, sat, ok, err)
+			}
+			ios, retries = m.Stats().ParallelIOs-ios, m.Health().Retries-retries
+			if ios != c.ios || retries != c.retries {
+				t.Errorf("key %d, level %d, %v lost once: %d parallel I/Os and %d retry rounds, want %d and %d", r.Key, level, c.lost, ios, retries, c.ios, c.retries)
+			}
+		}
+	}
+	m.SetFaultInjector(nil)
+	if deep == 0 {
+		t.Fatal("no key below A_1")
 	}
 }

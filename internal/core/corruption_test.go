@@ -92,8 +92,8 @@ func TestStaticSurvivesGarbageBlocks(t *testing.T) {
 }
 
 func TestChainDecodeNeverPanicsOnGarbage(t *testing.T) {
-	// decodeChain over random field contents must return (nil, false) or
-	// a satellite — never panic, never read out of bounds.
+	// decodeChain over random field contents must report absence or a
+	// satellite — never panic, never read out of bounds.
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 5000; trial++ {
 		d := 3 + rng.Intn(20)
@@ -109,7 +109,9 @@ func TestChainDecodeNeverPanicsOnGarbage(t *testing.T) {
 			}
 		}
 		head := rng.Intn(d+4) - 2 // sometimes out of range
-		decodeChain(64*fieldWords, satWords, fields, head)
+		if gap, _ := decodeChain(64*fieldWords, fields, head, make([]pdm.Word, satWords)); gap >= 0 {
+			t.Fatalf("trial %d: gap %d with every field present", trial, gap)
+		}
 	}
 }
 
@@ -122,26 +124,31 @@ func TestMajorityDecodeRejectsSplitVotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields := make([][]pdm.Word, sd.d)
+	c := &sd.c
+	decode := func(fields [][]pdm.Word) (bool, bool) {
+		return decodeMajority(c.fieldBits, c.idBits, fields, make([]pdm.Word, sd.cfg.SatWords))
+	}
+	fields := make([][]pdm.Word, c.d)
 	for i := range fields {
-		fields[i] = make([]pdm.Word, sd.fieldWords)
+		fields[i] = make([]pdm.Word, c.fieldWords)
 		fields[i][0] = pdm.Word(i + 1) // all distinct ids: no majority
 	}
-	if _, ok := sd.decodeMajority(fields); ok {
-		t.Error("split votes decoded as present")
+	if ok, open := decode(fields); ok || open {
+		t.Errorf("split votes decoded as present %v, open %v", ok, open)
 	}
-	// A genuine majority with truncated data must also be rejected
-	// rather than returning a short satellite.
-	short := make([][]pdm.Word, sd.d)
+	// A genuine majority whose fields hold the satellite decodes; with
+	// truncated data it must be rejected.
+	short := make([][]pdm.Word, c.d)
 	for i := range short {
-		short[i] = make([]pdm.Word, sd.fieldWords)
+		short[i] = make([]pdm.Word, c.fieldWords)
 	}
 	short[0][0] = 7
 	short[1][0] = 7
 	short[2][0] = 7
-	short[3][0] = 7 // majority of 6, but sat data words are all zero-length? they carry zeros
-	if sat, ok := sd.decodeMajority(short); ok && len(sat) != sd.cfg.SatWords {
-		t.Errorf("majority decode returned %d words, config says %d", len(sat), sd.cfg.SatWords)
+	short[3][0] = 7 // majority of 6
+	ok, open := decode(short)
+	if want := 4*(c.fieldBits-c.idBits) >= 64*sd.cfg.SatWords; ok != want || open {
+		t.Errorf("4-field majority decoded as present %v, open %v; want %v, false", ok, open, want)
 	}
 }
 

@@ -149,6 +149,43 @@ func oneProbeForms(t *testing.T) lookupForms {
 	}
 }
 
+// staticForms reads a Static's cascade directly: pdmdict.Static offers
+// only Lookup, which is LookupOp with a nil op.
+func staticForms(t *testing.T, cs StaticCase) lookupForms {
+	const n = 200
+	recs := makeRecords(n, 3, 9)
+	sd, m := buildStatic(t, 12, 64, StaticConfig{SatWords: 3, Case: cs, Seed: 9}, recs)
+	stored := make([]pdm.Word, n)
+	for i, r := range recs {
+		stored[i] = r.Key
+	}
+	c := &sd.c
+	return lookupForms{
+		name:    "static-" + cs.String(),
+		keys:    withAbsent(stored, 64),
+		single:  c.LookupOp,
+		batch:   c.LookupBatchInto,
+		try:     c.LookupTry,
+		setHook: m.SetHook,
+		probes: func(x pdm.Word) [][]pdm.Addr {
+			var addrs []pdm.Addr
+			if cs == CaseA {
+				addrs = c.memb.probeAddrs(new(probeScratch), x, nil)
+			}
+			for i := range c.d {
+				addrs = append(addrs, fieldAddr(sd, x, i))
+			}
+			return [][]pdm.Addr{addrs}
+		},
+	}
+}
+
+// fieldAddr is the static layout's address of the block holding x's
+// field on stripe i: its i-th neighbor in the retrieval array.
+func fieldAddr(sd *StaticDict, x pdm.Word, i int) pdm.Addr {
+	return sd.arr.addr(i, sd.graph.StripeNeighbor(uint64(x), i)/sd.c.fieldsPerBlock)
+}
+
 // dictForms stops a Dict part-way through its first migration, so the
 // seeded keys live in both structures: the routing's miss path runs.
 func dictForms(t *testing.T) lookupForms {
@@ -200,6 +237,8 @@ func TestLookupFormsAgree(t *testing.T) {
 		dynamicForms,
 		oneProbeForms,
 		dictForms,
+		func(t *testing.T) lookupForms { return staticForms(t, CaseA) },
+		func(t *testing.T) lookupForms { return staticForms(t, CaseB) },
 	} {
 		f := build(t)
 		t.Run(f.name, func(t *testing.T) { checkLookupForms(t, f) })

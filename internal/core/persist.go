@@ -203,7 +203,7 @@ func (sd *StaticDict) Snapshot(w io.Writer) error {
 	if err := encodeHeader(w, staticHeader{Cfg: sd.cfg, N: sd.n, Build: sd.ConstructionIOs}); err != nil {
 		return fmt.Errorf("core: encoding StaticDict header: %w", err)
 	}
-	return writeMachine(w, sd.m)
+	return writeMachine(w, sd.c.m)
 }
 
 // LoadStatic restores a StaticDict (and its machine) from a Snapshot
@@ -222,19 +222,15 @@ func LoadStatic(r io.Reader) (*StaticDict, *pdm.Machine, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	d := m.D()
-	if h.Cfg.Case == CaseA {
-		d = m.D() / 2
-	}
 	if h.N < 0 {
 		return nil, nil, fmt.Errorf("core: snapshot key count %d negative; corrupt snapshot", h.N)
 	}
-	sd := &StaticDict{m: m, cfg: h.Cfg, d: d, n: h.N, t: ceilDiv(2*d, 3), ConstructionIOs: h.Build}
-	if err := sd.layout(); err != nil {
+	sd := &StaticDict{cfg: h.Cfg, n: h.N, ConstructionIOs: h.Build}
+	if err := sd.layout(m); err != nil {
 		return nil, nil, err
 	}
-	if sd.memb != nil {
-		sd.memb.n = h.N
+	if sd.c.memb != nil {
+		sd.c.memb.n = h.N
 	}
 	return sd, m, nil
 }

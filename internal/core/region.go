@@ -5,7 +5,8 @@
 //     worst-case lookups and updates (1-I/O lookups when a bucket fits in
 //     a block), in both the k = 1 and k = d/2 (bandwidth) variants.
 //   - StaticDict — Section 4.2 / Theorem 6: the one-probe static
-//     dictionary built by unique-neighbor assignment, cases (a) and (b).
+//     dictionary built by unique-neighbor assignment, cases (a) and (b),
+//     whose lookups run the cascade below as a single level.
 //   - DynamicDict — Section 4.3 / Theorem 7: the geometric cascade of
 //     retrieval arrays with first-fit insertion; unsuccessful searches
 //     take 1 I/O, successful searches 1+ɛ I/Os on average, updates 2+ɛ.

@@ -87,9 +87,9 @@ func basicTarget(bd *BasicDict) tryTarget {
 	}
 }
 
-// dynamicTarget needs each stored key's resident level, read off the
-// membership blocks before any fault is injected.
-func dynamicTarget(dd *DynamicDict, levels map[pdm.Word]int) tryTarget {
+// dynamicTarget reads each key's resident level and chain off the
+// disks with storedChain, which no fault reaches.
+func dynamicTarget(dd *DynamicDict) tryTarget {
 	c := &dd.cascade
 	levelAddrs := func(x pdm.Word, li int) []pdm.Addr {
 		c.mu.RLock()
@@ -112,44 +112,33 @@ func dynamicTarget(dd *DynamicDict, levels map[pdm.Word]int) tryTarget {
 			if ok, transient := settledBy(c.memb, x, memb, failed); !ok {
 				return false, transient
 			}
-			li, present := levels[x]
+			li, present, chain := storedChain(c, x)
 			if !present || li >= c.pre {
 				return true, false
 			}
-			// A key on a probed level needs all d of its field blocks.
-			settled, transient := true, false
-			for _, a := range levelAddrs(x, li) {
-				if k, bad := failed[a]; bad {
-					settled = false
-					transient = transient || k == pdm.FaultTransient
-				}
+			// A key on a probed level needs the fields its chain walks.
+			// The walk stops at the first that failed, and the lookup
+			// retries every failed field from that stripe on, where the
+			// rest of the chain lies.
+			gap := slices.IndexFunc(chain, func(a pdm.Addr) bool { _, bad := failed[a]; return bad })
+			if gap < 0 {
+				return true, false
 			}
-			return settled, transient
+			all := levelAddrs(x, li)
+			transient := false
+			for _, a := range all[slices.Index(all, chain[gap]):] {
+				transient = transient || failed[a] == pdm.FaultTransient
+			}
+			return false, transient
 		},
 		round2: func(x pdm.Word) []pdm.Addr {
-			if li, present := levels[x]; present && li >= c.pre {
+			if li, present, _ := storedChain(c, x); present && li >= c.pre {
 				return levelAddrs(x, li)
 			}
 			return nil
 		},
 		rounds: 2,
 	}
-}
-
-// residentLevels reads every stored key's level off its membership
-// record, fault-free.
-func residentLevels(t *testing.T, dd *DynamicDict, recs []bucket.Record) map[pdm.Word]int {
-	c := &dd.cascade
-	out := make(map[pdm.Word]int, len(recs))
-	for _, r := range recs {
-		addrs := c.memb.probeAddrs(new(probeScratch), r.Key, nil)
-		sat, ok, _ := refLookup(c.memb, r.Key, c.m.BatchRead(addrs))
-		if !ok {
-			t.Fatalf("key %d has no membership record", r.Key)
-		}
-		out[r.Key] = int(sat[0] >> 8)
-	}
-	return out
 }
 
 // The retry rule's property, over seeded plans of transient reads,
@@ -190,7 +179,7 @@ func TestLookupTryRetriesOnlyNeededBlocks(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				return dynamicTarget(dd, residentLevels(t, dd, recs))
+				return dynamicTarget(dd)
 			}},
 		} {
 			t.Run(fmt.Sprintf("%s/seed=%d", s.name, seed), func(t *testing.T) {

@@ -33,6 +33,7 @@ type probeScratch struct {
 	frags   [][]pdm.Word  // fragment index / replica rank → record data
 	memb    [1]pdm.Word   // a membership sub-dictionary's one-word satellite
 	fields  [][]pdm.Word  // one key's d chain fields
+	words   []pdm.Word    // a satellite decoded from them, copied out on a hit
 	view    [][]pdm.Word  // one key's blocks, in probe order
 	r1, r2  dedup         // first and second read round
 	deep    []deepKey     // cascade lookups: keys beyond the first probe
@@ -117,6 +118,15 @@ func (sc *probeScratch) stripeMarks(d int) []bool {
 	sc.dirty = sc.dirty[:d]
 	clear(sc.dirty)
 	return sc.dirty
+}
+
+// decoded returns the scratch's satellite words, n of them.
+func (sc *probeScratch) decoded(n int) []pdm.Word {
+	if cap(sc.words) < n {
+		sc.words = make([]pdm.Word, n)
+	}
+	sc.words = sc.words[:n]
+	return sc.words
 }
 
 // fragSlots returns k empty fragment slots.

@@ -160,6 +160,22 @@ func TestAllocationPins(t *testing.T) {
 			t.Fatal(ok, err)
 		}
 	})
+	for _, cs := range []StaticCase{CaseA, CaseB} {
+		sd, err := BuildStatic(machine(20), StaticConfig{SatWords: 2, Case: cs, Seed: 1}, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinAllocs(t, "Static.Lookup hit, "+cs.String(), 1, func() {
+			if _, ok := sd.Lookup(keys[3]); !ok {
+				t.Fatal("stored key not found")
+			}
+		})
+		pinAllocs(t, "Static.Lookup miss, "+cs.String(), 0, func() {
+			if _, ok := sd.Lookup(absent); ok {
+				t.Fatal("absent key found")
+			}
+		})
+	}
 	// The scheduler's shape: a shared round of 8 tokens into results the
 	// caller owns costs 8 satellites and the round's closure, on Dynamic
 	// and through the Dict's routing alike.

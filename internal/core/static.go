@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"pdmdict/internal/bitpack"
@@ -101,26 +102,19 @@ func (c *StaticConfig) normalize() error {
 // StaticDict is the one-probe static dictionary of Section 4.2. Lookups
 // cost exactly one parallel I/O — for present keys the satellite is
 // returned from that single probe; for absent keys the probe itself
-// proves absence. The structure is immutable after construction; the
-// chained-level cascade of Section 4.3 (cascade.go, behind DynamicDict
-// and OneProbeDict) is its mutable sibling.
+// proves absence. The structure is immutable after construction, and
+// looks up through the chained-level cascade of Section 4.3
+// (cascade.go): its retrieval array is the cascade's one level, which
+// the first probe reads, with CaseA's membership table in front of it
+// and CaseB's identifier fields decoding by majority. DynamicDict and
+// OneProbeDict are the mutable structures on the same body.
 type StaticDict struct {
-	m     *pdm.Machine
-	cfg   StaticConfig
-	d     int
-	n     int
-	t     int // fields assigned per key, ⌈2d/3⌉
-	graph *expander.Family
-
-	fieldWords     int
-	fieldBits      int // exact bit budget per field
-	idBits         int // case B: identifier width, ⌈lg(n+1)⌉
-	fieldsPerBlock int
-	stripeFields   int
-	arr            region
-
-	memb    *BasicDict // case A only
-	scratch scratchPool
+	cfg          StaticConfig
+	n            int
+	stripeFields int
+	graph        *expander.Family // the retrieval array's expander
+	arr          region           // the retrieval array
+	c            cascade          // the lookup body; its update bodies are never called
 
 	// ConstructionIOs records the parallel I/O cost of BuildStatic,
 	// for comparison against the cost of sorting nd records (Theorem 6
@@ -135,26 +129,13 @@ type StaticDict struct {
 // BuildStatic constructs the dictionary over the given records on
 // machine m. For CaseB the expander degree d is m.D(); for CaseA it is
 // m.D()/2 (the other half of the disks holds the membership
-// sub-dictionary), and m.D() must be even.
+// sub-dictionary), and m.D() must be even and d at most 255.
 func BuildStatic(m *pdm.Machine, cfg StaticConfig, recs []bucket.Record) (*StaticDict, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	d := m.D()
-	if cfg.Case == CaseA {
-		if m.D()%2 != 0 {
-			return nil, fmt.Errorf("core: CaseA needs an even disk count, got %d", m.D())
-		}
-		d = m.D() / 2
-	}
-	if d < 3 {
-		return nil, fmt.Errorf("core: degree %d too small (need d ≥ 3)", d)
-	}
-	n := len(recs)
-	t := ceilDiv(2*d, 3)
-
-	sd := &StaticDict{m: m, cfg: cfg, d: d, n: n, t: t}
-	if err := sd.layout(); err != nil {
+	sd := &StaticDict{cfg: cfg, n: len(recs)}
+	if err := sd.layout(m); err != nil {
 		return nil, err
 	}
 	defer m.Span(pdm.TagBuild).End()
@@ -166,56 +147,60 @@ func BuildStatic(m *pdm.Machine, cfg StaticConfig, recs []bucket.Record) (*Stati
 	return sd, nil
 }
 
-// layout fixes field geometry and creates the sub-structures.
-func (sd *StaticDict) layout() error {
+// layout fixes the degree and field geometry on m and creates the
+// cascade the lookups run.
+func (sd *StaticDict) layout(m *pdm.Machine) error {
 	cfg := sd.cfg
+	d := m.D()
+	if cfg.Case == CaseA {
+		if m.D()%2 != 0 {
+			return fmt.Errorf("core: CaseA needs an even disk count, got %d", m.D())
+		}
+		d = m.D() / 2
+		// The membership record holds the chain head as the cascade's
+		// head | level<<8, level 0.
+		if err := checkHeadRange(d); err != nil {
+			return err
+		}
+	}
+	if d < 3 {
+		return fmt.Errorf("core: degree %d too small (need d ≥ 3)", d)
+	}
+	t := ceilDiv(2*d, 3)
 	sigma := 64 * cfg.SatWords
+	var fieldBits, idBits int
 	switch cfg.Case {
 	case CaseB:
 		// Field = identifier of ⌈lg(n+1)⌉ bits (the paper's "identifiers
 		// of lg n bits, unique for each element of S"; value id+1 so an
 		// all-zero field reads as empty) followed by this field's share
 		// of the satellite bits.
-		sd.idBits = bitsFor(sd.n + 1)
-		sd.fieldBits = sd.idBits + ceilDiv(sigma, sd.t)
-		sd.fieldWords = ceilDiv(sd.fieldBits, 64)
-		if sd.fieldWords == 0 {
-			sd.fieldWords = 1
-		}
-		sd.fieldBits = 64 * sd.fieldWords
+		idBits = bits.Len(uint(sd.n + 1))
+		fieldBits = idBits + ceilDiv(sigma, t)
 	case CaseA:
 		// Per chain: t used bits + unary codes totalling ≤ (d−1)+t bits,
 		// leaving t·fieldBits − (2t+d−1) data bits; that must cover σ.
-		sd.fieldBits = chainFieldBits(sigma, sd.t, sd.d)
-		sd.fieldWords = ceilDiv(sd.fieldBits, 64)
-		if sd.fieldWords == 0 {
-			sd.fieldWords = 1
-		}
-		sd.fieldBits = 64 * sd.fieldWords // use the whole allocation
+		fieldBits = chainFieldBits(sigma, t, d)
 	default:
 		return fmt.Errorf("core: unknown static case %v", cfg.Case)
 	}
-	if sd.fieldWords > sd.m.B() {
-		return fmt.Errorf("core: field of %d words exceeds block size %d", sd.fieldWords, sd.m.B())
+	fieldWords := max(ceilDiv(fieldBits, 64), 1)
+	if fieldWords > m.B() {
+		return fmt.Errorf("core: field of %d words exceeds block size %d", fieldWords, m.B())
 	}
-	sd.fieldsPerBlock = sd.m.B() / sd.fieldWords
+	fieldsPerBlock := m.B() / fieldWords
 
-	nEff := sd.n
-	if nEff == 0 {
-		nEff = 1
-	}
-	// v = Slack·n·d fields total, i.e. Slack·n per stripe.
-	sd.stripeFields = int(cfg.Slack * float64(nEff))
-	// Round the stripe up to whole blocks so addressing is uniform.
-	sd.stripeFields = ceilDiv(sd.stripeFields, sd.fieldsPerBlock) * sd.fieldsPerBlock
-	sd.graph = expander.NewFamily(cfg.Universe, sd.d, sd.stripeFields, cfg.Seed)
-
-	switch cfg.Case {
-	case CaseB:
-		sd.arr = region{m: sd.m, disk0: 0, nDisks: sd.d}
-	case CaseA:
-		sd.arr = region{m: sd.m, disk0: sd.d, nDisks: sd.d}
-		memb, err := newBasicAt(region{m: sd.m, disk0: 0, nDisks: sd.d}, BasicConfig{
+	nEff := max(sd.n, 1)
+	// v = Slack·n·d fields total, i.e. Slack·n per stripe, rounded up to
+	// whole blocks so addressing is uniform.
+	sd.stripeFields = ceilDiv(int(cfg.Slack*float64(nEff)), fieldsPerBlock) * fieldsPerBlock
+	sd.graph = expander.NewFamily(cfg.Universe, d, sd.stripeFields, cfg.Seed)
+	sd.arr = region{m: m, disk0: 0, nDisks: d}
+	var memb *BasicDict
+	if cfg.Case == CaseA {
+		sd.arr.disk0 = d
+		var err error
+		memb, err = newBasicAt(region{m: m, disk0: 0, nDisks: d}, BasicConfig{
 			Capacity: nEff,
 			SatWords: 1, // head pointer
 			Universe: cfg.Universe,
@@ -224,7 +209,15 @@ func (sd *StaticDict) layout() error {
 		if err != nil {
 			return err
 		}
-		sd.memb = memb
+	}
+	sd.c = cascade{
+		m: m, d: d, t: t, capacity: nEff, satWords: cfg.SatWords, universe: cfg.Universe,
+		memb:   memb,
+		levels: []level{{graph: sd.graph, reg: sd.arr, blocks: sd.stripeFields / fieldsPerBlock, count: sd.n}},
+		pre:    1,
+		n:      sd.n,
+		// A field uses its whole allocation.
+		fieldWords: fieldWords, fieldBits: 64 * fieldWords, fieldsPerBlock: fieldsPerBlock, idBits: idBits,
 	}
 	return nil
 }
@@ -233,152 +226,27 @@ func (sd *StaticDict) layout() error {
 func (sd *StaticDict) Len() int { return sd.n }
 
 // Degree returns the expander degree d.
-func (sd *StaticDict) Degree() int { return sd.d }
+func (sd *StaticDict) Degree() int { return sd.c.d }
 
 // Graph returns the retrieval array's expander.
 func (sd *StaticDict) Graph() *expander.Family { return sd.graph }
 
 // FieldsPerKey returns t = ⌈2d/3⌉, the number of unique-neighbor fields
 // assigned to each key.
-func (sd *StaticDict) FieldsPerKey() int { return sd.t }
-
-// arrayBlocksPerDisk is the retrieval array's footprint per disk.
-func (sd *StaticDict) arrayBlocksPerDisk() int {
-	return ceilDiv(sd.stripeFields, sd.fieldsPerBlock)
-}
+func (sd *StaticDict) FieldsPerKey() int { return sd.c.t }
 
 // BlocksPerDisk returns the structure's per-disk space footprint
 // (maximum over its regions).
-func (sd *StaticDict) BlocksPerDisk() int {
-	b := sd.arrayBlocksPerDisk()
-	if sd.memb != nil && sd.memb.BlocksPerDisk() > b {
-		b = sd.memb.BlocksPerDisk()
-	}
-	return b
-}
-
-// fieldAddr locates the block containing field j of stripe i.
-func (sd *StaticDict) fieldAddr(i, j int) pdm.Addr {
-	return sd.arr.addr(i, j/sd.fieldsPerBlock)
-}
-
-// fieldSlot returns the word offset of field j inside its block.
-func (sd *StaticDict) fieldSlot(j int) int {
-	return (j % sd.fieldsPerBlock) * sd.fieldWords
-}
+func (sd *StaticDict) BlocksPerDisk() int { return sd.c.BlocksPerDisk() }
 
 // Lookup returns a copy of x's satellite data and whether x is present.
 // Cost: exactly one parallel I/O in both cases — CaseB reads the d
 // blocks holding Γ(x)'s fields; CaseA additionally reads the d
 // membership buckets in the same batch, on its other d disks.
-func (sd *StaticDict) Lookup(x pdm.Word) ([]pdm.Word, bool) {
-	defer sd.m.Span(pdm.TagLookup).End()
-	sc := sd.scratch.get()
-	defer sd.scratch.put(sc)
-	d := sd.d
-	sc.one = sc.one[:0]
-	if sd.memb != nil {
-		sc.one = sd.memb.probeAddrs(sc, x, sc.one)
-	}
-	membLen := len(sc.one)
-	js := sc.ns[:0] // the membership probe is done with its neighbor ids
-	for i := 0; i < d; i++ {
-		js = append(js, sd.graph.StripeNeighbor(uint64(x), i))
-		sc.one = append(sc.one, sd.fieldAddr(i, js[i]))
-	}
-	sc.ns = js
-	flat := sd.m.BatchReadInto(&sc.buf, nil, nil, sc.one) // the single parallel I/O
-	sc.fields = sc.fields[:0]
-	for i, j := range js {
-		slot := sd.fieldSlot(j)
-		sc.fields = append(sc.fields, flat[membLen+i][slot:slot+sd.fieldWords])
-	}
-	switch sd.cfg.Case {
-	case CaseB:
-		return sd.decodeMajority(sc.fields)
-	default:
-		membSat, ok := sd.memb.lookupInBlocks(sc, x, flat[:membLen], sc.memb[:0])
-		if !ok {
-			return nil, false
-		}
-		return decodeChain(sd.fieldBits, sd.cfg.SatWords, sc.fields, int(membSat[0]))
-	}
-}
+func (sd *StaticDict) Lookup(x pdm.Word) ([]pdm.Word, bool) { return sd.c.LookupOp(nil, x) }
 
 // Contains reports presence at the same single-I/O cost as Lookup.
-func (sd *StaticDict) Contains(x pdm.Word) bool {
-	_, ok := sd.Lookup(x)
-	return ok
-}
-
-// decodeMajority implements the CaseB read path: if one identifier
-// appears in more than half of the d fields, the data bits of those
-// fields (in stripe order) are the satellite. The paper notes no key
-// comparison is needed: two keys share at most εd < d/2 neighbors.
-// Identifiers are ⌈lg(n+1)⌉-bit values packed at the head of each field
-// (0 = empty).
-func (sd *StaticDict) decodeMajority(fields [][]pdm.Word) ([]pdm.Word, bool) {
-	ids := make([]uint64, len(fields))
-	counts := make(map[uint64]int, sd.d)
-	var majority uint64
-	for i, f := range fields {
-		id := bitpack.NewReader(f, sd.fieldBits).ReadBits(sd.idBits)
-		ids[i] = id
-		if id == 0 {
-			continue // empty field
-		}
-		counts[id]++
-		if counts[id]*2 > sd.d {
-			majority = id
-		}
-	}
-	if majority == 0 {
-		return nil, false
-	}
-	need := 64 * sd.cfg.SatWords
-	out := bitpack.NewWriter()
-	for i, f := range fields {
-		if ids[i] != majority {
-			continue
-		}
-		r := bitpack.NewReader(f, sd.fieldBits)
-		r.ReadBits(sd.idBits)
-		take := sd.fieldBits - sd.idBits
-		if take > need {
-			take = need
-		}
-		for take > 0 {
-			c := take
-			if c > 64 {
-				c = 64
-			}
-			out.WriteBits(r.ReadBits(c), c)
-			take -= c
-			need -= c
-		}
-		if need == 0 {
-			break
-		}
-	}
-	if need > 0 {
-		return nil, false // malformed; treat as absent
-	}
-	sat := make([]pdm.Word, sd.cfg.SatWords)
-	copy(sat, out.Words())
-	return sat, true
-}
-
-// bitsFor returns the number of bits needed to represent values up to x.
-func bitsFor(x int) int {
-	b := 0
-	for v := x; v > 0; v >>= 1 {
-		b++
-	}
-	if b == 0 {
-		b = 1
-	}
-	return b
-}
+func (sd *StaticDict) Contains(x pdm.Word) bool { return sd.c.Contains(x) }
 
 // ---------------------------------------------------------------------
 // Construction (Section 4.2, "Improving the construction"): a chain of
@@ -409,7 +277,7 @@ func (bs *buildState) alloc(stripes int) int {
 // count, including the slack Sort needs for run alignment (every scratch
 // vector here may be sorted in place).
 func (sd *StaticDict) stripesFor(words int) int {
-	sw := sd.m.D() * sd.m.B()
+	sw := sd.c.m.D() * sd.c.m.B()
 	s := ceilDiv(words, sw)
 	return s + ceilDiv(s, sd.cfg.MemStripes) + 2
 }
@@ -441,7 +309,7 @@ func (sd *StaticDict) construct(recs []bucket.Record) error {
 		}
 	}
 	inWidth := 2 + sd.cfg.SatWords
-	inA := extsort.NewAppender(sd.m, bs.alloc(sd.stripesFor(sd.n*inWidth)), inWidth)
+	inA := extsort.NewAppender(sd.c.m, bs.alloc(sd.stripesFor(sd.n*inWidth)), inWidth)
 	rec := make([]pdm.Word, inWidth)
 	for i, r := range sorted {
 		rec[0] = r.Key
@@ -455,7 +323,7 @@ func (sd *StaticDict) construct(recs []bucket.Record) error {
 	// pair vectors and their sort scratch.
 	zoneIn2 := bs.alloc(sd.stripesFor(sd.n * inWidth))
 	zones := [2]int{in.Start, zoneIn2}
-	pairStripes := sd.stripesFor(sd.n * sd.d * 2)
+	pairStripes := sd.stripesFor(sd.n * sd.c.d * 2)
 	zoneP := bs.alloc(pairStripes)
 	zonePS := bs.alloc(pairStripes)
 	zoneUP := bs.alloc(pairStripes)
@@ -469,7 +337,7 @@ func (sd *StaticDict) construct(recs []bucket.Record) error {
 			return err
 		}
 		if next.N == in.N {
-			return fmt.Errorf("%w: no key gained %d unique neighbors (n=%d)", ErrExpansion, sd.t, in.N)
+			return fmt.Errorf("%w: no key gained %d unique neighbors (n=%d)", ErrExpansion, sd.c.t, in.N)
 		}
 		in = next
 	}
@@ -477,7 +345,7 @@ func (sd *StaticDict) construct(recs []bucket.Record) error {
 	if err := sd.fillArray(bs); err != nil {
 		return err
 	}
-	if sd.memb != nil {
+	if sd.c.memb != nil {
 		// Bulk-build the membership sub-dictionary at sort cost instead
 		// of 2 I/Os per key — this keeps the whole construction inside
 		// Theorem 6's "proportional to sorting" budget.
@@ -486,7 +354,7 @@ func (sd *StaticDict) construct(recs []bucket.Record) error {
 			membRecs = append(membRecs, bucket.Record{Key: bs.heads[i], Sat: []pdm.Word{bs.heads[i+1]}})
 		}
 		scratch := bs.alloc(2*sd.stripesFor(len(membRecs)*5) + 4)
-		if err := sd.memb.BulkLoad(membRecs, scratch, sd.cfg.MemStripes); err != nil {
+		if err := sd.c.memb.BulkLoad(membRecs, scratch, sd.cfg.MemStripes); err != nil {
 			return fmt.Errorf("core: membership build: %w", err)
 		}
 	}
@@ -497,13 +365,13 @@ func (sd *StaticDict) construct(recs []bucket.Record) error {
 // neighbors of the current set, assign fields to the well-covered keys
 // S′, and return the vector of survivors S \ S′.
 func (sd *StaticDict) peelRound(bs *buildState, in *extsort.Vec, zoneNext, zoneP, zonePS, zoneUP int) (*extsort.Vec, error) {
-	m := sd.m
+	m := sd.c.m
 
 	// Pairs (key, y) for every edge out of the working set, sorted by y
 	// (word 1) to expose duplicate right vertices.
 	pa := extsort.NewAppender(m, zoneP, 2)
 	extsort.Scan(in, func(_ int, rec []pdm.Word) {
-		for i := 0; i < sd.d; i++ {
+		for i := 0; i < sd.c.d; i++ {
 			y := i*sd.stripeFields + sd.graph.StripeNeighbor(uint64(rec[0]), i)
 			pa.Append([]pdm.Word{rec[0], pdm.Word(y)})
 		}
@@ -536,11 +404,11 @@ func (sd *StaticDict) peelRound(bs *buildState, in *extsort.Vec, zoneNext, zoneP
 
 	// Merge-join the unique pairs with the (key-sorted) working set.
 	nextA := extsort.NewAppender(m, zoneNext, in.RecWords)
-	asgWidth := 2 + sd.fieldWords
-	asgA := extsort.NewAppender(m, bs.alloc(sd.stripesFor(in.N*sd.t*asgWidth)), asgWidth)
+	asgWidth := 2 + sd.c.fieldWords
+	asgA := extsort.NewAppender(m, bs.alloc(sd.stripesFor(in.N*sd.c.t*asgWidth)), asgWidth)
 	ur := extsort.NewVecReader(unique)
 	upRec, upOK := ur.Next()
-	ys := make([]int, 0, sd.d)
+	ys := make([]int, 0, sd.c.d)
 	extsort.Scan(in, func(_ int, rec []pdm.Word) {
 		key := rec[0]
 		ys = ys[:0]
@@ -551,8 +419,8 @@ func (sd *StaticDict) peelRound(bs *buildState, in *extsort.Vec, zoneNext, zoneP
 			ys = append(ys, int(upRec[1]))
 			upRec, upOK = ur.Next()
 		}
-		if len(ys) >= sd.t {
-			sd.emitAssignments(bs, asgA, rec, ys[:sd.t])
+		if len(ys) >= sd.c.t {
+			sd.emitAssignments(bs, asgA, rec, ys[:sd.c.t])
 		} else {
 			nextA.Append(rec)
 		}
@@ -568,16 +436,16 @@ func (sd *StaticDict) peelRound(bs *buildState, in *extsort.Vec, zoneNext, zoneP
 // state's buffer, each field's content encoded straight into its record.
 func (sd *StaticDict) emitAssignments(bs *buildState, asgA *extsort.Appender, rec []pdm.Word, ys []int) {
 	key, id, sat := rec[0], rec[1], rec[2:]
-	width := 2 + sd.fieldWords
+	width := 2 + sd.c.fieldWords
 	if bs.fields == nil {
-		bs.asg = make([]pdm.Word, sd.t*width)
-		bs.fields = make([][]pdm.Word, sd.d)
+		bs.asg = make([]pdm.Word, sd.c.t*width)
+		bs.fields = make([][]pdm.Word, sd.c.d)
 	}
 	bs.stripes = bs.stripes[:0]
 	for p, y := range ys {
 		stripe, j := y/sd.stripeFields, y%sd.stripeFields
 		out := bs.asg[p*width : (p+1)*width : (p+1)*width]
-		out[0] = pdm.Word(j/sd.fieldsPerBlock*sd.d + stripe)
+		out[0] = pdm.Word(j/sd.c.fieldsPerBlock*sd.c.d + stripe)
 		out[1] = pdm.Word(y)
 		bs.fields[stripe] = out[2:]
 		bs.stripes = append(bs.stripes, stripe)
@@ -585,7 +453,7 @@ func (sd *StaticDict) emitAssignments(bs *buildState, asgA *extsort.Appender, re
 
 	switch sd.cfg.Case {
 	case CaseA:
-		encodeChain(sd.fieldBits, bs.stripes, sat, bs.fields)
+		encodeChain(sd.c.fieldBits, bs.stripes, sat, bs.fields)
 		bs.heads = append(bs.heads, key, pdm.Word(bs.stripes[0]))
 	case CaseB:
 		satBits := bitpack.NewReader(sat, 64*len(sat))
@@ -593,19 +461,8 @@ func (sd *StaticDict) emitAssignments(bs *buildState, asgA *extsort.Appender, re
 			content := bs.fields[s]
 			clear(content)
 			w := bitpack.NewWriterOver(content)
-			w.WriteBits(uint64(id)+1, sd.idBits)
-			take := satBits.Remaining()
-			if avail := sd.fieldBits - sd.idBits; take > avail {
-				take = avail
-			}
-			for take > 0 {
-				c := take
-				if c > 64 {
-					c = 64
-				}
-				w.WriteBits(satBits.ReadBits(c), c)
-				take -= c
-			}
+			w.WriteBits(uint64(id)+1, sd.c.idBits)
+			copyBits(w, satBits, min(satBits.Remaining(), sd.c.fieldBits-sd.c.idBits))
 		}
 	}
 	for p := range ys {
@@ -618,15 +475,15 @@ func (sd *StaticDict) emitAssignments(bs *buildState, asgA *extsort.Appender, re
 // (parallel) write per touched block row. Untouched fields stay zero,
 // which is the empty encoding in both cases.
 func (sd *StaticDict) fillArray(bs *buildState) error {
-	asgWidth := 2 + sd.fieldWords
+	asgWidth := 2 + sd.c.fieldWords
 	total := 0
 	for _, v := range bs.asgVecs {
 		total += v.N
 	}
-	if total != sd.n*sd.t {
-		return fmt.Errorf("core: assigned %d fields, want %d", total, sd.n*sd.t)
+	if total != sd.n*sd.c.t {
+		return fmt.Errorf("core: assigned %d fields, want %d", total, sd.n*sd.c.t)
 	}
-	all := extsort.NewAppender(sd.m, bs.alloc(sd.stripesFor(total*asgWidth)), asgWidth)
+	all := extsort.NewAppender(sd.c.m, bs.alloc(sd.stripesFor(total*asgWidth)), asgWidth)
 	for _, v := range bs.asgVecs {
 		extsort.Scan(v, func(_ int, rec []pdm.Word) { all.Append(rec) })
 	}
@@ -648,25 +505,25 @@ func (sd *StaticDict) fillArray(bs *buildState) error {
 		for _, stripe := range stripes {
 			writes = append(writes, pdm.BlockWrite{Addr: sd.arr.addr(stripe, curRow), Data: blocks[stripe]})
 		}
-		sd.m.BatchWrite(writes)
+		sd.c.m.BatchWrite(writes)
 		for k := range blocks {
 			delete(blocks, k)
 		}
 	}
 	extsort.Scan(asg, func(_ int, rec []pdm.Word) {
 		sortKey := int(rec[0])
-		row, stripe := sortKey/sd.d, sortKey%sd.d
+		row, stripe := sortKey/sd.c.d, sortKey%sd.c.d
 		if row != curRow {
 			flush()
 			curRow = row
 		}
 		blk := blocks[stripe]
 		if blk == nil {
-			blk = make([]pdm.Word, sd.m.B())
+			blk = make([]pdm.Word, sd.c.m.B())
 			blocks[stripe] = blk
 		}
 		j := int(rec[1]) % sd.stripeFields
-		copy(blk[sd.fieldSlot(j):], rec[2:])
+		copy(blk[(j%sd.c.fieldsPerBlock)*sd.c.fieldWords:], rec[2:])
 	})
 	flush()
 	return nil

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pdmdict/internal/bucket"
@@ -245,5 +247,67 @@ func TestStaticManyGeometries(t *testing.T) {
 		recs := makeRecords(g.n, g.sat, int64(g.d*1000+g.n))
 		sd, _ := buildStatic(t, g.d, g.b, StaticConfig{SatWords: g.sat, Case: g.cs, Seed: uint64(g.n)}, recs)
 		verifyAll(t, sd, recs)
+	}
+}
+
+// CaseA's membership record holds a chain head as the cascade's
+// head | level<<8 at level 0, so its degree is at most 255: BuildStatic
+// refuses 256 (512 disks), and so does LoadStatic on a snapshot of that
+// shape, while 255 builds and loads.
+func TestStaticCaseADegreeBound(t *testing.T) {
+	cfg := StaticConfig{SatWords: 1, Case: CaseA}
+	for _, disks := range []int{510, 512} {
+		m := pdm.NewMachine(pdm.Config{D: disks, B: 64})
+		_, buildErr := BuildStatic(m, cfg, nil)
+		var snap bytes.Buffer
+		if err := encodeHeader(&snap, staticHeader{Cfg: cfg}); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeMachine(&snap, m); err != nil {
+			t.Fatal(err)
+		}
+		_, _, loadErr := LoadStatic(&snap)
+		if ok := disks == 510; (buildErr == nil) != ok || (loadErr == nil) != ok {
+			t.Errorf("CaseA on %d disks: BuildStatic error %v, LoadStatic error %v; want accepted %v", disks, buildErr, loadErr, ok)
+		}
+	}
+}
+
+// Static's degraded read is the cascade's: with any one disk
+// fail-stopped, every conclusive answer is right, and some lookups
+// answer while others are inconclusive. A CaseB satellite's shares
+// follow stripe order, so a missing field ahead of the last share it
+// needs leaves the key open even when a majority of its fields arrived.
+func TestStaticLookupTryFailStop(t *testing.T) {
+	const n = 200
+	recs := makeRecords(n, 3, 13)
+	for _, cs := range []StaticCase{CaseA, CaseB} {
+		sd, m := buildStatic(t, 12, 64, StaticConfig{SatWords: 3, Case: cs, Seed: 14}, recs)
+		stored := make([]pdm.Word, n)
+		for i, r := range recs {
+			stored[i] = r.Key
+		}
+		answered, lost := 0, 0
+		for disk := range m.D() {
+			m.SetFaultInjector(failStop(disk))
+			for i, x := range withAbsent(stored, n) {
+				sat, ok, err := sd.c.LookupTry(x)
+				switch {
+				case err != nil:
+					if !errors.Is(err, pdm.ErrDiskFailed) || ok || sat != nil {
+						t.Fatalf("%v, disk %d down, key %d: LookupTry = %v, %v, %v", cs, disk, x, sat, ok, err)
+					}
+					lost++
+				case ok != (i < n) || i < n && !slices.Equal(sat, recs[i].Sat):
+					t.Fatalf("%v, disk %d down, key %d: LookupTry = %v, %v; want present %v", cs, disk, x, sat, ok, i < n)
+				default:
+					answered++
+				}
+			}
+		}
+		m.SetFaultInjector(nil)
+		if answered == 0 || lost == 0 {
+			t.Errorf("%v: %d answers and %d inconclusive lookups; want both", cs, answered, lost)
+		}
 	}
 }

@@ -54,8 +54,9 @@ var lockOrder = []lockClass{
 	{Pkg: "core", Type: "Dict", Field: "statsMu", Rank: 24},
 
 	// Dictionary structures. The chained-level cascade behind
-	// DynamicDict and OneProbeDict may call into its membership
-	// BasicDict while holding its own lock, so BasicDict ranks after it.
+	// DynamicDict, OneProbeDict and StaticDict may call into its
+	// membership BasicDict while holding its own lock, so BasicDict
+	// ranks after it.
 	{Pkg: "core", Type: "cascade", Field: "mu", Rank: 30},
 	{Pkg: "core", Type: "BasicDict", Field: "mu", Rank: 34},
 

@@ -780,10 +780,11 @@ func (d *Dynamic) LevelCounts() []int { return d.d.LevelCounts() }
 // machine's checked read path, and a transiently failed block is
 // re-issued, up to three times, only while the key's answer still needs
 // it — the membership blocks until they settle the key, then the fields
-// of its resident level. Membership records and fields have one copy
-// each, so a fail-stopped disk among the blocks a key needs makes its
-// lookup inconclusive: a non-nil error, never a wrong answer or a false
-// absence. Like Basic.LookupTry it mints no operation token.
+// its chain walks on its resident level. Membership records and fields
+// have one copy each, so a fail-stopped disk among the blocks a key
+// needs makes its lookup inconclusive: a non-nil error, never a wrong
+// answer or a false absence. A failed field off the key's chain costs
+// nothing. Like Basic.LookupTry it mints no operation token.
 func (d *Dynamic) LookupTry(key Word) ([]Word, bool, error) { return d.d.LookupTry(key) }
 
 // ---------------------------------------------------------------------
