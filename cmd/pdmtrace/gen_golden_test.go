@@ -33,12 +33,12 @@ func TestGenTracesGolden(t *testing.T) {
 	}{
 		{"basic", "read", "79d37ee1bbf9828806d129e914fcce85732b7ced5d3d82e72394cba7eceed892", "fcaae114d7d7ddf39548d1f7f7602a98d829ea925a2ee15561b07967c38e35f5"},
 		{"basic", "write", "1b781b1f6bc05a9fd550bfc0b2a278eb96a6d41f63aefbd7c1c7d5a7bdbb29cc", "9b2800e2e997ef6a19005a8ed75d0e7403c3a7f32fc065647cc3dd3802f8cf4b"},
-		{"dynamic", "read", "53854edda94de9a43923de06e358558603a1d94ef27a6fbf68427c61dbb2eea6", "1aae778a34bcaceef743dbabeb823c7f2d8ec6b649c83b56bb605ad86330d11f"},
-		{"dynamic", "write", "e84bd15fe4959ee10773ba693c220f5c0cf7cb600be7a81cce182953feeba954", "61a79f2f225380c521ead4d37ab1033bcf209d4574cb1d856c3d93bb85402a90"},
-		{"oneprobe", "read", "a0e43ec0ac39db30471cd026767ed853f5dd8a55997a5b50a687b3387640810b", "b129718025cea7167633b1fd752294a40c2582e208c9ac4208f85e1ddf78ee9b"},
-		{"oneprobe", "write", "c6587abd7d44bc640cb1062143ebb939650cbfd37e289db0c06765f8ebb0264d", "44a505d4e90fd7a3217ad67d5e747b8b38ea207535869a9ed75f1a0e020d82b4"},
-		{"dict", "read", "3c18ab2e6de1c3e7e0440ecbbbd1b68173d1a93d513ef5dd8eba1122ee7cc0ac", "ca7a8552afccd83ea54a6029dfe3847fdc995eecddfbc0aeda7f8d1dc7f372f8"},
-		{"dict", "write", "81cb9bfeefe89034bbace7cb4857747b5951eb91b6400085a0e55d8f9e662878", "84b5e473bd6c4080d40a614ea1c0e3dd6b946bb199b1a08290ba253b3f35b064"},
+		{"dynamic", "read", "53854edda94de9a43923de06e358558603a1d94ef27a6fbf68427c61dbb2eea6", "b1baf17c77025cfdece6fb34a53653cdf31be2d0e4aab56724cca428ee6c28df"},
+		{"dynamic", "write", "e84bd15fe4959ee10773ba693c220f5c0cf7cb600be7a81cce182953feeba954", "14eb1bbd2aaa8922610b54d9c39f598ee175514239114b2d1eb9450339a5029e"},
+		{"oneprobe", "read", "a0e43ec0ac39db30471cd026767ed853f5dd8a55997a5b50a687b3387640810b", "9b688756d7a6dde9bfabc91727d7d666da1662a19c03f10cc621f4311919d8e1"},
+		{"oneprobe", "write", "c6587abd7d44bc640cb1062143ebb939650cbfd37e289db0c06765f8ebb0264d", "c57a805760a2d6c47c79dd1c09ef573b3956dc1317ff588af61f9e1ee3e08fb3"},
+		{"dict", "read", "3c18ab2e6de1c3e7e0440ecbbbd1b68173d1a93d513ef5dd8eba1122ee7cc0ac", "3924cbb223f423b59e2764e17b7a980b99105e6a7e2b78700d4775f9a2790570"},
+		{"dict", "write", "81cb9bfeefe89034bbace7cb4857747b5951eb91b6400085a0e55d8f9e662878", "0f835307834cbfe8386424f78f7cf6a965807b215f28b2f4faad2c5f1a8b183e"},
 		{"hash", "read", "8fdae897b2c969e71e589b7519670122654b9b3158b5ce68af3878ed660afd53", "9043f7ed3c8c7ea218dbed655fde573f96f9facd2213a62c0027e3a4e5b3988f"},
 		{"hash", "write", "7112031fa9cce1e3087ef1d6a6cc6be3cefdcb5f589f99f2eaf36529bdce8e87", "7c18b5e33d9b208d13baff163f2ed357a63a132f352a398df4e75796f427a06b"},
 		{"cuckoo", "read", "156a2f220cedc39e16fcd13a4f7ab6fe157d01e4e7f3be603fe2b48093ceb585", "8941cefd220ffec0d349d6c5ba644da09cace566ee3428f7daf3de45f2016d88"},

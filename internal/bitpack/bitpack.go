@@ -20,7 +20,9 @@ import "fmt"
 // from the least significant position upward.
 type Writer struct {
 	words []uint64
-	n     int // bits written
+	n     int  // bit position of the next write
+	base  int  // bit position of the first write
+	at    bool // overwrite words in place from base; never grow
 }
 
 // NewWriter returns an empty writer.
@@ -31,8 +33,17 @@ func NewWriter() *Writer { return &Writer{} }
 // the destination and reads the result there.
 func NewWriterOver(buf []uint64) *Writer { return &Writer{words: buf[:0]} }
 
+// NewWriterAt returns a writer that overwrites words in place from bit
+// off onward: each write replaces the bits it covers and leaves every
+// other bit alone, so a field packed into a shared block can be
+// rewritten without disturbing its neighbors. It never grows words; a
+// write past their end panics.
+func NewWriterAt(words []uint64, off int) *Writer {
+	return &Writer{words: words, n: off, base: off, at: true}
+}
+
 // Len returns the number of bits written so far.
-func (w *Writer) Len() int { return w.n }
+func (w *Writer) Len() int { return w.n - w.base }
 
 // Words returns the backing words; the final partial word is
 // zero-padded. The slice is live until the next write.
@@ -48,7 +59,7 @@ func (w *Writer) WriteBits(v uint64, width int) {
 		v &= (1 << width) - 1
 	}
 	for width > 0 {
-		if w.n%64 == 0 {
+		if w.n%64 == 0 && !w.at {
 			w.words = append(w.words, 0)
 		}
 		word, off := w.n/64, w.n%64
@@ -56,7 +67,8 @@ func (w *Writer) WriteBits(v uint64, width int) {
 		if take > width {
 			take = width
 		}
-		w.words[word] |= (v & ((1 << take) - 1)) << off
+		mask := uint64(1)<<take - 1
+		w.words[word] = w.words[word]&^(mask<<off) | (v&mask)<<off
 		v >>= take
 		w.n += take
 		width -= take
@@ -88,6 +100,17 @@ func NewReader(words []uint64, limit int) *Reader {
 		badLimit(limit, len(words))
 	}
 	return &Reader{words: words, limit: limit}
+}
+
+// NewReaderAt reads the n-bit stream that starts at bit off of words:
+// a field packed into a shared block, read without copying it out. It
+// returns the reader by value, so a caller's reader stays on its stack
+// whether or not the call is inlined.
+func NewReaderAt(words []uint64, off, n int) Reader {
+	if off < 0 || n < 0 || off+n > 64*len(words) {
+		badLimit(off+n, len(words))
+	}
+	return Reader{words: words, pos: off, limit: off + n}
 }
 
 // badLimit keeps the panic's formatting out of NewReader, which then

@@ -1,6 +1,7 @@
 package bitpack
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -201,5 +202,64 @@ func TestPropertyUnaryInterleaved(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// A field written at any bit offset of a block reads back from the same
+// offset, and no bit outside it changes: for every width a packed layout
+// uses and every offset at which a field of that width fits, including
+// the last field of the block, over a background of random bits.
+func TestAtOffsetRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const words = 4
+	for _, width := range []int{1, 4, 13, 27, 40, 64, 65, 128, 256} {
+		last := (64*words/width)*width - width // the block's last whole field
+		for off := 0; off+width <= 64*words; off++ {
+			bg := make([]uint64, words)
+			for i := range bg {
+				bg[i] = rng.Uint64()
+			}
+			blk := append([]uint64(nil), bg...)
+			val := make([]uint64, (width+63)/64)
+			for i := range val {
+				val[i] = rng.Uint64()
+			}
+			w := NewWriterAt(blk, off)
+			for i, left := 0, width; left > 0; i, left = i+1, left-64 {
+				w.WriteBits(val[i], min(left, 64))
+			}
+			if w.Len() != width {
+				t.Fatalf("width %d at %d: Len = %d", width, off, w.Len())
+			}
+			r := NewReaderAt(blk, off, width)
+			for i, left := 0, width; left > 0; i, left = i+1, left-64 {
+				want := val[i]
+				if left < 64 {
+					want &= 1<<left - 1
+				}
+				if got := r.ReadBits(min(left, 64)); got != want {
+					t.Fatalf("width %d at %d: word %d reads %#x, want %#x", width, off, i, got, want)
+				}
+			}
+			if r.Remaining() != 0 || r.Pos() != off+width {
+				t.Fatalf("width %d at %d: Remaining %d, Pos %d after the field", width, off, r.Remaining(), r.Pos())
+			}
+			for b := 0; b < 64*words; b++ {
+				if b >= off && b < off+width {
+					continue
+				}
+				if (blk[b/64]^bg[b/64])>>(b%64)&1 != 0 {
+					t.Fatalf("width %d at %d (last field at %d): bit %d outside the field changed", width, off, last, b)
+				}
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("width %d: a field past the block's end did not panic", width)
+				}
+			}()
+			NewReaderAt(make([]uint64, words), last+width+1, width)
+		}()
 	}
 }

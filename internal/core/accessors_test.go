@@ -111,7 +111,7 @@ func (*writeError) Error() string { return "synthetic write failure" }
 func FuzzChainCodec(f *testing.F) {
 	f.Add(uint8(5), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(20), uint8(14), []byte{})
-	f.Add(uint8(5), uint8(3), make([]byte, 64)) // 3-word fields; the tail's last two are never written
+	f.Add(uint8(5), uint8(3), make([]byte, 64)) // 182-bit fields; the tail's last bits are never written
 	f.Fuzz(func(t *testing.T, dRaw, tRaw uint8, satRaw []byte) {
 		d := int(dRaw%30) + 3
 		tt := int(tRaw)%d + 1
@@ -139,40 +139,37 @@ func FuzzChainCodec(f *testing.F) {
 			sat = append(sat, w)
 		}
 		fieldBits := chainFieldBits(64*len(sat), tt, d)
-		fieldWords := (fieldBits + 63) / 64
-		if fieldWords == 0 {
-			fieldWords = 1
-		}
-		fieldBits = 64 * fieldWords
 
-		// The chain is encoded in place twice: over fields of one block
-		// filled with garbage, and over zeroed ones. The encoder must
-		// clear every field it writes — the two encodings agree on the
-		// chain — and leave every other field alone.
-		fieldsOver := func(fill func(i int) pdm.Word) [][]pdm.Word {
-			blk := make([]pdm.Word, d*fieldWords)
+		// The chain is encoded in place twice: over fields packed back to
+		// back into one block, from an odd bit offset, filled with
+		// garbage, and over zeroed ones. The encoder must clear every
+		// field it writes — the two encodings agree on the chain — and
+		// leave every other bit of the block alone.
+		const base = 5
+		words := ceilDiv(base+d*fieldBits, 64)
+		garbage := func(i int) pdm.Word { return ^pdm.Word(i) }
+		fieldsOver := func(fill func(i int) pdm.Word) ([]pdm.Word, []field) {
+			blk := make([]pdm.Word, words)
 			for i := range blk {
 				blk[i] = fill(i)
 			}
-			fields := make([][]pdm.Word, d)
+			fields := make([]field, d)
 			for i := range fields {
-				fields[i] = blk[i*fieldWords : (i+1)*fieldWords : (i+1)*fieldWords]
+				fields[i] = field{blk: blk, off: base + i*fieldBits}
 			}
 			encodeChain(fieldBits, stripes, sat, fields)
-			return fields
+			return blk, fields
 		}
-		garbage := func(i int) pdm.Word { return ^pdm.Word(i) }
-		fields := fieldsOver(garbage)
-		clean := fieldsOver(func(int) pdm.Word { return 0 })
-		p := 0
-		for i, f := range fields {
-			if p < len(stripes) && stripes[p] == i {
-				if !slices.Equal(f, clean[i]) {
-					t.Fatalf("stripe %d: chain field %x over garbage, %x over zeros", i, f, clean[i])
+		blk, fields := fieldsOver(garbage)
+		cleanBlk, _ := fieldsOver(func(int) pdm.Word { return 0 })
+		for b := 0; b < 64*words; b++ {
+			bit := func(ws []pdm.Word) pdm.Word { return ws[b/64] >> (b % 64) & 1 }
+			if i := (b - base) / fieldBits; b >= base && i < d && slices.Contains(stripes, i) {
+				if bit(blk) != bit(cleanBlk) {
+					t.Fatalf("stripe %d: chain field bit %d differs over garbage and over zeros", i, b)
 				}
-				p++
-			} else if f[0] != garbage(i*fieldWords) {
-				t.Fatalf("stripe %d is not in the chain but its field changed", i)
+			} else if bit(blk) != garbage(b/64)>>(b%64)&1 {
+				t.Fatalf("bit %d is in no chain field but changed", b)
 			}
 		}
 		got := make([]pdm.Word, len(sat))

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 
-	"pdmdict/internal/bitpack"
 	"pdmdict/internal/expander"
 	"pdmdict/internal/pdm"
 )
@@ -35,6 +34,14 @@ import (
 //
 // The membership satellite packs the head pointer ("a small integer of
 // lg d bits") and the resident level into one word: head | level<<8.
+//
+// Fields are packed at their bit width, the paper's O(σ/t + log d) bits:
+// ⌊64·B/fieldBits⌋ to a block, field j of a stripe at bit
+// (j mod fieldsPerBlock)·fieldBits of its block j/fieldsPerBlock, none
+// straddling a block. Each level's range of fields per stripe is rounded
+// up to a multiple of rangeUnit, the fields per block of a layout that
+// pads every field to whole words, so ranges, expanders and therefore
+// placements are those of that layout, in a fraction of its blocks.
 type cascade struct {
 	mu       sync.RWMutex // lookups shared, updates exclusive
 	m        *pdm.Machine
@@ -47,7 +54,6 @@ type cascade struct {
 	levels   []level // guarded by mu
 	pre      int     // levels [0, pre) are read by the first probe
 
-	fieldWords     int
 	fieldBits      int
 	fieldsPerBlock int
 	idBits         int // Theorem 6(b)'s identifier width; 0: chained fields
@@ -62,8 +68,18 @@ type cascade struct {
 type level struct {
 	graph  *expander.Family
 	reg    region
-	blocks int // per-disk footprint
+	blocks int // per-disk footprint: the range's packed fields, in blocks
 	count  int // keys currently stored at this level
+}
+
+// fieldGeometry returns the packed layout of fieldBits-bit fields in
+// blocks of b words, and the unit a level's range is rounded to: the
+// fields per block of a layout padding each field to whole words.
+func fieldGeometry(fieldBits, b int) (fieldsPerBlock, rangeUnit int, err error) {
+	if fieldBits > 64*b {
+		return 0, 0, fmt.Errorf("core: field of %d bits exceeds a block of %d words", fieldBits, b)
+	}
+	return 64 * b / fieldBits, b / ceilDiv(fieldBits, 64), nil
 }
 
 // cascadeSizing is what a structure's configuration fixes about its
@@ -81,32 +97,33 @@ type cascadeSizing struct {
 
 // initLocked lays out a cascade of degree d on m: the membership
 // sub-dictionary on disks [0, d), then levels of geometrically
-// decreasing size (never below one block per disk) wherever place puts
-// them. place gets each level's index and per-disk footprint and
-// returns its region and whether it is the last. Only constructors call
-// it, on a structure no other goroutine can see yet.
-func (c *cascade) initLocked(m *pdm.Machine, d int, s cascadeSizing, place func(li, blocks int) (reg region, last bool)) error {
+// decreasing size (never below one range unit per stripe) wherever
+// place puts them. place gets each level's index, its per-disk
+// footprint and whether its range is at that floor, and returns its
+// region and whether it is the last. Only constructors call it, on a
+// structure no other goroutine can see yet.
+func (c *cascade) initLocked(m *pdm.Machine, d int, s cascadeSizing, place func(li, blocks int, floor bool) (reg region, last bool)) error {
 	if err := checkHeadRange(d); err != nil {
 		return err
 	}
 	c.m, c.d, c.t = m, d, ceilDiv(2*d, 3)
 	c.capacity, c.satWords, c.universe = s.Capacity, s.SatWords, s.Universe
-	c.fieldWords = max(ceilDiv(chainFieldBits(64*s.SatWords, c.t, d), 64), 1)
-	c.fieldBits = 64 * c.fieldWords
-	if c.fieldWords > m.B() {
-		return fmt.Errorf("core: field of %d words exceeds block size %d", c.fieldWords, m.B())
+	c.fieldBits = chainFieldBits(64*s.SatWords, c.t, d)
+	var unit int
+	var err error
+	if c.fieldsPerBlock, unit, err = fieldGeometry(c.fieldBits, m.B()); err != nil {
+		return err
 	}
-	c.fieldsPerBlock = m.B() / c.fieldWords
 
 	perStripe := s.Slack * float64(s.Capacity)
 	for last := false; !last; perStripe *= s.Ratio {
-		sf := max(ceilDiv(int(perStripe), c.fieldsPerBlock)*c.fieldsPerBlock, c.fieldsPerBlock)
+		sf := max(ceilDiv(int(perStripe), unit)*unit, unit)
 		li := len(c.levels)
 		lv := level{
 			graph:  expander.NewFamily(s.Universe, d, sf, s.Seed+uint64(li)+1),
-			blocks: sf / c.fieldsPerBlock,
+			blocks: ceilDiv(sf, c.fieldsPerBlock),
 		}
-		lv.reg, last = place(li, lv.blocks)
+		lv.reg, last = place(li, lv.blocks, sf == unit)
 		c.levels = append(c.levels, lv)
 	}
 	c.pre = disjointPrefix(c.levels)
@@ -148,11 +165,14 @@ func disjointPrefix(levels []level) int {
 }
 
 // chainDiff peeks a chain field's next-stripe difference without
-// decoding the data bits.
-func chainDiff(field []pdm.Word, fieldBits int) int {
-	r := bitpack.NewReader(field, fieldBits)
+// decoding the data bits; a damaged pointer reads as the chain's end.
+func chainDiff(f field, fieldBits int) int {
+	r := f.reader(fieldBits)
 	r.ReadBits(1)
-	return r.ReadUnary()
+	if diff, whole := readDiff(&r); whole {
+		return diff
+	}
+	return 0
 }
 
 // Len returns the number of keys stored.
@@ -225,18 +245,14 @@ func (c *cascade) levelAddrs(lv *level, x pdm.Word, dst []pdm.Addr) []pdm.Addr {
 	return dst
 }
 
-// fieldsOf extracts the d per-stripe field slices of x from that
-// level's blocks, into the scratch's field table. A missing block's
-// field is nil.
-func (c *cascade) fieldsOf(sc *probeScratch, lv *level, x pdm.Word, blocks [][]pdm.Word) [][]pdm.Word {
+// fieldsOf views the d per-stripe fields of x in that level's blocks,
+// into the scratch's field table. A missing block's field has a nil
+// block.
+func (c *cascade) fieldsOf(sc *probeScratch, lv *level, x pdm.Word, blocks [][]pdm.Word) []field {
 	sc.fields = sc.fields[:0]
 	for i := 0; i < c.d; i++ {
-		var f []pdm.Word
-		if blocks[i] != nil {
-			slot := (lv.graph.StripeNeighbor(uint64(x), i) % c.fieldsPerBlock) * c.fieldWords
-			f = blocks[i][slot : slot+c.fieldWords : slot+c.fieldWords]
-		}
-		sc.fields = append(sc.fields, f)
+		off := (lv.graph.StripeNeighbor(uint64(x), i) % c.fieldsPerBlock) * c.fieldBits
+		sc.fields = append(sc.fields, field{blk: blocks[i], off: off})
 	}
 	return sc.fields
 }
@@ -652,7 +668,7 @@ func (c *cascade) releaseLocked(sc *probeScratch, op *pdm.Op, x pdm.Word, membSa
 	cur := head
 	for cur >= 0 && cur < c.d && fieldUsed(fields[cur]) {
 		diff := chainDiff(fields[cur], c.fieldBits)
-		clear(fields[cur])
+		fields[cur].clear(c.fieldBits)
 		j := lv.graph.StripeNeighbor(uint64(x), cur)
 		writes = append(writes, pdm.BlockWrite{
 			Addr: lv.reg.addr(cur, j/c.fieldsPerBlock),

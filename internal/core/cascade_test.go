@@ -101,10 +101,10 @@ func storedChain(c *cascade, x pdm.Word) (level int, found bool, chain []pdm.Add
 	need := 64 * c.satWords
 	for cur := head; cur >= 0 && cur < c.d && fieldUsed(fields[cur]); {
 		chain = append(chain, addrs[cur])
-		r := bitpack.NewReader(fields[cur], c.fieldBits)
+		r := bitpack.NewReaderAt(fields[cur].blk, fields[cur].off, c.fieldBits)
 		r.ReadBits(1)
 		diff := r.ReadUnary()
-		if need -= c.fieldBits - r.Pos(); need <= 0 || diff == 0 {
+		if need -= r.Remaining(); need <= 0 || diff == 0 {
 			break
 		}
 		cur += diff
@@ -194,9 +194,9 @@ func TestDynamicLookupTryFailedArrayDisk(t *testing.T) {
 // A chain level settles a key from the fields on its chain alone. With
 // level disk 25 of a 40-disk DynamicDict fail-stopped, every stored key
 // whose chain avoids that disk answers correctly — 26 of 400 at this
-// seed, whose chains start low and walk most of their t = 14 stripes —
-// and every other stored key is inconclusive, singly and in one merged
-// lookup. Absent keys are settled by the membership buckets. No answer
+// seed, whose chains start low and, with fields packed to about σ/t
+// bits, walk all t = 14 of their stripes — and every other stored key
+// is inconclusive, singly and in one merged lookup. Absent keys are settled by the membership buckets. No answer
 // is wrong.
 func TestCascadeChainSettlesOffChainFailure(t *testing.T) {
 	const n, failed = 400, 25

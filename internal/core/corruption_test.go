@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"pdmdict/internal/bitpack"
+
 	"pdmdict/internal/pdm"
 )
 
@@ -92,24 +94,31 @@ func TestStaticSurvivesGarbageBlocks(t *testing.T) {
 }
 
 func TestChainDecodeNeverPanicsOnGarbage(t *testing.T) {
-	// decodeChain over random field contents must report absence or a
-	// satellite — never panic, never read out of bounds.
+	// decodeChain over random field contents, packed at any width from
+	// any bit offset, must report absence or a satellite — never panic,
+	// never read out of bounds, even where a pointer runs off its field.
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 5000; trial++ {
 		d := 3 + rng.Intn(20)
-		fieldWords := 1 + rng.Intn(4)
-		satWords := rng.Intn(fieldWords * d)
-		fields := make([][]pdm.Word, d)
-		for i := range fields {
-			fields[i] = make([]pdm.Word, fieldWords)
-			for j := range fields[i] {
-				if rng.Intn(3) > 0 {
-					fields[i][j] = rng.Uint64()
-				}
+		fieldBits := 1 + rng.Intn(256)
+		satWords := rng.Intn(ceilDiv(fieldBits*d, 64))
+		base := rng.Intn(64)
+		blk := make([]pdm.Word, ceilDiv(base+d*fieldBits, 64))
+		for j := range blk {
+			switch rng.Intn(4) {
+			case 0:
+			case 1:
+				blk[j] = ^pdm.Word(0) // unary codes longer than a field
+			default:
+				blk[j] = rng.Uint64()
 			}
 		}
+		fields := make([]field, d)
+		for i := range fields {
+			fields[i] = field{blk: blk, off: base + i*fieldBits}
+		}
 		head := rng.Intn(d+4) - 2 // sometimes out of range
-		if gap, _ := decodeChain(64*fieldWords, fields, head, make([]pdm.Word, satWords)); gap >= 0 {
+		if gap, _ := decodeChain(fieldBits, fields, head, make([]pdm.Word, satWords)); gap >= 0 {
 			t.Fatalf("trial %d: gap %d with every field present", trial, gap)
 		}
 	}
@@ -125,28 +134,28 @@ func TestMajorityDecodeRejectsSplitVotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &sd.c
-	decode := func(fields [][]pdm.Word) (bool, bool) {
+	decode := func(fields []field) (bool, bool) {
 		return decodeMajority(c.fieldBits, c.idBits, fields, make([]pdm.Word, sd.cfg.SatWords))
 	}
-	fields := make([][]pdm.Word, c.d)
-	for i := range fields {
-		fields[i] = make([]pdm.Word, c.fieldWords)
-		fields[i][0] = pdm.Word(i + 1) // all distinct ids: no majority
+	// fieldsWithIDs packs one field per stripe into a block, each
+	// holding the given identifier and no data.
+	fieldsWithIDs := func(ids ...uint64) []field {
+		blk := make([]pdm.Word, ceilDiv(c.d*c.fieldBits, 64))
+		fields := make([]field, c.d)
+		for i := range fields {
+			fields[i] = field{blk: blk, off: i * c.fieldBits}
+			if i < len(ids) {
+				bitpack.NewWriterAt(blk, fields[i].off).WriteBits(ids[i], c.idBits)
+			}
+		}
+		return fields
 	}
-	if ok, open := decode(fields); ok || open {
+	if ok, open := decode(fieldsWithIDs(1, 2, 3, 4, 5, 6)); ok || open { // all distinct ids: no majority
 		t.Errorf("split votes decoded as present %v, open %v", ok, open)
 	}
 	// A genuine majority whose fields hold the satellite decodes; with
 	// truncated data it must be rejected.
-	short := make([][]pdm.Word, c.d)
-	for i := range short {
-		short[i] = make([]pdm.Word, c.fieldWords)
-	}
-	short[0][0] = 7
-	short[1][0] = 7
-	short[2][0] = 7
-	short[3][0] = 7 // majority of 6
-	ok, open := decode(short)
+	ok, open := decode(fieldsWithIDs(7, 7, 7, 7)) // majority of 6
 	if want := 4*(c.fieldBits-c.idBits) >= 64*sd.cfg.SatWords; ok != want || open {
 		t.Errorf("4-field majority decoded as present %v, open %v; want %v, false", ok, open, want)
 	}

@@ -109,17 +109,18 @@ func NewDynamic(m *pdm.Machine, cfg DynamicConfig) (*DynamicDict, error) {
 	dd := &DynamicDict{cfg: cfg}
 	// Geometric cascade: array i has Slack·N·Ratio^(i-1) fields per
 	// stripe, stacked at increasing block offsets on disks [d, 2d), down
-	// to a floor where a single key's chain still fits comfortably, or
-	// to the paper's level count l = ⌈log N / log(1/Ratio)⌉ + 1.
+	// to the floor range (one range unit per stripe, see cascade), where
+	// a single key's chain still fits comfortably, or to the paper's
+	// level count l = ⌈log N / log(1/Ratio)⌉ + 1.
 	block0 := 0
 	maxLevels := max(int(math.Ceil(math.Log(float64(cfg.Capacity))/math.Log(1/cfg.Ratio)))+1, 1)
 	err := dd.initLocked(m, d, cascadeSizing{
 		Capacity: cfg.Capacity, SatWords: cfg.SatWords, Universe: cfg.Universe,
 		Seed: cfg.Seed, Slack: cfg.Slack, Ratio: cfg.Ratio,
-	}, func(li, blocks int) (region, bool) {
+	}, func(li, blocks int, floor bool) (region, bool) {
 		reg := region{m: m, disk0: d, nDisks: d, block0: block0}
 		block0 += blocks
-		return reg, blocks == 1 || li+1 >= maxLevels
+		return reg, floor || li+1 >= maxLevels
 	})
 	if err != nil {
 		return nil, err

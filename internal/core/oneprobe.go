@@ -107,7 +107,7 @@ func NewOneProbe(m *pdm.Machine, cfg OneProbeConfig) (*OneProbeDict, error) {
 	err := op.initLocked(m, d, cascadeSizing{
 		Capacity: cfg.Capacity, SatWords: cfg.SatWords, Universe: cfg.Universe,
 		Seed: cfg.Seed, Slack: cfg.Slack, Ratio: cfg.Ratio,
-	}, func(li, _ int) (region, bool) {
+	}, func(li, _ int, _ bool) (region, bool) {
 		return region{m: m, disk0: (li + 1) * d, nDisks: d}, li+1 == cfg.Levels
 	})
 	if err != nil {

@@ -98,6 +98,24 @@ func checkCount(what string, n, max int) error {
 	return nil
 }
 
+// layoutVersion is the field layout a cascade's or a StaticDict's
+// snapshot header records. Version 2 packs each field at its bit width;
+// version 1, whose headers carry no Version, padded every field to whole
+// words. Loading re-runs the current layout code, under which another
+// version's blocks would decode as garbage, so loaders refuse it.
+const layoutVersion = 2
+
+// checkLayout refuses a snapshot header of another layout version.
+func checkLayout(what string, v int) error {
+	if v == layoutVersion {
+		return nil
+	}
+	if v == 0 {
+		v = 1 // written before headers carried a version
+	}
+	return fmt.Errorf("core: %s snapshot has field layout version %d; this build reads version %d only", what, v, layoutVersion)
+}
+
 // basicHeader is the durable metadata of a BasicDict.
 type basicHeader struct {
 	Cfg    BasicConfig
@@ -157,6 +175,7 @@ func LoadBasic(r io.Reader) (*BasicDict, *pdm.Machine, error) {
 // each field's name into the stream, so its fields and oneProbeHeader's
 // keep their names.
 type dynamicHeader struct {
+	Version     int
 	Cfg         DynamicConfig
 	N           int
 	MembN       int
@@ -166,7 +185,7 @@ type dynamicHeader struct {
 // Snapshot writes the dictionary and its machine to w.
 func (dd *DynamicDict) Snapshot(w io.Writer) error {
 	return dd.snapshot(w, "DynamicDict", func(n, membN int, counts []int) any {
-		return dynamicHeader{Cfg: dd.cfg, N: n, MembN: membN, LevelCounts: counts}
+		return dynamicHeader{Version: layoutVersion, Cfg: dd.cfg, N: n, MembN: membN, LevelCounts: counts}
 	})
 }
 
@@ -176,6 +195,9 @@ func LoadDynamic(r io.Reader) (*DynamicDict, *pdm.Machine, error) {
 	var h dynamicHeader
 	if err := decodeHeader(r, &h); err != nil {
 		return nil, nil, fmt.Errorf("core: decoding DynamicDict header: %w", err)
+	}
+	if err := checkLayout("DynamicDict", h.Version); err != nil {
+		return nil, nil, err
 	}
 	m, err := readMachine(r)
 	if err != nil {
@@ -193,14 +215,15 @@ func LoadDynamic(r io.Reader) (*DynamicDict, *pdm.Machine, error) {
 
 // staticHeader is the durable metadata of a StaticDict.
 type staticHeader struct {
-	Cfg   StaticConfig
-	N     int
-	Build pdm.Stats
+	Version int
+	Cfg     StaticConfig
+	N       int
+	Build   pdm.Stats
 }
 
 // Snapshot writes the dictionary and its machine to w.
 func (sd *StaticDict) Snapshot(w io.Writer) error {
-	if err := encodeHeader(w, staticHeader{Cfg: sd.cfg, N: sd.n, Build: sd.ConstructionIOs}); err != nil {
+	if err := encodeHeader(w, staticHeader{Version: layoutVersion, Cfg: sd.cfg, N: sd.n, Build: sd.ConstructionIOs}); err != nil {
 		return fmt.Errorf("core: encoding StaticDict header: %w", err)
 	}
 	return writeMachine(w, sd.c.m)
@@ -212,6 +235,9 @@ func LoadStatic(r io.Reader) (*StaticDict, *pdm.Machine, error) {
 	var h staticHeader
 	if err := decodeHeader(r, &h); err != nil {
 		return nil, nil, fmt.Errorf("core: decoding StaticDict header: %w", err)
+	}
+	if err := checkLayout("StaticDict", h.Version); err != nil {
+		return nil, nil, err
 	}
 	// layout() trusts the config (the build path normalized it), so a
 	// loaded one must be re-validated before any sizing math runs on it.
@@ -237,6 +263,7 @@ func LoadStatic(r io.Reader) (*StaticDict, *pdm.Machine, error) {
 
 // oneProbeHeader is the durable metadata of a OneProbeDict.
 type oneProbeHeader struct {
+	Version     int
 	Cfg         OneProbeConfig
 	N           int
 	MembN       int
@@ -246,7 +273,7 @@ type oneProbeHeader struct {
 // Snapshot writes the dictionary and its machine to w.
 func (op *OneProbeDict) Snapshot(w io.Writer) error {
 	return op.snapshot(w, "OneProbeDict", func(n, membN int, counts []int) any {
-		return oneProbeHeader{Cfg: op.cfg, N: n, MembN: membN, LevelCounts: counts}
+		return oneProbeHeader{Version: layoutVersion, Cfg: op.cfg, N: n, MembN: membN, LevelCounts: counts}
 	})
 }
 
@@ -256,6 +283,9 @@ func LoadOneProbe(r io.Reader) (*OneProbeDict, *pdm.Machine, error) {
 	var h oneProbeHeader
 	if err := decodeHeader(r, &h); err != nil {
 		return nil, nil, fmt.Errorf("core: decoding OneProbeDict header: %w", err)
+	}
+	if err := checkLayout("OneProbeDict", h.Version); err != nil {
+		return nil, nil, err
 	}
 	m, err := readMachine(r)
 	if err != nil {

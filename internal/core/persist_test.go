@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -215,4 +217,97 @@ func TestMachineSnapshotPreservesStats(t *testing.T) {
 	if got := r.ReadBlock(pdm.Addr{Disk: 1, Block: 3})[0]; got != 7 {
 		t.Errorf("data after restore = %d, want 7", got)
 	}
+}
+
+// A snapshot of the word-padded field layout, whose headers carry no
+// Version, or of any layout version but the current one, is refused
+// with an error naming the version: its blocks would decode as garbage
+// under the packed layout. The Dict refuses through its structures.
+func TestSnapshotRefusesOtherLayout(t *testing.T) {
+	snap := func(save func(*bytes.Buffer) error) []byte {
+		var buf bytes.Buffer
+		if err := save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	m := func(d int) *pdm.Machine { return pdm.NewMachine(pdm.Config{D: d, B: 16}) }
+	dd, err := NewDynamic(m(40), DynamicConfig{Capacity: 20, SatWords: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := NewOneProbe(m(16), OneProbeConfig{Capacity: 20, SatWords: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := BuildStatic(m(12), StaticConfig{SatWords: 1, Case: CaseA, Seed: 1}, makeRecords(20, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDict(DictConfig{InitialCapacity: 8, SatWords: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		snap []byte
+		skip int // framed sections ahead of the structure's own header
+		load func(io.Reader) error
+	}{
+		{"DynamicDict", snap(func(b *bytes.Buffer) error { return dd.Snapshot(b) }), 0,
+			func(r io.Reader) error { _, _, err := LoadDynamic(r); return err }},
+		{"OneProbeDict", snap(func(b *bytes.Buffer) error { return op.Snapshot(b) }), 0,
+			func(r io.Reader) error { _, _, err := LoadOneProbe(r); return err }},
+		{"StaticDict", snap(func(b *bytes.Buffer) error { return sd.Snapshot(b) }), 0,
+			func(r io.Reader) error { _, _, err := LoadStatic(r); return err }},
+		{"DynamicDict", snap(func(b *bytes.Buffer) error { return d.Snapshot(b) }), 1,
+			func(r io.Reader) error { _, err := LoadDict(r); return err }},
+	} {
+		if err := c.load(bytes.NewReader(c.snap)); err != nil {
+			t.Fatalf("%s: current snapshot refused: %v", c.name, err)
+		}
+		for _, v := range []int{0, 1, layoutVersion + 1} {
+			old := withVersion(t, c.snap, c.skip, v)
+			err := c.load(bytes.NewReader(old))
+			want := fmt.Sprintf("%s snapshot has field layout version %d", c.name, max(v, 1))
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s snapshot of version %d: load error %v, want one containing %q", c.name, v, err, want)
+			}
+		}
+	}
+}
+
+// withVersion rewrites the header after skip framed sections of a
+// snapshot to carry layout version v, or no Version at all for v = 0,
+// as headers were written before they carried one.
+func withVersion(t *testing.T, snap []byte, skip, v int) []byte {
+	t.Helper()
+	r := bytes.NewReader(snap)
+	var out bytes.Buffer
+	for range skip {
+		sec, err := readSection(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(sec)
+		if err := writeSection(&out, func(w io.Writer) error { _, err := w.Write(body); return err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var h map[string]any
+	if err := decodeHeader(r, &h); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := h["Version"]; !ok {
+		t.Fatal("current header carries no Version")
+	}
+	delete(h, "Version")
+	if v > 0 {
+		h["Version"] = v
+	}
+	if err := encodeHeader(&out, h); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := io.ReadAll(r)
+	return append(out.Bytes(), rest...)
 }

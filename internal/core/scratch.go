@@ -32,7 +32,7 @@ type probeScratch struct {
 	retries retryScratch  // a fault-aware round's retries, whose blocks join buf's views
 	frags   [][]pdm.Word  // fragment index / replica rank → record data
 	memb    [1]pdm.Word   // a membership sub-dictionary's one-word satellite
-	fields  [][]pdm.Word  // one key's d chain fields
+	fields  []field       // one key's d fields at a level
 	words   []pdm.Word    // a satellite decoded from them, copied out on a hit
 	view    [][]pdm.Word  // one key's blocks, in probe order
 	r1, r2  dedup         // first and second read round

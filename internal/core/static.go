@@ -106,8 +106,11 @@ func (c *StaticConfig) normalize() error {
 // looks up through the chained-level cascade of Section 4.3
 // (cascade.go): its retrieval array is the cascade's one level, which
 // the first probe reads, with CaseA's membership table in front of it
-// and CaseB's identifier fields decoding by majority. DynamicDict and
-// OneProbeDict are the mutable structures on the same body.
+// and CaseB's identifier fields decoding by majority. Its fields are
+// packed at their bit width, as the cascade's are: CaseA's chain fields
+// at chainFieldBits, CaseB's at the identifier plus a ⌈σ/t⌉-bit share of
+// the satellite. DynamicDict and OneProbeDict are the mutable structures
+// on the same body.
 type StaticDict struct {
 	cfg          StaticConfig
 	n            int
@@ -184,22 +187,20 @@ func (sd *StaticDict) layout(m *pdm.Machine) error {
 	default:
 		return fmt.Errorf("core: unknown static case %v", cfg.Case)
 	}
-	fieldWords := max(ceilDiv(fieldBits, 64), 1)
-	if fieldWords > m.B() {
-		return fmt.Errorf("core: field of %d words exceeds block size %d", fieldWords, m.B())
+	fieldsPerBlock, unit, err := fieldGeometry(fieldBits, m.B())
+	if err != nil {
+		return err
 	}
-	fieldsPerBlock := m.B() / fieldWords
 
 	nEff := max(sd.n, 1)
 	// v = Slack·n·d fields total, i.e. Slack·n per stripe, rounded up to
-	// whole blocks so addressing is uniform.
-	sd.stripeFields = ceilDiv(int(cfg.Slack*float64(nEff)), fieldsPerBlock) * fieldsPerBlock
+	// a whole range unit, as the cascade rounds its levels.
+	sd.stripeFields = ceilDiv(int(cfg.Slack*float64(nEff)), unit) * unit
 	sd.graph = expander.NewFamily(cfg.Universe, d, sd.stripeFields, cfg.Seed)
 	sd.arr = region{m: m, disk0: 0, nDisks: d}
 	var memb *BasicDict
 	if cfg.Case == CaseA {
 		sd.arr.disk0 = d
-		var err error
 		memb, err = newBasicAt(region{m: m, disk0: 0, nDisks: d}, BasicConfig{
 			Capacity: nEff,
 			SatWords: 1, // head pointer
@@ -212,12 +213,11 @@ func (sd *StaticDict) layout(m *pdm.Machine) error {
 	}
 	sd.c = cascade{
 		m: m, d: d, t: t, capacity: nEff, satWords: cfg.SatWords, universe: cfg.Universe,
-		memb:   memb,
-		levels: []level{{graph: sd.graph, reg: sd.arr, blocks: sd.stripeFields / fieldsPerBlock, count: sd.n}},
-		pre:    1,
-		n:      sd.n,
-		// A field uses its whole allocation.
-		fieldWords: fieldWords, fieldBits: 64 * fieldWords, fieldsPerBlock: fieldsPerBlock, idBits: idBits,
+		memb:      memb,
+		levels:    []level{{graph: sd.graph, reg: sd.arr, blocks: ceilDiv(sd.stripeFields, fieldsPerBlock), count: sd.n}},
+		pre:       1,
+		n:         sd.n,
+		fieldBits: fieldBits, fieldsPerBlock: fieldsPerBlock, idBits: idBits,
 	}
 	return nil
 }
@@ -263,7 +263,7 @@ type buildState struct {
 	// table indexed by stripe that points into them, and the key's
 	// stripes.
 	asg     []pdm.Word
-	fields  [][]pdm.Word
+	fields  []field
 	stripes []int
 }
 
@@ -404,7 +404,7 @@ func (sd *StaticDict) peelRound(bs *buildState, in *extsort.Vec, zoneNext, zoneP
 
 	// Merge-join the unique pairs with the (key-sorted) working set.
 	nextA := extsort.NewAppender(m, zoneNext, in.RecWords)
-	asgWidth := 2 + sd.c.fieldWords
+	asgWidth := sd.asgWidth()
 	asgA := extsort.NewAppender(m, bs.alloc(sd.stripesFor(in.N*sd.c.t*asgWidth)), asgWidth)
 	ur := extsort.NewVecReader(unique)
 	upRec, upOK := ur.Next()
@@ -429,6 +429,10 @@ func (sd *StaticDict) peelRound(bs *buildState, in *extsort.Vec, zoneNext, zoneP
 	return nextA.Vec(), nil
 }
 
+// asgWidth is the word width of an assignment record: a sort key, the
+// field's node y, and the field's bits from bit 0 of the next word.
+func (sd *StaticDict) asgWidth() int { return 2 + ceilDiv(sd.c.fieldBits, 64) }
+
 // emitAssignments writes the t field records for one key. Each
 // assignment record is [sortKey, y, field content...], where sortKey
 // orders fields block-row-major so the final fill writes whole block
@@ -436,10 +440,10 @@ func (sd *StaticDict) peelRound(bs *buildState, in *extsort.Vec, zoneNext, zoneP
 // state's buffer, each field's content encoded straight into its record.
 func (sd *StaticDict) emitAssignments(bs *buildState, asgA *extsort.Appender, rec []pdm.Word, ys []int) {
 	key, id, sat := rec[0], rec[1], rec[2:]
-	width := 2 + sd.c.fieldWords
+	width := sd.asgWidth()
 	if bs.fields == nil {
 		bs.asg = make([]pdm.Word, sd.c.t*width)
-		bs.fields = make([][]pdm.Word, sd.c.d)
+		bs.fields = make([]field, sd.c.d)
 	}
 	bs.stripes = bs.stripes[:0]
 	for p, y := range ys {
@@ -447,7 +451,7 @@ func (sd *StaticDict) emitAssignments(bs *buildState, asgA *extsort.Appender, re
 		out := bs.asg[p*width : (p+1)*width : (p+1)*width]
 		out[0] = pdm.Word(j/sd.c.fieldsPerBlock*sd.c.d + stripe)
 		out[1] = pdm.Word(y)
-		bs.fields[stripe] = out[2:]
+		bs.fields[stripe] = field{blk: out[2:]}
 		bs.stripes = append(bs.stripes, stripe)
 	}
 
@@ -458,9 +462,9 @@ func (sd *StaticDict) emitAssignments(bs *buildState, asgA *extsort.Appender, re
 	case CaseB:
 		satBits := bitpack.NewReader(sat, 64*len(sat))
 		for _, s := range bs.stripes {
-			content := bs.fields[s]
-			clear(content)
-			w := bitpack.NewWriterOver(content)
+			f := bs.fields[s]
+			f.clear(sd.c.fieldBits)
+			w := bitpack.NewWriterAt(f.blk, f.off)
 			w.WriteBits(uint64(id)+1, sd.c.idBits)
 			copyBits(w, satBits, min(satBits.Remaining(), sd.c.fieldBits-sd.c.idBits))
 		}
@@ -475,7 +479,7 @@ func (sd *StaticDict) emitAssignments(bs *buildState, asgA *extsort.Appender, re
 // (parallel) write per touched block row. Untouched fields stay zero,
 // which is the empty encoding in both cases.
 func (sd *StaticDict) fillArray(bs *buildState) error {
-	asgWidth := 2 + sd.c.fieldWords
+	asgWidth := sd.asgWidth()
 	total := 0
 	for _, v := range bs.asgVecs {
 		total += v.N
@@ -523,7 +527,8 @@ func (sd *StaticDict) fillArray(bs *buildState) error {
 			blocks[stripe] = blk
 		}
 		j := int(rec[1]) % sd.stripeFields
-		copy(blk[(j%sd.c.fieldsPerBlock)*sd.c.fieldWords:], rec[2:])
+		w := bitpack.NewWriterAt(blk, (j%sd.c.fieldsPerBlock)*sd.c.fieldBits)
+		copyBits(w, bitpack.NewReader(rec[2:], sd.c.fieldBits), sd.c.fieldBits)
 	})
 	flush()
 	return nil

@@ -10,21 +10,23 @@ import (
 	"pdmdict/internal/pdm"
 )
 
-// Static's read events and snapshot bytes are pinned by SHA-256 digests
-// recorded while StaticDict still had a lookup body of its own: the
-// JSONL trace of looking up every stored key and as many absent ones,
-// and the Snapshot stream. A lookup that reads other addresses, in
-// another order or batching, or under other spans moves the trace
-// digest; a layout or construction change moves the snapshot digest.
+// Static's read events and snapshot bytes are pinned by SHA-256 digests,
+// re-recorded when fields were packed at their bit width: the JSONL
+// trace of looking up every stored key and as many absent ones, and the
+// Snapshot stream. A lookup that reads other addresses, in another
+// order or batching, or under other spans moves the trace digest, and
+// so does a construction costing other steps, since spans carry the
+// step counter; a layout or construction change moves the snapshot
+// digest.
 func TestStaticGoldenDigests(t *testing.T) {
 	want := map[string][2]string{
 		"case-a": {
-			"51dc2e74d17525c625073dc6f89073699fc7c2fa4d2b38567f55b3757a93c24c",
-			"081d8c720e2609ab160ca53307495decbb8dcc6e9160615d16b857f0f4a64a74",
+			"f86a60018c0cd0e3643991f780349df77a4f62f483a2f93898168e7e50be9edc",
+			"583fa95ff8552f17ed6a8ac9fd1382049727408e6f0226d1acee1cf08e921206",
 		},
 		"case-b": {
-			"3ef6538abf1a2447991652a8278c8b426e3313016e99fce570099b058b851ada",
-			"af760b466e9c8d1c74551c6ca113093d3a0b73db65aee7a594d35ef55945582a",
+			"4e6795c0dac5a06ebe0651b5f721c0b0baab19d1879b8bb3de7bebd16cbb052e",
+			"9a853161287a3e47126c1d2c9fbab0c96d52b3995fd7a307689819ac620cc86c",
 		},
 	}
 	for _, cs := range []StaticCase{CaseA, CaseB} {

@@ -260,7 +260,7 @@ func TestStaticCaseADegreeBound(t *testing.T) {
 		m := pdm.NewMachine(pdm.Config{D: disks, B: 64})
 		_, buildErr := BuildStatic(m, cfg, nil)
 		var snap bytes.Buffer
-		if err := encodeHeader(&snap, staticHeader{Cfg: cfg}); err != nil {
+		if err := encodeHeader(&snap, staticHeader{Version: layoutVersion, Cfg: cfg}); err != nil {
 			t.Fatal(err)
 		}
 		if err := writeMachine(&snap, m); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"strings"
+	"unsafe"
 
 	"pdmdict/internal/pdm/health"
 )
@@ -166,14 +167,37 @@ func AsBatchError(err error) (*BatchError, bool) {
 	return nil, false
 }
 
+// hostLittleEndian reports whether the host lays a word out in memory as
+// its little-endian encoding, the byte order checksums are defined over.
+// It picks crcBlock's path once.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // crcBlock returns the CRC-32/IEEE of a block's words in little-endian
-// byte order, the value the shards store and snapshots recompute. It
-// encodes the words into buf, which must hold 8·len(blk) bytes — a shard
-// passes the buffer its mutex guards — and checksums the bytes with
+// byte order, the value the shards store and snapshots recompute, with
 // crc32.ChecksumIEEE, which uses the CPU's carry-less multiply where
-// there is one. Encoding word by word keeps the value independent of the
-// host's byte order.
+// there is one. A little-endian host's words already are that encoding,
+// so it checksums their own memory; any other host encodes them into
+// buf first, which must then hold 8·len(blk) bytes — a shard passes the
+// buffer its mutex guards.
 func crcBlock(buf []byte, blk []Word) uint32 {
+	if hostLittleEndian {
+		return crcInPlace(blk)
+	}
+	return crcEncoded(buf, blk)
+}
+
+// crcInPlace checksums the words' memory as bytes: the little-endian
+// encoding on a little-endian host, and only there.
+func crcInPlace(blk []Word) uint32 {
+	if len(blk) == 0 {
+		return crc32.ChecksumIEEE(nil)
+	}
+	return crc32.ChecksumIEEE(unsafe.Slice((*byte)(unsafe.Pointer(&blk[0])), 8*len(blk)))
+}
+
+// crcEncoded checksums the words' little-endian encoding, written word
+// by word into buf, on any host.
+func crcEncoded(buf []byte, blk []Word) uint32 {
 	buf = buf[:8*len(blk)]
 	for i, w := range blk {
 		binary.LittleEndian.PutUint64(buf[8*i:], w)

@@ -310,20 +310,19 @@ type shard struct {
 	ios atomic.Int64 // block transfers served (reads + writes), incl. failed Try accesses
 
 	b       int    // block capacity in words (copied from Config.B)
-	zeroSum uint32 // CRC32 of an all-zero block (what block materializes)
+	zeroSum uint32 // CRC32 of an all-zero block
+	zero    []Word // the machine's all-zero block, which reads of never-written blocks share; never written
 
-	// Last, so ios sits 64 bytes before the next shard's lock rather
-	// than on its cache line.
-	crc []byte // guarded by mu; 8·B bytes a block is encoded into to be checksummed, nil until the first
-
-	_ [16]byte // pad shards apart so their locks don't false-share
+	// Last, so ios sits over 64 bytes before the next shard's lock
+	// rather than on its cache line: a shard is 128 bytes.
+	crc []byte // guarded by mu; 8·B bytes a block is encoded into to be checksummed on a big-endian host, nil until the first
 }
 
-// sumLocked returns a block's checksum, encoding it into the shard's
-// buffer, which it allocates on the shard's first checksum. Callers hold
-// s.mu.
+// sumLocked returns a block's checksum. A big-endian host encodes the
+// block into the shard's buffer, which it allocates on the shard's first
+// checksum. Callers hold s.mu.
 func (s *shard) sumLocked(blk []Word) uint32 {
-	if s.crc == nil {
+	if s.crc == nil && !hostLittleEndian {
 		s.crc = make([]byte, 8*s.b)
 	}
 	return crcBlock(s.crc, blk)
@@ -360,17 +359,30 @@ func (s *shard) growLocked(n int) {
 	}
 }
 
-// block returns the live slice for a block, allocating it on first
-// touch. A fresh block's checksum slot already holds the all-zero CRC.
-// Callers hold s.mu.
-func (s *shard) blockLocked(b int) []Word {
+// readableLocked returns a block's content for a read. A never-written
+// block is materialized as the machine's shared all-zero block, so a
+// read allocates nothing; its checksum slot already holds the all-zero
+// CRC. Callers hold s.mu.
+func (s *shard) readableLocked(b int) []Word {
 	if b >= len(s.blocks) {
 		s.growLocked(b + 1)
 	}
 	if s.blocks[b] == nil {
-		s.blocks[b] = make([]Word, s.b)
+		s.blocks[b] = s.zero
 	}
 	return s.blocks[b]
+}
+
+// blockLocked returns a block's own slice, to be written in place: a
+// never-written block, or one that reads as the shared all-zero block,
+// gets a private one first. Callers hold s.mu.
+func (s *shard) blockLocked(b int) []Word {
+	blk := s.readableLocked(b)
+	if &blk[0] == &s.zero[0] {
+		blk = make([]Word, s.b)
+		s.blocks[b] = blk
+	}
+	return blk
 }
 
 // verify reports whether a block's content matches its stored checksum.
@@ -474,14 +486,17 @@ func NewMachine(cfg Config) *Machine {
 		shards:  make([]shard, cfg.D),
 		tracker: health.New(cfg.D),
 	}
-	zeroSum := crcBlock(make([]byte, 8*cfg.B), make([]Word, cfg.B))
+	zero := make([]Word, cfg.B)
+	zeroSum := crcBlock(make([]byte, 8*cfg.B), zero)
 	for d := range m.shards {
 		m.shards[d].b = cfg.B
 		m.shards[d].zeroSum = zeroSum
+		m.shards[d].zero = zero
 	}
 	m.SetParallelism(cfg.Workers)
 	m.scratch.New = func() *batchScratch {
 		return &batchScratch{
+			m:       m,
 			counts:  make([]int32, cfg.D),
 			offs:    make([]int32, cfg.D),
 			touched: make([]int32, 0, cfg.D),
@@ -894,8 +909,15 @@ type batchScratch struct {
 	touched []int32 // disks with at least one address, in first-touch order
 	addrs   []Addr  // a write batch's addresses, for the cost and the event
 
-	// A fanned-out batch, as its workers share it: see runShards.
-	perDisk func(d int32)
+	// A partitioned batch, as its workers share it (see runShards): the
+	// per-disk body, readDisk or writeDisk, and what it serves — a
+	// read's addresses and destination buffer, or a write's blocks.
+	m       *Machine
+	perDisk func(sc *batchScratch, d int32)
+	reads   []Addr
+	arena   []Word
+	views   [][]Word
+	writes  []BlockWrite
 	cursor  atomic.Int32 // next index of touched to serve
 	pending atomic.Int32 // helpers that have not finished
 
@@ -961,6 +983,7 @@ func (m *Machine) release(sc *batchScratch) {
 	sc.faults = sc.faults[:0]
 	clear(sc.fevents)
 	sc.fevents = sc.fevents[:0]
+	sc.reads, sc.arena, sc.views, sc.writes = nil, nil, nil, nil // the caller's, not the pool's
 	m.scratch.Put(sc)
 }
 
@@ -979,15 +1002,16 @@ func (m *Machine) cost(n, depth int) (int, int) {
 // batch, fanning out across the worker pool when the batch is large
 // enough to pay for the handoffs. Workers pull disks from a shared
 // cursor; the issuing goroutine is always one of them, and the others
-// are borrowed from the process's helpers.
-func (m *Machine) runShards(sc *batchScratch, nBlocks int, perDisk func(d int32)) {
+// are borrowed from the process's helpers. perDisk is a plain function
+// that takes its state from sc, so a batch allocates no closure.
+func (m *Machine) runShards(sc *batchScratch, nBlocks int, perDisk func(sc *batchScratch, d int32)) {
 	workers := int(m.workers.Load())
 	if workers > len(sc.touched) {
 		workers = len(sc.touched)
 	}
 	if workers <= 1 || nBlocks < fanoutMinBlocks {
 		for _, d := range sc.touched {
-			perDisk(d)
+			perDisk(sc, d)
 		}
 		return
 	}
@@ -1018,7 +1042,7 @@ func (sc *batchScratch) drain() {
 		if t >= len(sc.touched) {
 			return
 		}
-		sc.perDisk(sc.touched[t])
+		sc.perDisk(sc, sc.touched[t])
 	}
 }
 
@@ -1057,10 +1081,10 @@ func (m *Machine) checkAddr(a Addr) {
 // the machine copies blocks into, the per-address views of it that a
 // read returns, and the *BatchError a failed Try read returns. The zero
 // value is ready to use; a buffer grows to the largest batch it has
-// served and from then on serves reads without allocating. The views
-// and the error a read returns — and everything that aliases them — are
-// valid only until the buffer's next read. A ReadBuf is not safe for
-// concurrent use.
+// served, with an eighth to spare, and from then on serves reads without
+// allocating. The views and the error a read returns — and everything
+// that aliases them — are valid only until the buffer's next read. A
+// ReadBuf is not safe for concurrent use.
 type ReadBuf struct {
 	arena []Word
 	views [][]Word
@@ -1069,14 +1093,17 @@ type ReadBuf struct {
 
 // reset sizes the buffer for n blocks of b words and returns the n
 // views, all nil (a Try read leaves the view of a failed access nil). It
-// also empties the previous read's error.
+// also empties the previous read's error. A buffer that must grow takes
+// an eighth more than n: a merged batch's count of distinct blocks
+// varies from call to call, and growing to each new maximum exactly
+// reallocated the arena, over a megabyte for a 64-key batch, at every
+// record.
 func (rb *ReadBuf) reset(n, b int) [][]Word {
 	rb.err.Blocks = rb.err.Blocks[:0]
-	if cap(rb.arena) < n*b {
-		rb.arena = make([]Word, n*b)
-	}
-	if cap(rb.views) < n {
-		rb.views = make([][]Word, n)
+	if cap(rb.arena) < n*b || cap(rb.views) < n {
+		grown := n + n/8
+		rb.arena = make([]Word, grown*b)
+		rb.views = make([][]Word, n, grown)
 	}
 	rb.views = rb.views[:n]
 	clear(rb.views)
@@ -1101,7 +1128,7 @@ func (s *shard) readLocked(b int, f Fault, verify bool, arena []Word, views [][]
 		return ErrChecksum
 	}
 	dst := arena[int(i)*s.b : (int(i)+1)*s.b : (int(i)+1)*s.b]
-	copy(dst, s.blockLocked(b))
+	copy(dst, s.readableLocked(b))
 	views[i] = dst
 	return nil
 }
@@ -1169,22 +1196,8 @@ func (m *Machine) batchRead(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr, try
 		}
 	} else {
 		steps, depth = m.cost(len(addrs), sc.partition(addrs))
-		arena := rb.arena // captured in rb's place, so a fresh rb stays on the stack
-		// The fan-out closure is allocated per wide batch. It reads the
-		// fault state from sc rather than capturing fs, res and try,
-		// which would grow it two size classes; so does batchWrite's.
-		m.runShards(sc, len(addrs), func(d int32) {
-			s := &m.shards[d]
-			seg := sc.segment(d)
-			s.mu.Lock()
-			for _, i := range seg {
-				if err := s.readLocked(addrs[i].Block, faultAt(sc.faults, int(i)), sc.verify, arena, out, i); err != nil {
-					sc.res[i] = err
-				}
-			}
-			s.mu.Unlock()
-			s.ios.Add(int64(len(seg)))
-		})
+		sc.reads, sc.arena, sc.views = addrs, rb.arena, out // rb's fields, so a fresh rb stays on the stack
+		m.runShards(sc, len(addrs), readDisk)
 	}
 	hooked := m.hooked.Load()
 	var nfaults, extra int
@@ -1206,6 +1219,21 @@ func (m *Machine) batchRead(rb *ReadBuf, op *Op, shared []*Op, addrs []Addr, try
 		return out, &rb.err
 	}
 	return out, nil
+}
+
+// readDisk serves one disk's share of a partitioned read: runShards'
+// per-disk body for batchRead.
+func readDisk(sc *batchScratch, d int32) {
+	s := &sc.m.shards[d]
+	seg := sc.segment(d)
+	s.mu.Lock()
+	for _, i := range seg {
+		if err := s.readLocked(sc.reads[i].Block, faultAt(sc.faults, int(i)), sc.verify, sc.arena, sc.views, i); err != nil {
+			sc.res[i] = err
+		}
+	}
+	s.mu.Unlock()
+	s.ios.Add(int64(len(seg)))
 }
 
 // BlockWrite names one block write of a batch. The machine reads Data
@@ -1231,6 +1259,21 @@ func (s *shard) writeLocked(w *BlockWrite, f Fault) error {
 		s.corruptLocked(w.Addr.Block, f.Bit)
 	}
 	return nil
+}
+
+// writeDisk serves one disk's share of a partitioned write: runShards'
+// per-disk body for batchWrite.
+func writeDisk(sc *batchScratch, d int32) {
+	s := &sc.m.shards[d]
+	seg := sc.segment(d)
+	s.mu.Lock()
+	for _, i := range seg {
+		if err := s.writeLocked(&sc.writes[i], faultAt(sc.faults, int(i))); err != nil {
+			sc.res[i] = err
+		}
+	}
+	s.mu.Unlock()
+	s.ios.Add(int64(len(seg)))
 }
 
 // BatchWrite performs one batched write. Each write stores len(Data)
@@ -1289,18 +1332,8 @@ func (m *Machine) batchWrite(op *Op, writes []BlockWrite, try bool) error {
 		}
 	} else {
 		steps, depth = m.cost(len(addrs), sc.partition(addrs))
-		m.runShards(sc, len(addrs), func(d int32) {
-			s := &m.shards[d]
-			seg := sc.segment(d)
-			s.mu.Lock()
-			for _, i := range seg {
-				if err := s.writeLocked(&writes[i], faultAt(sc.faults, int(i))); err != nil {
-					sc.res[i] = err
-				}
-			}
-			s.mu.Unlock()
-			s.ios.Add(int64(len(seg)))
-		})
+		sc.writes = writes
+		m.runShards(sc, len(addrs), writeDisk)
 	}
 	hooked := m.hooked.Load()
 	var berrs []BlockError

@@ -1,9 +1,12 @@
 package pdm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -157,6 +160,30 @@ func TestReadBufWideBatch(t *testing.T) {
 	}
 }
 
+// A buffer that grows takes an eighth to spare, so a merged batch a
+// little larger than any before it reads without reallocating the arena.
+func TestReadBufGrowsWithHeadroom(t *testing.T) {
+	m := NewMachine(Config{D: 4, B: 8})
+	batch := func(n int) []Addr {
+		addrs := make([]Addr, n)
+		for i := range addrs {
+			addrs[i] = Addr{Disk: i % 4, Block: i / 4}
+		}
+		return addrs
+	}
+	var rb ReadBuf
+	first := m.BatchReadInto(&rb, nil, nil, batch(64))
+	for _, n := range []int{65, 72} {
+		addrs := batch(n)
+		if avg := testing.AllocsPerRun(10, func() { m.BatchReadInto(&rb, nil, nil, addrs) }); avg != 0 {
+			t.Errorf("a read of %d blocks after one of 64 allocates %.1f objects", n, avg)
+		}
+	}
+	if again := m.BatchReadInto(&rb, nil, nil, batch(73)); &again[0][0] == &first[0][0] {
+		t.Error("a read of 73 blocks after one of 64 kept the arena")
+	}
+}
+
 // Stored checksums are CRC-32/IEEE over the block's little-endian
 // bytes; snapshots carry them, so the value is a format.
 func TestCrcBlockIsIEEE(t *testing.T) {
@@ -196,4 +223,70 @@ func FuzzCrcBlock(f *testing.F) {
 			t.Fatalf("crcBlock of %d words = %#x, want %#x", len(blk), got, want)
 		}
 	})
+}
+
+// Both checksum paths compute the same CRC over random blocks of every
+// length up to B, whatever the encoding buffer held before: the
+// in-place path over the words' memory, which only a little-endian host
+// takes, and the encoding path every other host takes.
+func TestCrcPathsAgree(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("the in-place checksum path is taken on little-endian hosts only")
+	}
+	const B = 64
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 8*B)
+	for trial := range 2000 {
+		blk := make([]Word, rng.Intn(B+1))
+		for i := range blk {
+			blk[i] = rng.Uint64()
+		}
+		rng.Read(buf)
+		if in, enc := crcInPlace(blk), crcEncoded(buf, blk); in != enc {
+			t.Fatalf("trial %d, %d words: in-place CRC %#x, encoded %#x", trial, len(blk), in, enc)
+		}
+	}
+}
+
+// A read of a never-written block materializes it, as space accounting
+// and snapshots count it, but as the machine's shared all-zero block: a
+// warm read allocates nothing, and a write or a corruption of one such
+// block gives it a block of its own, leaving every other reading zero.
+func TestReadsShareTheZeroBlock(t *testing.T) {
+	m := NewMachine(Config{D: 2, B: 8})
+	var rb ReadBuf
+	addrs := []Addr{{Disk: 0, Block: 3}, {Disk: 1, Block: 5}, {Disk: 1, Block: 6}}
+	m.BatchReadInto(&rb, nil, nil, addrs)
+	if got := m.BlocksAllocated(); got[0] != 4 || got[1] != 7 {
+		t.Fatalf("BlocksAllocated after reads = %v, want [4 7]", got)
+	}
+	fresh := []Addr{{Disk: 0, Block: 2}, {Disk: 1, Block: 4}}
+	if avg := testing.AllocsPerRun(100, func() { m.BatchReadInto(&rb, nil, nil, fresh) }); avg != 0 {
+		t.Errorf("a warm read of never-written blocks allocates %.1f objects", avg)
+	}
+	m.WriteBlock(addrs[0], []Word{1, 2})
+	m.FlipBit(addrs[1], 3)
+	for i, want := range []Word{1, 8, 0} {
+		if got := m.Peek(addrs[i])[0]; got != want {
+			t.Errorf("block %v reads %d first, want %d", addrs[i], got, want)
+		}
+	}
+	if got := m.Peek(Addr{Disk: 0, Block: 2}); slices.ContainsFunc(got, func(w Word) bool { return w != 0 }) {
+		t.Errorf("a never-written block reads %v after writes elsewhere", got)
+	}
+	if bad := m.VerifyChecksums(); !slices.Equal(bad, []Addr{addrs[1]}) {
+		t.Errorf("VerifyChecksums = %v, want only the corrupted %v", bad, addrs[1])
+	}
+	// A snapshot holds every materialized block, read-only ones included.
+	var buf bytes.Buffer
+	if err := m.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.BlocksAllocated(); !slices.Equal(got, m.BlocksAllocated()) {
+		t.Errorf("restored BlocksAllocated = %v, want %v", got, m.BlocksAllocated())
+	}
 }

@@ -128,43 +128,52 @@ func ReadSnapshot(r io.Reader) (*Machine, error) {
 	for d, v := range perDisk {
 		m.shards[d].ios.Store(v)
 	}
-	zeroSum := m.shards[0].zeroSum
-	crc := make([]byte, 8*cfg.B)
 	for d := 0; d < cfg.D; d++ {
 		var nBlocks uint64
 		if err := binary.Read(br, binary.LittleEndian, &nBlocks); err != nil {
 			return nil, fmt.Errorf("pdm: reading disk %d: %w", d, err)
 		}
-		// nBlocks is untrusted: grow the disk incrementally, so a huge
-		// length field fails at the stream's real end instead of sizing
-		// one giant allocation up front.
-		disk := make([][]Word, 0, minUint64(nBlocks, 4096))
-		sums := make([]uint32, 0, cap(disk))
-		for b := uint64(0); b < nBlocks; b++ {
-			present, err := br.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("pdm: reading disk %d block %d: %w", d, b, err)
-			}
-			if present == 0 {
-				disk = append(disk, nil)
-				sums = append(sums, zeroSum)
-				continue
-			}
-			blk := make([]Word, cfg.B)
-			if err := binary.Read(br, binary.LittleEndian, blk); err != nil {
-				return nil, fmt.Errorf("pdm: reading disk %d block %d: %w", d, b, err)
-			}
-			disk = append(disk, blk)
-			// Checksums are not persisted: recompute them, so loading a
-			// snapshot always yields a machine whose blocks verify (any
-			// latent corruption present at save time is thereby blessed —
-			// scrub before saving if that matters).
-			sums = append(sums, crcBlock(crc, blk))
+		// The machine is not yet published; the lock only states the
+		// guarded-by contract.
+		s := &m.shards[d]
+		s.mu.Lock()
+		err := s.loadLocked(br, d, nBlocks)
+		s.mu.Unlock()
+		if err != nil {
+			return nil, err
 		}
-		m.shards[d].blocks = disk //lint:pdm-allow guardedby: machine is not yet published; no other goroutine can reach it
-		m.shards[d].sums = sums   //lint:pdm-allow guardedby: machine is not yet published; no other goroutine can reach it
 	}
 	return m, nil
+}
+
+// loadLocked reads disk d's nBlocks blocks off a snapshot stream into
+// the empty shard. nBlocks is untrusted: the disk grows block by block,
+// so a huge length field fails at the stream's real end instead of
+// sizing one giant allocation up front, and through growLocked, the one
+// rule that sizes the block and checksum arrays alike. Callers hold
+// s.mu.
+func (s *shard) loadLocked(br *bufio.Reader, d int, nBlocks uint64) error {
+	for b := 0; uint64(b) < nBlocks; b++ {
+		present, err := br.ReadByte()
+		if err != nil {
+			return fmt.Errorf("pdm: reading disk %d block %d: %w", d, b, err)
+		}
+		s.growLocked(b + 1)
+		if present == 0 {
+			continue
+		}
+		blk := make([]Word, s.b)
+		if err := binary.Read(br, binary.LittleEndian, blk); err != nil {
+			return fmt.Errorf("pdm: reading disk %d block %d: %w", d, b, err)
+		}
+		s.blocks[b] = blk
+		// Checksums are not persisted: recompute them, so loading a
+		// snapshot always yields a machine whose blocks verify (any
+		// latent corruption present at save time is thereby blessed —
+		// scrub before saving if that matters).
+		s.sums[b] = s.sumLocked(blk)
+	}
+	return nil
 }
 
 // Snapshot plausibility bounds for untrusted streams: comfortably above
@@ -174,10 +183,3 @@ const (
 	maxSnapshotDisks      = 1 << 20
 	maxSnapshotBlockWords = 1 << 21 // 16 MiB per block
 )
-
-func minUint64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -148,3 +148,36 @@ func TestPropertySnapshotFaithful(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A loaded machine's disks grow past the snapshot's length like a
+// built machine's. ReadSnapshot once grew blocks and checksums by
+// separate appends, whose capacities part past 4 096 blocks (5 461 and
+// 5 440 for 5 000), and a write to block 5 460 then panicked slicing the
+// checksums past their capacity.
+func TestLoadedMachineGrowsPastSnapshot(t *testing.T) {
+	m := NewMachine(Config{D: 2, B: 1})
+	for b := range 5000 {
+		m.WriteBlock(Addr{Disk: 0, Block: b}, []Word{Word(b) + 1})
+	}
+	var buf bytes.Buffer
+	if err := m.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int{5000, 5439, 5440, 5460, 5461, 12000} {
+		a := Addr{Disk: 0, Block: b}
+		r.WriteBlock(a, []Word{7})
+		if got, err := r.TryBatchRead([]Addr{a}); err != nil || got[0][0] != 7 {
+			t.Fatalf("block %d of the loaded machine reads %v, %v after a write of 7", b, got, err)
+		}
+	}
+	if got, err := r.TryBatchRead([]Addr{{Disk: 0, Block: 4999}}); err != nil || got[0][0] != 5000 {
+		t.Fatalf("block 4999 of the loaded machine reads %v, %v; want 5000", got, err)
+	}
+	if bad := r.VerifyChecksums(); len(bad) != 0 {
+		t.Fatalf("loaded machine's checksums fail at %v", bad)
+	}
+}

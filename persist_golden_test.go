@@ -50,15 +50,15 @@ func TestSaveGolden(t *testing.T) {
 		{"dynamic", 512,
 			func() (goldenStore, error) { return NewDynamic(big) }, deep,
 			func(r io.Reader) (goldenReopened, error) { return OpenDynamic(r) },
-			"b8fd5843a68ff3c26b51f4227cadfc7de0930c957402983e092fa14913771a8b"},
+			"b773612c6492cb06683a9c34ad5499ded71ef9c860dea11e0ed1ea4564e10430"},
 		{"dict", 80,
 			func() (goldenStore, error) { return New(small) }, migrating,
 			func(r io.Reader) (goldenReopened, error) { return OpenDict(r) },
-			"6fcbc8219acdb432488302948e1f9c30852aa971c2f8cf3036f5ea617a0d235b"},
+			"32b3fe3a21178a578c6ba886f54b339f287ebbed0620fb0aa6a6b83da6b64afa"},
 		{"dict-oneprobe", 80,
 			func() (goldenStore, error) { return NewOneProbeUnbounded(small) }, migrating,
 			func(r io.Reader) (goldenReopened, error) { return OpenDict(r) },
-			"e7216190826c83935f26e2d6d3308f181b0dd3f9a65bc252d0a269b415b0c793"},
+			"e390ef62be1064657cd03ff3f28f4a817450fed6e6845e074c14c2becf2f6bc4"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
