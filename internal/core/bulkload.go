@@ -22,8 +22,11 @@ import (
 // within the "proportional to sorting" budget.
 //
 // The dictionary must be empty; the records' keys must be distinct. The
-// scratch region starts at block scratchBlock0 on every disk of the
-// dictionary's region and is free for reuse afterwards.
+// scratch region is stripes [scratchBlock0, scratchBlock0 + 2·SortStripes)
+// of the assignment vector, on every disk of the machine. BulkLoad
+// releases it before it returns, on error paths too (see
+// pdm.Machine.ReleaseStripes), so afterwards the machine holds only the
+// dictionary.
 func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes int) error {
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
@@ -66,6 +69,10 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 	// block rows.
 	asgWidth := 3 + bd.fragWords
 	app := extsort.NewAppender(m, scratchBlock0, asgWidth)
+	defer func() {
+		appended := extsort.Vec{M: m, Start: scratchBlock0, RecWords: asgWidth, N: app.Len()}
+		m.ReleaseStripes(scratchBlock0, scratchBlock0+2*appended.SortStripes(memStripes))
+	}()
 	out := make([]pdm.Word, asgWidth)
 	nDisks := bd.reg.nDisks
 	var ns, view, chosen []int
@@ -96,15 +103,24 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 	extsort.Sort(asg, scratchBlock0+asg.SortStripes(memStripes), memStripes, extsort.ByWord(0))
 
 	// Pass 3: pack and write each bucket once, one parallel I/O per
-	// block row (the buckets of one row live on distinct disks).
+	// block row (the buckets of one row live on distinct disks). Every
+	// row reuses the per-disk bucket buffers and the write list.
 	curRow := -1
-	blocks := make([][][]pdm.Word, nDisks) // disk → the bucket's blocks
+	blocks := make([][][]pdm.Word, nDisks) // disk → its bucket's blocks
+	for disk := range blocks {
+		blocks[disk] = make([][]pdm.Word, bd.cfg.BucketBlocks)
+		for b := range blocks[disk] {
+			blocks[disk][b] = make([]pdm.Word, bd.codec.B)
+		}
+	}
+	inRow := make([]bool, nDisks) // the disk's bucket is in the current row
+	writes := make([]pdm.BlockWrite, 0, nDisks*bd.cfg.BucketBlocks)
 	sc := bd.scratch.get()
 	defer bd.scratch.put(sc)
 	flush := func() {
-		var writes []pdm.BlockWrite
+		writes = writes[:0]
 		for disk, blks := range blocks {
-			if blks == nil {
+			if !inRow[disk] {
 				continue
 			}
 			base := curRow * bd.cfg.BucketBlocks
@@ -116,7 +132,7 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 			for b, blk := range blks {
 				writes = append(writes, pdm.BlockWrite{Addr: bd.reg.addr(disk, base+b), Data: blk})
 			}
-			blocks[disk] = nil
+			inRow[disk] = false
 		}
 		if len(writes) > 0 {
 			m.BatchWrite(writes)
@@ -130,12 +146,11 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 			curRow = brow
 		}
 		blks := blocks[disk]
-		if blks == nil {
-			blks = make([][]pdm.Word, bd.cfg.BucketBlocks)
-			for b := range blks {
-				blks[b] = make([]pdm.Word, bd.codec.B)
+		if !inRow[disk] {
+			for _, blk := range blks {
+				clear(blk)
 			}
-			blocks[disk] = blks
+			inRow[disk] = true
 		}
 		placed := false
 		for _, blk := range blks {

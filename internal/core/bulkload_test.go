@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"math/rand"
 	"slices"
@@ -124,6 +127,122 @@ func neighborLoads(bd *BasicDict, keys []uint64) map[int]int {
 		}
 	}
 	return loads
+}
+
+// materializedFrom lists the blocks at or past block first that m
+// holds, read off its snapshot stream. After the magic, the seven header
+// words, the depth histogram and the per-disk tallies, each disk is a
+// block count and then, per block, a presence byte followed by the
+// block's words when it is set.
+func materializedFrom(t *testing.T, m *pdm.Machine, first int) []pdm.Addr {
+	t.Helper()
+	var snap bytes.Buffer
+	if err := m.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(snap.Bytes())
+	if _, err := r.Seek(int64(4+8*(7+pdm.DepthBuckets+m.D())), io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	var held []pdm.Addr
+	for disk := 0; disk < m.D(); disk++ {
+		var n uint64
+		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < int(n); b++ {
+			present, err := r.ReadByte()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if present == 0 {
+				continue
+			}
+			if b >= first {
+				held = append(held, pdm.Addr{Disk: disk, Block: b})
+			}
+			if _, err := r.Seek(int64(8*m.B()), io.SeekCurrent); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d snapshot bytes past the last disk", r.Len())
+	}
+	return held
+}
+
+// A bulk build leaves only the dictionary behind: Basic's BulkLoad and
+// Static's construction release their sort scratch, so no block from the
+// dictionary's BlocksPerDisk() onward stays materialized, while every
+// key answers, every block verifies and a snapshot restores the
+// dictionary.
+func TestBulkBuildsLeaveOnlyTheDictionary(t *testing.T) {
+	type dict interface {
+		Lookup(x pdm.Word) ([]pdm.Word, bool)
+		BlocksPerDisk() int
+		Snapshot(w io.Writer) error
+	}
+	recs := makeRecords(600, 4, 51)
+	basic := func(cfg BasicConfig) func(t *testing.T) (dict, *pdm.Machine) {
+		return func(t *testing.T) (dict, *pdm.Machine) {
+			cfg.Capacity, cfg.SatWords, cfg.Seed = len(recs), 4, 52
+			bd, m := newBasic(t, 8, 32, cfg)
+			if err := bd.BulkLoad(recs, bd.BlocksPerDisk(), 4); err != nil {
+				t.Fatal(err)
+			}
+			return bd, m
+		}
+	}
+	static := func(c StaticCase) func(t *testing.T) (dict, *pdm.Machine) {
+		return func(t *testing.T) (dict, *pdm.Machine) {
+			return buildStatic(t, 8, 32, StaticConfig{SatWords: 4, Case: c, Seed: 53}, recs)
+		}
+	}
+	loadBasic := func(r io.Reader) (dict, *pdm.Machine, error) { return LoadBasic(r) }
+	loadStatic := func(r io.Reader) (dict, *pdm.Machine, error) { return LoadStatic(r) }
+	for _, c := range []struct {
+		name  string
+		build func(t *testing.T) (dict, *pdm.Machine)
+		load  func(r io.Reader) (dict, *pdm.Machine, error)
+	}{
+		{"basic", basic(BasicConfig{}), loadBasic},
+		{"basic-replicas2", basic(BasicConfig{K: 2, Replicate: true}), loadBasic},
+		{"basic-k4", basic(BasicConfig{K: 4}), loadBasic},
+		{"static-case-a", static(CaseA), loadStatic},
+		{"static-case-b", static(CaseB), loadStatic},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d, m := c.build(t)
+			check := func(what string, d dict, m *pdm.Machine) {
+				t.Helper()
+				if span := m.BlocksAllocated()[0]; span <= d.BlocksPerDisk() {
+					t.Fatalf("%s: disk 0 spans %d blocks, the dictionary %d: the build used no scratch", what, span, d.BlocksPerDisk())
+				}
+				if held := materializedFrom(t, m, d.BlocksPerDisk()); len(held) != 0 {
+					t.Errorf("%s: %d blocks past the dictionary's %d per disk stay materialized, first %v", what, len(held), d.BlocksPerDisk(), held[0])
+				}
+				if bad := m.VerifyChecksums(); len(bad) != 0 {
+					t.Errorf("%s: VerifyChecksums = %v", what, bad)
+				}
+				for _, r := range recs {
+					if sat, ok := d.Lookup(r.Key); !ok || !slices.Equal(sat, r.Sat) {
+						t.Fatalf("%s: key %d reads %v, %v; want %v", what, r.Key, sat, ok, r.Sat)
+					}
+				}
+			}
+			check("built", d, m)
+			var snap bytes.Buffer
+			if err := d.Snapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			restored, rm, err := c.load(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("restored", restored, rm)
+		})
+	}
 }
 
 func TestBulkLoadCheaperThanInserts(t *testing.T) {

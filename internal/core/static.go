@@ -231,10 +231,6 @@ func (sd *StaticDict) Degree() int { return sd.c.d }
 // Graph returns the retrieval array's expander.
 func (sd *StaticDict) Graph() *expander.Family { return sd.graph }
 
-// FieldsPerKey returns t = ⌈2d/3⌉, the number of unique-neighbor fields
-// assigned to each key.
-func (sd *StaticDict) FieldsPerKey() int { return sd.c.t }
-
 // BlocksPerDisk returns the structure's per-disk space footprint
 // (maximum over its regions).
 func (sd *StaticDict) BlocksPerDisk() int { return sd.c.BlocksPerDisk() }
@@ -251,7 +247,11 @@ func (sd *StaticDict) Contains(x pdm.Word) bool { return sd.c.Contains(x) }
 // ---------------------------------------------------------------------
 // Construction (Section 4.2, "Improving the construction"): a chain of
 // external sorts and sequential passes over scratch stripes, so the
-// measured I/O cost tracks the cost of sorting nd records.
+// measured I/O cost tracks the cost of sorting nd records. The scratch
+// zones start at the structure's BlocksPerDisk() and are transient:
+// construct releases them all when it returns (CaseA's membership
+// BulkLoad scratch among them), so a built dictionary holds only its
+// own blocks.
 
 type buildState struct {
 	sd      *StaticDict
@@ -295,7 +295,9 @@ func (sd *StaticDict) construct(recs []bucket.Record) error {
 		return nil
 	}
 
-	bs := &buildState{sd: sd, scratch: sd.BlocksPerDisk()}
+	first := sd.BlocksPerDisk()
+	bs := &buildState{sd: sd, scratch: first}
+	defer func() { sd.c.m.ReleaseStripes(first, bs.scratch) }()
 
 	// Initial input vector: records [key, id, sat...] sorted by key,
 	// with id = rank (ids are the "identifiers of lg n bits" of CaseB;
@@ -490,6 +492,7 @@ func (sd *StaticDict) fillArray(bs *buildState) error {
 	all := extsort.NewAppender(sd.c.m, bs.alloc(sd.stripesFor(total*asgWidth)), asgWidth)
 	for _, v := range bs.asgVecs {
 		extsort.Scan(v, func(_ int, rec []pdm.Word) { all.Append(rec) })
+		v.Release()
 	}
 	asg := all.Vec()
 	extsort.Sort(asg, bs.alloc(sd.stripesFor(total*asgWidth)), sd.cfg.MemStripes, extsort.ByWord(0, 1))

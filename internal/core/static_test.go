@@ -227,8 +227,8 @@ func TestStaticCaseAPointerBitsWithinBudget(t *testing.T) {
 	d := 15
 	recs := makeRecords(80, 7, 20)
 	sd, _ := buildStatic(t, d, 64, StaticConfig{SatWords: 7, Case: CaseA, Seed: 21}, recs)
-	if sd.FieldsPerKey() != (2*d+2)/3 {
-		t.Errorf("t = %d, want ⌈2d/3⌉ = %d", sd.FieldsPerKey(), (2*d+2)/3)
+	if sd.c.t != (2*d+2)/3 {
+		t.Errorf("t = %d, want ⌈2d/3⌉ = %d", sd.c.t, (2*d+2)/3)
 	}
 	verifyAll(t, sd, recs)
 }

@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -259,5 +260,94 @@ func TestPropertySortMatchesStdlib(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// blockSet is a hook collecting the distinct blocks written at or past
+// block from.
+type blockSet struct {
+	from int
+	seen map[pdm.Addr]bool
+}
+
+func (h *blockSet) Event(e pdm.Event) {
+	if e.Kind != pdm.EventWrite {
+		return
+	}
+	for _, a := range e.Addrs {
+		if a.Block >= h.from {
+			h.seen[a] = true
+		}
+	}
+}
+
+// Sort leaves only the sorted vector behind: every block it wrote past
+// the vector, in the data region's slack or in scratch, reads as zeros
+// afterwards, and re-sorting costs the same I/Os.
+func TestSortReleasesScratch(t *testing.T) {
+	v := newVec(t, 4, 8, 2, 400)
+	keys := make([]pdm.Word, v.N)
+	for i := range keys {
+		keys[i] = pdm.Word(v.N - i)
+	}
+	fill(v, keys)
+	h := &blockSet{from: v.Stripes(), seen: map[pdm.Addr]bool{}}
+	v.M.SetHook(h)
+	before := v.M.Stats()
+	Sort(v, v.SortStripes(3), 3, ByWord(0))
+	first := v.M.Stats().Sub(before)
+	v.M.SetHook(nil)
+	if len(h.seen) == 0 {
+		t.Fatal("the sort wrote nothing past the vector; the test needs a larger one")
+	}
+	for a := range h.seen {
+		if blk := v.M.Peek(a); slices.ContainsFunc(blk, func(w pdm.Word) bool { return w != 0 }) {
+			t.Fatalf("block %v still holds %v after the sort", a, blk)
+		}
+	}
+	for i, k := range extractKeys(v) {
+		if k != pdm.Word(i+1) {
+			t.Fatalf("position %d = %d after the sort", i, k)
+		}
+	}
+	before = v.M.Stats()
+	Sort(v, v.SortStripes(3), 3, ByWord(0))
+	if again := v.M.Stats().Sub(before); again.ParallelIOs != first.ParallelIOs {
+		t.Errorf("re-sort cost %d I/Os, the first sort %d", again.ParallelIOs, first.ParallelIOs)
+	}
+}
+
+// Scan and Sort stream through buffers they reuse, so their allocations
+// do not grow with the vector: over 64 stripes they allocate no more
+// objects than over 4. The machine does allocate one block for each
+// block a sort writes past the vector, since the previous sort released
+// them; those are counted from the sort's write events and set aside.
+func TestStreamAllocsIndependentOfSize(t *testing.T) {
+	const d, b, width, mem = 4, 8, 2, 3
+	measure := func(stripes int) (scan, sort float64) {
+		v := newVec(t, d, b, width, stripes*d*b/width)
+		keys := make([]pdm.Word, v.N)
+		for i := range keys {
+			keys[i] = pdm.Word(v.N - i)
+		}
+		fill(v, keys)
+		Sort(v, v.SortStripes(mem), mem, ByWord(0)) // grows the disks to their final span
+		h := &blockSet{from: v.Stripes(), seen: map[pdm.Addr]bool{}}
+		v.M.SetHook(h)
+		Sort(v, v.SortStripes(mem), mem, ByWord(0))
+		v.M.SetHook(nil)
+		scan = testing.AllocsPerRun(5, func() { Scan(v, func(int, []pdm.Word) {}) })
+		sort = testing.AllocsPerRun(5, func() { Sort(v, v.SortStripes(mem), mem, ByWord(0)) }) - float64(len(h.seen))
+		return scan, sort
+	}
+	scan4, sort4 := measure(4)
+	for _, stripes := range []int{32, 64} {
+		scan, sort := measure(stripes)
+		if scan > scan4 {
+			t.Errorf("Scan over %d stripes allocates %.0f objects, over 4 stripes %.0f", stripes, scan, scan4)
+		}
+		if sort > sort4 {
+			t.Errorf("Sort over %d stripes allocates %.0f objects besides the blocks it materializes, over 4 stripes %.0f", stripes, sort, sort4)
+		}
 	}
 }

@@ -14,12 +14,8 @@ func Scan(v *Vec, fn func(i int, rec []pdm.Word)) {
 	in := newWordReader(v.M, v.Start, v.Words())
 	rec := make([]pdm.Word, v.RecWords)
 	for i := 0; i < v.N; i++ {
-		for j := range rec {
-			w, ok := in.next()
-			if !ok {
-				panic("extsort: short read during Scan")
-			}
-			rec[j] = w
+		if !in.read(rec) {
+			panic("extsort: short read during Scan")
 		}
 		fn(i, rec)
 	}
@@ -34,10 +30,9 @@ type Reader struct {
 
 // NewVecReader starts a record stream over v.
 func NewVecReader(v *Vec) *Reader {
-	return &Reader{
-		r:   newRecReader(v.M, v.Start, v.RecWords, v.N),
-		out: make([]pdm.Word, v.RecWords),
-	}
+	r := &Reader{r: newRecReader(v.M, v.RecWords), out: make([]pdm.Word, v.RecWords)}
+	r.r.reset(v.Start, v.N)
+	return r
 }
 
 // Next returns the next record and whether one was available. The slice

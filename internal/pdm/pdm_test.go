@@ -1,6 +1,8 @@
 package pdm
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -223,6 +225,76 @@ func TestStripeOversizePanics(t *testing.T) {
 		}
 	}()
 	m.WriteStripe(0, make([]Word, 5))
+}
+
+// ReleaseStripes returns a stripe range to the never-written state at
+// no cost: a released block is dropped from storage and from snapshots,
+// reads as zeros, verifies even if it was corrupt, and is materialized
+// again by a later write. The address span, and so BlocksAllocated, is
+// unchanged, and blocks outside the range are untouched.
+func TestReleaseStripes(t *testing.T) {
+	m := NewMachine(Config{D: 3, B: 2})
+	for s := 0; s < 4; s++ {
+		m.WriteStripe(s, []Word{Word(10*s + 1), 2, 3, 4, 5, 6})
+	}
+	m.FlipBit(Addr{Disk: 1, Block: 2}, 0)
+	held := func(a Addr) bool {
+		s := &m.shards[a.Disk]
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return a.Block < len(s.blocks) && s.blocks[a.Block] != nil
+	}
+	var snap bytes.Buffer
+	if err := m.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	before, span := m.Stats(), m.BlocksAllocated()
+	h := &countingHook{}
+	m.SetHook(h)
+	m.ReleaseStripes(1, 3)
+	m.ReleaseStripes(5, 9) // past the span: nothing to release
+	m.SetHook(nil)
+	if m.Stats() != before || h.n.Load() != 0 {
+		t.Errorf("release charged %+v and emitted %d events", m.Stats().Sub(before), h.n.Load())
+	}
+	if got := m.BlocksAllocated(); !slices.Equal(got, span) {
+		t.Errorf("BlocksAllocated after release = %v, want %v", got, span)
+	}
+	for s := 0; s < 4; s++ {
+		released := s == 1 || s == 2
+		for d := 0; d < 3; d++ {
+			a := Addr{Disk: d, Block: s}
+			if held(a) == released {
+				t.Errorf("block %v materialized = %v after releasing stripes [1,3)", a, !released)
+			}
+		}
+	}
+	if bad := m.VerifyChecksums(); len(bad) != 0 {
+		t.Errorf("VerifyChecksums after release = %v, want none", bad)
+	}
+	var after bytes.Buffer
+	if err := m.WriteSnapshot(&after); err != nil {
+		t.Fatal(err)
+	}
+	if want := snap.Len() - 6*8*m.B(); after.Len() != want {
+		t.Errorf("snapshot is %d bytes after releasing 6 blocks, want %d", after.Len(), want)
+	}
+	if got := m.ReadStripe(1); slices.ContainsFunc(got, func(w Word) bool { return w != 0 }) {
+		t.Errorf("released stripe reads %v", got)
+	}
+	if got := m.ReadStripe(3); got[0] != 31 {
+		t.Errorf("stripe 3 reads %v after releasing [1,3)", got)
+	}
+	if bad, err := m.TryBatchReadOp(nil, StripeAddrs(3, 2)); err != nil {
+		t.Errorf("fault-aware read of a released stripe: %v (%v)", err, bad)
+	}
+	m.WriteBlock(Addr{Disk: 2, Block: 1}, []Word{7})
+	if !held(Addr{Disk: 2, Block: 1}) || m.Peek(Addr{Disk: 2, Block: 1})[0] != 7 {
+		t.Error("a write after release did not materialize the block")
+	}
+	if bad := m.VerifyChecksums(); len(bad) != 0 {
+		t.Errorf("VerifyChecksums after rewrite = %v, want none", bad)
+	}
 }
 
 func TestBlocksAllocated(t *testing.T) {

@@ -1,5 +1,7 @@
 package pdm
 
+import "fmt"
+
 // Striping helpers.
 //
 // Striping treats the D disks as a single logical disk with block size
@@ -46,4 +48,34 @@ func (m *Machine) WriteStripe(block int, data []Word) {
 		data = data[n:]
 	}
 	m.BatchWrite(writes)
+}
+
+// ReleaseStripes returns logical striped blocks [first, end) — block
+// first through end−1 of every disk — to the never-written state: a
+// later read sees zeros and a later write materializes the block afresh.
+// It models freeing scratch space the model treats as transient, so it
+// charges no I/O, emits no event and leaves Stats and the per-disk
+// tallies alone. BlocksAllocated still counts the released slots: they
+// stay inside the address span the disk has been grown to.
+func (m *Machine) ReleaseStripes(first, end int) {
+	if first < 0 {
+		panic(fmt.Sprintf("pdm: release from negative stripe %d", first))
+	}
+	for d := range m.shards {
+		s := &m.shards[d]
+		s.mu.Lock()
+		s.releaseLocked(first, end)
+		s.mu.Unlock()
+	}
+}
+
+// releaseLocked drops blocks [first, end) of the shard, clamped to its
+// span, and gives them the all-zero checksum a never-written block has.
+// Callers hold s.mu.
+func (s *shard) releaseLocked(first, end int) {
+	end = min(end, len(s.blocks))
+	for b := first; b < end; b++ {
+		s.blocks[b] = nil
+		s.sums[b] = s.zeroSum
+	}
 }
