@@ -497,24 +497,26 @@ func (sd *StaticDict) fillArray(bs *buildState) error {
 	asg := all.Vec()
 	extsort.Sort(asg, bs.alloc(sd.stripesFor(total*asgWidth)), sd.cfg.MemStripes, extsort.ByWord(0, 1))
 
+	// One block per stripe holds the current row; every row reuses the
+	// blocks and the write list, and writes its touched stripes in
+	// stripe order.
 	curRow := -1
-	blocks := make(map[int][]pdm.Word) // stripe → block content
+	blocks := make([][]pdm.Word, sd.c.d) // stripe → its block of the current row
+	for stripe := range blocks {
+		blocks[stripe] = make([]pdm.Word, sd.c.m.B())
+	}
+	inRow := make([]bool, sd.c.d) // the stripe's block is in the current row
+	writes := make([]pdm.BlockWrite, 0, sd.c.d)
 	flush := func() {
-		if curRow < 0 || len(blocks) == 0 {
-			return
+		writes = writes[:0]
+		for stripe, blk := range blocks {
+			if inRow[stripe] {
+				writes = append(writes, pdm.BlockWrite{Addr: sd.arr.addr(stripe, curRow), Data: blk})
+				inRow[stripe] = false
+			}
 		}
-		stripes := make([]int, 0, len(blocks))
-		for stripe := range blocks {
-			stripes = append(stripes, stripe)
-		}
-		sort.Ints(stripes) // fix batch order: map order would leak into the trace
-		writes := make([]pdm.BlockWrite, 0, len(blocks))
-		for _, stripe := range stripes {
-			writes = append(writes, pdm.BlockWrite{Addr: sd.arr.addr(stripe, curRow), Data: blocks[stripe]})
-		}
-		sd.c.m.BatchWrite(writes)
-		for k := range blocks {
-			delete(blocks, k)
+		if len(writes) > 0 {
+			sd.c.m.BatchWrite(writes)
 		}
 	}
 	extsort.Scan(asg, func(_ int, rec []pdm.Word) {
@@ -525,9 +527,9 @@ func (sd *StaticDict) fillArray(bs *buildState) error {
 			curRow = row
 		}
 		blk := blocks[stripe]
-		if blk == nil {
-			blk = make([]pdm.Word, sd.c.m.B())
-			blocks[stripe] = blk
+		if !inRow[stripe] {
+			clear(blk)
+			inRow[stripe] = true
 		}
 		j := int(rec[1]) % sd.stripeFields
 		w := bitpack.NewWriterAt(blk, (j%sd.c.fieldsPerBlock)*sd.c.fieldBits)

@@ -36,32 +36,28 @@ type FlightRecord struct {
 	OverBudget bool `json:"over_budget,omitempty"`
 }
 
-// liveOp is one operation being accumulated, then retained in the
-// flight recorder. It owns its events slice and the arenas the retained
-// events' Addrs and Ops sub-slice, and is recycled through the
-// accountant's free list once its op is dropped or its recorder slot
-// overwritten.
+// liveOp is one operation whose events are being retained, then its
+// completed record in the flight recorder. It owns its events slice and
+// the arenas the retained events' Addrs and Ops sub-slice, and is
+// recycled through the accountant's free list once its op is dropped or
+// its recorder slot overwritten.
 type liveOp struct {
 	rec   FlightRecord
+	span  uint64 // root span ID: the op's open record in the folder
 	addrs []pdm.Addr
 	ops   []uint64
 }
 
-// OpAccountant folds the event stream into exact per-operation records,
-// online: it never walks a span parent chain, only operation tokens, so
-// its accounting is exact under arbitrary concurrency — including
-// merged batches, which charge every op on their attribution list. It
+// OpAccountant keeps the exact per-operation records of token-carrying
+// operations, online. Its SpanFolder builds each record from the op's
+// own event charges, through operation tokens, so the accounting is
+// exact under arbitrary concurrency — including merged batches, which
+// charge every op on their attribution list. On top of the folder it
 // maintains per-client and per-tag SLO aggregates of modeled latency,
 // the exact batch-inclusive worst-op figure (amortized per key), and a
 // sampled always-on flight recorder: a ring of the last RecorderSize
 // retained operations with their event slices, dumpable on demand;
 // operations exceeding StepBudget are always retained.
-//
-// Unlike SpanFolder, an op's Steps here is the sum of the step charges
-// of its own events (batch steps plus stall surcharges), not a window
-// of the machine's shared step counter — under concurrency the shared
-// counter interleaves other clients' work, while the event sum is the
-// op's own cost exactly. Single-threaded, the two definitions agree.
 //
 // OpAccountant implements pdm.Hook and is safe for concurrent use; all
 // accessors iterate in sorted order, so rendering its state is
@@ -84,7 +80,8 @@ type OpAccountant struct {
 	MaxEvents int
 
 	mu       sync.Mutex
-	inflight map[uint64]*liveOp
+	folder   SpanFolder         // builds each op's record
+	inflight map[uint64]*liveOp // token ID -> the open root op's retained events
 	byClient map[int]*OpAgg
 	byTag    map[string]*OpAgg
 
@@ -111,6 +108,8 @@ func (a *OpAccountant) Event(e pdm.Event) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.folder.Cost = a.Cost
+	rec := a.folder.Fold(e)
 	switch e.Kind {
 	case pdm.EventSpanBegin:
 		if e.Op == 0 {
@@ -121,14 +120,7 @@ func (a *OpAccountant) Event(e pdm.Event) {
 				a.inflight = make(map[uint64]*liveOp)
 			}
 			lo := a.take()
-			lo.rec.OpRecord = OpRecord{
-				ID:        e.Span,
-				Op:        e.Op,
-				Client:    e.Client,
-				Keys:      e.Keys,
-				Tag:       e.Tag,
-				BeginStep: e.Step,
-			}
+			lo.span = e.Span
 			a.inflight[e.Op] = lo
 		}
 		a.retain(e)
@@ -137,7 +129,7 @@ func (a *OpAccountant) Event(e pdm.Event) {
 			return
 		}
 		a.retain(e)
-		if e.Parent != 0 {
+		if rec == nil || rec.Parent != 0 {
 			return
 		}
 		lo := a.inflight[e.Op]
@@ -145,39 +137,21 @@ func (a *OpAccountant) Event(e pdm.Event) {
 			return // end without begin (hook attached mid-operation)
 		}
 		delete(a.inflight, e.Op)
-		a.complete(lo, e)
+		lo.rec.OpRecord = *rec
+		a.complete(lo)
 	default:
 		if e.Op != 0 {
-			a.chargeLive(e.Op, e)
+			a.retain(e)
 		}
 		for _, id := range e.Ops {
-			a.chargeLive(id, e)
+			if lo := a.inflight[id]; lo != nil {
+				a.retainFor(lo, e)
+			}
 		}
 	}
 }
 
-// chargeLive rolls one batch or fault event into an in-flight op.
-func (a *OpAccountant) chargeLive(op uint64, e pdm.Event) {
-	lo := a.inflight[op]
-	if lo == nil {
-		return
-	}
-	lo.rec.Steps += int64(e.Steps)
-	if isFaultTag(e.Tag) {
-		lo.rec.Faults++
-	} else {
-		lo.rec.Batches++
-		lo.rec.Blocks += int64(len(e.Addrs))
-		if e.Kind == pdm.EventWrite {
-			lo.rec.Writes += int64(len(e.Addrs))
-		} else {
-			lo.rec.Reads += int64(len(e.Addrs))
-		}
-	}
-	a.retainFor(lo, e)
-}
-
-// retain appends a span event to every in-flight op it belongs to.
+// retain appends an event to its token's in-flight op, if any.
 func (a *OpAccountant) retain(e pdm.Event) {
 	if lo := a.inflight[e.Op]; lo != nil {
 		a.retainFor(lo, e)
@@ -233,13 +207,10 @@ func (a *OpAccountant) take() *liveOp {
 	return lo
 }
 
-// complete finalizes an op on its root span end.
-func (a *OpAccountant) complete(lo *liveOp, end pdm.Event) {
+// complete rolls an op's finished record into the aggregates and the
+// flight recorder.
+func (a *OpAccountant) complete(lo *liveOp) {
 	rec := &lo.rec.OpRecord
-	rec.EndStep = end.Step
-	rec.WallNanos = end.WallNanos
-	rec.Latency = a.Cost.Latency(rec.Steps, rec.Blocks)
-
 	a.ops++
 	a.steps += rec.Steps
 	a.blocks += rec.Blocks
@@ -256,11 +227,11 @@ func (a *OpAccountant) complete(lo *liveOp, end pdm.Event) {
 	if a.byClient == nil {
 		a.byClient = make(map[int]*OpAgg)
 	}
-	a.aggregate(aggFor(a.byClient, rec.Client), rec)
+	aggFor(a.byClient, rec.Client).add(rec)
 	if a.byTag == nil {
 		a.byTag = make(map[string]*OpAgg)
 	}
-	a.aggregate(aggFor(a.byTag, rec.Tag), rec)
+	aggFor(a.byTag, rec.Tag).add(rec)
 
 	every := a.SampleEvery
 	if every == 0 {
@@ -290,42 +261,6 @@ func (a *OpAccountant) complete(lo *liveOp, end pdm.Event) {
 	}
 	a.ringNext = (a.ringNext + 1) % cap(a.ring)
 	a.recorded++
-}
-
-// aggFor returns (creating if needed) the aggregate for one map key.
-func aggFor[K comparable](m map[K]*OpAgg, k K) *OpAgg {
-	agg := m[k]
-	if agg == nil {
-		agg = &OpAgg{Steps: &Hist{}, LatencyMicros: &Hist{}}
-		m[k] = agg
-	}
-	return agg
-}
-
-// aggregate rolls one completed record into an SLO aggregate.
-func (a *OpAccountant) aggregate(agg *OpAgg, rec *OpRecord) {
-	agg.Count++
-	agg.StepSum += rec.Steps
-	agg.BlockSum += rec.Blocks
-	agg.FaultSum += rec.Faults
-	agg.LatencySumNanos += int64(rec.Latency)
-	agg.WallSumNanos += rec.WallNanos
-	agg.Steps.Observe(rec.Steps)
-	agg.LatencyMicros.Observe(rec.Latency.Microseconds())
-}
-
-// isFaultTag reports whether a span path denotes a fault event; the
-// fault tag may ride at the end of the owning span's path.
-func isFaultTag(tag string) bool {
-	if len(tag) == 0 {
-		return false
-	}
-	for i := 0; i+len(pdm.FaultTagPrefix) <= len(tag); i++ {
-		if (i == 0 || tag[i-1] == '.') && tag[i:i+len(pdm.FaultTagPrefix)] == pdm.FaultTagPrefix {
-			return true
-		}
-	}
-	return false
 }
 
 // Totals returns the completed-op totals: operations, exact steps,
@@ -365,7 +300,9 @@ func (a *OpAccountant) InFlight(k int) []OpRecord {
 	a.mu.Lock()
 	out := make([]OpRecord, 0, len(a.inflight))
 	for _, lo := range a.inflight {
-		out = append(out, lo.rec.OpRecord)
+		if rec := a.folder.open[lo.span]; rec != nil {
+			out = append(out, *rec)
+		}
 	}
 	a.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

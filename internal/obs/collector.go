@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"sort"
 	"strings"
@@ -38,6 +37,28 @@ type OpAgg struct {
 	WallSumNanos    int64 `json:"wall_sum_ns"`
 	Steps           *Hist `json:"-"` // steps per operation
 	LatencyMicros   *Hist `json:"-"` // modeled latency per operation, µs
+}
+
+// aggFor returns (creating if needed) the aggregate for one map key.
+func aggFor[K comparable](m map[K]*OpAgg, k K) *OpAgg {
+	agg := m[k]
+	if agg == nil {
+		agg = &OpAgg{Steps: &Hist{}, LatencyMicros: &Hist{}}
+		m[k] = agg
+	}
+	return agg
+}
+
+// add rolls one completed operation's record into the aggregate.
+func (agg *OpAgg) add(rec *OpRecord) {
+	agg.Count++
+	agg.StepSum += rec.Steps
+	agg.BlockSum += rec.Blocks
+	agg.FaultSum += rec.Faults
+	agg.LatencySumNanos += int64(rec.Latency)
+	agg.WallSumNanos += rec.WallNanos
+	agg.Steps.Observe(rec.Steps)
+	agg.LatencyMicros.Observe(rec.Latency.Microseconds())
 }
 
 // Collector aggregates hook events into metrics: global counters, a
@@ -164,19 +185,7 @@ func (c *Collector) foldLocked(e pdm.Event) {
 	if c.ops == nil {
 		c.ops = map[string]*OpAgg{}
 	}
-	agg := c.ops[rec.Tag]
-	if agg == nil {
-		agg = &OpAgg{Steps: &Hist{}, LatencyMicros: &Hist{}}
-		c.ops[rec.Tag] = agg
-	}
-	agg.Count++
-	agg.StepSum += rec.Steps
-	agg.BlockSum += rec.Blocks
-	agg.FaultSum += rec.Faults
-	agg.LatencySumNanos += int64(rec.Latency)
-	agg.WallSumNanos += rec.WallNanos
-	agg.Steps.Observe(rec.Steps)
-	agg.LatencyMicros.Observe(rec.Latency.Microseconds())
+	aggFor(c.ops, rec.Tag).add(rec)
 }
 
 // Ops returns the per-tag operation aggregates (root spans only). The
@@ -331,35 +340,4 @@ func (c *Collector) String() string {
 	c.RenderTags(&sb)
 	c.RenderPerDisk(&sb)
 	return sb.String()
-}
-
-// expvarState is the JSON shape exported by Publish.
-type expvarState struct {
-	Batches int64               `json:"batches"`
-	Reads   int64               `json:"reads"`
-	Writes  int64               `json:"writes"`
-	Steps   int64               `json:"parallel_ios"`
-	Blocks  int64               `json:"blocks"`
-	Depth   Summary             `json:"depth"`
-	Tags    map[string]TagStats `json:"tags"`
-	PerDisk []int64             `json:"per_disk"`
-}
-
-// Publish registers the collector with expvar under the given name.
-// expvar panics on duplicate names, so publish each name once per
-// process.
-func (c *Collector) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any {
-		events, reads, writes, steps, blocks := c.Totals()
-		return expvarState{
-			Batches: events,
-			Reads:   reads,
-			Writes:  writes,
-			Steps:   steps,
-			Blocks:  blocks,
-			Depth:   c.Depth.Summarize("batch_depth"),
-			Tags:    c.Tags(),
-			PerDisk: c.PerDisk(),
-		}
-	}))
 }

@@ -593,26 +593,21 @@ func (c BurnConfig) normalized() BurnConfig {
 	return c
 }
 
-// BurnRateRule builds the SLO burn-rate detector: it watches root
-// operation spans, computes each completed op's modeled latency from
-// the cost model, and breaches while the fraction of ops over Target
-// exceeds Burn × Objective in both the fast and the slow window.
+// BurnRateRule builds the SLO burn-rate detector: it folds token-
+// carrying root operation spans into their records, judges each
+// completed op by its modeled latency under the cost model, and
+// breaches while the fraction of ops over Target exceeds Burn ×
+// Objective in both the fast and the slow window.
 func BurnRateRule(cfg BurnConfig) Rule {
 	cfg = cfg.normalized()
 	return Rule{
 		Name:      "slo_burn",
 		EvalEvery: 64,
 		newDetector: func() detector {
-			return &burnDetector{cfg: cfg, open: map[uint64]burnOp{}, series: map[string][]burnFinish{},
+			return &burnDetector{cfg: cfg, folder: SpanFolder{Cost: cfg.Cost}, series: map[string][]burnFinish{},
 				clients: map[int]string{}, tags: map[string]string{}}
 		},
 	}
-}
-
-type burnOp struct {
-	label     string
-	beginStep int64
-	blocks    int64
 }
 
 type burnFinish struct {
@@ -622,7 +617,7 @@ type burnFinish struct {
 
 type burnDetector struct {
 	cfg     BurnConfig
-	open    map[uint64]burnOp       // in-flight root ops by token ID
+	folder  SpanFolder              // builds each op's record
 	series  map[string][]burnFinish // completed ops per label, pruned to the slow window
 	clients map[int]string          // cached instance label per client
 	tags    map[string]string       // cached instance label per tag (ByTag)
@@ -630,59 +625,31 @@ type burnDetector struct {
 	out     []ruleSample            // sample scratch
 }
 
-// label returns the cached instance label of a root span begin.
-func (d *burnDetector) label(e pdm.Event) string {
+// label returns the cached instance label of a completed op.
+func (d *burnDetector) label(rec *OpRecord) string {
 	if d.cfg.ByTag {
-		l, ok := d.tags[e.Tag]
+		l, ok := d.tags[rec.Tag]
 		if !ok {
-			l = "tag=" + e.Tag
-			d.tags[e.Tag] = l
+			l = "tag=" + rec.Tag
+			d.tags[rec.Tag] = l
 		}
 		return l
 	}
-	l, ok := d.clients[e.Client]
+	l, ok := d.clients[rec.Client]
 	if !ok {
-		l = "client=" + fmt.Sprint(e.Client)
-		d.clients[e.Client] = l
+		l = "client=" + fmt.Sprint(rec.Client)
+		d.clients[rec.Client] = l
 	}
 	return l
 }
 
-// charge adds a batch's blocks to op, if op is an in-flight root op.
-func (d *burnDetector) charge(op uint64, blocks int64) {
-	if bo, ok := d.open[op]; ok {
-		bo.blocks += blocks
-		d.open[op] = bo
-	}
-}
-
 func (d *burnDetector) observe(e pdm.Event, now int64) {
-	switch e.Kind {
-	case pdm.EventSpanBegin:
-		if e.Parent != 0 || e.Op == 0 {
-			return
-		}
-		d.open[e.Op] = burnOp{label: d.label(e), beginStep: e.Step}
-	case pdm.EventSpanEnd:
-		if e.Parent != 0 || e.Op == 0 {
-			return
-		}
-		bo, ok := d.open[e.Op]
-		if !ok {
-			return // end without begin (monitor attached mid-operation)
-		}
-		delete(d.open, e.Op)
-		lat := d.cfg.Cost.Latency(e.Step-bo.beginStep, bo.blocks)
-		d.series[bo.label] = append(d.series[bo.label], burnFinish{step: now, bad: lat > d.cfg.Target})
-	default:
-		if e.Kind.IsAnnotation() || strings.HasPrefix(e.Tag, pdm.FaultTagPrefix) {
-			return // stall steps reach the op through the step counter
-		}
-		d.charge(e.Op, int64(len(e.Addrs)))
-		for _, id := range e.Ops {
-			d.charge(id, int64(len(e.Addrs)))
-		}
+	rec := d.folder.Fold(e)
+	if rec == nil || rec.Parent != 0 || rec.Op == 0 {
+		return // nothing closed, a nested phase, or an unattributed span
 	}
+	l := d.label(rec)
+	d.series[l] = append(d.series[l], burnFinish{step: now, bad: rec.Latency > d.cfg.Target})
 }
 
 func (d *burnDetector) sample(now int64) []ruleSample {

@@ -329,6 +329,40 @@ func TestBurnRateRuleFiresPerClient(t *testing.T) {
 	}
 }
 
+// Two token-carrying lookups interleave on one machine: client 7's op
+// runs 10 steps while client 1's, open around it, runs 1. The shared
+// step counter moves 11 between either op's begin and end, but slo_burn
+// must judge each op by its own charges: client 1's lookups are 1-step
+// ops inside the 50 ms target, client 7's are 10-step ops over it.
+func TestBurnRateRuleChargesEachOpItsOwnSteps(t *testing.T) {
+	d := BurnRateRule(BurnConfig{Target: 50 * time.Millisecond}).newDetector()
+	var now int64
+	for i := uint64(0); i < 8; i++ {
+		a, b := 2*i+1, 2*i+2
+		for _, e := range []pdm.Event{
+			{Kind: pdm.EventSpanBegin, Tag: "lookup", Span: a, Op: a, Client: 1, Keys: 1, Step: now},
+			{Kind: pdm.EventSpanBegin, Tag: "lookup", Span: b, Op: b, Client: 7, Keys: 1, Step: now},
+			{Kind: pdm.EventRead, Tag: "lookup", Span: b, Op: b, Client: 7, Steps: 10, Depth: 10, Addrs: make([]pdm.Addr, 10)},
+			{Kind: pdm.EventRead, Tag: "lookup", Span: a, Op: a, Client: 1, Steps: 1, Depth: 1, Addrs: make([]pdm.Addr, 1)},
+			{Kind: pdm.EventSpanEnd, Tag: "lookup", Span: b, Op: b, Client: 7, Step: now + 11},
+			{Kind: pdm.EventSpanEnd, Tag: "lookup", Span: a, Op: a, Client: 1, Step: now + 11},
+		} {
+			now += int64(e.Steps)
+			d.observe(e, now)
+		}
+	}
+	bad := map[string]int64{}
+	for _, s := range d.sample(now) {
+		bad[s.Label] = s.Value
+	}
+	if bad["client=1"] != 0 {
+		t.Errorf("client 1's 1-step lookups judged bad: fraction %d µ, want 0", bad["client=1"])
+	}
+	if bad["client=7"] != 1_000_000 {
+		t.Errorf("client 7's 10-step lookups: bad fraction %d µ, want 1000000", bad["client=7"])
+	}
+}
+
 // Annotation events must survive the JSONL round trip with their alert
 // fields intact, and Replay must skip them (they transfer no blocks and
 // charge no steps).

@@ -11,8 +11,7 @@
 //   - Hist is a log₂-bucketed histogram for long-tailed counts such as
 //     parallel I/Os per operation; it is safe for concurrent use.
 //   - Collector aggregates events into per-tag and per-disk totals plus
-//     a depth histogram, renders them as text tables, and can publish
-//     itself through expvar.
+//     a depth histogram, and renders them as text tables.
 //
 // Hooks compose with Tee, so a trace file and live metrics can be fed
 // from the same machine simultaneously.

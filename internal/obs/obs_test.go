@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -393,28 +392,6 @@ func TestCollectorGrowsDisksAcrossMachines(t *testing.T) {
 	big.BatchRead([]pdm.Addr{{Disk: 5, Block: 0}})
 	if pd := c.PerDisk(); len(pd) != 6 || pd[1] != 1 || pd[5] != 1 {
 		t.Errorf("perDisk = %v, want len 6 with disks 1 and 5 hit", pd)
-	}
-}
-
-func TestCollectorExpvarShape(t *testing.T) {
-	c := NewCollector()
-	c.Event(pdm.Event{Kind: pdm.EventRead, Tag: "lookup", Steps: 1,
-		Addrs: []pdm.Addr{{Disk: 0, Block: 0}}})
-	// Marshal the same value Publish would export, without registering
-	// a global expvar name (duplicate names panic across tests).
-	events, reads, writes, steps, blocks := c.Totals()
-	blob, err := json.Marshal(expvarState{
-		Batches: events, Reads: reads, Writes: writes, Steps: steps,
-		Blocks: blocks, Depth: c.Depth.Summarize("batch_depth"),
-		Tags: c.Tags(), PerDisk: c.PerDisk(),
-	})
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	for _, want := range []string{`"parallel_ios":1`, `"lookup"`, `"per_disk":[1]`} {
-		if !strings.Contains(string(blob), want) {
-			t.Errorf("expvar JSON missing %s: %s", want, blob)
-		}
 	}
 }
 

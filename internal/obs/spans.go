@@ -57,10 +57,10 @@ func (c CostModel) Latency(steps, blocks int64) time.Duration {
 	return time.Duration(steps)*c.StepCost + time.Duration(blocks)*c.BlockCost
 }
 
-// OpRecord is one reconstructed span: the I/O charged between its
-// begin and end events, inclusive of nested child spans. Root spans
-// (Parent == 0) are the per-operation records the paper's theorems
-// bound — one Lookup, Insert, or Delete each.
+// OpRecord is one reconstructed span: the I/O its own events charged,
+// inclusive of nested child spans. Root spans (Parent == 0) are the
+// per-operation records the paper's theorems bound — one Lookup,
+// Insert, or Delete each.
 type OpRecord struct {
 	// ID and Parent identify the span; Parent 0 marks an operation.
 	ID     uint64 `json:"id"`
@@ -75,8 +75,12 @@ type OpRecord struct {
 	// Tag is the span's dot-joined path (e.g. "insert.probe").
 	Tag string `json:"tag"`
 	// BeginStep and EndStep are the machine's cumulative parallel-I/O
-	// counter at the span boundaries; Steps is their difference — the
-	// span's parallel-I/O cost, stall charges included.
+	// counter at the span boundaries. Steps is the span's parallel-I/O
+	// cost: the sum of the step charges of the events attributed to it
+	// (batches, fault.stall surcharges, and addr-less backoff charges).
+	// Single-threaded it equals EndStep − BeginStep; under concurrency
+	// the counter window also holds other operations' steps, and Steps
+	// does not.
 	BeginStep int64 `json:"begin_step"`
 	EndStep   int64 `json:"end_step"`
 	Steps     int64 `json:"steps"`
@@ -99,7 +103,9 @@ type OpRecord struct {
 
 // SpanFolder reconstructs spans from an event stream: feed it every
 // event (in emission order) and it returns one OpRecord per closed
-// span. It tolerates imperfect streams — an end without a begin is
+// span. It is the one fold from events to per-operation records:
+// Collector, OpAccountant, and the slo_burn rule each run one. It
+// tolerates imperfect streams — an end without a begin is
 // dropped, unclosed spans can be flushed with Drain — so it works on
 // truncated traces and on the interleaved streams a shared machine
 // produces under concurrency. Not safe for concurrent use; wrap it in
@@ -218,10 +224,11 @@ func (f *SpanFolder) chargeOp(op uint64, e pdm.Event) bool {
 
 // chargeRecord rolls one batch or fault event into a span record.
 func (f *SpanFolder) chargeRecord(rec *OpRecord, e pdm.Event) {
+	rec.Steps += int64(e.Steps)
 	if strings.HasPrefix(e.Tag, pdm.FaultTagPrefix) {
-		// Fault events describe the batch they ride on; the
-		// batch itself was already counted. Stall steps reach
-		// the record through the step counter.
+		// Fault events describe the batch they ride on; the batch
+		// itself was already counted. Only a stall's extra steps are
+		// charged, above.
 		rec.Faults++
 		return
 	}
@@ -257,7 +264,6 @@ func (f *SpanFolder) forgetOpSpan(op, span uint64) {
 // close finalizes a record at the given end step.
 func (f *SpanFolder) close(rec *OpRecord, endStep, wallNanos int64) {
 	rec.EndStep = endStep
-	rec.Steps = endStep - rec.BeginStep
 	rec.WallNanos = wallNanos
 	rec.Latency = f.Cost.Latency(rec.Steps, rec.Blocks)
 }

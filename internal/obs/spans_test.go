@@ -79,7 +79,7 @@ func TestSpanFolderCountsFaultsWithoutDoubleCharging(t *testing.T) {
 	if r.Faults != 1 || r.Batches != 1 || r.Blocks != 1 {
 		t.Errorf("record = %+v, want 1 fault, 1 batch, 1 block", r)
 	}
-	if r.Steps != 4 { // stall steps reach the span through the step counter
+	if r.Steps != 4 { // the batch's 1 step plus the 3 its fault.stall event charges
 		t.Errorf("steps = %d, want 4", r.Steps)
 	}
 }
@@ -99,7 +99,10 @@ func TestSpanFolderDrainsTruncatedTraces(t *testing.T) {
 	if len(recs) != 1 || f.Open() != 0 {
 		t.Fatalf("drained %d records, %d still open", len(recs), f.Open())
 	}
-	if recs[0].Tag != "insert" || recs[0].Steps != 4 || recs[0].Blocks != 1 {
+	// The span's events charged 1 step. The counter window 5→9 would
+	// say 4, but the other 3 steps were never attributed to the span,
+	// so a record drained from a truncated trace carries only its own.
+	if recs[0].Tag != "insert" || recs[0].Steps != 1 || recs[0].Blocks != 1 || recs[0].EndStep != 9 {
 		t.Errorf("drained record = %+v", recs[0])
 	}
 }
