@@ -252,6 +252,9 @@ func (bd *BasicDict) Len() int {
 // Capacity returns the configured capacity N.
 func (bd *BasicDict) Capacity() int { return bd.cfg.Capacity }
 
+// SatWords returns the satellite size per key, in words.
+func (bd *BasicDict) SatWords() int { return bd.cfg.SatWords }
+
 // Graph returns the underlying expander (a Striped one unless the
 // dictionary runs in HeadModel mode).
 func (bd *BasicDict) Graph() expander.Graph { return bd.graph }
@@ -313,9 +316,9 @@ func (bd *BasicDict) bucketOf(flat [][]pdm.Word, i int) [][]pdm.Word {
 }
 
 // lookupInBlocks interprets a pre-fetched neighborhood (the blocks for
-// probeAddrs(x)) exactly as Lookup would, without any I/O, and appends
-// x's satellite to dst. The blocks are only read, never retained: the
-// appended words are a copy.
+// probeAddrs(x)) exactly as Lookup would, without any I/O, and writes
+// x's satellite into dst as assemble does, answering nil on a miss. The
+// blocks are only read, never retained: the answer is a copy.
 func (bd *BasicDict) lookupInBlocks(sc *probeScratch, x pdm.Word, flat [][]pdm.Word, dst []pdm.Word) ([]pdm.Word, bool) {
 	frags := sc.fragSlots(bd.cfg.K)
 	if !bd.present(bd.findFragments(x, flat, frags, nil)) {
@@ -470,7 +473,7 @@ func (bd *BasicDict) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats 
 	view := sc.keyView(bd.probeLen())
 	for ki, x := range keys {
 		sc.r1.keyBlocks(ki, flat, view)
-		sats[ki], oks[ki] = bd.lookupInBlocks(sc, x, view, nil)
+		sats[ki], oks[ki] = bd.lookupInBlocks(sc, x, view, sats[ki])
 		if !oks[ki] && hasNil(view) {
 			inconclusive++
 		}
@@ -519,15 +522,14 @@ func (bd *BasicDict) Contains(x pdm.Word) bool {
 	return ok
 }
 
-// assemble appends x's satellite, rebuilt from its fragment slots, to
-// dst (nil allocates exactly the satellite). Callers gate on present():
-// fragment mode then has every slot filled, and in replicate mode the
-// first live replica supplies the whole satellite.
+// assemble writes x's satellite, rebuilt from its fragment slots, into
+// dst[:0] when dst can hold it, and into a new slice of exactly its size
+// otherwise. Callers gate on present(): fragment mode then has every
+// slot filled, and in replicate mode the first live replica supplies
+// the whole satellite.
 func (bd *BasicDict) assemble(dst []pdm.Word, frags [][]pdm.Word) []pdm.Word {
 	need := bd.cfg.SatWords
-	if dst == nil {
-		dst = make([]pdm.Word, 0, need)
-	}
+	dst = answerBuf(dst, need)
 	for _, f := range frags {
 		if len(f) > need {
 			f = f[:need]

@@ -185,6 +185,9 @@ func (c *cascade) Len() int {
 // Capacity returns N.
 func (c *cascade) Capacity() int { return c.capacity }
 
+// SatWords returns the satellite size per key, in words.
+func (c *cascade) SatWords() int { return c.satWords }
+
 // Levels returns the number of retrieval levels.
 func (c *cascade) Levels() int {
 	c.mu.RLock()
@@ -339,14 +342,16 @@ func (c *cascade) decodeLocked(sc *probeScratch, x pdm.Word, li, head int, block
 	return found, 0, 0
 }
 
-// answerLocked decodes x's satellite at level li into sat and ok, which
-// get a copy of it. It reports false, leaving them unset, when a
-// degraded read missed a block the answer needs.
+// answerLocked decodes x's satellite at level li into sat and ok: a
+// copy written into (*sat)[:0] when its capacity holds the satellite
+// (see answerBuf), or nil and false when x is not found there. It
+// reports false when a degraded read missed a block the answer needs.
 func (c *cascade) answerLocked(sc *probeScratch, x pdm.Word, li, head int, blocks [][]pdm.Word, sat *[]pdm.Word, ok *bool) bool {
 	found, lo, hi := c.decodeLocked(sc, x, li, head, blocks)
 	if found {
-		*sat, *ok = make([]pdm.Word, c.satWords), true
-		copy(*sat, sc.words)
+		*sat, *ok = append(answerBuf(*sat, c.satWords), sc.words...), true
+	} else {
+		*sat = nil
 	}
 	return lo == hi
 }
@@ -448,9 +453,16 @@ func (c *cascade) Contains(x pdm.Word) bool {
 // field off the key's chain does not, and transient faults and stalls
 // are absorbed.
 func (c *cascade) LookupTry(x pdm.Word) ([]pdm.Word, bool, error) {
+	return c.LookupTryOp(nil, x)
+}
+
+// LookupTryOp is LookupTry attributed to the operation token op: both
+// rounds, their retries and any modeled backoff are charged to op. A
+// nil op keeps the legacy shared-stack attribution.
+func (c *cascade) LookupTryOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool, error) {
 	var sat [1][]pdm.Word
 	var ok [1]bool
-	if _, err := c.lookup(nil, nil, []pdm.Word{x}, sat[:], ok[:], true); err != nil {
+	if _, err := c.lookup(op, nil, []pdm.Word{x}, sat[:], ok[:], true); err != nil {
 		return nil, false, fmt.Errorf("core: degraded lookup for key %d inconclusive: %w", x, err)
 	}
 	return sat[0], ok[0], nil
@@ -505,7 +517,8 @@ func (c *cascade) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][
 	}
 	flat, err := c.readLocked(sc, op, shared, keys, false, try)
 
-	clear(sats)
+	// sats keeps the caller's slices until each key is answered: a hit
+	// writes into its own, and every other key's is set to nil.
 	clear(oks)
 	sc.deep, sc.ops = sc.deep[:0], sc.ops[:0]
 	sc.r2.reset()
@@ -517,6 +530,7 @@ func (c *cascade) lookup(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][
 			inconclusive++
 		}
 		if !ok {
+			sats[ki] = nil
 			continue
 		}
 		if level < c.pre {

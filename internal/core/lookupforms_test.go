@@ -222,8 +222,9 @@ func dictForms(t *testing.T) lookupForms {
 
 // Every read form of every structure is one lookup body, so they must
 // agree: for each seeded key, LookupOp, LookupBatchInto of one key, a
-// shared round of one token, a shared round of eight, and LookupTry
-// without an injector return the same satellite and presence. A
+// shared round of one token, a shared round of eight, LookupBatchInto
+// into caller buffers with room, and LookupTry without an injector
+// return the same satellite and presence. A
 // single-key lookup's read events carry exactly its probe addresses, in
 // probe order, one parallel I/O each — the batch of one's
 // de-duplication is the identity. Run under -race -cpu=1,2,4.
@@ -314,6 +315,40 @@ func checkLookupForms(t *testing.T, f lookupForms) {
 		sats, oks := f.batch.results(nil, shared, f.keys[lo:lo+round])
 		for j := range shared {
 			check("shared round of 8", lo+j, sats[j], oks[j])
+		}
+	}
+
+	// Into caller buffers with room, as one batch token or as a shared
+	// round: a hit is written into its own entry's array, whatever it
+	// held, and a miss's entry is nil.
+	w := 0
+	for _, a := range want {
+		if a.ok {
+			w = len(a.sat)
+			break
+		}
+	}
+	for lo := 0; lo+round <= len(f.keys); lo += round {
+		buf := make([]pdm.Word, round*w)
+		sats, oks := make([][]pdm.Word, round), make([]bool, round)
+		shared := make([]*pdm.Op, round)
+		for j := range sats {
+			buf[j*w] = 0xdead
+			sats[j], shared[j] = buf[j*w:j*w+1:(j+1)*w], token()
+		}
+		if lo/round%2 == 0 {
+			f.batch(token(), nil, f.keys[lo:lo+round], sats, oks)
+		} else {
+			f.batch(nil, shared, f.keys[lo:lo+round], sats, oks)
+		}
+		for j := range sats {
+			check("LookupBatchInto into caller buffers", lo+j, sats[j], oks[j])
+			if oks[j] && &sats[j][0] != &buf[j*w] {
+				t.Fatalf("key %d: the answer was not written into the caller's buffer", f.keys[lo+j])
+			}
+			if !oks[j] && sats[j] != nil {
+				t.Fatalf("key %d: a miss left %v in the caller's entry, want nil", f.keys[lo+j], sats[j])
+			}
 		}
 	}
 }

@@ -188,6 +188,9 @@ func (d *Dict) newStructureLocked(capacity int) (rebuildable, error) {
 	})
 }
 
+// SatWords returns the satellite size per key, in words.
+func (d *Dict) SatWords() int { return d.cfg.SatWords }
+
 // Len returns the number of keys stored across both structures.
 func (d *Dict) Len() int {
 	d.mu.RLock()
@@ -264,12 +267,15 @@ func (d *Dict) MintOp(client, keys int) *pdm.Op {
 // attribution is exact under arbitrary concurrency — each token counts
 // only its own batches, never a neighbor's. op (minted for client 0 if
 // nil) counts as n Ops (a batch counts one per key) and WorstOp tracks
-// the per-key ceiling ⌈cost/n⌉; each participant counts as one Op.
+// the per-key ceiling ⌈cost/n⌉; each participant counts as one Op. A
+// token minted here is released once the ledger has read it.
 func (d *Dict) measureOpLocked(op *pdm.Op, shared []*pdm.Op, tag pdm.Tag, n int, fn func(op *pdm.Op) error) error {
 	parts := shared
+	var minted *pdm.Op
 	if len(shared) == 0 {
 		if op == nil {
 			op = d.MintOp(0, n)
+			minted = op
 		}
 		parts = []*pdm.Op{op}
 	} else {
@@ -298,6 +304,7 @@ func (d *Dict) measureOpLocked(op *pdm.Op, shared []*pdm.Op, tag pdm.Tag, n int,
 		}
 	}
 	d.statsMu.Unlock()
+	pdm.ReleaseOp(minted)
 	return err
 }
 
@@ -352,17 +359,22 @@ func (d *Dict) LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sa
 // lookupLocked is the wrapper's one lookup body. The filling structure
 // (if a migration is in flight) answers first, and only the keys it
 // misses, with their tokens in a shared round, ride a lookup of the
-// draining structure.
+// draining structure. A key either structure answers is written into
+// the caller's sats[i] when it has room, as the structures do.
 func (d *Dict) lookupLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
 	d.measureOpLocked(op, shared, pdm.TagLookup, len(keys), func(op *pdm.Op) error {
 		if d.next == nil {
 			d.active.LookupBatchInto(op, shared, keys, sats, oks)
 			return nil
 		}
+		// The filling structure nils a miss's entry, so the caller's
+		// slices are set aside first for the draining structure.
+		sc.missSats = append(sc.missSats[:0], sats...)
 		d.next.LookupBatchInto(op, shared, keys, sats, oks)
 		sc.missKeys, sc.ops = sc.missKeys[:0], sc.ops[:0]
 		for i, ok := range oks {
 			if !ok {
+				sc.missSats[len(sc.missKeys)] = sc.missSats[i]
 				sc.missKeys = append(sc.missKeys, keys[i])
 				if len(shared) > 0 {
 					sc.ops = append(sc.ops, shared[i])
@@ -370,10 +382,12 @@ func (d *Dict) lookupLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, keys
 			}
 		}
 		n := len(sc.missKeys)
+		clear(sc.missSats[n:])
+		sc.missSats = sc.missSats[:n]
 		if n == 0 {
 			return nil
 		}
-		sc.missSats, sc.missOks = slices.Grow(sc.missSats[:0], n)[:n], slices.Grow(sc.missOks[:0], n)[:n]
+		sc.missOks = slices.Grow(sc.missOks[:0], n)[:n]
 		d.active.LookupBatchInto(op, sc.ops, sc.missKeys, sc.missSats, sc.missOks)
 		j := 0
 		for i := range oks {

@@ -129,6 +129,16 @@ func (sc *probeScratch) decoded(n int) []pdm.Word {
 	return sc.words
 }
 
+// answerBuf returns dst emptied when it can hold an n-word satellite,
+// and a new empty slice of capacity n otherwise: a lookup answers into
+// the caller's slice when it has room.
+func answerBuf(dst []pdm.Word, n int) []pdm.Word {
+	if cap(dst) < n {
+		return make([]pdm.Word, 0, n)
+	}
+	return dst[:0]
+}
+
 // fragSlots returns k empty fragment slots.
 func (sc *probeScratch) fragSlots(k int) [][]pdm.Word {
 	if cap(sc.frags) < k {

@@ -34,8 +34,8 @@ func pinAllocs(t *testing.T, name string, want float64, fn func()) {
 // retried: its draws, outcomes and errors live in the machine's pooled
 // scratch and the probe scratch's buffers. A read of more than pdm's 32
 // inline blocks — d = 40 here — costs no more, since the partitioned
-// path's per-disk bodies are plain functions; a Dict operation adds the
-// token it mints. A hook adds nothing:
+// path's per-disk bodies are plain functions; a Dict operation's own
+// token is recycled when it returns. A hook adds nothing:
 // the hooked rows cost what they do unhooked, so pdm's span machinery is
 // free once warm and a hook's cost is its consumers' alone.
 func TestAllocationPins(t *testing.T) {
@@ -215,11 +215,31 @@ func TestAllocationPins(t *testing.T) {
 			}
 		})
 	}
+	// Into caller entries with room for the satellite, the same batch
+	// allocates nothing: every answer is written into its own entry.
+	buf, warm, warmOks := make([]pdm.Word, 2*len(keys)), make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+	for _, b := range []struct {
+		name   string
+		lookup batchInto
+	}{
+		{"Basic", basic.LookupBatchInto},
+		{"Dynamic", dynamic.LookupBatchInto},
+		{"OneProbe", oneprobe.LookupBatchInto},
+		{"Dict", dict.LookupBatchInto},
+	} {
+		pinAllocs(t, b.name+".LookupBatchInto×64 into caller entries", 0, func() {
+			for i := range warm {
+				warm[i] = buf[2*i : 2*i : 2*i+2]
+			}
+			if b.lookup(nil, nil, keys, warm, warmOks); !warmOks[0] || !warmOks[63] || &warm[63][0] != &buf[126] {
+				t.Fatal("stored keys not found in the caller's entries")
+			}
+		})
+	}
 
 	// Updates read into the scratch and write the blocks they read: an
 	// update of an existing key, and a delete with its re-insert, cost
-	// Basic, Dynamic and OneProbe nothing, and the Dict each operation's
-	// token.
+	// nothing, on the Dict too, whose tokens are recycled.
 	for _, u := range []struct {
 		name        string
 		update, del int
@@ -229,7 +249,7 @@ func TestAllocationPins(t *testing.T) {
 		{"Basic", 0, 0, basic, recs[3]},
 		{"Dynamic (shallow key)", 0, 0, dynamic, shallow},
 		{"OneProbe", 0, 0, oneprobe, recs[3]},
-		{"Dict", 1, 2, dict, recs[3]},
+		{"Dict", 0, 0, dict, recs[3]},
 	} {
 		pinAllocs(t, u.name+".Insert existing", float64(u.update), func() {
 			if err := u.d.Insert(u.rec.Key, u.rec.Sat); err != nil {
@@ -250,7 +270,7 @@ func TestAllocationPins(t *testing.T) {
 	// does unhooked: a span's end is a value, a token's span stack is
 	// borrowed from the machine and handed back, and nested span paths
 	// ("insert.probe") are interned. A row with a fresh token adds the
-	// token; the Dict mints one per operation.
+	// token; the Dict recycles the one it mints per operation.
 	hooked := []struct {
 		name string
 		want float64
@@ -264,8 +284,8 @@ func TestAllocationPins(t *testing.T) {
 		{"Dynamic.LookupOp hit, fresh token", 2, func() { dynamic.LookupOp(pdm.MakeOp(1, 0, 1), shallow.Key) }},
 		{"Dynamic.Insert existing", 0, func() { dynamic.Insert(shallow.Key, shallow.Sat) }},
 		{"Dynamic.InsertOp existing, fresh token", 1, func() { dynamic.InsertOp(pdm.MakeOp(1, 0, 1), shallow.Key, shallow.Sat) }},
-		{"Dict.Lookup hit", 2, func() { dict.Lookup(keys[3]) }},
-		{"Dict.Insert existing", 1, func() { dict.Insert(recs[3].Key, recs[3].Sat) }},
+		{"Dict.Lookup hit", 1, func() { dict.Lookup(keys[3]) }},
+		{"Dict.Insert existing", 0, func() { dict.Insert(recs[3].Key, recs[3].Sat) }},
 	}
 	for _, h := range []pdm.Hook{nil, nopHook{}} {
 		basic.reg.m.SetHook(h)

@@ -88,6 +88,12 @@ var lockOrder = []lockClass{
 	// held across calls into the dictionary or the machine.
 	{Pkg: "heal", Type: "Supervisor", Field: "mu", Rank: 70},
 
+	// The idle-token list behind pdm.MakeOp and pdm.ReleaseOp is a leaf:
+	// a token is minted or released under any of the locks above (the
+	// Dict mints under its own, the supervisor under its bookkeeping
+	// lock) and the list's lock is held across nothing.
+	{Pkg: "pdm", Type: "opList", Field: "mu", Rank: 80},
+
 	// Fixture classes (testdata/src): hermetic analyzer tests declare
 	// their order here, in a rank band no real class uses.
 	{Pkg: "lockfix", Type: "Outer", Field: "mu", Rank: 910},
@@ -157,7 +163,7 @@ var lockEffects = []methodEffect{
 	{Pkg: "pdm", Type: "Machine", Method: "D", Classes: nil},
 	{Pkg: "pdm", Type: "Machine", Method: "B", Classes: nil},
 	{Pkg: "pdm", Type: "Machine", Method: "Stats", Classes: nil},
-	{Pkg: "pdm", Type: "Machine", Method: "NewOp", Classes: nil},
+	{Pkg: "pdm", Type: "Machine", Method: "NewOp", Classes: []lockClassKey{{"pdm", "opList", "mu"}}},
 	// The chaos-schedule oracles: shard-level only, safe under the
 	// injector locks (44/48 < 50).
 	{Pkg: "pdm", Type: "Machine", Method: "FlipBit",

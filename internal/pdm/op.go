@@ -1,6 +1,9 @@
 package pdm
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Operation tokens. An Op identifies one logical dictionary operation —
 // a lookup, an insert, a delete, or one LookupBatch call — so that every
@@ -52,15 +55,80 @@ type Op struct {
 // callers that manage their own ID space — a dictionary that outlives
 // machine generations, or a trace replayer re-minting recorded IDs.
 // Everyone else should use (*Machine).NewOp. ID 0 means "no operation"
-// and must not be used.
+// and must not be used. The token is an idle one handed back with
+// ReleaseOp when there is one, so a call that mints and releases its
+// own token allocates none once warm.
 func MakeOp(id uint64, client, keys int) *Op {
-	return &Op{id: id, client: client, keys: keys}
+	o := idleOps.take()
+	if o == nil {
+		o = new(Op)
+	}
+	o.id, o.client, o.keys = id, client, keys
+	return o
+}
+
+// ReleaseOp hands back a token that a call minted for itself, once that
+// call has returned: nothing may charge, read or span the token
+// afterwards, since the next MakeOp or NewOp reissues it under a new ID.
+// Only the minting call may release its token; one minted for a caller
+// (MintOp, then a Ctx entry point) is the caller's to keep reading and
+// is never released. A token still holding an open span — its operation
+// panicked before closing it — is dropped instead, so no later op
+// inherits the stack. A nil op is ignored.
+func ReleaseOp(o *Op) {
+	if o == nil || o.stack != nil {
+		return
+	}
+	*o = Op{}
+	idleOps.put(o)
+}
+
+// opList is the idle-token list behind MakeOp and ReleaseOp. It holds
+// only released tokens, so it never grows beyond the most self-minted
+// tokens that were ever open at once. It is a plain slice rather than a
+// sync.Pool: a pool the collector drains would make a call's allocation
+// count depend on when the collector last ran.
+type opList struct {
+	mu  sync.Mutex
+	n   atomic.Int32 // len(ops), so that minting with no idle token takes no lock
+	ops []*Op        // guarded by mu
+}
+
+// idleOps is the process's one idle-token list. Tokens carry no machine
+// once released, so any minter may reissue any of them.
+var idleOps opList
+
+// take pops an idle token, or returns nil when there is none.
+func (l *opList) take() *Op {
+	if l.n.Load() == 0 {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.ops)
+	if n == 0 {
+		return nil
+	}
+	o := l.ops[n-1]
+	l.ops[n-1] = nil
+	l.ops = l.ops[:n-1]
+	l.n.Store(int32(n - 1))
+	return o
+}
+
+// put parks a reset token.
+func (l *opList) put(o *Op) {
+	l.mu.Lock()
+	l.ops = append(l.ops, o)
+	l.n.Store(int32(len(l.ops)))
+	l.mu.Unlock()
 }
 
 // NewOp mints a token for one operation issued by the given client over
 // the given number of keys (1 for single-key operations). IDs come from
 // a per-machine counter starting at 1, so equal workloads mint equal
-// IDs and traces stay deterministic.
+// IDs and traces stay deterministic, whether or not the token itself is
+// a recycled one (see MakeOp).
 func (m *Machine) NewOp(client, keys int) *Op {
 	return MakeOp(m.nextOp.Add(1), client, keys)
 }

@@ -36,11 +36,10 @@ type minter interface {
 // touching this test; unattributed lists those that mint nothing by
 // design, and each of them must complete no op.
 func TestPublicEntryPointsMintTokens(t *testing.T) {
-	// The baselines, Direct and Static stay on the legacy span path, and
-	// LookupTry mints no token so that a degraded read allocates none.
+	// The baselines, Direct and Static stay on the legacy span path.
 	unattributed := map[string]bool{
 		"HashTable": true, "Cuckoo": true, "TwoLevel": true, "BTree": true,
-		"Direct": true, "Static": true, "Basic.LookupTry": true, "Dynamic.LookupTry": true,
+		"Direct": true, "Static": true,
 	}
 	build := func(d Dictionary, err error) Dictionary {
 		t.Helper()

@@ -191,12 +191,14 @@ type IOHook = pdm.Hook
 // is only approximate. The plain entry points mint an anonymous token
 // (client 0) internally, so every operation on Dict, Basic, Dynamic,
 // OneProbe and the wrappers over them is accounted either way. Direct,
-// Static, the baselines, Basic.LookupTry and Dynamic.LookupTry mint no
-// tokens.
+// Static and the baselines mint no tokens.
 //
-// Mint one token per logical operation with MintOp and do not reuse it;
-// the token's counters (Op.Steps and friends) can be read at any time,
-// including while the operation is in flight.
+// A token a plain entry point mints for itself is recycled once the call
+// returns, so a warm call allocates nothing for it. A token minted with
+// MintOp is the caller's and is never recycled: mint one per logical
+// operation and do not reuse it; its counters (Op.Steps and friends)
+// can be read at any time, including while the operation is in flight
+// and after it returns.
 type OpCtx = obs.OpCtx
 
 // BatchLookuper is satisfied by the structures that can answer many
@@ -224,6 +226,7 @@ type opCore interface {
 	InsertOp(op *pdm.Op, key Word, sat []Word) error
 	DeleteOp(op *pdm.Op, key Word) bool
 	Len() int
+	SatWords() int
 }
 
 // front holds the public entry points Dict, Basic, Dynamic and OneProbe
@@ -254,7 +257,10 @@ func (f *front) MintOp(client, keys int, tag string) OpCtx {
 
 // Lookup returns a copy of key's satellite data and whether it is present.
 func (f *front) Lookup(key Word) ([]Word, bool) {
-	return f.LookupCtx(f.MintOp(0, 1, pdm.TagLookup.String()), key)
+	c := f.MintOp(0, 1, pdm.TagLookup.String())
+	sat, ok := f.LookupCtx(c, key)
+	pdm.ReleaseOp(c.Op)
+	return sat, ok
 }
 
 // LookupCtx is Lookup attributed to the operation token c (see OpCtx).
@@ -268,7 +274,10 @@ func (f *front) Contains(key Word) bool {
 
 // Insert stores (key, sat), replacing any existing satellite.
 func (f *front) Insert(key Word, sat []Word) error {
-	return f.InsertCtx(f.MintOp(0, 1, pdm.TagInsert.String()), key, sat)
+	c := f.MintOp(0, 1, pdm.TagInsert.String())
+	err := f.InsertCtx(c, key, sat)
+	pdm.ReleaseOp(c.Op)
+	return err
 }
 
 // InsertCtx is Insert attributed to the operation token c.
@@ -278,7 +287,10 @@ func (f *front) InsertCtx(c OpCtx, key Word, sat []Word) error {
 
 // Delete removes key, reporting whether it was present.
 func (f *front) Delete(key Word) bool {
-	return f.DeleteCtx(f.MintOp(0, 1, pdm.TagDelete.String()), key)
+	c := f.MintOp(0, 1, pdm.TagDelete.String())
+	present := f.DeleteCtx(c, key)
+	pdm.ReleaseOp(c.Op)
+	return present
 }
 
 // DeleteCtx is Delete attributed to the operation token c.
@@ -288,13 +300,23 @@ func (f *front) DeleteCtx(c OpCtx, key Word) bool { return f.core.DeleteOp(c.Op,
 // merged, de-duplicated read rounds. Results align positionally with
 // keys.
 func (f *front) LookupBatch(keys []Word) ([][]Word, []bool) {
-	return f.LookupBatchCtx(f.MintOp(0, len(keys), pdm.TagLookup.String()), keys)
+	c := f.MintOp(0, len(keys), pdm.TagLookup.String())
+	sats, oks := f.LookupBatchCtx(c, keys)
+	pdm.ReleaseOp(c.Op)
+	return sats, oks
 }
 
 // LookupBatchCtx is LookupBatch attributed to the operation token c:
-// one token covers the whole batch.
+// one token covers the whole batch. The hits' satellites share one
+// backing array, so the batch allocates three objects however many keys
+// it answers; a miss's entry is nil.
 func (f *front) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
 	sats, oks := make([][]Word, len(keys)), make([]bool, len(keys))
+	w := f.core.SatWords()
+	buf := make([]Word, len(keys)*w)
+	for i := range sats {
+		sats[i] = buf[i*w : i*w : (i+1)*w]
+	}
 	f.core.LookupBatchInto(c.Op, nil, keys, sats, oks)
 	return sats, oks
 }
@@ -570,9 +592,14 @@ func (b *Basic) BulkLoad(recs []Record) error {
 // answers the key, the other buckets' failures cost nothing, while a
 // miss needs every bucket. A non-nil error means the lookup was
 // inconclusive — the key was not found but some candidate bucket was
-// unreadable — never that the key is absent. It mints no operation
-// token: that would cost a degraded read an allocation.
-func (b *Basic) LookupTry(key Word) ([]Word, bool, error) { return b.d.LookupTry(key) }
+// unreadable — never that the key is absent. Like Lookup it mints one
+// operation token, charged the probe, its retries and any backoff.
+func (b *Basic) LookupTry(key Word) ([]Word, bool, error) {
+	op := b.mint(0, 1)
+	sat, ok, err := b.d.LookupTryOp(op, key)
+	pdm.ReleaseOp(op)
+	return sat, ok, err
+}
 
 // SetRetryPolicy installs the transient-error recovery policy used by
 // LookupTry, Repair, and Scrub. The zero value and DefaultRetryPolicy()
@@ -784,8 +811,13 @@ func (d *Dynamic) LevelCounts() []int { return d.d.LevelCounts() }
 // have one copy each, so a fail-stopped disk among the blocks a key
 // needs makes its lookup inconclusive: a non-nil error, never a wrong
 // answer or a false absence. A failed field off the key's chain costs
-// nothing. Like Basic.LookupTry it mints no operation token.
-func (d *Dynamic) LookupTry(key Word) ([]Word, bool, error) { return d.d.LookupTry(key) }
+// nothing. Like Lookup it mints one operation token.
+func (d *Dynamic) LookupTry(key Word) ([]Word, bool, error) {
+	op := d.mint(0, 1)
+	sat, ok, err := d.d.LookupTryOp(op, key)
+	pdm.ReleaseOp(op)
+	return sat, ok, err
+}
 
 // ---------------------------------------------------------------------
 // Section 6 (Open Problems) exploration.

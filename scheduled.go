@@ -125,20 +125,24 @@ func (s *Scheduled) MintOp(client, keys int, tag string) OpCtx {
 // Lookup joins the current admission window and blocks until its merged
 // shared round resolves the key.
 func (s *Scheduled) Lookup(key Word) ([]Word, bool) {
-	return s.LookupCtx(s.MintOp(0, 1, pdm.TagLookup.String()), key)
+	return s.LookupClient(0, key)
 }
 
 // LookupClient is Lookup attributed to the given client — distinct
 // clients mint independent deterministic token sequences.
 func (s *Scheduled) LookupClient(client int, key Word) ([]Word, bool) {
-	return s.LookupCtx(s.MintOp(client, 1, pdm.TagLookup.String()), key)
+	c := s.MintOp(client, 1, pdm.TagLookup.String())
+	sat, ok := s.LookupCtx(c, key)
+	pdm.ReleaseOp(c.Op)
+	return sat, ok
 }
 
-// LookupCtx is Lookup under an operation token.
+// LookupCtx is Lookup under an operation token. After Close the lookup
+// goes straight to the wrapped dictionary, which stays usable.
 func (s *Scheduled) LookupCtx(c OpCtx, key Word) ([]Word, bool) {
 	sat, ok, err := s.s.LookupOp(c.Op, key)
 	if err != nil {
-		return nil, false
+		return s.f.LookupCtx(c, key)
 	}
 	return sat, ok
 }
@@ -155,7 +159,10 @@ func (s *Scheduled) Contains(key Word) bool {
 // add latency) and rides the dictionary's own merged-round path under
 // one batch token.
 func (s *Scheduled) LookupBatch(keys []Word) ([][]Word, []bool) {
-	return s.LookupBatchCtx(s.MintOp(0, len(keys), pdm.TagLookup.String()), keys)
+	c := s.MintOp(0, len(keys), pdm.TagLookup.String())
+	sats, oks := s.LookupBatchCtx(c, keys)
+	pdm.ReleaseOp(c.Op)
+	return sats, oks
 }
 
 // LookupBatchCtx is LookupBatch under an operation token.
@@ -167,7 +174,10 @@ func (s *Scheduled) LookupBatchCtx(c OpCtx, keys []Word) ([][]Word, []bool) {
 // write is applied and the intent log (if any) flushed. Returns
 // ErrOverloaded under backpressure when SchedOptions.Block is false.
 func (s *Scheduled) Insert(key Word, sat []Word) error {
-	return s.InsertCtx(s.MintOp(0, 1, pdm.TagInsert.String()), key, sat)
+	c := s.MintOp(0, 1, pdm.TagInsert.String())
+	err := s.InsertCtx(c, key, sat)
+	pdm.ReleaseOp(c.Op)
+	return err
 }
 
 // InsertCtx is Insert under an operation token.
@@ -180,7 +190,9 @@ func (s *Scheduled) InsertCtx(c OpCtx, key Word, sat []Word) error {
 // backpressure means the delete was NOT applied — use DeleteCtx, which
 // surfaces the backpressure error, when that distinction matters.
 func (s *Scheduled) Delete(key Word) bool {
-	present, _ := s.DeleteCtx(s.MintOp(0, 1, pdm.TagDelete.String()), key)
+	c := s.MintOp(0, 1, pdm.TagDelete.String())
+	present, _ := s.DeleteCtx(c, key)
+	pdm.ReleaseOp(c.Op)
 	return present
 }
 
@@ -208,8 +220,8 @@ func (s *Scheduled) SetHook(h IOHook) { s.d.SetHook(h) }
 func (s *Scheduled) Flush() { s.s.Flush() }
 
 // Close drains every pending operation and shuts the scheduler down;
-// later submissions fail with ErrSchedClosed. The wrapped dictionary
-// remains usable directly.
+// later writes fail with ErrSchedClosed, and later lookups answer
+// straight from the wrapped dictionary, which remains usable directly.
 func (s *Scheduled) Close() error { return s.s.Close() }
 
 // Snapshot returns the scheduler's counters and histograms — the same
