@@ -121,7 +121,7 @@ func (c *BasicConfig) normalize() error {
 // directly to the relevant blocks knowing only the graph.
 //
 // The dictionary is safe for concurrent use: lookups (Lookup, Contains,
-// LookupBatch, LookupTry, Scan) share a read lock and run concurrently
+// LookupBatchInto, LookupTry, Scan) share a read lock and run concurrently
 // with each other — the d-choice probes are independent, which is
 // exactly what the sharded machine parallelizes — while updates
 // (Insert, Delete, BulkLoad, Repair) are exclusive. The unexported
@@ -408,22 +408,14 @@ func (bd *BasicDict) findFragments(x pdm.Word, flat [][]pdm.Word, frags [][]pdm.
 	return found
 }
 
-// LookupBatch resolves many keys with ONE batched read: every key's d
-// bucket addresses are collected, de-duplicated, and fetched together.
+// LookupBatchInto resolves many keys with ONE batched read: every key's
+// d bucket addresses are collected, de-duplicated, and fetched together.
 // The parallel-I/O cost is the deepest per-disk queue of *distinct*
 // blocks, so skewed batches (hot keys repeating, as in the paper's
 // webmail workload) cost far less than len(keys) single lookups — the
-// shared buckets are read once. Results are positionally aligned with
-// keys.
-func (bd *BasicDict) LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool) {
-	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
-	bd.LookupBatchInto(nil, nil, keys, sats, oks)
-	return sats, oks
-}
-
-// LookupBatchInto is LookupBatch answering keys[i] into sats[i] and
-// oks[i], which the caller owns (both at least len(keys) long), and
-// attributed to operation tokens by pdm.Machine.BatchReadInto's
+// shared buckets are read once. keys[i] is answered into sats[i] and
+// oks[i], which the caller owns (both at least len(keys) long), and the
+// batch is attributed to operation tokens by pdm.Machine.BatchReadInto's
 // convention. Either op owns the whole batch (shared empty; a nil op
 // keeps the legacy shared-stack attribution), or shared[i] owns
 // keys[i] — the group-commit scheduler's shared round, with op nil and

@@ -26,7 +26,8 @@ import (
 // of the assignment vector, on every disk of the machine. BulkLoad
 // releases it before it returns, on error paths too (see
 // pdm.Machine.ReleaseStripes), so afterwards the machine holds only the
-// dictionary.
+// dictionary, and compacts the machine (pdm.Machine.Compact), so each
+// block holds only its used words in host memory.
 func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes int) error {
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
@@ -72,6 +73,7 @@ func (bd *BasicDict) BulkLoad(recs []bucket.Record, scratchBlock0, memStripes in
 	defer func() {
 		appended := extsort.Vec{M: m, Start: scratchBlock0, RecWords: asgWidth, N: app.Len()}
 		m.ReleaseStripes(scratchBlock0, scratchBlock0+2*appended.SortStripes(memStripes))
+		m.Compact()
 	}()
 	out := make([]pdm.Word, asgWidth)
 	nDisks := bd.reg.nDisks

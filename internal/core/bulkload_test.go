@@ -172,20 +172,26 @@ func materializedFrom(t *testing.T, m *pdm.Machine, first int) []pdm.Addr {
 	return held
 }
 
-// A bulk build leaves only the dictionary behind: Basic's BulkLoad and
-// Static's construction release their sort scratch, so no block from the
-// dictionary's BlocksPerDisk() onward stays materialized, while every
-// key answers, every block verifies and a snapshot restores the
-// dictionary.
-func TestBulkBuildsLeaveOnlyTheDictionary(t *testing.T) {
-	type dict interface {
-		Lookup(x pdm.Word) ([]pdm.Word, bool)
-		BlocksPerDisk() int
-		Snapshot(w io.Writer) error
-	}
-	recs := makeRecords(600, 4, 51)
-	basic := func(cfg BasicConfig) func(t *testing.T) (dict, *pdm.Machine) {
-		return func(t *testing.T) (dict, *pdm.Machine) {
+// bulkBuilt is what the bulk-build tests need of a dictionary.
+type bulkBuilt interface {
+	Lookup(x pdm.Word) ([]pdm.Word, bool)
+	BlocksPerDisk() int
+	Snapshot(w io.Writer) error
+}
+
+// bulkBuild is one way to bulk-build a dictionary over recs (4 satellite
+// words), and the loader of its snapshots.
+type bulkBuild struct {
+	name  string
+	build func(t *testing.T) (bulkBuilt, *pdm.Machine)
+	load  func(r io.Reader) (bulkBuilt, *pdm.Machine, error)
+}
+
+// bulkBuilds lists Basic's BulkLoad in its three record layouts and
+// Static's two constructions.
+func bulkBuilds(recs []bucket.Record) []bulkBuild {
+	basic := func(cfg BasicConfig) func(t *testing.T) (bulkBuilt, *pdm.Machine) {
+		return func(t *testing.T) (bulkBuilt, *pdm.Machine) {
 			cfg.Capacity, cfg.SatWords, cfg.Seed = len(recs), 4, 52
 			bd, m := newBasic(t, 8, 32, cfg)
 			if err := bd.BulkLoad(recs, bd.BlocksPerDisk(), 4); err != nil {
@@ -194,27 +200,61 @@ func TestBulkBuildsLeaveOnlyTheDictionary(t *testing.T) {
 			return bd, m
 		}
 	}
-	static := func(c StaticCase) func(t *testing.T) (dict, *pdm.Machine) {
-		return func(t *testing.T) (dict, *pdm.Machine) {
+	static := func(c StaticCase) func(t *testing.T) (bulkBuilt, *pdm.Machine) {
+		return func(t *testing.T) (bulkBuilt, *pdm.Machine) {
 			return buildStatic(t, 8, 32, StaticConfig{SatWords: 4, Case: c, Seed: 53}, recs)
 		}
 	}
-	loadBasic := func(r io.Reader) (dict, *pdm.Machine, error) { return LoadBasic(r) }
-	loadStatic := func(r io.Reader) (dict, *pdm.Machine, error) { return LoadStatic(r) }
-	for _, c := range []struct {
-		name  string
-		build func(t *testing.T) (dict, *pdm.Machine)
-		load  func(r io.Reader) (dict, *pdm.Machine, error)
-	}{
+	loadBasic := func(r io.Reader) (bulkBuilt, *pdm.Machine, error) { return LoadBasic(r) }
+	loadStatic := func(r io.Reader) (bulkBuilt, *pdm.Machine, error) { return LoadStatic(r) }
+	return []bulkBuild{
 		{"basic", basic(BasicConfig{}), loadBasic},
 		{"basic-replicas2", basic(BasicConfig{K: 2, Replicate: true}), loadBasic},
 		{"basic-k4", basic(BasicConfig{K: 4}), loadBasic},
 		{"static-case-a", static(CaseA), loadStatic},
 		{"static-case-b", static(CaseB), loadStatic},
-	} {
+	}
+}
+
+// checkBuilt fails unless every key of recs answers with its satellite
+// and every block of m verifies.
+func checkBuilt(t *testing.T, what string, d bulkBuilt, m *pdm.Machine, recs []bucket.Record) {
+	t.Helper()
+	if bad := m.VerifyChecksums(); len(bad) != 0 {
+		t.Errorf("%s: VerifyChecksums = %v", what, bad)
+	}
+	for _, r := range recs {
+		if sat, ok := d.Lookup(r.Key); !ok || !slices.Equal(sat, r.Sat) {
+			t.Fatalf("%s: key %d reads %v, %v; want %v", what, r.Key, sat, ok, r.Sat)
+		}
+	}
+}
+
+// reload round-trips d through its snapshot.
+func reload(t *testing.T, c bulkBuild, d bulkBuilt) (bulkBuilt, *pdm.Machine) {
+	t.Helper()
+	var snap bytes.Buffer
+	if err := d.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, rm, err := c.load(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored, rm
+}
+
+// A bulk build leaves only the dictionary behind: Basic's BulkLoad and
+// Static's construction release their sort scratch, so no block from the
+// dictionary's BlocksPerDisk() onward stays materialized, while every
+// key answers, every block verifies and a snapshot restores the
+// dictionary.
+func TestBulkBuildsLeaveOnlyTheDictionary(t *testing.T) {
+	recs := makeRecords(600, 4, 51)
+	for _, c := range bulkBuilds(recs) {
 		t.Run(c.name, func(t *testing.T) {
 			d, m := c.build(t)
-			check := func(what string, d dict, m *pdm.Machine) {
+			check := func(what string, d bulkBuilt, m *pdm.Machine) {
 				t.Helper()
 				if span := m.BlocksAllocated()[0]; span <= d.BlocksPerDisk() {
 					t.Fatalf("%s: disk 0 spans %d blocks, the dictionary %d: the build used no scratch", what, span, d.BlocksPerDisk())
@@ -222,26 +262,127 @@ func TestBulkBuildsLeaveOnlyTheDictionary(t *testing.T) {
 				if held := materializedFrom(t, m, d.BlocksPerDisk()); len(held) != 0 {
 					t.Errorf("%s: %d blocks past the dictionary's %d per disk stay materialized, first %v", what, len(held), d.BlocksPerDisk(), held[0])
 				}
-				if bad := m.VerifyChecksums(); len(bad) != 0 {
-					t.Errorf("%s: VerifyChecksums = %v", what, bad)
-				}
-				for _, r := range recs {
-					if sat, ok := d.Lookup(r.Key); !ok || !slices.Equal(sat, r.Sat) {
-						t.Fatalf("%s: key %d reads %v, %v; want %v", what, r.Key, sat, ok, r.Sat)
-					}
-				}
+				checkBuilt(t, what, d, m, recs)
 			}
 			check("built", d, m)
-			var snap bytes.Buffer
-			if err := d.Snapshot(&snap); err != nil {
-				t.Fatal(err)
-			}
-			restored, rm, err := c.load(&snap)
-			if err != nil {
-				t.Fatal(err)
-			}
+			restored, rm := reload(t, c, d)
 			check("restored", restored, rm)
 		})
+	}
+}
+
+// A bulk build compacts its machine: every block's slot holds exactly
+// its used words, while every key answers and every block verifies.
+// Updates after Basic's BulkLoad agree with an uncompacted twin's —
+// the same build with each block moved back to a full slot by flipping
+// its last bit twice — in their answers, blocks, checksums and Stats. A
+// snapshot restores a compact machine of which all of this holds too.
+func TestBulkBuildsAreCompact(t *testing.T) {
+	recs := makeRecords(600, 4, 51)
+	fresh := makeRecords(100, 4, 54)
+	for _, c := range bulkBuilds(recs) {
+		t.Run(c.name, func(t *testing.T) {
+			for _, round := range []string{"built", "restored"} {
+				d, m := c.build(t)
+				twin, tm := c.build(t)
+				if round == "restored" {
+					d, m = reload(t, c, d)
+					twin, tm = reload(t, c, twin)
+				}
+				checkCompact(t, round, m)
+				checkBuilt(t, round, d, m, recs)
+				checkBuilt(t, round+" twin", twin, tm, recs)
+				bd, ok := d.(*BasicDict)
+				if !ok {
+					continue
+				}
+				if uncompact(tm) == 0 {
+					t.Fatalf("%s: the twin holds no nonempty block", round)
+				}
+				updateTwins(t, round, bd, m, twin.(*BasicDict), tm, recs[:200], fresh)
+			}
+		})
+	}
+}
+
+// checkCompact fails unless every block of m holds exactly its used
+// words: its words up to the last nonzero one.
+func checkCompact(t *testing.T, what string, m *pdm.Machine) {
+	t.Helper()
+	for disk, n := range m.BlocksAllocated() {
+		for b := 0; b < n; b++ {
+			a := pdm.Addr{Disk: disk, Block: b}
+			blk := m.Peek(a)
+			used := len(blk)
+			for used > 0 && blk[used-1] == 0 {
+				used--
+			}
+			if got := m.SlotWords(a); got != used {
+				t.Fatalf("%s: block %v holds %d words, uses %d", what, a, got, used)
+			}
+		}
+	}
+}
+
+// uncompact moves every nonempty block of m back to a full slot, leaving
+// its content, its checksum and the machine's Stats as they were, and
+// returns how many it moved.
+func uncompact(m *pdm.Machine) (moved int) {
+	last := uint(64*m.B() - 1)
+	for disk, n := range m.BlocksAllocated() {
+		for b := 0; b < n; b++ {
+			if a := (pdm.Addr{Disk: disk, Block: b}); m.SlotWords(a) > 0 {
+				m.FlipBit(a, last)
+				m.FlipBit(a, last)
+				moved++
+			}
+		}
+	}
+	return moved
+}
+
+// updateTwins deletes gone from both dictionaries, inserts fresh, and
+// re-inserts half of gone with new satellites, failing when the two
+// answer differently or end with different blocks, checksums or Stats.
+func updateTwins(t *testing.T, what string, a *BasicDict, ma *pdm.Machine, b *BasicDict, mb *pdm.Machine, gone, fresh []bucket.Record) {
+	t.Helper()
+	if sa, sb := ma.Stats(), mb.Stats(); sa != sb {
+		t.Fatalf("%s: twins start with Stats %+v and %+v", what, sa, sb)
+	}
+	for _, r := range gone {
+		if da, db := a.Delete(r.Key), b.Delete(r.Key); !da || !db {
+			t.Fatalf("%s: Delete(%d) = %v and %v", what, r.Key, da, db)
+		}
+	}
+	back := make([]bucket.Record, 0, len(gone)/2)
+	for _, r := range gone[:len(gone)/2] {
+		sat := slices.Clone(r.Sat)
+		sat[0]++
+		back = append(back, bucket.Record{Key: r.Key, Sat: sat})
+	}
+	for _, r := range slices.Concat(fresh, back) {
+		if ea, eb := a.Insert(r.Key, r.Sat), b.Insert(r.Key, r.Sat); ea != nil || eb != nil {
+			t.Fatalf("%s: Insert(%d) = %v and %v", what, r.Key, ea, eb)
+		}
+		for _, d := range []*BasicDict{a, b} {
+			if sat, ok := d.Lookup(r.Key); !ok || !slices.Equal(sat, r.Sat) {
+				t.Fatalf("%s: key %d reads %v, %v after its insert; want %v", what, r.Key, sat, ok, r.Sat)
+			}
+		}
+	}
+	if sa, sb := ma.Stats(), mb.Stats(); sa != sb {
+		t.Errorf("%s: after the updates Stats %+v and %+v", what, sa, sb)
+	}
+	if ba, bb := ma.VerifyChecksums(), mb.VerifyChecksums(); len(ba) != 0 || len(bb) != 0 {
+		t.Errorf("%s: after the updates VerifyChecksums = %v and %v", what, ba, bb)
+	}
+	for disk, n := range mb.BlocksAllocated() {
+		for blk := 0; blk < n; blk++ {
+			addr := pdm.Addr{Disk: disk, Block: blk}
+			if pa, pb := ma.Peek(addr), mb.Peek(addr); !slices.Equal(pa, pb) {
+				t.Fatalf("%s: after the updates block %v reads %v and %v", what, addr, pa, pb)
+			}
+		}
 	}
 }
 

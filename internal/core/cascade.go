@@ -468,21 +468,13 @@ func (c *cascade) LookupTryOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool, error) 
 	return sat[0], ok[0], nil
 }
 
-// LookupBatch resolves many keys in at most two batched reads: round
-// one fetches every key's membership buckets and the probe's level
-// fields together (de-duplicated) in a single parallel I/O, and the
-// keys resident deeper share one second batch. Results are positionally
-// aligned with keys.
-func (c *cascade) LookupBatch(keys []pdm.Word) ([][]pdm.Word, []bool) {
-	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
-	c.LookupBatchInto(nil, nil, keys, sats, oks)
-	return sats, oks
-}
-
-// LookupBatchInto is LookupBatch into caller-owned results, attributed
-// as BasicDict.LookupBatchInto describes. In a shared round only the
-// deep keys' tokens ride the second read, so shallow participants are
-// charged exactly one round.
+// LookupBatchInto resolves many keys in at most two batched reads, into
+// caller-owned results attributed as BasicDict.LookupBatchInto
+// describes: round one fetches every key's membership buckets and the
+// probe's level fields together (de-duplicated) in a single parallel
+// I/O, and the keys resident deeper share one second batch. In a shared
+// round only the deep keys' tokens ride the second read, so shallow
+// participants are charged exactly one round.
 func (c *cascade) LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
 	c.lookup(op, shared, keys, sats, oks, false)
 }

@@ -139,7 +139,8 @@ func TestLookupBatchMatchesSingles(t *testing.T) {
 			keys = append(keys, pdm.Word(i*3+1))
 		}
 	}
-	sats, oks := bd.LookupBatch(keys)
+	sats, oks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
+	bd.LookupBatchInto(nil, nil, keys, sats, oks)
 	for i, k := range keys {
 		wantSat, wantOk := bd.Lookup(k)
 		if oks[i] != wantOk {
@@ -165,8 +166,9 @@ func TestLookupBatchDedupesHotKeys(t *testing.T) {
 	for i := range hot {
 		hot[i] = 7
 	}
+	sats, oks := make([][]pdm.Word, len(hot)), make([]bool, len(hot))
 	before := m.Stats()
-	_, oks := bd.LookupBatch(hot)
+	bd.LookupBatchInto(nil, nil, hot, sats, oks)
 	cost := m.Stats().Sub(before).ParallelIOs
 	if cost != 1 {
 		t.Errorf("64 duplicate lookups cost %d parallel I/Os, want 1", cost)
@@ -182,7 +184,7 @@ func TestLookupBatchDedupesHotKeys(t *testing.T) {
 		mixed = append(mixed, pdm.Word(i%10+1)) // 10 distinct keys × 6
 	}
 	before = m.Stats()
-	bd.LookupBatch(mixed)
+	bd.LookupBatchInto(nil, nil, mixed, sats, oks)
 	cost = m.Stats().Sub(before).ParallelIOs
 	if cost >= 60 {
 		t.Errorf("mixed batch cost %d parallel I/Os; deduplication ineffective", cost)

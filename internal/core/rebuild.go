@@ -333,20 +333,13 @@ func (d *Dict) Contains(x pdm.Word) bool {
 	return ok
 }
 
-// LookupBatch resolves many keys as one batched operation: each
-// underlying structure answers with its own merged read rounds, and
-// during a migration the draining structure is consulted only for the
-// keys the successor misses. The ledger gains len(keys) Ops but the
-// batch's (amortized) cost.
-func (d *Dict) LookupBatch(keys []pdm.Word) (sats [][]pdm.Word, oks []bool) {
-	sats, oks = make([][]pdm.Word, len(keys)), make([]bool, len(keys))
-	d.LookupBatchInto(nil, nil, keys, sats, oks)
-	return sats, oks
-}
-
-// LookupBatchInto is LookupBatch into caller-owned results, attributed
-// as BasicDict.LookupBatchInto describes; a nil op mints an anonymous
-// client-0 token. A shared round adds one ledger Op per participant,
+// LookupBatchInto resolves many keys as one batched operation, into
+// caller-owned results attributed as BasicDict.LookupBatchInto
+// describes: each underlying structure answers with its own merged read
+// rounds, and during a migration the draining structure is consulted
+// only for the keys the successor misses. A nil op mints an anonymous
+// client-0 token. The ledger gains len(keys) Ops but the batch's
+// (amortized) cost; a shared round adds one ledger Op per participant,
 // charged the rounds it rode.
 func (d *Dict) LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
 	d.mu.RLock()

@@ -198,19 +198,20 @@ func TestAllocationPins(t *testing.T) {
 			}
 		})
 	}
-	// A batch of 64 hits: 64 satellites and the two result slices, in
-	// one read round or two — 1.03 objects per key.
+	// A batch of 64 hits into empty caller entries: 64 satellites, in
+	// one read round or two — one object per key.
+	empty, emptyOks := make([][]pdm.Word, len(keys)), make([]bool, len(keys))
 	for _, b := range []struct {
 		name   string
-		want   float64
-		lookup func([]pdm.Word) ([][]pdm.Word, []bool)
+		lookup batchInto
 	}{
-		{"Basic.LookupBatch×64", 66, basic.LookupBatch},
-		{"Dynamic.LookupBatch×64", 66, dynamic.LookupBatch},
-		{"OneProbe.LookupBatch×64", 66, oneprobe.LookupBatch},
+		{"Basic", basic.LookupBatchInto},
+		{"Dynamic", dynamic.LookupBatchInto},
+		{"OneProbe", oneprobe.LookupBatchInto},
 	} {
-		pinAllocs(t, b.name, b.want, func() {
-			if _, oks := b.lookup(keys); !oks[0] || !oks[63] {
+		pinAllocs(t, b.name+".LookupBatchInto×64 into empty entries", 64, func() {
+			clear(empty)
+			if b.lookup(nil, nil, keys, empty, emptyOks); !emptyOks[0] || !emptyOks[63] {
 				t.Fatal("stored keys not found")
 			}
 		})
@@ -239,7 +240,17 @@ func TestAllocationPins(t *testing.T) {
 
 	// Updates read into the scratch and write the blocks they read: an
 	// update of an existing key, and a delete with its re-insert, cost
-	// nothing, on the Dict too, whose tokens are recycled.
+	// nothing, on the Dict too, whose tokens are recycled, and on a
+	// bulk-loaded Basic, whose compacted blocks the rewrite still fits
+	// (the first re-insert into a fuller bucket moves that block to a
+	// full slot, once).
+	bulk, err := NewBasic(machine(20), BasicConfig{Capacity: n, SatWords: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bulk.BulkLoad(recs, bulk.BlocksPerDisk(), 8); err != nil {
+		t.Fatal(err)
+	}
 	for _, u := range []struct {
 		name        string
 		update, del int
@@ -250,6 +261,7 @@ func TestAllocationPins(t *testing.T) {
 		{"Dynamic (shallow key)", 0, 0, dynamic, shallow},
 		{"OneProbe", 0, 0, oneprobe, recs[3]},
 		{"Dict", 0, 0, dict, recs[3]},
+		{"Basic after BulkLoad", 0, 0, bulk, recs[3]},
 	} {
 		pinAllocs(t, u.name+".Insert existing", float64(u.update), func() {
 			if err := u.d.Insert(u.rec.Key, u.rec.Sat); err != nil {

@@ -282,6 +282,9 @@ func (sd *StaticDict) stripesFor(words int) int {
 	return s + ceilDiv(s, sd.cfg.MemStripes) + 2
 }
 
+// construct writes the dictionary's blocks for recs at sorting cost. On
+// return it releases its scratch stripes and compacts the machine, so
+// each block holds only its used words in host memory.
 func (sd *StaticDict) construct(recs []bucket.Record) error {
 	for _, r := range recs {
 		if len(r.Sat) != sd.cfg.SatWords {
@@ -297,7 +300,10 @@ func (sd *StaticDict) construct(recs []bucket.Record) error {
 
 	first := sd.BlocksPerDisk()
 	bs := &buildState{sd: sd, scratch: first}
-	defer func() { sd.c.m.ReleaseStripes(first, bs.scratch) }()
+	defer func() {
+		sd.c.m.ReleaseStripes(first, bs.scratch)
+		sd.c.m.Compact()
+	}()
 
 	// Initial input vector: records [key, id, sat...] sorted by key,
 	// with id = rank (ids are the "identifiers of lg n bits" of CaseB;

@@ -31,6 +31,7 @@ package pdm
 
 import (
 	"fmt"
+	"hash/crc32"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -304,28 +305,30 @@ type Hook interface {
 // contend.
 type shard struct {
 	mu     sync.Mutex
-	blocks [][]Word // guarded by mu; blocks[b] is the content of block b, nil = never written
+	blocks [][]Word // guarded by mu; blocks[b] holds block b's words up to (at least) its last nonzero one, the rest read as zero; nil = never materialized
 	sums   []uint32 // guarded by mu; sums[b] is the CRC32 of block b, kept in lockstep with blocks
 
 	ios atomic.Int64 // block transfers served (reads + writes), incl. failed Try accesses
 
 	b       int    // block capacity in words (copied from Config.B)
 	zeroSum uint32 // CRC32 of an all-zero block
-	zero    []Word // the machine's all-zero block, which reads of never-written blocks share; never written
+	pad     []byte // the machine's 8·B zero bytes, which continue a short slot's checksum over its zero tail; never written
 
 	// Last, so ios sits over 64 bytes before the next shard's lock
 	// rather than on its cache line: a shard is 128 bytes.
 	crc []byte // guarded by mu; 8·B bytes a block is encoded into to be checksummed on a big-endian host, nil until the first
 }
 
-// sumLocked returns a block's checksum. A big-endian host encodes the
-// block into the shard's buffer, which it allocates on the shard's first
+// sumLocked returns the checksum of a block whose slot is blk: the CRC
+// of the slot's words continued over the zero words past it, which is
+// the CRC of the whole B-word block. A big-endian host encodes the slot
+// into the shard's buffer, which it allocates on the shard's first
 // checksum. Callers hold s.mu.
 func (s *shard) sumLocked(blk []Word) uint32 {
 	if s.crc == nil && !hostLittleEndian {
 		s.crc = make([]byte, 8*s.b)
 	}
-	return crcBlock(s.crc, blk)
+	return crc32.Update(crcBlock(s.crc, blk), crc32.IEEETable, s.pad[:8*(s.b-len(blk))])
 }
 
 // grow extends the block and checksum arrays to n slots in one step,
@@ -359,30 +362,42 @@ func (s *shard) growLocked(n int) {
 	}
 }
 
-// readableLocked returns a block's content for a read. A never-written
-// block is materialized as the machine's shared all-zero block, so a
-// read allocates nothing; its checksum slot already holds the all-zero
-// CRC. Callers hold s.mu.
+// readableLocked returns a block's slot for a read. A never-written
+// block is materialized as an empty slot, which reads as all zeros and
+// allocates nothing; its checksum slot already holds the all-zero CRC.
+// Callers hold s.mu.
 func (s *shard) readableLocked(b int) []Word {
 	if b >= len(s.blocks) {
 		s.growLocked(b + 1)
 	}
 	if s.blocks[b] == nil {
-		s.blocks[b] = s.zero
+		s.blocks[b] = []Word{}
 	}
 	return s.blocks[b]
 }
 
-// blockLocked returns a block's own slice, to be written in place: a
-// never-written block, or one that reads as the shared all-zero block,
-// gets a private one first. Callers hold s.mu.
-func (s *shard) blockLocked(b int) []Word {
+// slotLocked returns block b's slot, to be written in place, holding at
+// least n words: a slot too short for them is first moved to a full
+// B-word one. Callers hold s.mu.
+func (s *shard) slotLocked(b, n int) []Word {
 	blk := s.readableLocked(b)
-	if &blk[0] == &s.zero[0] {
-		blk = make([]Word, s.b)
+	if len(blk) < n {
+		full := make([]Word, s.b)
+		copy(full, blk)
+		blk = full
 		s.blocks[b] = blk
 	}
 	return blk
+}
+
+// usedWords returns the length of blk's prefix up to its last nonzero
+// word: the words a slot must hold to keep blk's content.
+func usedWords(blk []Word) int {
+	n := len(blk)
+	for n > 0 && blk[n-1] == 0 {
+		n--
+	}
+	return n
 }
 
 // verify reports whether a block's content matches its stored checksum.
@@ -397,9 +412,8 @@ func (s *shard) verifyLocked(b int) bool {
 // corrupt flips one stored bit of a block without touching its
 // checksum, leaving detectable latent damage. Callers hold s.mu.
 func (s *shard) corruptLocked(b int, bit uint) {
-	blk := s.blockLocked(b)
-	bits := uint(len(blk)) * 64
-	bit %= bits
+	bit %= uint(s.b) * 64
+	blk := s.slotLocked(b, int(bit/64)+1)
 	blk[bit/64] ^= 1 << (bit % 64)
 }
 
@@ -486,12 +500,12 @@ func NewMachine(cfg Config) *Machine {
 		shards:  make([]shard, cfg.D),
 		tracker: health.New(cfg.D),
 	}
-	zero := make([]Word, cfg.B)
-	zeroSum := crcBlock(make([]byte, 8*cfg.B), zero)
+	pad := make([]byte, 8*cfg.B)
+	zeroSum := crc32.ChecksumIEEE(pad)
 	for d := range m.shards {
 		m.shards[d].b = cfg.B
 		m.shards[d].zeroSum = zeroSum
-		m.shards[d].zero = zero
+		m.shards[d].pad = pad
 	}
 	m.SetParallelism(cfg.Workers)
 	m.scratch.New = func() *batchScratch {
@@ -1128,7 +1142,8 @@ func (s *shard) readLocked(b int, f Fault, verify bool, arena []Word, views [][]
 		return ErrChecksum
 	}
 	dst := arena[int(i)*s.b : (int(i)+1)*s.b : (int(i)+1)*s.b]
-	copy(dst, s.readableLocked(b))
+	n := copy(dst, s.readableLocked(b))
+	clear(dst[n:]) // the words past a short slot; the arena holds an earlier read's
 	views[i] = dst
 	return nil
 }
@@ -1237,8 +1252,9 @@ func readDisk(sc *batchScratch, d int32) {
 }
 
 // BlockWrite names one block write of a batch. The machine reads Data
-// only during the write call, copying it into the shard, so the caller
-// owns it again on return and may reuse or mutate it.
+// only during the write call, copying its words up to the last nonzero
+// one into the shard, so the caller owns it again on return and may
+// reuse or mutate it.
 type BlockWrite struct {
 	Addr Addr
 	Data []Word // at most B words; shorter data leaves the tail unchanged
@@ -1252,7 +1268,13 @@ func (s *shard) writeLocked(w *BlockWrite, f Fault) error {
 	if err := denied(f); err != nil {
 		return err
 	}
-	blk := s.blockLocked(w.Addr.Block)
+	// A slot shorter than Data need hold only Data's words up to its
+	// last nonzero one.
+	need := len(w.Data)
+	if need > len(s.readableLocked(w.Addr.Block)) {
+		need = usedWords(w.Data)
+	}
+	blk := s.slotLocked(w.Addr.Block, need)
 	copy(blk, w.Data)
 	s.sums[w.Addr.Block] = s.sumLocked(blk)
 	if f.Kind == FaultCorrupt {
@@ -1366,8 +1388,9 @@ func (m *Machine) WriteBlock(a Addr, data []Word) {
 	m.BatchWrite([]BlockWrite{{Addr: a, Data: data}})
 }
 
-// Peek returns a copy of a block's contents without performing (or
-// accounting) any I/O. It exists for tests and invariant checks only. A
+// Peek returns a copy of a block's contents, all B words of it, without
+// performing (or accounting) any I/O: the words the block's slot holds,
+// then zeros. It exists for tests and invariant checks only. A
 // never-written block reads as zeros and stays unmaterialized, so a Peek
 // changes neither the stats nor BlocksAllocated.
 func (m *Machine) Peek(a Addr) []Word {
@@ -1382,6 +1405,21 @@ func (m *Machine) Peek(a Addr) []Word {
 	return dst
 }
 
+// SlotWords reports how many of block a's words its slot holds in host
+// memory: 0 for a never-written block, B for a written one until Compact
+// or a snapshot load shrinks it to its used words. Like Peek it performs
+// no I/O and exists for tests and invariant checks only.
+func (m *Machine) SlotWords(a Addr) int {
+	m.checkAddr(a)
+	s := &m.shards[a.Disk]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if a.Block < len(s.blocks) {
+		return len(s.blocks[a.Block])
+	}
+	return 0
+}
+
 // BlocksAllocated reports how many blocks have been materialized on each
 // disk. It is a space-accounting helper; allocation happens lazily on
 // first touch.
@@ -1394,6 +1432,27 @@ func (m *Machine) BlocksAllocated() []int {
 		s.mu.Unlock()
 	}
 	return out
+}
+
+// Compact moves every materialized block to a slot of exactly its used
+// words, its words up to the last nonzero one, so a machine whose blocks
+// are mostly empty holds only their data in host memory. It is host-only
+// housekeeping, for after a whole structure is built: it charges no I/O,
+// emits no event and leaves Stats, BlocksAllocated, checksums and every
+// block's content as they were. A later write that outgrows a compacted
+// slot moves its block back to a full one.
+func (m *Machine) Compact() {
+	for d := range m.shards {
+		s := &m.shards[d]
+		s.mu.Lock()
+		for b, blk := range s.blocks {
+			if n := usedWords(blk); n < len(blk) {
+				s.blocks[b] = make([]Word, n)
+				copy(s.blocks[b], blk)
+			}
+		}
+		s.mu.Unlock()
+	}
 }
 
 // TotalBlocks returns the total number of materialized blocks across all

@@ -249,9 +249,9 @@ func TestCrcPathsAgree(t *testing.T) {
 }
 
 // A read of a never-written block materializes it, as space accounting
-// and snapshots count it, but as the machine's shared all-zero block: a
+// and snapshots count it, but as an empty slot that reads as zeros: a
 // warm read allocates nothing, and a write or a corruption of one such
-// block gives it a block of its own, leaving every other reading zero.
+// block gives it words of its own, leaving every other reading zero.
 func TestReadsShareTheZeroBlock(t *testing.T) {
 	m := NewMachine(Config{D: 2, B: 8})
 	var rb ReadBuf

@@ -59,6 +59,7 @@ func (m *Machine) WriteSnapshot(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, m.PerDiskIOs()); err != nil {
 		return err
 	}
+	full := make([]Word, m.cfg.B) // a slot padded back to B words
 	for d := range m.shards {
 		disk := m.shards[d].blocks //lint:pdm-allow guardedby: every shard lock is held (acquired in the loop above)
 		if err := binary.Write(bw, binary.LittleEndian, uint64(len(disk))); err != nil {
@@ -74,7 +75,8 @@ func (m *Machine) WriteSnapshot(w io.Writer) error {
 			if err := bw.WriteByte(1); err != nil {
 				return err
 			}
-			if err := binary.Write(bw, binary.LittleEndian, blk); err != nil {
+			clear(full[copy(full, blk):])
+			if err := binary.Write(bw, binary.LittleEndian, full); err != nil {
 				return err
 			}
 		}
@@ -83,7 +85,8 @@ func (m *Machine) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot restores a machine from a snapshot produced by
-// WriteSnapshot.
+// WriteSnapshot. Each restored block holds only its used words in host
+// memory, as after Compact.
 func ReadSnapshot(r io.Reader) (*Machine, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -128,6 +131,7 @@ func ReadSnapshot(r io.Reader) (*Machine, error) {
 	for d, v := range perDisk {
 		m.shards[d].ios.Store(v)
 	}
+	full := make([]Word, cfg.B) // each block as the stream holds it, B words
 	for d := 0; d < cfg.D; d++ {
 		var nBlocks uint64
 		if err := binary.Read(br, binary.LittleEndian, &nBlocks); err != nil {
@@ -137,7 +141,7 @@ func ReadSnapshot(r io.Reader) (*Machine, error) {
 		// guarded-by contract.
 		s := &m.shards[d]
 		s.mu.Lock()
-		err := s.loadLocked(br, d, nBlocks)
+		err := s.loadLocked(br, d, nBlocks, full)
 		s.mu.Unlock()
 		if err != nil {
 			return nil, err
@@ -147,12 +151,13 @@ func ReadSnapshot(r io.Reader) (*Machine, error) {
 }
 
 // loadLocked reads disk d's nBlocks blocks off a snapshot stream into
-// the empty shard. nBlocks is untrusted: the disk grows block by block,
-// so a huge length field fails at the stream's real end instead of
-// sizing one giant allocation up front, and through growLocked, the one
-// rule that sizes the block and checksum arrays alike. Callers hold
+// the empty shard, each through the B-word buffer full, and keeps a slot
+// of only its used words. nBlocks is untrusted: the disk grows block by
+// block, so a huge length field fails at the stream's real end instead
+// of sizing one giant allocation up front, and through growLocked, the
+// one rule that sizes the block and checksum arrays alike. Callers hold
 // s.mu.
-func (s *shard) loadLocked(br *bufio.Reader, d int, nBlocks uint64) error {
+func (s *shard) loadLocked(br *bufio.Reader, d int, nBlocks uint64, full []Word) error {
 	for b := 0; uint64(b) < nBlocks; b++ {
 		present, err := br.ReadByte()
 		if err != nil {
@@ -162,10 +167,11 @@ func (s *shard) loadLocked(br *bufio.Reader, d int, nBlocks uint64) error {
 		if present == 0 {
 			continue
 		}
-		blk := make([]Word, s.b)
-		if err := binary.Read(br, binary.LittleEndian, blk); err != nil {
+		if err := binary.Read(br, binary.LittleEndian, full); err != nil {
 			return fmt.Errorf("pdm: reading disk %d block %d: %w", d, b, err)
 		}
+		blk := make([]Word, usedWords(full))
+		copy(blk, full)
 		s.blocks[b] = blk
 		// Checksums are not persisted: recompute them, so loading a
 		// snapshot always yields a machine whose blocks verify (any
