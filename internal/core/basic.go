@@ -533,15 +533,18 @@ func (bd *BasicDict) assemble(dst []pdm.Word, frags [][]pdm.Word) []pdm.Word {
 }
 
 // Insert stores (x, sat), replacing any previous satellite for x. sat
-// must hold exactly SatWords words. Cost: the Lookup read batch plus one
-// batched write of the modified buckets (a single parallel I/O, since
-// the touched buckets lie in distinct stripes).
+// must hold exactly SatWords words and x lie in the universe, or no I/O
+// is done. Cost: the Lookup read batch plus one batched write of the
+// modified buckets (one parallel I/O, as they lie in distinct stripes).
 func (bd *BasicDict) Insert(x pdm.Word, sat []pdm.Word) error {
 	return bd.InsertOp(nil, x, sat)
 }
 
 // InsertOp is Insert attributed to the operation token op.
 func (bd *BasicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
+	if err := checkInsert(x, sat, bd.cfg.SatWords, bd.cfg.Universe); err != nil {
+		return err
+	}
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
 	defer bd.reg.m.OpSpan(op, pdm.TagInsert).End()
@@ -563,14 +566,8 @@ func (bd *BasicDict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 // place, and appends the block writes to issue to writes; the caller
 // batches them, possibly together with writes of its own on other disks,
 // into one parallel I/O. The count is updated as if the writes were
-// applied.
+// applied. The caller has checked (x, sat) with checkInsert.
 func (bd *BasicDict) insertWritesLocked(sc *probeScratch, x pdm.Word, sat []pdm.Word, flat [][]pdm.Word, writes []pdm.BlockWrite) ([]pdm.BlockWrite, error) {
-	if len(sat) != bd.cfg.SatWords {
-		return writes, fmt.Errorf("core: satellite of %d words, config says %d", len(sat), bd.cfg.SatWords)
-	}
-	if uint64(x) >= bd.cfg.Universe {
-		return writes, fmt.Errorf("core: key %d outside universe %d", x, bd.cfg.Universe)
-	}
 	existing, dirty := bd.removeKey(sc, x, flat)
 	if !existing && bd.n >= bd.cfg.Capacity {
 		return writes, ErrFull
@@ -619,6 +616,17 @@ func (bd *BasicDict) insertWritesLocked(sc *probeScratch, x pdm.Word, sat []pdm.
 	}
 	bd.noteUpdateLocked(x, sat, mask)
 	return bd.collectWrites(sc, x, flat, dirty, writes), nil
+}
+
+// checkInsert refuses a malformed insert; every insert runs it before any I/O.
+func checkInsert(x pdm.Word, sat []pdm.Word, satWords int, universe uint64) error {
+	if len(sat) != satWords {
+		return fmt.Errorf("core: satellite of %d words, config says %d", len(sat), satWords)
+	}
+	if uint64(x) >= universe {
+		return fmt.Errorf("core: key %d outside universe %d", x, universe)
+	}
+	return nil
 }
 
 // removeKey deletes every record of x from a pre-read neighborhood, in

@@ -235,8 +235,8 @@ func (c *cascade) SetRetryPolicy(p pdm.RetryPolicy) {
 	c.mu.Unlock()
 }
 
-func (c *cascade) machine() *pdm.Machine  { return c.m }
-func (c *cascade) membership() *BasicDict { return c.memb }
+// base is the cascade a rebuildable structure embeds.
+func (c *cascade) base() *cascade { return c }
 
 // levelAddrs appends the d block addresses holding Γ_i(x)'s fields at
 // the given level.
@@ -573,11 +573,8 @@ func (c *cascade) Insert(x pdm.Word, sat []pdm.Word) error {
 
 // InsertOp is Insert attributed to the operation token op.
 func (c *cascade) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
-	if len(sat) != c.satWords {
-		return fmt.Errorf("core: satellite of %d words, config says %d", len(sat), c.satWords)
-	}
-	if uint64(x) >= c.universe {
-		return fmt.Errorf("core: key %d outside universe %d", x, c.universe)
+	if err := checkInsert(x, sat, c.satWords, c.universe); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -172,7 +172,7 @@ func TestDictSurvivesGarbageAcrossMigration(t *testing.T) {
 	// Corrupt the ACTIVE structure's machine mid-migration, then keep
 	// operating: no panics allowed (data loss is expected and fine).
 	rng := rand.New(rand.NewSource(12))
-	m := d.active.machine()
+	m := d.active.base().m
 	alloc := m.BlocksAllocated()
 	for disk, nBlocks := range alloc {
 		for b := 0; b < nBlocks; b += 3 {

@@ -199,8 +199,8 @@ func dictForms(t *testing.T) lookupForms {
 		}
 		stored[i] = r.Key
 	}
-	if !d.Migrating() || d.active.Len() == 0 || d.next.Len() == 0 {
-		t.Fatalf("want a migration with keys on both sides (active %d, next %d)", d.active.Len(), d.next.Len())
+	if !d.Migrating() || d.active.base().Len() == 0 || d.next.base().Len() == 0 {
+		t.Fatalf("want a migration with keys on both sides (active %d, next %d)", d.active.base().Len(), d.next.base().Len())
 	}
 	next, active := d.next.(*DynamicDict), d.active.(*DynamicDict)
 	return lookupForms{

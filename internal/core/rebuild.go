@@ -84,21 +84,14 @@ type DictStats struct {
 	Rebuilds int64
 }
 
-// rebuildable is the contract the global-rebuilding wrapper needs from
-// a bounded-capacity structure: the dictionary operations plus access
-// to its machine (for cost accounting) and its membership
-// sub-dictionary (for the migration cursor). DynamicDict (Theorem 7)
-// and OneProbeDict (Section 6) both satisfy it through their cascade.
+// rebuildable is a bounded-capacity structure the global-rebuilding
+// wrapper drains and fills: DynamicDict (Theorem 7) or OneProbeDict
+// (Section 6). Their operations, machine and membership sub-dictionary
+// are the wrapper's through the cascade both embed, by static calls, so
+// an insert's satellite never crosses an interface and is never moved.
 type rebuildable interface {
-	LookupOp(op *pdm.Op, x pdm.Word) ([]pdm.Word, bool)
-	LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool)
-	InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error
-	DeleteOp(op *pdm.Op, x pdm.Word) bool
-	Len() int
-	Capacity() int
+	base() *cascade
 	Snapshot(w io.Writer) error
-	machine() *pdm.Machine
-	membership() *BasicDict
 }
 
 // Dict is the fully dynamic dictionary of Section 4's introduction:
@@ -195,9 +188,9 @@ func (d *Dict) SatWords() int { return d.cfg.SatWords }
 func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	n := d.active.Len()
+	n := d.active.base().Len()
 	if d.next != nil {
-		n += d.next.Len()
+		n += d.next.base().Len()
 	}
 	return n
 }
@@ -222,9 +215,9 @@ func (d *Dict) SetHook(h pdm.Hook) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.hook = h
-	d.active.machine().SetHook(h)
+	d.active.base().m.SetHook(h)
 	if d.next != nil {
-		d.next.machine().SetHook(h)
+		d.next.base().m.SetHook(h)
 	}
 }
 
@@ -234,9 +227,9 @@ func (d *Dict) SetFaultInjector(fi pdm.FaultInjector) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.injector = fi
-	d.active.machine().SetFaultInjector(fi)
+	d.active.base().m.SetFaultInjector(fi)
 	if d.next != nil {
-		d.next.machine().SetFaultInjector(fi)
+		d.next.base().m.SetFaultInjector(fi)
 	}
 }
 
@@ -245,10 +238,10 @@ func (d *Dict) SetFaultInjector(fi pdm.FaultInjector) {
 func (d *Dict) Degraded() bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if d.active.machine().Degraded() {
+	if d.active.base().m.Degraded() {
 		return true
 	}
-	return d.next != nil && d.next.machine().Degraded()
+	return d.next != nil && d.next.base().m.Degraded()
 }
 
 // MintOp creates a fresh operation token for client, covering keys
@@ -286,7 +279,7 @@ func (d *Dict) measureOpLocked(op *pdm.Op, shared []*pdm.Op, tag pdm.Tag, n int,
 	befores, ends := beforeBuf[:0], endBuf[:0]
 	for _, o := range parts {
 		befores = append(befores, o.MaxMachineSteps())
-		ends = append(ends, d.active.machine().OpSpan(o, tag))
+		ends = append(ends, d.active.base().m.OpSpan(o, tag))
 	}
 	err := fn(op)
 	for i := len(ends) - 1; i >= 0; i-- {
@@ -357,13 +350,13 @@ func (d *Dict) LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sa
 func (d *Dict) lookupLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, keys []pdm.Word, sats [][]pdm.Word, oks []bool) {
 	d.measureOpLocked(op, shared, pdm.TagLookup, len(keys), func(op *pdm.Op) error {
 		if d.next == nil {
-			d.active.LookupBatchInto(op, shared, keys, sats, oks)
+			d.active.base().LookupBatchInto(op, shared, keys, sats, oks)
 			return nil
 		}
 		// The filling structure nils a miss's entry, so the caller's
 		// slices are set aside first for the draining structure.
 		sc.missSats = append(sc.missSats[:0], sats...)
-		d.next.LookupBatchInto(op, shared, keys, sats, oks)
+		d.next.base().LookupBatchInto(op, shared, keys, sats, oks)
 		sc.missKeys, sc.ops = sc.missKeys[:0], sc.ops[:0]
 		for i, ok := range oks {
 			if !ok {
@@ -381,7 +374,7 @@ func (d *Dict) lookupLocked(sc *probeScratch, op *pdm.Op, shared []*pdm.Op, keys
 			return nil
 		}
 		sc.missOks = slices.Grow(sc.missOks[:0], n)[:n]
-		d.active.LookupBatchInto(op, sc.ops, sc.missKeys, sc.missSats, sc.missOks)
+		d.active.base().LookupBatchInto(op, sc.ops, sc.missKeys, sc.missSats, sc.missOks)
 		j := 0
 		for i := range oks {
 			if !oks[i] {
@@ -399,31 +392,35 @@ func (d *Dict) Insert(x pdm.Word, sat []pdm.Word) error {
 	return d.InsertOp(nil, x, sat)
 }
 
-// InsertOp is Insert attributed to the operation token op.
+// InsertOp is Insert attributed to the operation token op. A malformed
+// (x, sat) is refused before any I/O, ledger entry or rebuild.
 func (d *Dict) InsertOp(op *pdm.Op, x pdm.Word, sat []pdm.Word) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if err := checkInsert(x, sat, d.cfg.SatWords, d.active.base().universe); err != nil {
+		return err
+	}
 	return d.measureOpLocked(op, nil, pdm.TagInsert, 1, func(op *pdm.Op) error {
-		if d.next == nil && d.active.Len() >= d.active.Capacity() {
+		if active := d.active.base(); d.next == nil && active.Len() >= active.Capacity() {
 			if err := d.startMigrationLocked(); err != nil {
 				return err
 			}
 		}
 		var err error
 		if d.next != nil {
-			err = d.next.InsertOp(op, x, sat)
+			err = d.next.base().InsertOp(op, x, sat)
 			if err == nil {
-				d.active.DeleteOp(op, x) // drop any stale copy
+				d.active.base().DeleteOp(op, x) // drop any stale copy
 			}
 		} else {
-			err = d.active.InsertOp(op, x, sat)
+			err = d.active.base().InsertOp(op, x, sat)
 			if err == ErrFull {
 				// Expansion failure below capacity: rebuild immediately
 				// with a new seed and land the insert in the successor.
 				if merr := d.startMigrationLocked(); merr != nil {
 					return merr
 				}
-				err = d.next.InsertOp(op, x, sat)
+				err = d.next.base().InsertOp(op, x, sat)
 			}
 		}
 		if err != nil {
@@ -444,10 +441,10 @@ func (d *Dict) DeleteOp(op *pdm.Op, x pdm.Word) (present bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.measureOpLocked(op, nil, pdm.TagDelete, 1, func(op *pdm.Op) error {
-		if d.next != nil && d.next.DeleteOp(op, x) {
+		if d.next != nil && d.next.base().DeleteOp(op, x) {
 			present = true
 		} else {
-			present = d.active.DeleteOp(op, x)
+			present = d.active.base().DeleteOp(op, x)
 		}
 		d.migrateStepLocked(op)
 		return nil
@@ -459,11 +456,8 @@ func (d *Dict) DeleteOp(op *pdm.Op, x pdm.Word) (present bool) {
 // capacity (at least enough for the current content) and resets the
 // cursor.
 func (d *Dict) startMigrationLocked() error {
-	capacity := 2 * d.active.Capacity()
-	if capacity < d.active.Len()+1 {
-		capacity = d.active.Len() + 1
-	}
-	next, err := d.newStructureLocked(capacity)
+	active := d.active.base()
+	next, err := d.newStructureLocked(max(2*active.Capacity(), active.Len()+1))
 	if err != nil {
 		return err
 	}
@@ -489,23 +483,22 @@ func (d *Dict) migrateStepLocked(op *pdm.Op) {
 	// foreground operation, and the charge lands on the operation that
 	// performed the migration work, exactly as the amortization argument
 	// charges it.
-	defer d.active.machine().OpSpan(op, pdm.TagRebuild).End()
+	active, next := d.active.base(), d.next.base()
+	defer active.m.OpSpan(op, pdm.TagRebuild).End()
 	sc := d.scratch.get()
 	defer d.scratch.put(sc)
-	memb := d.active.membership()
+	memb := active.memb
 	moved, probes := 0, 0
-	for moved < d.cfg.MigrateBatch && probes < 4*d.cfg.MigrateBatch && d.active.Len() > 0 {
+	for moved < d.cfg.MigrateBatch && probes < 4*d.cfg.MigrateBatch && active.Len() > 0 {
 		probes++
 		if d.curBucket >= memb.Buckets() {
 			break // cursor exhausted; remaining keys were deleted concurrently
 		}
 		sc.one = memb.bucketAddrs(d.curBucket, sc.one[:0])
-		var key pdm.Word
 		found := false
 		for _, blk := range memb.reg.m.BatchReadInto(&sc.buf, op, nil, sc.one) {
-			if memb.codec.Count(blk) > 0 {
-				key = blk[1] // the first record's key follows the count word
-				found = true
+			if found = memb.codec.Count(blk) > 0; found {
+				sc.key[0] = blk[1] // the first record's key follows the count word
 				break
 			}
 		}
@@ -513,18 +506,19 @@ func (d *Dict) migrateStepLocked(op *pdm.Op) {
 			d.curBucket++
 			continue
 		}
-		sat, ok := d.active.LookupOp(op, key)
-		if ok {
-			if err := d.next.InsertOp(op, key, sat); err != nil {
+		sc.sat[0] = sc.decoded(d.cfg.SatWords) // the answer lands here: no allocation
+		active.LookupBatchInto(op, nil, sc.key[:], sc.sat[:], sc.ok[:])
+		if sc.ok[0] {
+			if err := next.InsertOp(op, sc.key[0], sc.sat[0]); err != nil {
 				// The successor refused (pathological); leave the key in
 				// place and retry on a later step.
 				return
 			}
 		}
-		d.active.DeleteOp(op, key)
+		active.DeleteOp(op, sc.key[0])
 		moved++
 	}
-	if d.active.Len() == 0 {
+	if active.Len() == 0 {
 		d.active = d.next
 		d.next = nil
 		d.statsMu.Lock()
@@ -539,5 +533,5 @@ func (d *Dict) migrateStepLocked(op *pdm.Op) {
 func (d *Dict) StepCount() int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.active.machine().StepCount()
+	return d.active.base().m.StepCount()
 }

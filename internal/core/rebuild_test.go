@@ -277,7 +277,7 @@ func TestDictOpStraddlingMigration(t *testing.T) {
 	}
 	finished := false
 	for i := 0; i < 100 && hooked.Migrating(); i++ {
-		a, b := hooked.active.machine(), hooked.next.machine()
+		a, b := hooked.active.base().m, hooked.next.base().m
 		stepsA, stepsB := a.StepCount(), b.StepCount()
 		idle := a.IdleSpanStacks() + b.IdleSpanStacks()
 		if idle == 0 {

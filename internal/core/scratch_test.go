@@ -68,7 +68,7 @@ func TestAllocationPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dict.active.machine().SetParallelism(1)
+	dict.active.base().m.SetParallelism(1)
 	for _, r := range recs {
 		for _, d := range []interface {
 			Insert(pdm.Word, []pdm.Word) error
@@ -277,6 +277,15 @@ func TestAllocationPins(t *testing.T) {
 			}
 		})
 	}
+
+	// A satellite its caller built on the stack stays there: the Dict
+	// reaches its structure's insert by static calls.
+	pinAllocs(t, "Dict.InsertOp existing, stack satellite", 0, func() {
+		s := [2]pdm.Word{recs[3].Sat[0], recs[3].Sat[1]}
+		if err := dict.InsertOp(nil, recs[3].Key, s[:]); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	// With a no-op hook installed, every row below costs exactly what it
 	// does unhooked: a span's end is a value, a token's span stack is

@@ -73,9 +73,9 @@ func machineDigest(m *pdm.Machine) string {
 
 // dictDigest digests both live structures' machines and the ledger.
 func dictDigest(d *Dict) string {
-	s := machineDigest(d.active.machine())
+	s := machineDigest(d.active.base().m)
 	if d.next != nil {
-		s += "/" + machineDigest(d.next.machine())
+		s += "/" + machineDigest(d.next.base().m)
 	}
 	return fmt.Sprintf("%s %+v", s, d.Stats())
 }

@@ -71,7 +71,8 @@ func pinAllocs(t *testing.T, name string, want float64, fn func()) {
 // TestAllocationPins pins what the public entry points allocate once
 // warm. A plain call's token is recycled when it returns, so a lookup
 // allocates its answer and nothing else (a miss: nothing), a batch its
-// two result slices and one array all hits' answers share, and a
+// two result slices and one array all hits' answers share, an update
+// nothing, not even a satellite its caller built on the stack, and a
 // scheduled lookup what the direct one does.
 func TestAllocationPins(t *testing.T) {
 	const n = 256
@@ -88,9 +89,13 @@ func TestAllocationPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	oneprobe, err := NewOneProbe(OneProbeOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
 	keys := make([]Word, 64)
 	for k := Word(1); k <= n; k++ {
-		for _, d := range []Dictionary{basic, dynamic, dict} {
+		for _, d := range []Dictionary{basic, dynamic, dict, oneprobe} {
 			if err := d.Insert(k, []Word{k, k + 1}); err != nil {
 				t.Fatal(err)
 			}
@@ -155,6 +160,25 @@ func TestAllocationPins(t *testing.T) {
 		})
 		pinAllocs(t, d.name+".Insert existing", 0, func() {
 			if err := d.d.Insert(hit, sat); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// The concrete types, called directly with the satellite in an array
+	// local to the call: the insert path takes no interface hop the
+	// compiler cannot see through, so the array stays on the stack. (A
+	// call through an interface or a func value moves it to the heap.)
+	for _, u := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"Basic", func() error { s := [2]Word{hit, hit + 1}; return basic.Insert(hit, s[:]) }},
+		{"Dynamic", func() error { s := [2]Word{hit, hit + 1}; return dynamic.Insert(hit, s[:]) }},
+		{"OneProbe", func() error { s := [2]Word{hit, hit + 1}; return oneprobe.Insert(hit, s[:]) }},
+		{"Dict", func() error { s := [2]Word{hit, hit + 1}; return dict.Insert(hit, s[:]) }},
+	} {
+		pinAllocs(t, u.name+".Insert existing, stack satellite", 0, func() {
+			if err := u.fn(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -70,7 +70,9 @@ type Dictionary interface {
 	Lookup(key Word) ([]Word, bool)
 	// Contains reports whether key is present.
 	Contains(key Word) bool
-	// Insert stores (key, sat), replacing any existing satellite.
+	// Insert stores (key, sat), replacing any existing satellite. sat
+	// is copied before Insert returns and never retained, so the caller
+	// may reuse it at once.
 	Insert(key Word, sat []Word) error
 	// Delete removes key, reporting whether it was present.
 	Delete(key Word) bool
@@ -219,7 +221,9 @@ type BatchLookuper interface {
 // The token-carrying surface.
 
 // opCore is the core structure behind a front: its operation bodies,
-// each charged to the token it is handed.
+// each charged to the token it is handed. It is one of *core.BasicDict,
+// *core.DynamicDict, *core.OneProbeDict and *core.Dict; InsertOp is
+// here for the scheduler, and InsertCtx calls the concrete structure.
 type opCore interface {
 	LookupOp(op *pdm.Op, key Word) ([]Word, bool)
 	LookupBatchInto(op *pdm.Op, shared []*pdm.Op, keys []Word, sats [][]Word, oks []bool)
@@ -272,7 +276,8 @@ func (f *front) Contains(key Word) bool {
 	return ok
 }
 
-// Insert stores (key, sat), replacing any existing satellite.
+// Insert stores (key, sat), replacing any existing satellite. sat is
+// copied before Insert returns and never retained.
 func (f *front) Insert(key Word, sat []Word) error {
 	c := f.MintOp(0, 1, pdm.TagInsert.String())
 	err := f.InsertCtx(c, key, sat)
@@ -280,9 +285,22 @@ func (f *front) Insert(key Word, sat []Word) error {
 	return err
 }
 
-// InsertCtx is Insert attributed to the operation token c.
+// InsertCtx is Insert attributed to the operation token c. It calls the
+// concrete structure, not an interface method, so the compiler can see
+// that sat does not outlive the call: a caller's stack satellite stays
+// on its stack.
 func (f *front) InsertCtx(c OpCtx, key Word, sat []Word) error {
-	return f.core.InsertOp(c.Op, key, sat)
+	switch d := f.core.(type) {
+	case *core.Dict:
+		return d.InsertOp(c.Op, key, sat)
+	case *core.DynamicDict:
+		return d.InsertOp(c.Op, key, sat)
+	case *core.OneProbeDict:
+		return d.InsertOp(c.Op, key, sat)
+	case *core.BasicDict:
+		return d.InsertOp(c.Op, key, sat)
+	}
+	panic(fmt.Sprintf("pdmdict: front over %T has no insert path", f.core))
 }
 
 // Delete removes key, reporting whether it was present.

@@ -362,3 +362,95 @@ func TestDynamicLookupTryRetriesOnlyNeededBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectedInsertHasNoEffect: a satellite of the wrong length or a
+// key outside the universe is refused before anything happens, on a
+// structure filled to its capacity too: no I/O, no event, no key, and on
+// a Dict no ledger entry and no rebuild started.
+func TestRejectedInsertHasNoEffect(t *testing.T) {
+	const n = 64
+	opts := Options{Capacity: n, SatWords: 2, Universe: 1 << 20, Seed: 3}
+	basic, err := NewBasic(BasicOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dynamic, err := NewDynamic(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneprobe, err := NewOneProbe(OneProbeOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbounded, err := NewOneProbeUnbounded(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		d    interface {
+			Dictionary
+			SetHook(IOHook)
+		}
+		dict *Dict
+	}{
+		{"Basic", basic, nil},
+		{"Dynamic", dynamic, nil},
+		{"OneProbe", oneprobe, nil},
+		{"Dict", dict, dict},
+		{"Dict (one-probe)", unbounded, unbounded},
+	} {
+		for k := Word(1); k <= n; k++ {
+			if err := c.d.Insert(k, []Word{k, k + 1}); err != nil {
+				t.Fatalf("%s: insert %d: %v", c.name, k, err)
+			}
+		}
+		var ops, rebuilds int64
+		if c.dict != nil {
+			if c.dict.d.Migrating() {
+				t.Fatalf("%s: filling to capacity started a migration", c.name)
+			}
+			ops, rebuilds = c.dict.Ops(), c.dict.Rebuilds()
+		}
+		events := &eventLog{}
+		c.d.SetHook(events)
+		stats, length := c.d.IOStats(), c.d.Len()
+		for _, bad := range []struct {
+			key Word
+			sat []Word
+		}{
+			{1000, []Word{1}},          // too short, a new key
+			{n, []Word{1, 2, 3}},       // too long, a stored key
+			{1 << 20, []Word{1, 2}},    // outside the universe
+			{1<<20 + 5, []Word{1, 2}},  // further outside
+			{1 << 20, []Word{1, 2, 3}}, // both
+		} {
+			if err := c.d.Insert(bad.key, bad.sat); err == nil {
+				t.Errorf("%s: Insert(%d, %d words) accepted", c.name, bad.key, len(bad.sat))
+			}
+		}
+		if got := c.d.IOStats(); got != stats {
+			t.Errorf("%s: rejected inserts moved IOStats %+v → %+v", c.name, stats, got)
+		}
+		if got := c.d.Len(); got != length {
+			t.Errorf("%s: rejected inserts moved Len %d → %d", c.name, length, got)
+		}
+		if len(events.events) != 0 {
+			t.Errorf("%s: rejected inserts emitted %d events, the first %v %q", c.name, len(events.events), events.events[0].Kind, events.events[0].Tag)
+		}
+		if c.dict != nil {
+			if c.dict.d.Migrating() || c.dict.Ops() != ops || c.dict.Rebuilds() != rebuilds {
+				t.Errorf("%s: rejected inserts left Migrating %v, Ops %d → %d, Rebuilds %d → %d",
+					c.name, c.dict.d.Migrating(), ops, c.dict.Ops(), rebuilds, c.dict.Rebuilds())
+			}
+		}
+		c.d.SetHook(nil)
+		if sat, ok := c.d.Lookup(n); !ok || !wordsEqual(sat, []Word{n, n + 1}) {
+			t.Errorf("%s: stored key %d now reads %v, %v", c.name, n, sat, ok)
+		}
+	}
+}
