@@ -37,8 +37,10 @@ type Op struct {
 	// assigned on first charge; a token covers one logical operation,
 	// which touches at most two machines: a Dict operation reaches the
 	// draining and the filling structure, and a migration that finishes
-	// inside an operation never starts another before it ends.
-	lanes     [opLanes]atomic.Pointer[Machine]
+	// inside an operation never starts another before it ends. A lane
+	// holds its machine's serial, not the machine: a token never keeps
+	// a machine alive, however long its caller keeps it (see opSlab).
+	lanes     [opLanes]atomic.Uint64
 	laneSteps [opLanes]atomic.Int64
 
 	// stack is the op's private span stack, nil while no span of the op
@@ -57,12 +59,11 @@ type Op struct {
 // Everyone else should use (*Machine).NewOp. ID 0 means "no operation"
 // and must not be used. The token is an idle one handed back with
 // ReleaseOp when there is one, so a call that mints and releases its
-// own token allocates none once warm.
+// own token allocates none once warm; otherwise it is carved from the
+// current slab of fresh tokens, so a caller that keeps its token (MintOp)
+// costs a fraction of an allocation.
 func MakeOp(id uint64, client, keys int) *Op {
-	o := idleOps.take()
-	if o == nil {
-		o = new(Op)
-	}
+	o := idleOps.get()
 	o.id, o.client, o.keys = id, client, keys
 	return o
 }
@@ -74,7 +75,9 @@ func MakeOp(id uint64, client, keys int) *Op {
 // (MintOp, then a Ctx entry point) is the caller's to keep reading and
 // is never released. A token still holding an open span — its operation
 // panicked before closing it — is dropped instead, so no later op
-// inherits the stack. A nil op is ignored.
+// inherits the stack. A released token joins the idle list wherever it
+// was carved; its slab is freed once none of its tokens is reachable.
+// A nil op is ignored.
 func ReleaseOp(o *Op) {
 	if o == nil || o.stack != nil {
 		return
@@ -83,36 +86,55 @@ func ReleaseOp(o *Op) {
 	idleOps.put(o)
 }
 
-// opList is the idle-token list behind MakeOp and ReleaseOp. It holds
-// only released tokens, so it never grows beyond the most self-minted
-// tokens that were ever open at once. It is a plain slice rather than a
-// sync.Pool: a pool the collector drains would make a call's allocation
-// count depend on when the collector last ran.
+// opList hands out tokens for MakeOp: released ones first, then fresh
+// ones carved from a slab. The idle list holds only released tokens, so
+// it never grows beyond the most self-minted tokens that were ever open
+// at once. It is a plain slice rather than a sync.Pool: a pool the
+// collector drains would make a call's allocation count depend on when
+// the collector last ran. Carving under the same lock, rather than
+// racing on a shared slab, never makes two minters allocate a slab
+// where one would do.
 type opList struct {
-	mu  sync.Mutex
-	n   atomic.Int32 // len(ops), so that minting with no idle token takes no lock
-	ops []*Op        // guarded by mu
+	mu   sync.Mutex
+	ops  []*Op // guarded by mu; released tokens
+	slab []Op  // guarded by mu; the current slab's tokens not yet handed out
 }
 
-// idleOps is the process's one idle-token list. Tokens carry no machine
-// once released, so any minter may reissue any of them.
+// opSlabLen is how many tokens one slab holds: as many as fit one
+// 8 192-byte size class, counting the 8-byte header the allocator puts
+// on an object over 512 bytes that holds pointers. 85 × 96 + 8 = 8 168
+// bytes; a 64-token slab would fall into the 6 528-byte class and waste
+// 6 %.
+const opSlabLen = 85
+
+// opSlab is a block of fresh tokens, carved one at a time. A slab stays
+// allocated while any of its tokens is reachable, so it must not hold
+// anything a kept token would pin in turn: a completed token holds no
+// pointer (its lanes are machine serials and its span stack went back
+// to the machine that lent it), and a kept token costs its caller the
+// slab's 8 KB at most, never a machine.
+type opSlab [opSlabLen]Op
+
+// idleOps is the process's one token source. A released token is reset
+// and names no machine, so any minter may reissue any of them.
 var idleOps opList
 
-// take pops an idle token, or returns nil when there is none.
-func (l *opList) take() *Op {
-	if l.n.Load() == 0 {
-		return nil
-	}
+// get pops an idle token or, when there is none, carves the next token
+// of the current slab, starting a new slab when that one is used up.
+func (l *opList) get() *Op {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := len(l.ops)
-	if n == 0 {
-		return nil
+	if n := len(l.ops); n > 0 {
+		o := l.ops[n-1]
+		l.ops[n-1] = nil
+		l.ops = l.ops[:n-1]
+		return o
 	}
-	o := l.ops[n-1]
-	l.ops[n-1] = nil
-	l.ops = l.ops[:n-1]
-	l.n.Store(int32(n - 1))
+	if len(l.slab) == 0 {
+		l.slab = new(opSlab)[:]
+	}
+	o := &l.slab[0]
+	l.slab = l.slab[1:]
 	return o
 }
 
@@ -120,7 +142,6 @@ func (l *opList) take() *Op {
 func (l *opList) put(o *Op) {
 	l.mu.Lock()
 	l.ops = append(l.ops, o)
-	l.n.Store(int32(len(l.ops)))
 	l.mu.Unlock()
 }
 
@@ -215,12 +236,12 @@ func (o *Op) MaxMachineSteps() int64 {
 // lane on first use, or nil if all lanes are taken by other machines.
 func (o *Op) laneFor(m *Machine) *atomic.Int64 {
 	for i := range o.lanes {
-		p := o.lanes[i].Load()
-		if p == m {
+		v := o.lanes[i].Load()
+		if v == m.serial {
 			return &o.laneSteps[i]
 		}
-		if p == nil {
-			if o.lanes[i].CompareAndSwap(nil, m) || o.lanes[i].Load() == m {
+		if v == 0 {
+			if o.lanes[i].CompareAndSwap(0, m.serial) || o.lanes[i].Load() == m.serial {
 				return &o.laneSteps[i]
 			}
 		}

@@ -42,7 +42,7 @@ func TestReleasedOpIsReissuedReset(t *testing.T) {
 			b.Steps(), b.Reads(), b.Writes(), b.Faults(), b.MaxMachineSteps())
 	}
 	for i := range b.lanes {
-		if b.lanes[i].Load() != nil {
+		if b.lanes[i].Load() != 0 {
 			t.Errorf("reissued token keeps lane %d's machine", i)
 		}
 	}

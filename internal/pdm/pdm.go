@@ -434,6 +434,7 @@ type Machine struct {
 	scratch reuse.Pool[batchScratch] // for partitioning large batches
 
 	nextOp atomic.Uint64 // operation-token ID counter; IDs start at 1
+	serial uint64        // process-unique, nonzero; names the machine in an Op's lanes
 
 	// emitMu serializes event emission: the span stacks, the sequence
 	// counter, and every hook call. hooked mirrors hook != nil so the
@@ -488,6 +489,10 @@ type spanPath struct{ parent, tag string }
 // adversarial trace, whose deeper paths are then joined afresh.
 const maxSpanPaths = 1024
 
+// machineSerials numbers the process's machines from 1, so an Op can
+// name the machines it charged without pointing at them.
+var machineSerials atomic.Uint64
+
 // NewMachine returns a machine with the given configuration. It panics if
 // the configuration is invalid; configurations are programmer input, not
 // runtime data.
@@ -499,6 +504,7 @@ func NewMachine(cfg Config) *Machine {
 		cfg:     cfg,
 		shards:  make([]shard, cfg.D),
 		tracker: health.New(cfg.D),
+		serial:  machineSerials.Add(1),
 	}
 	pad := make([]byte, 8*cfg.B)
 	zeroSum := crc32.ChecksumIEEE(pad)

@@ -3,6 +3,7 @@ package pdmdict
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -165,5 +166,44 @@ func TestSynchronizedScheduledKeepsTokens(t *testing.T) {
 	want := direct.MintOp(0, 1, pdm.TagLookup.String()).Op.ID()
 	if got := wrapped.MintOp(0, 1, pdm.TagLookup.String()).Op.ID(); got != want {
 		t.Errorf("next scheduler token after the same calls: %#x through Synchronized, %#x direct", got, want)
+	}
+}
+
+// TestMintedTokensAreDistinct: tokens minted concurrently for callers
+// who keep them all are distinct tokens under distinct IDs, though they
+// are carved from shared slabs. Run with -race: two minters handed the
+// same token would race on its identity.
+func TestMintedTokensAreDistinct(t *testing.T) {
+	const clients, perClient = 4, 1000
+	d, err := NewDynamic(Options{Capacity: 64, SatWords: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	minted := make([][]*pdm.Op, clients)
+	var wg sync.WaitGroup
+	for c := range minted {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ops := make([]*pdm.Op, perClient)
+			for i := range ops {
+				ops[i] = d.MintOp(c, 1, pdm.TagLookup.String()).Op
+			}
+			minted[c] = ops
+		}(c)
+	}
+	wg.Wait()
+	tokens := map[*pdm.Op]bool{}
+	ids := map[uint64]bool{}
+	for c, ops := range minted {
+		for i, op := range ops {
+			if tokens[op] {
+				t.Fatalf("client %d's token %d was handed out twice", c, i)
+			}
+			if ids[op.ID()] {
+				t.Fatalf("client %d's token %d repeats ID %#x", c, i, op.ID())
+			}
+			tokens[op], ids[op.ID()] = true, true
+		}
 	}
 }

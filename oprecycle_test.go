@@ -72,8 +72,9 @@ func pinAllocs(t *testing.T, name string, want float64, fn func()) {
 // warm. A plain call's token is recycled when it returns, so a lookup
 // allocates its answer and nothing else (a miss: nothing), a batch its
 // two result slices and one array all hits' answers share, an update
-// nothing, not even a satellite its caller built on the stack, and a
-// scheduled lookup what the direct one does.
+// nothing, not even a satellite its caller built on the stack, a lookup
+// under a caller-minted token what the plain one does, and a scheduled
+// lookup what the direct one does.
 func TestAllocationPins(t *testing.T) {
 	const n = 256
 	opts := Options{Capacity: 2 * n, SatWords: 2, Seed: 4}
@@ -130,6 +131,7 @@ func TestAllocationPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sched.Close()
+	synced := Synchronized(dynamic)
 
 	for _, d := range []struct {
 		name string
@@ -176,10 +178,35 @@ func TestAllocationPins(t *testing.T) {
 		{"Dynamic", func() error { s := [2]Word{hit, hit + 1}; return dynamic.Insert(hit, s[:]) }},
 		{"OneProbe", func() error { s := [2]Word{hit, hit + 1}; return oneprobe.Insert(hit, s[:]) }},
 		{"Dict", func() error { s := [2]Word{hit, hit + 1}; return dict.Insert(hit, s[:]) }},
+		{"Synchronized(Dynamic)", func() error { s := [2]Word{hit, hit + 1}; return synced.Insert(hit, s[:]) }},
 	} {
 		pinAllocs(t, u.name+".Insert existing, stack satellite", 0, func() {
 			if err := u.fn(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+	// A token minted for the caller is kept, not recycled, but it is
+	// carved from a shared slab: the median call allocates what the plain
+	// call does, and the slab refill every 85th mint does not show.
+	for _, d := range []struct {
+		name string
+		d    interface {
+			MintOp(client, keys int, tag string) OpCtx
+			LookupCtx(c OpCtx, key Word) ([]Word, bool)
+		}
+	}{
+		{"Dynamic", dynamic},
+		{"Dict", dict},
+	} {
+		pinAllocs(t, d.name+".LookupCtx(MintOp) hit", 1, func() {
+			if _, ok := d.d.LookupCtx(d.d.MintOp(1, 1, pdm.TagLookup.String()), hit); !ok {
+				t.Fatal("stored key not found")
+			}
+		})
+		pinAllocs(t, d.name+".LookupCtx(MintOp) miss", 0, func() {
+			if _, ok := d.d.LookupCtx(d.d.MintOp(1, 1, pdm.TagLookup.String()), absent); ok {
+				t.Fatal("absent key found")
 			}
 		})
 	}

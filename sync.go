@@ -1,6 +1,9 @@
 package pdmdict
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // SyncDict wraps any Dictionary for concurrent use: lookups run
 // concurrently with each other (readers take a shared lock; the
@@ -12,6 +15,7 @@ import "sync"
 type SyncDict struct {
 	mu sync.RWMutex
 	d  Dictionary // guarded by mu
+	f  *front     // d's front if it has one (Dict, Basic, Dynamic, OneProbe), else nil; set by Synchronized
 }
 
 // tokenBatcher is the token-carrying batch path of Dict, Basic, Dynamic
@@ -23,7 +27,13 @@ type tokenBatcher interface {
 
 // Synchronized wraps d for concurrent use. The wrapped dictionary must
 // not be used directly afterwards.
-func Synchronized(d Dictionary) *SyncDict { return &SyncDict{d: d} }
+func Synchronized(d Dictionary) *SyncDict {
+	s := &SyncDict{d: d}
+	if fd, ok := d.(interface{ asFront() *front }); ok {
+		s.f = fd.asFront()
+	}
+	return s
+}
 
 // Lookup returns a copy of key's satellite data and whether it is
 // present. Safe for arbitrary concurrency with other lookups.
@@ -40,11 +50,17 @@ func (s *SyncDict) Contains(key Word) bool {
 	return s.d.Contains(key)
 }
 
-// Insert stores (key, sat), replacing any existing satellite.
+// Insert stores (key, sat), replacing any existing satellite. sat is
+// never retained: a structure with a front is called directly, which
+// keeps a caller's stack satellite on its stack; any other dictionary
+// is handed a copy.
 func (s *SyncDict) Insert(key Word, sat []Word) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.d.Insert(key, sat)
+	if s.f != nil {
+		return s.f.Insert(key, sat)
+	}
+	return s.d.Insert(key, slices.Clone(sat))
 }
 
 // Delete removes key, reporting whether it was present.
