@@ -200,7 +200,7 @@ func run(ctx context.Context, cfg config, stdin io.Reader, stdout io.Writer) err
 	collector := obs.NewCollector()
 	ring := obs.NewRing(256)
 	acct := obs.NewOpAccountant()
-	hook := obs.Tee(collector, ring, acct)
+	sinks := []pdmdict.IOHook{collector, ring, acct}
 
 	var traceSink *obs.JSONLWriter
 	if cfg.trace != "" {
@@ -210,7 +210,7 @@ func run(ctx context.Context, cfg config, stdin io.Reader, stdout io.Writer) err
 		}
 		defer f.Close()
 		traceSink = obs.NewJSONLWriter(f)
-		hook = obs.Tee(collector, ring, acct, traceSink)
+		sinks = append(sinks, traceSink)
 	}
 	flush := func() error {
 		if traceSink == nil {
@@ -223,7 +223,7 @@ func run(ctx context.Context, cfg config, stdin io.Reader, stdout io.Writer) err
 	}
 	// The watchdog wraps the whole sink chain, so the alert events it
 	// synthesizes reach every sink — the trace file included (v5).
-	mon := obs.NewMonitor(hook, obs.DefaultRules()...)
+	mon := obs.NewMonitor(obs.Tee(sinks...), obs.DefaultRules()...)
 
 	if cfg.selfheal && cfg.replicas < 2 {
 		return fmt.Errorf("-selfheal needs the replicated store: rerun with -replicas 2")

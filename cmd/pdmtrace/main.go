@@ -15,8 +15,8 @@
 // -hist prints log₂-bucketed histograms of parallel I/Os per operation
 // plus a per-tag I/O breakdown and per-disk skew (via the hook-based
 // collector). -trace streams every I/O batch as one JSON object per
-// line — op kind, span tag, steps, depth, block addresses — replayable
-// with obs.Replay to reproduce the cost profile.
+// line — op kind, span tag, steps, depth, block addresses — which
+// -spans folds back into exact per-operation costs.
 //
 // -spans analyzes a recorded event trace offline: it folds the trace's
 // span events into per-operation records and prints per-tag parallel

@@ -14,7 +14,7 @@ package lint
 //
 //	pdmdict wrappers → core.Dict → dictionary structures → BasicDict
 //	→ machine fault lock → injector locks → shards → health → emission
-//	→ hook sinks → repair supervisor
+//	→ hook chain fold → hook sinks → repair supervisor
 //
 // Acquiring a class of strictly higher rank while holding a lower one
 // is always safe; acquiring an equal-or-lower rank while any
@@ -72,6 +72,12 @@ var lockOrder = []lockClass{
 	{Pkg: "pdm", Type: "shard", Field: "mu", Rank: 50},
 	{Pkg: "health", Type: "Tracker", Field: "mu", Rank: 54},
 	{Pkg: "pdm", Type: "Machine", Field: "emitMu", Rank: 58},
+
+	// A hook chain's one span fold: the element the machine calls folds
+	// each event under it and runs every record-taking member with it
+	// held, so it ranks after emitMu and before the sinks; readers of
+	// open records (OpAccountant.InFlight) take it before the sink lock.
+	{Pkg: "obs", Type: "spanFold", Field: "mu", Rank: 60},
 
 	// Hook sinks: run inside the machine's emission lock, so their locks
 	// rank after emitMu. A sink must never call back into the machine —

@@ -43,16 +43,16 @@ type FlightRecord struct {
 // its recorder slot overwritten.
 type liveOp struct {
 	rec   FlightRecord
-	span  uint64 // root span ID: the op's open record in the folder
+	span  uint64 // root span ID: the op's open record in the chain's fold
 	addrs []pdm.Addr
 	ops   []uint64
 }
 
 // OpAccountant keeps the exact per-operation records of token-carrying
-// operations, online. Its SpanFolder builds each record from the op's
-// own event charges, through operation tokens, so the accounting is
-// exact under arbitrary concurrency — including merged batches, which
-// charge every op on their attribution list. On top of the folder it
+// operations, online. Its chain's SpanFolder builds each record from
+// the op's own event charges, through operation tokens, so the
+// accounting is exact under arbitrary concurrency — including merged
+// batches, which charge every op on their attribution list. On top it
 // maintains per-client and per-tag SLO aggregates of modeled latency,
 // the exact batch-inclusive worst-op figure (amortized per key), and a
 // sampled always-on flight recorder: a ring of the last RecorderSize
@@ -80,7 +80,7 @@ type OpAccountant struct {
 	MaxEvents int
 
 	mu       sync.Mutex
-	folder   SpanFolder         // builds each op's record
+	fold     spanFold           // builds each op's record
 	inflight map[uint64]*liveOp // token ID -> the open root op's retained events
 	byClient map[int]*OpAgg
 	byTag    map[string]*OpAgg
@@ -102,59 +102,36 @@ func NewOpAccountant() *OpAccountant {
 }
 
 // Event implements pdm.Hook.
-func (a *OpAccountant) Event(e pdm.Event) {
-	if e.Kind.IsAnnotation() {
-		return // health/alert transitions are not op work
-	}
+func (a *OpAccountant) Event(e pdm.Event)    { a.fold.event(e, a) }
+func (a *OpAccountant) join(chain *spanFold) { a.fold.chain.Store(chain) }
+
+// observe retains an op's events and completes it, priced with a.Cost,
+// when rec closes its root span. Annotations carry no op.
+func (a *OpAccountant) observe(e pdm.Event, rec *OpRecord) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.folder.Cost = a.Cost
-	rec := a.folder.Fold(e)
-	switch e.Kind {
-	case pdm.EventSpanBegin:
-		if e.Op == 0 {
-			return
+	if e.Kind == pdm.EventSpanBegin && e.Op != 0 && e.Parent == 0 {
+		if a.inflight == nil {
+			a.inflight = make(map[uint64]*liveOp)
 		}
-		if e.Parent == 0 {
-			if a.inflight == nil {
-				a.inflight = make(map[uint64]*liveOp)
-			}
-			lo := a.take()
-			lo.span = e.Span
-			a.inflight[e.Op] = lo
-		}
-		a.retain(e)
-	case pdm.EventSpanEnd:
-		if e.Op == 0 {
-			return
-		}
-		a.retain(e)
-		if rec == nil || rec.Parent != 0 {
-			return
-		}
-		lo := a.inflight[e.Op]
-		if lo == nil {
-			return // end without begin (hook attached mid-operation)
-		}
-		delete(a.inflight, e.Op)
-		lo.rec.OpRecord = *rec
-		a.complete(lo)
-	default:
-		if e.Op != 0 {
-			a.retain(e)
-		}
-		for _, id := range e.Ops {
-			if lo := a.inflight[id]; lo != nil {
-				a.retainFor(lo, e)
-			}
+		lo := a.take()
+		lo.span = e.Span
+		a.inflight[e.Op] = lo
+	}
+	lo := a.inflight[e.Op] // nil for op 0 and for an op begun before the hook attached
+	if lo != nil {
+		a.retainFor(lo, e)
+	}
+	for _, id := range e.Ops {
+		if shared := a.inflight[id]; shared != nil {
+			a.retainFor(shared, e)
 		}
 	}
-}
-
-// retain appends an event to its token's in-flight op, if any.
-func (a *OpAccountant) retain(e pdm.Event) {
-	if lo := a.inflight[e.Op]; lo != nil {
-		a.retainFor(lo, e)
+	if lo != nil && rec != nil && rec.Parent == 0 {
+		delete(a.inflight, e.Op)
+		lo.rec.OpRecord = *rec
+		lo.rec.Latency = a.Cost.Latency(rec.Steps, rec.Blocks)
+		a.complete(lo)
 	}
 }
 
@@ -224,14 +201,8 @@ func (a *OpAccountant) complete(lo *liveOp) {
 		a.worst = perKey
 	}
 
-	if a.byClient == nil {
-		a.byClient = make(map[int]*OpAgg)
-	}
-	aggFor(a.byClient, rec.Client).add(rec)
-	if a.byTag == nil {
-		a.byTag = make(map[string]*OpAgg)
-	}
-	aggFor(a.byTag, rec.Tag).add(rec)
+	aggFor(&a.byClient, rec.Client).add(rec, rec.Latency)
+	aggFor(&a.byTag, rec.Tag).add(rec, rec.Latency)
 
 	every := a.SampleEvery
 	if every == 0 {
@@ -297,14 +268,17 @@ func (a *OpAccountant) InFlightCount() int {
 // steps charged so far, ties broken by op ID), truncated to k (k <= 0 =
 // all).
 func (a *OpAccountant) InFlight(k int) []OpRecord {
+	f := a.fold.root()
+	f.mu.Lock()
 	a.mu.Lock()
 	out := make([]OpRecord, 0, len(a.inflight))
 	for _, lo := range a.inflight {
-		if rec := a.folder.open[lo.span]; rec != nil {
+		if rec := f.f.open[lo.span]; rec != nil {
 			out = append(out, *rec)
 		}
 	}
 	a.mu.Unlock()
+	f.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Steps != out[j].Steps {
 			return out[i].Steps > out[j].Steps
@@ -351,22 +325,12 @@ func (a *OpAccountant) recordedTotal() int64 {
 func (a *OpAccountant) Clients() map[int]*OpAgg {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make(map[int]*OpAgg, len(a.byClient))
-	for k, v := range a.byClient {
-		cp := *v
-		out[k] = &cp
-	}
-	return out
+	return copyAggs(a.byClient)
 }
 
 // Tags returns the per-tag SLO aggregates, keyed by root span tag.
 func (a *OpAccountant) Tags() map[string]*OpAgg {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make(map[string]*OpAgg, len(a.byTag))
-	for k, v := range a.byTag {
-		cp := *v
-		out[k] = &cp
-	}
-	return out
+	return copyAggs(a.byTag)
 }

@@ -17,6 +17,16 @@ func fskvChain(c *Collector) pdm.Hook {
 	return NewMonitor(Tee(c, NewRing(256), NewOpAccountant(), NewJSONLWriter(io.Discard)), DefaultRules()...)
 }
 
+// chaosChain is the chain the chaos soak installs under pdmbench
+// -serve: a watchdog over the suite hook (itself a watchdog over
+// collector and ring) and a sampling op accountant.
+func chaosChain() pdm.Hook {
+	acct := NewOpAccountant()
+	acct.SampleEvery = 64
+	suite := NewMonitor(Tee(NewCollector(), NewRing(256)), DefaultRules()...)
+	return NewMonitor(Tee(suite, acct), DefaultRules()...)
+}
+
 // lookupFeeder feeds a hook the events of Dynamic lookups: per lookup a
 // root span begin, one 40-address read and the span end, under a fresh
 // op token, alternating two clients. Like the machine, it reuses one
@@ -70,6 +80,7 @@ func TestHookChainAllocationPins(t *testing.T) {
 		hook pdm.Hook
 	}{
 		{"full chain", fskvChain(NewCollector())},
+		{"chaos soak chain", chaosChain()},
 		{"Collector", NewCollector()},
 		{"Ring", NewRing(256)},
 		{"OpAccountant", NewOpAccountant()},

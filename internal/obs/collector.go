@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -39,32 +40,48 @@ type OpAgg struct {
 	LatencyMicros   *Hist `json:"-"` // modeled latency per operation, µs
 }
 
-// aggFor returns (creating if needed) the aggregate for one map key.
-func aggFor[K comparable](m map[K]*OpAgg, k K) *OpAgg {
-	agg := m[k]
+// aggFor returns (creating it, and the map, if needed) the aggregate
+// for one map key.
+func aggFor[K comparable](m *map[K]*OpAgg, k K) *OpAgg {
+	if *m == nil {
+		*m = map[K]*OpAgg{}
+	}
+	agg := (*m)[k]
 	if agg == nil {
 		agg = &OpAgg{Steps: &Hist{}, LatencyMicros: &Hist{}}
-		m[k] = agg
+		(*m)[k] = agg
 	}
 	return agg
 }
 
-// add rolls one completed operation's record into the aggregate.
-func (agg *OpAgg) add(rec *OpRecord) {
+// copyAggs returns a fresh map of copied aggregates; the copies share
+// the histogram pointers, which are safe for concurrent use.
+func copyAggs[K comparable](m map[K]*OpAgg) map[K]*OpAgg {
+	out := make(map[K]*OpAgg, len(m))
+	for k, v := range m {
+		cp := *v
+		out[k] = &cp
+	}
+	return out
+}
+
+// add rolls one completed operation's record, priced at lat, into the
+// aggregate.
+func (agg *OpAgg) add(rec *OpRecord, lat time.Duration) {
 	agg.Count++
 	agg.StepSum += rec.Steps
 	agg.BlockSum += rec.Blocks
 	agg.FaultSum += rec.Faults
-	agg.LatencySumNanos += int64(rec.Latency)
+	agg.LatencySumNanos += int64(lat)
 	agg.WallSumNanos += rec.WallNanos
 	agg.Steps.Observe(rec.Steps)
-	agg.LatencyMicros.Observe(rec.Latency.Microseconds())
+	agg.LatencyMicros.Observe(lat.Microseconds())
 }
 
 // Collector aggregates hook events into metrics: global counters, a
 // depth histogram, per-tag totals, per-disk transfer tallies both
-// lifetime and over recent step windows, and — by folding the span
-// events — per-operation records aggregated into per-tag step/latency
+// lifetime and over recent step windows, and — from its chain's span
+// fold — per-operation records aggregated into per-tag step/latency
 // histograms. It implements pdm.Hook and is safe for concurrent use.
 type Collector struct {
 	// WindowSteps is how many parallel I/O steps one skew window spans;
@@ -91,7 +108,7 @@ type Collector struct {
 	perDisk  []int64 // lifetime, grown on demand
 	cur      Window  // open window
 	windows  []Window
-	folder   SpanFolder        // reconstructs operations from span events
+	fold     spanFold          // reconstructs operations from span events
 	ops      map[string]*OpAgg // per-tag aggregates over root spans
 }
 
@@ -106,19 +123,22 @@ func NewCollector() *Collector {
 }
 
 // Event implements pdm.Hook.
-func (c *Collector) Event(e pdm.Event) {
-	if e.Kind.IsAnnotation() {
-		return // health/alert transitions carry no I/O to aggregate
-	}
-	if e.Kind.IsSpan() {
+func (c *Collector) Event(e pdm.Event)    { c.fold.event(e, c) }
+func (c *Collector) join(chain *spanFold) { c.fold.chain.Store(chain) }
+
+// observe rolls a closed root span (one operation) into the per-tag
+// aggregates, priced with c.Cost, and a batch into the I/O counters.
+func (c *Collector) observe(e pdm.Event, rec *OpRecord) {
+	if rec != nil && rec.Parent == 0 {
 		c.mu.Lock()
-		c.foldLocked(e)
+		aggFor(&c.ops, rec.Tag).add(rec, c.Cost.Latency(rec.Steps, rec.Blocks))
 		c.mu.Unlock()
-		return
+	}
+	if e.Kind.IsSpan() || e.Kind.IsAnnotation() {
+		return // no I/O to aggregate
 	}
 	c.Depth.Observe(int64(e.Depth))
 	c.mu.Lock()
-	c.foldLocked(e) // attribute the batch to its open span, if any
 	c.events++
 	if e.Kind == pdm.EventWrite {
 		c.writes++
@@ -173,41 +193,22 @@ func (c *Collector) Event(e pdm.Event) {
 	c.mu.Unlock()
 }
 
-// foldLocked feeds one event to the span folder and, when a root span
-// (one dictionary operation) completes, rolls it into the per-tag
-// operation aggregates. Callers hold c.mu.
-func (c *Collector) foldLocked(e pdm.Event) {
-	c.folder.Cost = c.Cost
-	rec := c.folder.Fold(e)
-	if rec == nil || rec.Parent != 0 {
-		return // nothing closed, or a nested phase rather than an operation
-	}
-	if c.ops == nil {
-		c.ops = map[string]*OpAgg{}
-	}
-	aggFor(c.ops, rec.Tag).add(rec)
-}
-
 // Ops returns the per-tag operation aggregates (root spans only). The
 // returned map is fresh but shares the histogram pointers, which are
 // safe for concurrent use.
 func (c *Collector) Ops() map[string]*OpAgg {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]*OpAgg, len(c.ops))
-	for k, v := range c.ops {
-		cp := *v
-		out[k] = &cp
-	}
-	return out
+	return copyAggs(c.ops)
 }
 
 // OpenSpans returns how many spans are currently open — a liveness
 // diagnostic (a steadily growing value means unbalanced Span calls).
 func (c *Collector) OpenSpans() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.folder.Open()
+	f := c.fold.root()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.f.Open()
 }
 
 // DepthSum returns the sum of every observed batch depth — the exact
@@ -258,17 +259,8 @@ func (c *Collector) Totals() (events, reads, writes, steps, blocks int64) {
 // RenderTags writes an aligned per-tag I/O breakdown, heaviest first.
 func (c *Collector) RenderTags(sb *strings.Builder) {
 	tags := c.Tags()
-	names := make([]string, 0, len(tags))
-	for name := range tags {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		a, b := tags[names[i]], tags[names[j]]
-		if a.Steps != b.Steps {
-			return a.Steps > b.Steps
-		}
-		return names[i] < names[j]
-	})
+	names := sortedKeys(tags)
+	slices.SortStableFunc(names, func(a, b string) int { return cmp.Compare(tags[b].Steps, tags[a].Steps) })
 	_, _, _, steps, _ := c.Totals()
 	fmt.Fprintf(sb, "%-24s %10s %10s %10s %7s\n", "tag", "batches", "pIOs", "blocks", "share")
 	for _, name := range names {
@@ -287,11 +279,7 @@ func (c *Collector) RenderTags(sb *strings.Builder) {
 // I/O steps, and average modeled latency.
 func (c *Collector) RenderOps(sb *strings.Builder) {
 	ops := c.Ops()
-	names := make([]string, 0, len(ops))
-	for name := range ops {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedKeys(ops)
 	fmt.Fprintf(sb, "%-24s %10s %10s %8s %12s\n", "op", "count", "avg pIOs", "p99", "avg latency")
 	for _, name := range names {
 		a := ops[name]

@@ -302,85 +302,3 @@ func declaredPath(path string) bool {
 		path = rest
 	}
 }
-
-// Replay re-issues a recorded trace against m, batch for batch,
-// reproducing the trace's I/O cost profile (block contents are not
-// recorded, so writes store zero blocks). Replay re-opens the recorded
-// spans on m — nesting included — so a replayed machine emits the same
-// span structure the original did; spans left open by a truncated trace
-// are closed at the end, and a span whose leaf is not a declared tag (in
-// an event slice built by hand) opens nothing. Version 4+ traces carry
-// operation tokens, which Replay re-mints with their recorded IDs,
-// clients, and key counts, re-issuing token-carrying spans and batches
-// (including merged batches and their attribution lists) through the
-// op-aware machine entry points, so a replayed single-threaded trace
-// serializes back byte-identically. It returns the stats delta the replay produced.
-func Replay(m *pdm.Machine, events []pdm.Event) pdm.Stats {
-	before := m.Stats()
-	ops := map[uint64]*pdm.Op{}
-	op := func(id uint64, client, keys int) *pdm.Op {
-		if id == 0 {
-			return nil
-		}
-		o := ops[id]
-		if o == nil {
-			o = pdm.MakeOp(id, client, keys)
-			ops[id] = o
-		}
-		return o
-	}
-	var stack []pdm.SpanEnd
-	for _, e := range events {
-		switch e.Kind {
-		case pdm.EventSpanBegin:
-			// The recorded tag is the span's full dot-joined path; the
-			// machine re-joins nested spans itself, so re-open with the
-			// leaf component only.
-			leaf, ok := pdm.ParseTag(e.Tag[strings.LastIndexByte(e.Tag, '.')+1:])
-			switch {
-			case !ok:
-				stack = append(stack, pdm.SpanEnd{}) // keeps the stack balanced for the span_end
-			case e.Op != 0:
-				stack = append(stack, m.OpSpan(op(e.Op, e.Client, e.Keys), leaf))
-			default:
-				stack = append(stack, m.Span(leaf))
-			}
-		case pdm.EventSpanEnd:
-			if n := len(stack); n > 0 {
-				stack[n-1].End()
-				stack = stack[:n-1]
-			}
-		case pdm.EventHealth, pdm.EventAlert:
-			// Annotations transfer no blocks and charge no steps; the
-			// replaying machine regenerates its own health stream (none,
-			// on the fault-oblivious replay path), so re-issuing them
-			// would double-count nothing but would confuse sinks.
-		default:
-			switch {
-			case e.Kind == pdm.EventWrite:
-				writes := make([]pdm.BlockWrite, len(e.Addrs))
-				for i, a := range e.Addrs {
-					writes[i] = pdm.BlockWrite{Addr: a}
-				}
-				m.BatchWriteOp(op(e.Op, e.Client, 0), writes)
-			case len(e.Ops) > 0:
-				shared := make([]*pdm.Op, len(e.Ops))
-				for i, id := range e.Ops {
-					shared[i] = op(id, 0, 0)
-				}
-				m.BatchReadShared(shared, e.Addrs)
-			case len(e.Addrs) == 0 && e.Steps > 0:
-				// An addr-less charged read is modeled waiting (a retry
-				// policy's backoff) recorded by ChargeSteps; re-charge it
-				// the same way so the replayed cost profile stays exact.
-				m.ChargeSteps(op(e.Op, e.Client, 0), e.Steps)
-			default:
-				m.BatchReadOp(op(e.Op, e.Client, 0), e.Addrs)
-			}
-		}
-	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		stack[i].End()
-	}
-	return m.Stats().Sub(before)
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -39,9 +38,11 @@ import (
 // compounding it.
 //
 // Monitor implements pdm.Hook and is safe for concurrent use. Its lock
-// is never held across calls into the downstream hook or the listener.
+// is never held across calls into the downstream hook or the listener;
+// its chain's fold lock is.
 type Monitor struct {
-	next pdm.Hook // downstream sink; receives every event plus synthesized alerts
+	next member   // downstream sink; receives every event plus synthesized alerts
+	fold spanFold // the chain's fold; slo_burn judges its records
 
 	mu       sync.Mutex
 	now      int64             // guarded by mu; cumulative steps observed (the deterministic clock)
@@ -58,9 +59,10 @@ const maxTimeline = 4096
 
 // AlertListener receives the transitions of one eval tick, in rule
 // order. It runs on the goroutine that issued the triggering batch,
-// outside the Monitor's lock but inside the machine's hook call: it
-// must be fast, non-blocking, and must not issue I/O (waking a repair
-// supervisor via heal.Supervisor.Wake is the intended use).
+// outside the Monitor's lock but inside the machine's hook call and
+// the chain's fold lock: it must be fast, non-blocking, must not issue
+// I/O, and must not read the chain (waking a repair supervisor via
+// heal.Supervisor.Wake is the intended use).
 type AlertListener func([]AlertTransition)
 
 // AlertState is one rule instance's position in the alert state machine.
@@ -128,7 +130,7 @@ type ruleSample struct {
 	Breach bool
 }
 
-// detector is the per-rule streaming state. observe folds one event at
+// detector is the per-rule streaming state. observe takes one event at
 // the given monitor clock; sample reports every instance the detector
 // has ever seen (so firing instances keep being evaluated and can
 // resolve), in a slice the detector owns and reuses at its next sample.
@@ -172,8 +174,6 @@ type ruleState struct {
 	instances   map[string]*alertInstance
 	transitions int64
 	cycles      int64 // Firing → Resolved edges
-	firing      int
-	pending     int
 }
 
 // alertInstance is one labeled instance's state-machine position.
@@ -189,7 +189,10 @@ type alertInstance struct {
 // machine's hook — or upstream of a Tee feeding Collector, Ring, and a
 // trace writer, so synthesized alert events reach every sink.
 func NewMonitor(next pdm.Hook, rules ...Rule) *Monitor {
-	m := &Monitor{next: next}
+	m := &Monitor{}
+	if next != nil {
+		m.next = m.fold.adopt(next)
+	}
 	for _, r := range rules {
 		r = r.normalized()
 		m.rules = append(m.rules, &ruleState{
@@ -213,9 +216,11 @@ func (m *Monitor) SetListener(l AlertListener) {
 // feeds the detectors; rules whose eval tick is due are evaluated; and
 // the event — followed by any synthesized alert events — is forwarded
 // downstream with the lock released.
-func (m *Monitor) Event(e pdm.Event) {
+func (m *Monitor) Event(e pdm.Event)    { m.fold.event(e, m) }
+func (m *Monitor) join(chain *spanFold) { m.fold.chain.Store(chain) }
+
+func (m *Monitor) observe(e pdm.Event, rec *OpRecord) {
 	var fired []AlertTransition
-	var listener AlertListener
 	m.mu.Lock()
 	if e.Kind != pdm.EventAlert {
 		if !e.Kind.IsSpan() && !e.Kind.IsAnnotation() {
@@ -223,7 +228,11 @@ func (m *Monitor) Event(e pdm.Event) {
 		}
 		now := m.now
 		for _, rs := range m.rules {
-			rs.det.observe(e, now)
+			if burn, ok := rs.det.(*burnDetector); ok {
+				burn.record(rec, now) // judges the chain's records
+			} else {
+				rs.det.observe(e, now)
+			}
 		}
 		for _, rs := range m.rules {
 			if now >= rs.nextEval {
@@ -232,12 +241,12 @@ func (m *Monitor) Event(e pdm.Event) {
 			}
 		}
 	}
-	listener = m.listener
+	listener := m.listener
 	m.mu.Unlock()
 	if m.next != nil {
-		m.next.Event(e)
+		m.next.observe(e, rec)
 		for _, t := range fired {
-			m.next.Event(alertEvent(t))
+			m.next.observe(alertEvent(t), nil)
 		}
 	}
 	if listener != nil && len(fired) > 0 {
@@ -292,18 +301,6 @@ func (m *Monitor) evalLocked(rs *ruleState, now int64, fired *[]AlertTransition)
 		}
 		if to == from {
 			continue
-		}
-		switch from {
-		case AlertFiring:
-			rs.firing--
-		case AlertPending:
-			rs.pending--
-		}
-		switch to {
-		case AlertFiring:
-			rs.firing++
-		case AlertPending:
-			rs.pending++
 		}
 		inst.state = to
 		rs.transitions++
@@ -418,20 +415,18 @@ func (m *Monitor) Snapshot() AlertsSnapshot {
 	for _, rs := range m.rules {
 		r := AlertRuleSnapshot{
 			Rule:        rs.rule.Name,
-			Firing:      rs.firing,
-			Pending:     rs.pending,
 			Transitions: rs.transitions,
 			Cycles:      rs.cycles,
 		}
-		labels := make([]string, 0, len(rs.instances))
-		for l := range rs.instances {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		for _, l := range labels {
+		for _, l := range sortedKeys(rs.instances) {
 			inst := rs.instances[l]
 			row := AlertInstance{Label: l, State: inst.state, ValueMicro: inst.value}
-			if inst.state == AlertPending || inst.state == AlertFiring {
+			switch inst.state {
+			case AlertPending:
+				r.Pending++
+				row.SinceStep = inst.since
+			case AlertFiring:
+				r.Firing++
 				row.SinceStep = inst.since
 			}
 			r.Instances = append(r.Instances, row)
@@ -593,8 +588,8 @@ func (c BurnConfig) normalized() BurnConfig {
 	return c
 }
 
-// BurnRateRule builds the SLO burn-rate detector: it folds token-
-// carrying root operation spans into their records, judges each
+// BurnRateRule builds the SLO burn-rate detector: it takes the records
+// of token-carrying root operation spans, judges each
 // completed op by its modeled latency under the cost model, and
 // breaches while the fraction of ops over Target exceeds Burn ×
 // Objective in both the fast and the slow window.
@@ -604,7 +599,7 @@ func BurnRateRule(cfg BurnConfig) Rule {
 		Name:      "slo_burn",
 		EvalEvery: 64,
 		newDetector: func() detector {
-			return &burnDetector{cfg: cfg, folder: SpanFolder{Cost: cfg.Cost}, series: map[string][]burnFinish{},
+			return &burnDetector{cfg: cfg, series: map[string][]burnFinish{},
 				clients: map[int]string{}, tags: map[string]string{}}
 		},
 	}
@@ -617,7 +612,7 @@ type burnFinish struct {
 
 type burnDetector struct {
 	cfg     BurnConfig
-	folder  SpanFolder              // builds each op's record
+	own     *SpanFolder             // observe's fold; a Monitor never makes it
 	series  map[string][]burnFinish // completed ops per label, pruned to the slow window
 	clients map[int]string          // cached instance label per client
 	tags    map[string]string       // cached instance label per tag (ByTag)
@@ -643,13 +638,23 @@ func (d *burnDetector) label(rec *OpRecord) string {
 	return l
 }
 
+// observe folds e privately, as a consumer installed on its own does,
+// and records the op it closes; a Monitor calls record instead.
 func (d *burnDetector) observe(e pdm.Event, now int64) {
-	rec := d.folder.Fold(e)
+	if d.own == nil {
+		d.own = new(SpanFolder)
+	}
+	d.record(d.own.Fold(e), now)
+}
+
+// record judges a completed op by its modeled latency under cfg.Cost.
+func (d *burnDetector) record(rec *OpRecord, now int64) {
 	if rec == nil || rec.Parent != 0 || rec.Op == 0 {
 		return // nothing closed, a nested phase, or an unattributed span
 	}
 	l := d.label(rec)
-	d.series[l] = append(d.series[l], burnFinish{step: now, bad: rec.Latency > d.cfg.Target})
+	bad := d.cfg.Cost.Latency(rec.Steps, rec.Blocks) > d.cfg.Target
+	d.series[l] = append(d.series[l], burnFinish{step: now, bad: bad})
 }
 
 func (d *burnDetector) sample(now int64) []ruleSample {

@@ -5,21 +5,22 @@
 // and splits into three kinds of pieces:
 //
 //   - Sinks consume raw events: Ring keeps the last N events in memory,
-//     JSONLWriter streams them to a file for offline analysis, and
-//     Replay re-issues a recorded trace against a fresh machine to
-//     reproduce its I/O cost.
+//     and JSONLWriter streams them to a file for offline analysis
+//     (ReadEvents and FoldSpans read them back).
 //   - Hist is a log₂-bucketed histogram for long-tailed counts such as
 //     parallel I/Os per operation; it is safe for concurrent use.
 //   - Collector aggregates events into per-tag and per-disk totals plus
 //     a depth histogram, and renders them as text tables.
 //
-// Hooks compose with Tee, so a trace file and live metrics can be fed
-// from the same machine simultaneously.
+// Hooks compose with Tee and NewMonitor, so a trace file and live
+// metrics can be fed from the same machine simultaneously.
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -41,19 +42,40 @@ type HookFunc func(pdm.Event)
 func (f HookFunc) Event(e pdm.Event) { f(e) }
 
 // Tee fans each event out to every hook in order. Nil entries are
-// skipped, so optional sinks can be passed unconditionally.
+// skipped, so optional sinks can be passed unconditionally. Members
+// that take records (Collector, OpAccountant, Monitor, a Tee) share
+// one fold of each event; the rest get the bare event.
 func Tee(hooks ...pdm.Hook) pdm.Hook {
-	live := make([]pdm.Hook, 0, len(hooks))
+	t := &tee{}
 	for _, h := range hooks {
 		if h != nil {
-			live = append(live, h)
+			t.members = append(t.members, t.fold.adopt(h))
 		}
 	}
-	return HookFunc(func(e pdm.Event) {
-		for _, h := range live {
-			h.Event(e)
-		}
-	})
+	return t
+}
+
+type tee struct {
+	fold    spanFold
+	members []member
+}
+
+func (t *tee) Event(e pdm.Event)    { t.fold.event(e, t) }
+func (t *tee) join(chain *spanFold) { t.fold.chain.Store(chain) }
+func (t *tee) observe(e pdm.Event, rec *OpRecord) {
+	for _, m := range t.members {
+		m.observe(e, rec)
+	}
+}
+
+// sortedKeys returns m's keys in increasing order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // histBuckets covers values up to 2⁶³ plus a dedicated zero bucket.

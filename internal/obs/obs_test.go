@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"errors"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -140,13 +139,21 @@ func TestJSONLRoundTripAndReplay(t *testing.T) {
 		t.Errorf("event 3 = %+v", events[3])
 	}
 
-	// Replaying the trace on a fresh machine reproduces its I/O cost.
-	fresh := pdm.NewMachine(pdm.Config{D: 4, B: 2})
-	delta := Replay(fresh, events)
-	if want := m.Stats(); delta.ParallelIOs != want.ParallelIOs ||
-		delta.BlockReads != want.BlockReads || delta.BlockWrites != want.BlockWrites ||
-		delta.MaxBatch != want.MaxBatch {
-		t.Errorf("replay delta %+v, want cost profile of %+v", delta, want)
+	// Replaying the trace offline through a collector reproduces its
+	// I/O cost, and its span folds to the insert's record.
+	c := NewCollector()
+	for _, e := range events {
+		c.Event(e)
+	}
+	want := m.Stats()
+	if _, reads, writes, steps, blocks := c.Totals(); steps != want.ParallelIOs || reads != 1 || writes != 1 ||
+		blocks != want.BlockReads+want.BlockWrites {
+		t.Errorf("replayed totals: %d reads, %d writes, %d steps, %d blocks; want cost profile of %+v",
+			reads, writes, steps, blocks, want)
+	}
+	if recs := FoldSpans(events, CostModel{}); len(recs) != 1 || recs[0].Tag != "insert" || recs[0].Steps != 2 ||
+		recs[0].Writes != 2 {
+		t.Errorf("folded spans = %+v, want one 2-step insert writing 2 blocks", recs)
 	}
 }
 
@@ -183,78 +190,6 @@ func TestJSONLParseErrorsCarryLineNumbers(t *testing.T) {
 				t.Errorf("error %q missing %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestReplayReproducesSpanStructure(t *testing.T) {
-	// Record a workload with nested spans, replay the trace, and the
-	// replayed machine must emit the same span paths in the same order.
-	run := func(m *pdm.Machine, drive func()) []pdm.Event {
-		var rec eventRecorder
-		m.SetHook(&rec)
-		drive()
-		return rec.events
-	}
-	m := pdm.NewMachine(pdm.Config{D: 2, B: 2})
-	orig := run(m, func() {
-		end := m.Span(pdm.TagInsert)
-		inner := m.Span(pdm.TagProbe)
-		m.BatchRead([]pdm.Addr{{Disk: 0, Block: 0}})
-		inner.End()
-		m.BatchWrite([]pdm.BlockWrite{{Addr: pdm.Addr{Disk: 1, Block: 0}}})
-		end.End()
-	})
-	var buf bytes.Buffer
-	w := NewJSONLWriter(&buf)
-	for _, e := range orig {
-		w.Event(e)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	events, err := ReadEvents(&buf)
-	if err != nil {
-		t.Fatalf("ReadEvents: %v", err)
-	}
-	fresh := pdm.NewMachine(pdm.Config{D: 2, B: 2})
-	replayed := run(fresh, func() { Replay(fresh, events) })
-	if len(replayed) != len(orig) {
-		t.Fatalf("replay emitted %d events, want %d", len(replayed), len(orig))
-	}
-	for i := range orig {
-		if replayed[i].Kind != orig[i].Kind || replayed[i].Tag != orig[i].Tag ||
-			replayed[i].Span != orig[i].Span || replayed[i].Parent != orig[i].Parent ||
-			replayed[i].Step != orig[i].Step {
-			t.Errorf("event %d = %+v, want %+v", i, replayed[i], orig[i])
-		}
-	}
-}
-
-// A hand-built event slice may carry a span leaf that is no declared
-// tag: Replay opens no span for it, and its span end closes nothing, so
-// the enclosing span still covers the batches that follow.
-func TestReplaySkipsUndeclaredLeaf(t *testing.T) {
-	read := pdm.Event{Kind: pdm.EventRead, Steps: 1, Addrs: []pdm.Addr{{Disk: 0, Block: 0}}}
-	events := []pdm.Event{
-		{Kind: pdm.EventSpanBegin, Tag: "insert", Span: 1},
-		{Kind: pdm.EventSpanBegin, Tag: "insert.bogus", Span: 2, Parent: 1},
-		read,
-		{Kind: pdm.EventSpanEnd, Tag: "insert.bogus", Span: 2, Parent: 1},
-		read,
-		{Kind: pdm.EventSpanEnd, Tag: "insert", Span: 1},
-	}
-	m := pdm.NewMachine(pdm.Config{D: 2, B: 2})
-	var rec eventRecorder
-	m.SetHook(&rec)
-	Replay(m, events)
-	want := []pdm.EventKind{pdm.EventSpanBegin, pdm.EventRead, pdm.EventRead, pdm.EventSpanEnd}
-	if got := rec.kinds(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("replay emitted %v, want %v", got, want)
-	}
-	for _, e := range rec.events {
-		if e.Tag != "insert" {
-			t.Errorf("%v event tagged %q, want insert", e.Kind, e.Tag)
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -217,11 +216,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	// Per-tag batch I/O. Fault events are split out under their own
 	// family: they annotate batches rather than being batches.
 	tags := c.Tags()
-	names := make([]string, 0, len(tags))
-	for name := range tags {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedKeys(tags)
 	header(w, "pdm_tag_batches_total", "counter", "Batches attributed to each span tag.")
 	for _, name := range names {
 		if !strings.HasPrefix(name, pdm.FaultTagPrefix) {
@@ -272,11 +267,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	// Per-operation series, folded from span events. Root spans only:
 	// one sample per Lookup/Insert/Delete, nested phases rolled up.
 	ops := c.Ops()
-	opNames := make([]string, 0, len(ops))
-	for name := range ops {
-		opNames = append(opNames, name)
-	}
-	sort.Strings(opNames)
+	opNames := sortedKeys(ops)
 	header(w, "pdm_ops_total", "counter", "Completed operations (root spans), by tag.")
 	for _, name := range opNames {
 		sample(w, "pdm_ops_total", tagLabel(name), float64(ops[name].Count))
@@ -288,12 +279,12 @@ func (s *Server) writeMetrics(w io.Writer) {
 	header(w, "pdm_op_steps", "histogram", "Parallel I/O steps per operation.")
 	for _, name := range opNames {
 		a := ops[name]
-		histogramSeries(w, "pdm_op_steps", tagLabel(name), a.Steps, 1, float64(a.StepSum), a.Count)
+		histogramSeries(w, "pdm_op_steps", tagLabel(name), a.Steps.Buckets(), 1, float64(a.StepSum), a.Count)
 	}
 	header(w, "pdm_op_latency_seconds", "histogram", "Modeled operation latency under the collector's cost model.")
 	for _, name := range opNames {
 		a := ops[name]
-		histogramSeries(w, "pdm_op_latency_seconds", tagLabel(name), a.LatencyMicros, 1e-6, float64(a.LatencySumNanos)/1e9, a.Count)
+		histogramSeries(w, "pdm_op_latency_seconds", tagLabel(name), a.LatencyMicros.Buckets(), 1e-6, float64(a.LatencySumNanos)/1e9, a.Count)
 	}
 
 	header(w, "pdm_open_spans", "gauge", "Spans currently open (growth means unbalanced Span calls).")
@@ -354,9 +345,9 @@ func (s *Server) writeSchedMetrics(w io.Writer) {
 	sample(w, "pdm_sched_pending_reads", "", float64(snap.PendingReads))
 
 	header(w, "pdm_sched_batch_occupancy", "histogram", "Lookups coalesced per shared read round.")
-	summarySeries(w, "pdm_sched_batch_occupancy", "", snap.Occupancy, float64(snap.OccupancySum))
+	histogramSeries(w, "pdm_sched_batch_occupancy", "", snap.Occupancy.Buckets, 1, float64(snap.OccupancySum), snap.Occupancy.Total)
 	header(w, "pdm_sched_window_steps", "histogram", "Admission window length in parallel I/O steps (deterministic clock).")
-	summarySeries(w, "pdm_sched_window_steps", "", snap.WindowSteps, float64(snap.WindowStepSum))
+	histogramSeries(w, "pdm_sched_window_steps", "", snap.WindowSteps.Buckets, 1, float64(snap.WindowStepSum), snap.WindowSteps.Total)
 }
 
 // writeAlertMetrics renders the watchdog's state. The snapshot's rules
@@ -461,11 +452,7 @@ func (s *Server) writeOpMetrics(w io.Writer) {
 	}{{"0.5", 0.50}, {"0.99", 0.99}, {"0.999", 0.999}}
 
 	clients := a.Clients()
-	ids := make([]int, 0, len(clients))
-	for id := range clients {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	ids := sortedKeys(clients)
 	header(w, "pdm_client_ops_total", "counter", "Completed operations per client.")
 	for _, id := range ids {
 		sample(w, "pdm_client_ops_total", fmt.Sprintf(`client="%d"`, id), float64(clients[id].Count))
@@ -473,7 +460,7 @@ func (s *Server) writeOpMetrics(w io.Writer) {
 	header(w, "pdm_client_op_latency_seconds", "histogram", "Modeled operation latency per client (SLO histogram).")
 	for _, id := range ids {
 		agg := clients[id]
-		histogramSeries(w, "pdm_client_op_latency_seconds", fmt.Sprintf(`client="%d"`, id), agg.LatencyMicros, 1e-6, float64(agg.LatencySumNanos)/1e9, agg.Count)
+		histogramSeries(w, "pdm_client_op_latency_seconds", fmt.Sprintf(`client="%d"`, id), agg.LatencyMicros.Buckets(), 1e-6, float64(agg.LatencySumNanos)/1e9, agg.Count)
 	}
 	header(w, "pdm_client_op_latency_quantile_seconds", "gauge", "Modeled per-client operation latency quantiles (p50/p99/p999).")
 	for _, id := range ids {
@@ -485,11 +472,7 @@ func (s *Server) writeOpMetrics(w io.Writer) {
 	}
 
 	tags := a.Tags()
-	names := make([]string, 0, len(tags))
-	for name := range tags {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedKeys(tags)
 	header(w, "pdm_tag_op_latency_quantile_seconds", "gauge", "Modeled per-tag operation latency quantiles (p50/p99/p999).")
 	for _, name := range names {
 		for _, q := range quantiles {
@@ -525,37 +508,20 @@ func tagLabel(tag string) string {
 // the bucket/sum/count series.
 func histogram(w io.Writer, name, help, labels string, h *Hist, sum float64) {
 	header(w, name, "histogram", help)
-	histogramSeries(w, name, labels, h, 1, sum, h.Total())
-}
-
-// summarySeries writes the _bucket/_sum/_count lines of one labeled
-// histogram from a Summary digest (for sources that hand over a
-// snapshot rather than a live *Hist).
-func summarySeries(w io.Writer, name, labels string, s Summary, sum float64) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	cum := int64(0)
-	for _, b := range s.Buckets {
-		cum += b.Count
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, fmt.Sprintf("%g", float64(b.Hi)), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.Total)
-	sample(w, name+"_sum", labels, sum)
-	sample(w, name+"_count", labels, float64(s.Total))
+	histogramSeries(w, name, labels, h.Buckets(), 1, sum, h.Total())
 }
 
 // histogramSeries writes the _bucket/_sum/_count lines of one labeled
-// histogram. Bucket upper bounds are the Hist's power-of-two edges
-// scaled by unit (1e-6 turns microsecond buckets into seconds).
-func histogramSeries(w io.Writer, name, labels string, h *Hist, unit, sum float64, count int64) {
+// histogram, from a live Hist's buckets or a Summary's. Bucket upper
+// bounds are the power-of-two edges scaled by unit (1e-6 turns
+// microsecond buckets into seconds).
+func histogramSeries(w io.Writer, name, labels string, buckets []HistBucket, unit, sum float64, count int64) {
 	sep := ""
 	if labels != "" {
 		sep = ","
 	}
 	cum := int64(0)
-	for _, b := range h.Buckets() {
+	for _, b := range buckets {
 		cum += b.Count
 		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, fmt.Sprintf("%g", float64(b.Hi)*unit), cum)
 	}

@@ -3,6 +3,8 @@ package obs
 import (
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"pdmdict/internal/pdm"
@@ -103,13 +105,14 @@ type OpRecord struct {
 
 // SpanFolder reconstructs spans from an event stream: feed it every
 // event (in emission order) and it returns one OpRecord per closed
-// span. It is the one fold from events to per-operation records:
-// Collector, OpAccountant, and the slo_burn rule each run one. It
-// tolerates imperfect streams — an end without a begin is
-// dropped, unclosed spans can be flushed with Drain — so it works on
-// truncated traces and on the interleaved streams a shared machine
-// produces under concurrency. Not safe for concurrent use; wrap it in
-// a Collector (which locks) for live folding.
+// span. It is the one fold from events to per-operation records: a
+// hook chain runs one, under a lock taken after the machine's emitMu
+// and before any consumer's, and its Collector, OpAccountant and
+// slo_burn rule share the records (see spanFold). It tolerates
+// imperfect streams — an end without a begin is dropped, unclosed
+// spans can be flushed with Drain — so it works on truncated traces
+// and on the interleaved streams a shared machine produces under
+// concurrency. Not safe for concurrent use.
 type SpanFolder struct {
 	// Cost is the model used for OpRecord.Latency; the zero value means
 	// DefaultCostModel.
@@ -303,3 +306,51 @@ func FoldSpans(events []pdm.Event, cost CostModel) []OpRecord {
 	}
 	return append(out, f.Drain(lastStep)...)
 }
+
+// spanFold is a hook chain's one SpanFolder and its lock. Collector,
+// OpAccountant, Monitor and Tee's hook each own one; composing joins a
+// member's to the composer's, so only the element the machine calls
+// folds each event, and its members observe the record with the lock
+// held. Lock order: after the machine's emitMu, before consumer locks.
+type spanFold struct {
+	mu    sync.Mutex
+	f     SpanFolder               // guarded by mu
+	chain atomic.Pointer[spanFold] // the composer's fold, once joined
+}
+
+// root returns the outermost composer's fold, or s.
+func (s *spanFold) root() *spanFold {
+	for up := s.chain.Load(); up != nil; up = s.chain.Load() {
+		s = up
+	}
+	return s
+}
+
+func (s *spanFold) event(e pdm.Event, h member) {
+	s = s.root()
+	s.mu.Lock()
+	h.observe(e, s.f.Fold(e))
+	s.mu.Unlock()
+}
+
+// member is a chain element: observe takes an event with the record
+// it closed (nil if none; valid during the call), join ties its fold.
+type member interface {
+	observe(e pdm.Event, rec *OpRecord)
+	join(chain *spanFold)
+}
+
+// adopt joins h to the chain folding through s; a hook that takes no
+// records (Ring, JSONLWriter, HookFunc) gets the bare event.
+func (s *spanFold) adopt(h pdm.Hook) member {
+	if m, ok := h.(member); ok {
+		m.join(s)
+		return m
+	}
+	return bare{h}
+}
+
+type bare struct{ pdm.Hook }
+
+func (b bare) observe(e pdm.Event, _ *OpRecord) { b.Event(e) }
+func (bare) join(*spanFold)                     {}

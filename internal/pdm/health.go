@@ -215,8 +215,7 @@ func (m *Machine) NoteRepairChunk(rows int) {
 // modeled waiting time, such as a retry policy's backoff. The charge
 // lands on the machine's step counter, on op (when non-nil), and on the
 // backoff tally reported by Health; an addr-less EventRead carrying the
-// steps is emitted so traces stay a complete account of the total
-// (obs.Replay re-charges such events through this method).
+// steps is emitted so traces stay a complete account of the total.
 func (m *Machine) ChargeSteps(op *Op, steps int) {
 	if steps <= 0 {
 		return
